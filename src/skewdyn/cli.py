@@ -2,19 +2,18 @@
 and pixmap emission with deterministic exit codes.
 
 Exit codes: 0 success (violation reports are data, not failures),
-2 malformed input, 3 degenerate small divisor, 4 precision/iteration budget
-exhausted with no partial output possible.
+2 malformed input (including non-finite complex arguments and germ
+coefficients outside the double range), 3 degenerate small divisor,
+4 precision/iteration budget exhausted with no partial output possible.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .cremer import greedy_quadratic, growth_profile, linear_example_phi, \
@@ -55,7 +54,8 @@ def _load_germ(path: str):
     try:
         with open(path) as fh:
             return germ_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError,
+            json.JSONDecodeError) as exc:
         raise _CliError(EXIT_BAD_INPUT, f"cannot load germ: {exc}") from exc
 
 
@@ -63,10 +63,14 @@ def _parse_complex(text: str) -> complex:
     try:
         if "," in text:
             re_s, im_s = text.split(",", 1)
-            return complex(float(re_s), float(im_s))
-        return complex(text)
+            value = complex(float(re_s), float(im_s))
+        else:
+            value = complex(text)
     except ValueError as exc:
         raise _CliError(EXIT_BAD_INPUT, f"cannot parse complex {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise _CliError(EXIT_BAD_INPUT, f"complex {text!r} is not finite")
+    return value
 
 
 def _out_dir(args) -> Path:
@@ -212,14 +216,15 @@ def cmd_orbit(args) -> int:
     w0 = _parse_complex(args.w0)
     orbit = iterate_orbit(F, z0, w0, args.n_max, escape_radius=args.escape,
                           stop_at_verdict=not args.full_orbit)
-    sums = vertical_derivative_sum(orbit) if len(orbit.dlogs) else np.zeros(1)
+    sums = (vertical_derivative_sum(orbit).tolist() if len(orbit.dlogs)
+            else [0.0])
+    dlogs = orbit.dlogs.tolist() + [float("nan")]  # no step from the last row
+    rows = zip(orbit.zs.tolist(), orbit.ws.tolist(), dlogs, sums)
     with open(out / "orbit.csv", "w", newline="") as fh:
         fh.write("n,re_z,im_z,re_w,im_w,dlog,dlog_partial_sum\n")
-        for n in range(len(orbit.ws)):
-            d = orbit.dlogs[n] if n < len(orbit.dlogs) else math.nan
-            s = sums[n] if n < len(sums) else math.nan
-            fh.write(f"{n},{orbit.zs[n].real!r},{orbit.zs[n].imag!r},"
-                     f"{orbit.ws[n].real!r},{orbit.ws[n].imag!r},{d!r},{s!r}\n")
+        for n, (z, w, d, s) in enumerate(rows):
+            fh.write(f"{n},{z.real!r},{z.imag!r},{w.real!r},{w.imag!r},"
+                     f"{d!r},{s!r}\n")
     summary = {
         "config": _config_echo(args, ["germ", "z0", "w0", "n_max", "escape"]),
         "verdict": repr(orbit.verdict),
@@ -402,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except (LinearFiberError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OverflowError as exc:
+        print(f"error: input outside the double range: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -14,10 +14,11 @@ with R = 1/(k rho^k).  Orbit verdicts come from a fixed state machine:
              `window` steps;
   undecided  the step budget ran out first.
 
-The same vectorized engine runs single orbits (arrays of length one, with
-per-step recording) and full grids, so classifications cannot drift between
-the two paths; grid results are pure functions of the inputs, independent
-of chunking or thread count.
+Grids run through a vectorized lockstep engine; single orbits step their
+trajectory first and replay the same rules over the time axis.  The
+differential test tests/test_petals.py::test_single_orbit_path_matches_engine
+keeps the two paths' verdicts equal.  Grid results are pure functions of
+the inputs, independent of chunking or thread count.
 """
 
 from __future__ import annotations
@@ -269,22 +270,12 @@ class _EngineResult:
     n_stop: np.ndarray
     w_verdict: np.ndarray      # state at the step the verdict fired
     period: np.ndarray         # confirmed cycle period for BASIN verdicts
-    history: list[np.ndarray] = field(default_factory=list)
-    dlog: list[np.ndarray] = field(default_factory=list)
 
 
 def _poly_eval(row: np.ndarray, w: np.ndarray) -> np.ndarray:
     acc = np.full_like(w, row[-1])
     for j in range(len(row) - 2, -1, -1):
         acc = acc * w + row[j]
-    return acc
-
-
-def _poly_deriv_eval(row: np.ndarray, w: np.ndarray) -> np.ndarray:
-    deg = len(row) - 1
-    acc = np.full_like(w, row[-1] * deg)
-    for j in range(deg - 1, 0, -1):
-        acc = acc * w + row[j] * j
     return acc
 
 
@@ -315,9 +306,9 @@ class _State:
 
 def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                 parabolic: bool, k: int, base_angle: float,
-                cfg: OrbitConfig, stop_at_verdict: bool = True,
-                record: bool = False) -> _EngineResult:
-    """Advance all points in lockstep through the shared fiber schedule C.
+                cfg: OrbitConfig) -> _EngineResult:
+    """Advance all points in lockstep through the shared fiber schedule C,
+    until every point has a verdict or n_max steps are taken.
 
     Verdict checks run in a fixed order every step (escape, petal, cycle);
     each point's outcome is a pure function of its own start, so results do
@@ -329,11 +320,9 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     n_stop = np.full(m, n_max, dtype=np.int64)
     w_verdict = np.zeros(m, dtype=complex)
     period_out = np.zeros(m, dtype=np.int64)
-    res = _EngineResult(kind, index, n_stop, w_verdict, period_out)
 
     st = _State(w0)
     undecided = np.ones(m, dtype=bool)  # aligned with st arrays
-    compactable = stop_at_verdict and not record
 
     def settle(mask: np.ndarray, verdict: int, n: int,
                idx: np.ndarray | None = None,
@@ -351,8 +340,6 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for n in range(n_max + 1):
             cur_abs = np.abs(st.w)
-            if record:
-                res.history.append(st.w.copy())
 
             esc = undecided & ~(cur_abs <= cfg.escape_radius)
             if esc.any():
@@ -408,26 +395,19 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                              & (n - st.last_hit > cfg.period_cap))
                     st.anchored[stale] = False
 
-            if n == n_max:
+            if n == n_max or not undecided.any():
                 break
-            if stop_at_verdict and not undecided.any():
-                break
-            if compactable and len(st.w) > 256 and (n & 31) == 31:
+            if len(st.w) > 256 and (n & 31) == 31:
                 frac = np.count_nonzero(undecided) / len(st.w)
                 if frac < 0.75:
                     st.compact(undecided)
                     cur_abs = cur_abs[undecided]
                     undecided = np.ones(len(st.w), dtype=bool)
 
-            row = C[n]
-            if record:
-                d = np.abs(_poly_deriv_eval(row, st.w))
-                with np.errstate(divide="ignore"):
-                    res.dlog.append(np.where(d > 0.0, np.log(d), -np.inf))
             st.prev_abs = cur_abs
-            st.w = _poly_eval(row, st.w)
+            st.w = _poly_eval(C[n], st.w)
 
-    return res
+    return _EngineResult(kind, index, n_stop, w_verdict, period_out)
 
 
 def _wrap_np(a: np.ndarray) -> np.ndarray:
@@ -435,15 +415,20 @@ def _wrap_np(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Single-orbit fast path
+# Single-orbit path
 #
 # For one point the per-step bookkeeping above is pure overhead, so the
 # trajectory is stepped first (same _poly_eval array op, hence bit-identical
 # values) and the verdict rules are replayed vectorized over the time axis.
 # The tortoise needs no separate recurrence: advancing it t times applies
-# exactly the map compositions that produced W[t].  Equivalence with the
-# batch engine is asserted test-side on verdicts, stop steps and raw
-# trajectories.
+# exactly the map compositions that produced W[t].  Every rule is causal, so
+# a replay over a prefix finds exactly the verdicts that fire inside it:
+# with stop_at_verdict the trajectory grows in doubling blocks (64 steps,
+# then 128, ...) and stepping ends with the first block that holds a
+# verdict, which keeps early verdicts cheap.  The differential tests
+# tests/test_petals.py::test_single_orbit_path_matches_engine (real maps)
+# and ..._on_scripted_orbits (automaton edge cases) require the verdict,
+# index, stop step, period and verdict state to equal _run_engine's.
 # ---------------------------------------------------------------------------
 
 def _first_petal_hit(ws: np.ndarray, a: np.ndarray, k: int, base_angle: float,
@@ -470,136 +455,103 @@ def _first_cycle_confirm(ws: np.ndarray, cfg: OrbitConfig) -> tuple[int, int] | 
     """Replay the tortoise/anchor automaton over a finished trajectory.
 
     The engine's tortoise equals ws[n // 2] bit for bit (same recurrence),
-    so catches and anchor recurrences reduce to vectorized comparisons; the
-    event walk below mirrors the per-step transitions: anchor on a catch,
-    fix the period from the first recurrence gap, re-anchor on a gap
-    mismatch, abandon when the gap budget lapses, confirm after `window`
-    steps anchored.
+    so catches reduce to one vectorized comparison; the event walk below
+    mirrors the per-step transitions: anchor on a catch, fix the period from
+    the first recurrence gap, re-anchor on a gap mismatch, abandon the
+    anchor when no recurrence comes within period_cap steps, confirm after
+    `window` steps anchored.  Only the period_cap + 1 steps after the last
+    recurrence can hold the next one, so each transition reads a bounded
+    slice of ws.
     """
     top = len(ws) - 1
     if top < 2:
         return None
     diff = np.abs(ws - ws[np.arange(top + 1) // 2])
-    catch_idx = np.flatnonzero(diff[2:] < cfg.cycle_tol) + 2
+    catches = np.flatnonzero(diff[2:] < cfg.cycle_tol) + 2
     scan_from = 2
-    anchored = False
-    anchor_step = last_hit = period = 0
-    hits: list[int] = []
-    hp = 0
-    for _ in range(4 * top + 8):  # every transition advances scan_from or hp
-        if not anchored:
-            nxt = catch_idx[np.searchsorted(catch_idx, scan_from):]
-            if len(nxt) == 0:
-                return None
-            na = int(nxt[0])
-            anchored = True
-            anchor_step = last_hit = na
-            period = 0
-            hits = (np.flatnonzero(np.abs(ws[na + 1:] - ws[na])
-                                   < cfg.cycle_tol) + na + 1).tolist()
-            hp = 0
-            scan_from = na + 1
-            continue
-        nh = hits[hp] if hp < len(hits) else None
-        stale_at = last_hit + cfg.period_cap + 1
-        if nh is None or nh > stale_at:
-            anchored = False
-            scan_from = stale_at + 1
-            continue
-        hp += 1
-        gap = nh - last_hit
-        if period == 0:
-            if gap > cfg.period_cap:
-                anchored = False
-                scan_from = nh + 1
-                continue
-            period = gap
-        elif gap != period:
-            anchor_step = nh
-            period = 0
-            hits = (np.flatnonzero(np.abs(ws[nh + 1:] - ws[nh])
-                                   < cfg.cycle_tol) + nh + 1).tolist()
-            hp = 0
-            last_hit = nh
-            scan_from = nh + 1
-            continue
-        last_hit = nh
-        if period > 0 and nh - anchor_step >= cfg.window:
-            return nh, period
-    return None
+    while True:
+        pos = np.searchsorted(catches, scan_from)
+        if pos == len(catches):
+            return None
+        anchor_step = last_hit = int(catches[pos])
+        period = 0
+        while True:
+            stale_at = last_hit + cfg.period_cap + 1
+            near = np.flatnonzero(np.abs(ws[last_hit + 1:stale_at + 1]
+                                         - ws[anchor_step]) < cfg.cycle_tol)
+            if len(near) == 0:
+                break
+            gap = int(near[0]) + 1
+            if period == 0 and gap > cfg.period_cap:
+                break  # the anchor is dropped at stale_at either way
+            last_hit += gap
+            if period == 0:
+                period = gap
+            elif gap != period:
+                anchor_step, period = last_hit, 0
+            if period > 0 and last_hit - anchor_step >= cfg.window:
+                return last_hit, period
+        scan_from = stale_at + 1
+
+
+def _first_verdict(ws: np.ndarray, parabolic: bool, k: int, base_angle: float,
+                   cfg: OrbitConfig) -> tuple[int, int, int, int] | None:
+    """(n, kind, index, period) of the first verdict along ws, or None.
+
+    The kind codes ESCAPE < PETAL < BASIN follow the engine's check order
+    within a step, so the minimum picks the verdict the engine settles."""
+    a = np.abs(ws)
+    found = []
+    esc = np.flatnonzero(~(a <= cfg.escape_radius))
+    if len(esc):
+        found.append((int(esc[0]), ESCAPE, -1, 0))
+    if parabolic:
+        ph = _first_petal_hit(ws, a, k, base_angle, cfg)
+        if ph is not None:
+            found.append((ph[0], PETAL, ph[1], 0))
+    cy = _first_cycle_confirm(ws, cfg)
+    if cy is not None:
+        found.append((cy[0], BASIN, -1, cy[1]))
+    return min(found, default=None)
 
 
 def _run_single(C: np.ndarray, w0: complex, n_max: int,
                 parabolic: bool, k: int, base_angle: float,
-                cfg: OrbitConfig, stop_at_verdict: bool) -> _EngineResult:
-    """Trajectory-first replay of the engine rules for one point."""
+                cfg: OrbitConfig, stop_at_verdict: bool):
+    """Trajectory-first replay of the engine rules for one point.
+
+    Returns (kind, index, n_stop, period, ws, dlogs).  ws ends at n_stop
+    when stop_at_verdict is set and a verdict fired, at n_max otherwise;
+    dlogs[n] = log |g_n'(ws[n])| for every step taken."""
     ws = np.empty(n_max + 1, dtype=complex)
-    w = np.array([w0], dtype=complex)
-    ws[0] = w[0]
-    steps = n_max
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        if stop_at_verdict:
-            # escape is terminal and top priority: never step past it
-            for n in range(n_max):
-                if not bool(np.abs(w)[0] <= cfg.escape_radius):
-                    steps = n
+    ws[0] = w0
+    w = ws[:1].copy()
+    done, block = 0, 64
+    with np.errstate(over="ignore", invalid="ignore", under="ignore",
+                     divide="ignore"):
+        while True:
+            top = min(n_max, done + block) if stop_at_verdict else n_max
+            for n in range(done, top):
+                w = _poly_eval(C[n], w)
+                ws[n + 1] = w[0]
+                if stop_at_verdict and not abs(w[0]) <= cfg.escape_radius:
+                    top = n + 1  # escape is final; the replay confirms it
                     break
-                w = _poly_eval(C[n], w)
-                ws[n + 1] = w[0]
-        else:
-            for n in range(n_max):
-                w = _poly_eval(C[n], w)
-                ws[n + 1] = w[0]
-    traj = ws[:steps + 1]
-    a = np.abs(traj)
-
-    candidates: list[tuple[int, int, int, int]] = []  # (n, priority, kind, index)
-    esc = np.flatnonzero(~(a <= cfg.escape_radius))
-    if len(esc):
-        candidates.append((int(esc[0]), 0, ESCAPE, -1))
-    if parabolic:
-        ph = _first_petal_hit(traj, a, k, base_angle, cfg)
-        if ph is not None:
-            candidates.append((ph[0], 1, PETAL, ph[1]))
-    cy = _first_cycle_confirm(traj, cfg)
-    if cy is not None:
-        candidates.append((cy[0], 2, BASIN, cy[1]))
-
-    kind_v, idx_v, per_v = UNDECIDED, -1, 0
-    n_stop = n_max
-    if candidates:
-        candidates.sort()
-        n_stop, _, kind_v, extra = candidates[0]
-        if kind_v == PETAL:
-            idx_v = extra
-        elif kind_v == BASIN:
-            per_v = extra
-
-    cut = n_stop if (stop_at_verdict and kind_v != UNDECIDED) else steps
-    hist = ws[:cut + 1]
-    deg = C.shape[1] - 1
-    if cut >= 1:
-        rows = C[:cut]
-        wn = hist[:-1]
+            done, block = top, 2 * block
+            verdict = _first_verdict(ws[:done + 1], parabolic, k, base_angle,
+                                     cfg)
+            if verdict is not None or done == n_max:
+                break
+        n_stop, kind, index, period = verdict or (n_max, UNDECIDED, -1, 0)
+        cut = n_stop if stop_at_verdict else n_max
+        deg = C.shape[1] - 1
+        rows, wn = C[:cut], ws[:cut]
         acc = rows[:, deg] * deg
         for j in range(deg - 1, 0, -1):
             acc = acc * wn + rows[:, j] * j
         d = np.abs(acc)
-        with np.errstate(divide="ignore"):
-            dlog = np.where(d > 0.0, np.log(d), -np.inf)
-    else:
-        dlog = np.empty(0)
-
-    res = _EngineResult(
-        kind=np.array([kind_v], dtype=np.int8),
-        index=np.array([idx_v], dtype=np.int32),
-        n_stop=np.array([n_stop], dtype=np.int64),
-        w_verdict=np.array([ws[min(n_stop, steps)]], dtype=complex),
-        period=np.array([per_v], dtype=np.int64),
-    )
-    res.history = [hist.copy()]
-    res.dlog = [dlog]
-    return res
+        dlogs = np.where(d > 0.0, np.log(d), -np.inf)
+    return kind, index, n_stop, period, ws[:cut + 1], dlogs
 
 
 def _cycle_points(C: np.ndarray, w: complex, start: int, p: int) -> list[complex]:
@@ -664,30 +616,24 @@ def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
         cfg = replace(cfg, arg_tol=arg_tol)
     C = _coeff_matrix(F, z0, n_max)
     parabolic, k, base = _parabolic_data(F, cfg)
-    res = _run_engine(C, np.array([w0], dtype=complex), n_max,
-                      parabolic, k, base, cfg,
-                      stop_at_verdict=stop_at_verdict, record=True)
-    kind = int(res.kind[0])
-    n_stop = int(res.n_stop[0])
-    period = int(res.period[0])
+    kind, index, n_stop, period, ws, dlogs = _run_single(
+        C, complex(w0), n_max, parabolic, k, base, cfg, stop_at_verdict)
     rep = None
     if kind == BASIN:
-        pts = _cycle_points(C, complex(res.w_verdict[0]), n_stop, period)
+        pts = _cycle_points(C, complex(ws[n_stop]), n_stop, period)
         rep = min(pts, key=lambda p: (round(p.real, cfg.cycle_round),
                                       round(p.imag, cfg.cycle_round)))
         verdict = Verdict(BASIN, 0)
     elif kind == PETAL:
-        verdict = Verdict(PETAL, int(res.index[0]))
+        verdict = Verdict(PETAL, index)
     else:
         verdict = Verdict(kind)
-    ws = np.concatenate(res.history) if res.history else np.array([w0])
     steps = len(ws)
     rot = getattr(F, "rot", None)
     if rot is not None and z0 != 0:
         zs = _lam_power_array(rot, steps - 1)[:steps] * z0
     else:
         zs = np.full(steps, complex(z0))
-    dlogs = (np.concatenate(res.dlog) if res.dlog else np.empty(0))
     reason = {ESCAPE: "escape", PETAL: "petal", BASIN: "cycle"}.get(kind, "n_max")
     return OrbitRecord(z0=complex(z0), w0=complex(w0), ws=ws, zs=zs,
                        dlogs=dlogs, verdict=verdict, n_stop=n_stop,
@@ -857,12 +803,13 @@ class FatouGrid:
             fh.write(self.to_ppm_text())
 
     def write_csv(self, path) -> None:
+        re = [repr(x) for x in self.re.tolist()]
+        rows = zip(self.im.tolist(), self.code.tolist(), self.n_stop.tolist())
         with open(path, "w", newline="") as fh:
             fh.write("re_w,im_w,verdict_code,n_stop\n")
-            for i in range(len(self.im)):
-                for j in range(len(self.re)):
-                    fh.write(f"{self.re[j]!r},{self.im[i]!r},"
-                             f"{int(self.code[i, j])},{int(self.n_stop[i, j])}\n")
+            for y, codes, steps in rows:
+                fh.writelines(f"{x},{y!r},{c},{n}\n"
+                              for x, c, n in zip(re, codes, steps))
 
 
 def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
@@ -890,8 +837,7 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     def run_rows(bounds: tuple[int, int]) -> _EngineResult:
         i0, i1 = bounds
         w0 = (re[np.newaxis, :] + 1j * im[i0:i1, np.newaxis]).ravel()
-        return _run_engine(C, w0, n_max, parabolic, k, base, cfg,
-                           stop_at_verdict=True, record=False)
+        return _run_engine(C, w0, n_max, parabolic, k, base, cfg)
 
     chunks = max(1, min(int(threads), res))
     bounds = [(res * t // chunks, res * (t + 1) // chunks)

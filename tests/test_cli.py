@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,15 @@ def germ_file(tmp_path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def read_csv_cells(path, kinds):
+    """Header and rows of a CSV whose every cell parses as int or float."""
+    lines = Path(path).read_text().splitlines()
+    rows = [[kind(cell) for kind, cell in zip(kinds, line.split(","),
+                                              strict=True)]
+            for line in lines[1:]]
+    return lines[0], rows
 
 
 def test_brjuno_outputs(tmp_path, rot_file):
@@ -109,9 +123,12 @@ def test_orbit_outputs(tmp_path, germ_file):
                  "--n-max", "4000", "--out", str(out)]) == 0
     rep = read_json(out / "orbit.json")
     assert rep["verdict"].startswith("ParabolicPetal")
-    lines = (out / "orbit.csv").read_text().splitlines()
-    assert lines[0] == "n,re_z,im_z,re_w,im_w,dlog,dlog_partial_sum"
-    assert len(lines) >= rep["n_stop"] + 1
+    header, rows = read_csv_cells(out / "orbit.csv", [int] + [float] * 6)
+    assert header == "n,re_z,im_z,re_w,im_w,dlog,dlog_partial_sum"
+    assert len(rows) == rep["n_stop"] + 1
+    assert [r[0] for r in rows] == list(range(len(rows)))
+    assert rows[0][3:5] == [-0.1, 0.0] and rows[0][6] == 0.0
+    assert math.isnan(rows[-1][5]) and math.isfinite(rows[-1][6])
 
 
 def test_slice_outputs_and_determinism(tmp_path, germ_file):
@@ -125,8 +142,14 @@ def test_slice_outputs_and_determinism(tmp_path, germ_file):
     assert a.read_bytes() == b.read_bytes()
     a, b = (p / "slice.csv" for p in outs)
     assert a.read_bytes() == b.read_bytes()
+    header, rows = read_csv_cells(a, [float, float, int, int])
+    assert header == "re_w,im_w,verdict_code,n_stop"
+    assert len(rows) == 24 * 24
+    assert rows[0][:2] == [-1.5, -1.0] and rows[-1][:2] == [0.5, 1.0]
     rep = read_json(outs[0] / "slice.json")
     assert rep["verdict_counts"]["petal"] > 0
+    petal_rows = sum(1 for r in rows if 100 <= r[2] < 200)
+    assert petal_rows == rep["verdict_counts"]["petal"]
 
 
 def test_rerun_byte_identical(tmp_path, rot_file):
@@ -188,3 +211,33 @@ def test_brjuno_doubly_exponential_quotients(tmp_path):
                  "--out", str(out)]) == 0
     rep = read_json(out / "brjuno.json")
     assert 0 < rep["cremer_running_max"] < 1
+
+
+def _germ_with(germ_file, tmp_path, j, n, triple):
+    data = read_json(germ_file)
+    data["coeffs"][j][n] = triple
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["null_in_triple", "exponent_overflow",
+                                  "nan_start"])
+def test_bad_orbit_inputs_exit_2_without_traceback(tmp_path, germ_file, case):
+    germ, w0 = germ_file, "--w0=0.1,0"
+    if case == "null_in_triple":
+        germ = _germ_with(germ_file, tmp_path, 2, 1, [None, 0, 0])
+    elif case == "exponent_overflow":
+        germ = _germ_with(germ_file, tmp_path, 2, 0, [1.0, 0.0, 5000])
+    else:
+        w0 = "--w0=nan,0"
+    paths = [str(Path(sd.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewdyn.cli", "orbit", "--germ", germ, w0,
+         "--n-max", "100", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")

@@ -1,11 +1,14 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import skewdyn as sd
-from skewdyn.petals import BASIN, CODE_BASIN_BASE, CODE_ESCAPE, PETAL
+from skewdyn import petals
+from skewdyn.petals import (BASIN, CODE_BASIN_BASE, CODE_ESCAPE, ESCAPE,
+                            PETAL, UNDECIDED)
 
 from conftest import random_parabolic_germ
 
@@ -135,6 +138,196 @@ def test_orbit_radius_validation(golden):
     F = random_parabolic_germ(golden, 4, 3, seed=2)
     with pytest.raises(ValueError):
         sd.iterate_orbit(F, 0.5, 0.1, 10)  # |z0| >= default radius 0.1
+
+
+# -- single-orbit path against the grid engine --------------------------------
+
+# Starts that drive the cycle automaton through its rarer transitions, found
+# once by scanning radii on the golden rotation maps below (|w0| is near the
+# 1e-9 recurrence tolerance, so returns to an anchor come at irregular gaps):
+REANCHOR_BASIN_W0 = 6e-10      # slow rotation: re-anchors, then period-1 basin
+STALE_BASIN_W0 = 2e-8          # slow rotation: stale anchor, period-55 basin
+REANCHOR_UNDECIDED_W0 = 1e-9   # Siegel: re-anchors until n_max
+STALE_UNDECIDED_W0 = 1e-7      # Siegel: anchors go stale until n_max
+
+# n_max values on and next to the single path's block edges (64, 64 + 128)
+BLOCK_EDGE_N_MAX = (1, 2, 7, 63, 64, 65, 192)
+
+
+def _differential_corpus(golden):
+    """name -> (map, z0, radius of seeded starts, pinned starts, largest
+    n_max, verdict kind that must occur at the largest n_max)."""
+    lam = sd.lam_power(golden, 1)
+    cvm = sd.ConstantVerticalMap
+    return {
+        "petal_k1": (sd.ParabolicLocal(k=1), 0, 0.3, [0.1], 300, PETAL),
+        "petal_k2": (sd.ParabolicLocal(k=2), 0, 0.3, [0.1, -0.1], 300, PETAL),
+        "petal_k3": (sd.ParabolicLocal(k=3), 0, 0.3, [0.1], 2400, PETAL),
+        "parabolic_w_plus_w2": (cvm([0, 1, 1]), 0, 0.6, [], 300, PETAL),
+        "basin_period1": (cvm([0, 0, 1]), 0, 1.3, [0.0], 300, BASIN),
+        "basin_period2": (cvm([-1, 0, 1]), 0, 1.0, [], 300, BASIN),
+        "basin_period3": (cvm([-0.1226 + 0.7449j, 0, 1]), 0, 0.8, [], 300,
+                          BASIN),
+        "siegel": (cvm([0, lam, 1], golden), 0, 0.3,
+                   [REANCHOR_UNDECIDED_W0, STALE_UNDECIDED_W0], 1000,
+                   UNDECIDED),
+        "slow_rotation": (cvm([0, 0.9999 * lam, 1], golden), 0, 0.3,
+                          [REANCHOR_BASIN_W0, STALE_BASIN_W0], 1900, BASIN),
+        "moving_fiber": (sd.SkewGerm.from_coeffs(golden, [[0], [1], [1],
+                                                          [0, 0.05]], 8, 3),
+                         0.05, 0.5, [], 300, PETAL),
+    }
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("name", ["petal_k1", "petal_k2", "petal_k3",
+                                  "parabolic_w_plus_w2", "basin_period1",
+                                  "basin_period2", "basin_period3", "siegel",
+                                  "slow_rotation", "moving_fiber"])
+def test_single_orbit_path_matches_engine(golden, name):
+    corpus = _differential_corpus(golden)
+    F, z0, radius, pinned, n_big, expect = corpus[name]
+    rng = np.random.default_rng([11, list(corpus).index(name)])
+    seeded = (radius * np.sqrt(rng.random(6))
+              * np.exp(2j * np.pi * rng.random(6)))
+    starts = [complex(w) for w in pinned] + seeded.tolist() + [2e6]
+    cfg = petals.DEFAULT_CONFIG
+    parabolic, k, base = petals._parabolic_data(F, cfg)
+    for n_max in BLOCK_EDGE_N_MAX + (n_big,):
+        C = petals._coeff_matrix(F, z0, n_max)
+        eng = petals._run_engine(C, np.array(starts), n_max, parabolic, k,
+                                 base, cfg)
+        kinds = set()
+        for i, w0 in enumerate(starts):
+            want = (int(eng.kind[i]), int(eng.index[i]), int(eng.n_stop[i]),
+                    int(eng.period[i]))
+            stop = petals._run_single(C, w0, n_max, parabolic, k, base, cfg,
+                                      stop_at_verdict=True)
+            full = petals._run_single(C, w0, n_max, parabolic, k, base, cfg,
+                                      stop_at_verdict=False)
+            for got in (stop, full):
+                assert got[:4] == want, (name, n_max, w0)
+            kind, n_stop, ws = stop[0], stop[2], stop[4]
+            kinds.add(kind)
+            if kind != UNDECIDED:
+                assert _bits(ws[n_stop]) == _bits(eng.w_verdict[i])
+            assert len(ws) == n_stop + 1 and len(stop[5]) == n_stop
+            assert len(full[4]) == n_max + 1 and len(full[5]) == n_max
+            assert _bits(full[4][:n_stop + 1]) == _bits(ws)
+            assert full[5][:n_stop].tobytes() == stop[5].tobytes()
+        assert ESCAPE in kinds  # the 2e6 start escapes at n = 0
+    assert expect in kinds
+
+
+def _schedule_for(seq: np.ndarray) -> np.ndarray:
+    """A degree-1 fiber schedule whose orbit from seq[0] is exactly seq."""
+    C = np.zeros((len(seq), 2), dtype=complex)
+    C[:-1, 0] = seq[1:]
+    return C
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_single_orbit_path_matches_engine_on_scripted_orbits(seed):
+    # Scripted orbits reach the automata's edge cases far more often than
+    # real maps: near-repeats that are not transitive (0 ~ 6e-10 ~ 1.2e-9),
+    # first gaps past a small period cap, stale anchors, late escapes, and
+    # petal streaks that break and restart.
+    cfg = petals.OrbitConfig(window=4, period_cap=6)
+    rng = np.random.default_rng([29, seed])
+    pool = np.array([0, 6e-10, 1.2e-9, 0.5, 1.0])
+    for trial in range(40):
+        n_max = int(rng.choice([40, 63, 64, 65, 130]))
+        if trial % 2:
+            parabolic, k, base = True, 2, 0.3
+            mod = 0.5 * np.cumprod(rng.uniform(0.55, 1.08, n_max + 1))
+            ang = (base + np.pi * rng.integers(0, 2, n_max + 1)
+                   + rng.normal(0.0, 0.12, n_max + 1))
+            seq = mod * np.exp(1j * ang)
+        else:
+            parabolic, k, base = False, 0, 0.0
+            pick = rng.integers(0, len(pool) + 3, n_max + 1)
+            fresh = 10.0 + np.arange(n_max + 1)  # never near anything
+            seq = np.where(pick < len(pool),
+                           pool[np.minimum(pick, len(pool) - 1)], fresh)
+        if trial % 3 == 0:
+            seq[rng.integers(1, n_max + 1)] = 2e6
+        seq = seq.astype(complex)
+        C = _schedule_for(seq)
+        eng = petals._run_engine(C, seq[:1], n_max, parabolic, k, base, cfg)
+        want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
+                int(eng.period[0]))
+        for stop_at_verdict in (True, False):
+            got = petals._run_single(C, seq[0], n_max, parabolic, k, base,
+                                     cfg, stop_at_verdict)
+            assert got[:4] == want, (seed, trial)
+            assert _bits(got[4]) == _bits(seq[:len(got[4])])
+            if want[0] != UNDECIDED:
+                assert _bits(got[4][want[2]]) == _bits(eng.w_verdict[0])
+
+
+def _cycle_walk(ws, cfg):
+    """The engine's cycle automaton for one point, step by step in plain
+    Python: ((n, period) of the confirmation or None, transition counts)."""
+    tol, cap = cfg.cycle_tol, cfg.period_cap
+    pts = ws.tolist()
+    anchored, anchor, anchor_step, last_hit, period = False, 0j, 0, 0, 0
+    seen = {"reanchor": 0, "stale": 0}
+    for n in range(2, len(pts)):
+        w = pts[n]
+        if not anchored and abs(w - pts[n // 2]) < tol:
+            anchored, anchor, anchor_step, last_hit, period = True, w, n, n, 0
+        if not anchored:
+            continue
+        near = abs(w - anchor) < tol
+        if near and last_hit != n:
+            gap = n - last_hit
+            if period == 0 and gap > cap:
+                anchored = False
+            elif period == 0:
+                period = gap
+            elif gap != period:
+                anchor, anchor_step, period = w, n, 0
+                seen["reanchor"] += 1
+            if anchored:
+                last_hit = n
+        if anchored and near and period > 0 and n - anchor_step >= cfg.window:
+            return (n, period), seen
+        if anchored and n - last_hit > cap:
+            anchored = False
+            seen["stale"] += 1
+    return None, seen
+
+
+@pytest.mark.parametrize("which,w0,n_max,transition,confirmed", [
+    ("slow_rotation", REANCHOR_BASIN_W0, 3000, "reanchor", (1870, 1)),
+    ("slow_rotation", STALE_BASIN_W0, 3000, "stale", (342, 55)),
+    ("siegel", REANCHOR_UNDECIDED_W0, 1000, "reanchor", None),
+    ("siegel", STALE_UNDECIDED_W0, 1000, "stale", None),
+])
+def test_pinned_starts_take_rare_cycle_transitions(golden, which, w0, n_max,
+                                                   transition, confirmed):
+    F = _differential_corpus(golden)[which][0]
+    orb = sd.iterate_orbit(F, 0, w0, n_max)
+    got, seen = _cycle_walk(orb.ws, petals.DEFAULT_CONFIG)
+    assert seen[transition] > 0
+    assert got == confirmed
+    if confirmed is None:
+        assert orb.verdict.kind == UNDECIDED and orb.n_stop == n_max
+    else:
+        assert orb.verdict.kind == BASIN
+        assert (orb.n_stop, orb.cycle_period) == confirmed
+
+
+def test_single_orbit_path_emits_no_warnings():
+    # an escaping full orbit overflows to inf and nan after the verdict
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orb = sd.iterate_orbit(sd.ConstantVerticalMap([0, 0, 1]), 0, 2.0, 200,
+                               stop_at_verdict=False)
+    assert orb.verdict.kind == ESCAPE and len(orb.ws) == 201
 
 
 # -- vertical derivative sums ---------------------------------------------------
