@@ -15,8 +15,7 @@ from .rotation import (DivisorTable, RotationNumber, brjuno_partial_sum,
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm,
                      TruncatedSeries, WScale, conjugate, germ_from_json,
                      germ_to_json, inverse_change, lam_power,
-                     residual_invariant_curve, reversion_in_w, rotate,
-                     series_add, series_mul, series_pow)
+                     residual_invariant_curve, reversion_in_w, rotate)
 from .normalform import (ChangeLog, NormalForm, compose_series,
                          detect_parabolic_order, linearization_residual,
                          linearize_base, normalize, reduce_parabolic_tail,

@@ -2,7 +2,7 @@
 and pixmap emission with deterministic exit codes.
 
 Exit codes: 0 success (violation reports are data, not failures),
-2 malformed input (including non-finite complex arguments and germ
+2 malformed input (including non-finite complex or float arguments and germ
 coefficients outside the double range), 3 degenerate small divisor,
 4 precision/iteration budget exhausted with no partial output possible.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -138,11 +139,8 @@ def cmd_normalize(args) -> int:
     nf, log = normalize(F, args.depth)
     replayed = log.replay(F)
     scale = max(1.0, 2.0 ** nf.germ.max_abs_log2())
-    replay_defect = 0.0
-    for s, t in zip(replayed.a, nf.germ.a):
-        for a, b in zip(s.coeffs, t.coeffs):
-            replay_defect = max(replay_defect,
-                                2.0 ** (a - b).abs_log2() / scale)
+    replay_defect = max(2.0 ** (s - t).max_abs_log2() / scale
+                        for s, t in zip(replayed.a, nf.germ.a))
     report = {
         "config": _config_echo(args, ["germ", "depth"]),
         "k": nf.k,
@@ -246,6 +244,8 @@ def cmd_slice(args) -> int:
         re0, re1, im0, im1, res = parts
     except ValueError as exc:
         raise _CliError(EXIT_BAD_INPUT, f"cannot parse grid {args.grid!r}") from exc
+    if not all(map(math.isfinite, parts[:4])):
+        raise _CliError(EXIT_BAD_INPUT, f"grid bounds {args.grid!r} are not finite")
     z0 = _parse_complex(args.z0)
     grid = fatou_slice(F, z0, (re0, re1, im0, im1, int(res)),
                        n_max=args.n_max, escape_radius=args.escape,
@@ -392,6 +392,12 @@ def main(argv: list[str] | None = None) -> int:
         val = getattr(args, name, None)
         if val is not None and name != "depth" and val < 1:
             print(f"error: --{name.replace('_', '-')} must be positive",
+                  file=sys.stderr)
+            return EXIT_BAD_INPUT
+    for name in ("escape", "rho", "eta", "z_band"):
+        val = getattr(args, name, None)
+        if val is not None and not math.isfinite(val):
+            print(f"error: --{name.replace('_', '-')} must be finite",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
     try:

@@ -3,8 +3,8 @@
 Two coefficient recursions whose growth certifies the absence of an
 invariant graph: the linear example phi_n = phi_{n-1}/(lam^n - 1) and a
 greedy quadratic construction that keeps every numerator away from zero.
-Coefficients live in ScaledComplex; growth exponents are read off the
-binary exponents directly, never from materialized magnitudes.
+Coefficients carry a separate binary exponent; growth exponents are read
+off the binary exponents directly, never from materialized magnitudes.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from .rotation import RotationNumber, unit_minus_one
 from .scaled import ScaledComplex, as_scaled
+from .series import _aligned_sum, _over, _zeros
 
 _LN2 = math.log(2.0)
 
@@ -58,26 +59,22 @@ def greedy_quadratic(rot: RotationNumber, m_max: int) -> GreedyResult:
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    one = as_scaled(1.0)
-    phi: list[ScaledComplex] = [ScaledComplex.zero()]
-    bits: list[int] = [0]   # index 0 unused
-    numerator_log2: list[float] = [-math.inf]
-    phi.append(one / unit_minus_one(rot, 1))
-    bits.append(1)
-    numerator_log2.append(0.0)
+    pm, pe = _zeros(m_max + 1)
+    bits: list[int] = [0, 1]   # index 0 unused
+    numerator_log2: list[float] = [-math.inf, 0.0]
+    pm[1], pe[1] = _over(1.0, 0, unit_minus_one(rot, 1))
     for n in range(2, m_max + 1):
-        s = ScaledComplex.zero()
-        for j in range(1, n):
-            if phi[j].is_zero or phi[n - j].is_zero:
-                continue
-            s = s + phi[j] * phi[n - j]
-        with_one = one + s
+        s = ScaledComplex(*_aligned_sum(pm[1:n] * pm[n - 1:0:-1],
+                                        pe[1:n] + pe[n - 1:0:-1]))
+        with_one = as_scaled(1.0) + s
         m0, m1 = s.abs_log2(), with_one.abs_log2()
         a, num, mag = (0, s, m0) if m0 >= m1 else (1, with_one, m1)
         assert mag >= -1.0, f"greedy bound violated at n={n}: |num| = 2^{mag}"
         bits.append(a)
         numerator_log2.append(mag)
-        phi.append(num / unit_minus_one(rot, n))
+        q = num / unit_minus_one(rot, n)
+        pm[n], pe[n] = q.mantissa, q.exponent
+    phi = [ScaledComplex(m, e) for m, e in zip(pm.tolist(), pe.tolist())]
     return GreedyResult(bits, phi, numerator_log2)
 
 

@@ -11,34 +11,39 @@ Every solved series divides by small divisors lam^p - 1, so a degenerate
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import LinearFiberError
 from .rotation import RotationNumber, unit_minus_one
-from .scaled import ScaledComplex, as_scaled
+from .scaled import as_scaled
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm, TruncatedSeries,
-                     WScale, conjugate, lam_power, rotate)
+                     WScale, _aligned_sum, _compose, _over, _rows, _zeros,
+                     conjugate, lam_power, retruncate, rotate)
 
 _PRE_TOL = 1e-9       # tolerance for the parabolic-fiber preconditions
 JET_ZERO_RTOL = 1e-10  # a constant counts as zero below this fraction of the jet
-
-
-def _divisor(rot: RotationNumber, p: int) -> ScaledComplex:
-    """lam^p - 1 with degeneracy check."""
-    return unit_minus_one(rot, p)
 
 
 def compose_series(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """outer(inner(z)) truncated; inner must have zero constant term."""
     if not inner.constant_term().is_zero:
         raise ValueError("series composition needs inner(0) = 0")
-    n = outer.order
-    acc = TruncatedSeries.zero(n)
-    for c in reversed(outer.coeffs):
-        acc = acc * inner
-        acc = acc.with_coeff(0, acc[0] + c)
-    return acc
+    # Horner over outer's coefficients c_j, each taken as a constant series:
+    # a w-polynomial composition cut at w^0
+    cm, ce = _zeros(len(outer), len(outer))
+    cm[:, 0], ce[:, 0] = outer.mant, outer.exp2
+    m, e = _compose((cm, ce), _rows([inner]), 0)
+    return TruncatedSeries._of(m[0], e[0])
+
+
+def _next_powers(pm: np.ndarray, pe: np.ndarray, p: int) -> None:
+    """Coefficient p of s^j (j >= 2) in the table whose row j is s^j; with
+    s_0 = 0 it needs only s_1..s_{p-1}, so it is filled before s_p."""
+    top = len(pm) - 1
+    pm[2:, p], pe[2:, p] = _aligned_sum(pm[1:top, :p] * pm[1, p:0:-1],
+                                        pe[1:top, :p] + pe[1, p:0:-1])
 
 
 def linearize_base(f: TruncatedSeries, rot: RotationNumber) -> TruncatedSeries:
@@ -53,34 +58,16 @@ def linearize_base(f: TruncatedSeries, rot: RotationNumber) -> TruncatedSeries:
         raise ValueError("base map must fix the origin (f_0 = 0)")
     if abs(f[1].to_complex() - lam) > _PRE_TOL:
         raise ValueError("base map derivative must equal the rotation multiplier")
-    sigma = [ScaledComplex.zero()] * (n + 1)
+    deg = int(np.flatnonzero(f.mant).max(initial=1))
+    pm, pe = _zeros(deg + 1, n + 1)   # row j: sigma^j
     if n >= 1:
-        sigma[1] = as_scaled(1.0)
+        pm[1, 1] = 1.0
     lam_sc = as_scaled(lam)
-    # powers[m][p] = [z^p] sigma^m, filled order by order; sigma_0 = 0 keeps
-    # coefficient p of sigma^m (m >= 2) free of sigma_p, so in-place filling
-    # is consistent.
-    deg = max((m for m in range(n + 1) if not f[m].is_zero), default=1)
-    powers: list[list[ScaledComplex]] = [[ScaledComplex.zero()] * (n + 1)
-                                         for _ in range(deg + 1)]
-    if deg >= 1:
-        powers[1] = sigma
     for p in range(2, n + 1):
-        for m in range(2, deg + 1):
-            acc = ScaledComplex.zero()
-            prev = powers[m - 1]
-            for i in range(p + 1):
-                if prev[i].is_zero or sigma[p - i].is_zero:
-                    continue
-                acc = acc + prev[i] * sigma[p - i]
-            powers[m][p] = acc
-        rhs = ScaledComplex.zero()
-        for m in range(2, deg + 1):
-            if f[m].is_zero or powers[m][p].is_zero:
-                continue
-            rhs = rhs + f[m] * powers[m][p]
-        sigma[p] = rhs / (lam_sc * _divisor(rot, p - 1))  # lam^p - lam
-    return TruncatedSeries(sigma)
+        _next_powers(pm, pe, p)
+        rhs = _aligned_sum(f.mant[2:deg + 1] * pm[2:, p], f.exp2[2:deg + 1] + pe[2:, p])
+        pm[1, p], pe[1, p] = _over(*rhs, lam_sc * unit_minus_one(rot, p - 1))
+    return TruncatedSeries._of(pm[1], pe[1])
 
 
 def linearization_residual(f: TruncatedSeries, rot: RotationNumber,
@@ -98,35 +85,17 @@ def solve_invariant_curve(F: SkewGerm) -> TruncatedSeries:
     cs = F.fiber_constants()
     if abs(cs[0]) > _PRE_TOL or abs(cs[1] - 1.0) > _PRE_TOL:
         raise ValueError("germ must satisfy a_0(0) = 0 and a_1(0) = 1")
-    n, dw = F.n_trunc, F.dw
-    rot = F.rot
-    phi = [ScaledComplex.zero()] * (n + 1)
-    powers: list[list[ScaledComplex]] = [[ScaledComplex.zero()] * (n + 1)
-                                         for _ in range(dw + 1)]
-    if dw >= 1:
-        powers[1] = phi
-    a = F.a
-    for p in range(1, n + 1):
-        for m in range(2, dw + 1):
-            acc = ScaledComplex.zero()
-            prev = powers[m - 1]
-            for i in range(p + 1):
-                if prev[i].is_zero or phi[p - i].is_zero:
-                    continue
-                acc = acc + prev[i] * phi[p - i]
-            powers[m][p] = acc
-        rhs = a[0][p]
-        for t in range(1, p + 1):
-            if a[1][t].is_zero or phi[p - t].is_zero:
-                continue
-            rhs = rhs + a[1][t] * phi[p - t]
-        for m in range(2, dw + 1):
-            for t in range(0, p + 1):
-                if a[m][t].is_zero or powers[m][p - t].is_zero:
-                    continue
-                rhs = rhs + a[m][t] * powers[m][p - t]
-        phi[p] = rhs / _divisor(rot, p)
-    return TruncatedSeries(phi)
+    am, ae = _rows(F.a)
+    pm, pe = _zeros(F.dw + 1, F.n_trunc + 1)   # row j: phi^j
+    pm[0, 0] = 1.0
+    for p in range(1, F.n_trunc + 1):
+        _next_powers(pm, pe, p)
+        # [z^p] sum_j a_j phi^j; its a_1(0) phi_p term is still zero here
+        # and sits in the divisor instead
+        rhs = _aligned_sum((am[:, :p + 1] * pm[:, p::-1]).ravel(),
+                           (ae[:, :p + 1] + pe[:, p::-1]).ravel())
+        pm[1, p], pe[1, p] = _over(*rhs, unit_minus_one(F.rot, p))
+    return TruncatedSeries._of(pm[1], pe[1])
 
 
 def solve_linear_gauge(F: SkewGerm) -> TruncatedSeries:
@@ -136,19 +105,18 @@ def solve_linear_gauge(F: SkewGerm) -> TruncatedSeries:
     is identically one through the truncation.
     """
     n = F.n_trunc
-    rot = F.rot
     abar = F.a[1] - TruncatedSeries.one(n)
     if abs(abar.constant_term().to_complex()) > _PRE_TOL:
         raise ValueError("gauge step needs a_1(0) = 1")
-    psi = [ScaledComplex.zero()] * (n + 1)
+    # q = 1 + psi: psi_p (lam^p - 1) = [z^p] abar q without the abar_0 psi_p term
+    qm, qe = _zeros(n + 1)
+    qm[0] = 1.0
     for p in range(1, n + 1):
-        rhs = abar[p]
-        for m in range(1, p):
-            if abar[m].is_zero or psi[p - m].is_zero:
-                continue
-            rhs = rhs + abar[m] * psi[p - m]
-        psi[p] = rhs / _divisor(rot, p)
-    return TruncatedSeries(psi)
+        rhs = _aligned_sum(abar.mant[1:p + 1] * qm[p - 1::-1],
+                           abar.exp2[1:p + 1] + qe[p - 1::-1])
+        qm[p], qe[p] = _over(*rhs, unit_minus_one(F.rot, p))
+    qm[0] = 0.0
+    return TruncatedSeries._of(qm, qe)
 
 
 def solve_order_bump(F: SkewGerm, k: int) -> TruncatedSeries:
@@ -159,15 +127,12 @@ def solve_order_bump(F: SkewGerm, k: int) -> TruncatedSeries:
     """
     if not 1 <= k < F.dw:
         raise ValueError("bump order must satisfy 1 <= k < D_w")
-    n = F.n_trunc
-    rot = F.rot
     alpha = F.a[k + 1]
-    xi = [ScaledComplex.zero()] * (n + 1)
-    for p in range(1, n + 1):
-        if alpha[p].is_zero:
-            continue
-        xi[p] = alpha[p] / _divisor(rot, p)
-    return TruncatedSeries(xi)
+    xi = TruncatedSeries.zero(F.n_trunc)
+    for p in (np.flatnonzero(alpha.mant[1:]) + 1).tolist():  # only nonzero ones
+        xi.mant[p], xi.exp2[p] = _over(alpha.mant[p], alpha.exp2[p],
+                                       unit_minus_one(F.rot, p))
+    return xi
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +183,8 @@ class NormalForm:
 
     def z_dependence_defect(self) -> float:
         """Largest |z^{>=1} coefficient| among the constant-jet orders."""
-        worst = -math.inf
-        for j in range(0, min(self.k + self.h + 1, self.germ.dw) + 1):
-            s = self.germ.a[j]
-            for p in range(1, s.order + 1):
-                worst = max(worst, s[p].abs_log2())
-        return 2.0 ** worst if worst > -math.inf else 0.0
+        top = min(self.k + self.h + 1, self.germ.dw)
+        return 2.0 ** max(s.max_abs_log2(1) for s in self.germ.a[:top + 1])
 
 
 def detect_parabolic_order(F: SkewGerm) -> int:
@@ -239,13 +200,6 @@ def detect_parabolic_order(F: SkewGerm) -> int:
     raise LinearFiberError("vertical map is the identity on the fiber")
 
 
-def _max_series_mag(s: TruncatedSeries, start: int = 0) -> float:
-    m = -math.inf
-    for p in range(start, s.order + 1):
-        m = max(m, s[p].abs_log2())
-    return 2.0 ** m if m > -math.inf else 0.0
-
-
 def normalize(F: SkewGerm, h_target: int, n: int | None = None,
               dw: int | None = None) -> tuple[NormalForm, ChangeLog]:
     """Run curve -> gauge -> bumps until orders 2..k+h_target+1 are constant.
@@ -257,7 +211,6 @@ def normalize(F: SkewGerm, h_target: int, n: int | None = None,
     if h_target < 0:
         raise ValueError("h_target must be nonnegative")
     if n is not None or dw is not None:
-        from .series import retruncate
         F = retruncate(F, n=n, dw=dw)
     cs = F.fiber_constants()
     if abs(cs[0]) > _PRE_TOL or abs(cs[1] - 1.0) > _PRE_TOL:
@@ -277,19 +230,20 @@ def normalize(F: SkewGerm, h_target: int, n: int | None = None,
     phi = solve_invariant_curve(F)
     log.changes.append(Shift(phi))
     cur = conjugate(F, Shift(phi))
-    residuals["curve"] = _max_series_mag(cur.a[0]) / stage_scale(cur, phi)
+    residuals["curve"] = 2.0 ** cur.a[0].max_abs_log2() / stage_scale(cur, phi)
 
     psi = solve_linear_gauge(cur)
     log.changes.append(Gauge(psi))
     cur = conjugate(cur, Gauge(psi))
     one = TruncatedSeries.one(F.n_trunc)
-    residuals["gauge"] = _max_series_mag(cur.a[1] - one) / stage_scale(cur, psi)
+    residuals["gauge"] = (2.0 ** (cur.a[1] - one).max_abs_log2()
+                          / stage_scale(cur, psi))
 
     for order in range(2, top + 1):
         xi = solve_order_bump(cur, order - 1)
         log.changes.append(Bump(xi, order - 1))
         cur = conjugate(cur, Bump(xi, order - 1))
-        residuals[f"bump_w{order}"] = (_max_series_mag(cur.a[order], start=1)
+        residuals[f"bump_w{order}"] = (2.0 ** cur.a[order].max_abs_log2(1)
                                        / stage_scale(cur, xi))
 
     jet = [cur.a[j].constant_term().to_complex() for j in range(k + 1, top + 1)]
@@ -320,7 +274,6 @@ def reduce_parabolic_tail(nf: NormalForm, dw: int | None = None,
     if dw is not None:
         if dw < 2 * k + 1:
             raise ValueError(f"reduction needs D_w >= {2 * k + 1}")
-        from .series import retruncate
         cur = retruncate(cur, dw=dw)
     n = cur.n_trunc
     c = cmath.exp(cmath.log(-1.0 / g1) / k)

@@ -549,8 +549,7 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
         acc = rows[:, deg] * deg
         for j in range(deg - 1, 0, -1):
             acc = acc * wn + rows[:, j] * j
-        d = np.abs(acc)
-        dlogs = np.where(d > 0.0, np.log(d), -np.inf)
+        dlogs = np.log(np.abs(acc))  # -inf at 0, inf/nan past an overflow
     return kind, index, n_stop, period, ws[:cut + 1], dlogs
 
 

@@ -114,12 +114,6 @@ class ScaledComplex:
             return NotImplemented
         return self.__add__(-o)
 
-    def __rsub__(self, other) -> "ScaledComplex":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__add__(-self)
-
     def __mul__(self, other) -> "ScaledComplex":
         o = self._coerce(other)
         if o is NotImplemented:
@@ -147,9 +141,6 @@ class ScaledComplex:
         if o is NotImplemented:
             return NotImplemented
         return o.__truediv__(self)
-
-    def conjugate(self) -> "ScaledComplex":
-        return ScaledComplex(self.mantissa.conjugate(), self.exponent)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

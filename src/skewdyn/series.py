@@ -1,25 +1,31 @@
 """Truncated power series in z, vertical polynomials in w, and the three
 fiber changes that conjugate skew maps over a rigid rotation base.
 
-All coefficients are ScaledComplex so that conjugation chains and
-divergence experiments survive arbitrary magnitude growth.  Operations are
-exact ring arithmetic modulo z^{N+1} (and w^{D_w+1} for germs) up to
-floating rounding; operands with mismatched truncations are rejected.
+Coefficients are stored as complex mantissas and int64 binary exponents
+(mant[n] * 2^exp2[n], |mant[n]| in [1, 2) or an exact zero with exponent 0)
+so that conjugation chains and divergence experiments survive arbitrary
+magnitude growth; every sum of such terms goes through `_aligned_sum`.
+Operations are exact ring arithmetic modulo z^{N+1} (and w^{D_w+1} for
+germs) up to floating rounding; mismatched truncations are rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import TruncationMismatchError
 from .rotation import RotationNumber, rotation_from_json, rotation_to_json, \
     unit_power
 from .scaled import ScaledComplex, as_scaled
 
-_ZERO = ScaledComplex.zero()
+_SENT = -(1 << 61)  # exponent of zero terms; a sum of two still fits in int64
+_FLOOR = -1100      # alignment shifts this low underflow to zero anyway
 
 
 def lam_power(rot: RotationNumber, j: int) -> complex:
@@ -29,26 +35,119 @@ def lam_power(rot: RotationNumber, j: int) -> complex:
     return unit_power(rot, -j).conjugate()
 
 
+# ---------------------------------------------------------------------------
+# Array kernels on (mantissa, exponent) pairs
+# ---------------------------------------------------------------------------
+
+def _normalize(m, e):
+    """m * 2^e rescaled so that |m| lies in [1, 2); zeros become (0, 0)."""
+    frac, be = np.frexp(np.abs(m))
+    nz = frac != 0
+    return (np.where(nz, m * np.ldexp(1.0, 1 - be), 0),
+            np.where(nz, e + (be - 1), 0))
+
+
+def _aligned_sum(m, e, gid=None, starts=None):
+    """Normalized sums of the terms m * 2^e over the last axis, or over its
+    segments beginning at `starts` (`gid` gives each term's segment).
+
+    Each segment is scaled to its own largest exponent before the add, so a
+    term is lost only where it lies over 1000 bits below that one.
+    """
+    e = np.where(m != 0, e, _SENT)
+    if starts is None:
+        top = e.max(axis=-1, keepdims=True, initial=2 * _SENT)
+        shift, top = e - top, top[..., 0]
+    else:
+        top = np.maximum.reduceat(e, starts, axis=-1)
+        shift = e - np.take(top, gid, axis=-1)
+    w = m * np.ldexp(1.0, np.maximum(shift, _FLOOR).astype(np.int32))
+    s = w.sum(axis=-1) if starts is None else np.add.reduceat(w, starts, axis=-1)
+    return _normalize(s, top)
+
+
+def _zeros(*shape):
+    """Zero (mantissa, exponent) arrays."""
+    return np.zeros(shape, complex), np.zeros(shape, np.int64)
+
+
+def _add(am, ae, bm, be):
+    """Elementwise a + b."""
+    return _aligned_sum(np.stack((am, bm), -1), np.stack((ae, be), -1))
+
+
+def _over(m, e, d: ScaledComplex) -> tuple[complex, int]:
+    """The scalar (m * 2^e) / d, normalized."""
+    q = ScaledComplex(m, e) / d
+    return q.mantissa, q.exponent
+
+
+@functools.lru_cache(maxsize=None)
+def _cauchy_layout(n: int):
+    """Index pairs (q, r) with q + r <= n grouped by p = q + r: q, r, the
+    group p of each pair and the first pair of every group."""
+    p = np.repeat(np.arange(n + 1), np.arange(1, n + 2))
+    starts = np.cumsum(np.arange(n + 1))
+    q = np.arange(len(p)) - starts[p]
+    return q, p - q, p, starts
+
+
+def _cauchy(am, ae, bm, be):
+    """Cauchy products of a and b along the last axis (broadcast over the
+    others), cut at their common order."""
+    q, r, gid, starts = _cauchy_layout(am.shape[-1] - 1)
+    return _aligned_sum(np.take(am, q, axis=-1) * np.take(bm, r, axis=-1),
+                        np.take(ae, q, axis=-1) + np.take(be, r, axis=-1),
+                        gid, starts)
+
+
+def _log2_abs(m, e):
+    """log2 |m * 2^e| elementwise; -inf at zeros."""
+    with np.errstate(divide="ignore"):
+        return e + np.log2(np.abs(m))
+
+
+def _close(am, ae, bm, be, rtol: float) -> bool:
+    """Elementwise equality relative to the larger magnitude of a and b,
+    with the absolute floor 2^-1000."""
+    ref = _log2_abs(np.stack((am, bm)), np.stack((ae, be))).max(initial=-math.inf)
+    if ref == -math.inf:
+        return True
+    cut = max(ref + math.log2(rtol), -1000.0)
+    return bool(np.all(_log2_abs(*_add(am, ae, -bm, be)) <= cut))
+
+
 class TruncatedSeries:
-    """A power series in z cut at order N (exactly N+1 coefficients)."""
+    """A power series in z cut at order N (exactly N+1 coefficients), built
+    from ScaledComplex or plain numbers; `s[n]` and `coeffs` give
+    ScaledComplex views.  Instances never change their arrays."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("mant", "exp2")
 
-    def __init__(self, coeffs: Sequence):
-        self.coeffs = tuple(as_scaled(c) for c in coeffs)
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable):
+        vals = [as_scaled(c) for c in coeffs]
+        if not vals:
             raise ValueError("a truncated series needs at least the constant term")
+        self.mant, self.exp2 = _normalize(
+            np.array([c.mantissa for c in vals], complex),
+            np.array([c.exponent for c in vals], np.int64))
+
+    @classmethod
+    def _of(cls, m: np.ndarray, e: np.ndarray) -> "TruncatedSeries":
+        """Wrap normalized arrays without copying them."""
+        s = cls.__new__(cls)
+        s.mant, s.exp2 = m, e
+        return s
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(n: int) -> "TruncatedSeries":
-        return TruncatedSeries([_ZERO] * (n + 1))
+        return TruncatedSeries._of(*_zeros(n + 1))
 
     @staticmethod
     def constant(value, n: int) -> "TruncatedSeries":
-        c = [as_scaled(value)] + [_ZERO] * n
-        return TruncatedSeries(c)
+        return TruncatedSeries.from_list([value], n)
 
     @staticmethod
     def one(n: int) -> "TruncatedSeries":
@@ -57,196 +156,176 @@ class TruncatedSeries:
     @staticmethod
     def identity(n: int) -> "TruncatedSeries":
         """The series z."""
-        c = [_ZERO] * (n + 1)
-        if n >= 1:
-            c[1] = as_scaled(1.0)
-        return TruncatedSeries(c)
+        return TruncatedSeries.from_list([0, 1][:n + 1], n)
 
     @staticmethod
     def from_list(values: Iterable, n: int) -> "TruncatedSeries":
-        vals = [as_scaled(v) for v in values]
+        vals = list(values)
         if len(vals) > n + 1:
             raise ValueError("more coefficients than the truncation order allows")
-        vals += [_ZERO] * (n + 1 - len(vals))
-        return TruncatedSeries(vals)
+        return TruncatedSeries(vals + [0] * (n + 1 - len(vals)))
 
     # -- basics -----------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.mant) - 1
+
+    @property
+    def coeffs(self) -> tuple[ScaledComplex, ...]:
+        return tuple(ScaledComplex(m, e) for m, e in
+                     zip(self.mant.tolist(), self.exp2.tolist()))
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.mant)
 
     def __getitem__(self, n: int) -> ScaledComplex:
-        return self.coeffs[n]
+        return ScaledComplex(self.mant[n], self.exp2[n])
 
     def constant_term(self) -> ScaledComplex:
-        return self.coeffs[0]
+        return self[0]
 
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not self.mant.any()
 
     def _check(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise TruncationMismatchError(
                 f"series truncations differ: {self.order} vs {other.order}")
 
-    def with_coeff(self, n: int, value) -> "TruncatedSeries":
-        c = list(self.coeffs)
-        c[n] = as_scaled(value)
-        return TruncatedSeries(c)
-
-    def max_abs_log2(self) -> float:
-        return max(c.abs_log2() for c in self.coeffs)
+    def max_abs_log2(self, start: int = 0) -> float:
+        """log2 of the largest coefficient modulus from order `start` on."""
+        return float(_log2_abs(self.mant[start:], self.exp2[start:])
+                     .max(initial=-math.inf))
 
     def to_complex_list(self) -> list[complex]:
-        return [c.to_complex() for c in self.coeffs]
+        """Coefficients as doubles: OverflowError above, 0 below 2^-1060."""
+        m, e = self.mant, self.exp2
+        big = (e > 1020) & (m != 0)
+        if big.any():
+            raise OverflowError(f"value 2^{e[big][0]} exceeds double range")
+        out = np.empty(len(m), complex)
+        out.real, out.imag = np.ldexp(m.real, e), np.ldexp(m.imag, e)
+        return np.where((m == 0) | (e < -1060), 0, out).tolist()
 
     def eval_complex(self, z: complex) -> complex:
         """Horner evaluation in plain double precision."""
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c.to_complex()
+        for c in reversed(self.to_complex_list()):
+            acc = acc * z + c
         return acc
 
     def approx_eq(self, other: "TruncatedSeries", rtol: float = 1e-9) -> bool:
         """Coefficientwise equality relative to the larger series magnitude,
         with the absolute floor 2^-1000."""
         self._check(other)
-        ref = max(self.max_abs_log2(), other.max_abs_log2())
-        if ref == -math.inf:
-            return True
-        cut = max(ref + math.log2(rtol), -1000.0)
-        return all((a - b).abs_log2() <= cut
-                   for a, b in zip(self.coeffs, other.coeffs))
+        return _close(self.mant, self.exp2, other.mant, other.exp2, rtol)
 
     def __repr__(self) -> str:
-        vals = ", ".join(f"{c.to_complex():.3g}" if -900 < c.exponent < 900
-                         else repr(c) for c in self.coeffs)
-        return f"TruncatedSeries([{vals}])"
+        return f"TruncatedSeries({list(self.coeffs)!r})"
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return TruncatedSeries._of(*_add(self.mant, self.exp2,
+                                         other.mant, other.exp2))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return TruncatedSeries._of(*_add(self.mant, self.exp2,
+                                         -other.mant, other.exp2))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._of(-self.mant, self.exp2)
 
     def scale(self, factor) -> "TruncatedSeries":
         f = as_scaled(factor)
-        return TruncatedSeries([c * f for c in self.coeffs])
+        return TruncatedSeries._of(*_normalize(self.mant * f.mantissa,
+                                               self.exp2 + f.exponent))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for m in range(n + 1):
-            acc = _ZERO
-            for i in range(m + 1):
-                if a[i].is_zero or b[m - i].is_zero:
-                    continue
-                acc = acc + a[i] * b[m - i]
-            out.append(acc)
-        return TruncatedSeries(out)
+        return TruncatedSeries._of(*_cauchy(self.mant, self.exp2,
+                                            other.mant, other.exp2))
 
     def pow(self, e: int) -> "TruncatedSeries":
         if e < 0:
             raise ValueError("negative series powers are not defined here")
         acc = TruncatedSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        for _ in range(e):
+            acc = acc * self
         return acc
 
     def reciprocal(self) -> "TruncatedSeries":
-        """1/self modulo z^{N+1}; needs a nonzero constant term."""
-        c0 = self.coeffs[0]
+        """1/self modulo z^{N+1}, one aligned dot per new coefficient;
+        needs a nonzero constant term."""
+        c0 = self[0]
         if c0.is_zero:
             raise ZeroDivisionError("series has vanishing constant term")
-        n = self.order
-        inv = [ScaledComplex.from_complex(1.0) / c0] + [_ZERO] * n
-        for m in range(1, n + 1):
-            acc = _ZERO
-            for i in range(1, m + 1):
-                if self.coeffs[i].is_zero or inv[m - i].is_zero:
-                    continue
-                acc = acc + self.coeffs[i] * inv[m - i]
-            inv[m] = -acc / c0
-        return TruncatedSeries(inv)
-
-
-def series_add(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    return s + t
-
-
-def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    return s * t
-
-
-def series_pow(s: TruncatedSeries, e: int) -> TruncatedSeries:
-    return s.pow(e)
+        m, e = _zeros(len(self))
+        m[0], e[0] = _over(1.0, 0, c0)
+        for k in range(1, len(self)):
+            acc = _aligned_sum(self.mant[1:k + 1] * m[k - 1::-1],
+                               self.exp2[1:k + 1] + e[k - 1::-1])
+            m[k], e[k] = _over(-acc[0], acc[1], c0)
+        return TruncatedSeries._of(m, e)
 
 
 def rotate(s: TruncatedSeries, rot: RotationNumber, power: int) -> TruncatedSeries:
     """Substitute z -> lam^power * z: coefficient n picks up lam^(n*power)."""
     if power == 0:
         return s
-    out = []
-    for n, c in enumerate(s.coeffs):
-        if c.is_zero or n == 0:
-            out.append(c)
-        else:
-            out.append(c * lam_power(rot, n * power))
-    return TruncatedSeries(out)
+    f = np.array([1.0] + [lam_power(rot, n * power) for n in range(1, len(s))])
+    return TruncatedSeries._of(*_normalize(s.mant * f, s.exp2))
 
 
 # ---------------------------------------------------------------------------
-# Vertical polynomials (lists of series indexed by the w-degree)
+# Vertical polynomials: row j of a (mantissa, exponent) pair holds w^j
 # ---------------------------------------------------------------------------
+
+def _rows(series: Sequence[TruncatedSeries]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.stack([s.mant for s in series]),
+            np.stack([s.exp2 for s in series]))
+
+
+def _series_list(m: np.ndarray, e: np.ndarray) -> list[TruncatedSeries]:
+    return [TruncatedSeries._of(mj, ej) for mj, ej in zip(m, e)]
+
 
 def _wpoly_zero(n: int, dw: int) -> list[TruncatedSeries]:
     return [TruncatedSeries.zero(n) for _ in range(dw + 1)]
 
 
-def _wpoly_mul(a: Sequence[TruncatedSeries], b: Sequence[TruncatedSeries],
-               dw: int) -> list[TruncatedSeries]:
-    n = a[0].order
-    out = _wpoly_zero(n, dw)
-    for i, ai in enumerate(a):
-        if i > dw:
-            break
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j > dw:
-                break
-            if bj.is_zero():
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
+def _wpoly_mul(a, b, dw: int):
+    """a(w) b(w) cut at w^dw, on row arrays: the Cauchy products of the
+    nonzero row pairs a_i b_j with i + j <= dw in batches of 8 (D_w+1) pairs
+    (temporaries stay O((D_w+1) (N+1)^2)), then an aligned sum over i."""
+    (am, ae), (bm, be) = a, b
+    pm, pe = _zeros(dw + 1, am.shape[1], dw + 1)   # [i + j, p, i]: a_i b_j
+    ia, jb = (np.flatnonzero(x[:dw + 1].any(axis=1)) for x in (am, bm))
+    i, j = np.nonzero(np.add.outer(ia, jb) <= dw)
+    i, j, step = ia[i], jb[j], 8 * (dw + 1)
+    for s in range(0, len(i), step):
+        ic, jc = i[s:s + step], j[s:s + step]
+        pm[ic + jc, :, ic], pe[ic + jc, :, ic] = _cauchy(am[ic], ae[ic], bm[jc], be[jc])
+    return _aligned_sum(pm, pe)
+
+
+def _compose(outer, inner, dw: int):
+    """outer(inner(w)) cut at w^dw, on row arrays, Horner in w."""
+    om, oe = outer
+    acc = _zeros(dw + 1, om.shape[1])
+    for j in range(len(om) - 1, -1, -1):
+        acc = _wpoly_mul(acc, inner, dw)
+        acc[0][0], acc[1][0] = _add(acc[0][0], acc[1][0], om[j], oe[j])
+    return acc
 
 
 def _wpoly_compose(outer: Sequence[TruncatedSeries], inner: Sequence[TruncatedSeries],
                    dw: int) -> list[TruncatedSeries]:
-    """outer(inner(w)) truncated at w^dw, Horner in w."""
-    n = outer[0].order
-    acc = _wpoly_zero(n, dw)
-    for coeff in reversed(list(outer)):
-        acc = _wpoly_mul(acc, inner, dw)
-        acc[0] = acc[0] + coeff
-    return acc
+    """outer(inner(w)) truncated at w^dw."""
+    return _series_list(*_compose(_rows(outer), _rows(inner), dw))
 
 
 def reversion_in_w(h: TruncatedSeries, k: int,
@@ -258,18 +337,17 @@ def reversion_in_w(h: TruncatedSeries, k: int,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = h.order
-    y = _wpoly_zero(n, dw)
-    if dw >= 1:
-        y[1] = TruncatedSeries.one(n)
-    r = [ts for ts in y]
+    y = _zeros(dw + 1, len(h))
+    y[0][1:2, 0] = 1.0   # the series 1 at w^1
+    r = y
     steps = max(1, -(-(dw - 1) // k))
     for _ in range(steps):
         p = r
         for _ in range(k):
             p = _wpoly_mul(p, r, dw)
-        r = [y[i] - h * p[i] for i in range(dw + 1)]
-    return r
+        hm, he = _cauchy(h.mant, h.exp2, *p)
+        r = _add(*y, -hm, he)
+    return _series_list(*r)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +419,7 @@ class SkewGerm:
         """Coefficientwise equality relative to the larger germ magnitude."""
         if self.dw != other.dw or self.n_trunc != other.n_trunc:
             return False
-        ref = max(self.max_abs_log2(), other.max_abs_log2())
-        if ref == -math.inf:
-            return True
-        cut = max(ref + math.log2(rtol), -1000.0)
-        return all((a - b).abs_log2() <= cut
-                   for s, t in zip(self.a, other.a)
-                   for a, b in zip(s.coeffs, t.coeffs))
+        return _close(*_rows(self.a), *_rows(other.a), rtol)
 
     def max_abs_log2(self) -> float:
         return max(s.max_abs_log2() for s in self.a)
@@ -416,43 +488,32 @@ def inverse_change(ch: FiberChange) -> FiberChange:
 def conjugate(F: SkewGerm, ch: FiberChange) -> SkewGerm:
     """Phi^{-1} o F o Phi truncated to (N, D_w), Phi acting as identity on z."""
     n, dw = F.n_trunc, F.dw
+    for kind, s in ((Shift, "phi"), (Gauge, "psi"), (Bump, "h")):
+        if isinstance(ch, kind) and getattr(ch, s).order != n:
+            raise TruncationMismatchError(
+                f"{kind.__name__.lower()} series truncation differs from germ")
+    one = TruncatedSeries.one(n)
+    inner = _wpoly_zero(n, dw)   # D_w >= 1 for every germ
+    inner[1] = one
     if isinstance(ch, Shift):
-        phi = ch.phi
-        if phi.order != n:
-            raise TruncationMismatchError("shift series truncation differs from germ")
-        inner = _wpoly_zero(n, dw)
-        inner[0] = phi
-        if dw >= 1:
-            inner[1] = TruncatedSeries.one(n)
+        inner[0] = ch.phi
         new = _wpoly_compose(F.a, inner, dw)
-        new[0] = new[0] - rotate(phi, F.rot, 1)
+        new[0] = new[0] - rotate(ch.phi, F.rot, 1)
         return SkewGerm(F.rot, new, d=F.d, radius=F.radius)
 
     if isinstance(ch, Gauge):
-        psi = ch.psi
-        if psi.order != n:
-            raise TruncationMismatchError("gauge series truncation differs from germ")
-        one = TruncatedSeries.one(n)
-        factor = one + psi
-        denom = one + rotate(psi, F.rot, 1)
+        factor = one + ch.psi
+        denom = one + rotate(ch.psi, F.rot, 1)
         if denom.constant_term().is_zero:
             raise ZeroDivisionError("1 + psi(lam z) has vanishing constant term")
-        inv_denom = denom.reciprocal()
-        new = []
-        fp = one  # factor^j, built incrementally
-        for j, aj in enumerate(F.a):
-            if j > 0:
-                fp = fp * factor
-            new.append(aj * fp * inv_denom)
+        new, fp = [], denom.reciprocal()  # fp = factor^j / denom
+        for aj in F.a:
+            new.append(aj * fp)
+            fp = fp * factor
         return SkewGerm(F.rot, new, d=F.d, radius=F.radius)
 
     if isinstance(ch, Bump):
         h, k = ch.h, ch.k
-        if h.order != n:
-            raise TruncationMismatchError("bump series truncation differs from germ")
-        inner = _wpoly_zero(n, dw)
-        if dw >= 1:
-            inner[1] = TruncatedSeries.one(n)
         if k + 1 <= dw:
             inner[k + 1] = h
         mid = _wpoly_compose(F.a, inner, dw)
@@ -462,10 +523,8 @@ def conjugate(F: SkewGerm, ch: FiberChange) -> SkewGerm:
 
     if isinstance(ch, WScale):
         c = as_scaled(ch.c)
-        cinv = as_scaled(1.0) / c
-        new = []
-        power = cinv  # c^{j-1}
-        for j, aj in enumerate(F.a):
+        new, power = [], as_scaled(1.0) / c  # power = c^{j-1}
+        for aj in F.a:
             new.append(aj.scale(power))
             power = power * c
         return SkewGerm(F.rot, new, d=F.d, radius=F.radius)
@@ -484,9 +543,10 @@ def retruncate(F: SkewGerm, n: int | None = None,
     def fit(s: TruncatedSeries) -> TruncatedSeries:
         if new_n == s.order:
             return s
-        if new_n < s.order:
-            return TruncatedSeries(s.coeffs[:new_n + 1])
-        return TruncatedSeries(list(s.coeffs) + [_ZERO] * (new_n - s.order))
+        out = TruncatedSeries.zero(new_n)
+        keep = min(new_n, s.order) + 1
+        out.mant[:keep], out.exp2[:keep] = s.mant[:keep], s.exp2[:keep]
+        return out
 
     a = [fit(s) for s in F.a[:new_dw + 1]]
     a += [TruncatedSeries.zero(new_n) for _ in range(new_dw + 1 - len(a))]
@@ -515,20 +575,19 @@ def residual_invariant_curve(F: SkewGerm, phi: TruncatedSeries) -> TruncatedSeri
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _coeff_triple(c: ScaledComplex) -> list:
-    return [c.mantissa.real, c.mantissa.imag, c.exponent]
-
-
 def series_to_triples(s: TruncatedSeries) -> list[list]:
-    return [_coeff_triple(c) for c in s.coeffs]
+    """[re, im, exp2] per coefficient, as plain Python numbers."""
+    return [list(t) for t in zip(s.mant.real.tolist(), s.mant.imag.tolist(),
+                                 s.exp2.tolist())]
 
 
 def series_from_triples(triples: Sequence[Sequence], n: int) -> TruncatedSeries:
-    coeffs = [ScaledComplex(complex(t[0], t[1]), int(t[2])).normalized()
-              for t in triples]
-    if len(coeffs) != n + 1:
-        raise ValueError(f"expected {n + 1} coefficients, got {len(coeffs)}")
-    return TruncatedSeries(coeffs)
+    m = [complex(t[0], t[1]) for t in triples]
+    e = [int(t[2]) for t in triples]
+    if len(m) != n + 1 or n < 0:
+        raise ValueError(f"expected {n + 1} coefficients, got {len(m)}")
+    return TruncatedSeries._of(*_normalize(np.array(m, complex),
+                                           np.array(e, np.int64)))
 
 
 def germ_to_json(F: SkewGerm) -> dict:

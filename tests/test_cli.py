@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -221,6 +222,19 @@ def _germ_with(germ_file, tmp_path, j, n, triple):
     return str(path)
 
 
+def _assert_cli_exit_2(tmp_path, argv):
+    """Run the CLI as a subprocess: exit 2 with an error line, no traceback."""
+    paths = [str(Path(sd.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewdyn.cli", *argv, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
 @pytest.mark.parametrize("case", ["null_in_triple", "exponent_overflow",
                                   "nan_start"])
 def test_bad_orbit_inputs_exit_2_without_traceback(tmp_path, germ_file, case):
@@ -231,13 +245,40 @@ def test_bad_orbit_inputs_exit_2_without_traceback(tmp_path, germ_file, case):
         germ = _germ_with(germ_file, tmp_path, 2, 0, [1.0, 0.0, 5000])
     else:
         w0 = "--w0=nan,0"
-    paths = [str(Path(sd.__file__).resolve().parents[1]),
-             os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "skewdyn.cli", "orbit", "--germ", germ, w0,
-         "--n-max", "100", "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error:")
+    _assert_cli_exit_2(tmp_path, ["orbit", "--germ", germ, w0, "--n-max", "100"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--w0=0.1,0", "--escape", "nan"],
+    ["orbit", "--w0=0.1,0", "--escape", "inf"],
+    ["slice", "--grid=-1,nan,-1,1,4"],
+    ["slice", "--grid=-inf,1,-1,1,4"],
+    ["petalcheck", "--seed", "1", "--rho", "nan"],
+    ["petalcheck", "--seed", "1", "--eta", "inf"],
+    ["petalcheck", "--seed", "1", "--z-band=-inf"],
+], ids=["escape-nan", "escape-inf", "grid-nan", "grid-inf", "rho-nan",
+        "eta-inf", "z-band-inf"])
+def test_non_finite_float_options_exit_2(tmp_path, germ_file, argv):
+    if argv[0] != "petalcheck":
+        argv = [argv[0], "--germ", germ_file, *argv[1:]]
+    _assert_cli_exit_2(tmp_path, argv)
+
+
+def test_escaping_full_orbit_dlog(tmp_path, germ_file):
+    # g(w) = w + w^2 on the fiber z = 0: from w0 = 3 the orbit overflows to
+    # inf and nan; dlog must follow as inf/nan, never read as a vanishing
+    # derivative (-inf)
+    out = tmp_path / "o"
+    assert main(["orbit", "--germ", germ_file, "--w0=3,0", "--n-max", "100",
+                 "--full-orbit", "--out", str(out)]) == 0
+    _, rows = read_csv_cells(out / "orbit.csv", [int] + [float] * 6)
+    assert len(rows) == 101
+    ws = [complex(r[3], r[4]) for r in rows[:-1]]
+    dlogs = [r[5] for r in rows[:-1]]
+    assert not all(map(cmath.isfinite, ws))
+    assert -math.inf not in dlogs
+    for w, d in zip(ws, dlogs):
+        if cmath.isfinite(w) and cmath.isfinite(1 + 2 * w):
+            assert d == pytest.approx(math.log(abs(1 + 2 * w)), rel=1e-12)
+        else:
+            assert math.isnan(d) or d == math.inf

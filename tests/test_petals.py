@@ -330,6 +330,20 @@ def test_single_orbit_path_emits_no_warnings():
     assert orb.verdict.kind == ESCAPE and len(orb.ws) == 201
 
 
+def test_dlog_is_minus_inf_only_where_the_derivative_vanishes():
+    g = sd.ConstantVerticalMap([0, 0, 1])   # g(w) = w^2, g'(w) = 2w
+    # from 2 the orbit overflows to inf, then nan: dlog is inf or nan there
+    esc = sd.iterate_orbit(g, 0, 2.0, 200, stop_at_verdict=False)
+    lost = ~np.isfinite(esc.ws[:-1])
+    assert lost.any() and not np.any(esc.dlogs == -np.inf)
+    assert np.all(np.isnan(esc.dlogs[lost]) | (esc.dlogs[lost] == np.inf))
+    # from 0.5 the orbit underflows to exactly 0, and so does g'
+    sup = sd.iterate_orbit(g, 0, 0.5, 100, stop_at_verdict=False)
+    zero = sup.ws[:-1] == 0
+    assert zero.any() and np.all(sup.dlogs[zero] == -np.inf)
+    assert np.all(np.isfinite(sup.dlogs[~zero]))
+
+
 # -- vertical derivative sums ---------------------------------------------------
 
 def test_derivative_sum_constant_multiplier():
