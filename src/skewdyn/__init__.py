@@ -8,10 +8,8 @@ from .errors import (DegenerateDivisorError, LinearFiberError, PrecisionError,
 from .scaled import ScaledComplex, as_scaled
 from .rotation import (DivisorTable, RotationNumber, brjuno_partial_sum,
                        cremer_exponent, cremer_running_max, divisor_table,
-                       fixed_to_float, frac_multiple, frac_multiples,
                        golden_mean, liouville_quotients, rotation_from_json,
-                       rotation_to_json, unit_minus_one, unit_power,
-                       write_divisor_csv)
+                       rotation_to_json, unit_column, write_divisor_csv)
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm,
                      TruncatedSeries, WScale, conjugate, germ_from_json,
                      germ_to_json, inverse_change, lam_power,

@@ -2,9 +2,11 @@
 and pixmap emission with deterministic exit codes.
 
 Exit codes: 0 success (violation reports are data, not failures),
-2 malformed input (including non-finite complex or float arguments and germ
-coefficients outside the double range), 3 degenerate small divisor,
-4 precision/iteration budget exhausted with no partial output possible.
+2 malformed input (including non-finite complex or float arguments, germ
+coefficients that are not [re, im, exp2] triples of finite reals and an
+integral exponent, and coefficients outside the double range), 3 degenerate
+small divisor, 4 precision/iteration budget exhausted with no partial output
+possible.  Summary JSONs are strict: non-finite floats are written as null.
 """
 
 from __future__ import annotations
@@ -82,9 +84,11 @@ def _out_dir(args) -> Path:
 
 def _write_summary(out: Path, name: str, payload: dict) -> Path:
     payload = {"tool": "skewdyn", "version": __version__, **payload}
+    # non-finite floats become null: written as NaN/Infinity tokens, read back as None
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     path = out / name
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 

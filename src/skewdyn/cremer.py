@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotation import RotationNumber, unit_minus_one
+from .rotation import RotationNumber, unit_column
 from .scaled import ScaledComplex, as_scaled
 from .series import _aligned_sum, _over, _zeros
 
@@ -32,11 +32,12 @@ def linear_example_phi(rot: RotationNumber, phi0: complex,
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    col = unit_column(rot, m_max)
     out = [as_scaled(phi0)]
-    cur = (as_scaled(1.0) + as_scaled(phi0)) / unit_minus_one(rot, 1)
-    out.append(cur)
-    for n in range(2, m_max + 1):
-        cur = cur / unit_minus_one(rot, n)
+    cur = as_scaled(1.0) + as_scaled(phi0)
+    for n in range(1, m_max + 1):
+        cur = ScaledComplex(*_over(cur.mantissa, cur.exponent,
+                                   col.mant[n], col.exp2[n]))
         out.append(cur)
     return out
 
@@ -59,10 +60,11 @@ def greedy_quadratic(rot: RotationNumber, m_max: int) -> GreedyResult:
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    col = unit_column(rot, m_max)
     pm, pe = _zeros(m_max + 1)
     bits: list[int] = [0, 1]   # index 0 unused
     numerator_log2: list[float] = [-math.inf, 0.0]
-    pm[1], pe[1] = _over(1.0, 0, unit_minus_one(rot, 1))
+    pm[1], pe[1] = _over(1.0, 0, col.mant[1], col.exp2[1])
     for n in range(2, m_max + 1):
         s = ScaledComplex(*_aligned_sum(pm[1:n] * pm[n - 1:0:-1],
                                         pe[1:n] + pe[n - 1:0:-1]))
@@ -72,8 +74,7 @@ def greedy_quadratic(rot: RotationNumber, m_max: int) -> GreedyResult:
         assert mag >= -1.0, f"greedy bound violated at n={n}: |num| = 2^{mag}"
         bits.append(a)
         numerator_log2.append(mag)
-        q = num / unit_minus_one(rot, n)
-        pm[n], pe[n] = q.mantissa, q.exponent
+        pm[n], pe[n] = _over(num.mantissa, num.exponent, col.mant[n], col.exp2[n])
     phi = [ScaledComplex(m, e) for m, e in zip(pm.tolist(), pe.tolist())]
     return GreedyResult(bits, phi, numerator_log2)
 
@@ -111,14 +112,17 @@ def growth_profile(coeffs: list[ScaledComplex]) -> GrowthProfile:
 
 def write_growth_csv(rot: RotationNumber, coeffs: list[ScaledComplex], path,
                      bits: list[int] | None = None) -> None:
-    """Columns: m, a_m, log_phi, exponent, running_max, log_inv_divisor."""
+    """Columns: m, a_m, log_phi, exponent, running_max, log_inv_divisor
+    (ln 1/|lam^m - 1|, inf where the divisor vanishes)."""
     prof = growth_profile(coeffs)
+    col = unit_column(rot, prof.m_max)
+    dm, de = col.mant.tolist(), col.exp2.tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["m", "a_m", "log_phi", "exponent", "running_max",
                     "log_inv_divisor"])
         for m in range(1, prof.m_max + 1):
-            div = -unit_minus_one(rot, m).abs_ln()
+            div = -(de[m] * _LN2 + math.log(abs(dm[m]))) if dm[m] else math.inf
             w.writerow([m,
                         bits[m] if bits is not None and m < len(bits) else "",
                         repr(float(prof.log_mag[m])),

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LinearFiberError
-from .rotation import RotationNumber, unit_minus_one
-from .scaled import as_scaled
+from .rotation import RotationNumber, unit_column
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm, TruncatedSeries,
                      WScale, _aligned_sum, _compose, _over, _rows, _zeros,
-                     conjugate, lam_power, retruncate, rotate)
+                     conjugate, retruncate, rotate)
 
 _PRE_TOL = 1e-9       # tolerance for the parabolic-fiber preconditions
 JET_ZERO_RTOL = 1e-10  # a constant counts as zero below this fraction of the jet
@@ -50,10 +49,11 @@ def linearize_base(f: TruncatedSeries, rot: RotationNumber) -> TruncatedSeries:
     """Solve sigma(lam z) = f(sigma(z)) with sigma = z + O(z^2).
 
     Coefficient recursion: sigma_n = [z^n] f(sigma) / (lam^n - lam), the
-    divisor taken from the reduced fractional parts of n*theta.
+    divisor taken as lam * (lam^{n-1} - 1) from the unit-circle column.
     """
     n = f.order
-    lam = lam_power(rot, 1)
+    col = unit_column(rot, max(1, n - 1))
+    lam = complex(col.lam[1])
     if not f[0].is_zero:
         raise ValueError("base map must fix the origin (f_0 = 0)")
     if abs(f[1].to_complex() - lam) > _PRE_TOL:
@@ -62,11 +62,11 @@ def linearize_base(f: TruncatedSeries, rot: RotationNumber) -> TruncatedSeries:
     pm, pe = _zeros(deg + 1, n + 1)   # row j: sigma^j
     if n >= 1:
         pm[1, 1] = 1.0
-    lam_sc = as_scaled(lam)
     for p in range(2, n + 1):
         _next_powers(pm, pe, p)
         rhs = _aligned_sum(f.mant[2:deg + 1] * pm[2:, p], f.exp2[2:deg + 1] + pe[2:, p])
-        pm[1, p], pe[1, p] = _over(*rhs, lam_sc * unit_minus_one(rot, p - 1))
+        pm[1, p], pe[1, p] = _over(*rhs, lam * complex(col.mant[p - 1]),
+                                   col.exp2[p - 1])
     return TruncatedSeries._of(pm[1], pe[1])
 
 
@@ -86,6 +86,7 @@ def solve_invariant_curve(F: SkewGerm) -> TruncatedSeries:
     if abs(cs[0]) > _PRE_TOL or abs(cs[1] - 1.0) > _PRE_TOL:
         raise ValueError("germ must satisfy a_0(0) = 0 and a_1(0) = 1")
     am, ae = _rows(F.a)
+    col = unit_column(F.rot, F.n_trunc)
     pm, pe = _zeros(F.dw + 1, F.n_trunc + 1)   # row j: phi^j
     pm[0, 0] = 1.0
     for p in range(1, F.n_trunc + 1):
@@ -94,7 +95,7 @@ def solve_invariant_curve(F: SkewGerm) -> TruncatedSeries:
         # and sits in the divisor instead
         rhs = _aligned_sum((am[:, :p + 1] * pm[:, p::-1]).ravel(),
                            (ae[:, :p + 1] + pe[:, p::-1]).ravel())
-        pm[1, p], pe[1, p] = _over(*rhs, unit_minus_one(F.rot, p))
+        pm[1, p], pe[1, p] = _over(*rhs, col.mant[p], col.exp2[p])
     return TruncatedSeries._of(pm[1], pe[1])
 
 
@@ -109,12 +110,13 @@ def solve_linear_gauge(F: SkewGerm) -> TruncatedSeries:
     if abs(abar.constant_term().to_complex()) > _PRE_TOL:
         raise ValueError("gauge step needs a_1(0) = 1")
     # q = 1 + psi: psi_p (lam^p - 1) = [z^p] abar q without the abar_0 psi_p term
+    col = unit_column(F.rot, n)
     qm, qe = _zeros(n + 1)
     qm[0] = 1.0
     for p in range(1, n + 1):
         rhs = _aligned_sum(abar.mant[1:p + 1] * qm[p - 1::-1],
                            abar.exp2[1:p + 1] + qe[p - 1::-1])
-        qm[p], qe[p] = _over(*rhs, unit_minus_one(F.rot, p))
+        qm[p], qe[p] = _over(*rhs, col.mant[p], col.exp2[p])
     qm[0] = 0.0
     return TruncatedSeries._of(qm, qe)
 
@@ -128,10 +130,11 @@ def solve_order_bump(F: SkewGerm, k: int) -> TruncatedSeries:
     if not 1 <= k < F.dw:
         raise ValueError("bump order must satisfy 1 <= k < D_w")
     alpha = F.a[k + 1]
+    col = unit_column(F.rot, F.n_trunc)
     xi = TruncatedSeries.zero(F.n_trunc)
     for p in (np.flatnonzero(alpha.mant[1:]) + 1).tolist():  # only nonzero ones
         xi.mant[p], xi.exp2[p] = _over(alpha.mant[p], alpha.exp2[p],
-                                       unit_minus_one(F.rot, p))
+                                       col.mant[p], col.exp2[p])
     return xi
 
 

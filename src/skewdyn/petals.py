@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .rotation import RotationNumber, fixed_to_float, frac_multiples
+from .rotation import RotationNumber, unit_column
 from .series import SkewGerm, TruncatedSeries
 
 TWO_PI = 2.0 * math.pi
@@ -196,13 +196,6 @@ class ConstantVerticalMap:
 # Coefficient schedules
 # ---------------------------------------------------------------------------
 
-def _lam_power_array(rot: RotationNumber, n: int) -> np.ndarray:
-    fracs = frac_multiples(rot, max(1, n))
-    bits = rot.frac_bits
-    ang = np.array([TWO_PI * fixed_to_float(f, bits) for f in fracs[:n + 1]])
-    return np.cos(ang) + 1j * np.sin(ang)
-
-
 def _coeff_lists(F) -> tuple[list[list[complex]], RotationNumber | None]:
     """Vertical coefficients as plain z-polynomials, lowest order first."""
     if isinstance(F, SkewGerm):
@@ -218,6 +211,13 @@ def _coeff_lists(F) -> tuple[list[list[complex]], RotationNumber | None]:
     raise TypeError("expected a SkewGerm, ParabolicLocal or ConstantVerticalMap")
 
 
+def _z_schedule(rot: RotationNumber | None, z0: complex, n: int) -> np.ndarray:
+    """The fiber base points lam^m z0 for m = 0..n."""
+    if rot is None or z0 == 0:
+        return np.full(n + 1, complex(z0))
+    return unit_column(rot, n).lam * z0
+
+
 def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:
     """C[n, j] = a_j(lam^n z0) for every step of the fiber schedule."""
     radius = getattr(F, "radius", math.inf)
@@ -225,12 +225,9 @@ def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:
         raise ValueError(f"|z0| = {abs(z0)} outside validity radius {radius}")
     lists, rot = _coeff_lists(F)
     z_moves = z0 != 0 and any(any(x != 0 for x in c[1:]) for c in lists)
-    if z_moves:
-        if rot is None:
-            raise ValueError("a rotation number is required when fibers move")
-        zs = _lam_power_array(rot, n_max) * z0
-    else:
-        zs = None
+    if z_moves and rot is None:
+        raise ValueError("a rotation number is required when fibers move")
+    zs = _z_schedule(rot, z0, n_max) if z_moves else None
     out = np.empty((n_max + 1, len(lists)), dtype=complex)
     for j, c in enumerate(lists):
         if zs is not None and any(x != 0 for x in c[1:]):
@@ -627,12 +624,7 @@ def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
         verdict = Verdict(PETAL, index)
     else:
         verdict = Verdict(kind)
-    steps = len(ws)
-    rot = getattr(F, "rot", None)
-    if rot is not None and z0 != 0:
-        zs = _lam_power_array(rot, steps - 1)[:steps] * z0
-    else:
-        zs = np.full(steps, complex(z0))
+    zs = _z_schedule(getattr(F, "rot", None), z0, len(ws) - 1)
     reason = {ESCAPE: "escape", PETAL: "petal", BASIN: "cycle"}.get(kind, "n_max")
     return OrbitRecord(z0=complex(z0), w0=complex(w0), ws=ws, zs=zs,
                        dlogs=dlogs, verdict=verdict, n_stop=n_stop,

@@ -1,11 +1,13 @@
-"""Rotation numbers and small-divisor tables.
+"""Rotation numbers, the unit-circle column and small-divisor tables.
 
 The rotation angle theta of a unit-circle multiplier lam = e^{2 pi i theta}
 is held as a fixed-point binary fraction so that k*theta mod 1 is exact
-integer arithmetic up to the seed error.  All small divisors are recovered
-from those fractional parts: |lam^p - 1| = 2*|sin(pi*(p*theta mod 1))|.
-Computing the fractional part first (in integers) and only then the sine
-avoids the catastrophic cancellation of forming lam^p in floating point.
+integer arithmetic up to the seed error.  `unit_column` is the one place
+that forms those fractional parts; every power lam^k and every small
+divisor lam^k - 1 (|lam^k - 1| = 2*|sin(pi*(k*theta mod 1))|) in the
+package is read from it.  Computing the fractional part first (in
+integers) and only then the sine avoids the catastrophic cancellation of
+forming lam^k in floating point.
 """
 
 from __future__ import annotations
@@ -14,17 +16,16 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateDivisorError, PrecisionError
-from .scaled import ScaledComplex
 
 DEFAULT_FRAC_BITS = 192
-# divisor_table converts fractional parts to doubles; below ~2^-960 the
-# sine would leave the normal double range, so larger precisions are
-# reserved for the ScaledComplex recursions.
+# divisor_table publishes |lam^p - 1| as plain doubles, which leave the
+# normal range below ~2^-1000; larger precisions are left to the
+# recursions, which divide by the column's mantissa/exponent pairs.
 MAX_TABLE_FRAC_BITS = 900
 MAX_AUTO_FRAC_BITS = 65536
 
@@ -159,7 +160,7 @@ class RotationNumber:
         return dens
 
     def theta(self) -> float:
-        return fixed_to_float(self.numerator, self.frac_bits)
+        return self.numerator / (1 << self.frac_bits)
 
 
 def golden_mean(frac_bits: int = DEFAULT_FRAC_BITS) -> RotationNumber:
@@ -167,77 +168,79 @@ def golden_mean(frac_bits: int = DEFAULT_FRAC_BITS) -> RotationNumber:
     return RotationNumber.from_surd(-1, 1, 5, 2, frac_bits)
 
 
-def fixed_to_float(numerator: int, bits: int) -> float:
-    """numerator / 2^bits as a double, safe for any operand width."""
-    nb = numerator.bit_length()
-    if nb == 0:
-        return 0.0
-    shift = max(0, nb - 64)
-    return math.ldexp(float(numerator >> shift), shift - bits)
-
-
 # ---------------------------------------------------------------------------
-# Fractional multiples and unit-circle values
+# The unit-circle column: lam^k and the small divisors lam^k - 1
 # ---------------------------------------------------------------------------
 
-def frac_multiples(rot: RotationNumber, k_max: int) -> list[int]:
-    """Fixed-point numerators of (k*theta mod 1) for k = 0..k_max.
+_CHUNK = 4096        # exact fractions held as Python ints at one time
+_TINY = 2.0 ** -899  # reduced fractions below this keep a separate binary exponent
 
-    Entry k equals k*theta mod 1 within k * 2^-frac_bits.  Rejected when the
-    accumulated error could exceed 2^-64.
+
+class UnitColumn(NamedTuple):
+    """The arrays of `unit_column`, indexed by k = 0..k_max."""
+
+    lam: np.ndarray
+    mant: np.ndarray
+    exp2: np.ndarray
+    modulus: np.ndarray
+
+
+def _to_doubles(ints: list[int], bits: int) -> np.ndarray:
+    """Correctly rounded doubles of ints[i] / 2^bits."""
+    if bits <= 1000:  # float(int) stays finite and the scaling exact
+        return np.array(ints, float) * 2.0 ** -bits
+    one = 1 << bits
+    return np.array([a / one for a in ints], float)
+
+
+def unit_column(rot: RotationNumber, k_max: int) -> UnitColumn:
+    """lam^k and lam^k - 1 for k = 0..k_max from the exact fixed-point
+    fractions x_k = k*theta mod 1 (seed error k * 2^-frac_bits, rejected
+    when it could exceed 2^-64) and r_k = min(x_k, 1 - x_k):
+
+    lam[k] = e^{2 pi i x_k};
+    mant[k] * 2^exp2[k] = lam^k - 1 = 2 i sin(pi r_k) e^{i pi x_k} with
+    |mant| in [1, 2), or an exact zero (0, 0) where x_k = 0; below 2^-899,
+    where the double sine would underflow, sin(pi r) ~ pi r (relative error
+    below 2^-1797) with r held as mantissa and exponent;
+    modulus[k] = |lam^k - 1| = 2 sin(pi r_k) as a plain double.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if rot.frac_bits < 64 or k_max > (1 << (rot.frac_bits - 64)):
-        raise PrecisionError(
-            f"k_max={k_max} needs more than the {rot.frac_bits} fractional bits available")
-    mask = (1 << rot.frac_bits) - 1
-    x = rot.numerator
-    out = [0] * (k_max + 1)
-    acc = 0
-    for k in range(1, k_max + 1):
-        acc = (acc + x) & mask
-        out[k] = acc
-    return out
-
-
-def frac_multiple(rot: RotationNumber, k: int) -> int:
-    """Fixed-point numerator of (k*theta mod 1) for a single k >= 0."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return (k * rot.numerator) & ((1 << rot.frac_bits) - 1)
-
-
-def unit_power(rot: RotationNumber, k: int) -> complex:
-    """lam^k = e^{2 pi i k theta} from the reduced fractional part."""
-    x = fixed_to_float(frac_multiple(rot, k), rot.frac_bits)
-    a = 2.0 * math.pi * x
-    return complex(math.cos(a), math.sin(a))
-
-
-def unit_minus_one(rot: RotationNumber, k: int) -> ScaledComplex:
-    """lam^k - 1 as a ScaledComplex, accurate even for tiny divisors.
-
-    Uses the identity e^{2 pi i x} - 1 = 2 i sin(pi x) e^{i pi x}; the sine
-    argument is the exact fractional part, reduced into [0, 1/2] by the
-    symmetry sin(pi(1-x)) = sin(pi x).
-    """
-    f = frac_multiple(rot, k)
-    if f == 0:
-        raise DegenerateDivisorError(f"lam^{k} - 1 vanishes to working precision")
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     bits = rot.frac_bits
-    half = 1 << (bits - 1)
-    red = f if f <= half else (1 << bits) - f
-    x_full = fixed_to_float(f, bits)
-    phase = complex(math.cos(math.pi * x_full), math.sin(math.pi * x_full))
-    nb = red.bit_length()
-    exp = nb - 1 - bits  # red/2^bits = mant * 2^exp with mant in [1,2)
-    if exp > -900:
-        modulus = 2.0 * math.sin(math.pi * fixed_to_float(red, bits))
-        return ScaledComplex.from_complex(modulus * 1j * phase)
-    # sin(pi x) ~ pi x with relative error below 2^-1800 here
-    mant = fixed_to_float(red, nb - 1)
-    return ScaledComplex(2.0 * math.pi * mant * 1j * phase, exp).normalized()
+    if bits < 64 or k_max > (1 << (bits - 64)):
+        raise PrecisionError(
+            f"k_max={k_max} needs more than the {bits} fractional bits available")
+    one = 1 << bits
+    x, mask, half = rot.numerator, one - 1, one >> 1
+    col = UnitColumn(np.empty(k_max + 1, complex), np.empty(k_max + 1, complex),
+                     np.empty(k_max + 1, np.int64), np.empty(k_max + 1))
+    acc = 0
+    for lo in range(0, k_max + 1, _CHUNK):
+        fulls, reds = [], []
+        for _ in range(lo, min(lo + _CHUNK, k_max + 1)):
+            fulls.append(acc)
+            reds.append(acc if acc <= half else one - acc)
+            acc = (acc + x) & mask
+        hi = lo + len(fulls)
+        xf, xr = _to_doubles(fulls, bits), _to_doubles(reds, bits)
+        ang = 2.0 * math.pi * xf
+        col.lam.real[lo:hi], col.lam.imag[lo:hi] = np.cos(ang), np.sin(ang)
+        col.modulus[lo:hi] = scale = 2.0 * np.sin(np.pi * xr)
+        e0 = np.zeros(hi - lo, np.int64)
+        for i in np.flatnonzero(xr < _TINY).tolist():
+            if reds[i]:
+                nb = reds[i].bit_length()
+                scale[i] = 2.0 * math.pi * (reds[i] / (1 << (nb - 1)))
+                e0[i] = nb - 1 - bits
+        v = np.empty(hi - lo, complex)
+        v.real, v.imag = -(scale * np.sin(np.pi * xf)), scale * np.cos(np.pi * xf)
+        # np.hypot, unlike np.abs on complex arrays, rounds like abs(complex)
+        h = np.hypot(v.real, v.imag)
+        be = np.frexp(h)[1]
+        col.mant[lo:hi] = np.where(h != 0, v * np.ldexp(1.0, 1 - be), 0)
+        col.exp2[lo:hi] = np.where(h != 0, e0 + be - 1, 0)
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +258,6 @@ class DivisorTable:
     The two families are kept separate on purpose: omega follows the
     lam^k - lam convention, while growth estimates for invariant-curve
     coefficients consume d1 directly.  Unused slots hold NaN.
-    `error_bound[j]` bounds the absolute error of any entry whose
-    fractional part is j*theta mod 1 (so d1[p] -> j=p, dlam[k] -> j=k-1).
     """
 
     rot: RotationNumber
@@ -264,7 +265,6 @@ class DivisorTable:
     d1: np.ndarray
     dlam: np.ndarray
     omega: np.ndarray
-    error_bound: np.ndarray
     degenerate_indices: tuple[int, ...] = ()
 
     def omega_d1(self, m: int) -> float:
@@ -286,31 +286,10 @@ def divisor_table(rot: RotationNumber, m_max: int,
     if rot.frac_bits > MAX_TABLE_FRAC_BITS:
         raise PrecisionError(
             f"divisor tables support at most {MAX_TABLE_FRAC_BITS} fractional bits "
-            f"(got {rot.frac_bits}); use the ScaledComplex recursions beyond that")
-    if rot.frac_bits < 64 or m_max > (1 << (rot.frac_bits - 64)):
-        raise PrecisionError(
-            f"m_max={m_max} needs more than the {rot.frac_bits} fractional bits available")
-
-    bits = rot.frac_bits
-    x = rot.numerator
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    scale = 2.0 ** -bits
-    sin_, pi_ = math.sin, math.pi
-
-    d1 = np.full(m_max + 1, np.nan)
-    degenerate: list[int] = []
-    acc = 0
-    vals = d1  # local alias for speed
-    for p in range(1, m_max + 1):
-        acc = (acc + x) & mask
-        if acc == 0:
-            degenerate.append(p)
-            vals[p] = 0.0
-            continue
-        red = acc if acc <= half else (acc ^ mask) + 1
-        vals[p] = 2.0 * sin_(pi_ * (float(red) * scale))
-
+            f"(got {rot.frac_bits}); use the series recursions beyond that")
+    d1 = unit_column(rot, m_max).modulus
+    d1[0] = np.nan
+    degenerate = tuple((np.flatnonzero(d1[1:] == 0.0) + 1).tolist())
     if degenerate and not allow_degenerate:
         raise DegenerateDivisorError(
             f"rotation is rational to working precision: lam^p = 1 for p in {degenerate[:4]}")
@@ -319,9 +298,7 @@ def divisor_table(rot: RotationNumber, m_max: int,
     dlam[2:] = d1[1:m_max]
     omega = np.full(m_max + 1, np.nan)
     np.minimum.accumulate(dlam[2:], out=omega[2:])
-
-    err = np.arange(m_max + 1, dtype=float) * (2.0 * math.pi * scale) + 8e-16
-    return DivisorTable(rot, m_max, d1, dlam, omega, err, tuple(degenerate))
+    return DivisorTable(rot, m_max, d1, dlam, omega, degenerate)
 
 
 def brjuno_partial_sum(table: DivisorTable, K: int) -> float:

@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import TruncationMismatchError
+from .errors import DegenerateDivisorError, TruncationMismatchError
 from .rotation import RotationNumber, rotation_from_json, rotation_to_json, \
-    unit_power
+    unit_column
 from .scaled import ScaledComplex, as_scaled
 
 _SENT = -(1 << 61)  # exponent of zero terms; a sum of two still fits in int64
@@ -29,10 +29,10 @@ _FLOOR = -1100      # alignment shifts this low underflow to zero anyway
 
 
 def lam_power(rot: RotationNumber, j: int) -> complex:
-    """lam^j for any integer j, via the reduced fractional part."""
-    if j >= 0:
-        return unit_power(rot, j)
-    return unit_power(rot, -j).conjugate()
+    """lam^j for any integer j, read from the unit-circle column (so it
+    costs time and memory proportional to |j|)."""
+    lam = complex(unit_column(rot, abs(j)).lam[-1])
+    return lam if j >= 0 else lam.conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +76,13 @@ def _add(am, ae, bm, be):
     return _aligned_sum(np.stack((am, bm), -1), np.stack((ae, be), -1))
 
 
-def _over(m, e, d: ScaledComplex) -> tuple[complex, int]:
-    """The scalar (m * 2^e) / d, normalized."""
-    q = ScaledComplex(m, e) / d
+def _over(m, e, dm, de) -> tuple[complex, int]:
+    """The scalar (m * 2^e) / (dm * 2^de), normalized, as one Python
+    complex division.  Every recursion divides here, so this is where a
+    small divisor that vanished (a rational rotation) is rejected."""
+    if dm == 0:
+        raise DegenerateDivisorError("lam^p - 1 vanishes to working precision")
+    q = ScaledComplex(complex(m) / complex(dm), e - de).normalized()
     return q.mantissa, q.exponent
 
 
@@ -264,11 +268,11 @@ class TruncatedSeries:
         if c0.is_zero:
             raise ZeroDivisionError("series has vanishing constant term")
         m, e = _zeros(len(self))
-        m[0], e[0] = _over(1.0, 0, c0)
+        m[0], e[0] = _over(1.0, 0, c0.mantissa, c0.exponent)
         for k in range(1, len(self)):
             acc = _aligned_sum(self.mant[1:k + 1] * m[k - 1::-1],
                                self.exp2[1:k + 1] + e[k - 1::-1])
-            m[k], e[k] = _over(-acc[0], acc[1], c0)
+            m[k], e[k] = _over(-acc[0], acc[1], c0.mantissa, c0.exponent)
         return TruncatedSeries._of(m, e)
 
 
@@ -276,7 +280,9 @@ def rotate(s: TruncatedSeries, rot: RotationNumber, power: int) -> TruncatedSeri
     """Substitute z -> lam^power * z: coefficient n picks up lam^(n*power)."""
     if power == 0:
         return s
-    f = np.array([1.0] + [lam_power(rot, n * power) for n in range(1, len(s))])
+    f = unit_column(rot, (len(s) - 1) * abs(power)).lam[::abs(power)]
+    if power < 0:
+        f = f.conjugate()
     return TruncatedSeries._of(*_normalize(s.mant * f, s.exp2))
 
 
@@ -407,9 +413,6 @@ class SkewGerm:
     def is_parabolic_fiber(self, tol: float = 1e-12) -> bool:
         c = self.fiber_constants()
         return abs(c[0]) <= tol and abs(c[1] - 1.0) <= tol
-
-    def lam(self) -> complex:
-        return lam_power(self.rot, 1)
 
     def vertical_coeffs_at(self, z: complex) -> list[complex]:
         """[a_0(z), ..., a_Dw(z)] as plain complex numbers."""
@@ -582,8 +585,18 @@ def series_to_triples(s: TruncatedSeries) -> list[list]:
 
 
 def series_from_triples(triples: Sequence[Sequence], n: int) -> TruncatedSeries:
-    m = [complex(t[0], t[1]) for t in triples]
-    e = [int(t[2]) for t in triples]
+    """Coefficients from [re, im, exp2] triples: exactly three entries, finite
+    real re and im and an integral exp2; anything else is a ValueError."""
+    m, e = [], []
+    for t in triples:
+        if not (isinstance(t, (list, tuple)) and len(t) == 3
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and math.isfinite(v) for v in t)
+                and float(t[2]).is_integer()):
+            raise ValueError(f"coefficient {t!r} is not a [re, im, exp2] triple "
+                             "of finite reals and an integer exponent")
+        m.append(complex(t[0], t[1]))
+        e.append(int(t[2]))
     if len(m) != n + 1 or n < 0:
         raise ValueError(f"expected {n + 1} coefficients, got {len(m)}")
     return TruncatedSeries._of(*_normalize(np.array(m, complex),

@@ -19,7 +19,7 @@ import pytest
 
 import skewdyn as sd
 from skewdyn.petals import BASIN, PETAL
-from skewdyn.scaled import as_scaled
+from skewdyn.scaled import ScaledComplex, as_scaled
 from skewdyn.series import TruncatedSeries as TS
 
 from conftest import random_parabolic_germ, random_series_coeffs, rel_defect
@@ -117,10 +117,11 @@ def test_criterion_3_liouville_divergence_thresholds():
 
 def test_criterion_4_golden_recursion_vs_closed_form():
     phis = sd.linear_example_phi(GOLDEN, 0j, 200)
+    col = sd.unit_column(GOLDEN, 200)
     prod = as_scaled(1.0)
     worst = 0.0
     for n in range(1, 201):
-        prod = prod * sd.unit_minus_one(GOLDEN, n)
+        prod = prod * ScaledComplex(col.mant[n], col.exp2[n])
         worst = max(worst, 2.0 ** (phis[n] * prod - as_scaled(1.0)).abs_log2())
     ok = worst <= 1e-10
     assert report("4a", ok, f"recursion vs telescoped defect {worst:.1e} (<=1e-10)")

@@ -30,9 +30,14 @@ def germ_file(tmp_path):
     return str(p)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def read_json(path):
+    """Parse strictly: NaN, Infinity and -Infinity tokens fail the test."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def read_csv_cells(path, kinds):
@@ -116,6 +121,17 @@ def test_cremer_csv_and_summary(tmp_path, rot_file):
     assert len(lines) == 121
     assert main(["cremer", "--rotation", rot_file, "--construction", "linear",
                  "--phi0", "0,0", "--m-max", "60", "--out", str(out)]) == 0
+
+
+def test_cremer_vanishing_coefficients_write_null(tmp_path, rot_file):
+    # phi_0 = -1 makes every phi_n zero: the growth exponents are -inf,
+    # which the summary writes as null
+    out = tmp_path / "o"
+    assert main(["cremer", "--rotation", rot_file, "--construction", "linear",
+                 "--phi0=-1,0", "--m-max", "50", "--out", str(out)]) == 0
+    summary = read_json(out / "cremer.json")
+    assert summary["running_max_exponent"] is None
+    assert set(summary["exponent_at_denominators"].values()) == {None}
 
 
 def test_orbit_outputs(tmp_path, germ_file):
@@ -235,17 +251,31 @@ def _assert_cli_exit_2(tmp_path, argv):
     assert proc.stderr.startswith("error:")
 
 
-@pytest.mark.parametrize("case", ["null_in_triple", "exponent_overflow",
-                                  "nan_start"])
+BAD_TRIPLES = {  # case: (vertical order j, z-order n, coefficient triple)
+    "null_in_triple": (2, 1, [None, 0, 0]),
+    "exponent_overflow": (2, 0, [1.0, 0.0, 5000]),
+    "nan_in_triple": (2, 1, [math.nan, 0.0, 0]),
+    "short_triple": (2, 1, [1.0, 0.0]),
+    "long_triple": (2, 1, [1, 0, 0, 7]),
+    "fractional_exponent": (2, 1, [1.0, 0.0, 0.5]),
+    "bool_in_triple": (2, 1, [True, 0.0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_TRIPLES, "nan_start"])
 def test_bad_orbit_inputs_exit_2_without_traceback(tmp_path, germ_file, case):
     germ, w0 = germ_file, "--w0=0.1,0"
-    if case == "null_in_triple":
-        germ = _germ_with(germ_file, tmp_path, 2, 1, [None, 0, 0])
-    elif case == "exponent_overflow":
-        germ = _germ_with(germ_file, tmp_path, 2, 0, [1.0, 0.0, 5000])
+    if case in BAD_TRIPLES:
+        germ = _germ_with(germ_file, tmp_path, *BAD_TRIPLES[case])
     else:
         w0 = "--w0=nan,0"
     _assert_cli_exit_2(tmp_path, ["orbit", "--germ", germ, w0, "--n-max", "100"])
+
+
+def test_normalize_nan_coefficient_exits_2(tmp_path, germ_file):
+    germ = _germ_with(germ_file, tmp_path, *BAD_TRIPLES["nan_in_triple"])
+    _assert_cli_exit_2(tmp_path, ["normalize", "--germ", germ, "--depth", "2",
+                                  "--trunc-w", "8"])
 
 
 @pytest.mark.parametrize("argv", [

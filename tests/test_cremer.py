@@ -26,9 +26,10 @@ def test_linear_example_telescoped_form(golden, phi0):
     # equivalently phi_n * prod = 1 + phi_0
     phis = sd.linear_example_phi(golden, phi0, 200)
     target = as_scaled(1.0 + phi0)
+    col = sd.unit_column(golden, 200)
     prod = as_scaled(1.0)
     for n in range(1, 201):
-        prod = prod * sd.unit_minus_one(golden, n)
+        prod = prod * ScaledComplex(col.mant[n], col.exp2[n])
         defect = phis[n] * prod - target
         assert 2.0 ** defect.abs_log2() <= 1e-10 * abs(1 + phi0)
 
@@ -44,9 +45,10 @@ def test_lower_bound_coupling_identity(golden):
     phi0 = 0.3 + 0.2j
     phis = sd.linear_example_phi(golden, phi0, 150)
     prof = sd.growth_profile(phis)
+    col = sd.unit_column(golden, 150)
     s = 0.0
     for m in range(1, 151):
-        s += -sd.unit_minus_one(golden, m).abs_ln()
+        s += -ScaledComplex(col.mant[m], col.exp2[m]).abs_ln()
         rhs = s / m + math.log(abs(1 + phi0)) / m
         assert prof.exponents[m] == pytest.approx(rhs, abs=1e-10)
 
@@ -70,11 +72,12 @@ def test_greedy_deterministic(golden):
 def test_greedy_recursion_consistency(golden):
     # phi_n must equal (a_n + sum phi_j phi_{n-j})/(lam^n - 1)
     res = sd.greedy_quadratic(golden, 60)
+    col = sd.unit_column(golden, 60)
     for n in (2, 17, 60):
         s = ScaledComplex.zero()
         for j in range(1, n):
             s = s + res.phi[j] * res.phi[n - j]
-        expect = (as_scaled(res.bits[n]) + s) / sd.unit_minus_one(golden, n)
+        expect = (as_scaled(res.bits[n]) + s) / ScaledComplex(col.mant[n], col.exp2[n])
         assert expect.approx_eq(res.phi[n], 1e-12)
 
 

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,21 +21,38 @@ def test_golden_theta():
     assert rot.partial_quotients(10) == [1] * 10
 
 
-def test_frac_multiples_basics(golden):
-    fm = sd.frac_multiples(golden, 4)
-    assert fm[0] == 0
-    vals = [sd.fixed_to_float(f, golden.frac_bits) for f in fm]
-    assert abs(vals[1] - GOLDEN_THETA) < 1e-15
-    assert abs(vals[2] - GOLDEN_2THETA_FRAC) < 1e-15
-    # cross-check against 2*theta - 1
-    assert abs(vals[2] - (2 * vals[1] - 1)) < 1e-15
-    assert all(0.0 <= v < 1.0 for v in vals)
+def test_unit_column_basics(golden):
+    col = sd.unit_column(golden, 4)
+    assert col.lam[0] == 1 and col.modulus[0] == 0
+    assert col.mant[0] == 0 and col.exp2[0] == 0
+    assert abs(col.lam[1] - cmath.exp(2j * math.pi * GOLDEN_THETA)) < 1e-15
+    assert abs(col.lam[2] - cmath.exp(2j * math.pi * GOLDEN_2THETA_FRAC)) < 1e-15
+    assert abs(col.modulus[1] - GOLDEN_OMEGA2) < 1e-14
+    mags = np.abs(col.mant[1:])
+    assert np.all((1 <= mags) & (mags < 2))
+    assert np.allclose(np.ldexp(1.0, col.exp2) * col.mant, col.lam - 1,
+                       rtol=0, atol=1e-15)
 
 
-def test_frac_multiples_precision_rejection():
+def test_unit_column_precision_rejection():
     rot = sd.RotationNumber.from_surd(-1, 1, 5, 2, frac_bits=96)
     with pytest.raises(PrecisionError):
-        sd.frac_multiples(rot, 2 ** 33)
+        sd.unit_column(rot, 2 ** 33)
+    # the recursions read the column, so they inherit the rule
+    with pytest.raises(PrecisionError):
+        sd.linear_example_phi(rot, 0j, 2 ** 33)
+
+
+def test_unit_column_rational_rotation():
+    # lam^2 = 1 at theta = 1/2: the column stores the divisor as an exact
+    # zero without raising, so powers of lam stay usable
+    rot = sd.RotationNumber.from_decimal("0.5")
+    col = sd.unit_column(rot, 4)
+    assert col.lam[2] == 1 and col.lam[4] == 1
+    assert col.mant[2] == 0 and col.exp2[2] == 0 and col.modulus[2] == 0
+    assert abs(col.lam[1] + 1) < 1e-15 and abs(col.modulus[1] - 2) < 1e-15
+    z = sd.TruncatedSeries.identity(3)
+    assert sd.rotate(z, rot, 2).approx_eq(z, 1e-15)
 
 
 def test_divisor_table_golden(golden, golden_table):
@@ -69,34 +88,67 @@ def test_divisor_table_deterministic(golden):
 
 
 def test_unit_circle_consistency(golden):
-    # fixed-point sine route vs repeated unit-complex multiplication
-    lam = sd.unit_power(golden, 1)
+    # the column's sine route vs repeated unit-complex multiplication
+    col = sd.unit_column(golden, 1000)
+    lam = complex(col.lam[1])
     acc = 1 + 0j
     for k in range(1, 1001):
         acc *= lam
-        via_sine = 2.0 * abs(math.sin(math.pi * sd.fixed_to_float(
-            sd.frac_multiple(golden, k), golden.frac_bits)))
-        assert abs(via_sine - abs(acc - 1)) <= 1e-10 + k * 1e-15
+        assert abs(col.modulus[k] - abs(acc - 1)) <= 1e-10 + k * 1e-15
+        assert abs(col.lam[k] - acc) <= 1e-10 + k * 1e-15
 
 
-def test_unit_minus_one_matches_table(golden, golden_table):
-    for k in (1, 2, 5, 55, 1000):
-        sc = sd.unit_minus_one(golden, k)
-        assert 2.0 ** sc.abs_log2() == pytest.approx(golden_table.d1[k], rel=1e-12)
+def _theta_from_quotients(mp, quotients):
+    """[0; a_1, ..., a_n, 1, 1, ...] in mpmath: the all-ones tail is phi."""
+    v = (1 + mp.sqrt(5)) / 2
+    for a in reversed(quotients):
+        v = a + 1 / v
+    return 1 / v
 
 
-def test_unit_minus_one_tiny_divisor_scaled_path():
-    rot = sd.RotationNumber.from_quotients([2 ** 1200], frac_bits=2048)
-    sc = sd.unit_minus_one(rot, 1)
-    # theta ~ 2^-1200 + O(2^-2400): |lam - 1| ~ 2 pi theta
-    assert sc.abs_ln() == pytest.approx(math.log(2 * math.pi) - 1200 * math.log(2),
-                                        rel=1e-6)
+_RNG_QUOTIENTS = [int(a) for a in np.random.default_rng(20161).integers(1, 60, 12)]
+ORACLE_CASES = {
+    # name: (rotation, theta from its definition, k_max, indices checked)
+    "golden-192": (lambda: sd.golden_mean(),
+                   lambda mp: (mp.sqrt(5) - 1) / 2,
+                   2 ** 17, [1, 2, 3, 5, 55, 1000, 9506, 2 ** 17]),
+    "cremer-512": (lambda: sd.RotationNumber.from_quotients([4, 2 ** 400], 512),
+                   lambda mp: _theta_from_quotients(mp, [4, 2 ** 400]),
+                   5000, [1, 2, 3, 4, 5, 8, 12, 4000, 5000]),
+    "tiny-2048": (lambda: sd.RotationNumber.from_quotients([2 ** 1200], 2048),
+                  lambda mp: _theta_from_quotients(mp, [2 ** 1200]),
+                  40, [1, 2, 3, 7, 40]),
+    "random-192": (lambda: sd.RotationNumber.from_quotients(_RNG_QUOTIENTS),
+                   lambda mp: _theta_from_quotients(mp, _RNG_QUOTIENTS),
+                   4096, [1, 2, 3, 10, 100, 777, 4096]),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_unit_column_matches_mpmath(case):
+    make_rot, exact_theta, k_max, picks = ORACLE_CASES[case]
+    rot = make_rot()
+    col = sd.unit_column(rot, k_max)
+    rng = np.random.default_rng(7)
+    ks = sorted(set(picks) | set(range(1, min(k_max, 64) + 1))
+                | set(rng.integers(1, k_max + 1, 64).tolist()))
+    mp = mpmath.mp.clone()
+    mp.prec = 4 * rot.frac_bits
+    theta = exact_theta(mp)
+    tol = mp.mpf(2) ** -48
+    for k in ks:
+        lam = mp.expjpi(2 * k * theta)
+        got = mp.mpc(complex(col.mant[k])) * mp.mpf(2) ** int(col.exp2[k])
+        assert abs(got - (lam - 1)) <= tol * abs(lam - 1), k
+        assert abs(mp.mpc(complex(col.lam[k])) - lam) <= tol, k
+    if rot.frac_bits <= sd.rotation.MAX_TABLE_FRAC_BITS:
+        assert np.array_equal(sd.divisor_table(rot, k_max).d1[1:], col.modulus[1:])
 
 
 def test_brjuno_partial_sum_synthetic(golden):
     t = sd.divisor_table(golden, 256)
     flat = sd.DivisorTable(golden, 256, t.d1, t.dlam,
-                           np.full(257, 2.0), t.error_bound)
+                           np.full(257, 2.0))
     for K in (0, 3, 6):
         expect = sum(2.0 ** -k for k in range(K + 1)) * math.log(0.5)
         assert sd.brjuno_partial_sum(flat, K) == pytest.approx(expect, rel=1e-14)
@@ -113,15 +165,14 @@ def test_brjuno_partial_sum_golden_finite(golden_table):
 def test_brjuno_nondecreasing_when_small_omegas(golden):
     t = sd.divisor_table(golden, 256)
     om = np.minimum(t.omega, 0.9)
-    small = sd.DivisorTable(golden, 256, t.d1, t.dlam, om, t.error_bound)
+    small = sd.DivisorTable(golden, 256, t.d1, t.dlam, om)
     sums = [sd.brjuno_partial_sum(small, K) for K in range(7)]
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
 def test_cremer_exponent(golden_table):
     flat = sd.DivisorTable(golden_table.rot, 64, golden_table.d1,
-                           golden_table.dlam, np.ones(65),
-                           golden_table.error_bound)
+                           golden_table.dlam, np.ones(65))
     assert sd.cremer_exponent(flat, 17) == 0.0
     m = sd.cremer_running_max(golden_table, 2048)
     assert 0 < m < 2  # bounded-type rotation
