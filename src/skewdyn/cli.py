@@ -196,8 +196,8 @@ def cmd_cremer(args) -> int:
     else:
         res = greedy_quadratic(rot, m_max)
         coeffs, bits = res.phi, res.bits
-    write_growth_csv(rot, coeffs, out / "growth.csv", bits=bits)
     prof = growth_profile(coeffs)
+    write_growth_csv(rot, prof, out / "growth.csv", bits=bits)
     dens = [q for q in rot.convergent_denominators(32) if 1 <= q <= m_max]
     summary = {
         "config": _config_echo(args, ["rotation", "construction", "m_max", "phi0"]),

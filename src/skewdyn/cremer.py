@@ -110,11 +110,11 @@ def growth_profile(coeffs: list[ScaledComplex]) -> GrowthProfile:
     return GrowthProfile(log_mag, exps, running)
 
 
-def write_growth_csv(rot: RotationNumber, coeffs: list[ScaledComplex], path,
+def write_growth_csv(rot: RotationNumber, prof: GrowthProfile, path,
                      bits: list[int] | None = None) -> None:
     """Columns: m, a_m, log_phi, exponent, running_max, log_inv_divisor
-    (ln 1/|lam^m - 1|, inf where the divisor vanishes)."""
-    prof = growth_profile(coeffs)
+    (ln 1/|lam^m - 1|, inf where the divisor vanishes), from the growth
+    profile of the coefficients."""
     col = unit_column(rot, prof.m_max)
     dm, de = col.mant.tolist(), col.exp2.tolist()
     with open(path, "w", newline="") as fh:

@@ -7,15 +7,22 @@ with R = 1/(k rho^k).  Orbit verdicts come from a fixed state machine:
 
   escape     |w_n| > escape radius (checked before every step, n = 0 first);
   petal      |w_n| decreasing toward 0 (halving gate over the streak) with
-             arg w_n near an attracting direction, sustained for `window`
-             steps - only for maps with a parabolic fixed fiber point;
+             arg w_n within arg_tol of an attracting direction, sustained
+             for `window` steps - only for maps with a parabolic fixed fiber
+             point.  The sector test needs no trigonometry: with
+             v = (w e^{-i base})^k it is Re v >= cos(k arg_tol) |w|^k, and
+             when k arg_tol >= pi it passes every nonzero w, since every
+             angle lies within pi/k of some direction;
   basin      a cycle detected by Floyd tortoise/hare comparison and then
              confirmed by stable recurrence (period <= period_cap) for
              `window` steps;
   undecided  the step budget ran out first.
 
-Grids run through a vectorized lockstep engine; single orbits step their
-trajectory first and replay the same rules over the time axis.  The
+Grids run through a vectorized lockstep engine.  It drops all-zero top
+w-degrees (0 * w is exact for the finite w of undecided points) and, every
+8 steps, compacts its arrays to the undecided points once fewer than 90%
+remain.  Single orbits step their trajectory first, untrimmed (they record
+values past an escape), and replay the same rules over the time axis.  The
 differential test tests/test_petals.py::test_single_orbit_path_matches_engine
 keeps the two paths' verdicts equal.  Grid results are pure functions of
 the inputs, independent of chunking or thread count.
@@ -27,6 +34,7 @@ import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,10 +115,6 @@ def directions_for_jet(lead: complex, k: int) -> tuple[float, list[complex]]:
     return base, [cmath.exp(1j * (base + TWO_PI * j / k)) for j in range(k)]
 
 
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % TWO_PI - math.pi
-
-
 def in_attracting_petal(w: complex, k: int, rho: float,
                         eta: float) -> int | None:
     """Direction index of the petal containing w, or None.
@@ -124,7 +128,7 @@ def in_attracting_petal(w: complex, k: int, rho: float,
         raise ValueError("need rho > 0 and 0 <= eta < 1")
     ang = cmath.phase(w)
     j = int(round(ang * k / TWO_PI)) % k
-    delta = _wrap_angle(ang - TWO_PI * j / k)
+    delta = (ang - TWO_PI * j / k + math.pi) % TWO_PI - math.pi
     if not abs(delta) < math.pi / k:
         return None
     u = 1.0 / (k * w ** k)
@@ -260,8 +264,7 @@ def _parabolic_data(F, cfg: OrbitConfig):
 # The classification engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _EngineResult:
+class _EngineResult(NamedTuple):
     kind: np.ndarray
     index: np.ndarray          # petal direction for PETAL verdicts
     n_stop: np.ndarray
@@ -270,10 +273,30 @@ class _EngineResult:
 
 
 def _poly_eval(row: np.ndarray, w: np.ndarray) -> np.ndarray:
-    acc = np.full_like(w, row[-1])
-    for j in range(len(row) - 2, -1, -1):
-        acc = acc * w + row[j]
+    # Horner from the scalar top coefficient: numpy forms scalar * array
+    # exactly as it forms the broadcast array product, bit for bit
+    acc = row[-1]
+    for c in row[-2::-1]:
+        acc = acc * w + c
     return acc
+
+
+def _in_sector(w: np.ndarray, a: np.ndarray, k: int, base_angle: float,
+               arg_tol: float) -> np.ndarray:
+    """Whether arg w lies within arg_tol of an attracting direction, given
+    a = |w| (the module docstring's test; |w|^k must not underflow)."""
+    if k * arg_tol >= math.pi:
+        return np.ones(len(w), dtype=bool)
+    v = u = w * cmath.exp(-1j * base_angle)
+    for _ in range(k - 1):
+        v = v * u
+    return v.real >= math.cos(k * arg_tol) * (a if k == 1 else a ** k)
+
+
+def _direction_index(w: np.ndarray, k: int, base_angle: float) -> np.ndarray:
+    """Index j of the attracting direction nearest to arg w."""
+    return (np.rint((np.angle(w) - base_angle) * k / TWO_PI)
+            .astype(np.int64) % k)
 
 
 class _State:
@@ -285,7 +308,7 @@ class _State:
     def __init__(self, w0: np.ndarray):
         m = len(w0)
         self.ids = np.arange(m)
-        self.w = w0.astype(complex).copy()
+        self.w = w0.astype(complex)
         self.prev_abs = np.abs(self.w)
         self.streak = np.zeros(m, dtype=np.int64)
         self.streak_abs = np.zeros(m)
@@ -309,8 +332,11 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
 
     Verdict checks run in a fixed order every step (escape, petal, cycle);
     each point's outcome is a pure function of its own start, so results do
-    not depend on how callers batch the points.
+    not depend on how callers batch the points.  Settled points are stepped
+    on, never read, until the next compaction.
     """
+    live = np.flatnonzero(C.any(axis=0))
+    C = C[:, :max(2, live.max(initial=0) + 1)]
     m = len(w0)
     kind = np.zeros(m, dtype=np.int8)
     index = np.full(m, -1, dtype=np.int32)
@@ -321,59 +347,58 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     st = _State(w0)
     undecided = np.ones(m, dtype=bool)  # aligned with st arrays
 
-    def settle(mask: np.ndarray, verdict: int, n: int,
-               idx: np.ndarray | None = None,
-               per: np.ndarray | None = None) -> None:
+    def settle(mask: np.ndarray, verdict: int, n: int) -> None:
         gids = st.ids[mask]
         kind[gids] = verdict
         n_stop[gids] = n
-        w_verdict[gids] = st.w[mask]
-        if idx is not None:
-            index[gids] = idx[mask]
-        if per is not None:
-            period_out[gids] = per[mask]
+        w_verdict[gids] = w = st.w[mask]
+        if verdict == PETAL:
+            index[gids] = _direction_index(w, k, base_angle)
+        elif verdict == BASIN:
+            period_out[gids] = st.period[mask]
         undecided[mask] = False
+        st.anchored[mask] = False
+        st.streak[mask] = 0
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for n in range(n_max + 1):
             cur_abs = np.abs(st.w)
 
-            esc = undecided & ~(cur_abs <= cfg.escape_radius)
+            esc = ~(cur_abs <= cfg.escape_radius)
             if esc.any():
-                settle(esc, ESCAPE, n)
+                settle(esc & undecided, ESCAPE, n)
 
             if parabolic and n >= 1:
-                nz = cur_abs > 0.0
-                ang = np.angle(np.where(nz, st.w, 1.0))
-                jdir = (np.rint((ang - base_angle) * k / TWO_PI)
-                        .astype(np.int64) % k)
-                delta = np.abs(_wrap_np(ang - (base_angle + TWO_PI * jdir / k)))
-                qual = (undecided & nz & (cur_abs < st.prev_abs)
-                        & (cur_abs < cfg.petal_gate) & (delta <= cfg.arg_tol))
-                fresh = qual & (st.streak == 0)
-                st.streak_abs[fresh] = cur_abs[fresh]
-                st.streak = np.where(qual, st.streak + 1, 0)
-                hit = (qual & (st.streak >= cfg.window)
-                       & (cur_abs <= cfg.petal_shrink * st.streak_abs))
+                qual = ((cur_abs < np.minimum(st.prev_abs, cfg.petal_gate))
+                        & (cur_abs > 0.0) & undecided)
+                if qual.any():
+                    qual &= _in_sector(st.w, cur_abs, k, base_angle,
+                                       cfg.arg_tol)
+                np.copyto(st.streak_abs, cur_abs, where=st.streak == 0)
+                st.streak += qual
+                st.streak *= qual
+                hit = st.streak >= max(cfg.window, 1)  # >= 1: qual now
                 if hit.any():
-                    settle(hit, PETAL, n, idx=jdir)
+                    hit &= cur_abs <= cfg.petal_shrink * st.streak_abs
+                    if hit.any():
+                        settle(hit, PETAL, n)
 
             if n >= 2 and n % 2 == 0:
                 st.tort = _poly_eval(C[n // 2 - 1], st.tort)
             if n >= 2:
-                diff_t = np.abs(st.w - st.tort)
-                catch = undecided & ~st.anchored & (diff_t < cfg.cycle_tol)
+                catch = np.abs(st.w - st.tort) < cfg.cycle_tol
                 if catch.any():
+                    catch &= undecided & ~st.anchored
                     st.anchored |= catch
                     st.anchor[catch] = st.w[catch]
                     st.anchor_step[catch] = n
                     st.last_hit[catch] = n
                     st.period[catch] = 0
-                act = undecided & st.anchored
+                act = st.anchored  # settle() unanchors what it settles
                 if act.any():
                     near = act & (np.abs(st.w - st.anchor) < cfg.cycle_tol)
-                    is_new = near & (st.last_hit != n)
-                    gap = np.where(is_new, n - st.last_hit, 0)
+                    gap = n - st.last_hit
+                    is_new = near & (gap > 0)
                     first = is_new & (st.period == 0)
                     ok_gap = first & (gap <= cfg.period_cap)
                     st.period[ok_gap] = gap[ok_gap]
@@ -384,39 +409,31 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                         st.anchor_step[mism] = n
                         st.period[mism] = 0
                     st.last_hit[is_new & st.anchored] = n
-                    confirm = (act & st.anchored & near & (st.period > 0)
+                    confirm = (st.anchored & near & (st.period > 0)
                                & (n - st.anchor_step >= cfg.window))
                     if confirm.any():
-                        settle(confirm, BASIN, n, per=st.period)
-                    stale = (undecided & st.anchored
-                             & (n - st.last_hit > cfg.period_cap))
-                    st.anchored[stale] = False
+                        settle(confirm, BASIN, n)
+                    st.anchored[st.last_hit < n - cfg.period_cap] = False
 
             if n == n_max or not undecided.any():
                 break
-            if len(st.w) > 256 and (n & 31) == 31:
-                frac = np.count_nonzero(undecided) / len(st.w)
-                if frac < 0.75:
-                    st.compact(undecided)
-                    cur_abs = cur_abs[undecided]
-                    undecided = np.ones(len(st.w), dtype=bool)
-
             st.prev_abs = cur_abs
+            if (len(st.w) > 256 and n % 8 == 7
+                    and np.count_nonzero(undecided) < 0.9 * len(st.w)):
+                st.compact(undecided)
+                undecided = np.ones(len(st.w), dtype=bool)
             st.w = _poly_eval(C[n], st.w)
 
     return _EngineResult(kind, index, n_stop, w_verdict, period_out)
-
-
-def _wrap_np(a: np.ndarray) -> np.ndarray:
-    return (a + math.pi) % TWO_PI - math.pi
 
 
 # ---------------------------------------------------------------------------
 # Single-orbit path
 #
 # For one point the per-step bookkeeping above is pure overhead, so the
-# trajectory is stepped first (same _poly_eval array op, hence bit-identical
-# values) and the verdict rules are replayed vectorized over the time axis.
+# trajectory is stepped first (same _poly_eval array op, equal values: the
+# engine's trimmed degrees add only exact zeros) and the verdict rules are
+# replayed vectorized over the time axis.
 # The tortoise needs no separate recurrence: advancing it t times applies
 # exactly the map compositions that produced W[t].  Every rule is causal, so
 # a replay over a prefix finds exactly the verdicts that fire inside it:
@@ -431,12 +448,9 @@ def _wrap_np(a: np.ndarray) -> np.ndarray:
 def _first_petal_hit(ws: np.ndarray, a: np.ndarray, k: int, base_angle: float,
                      cfg: OrbitConfig) -> tuple[int, int] | None:
     n = len(ws) - 1
-    ang = np.angle(ws)
-    jdir = np.rint((ang - base_angle) * k / TWO_PI).astype(np.int64) % k
-    delta = np.abs(_wrap_np(ang - (base_angle + TWO_PI * jdir / k)))
     qual = np.zeros(n + 1, dtype=bool)
     qual[1:] = ((a[1:] > 0.0) & (a[1:] < a[:-1]) & (a[1:] < cfg.petal_gate)
-                & (delta[1:] <= cfg.arg_tol))
+                & _in_sector(ws[1:], a[1:], k, base_angle, cfg.arg_tol))
     idx = np.arange(n + 1)
     last_nonqual = np.maximum.accumulate(np.where(qual, -1, idx))
     streak = idx - last_nonqual
@@ -445,7 +459,7 @@ def _first_petal_hit(ws: np.ndarray, a: np.ndarray, k: int, base_angle: float,
     pos = np.flatnonzero(hit)
     if len(pos) == 0:
         return None
-    return int(pos[0]), int(jdir[pos[0]])
+    return int(pos[0]), int(_direction_index(ws[pos[0]], k, base_angle))
 
 
 def _first_cycle_confirm(ws: np.ndarray, cfg: OrbitConfig) -> tuple[int, int] | None:
@@ -552,14 +566,12 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
 
 def _cycle_points(C: np.ndarray, w: complex, start: int, p: int) -> list[complex]:
     pts = [w]
-    cur = w
     for i in range(max(0, p - 1)):
-        row = C[min(start + i, len(C) - 1)]
-        acc = complex(row[-1])
-        for j in range(len(row) - 2, -1, -1):
-            acc = acc * cur + complex(row[j])
-        cur = acc
-        pts.append(cur)
+        row = C[min(start + i, len(C) - 1)].tolist()
+        acc = row[-1]
+        for c in row[-2::-1]:
+            acc = acc * pts[-1] + c
+        pts.append(acc)
     return pts
 
 
@@ -591,10 +603,6 @@ class OrbitRecord:
     stop_reason: str
     cycle_period: int | None = None
     cycle_representative: complex | None = None
-
-    @property
-    def points(self) -> list[tuple[complex, complex]]:
-        return list(zip(self.zs.tolist(), self.ws.tolist()))
 
 
 def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
@@ -744,6 +752,16 @@ def repelling_expansion_check(local: ParabolicLocal, samples: int,
 # Grids
 # ---------------------------------------------------------------------------
 
+def _code_color(c: int) -> tuple[int, int, int]:
+    if c == CODE_ESCAPE:
+        return ESCAPE_COLOR
+    if c >= CODE_BASIN_BASE:
+        return BASIN_COLORS[(c - CODE_BASIN_BASE) % 8]
+    if c >= CODE_PETAL_BASE:
+        return PETAL_GREENS[(c - CODE_PETAL_BASE) % 4]
+    return UNDECIDED_COLOR
+
+
 @dataclass
 class FatouGrid:
     """Classification of a w-rectangle at a fixed starting fiber.
@@ -772,22 +790,11 @@ class FatouGrid:
 
     def to_ppm_text(self) -> str:
         h, wdt = self.code.shape
-        rows = [f"P3\n{wdt} {h}\n255"]
-        for i in range(h):
-            px = []
-            for j in range(wdt):
-                c = int(self.code[i, j])
-                if c == CODE_ESCAPE:
-                    rgb = ESCAPE_COLOR
-                elif c >= CODE_BASIN_BASE:
-                    rgb = BASIN_COLORS[(c - CODE_BASIN_BASE) % 8]
-                elif c >= CODE_PETAL_BASE:
-                    rgb = PETAL_GREENS[(c - CODE_PETAL_BASE) % 4]
-                else:
-                    rgb = UNDECIDED_COLOR
-                px.append(f"{rgb[0]} {rgb[1]} {rgb[2]}")
-            rows.append(" ".join(px))
-        return "\n".join(rows) + "\n"
+        codes, inverse = np.unique(self.code, return_inverse=True)
+        palette = np.array([" ".join(map(str, _code_color(int(c))))
+                            for c in codes], dtype=object)
+        rows = [" ".join(r) for r in palette[inverse].reshape(h, wdt).tolist()]
+        return "\n".join([f"P3\n{wdt} {h}\n255", *rows]) + "\n"
 
     def write_ppm(self, path) -> None:
         with open(path, "w") as fh:
@@ -799,7 +806,8 @@ class FatouGrid:
         with open(path, "w", newline="") as fh:
             fh.write("re_w,im_w,verdict_code,n_stop\n")
             for y, codes, steps in rows:
-                fh.writelines(f"{x},{y!r},{c},{n}\n"
+                y = repr(y)
+                fh.writelines(f"{x},{y},{c},{n}\n"
                               for x, c, n in zip(re, codes, steps))
 
 
@@ -839,11 +847,8 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
         with ThreadPoolExecutor(max_workers=chunks) as ex:
             parts = list(ex.map(run_rows, bounds))
 
-    kind = np.concatenate([p.kind for p in parts]).reshape(res, res)
-    index = np.concatenate([p.index for p in parts]).reshape(res, res)
-    n_stop = np.concatenate([p.n_stop for p in parts]).reshape(res, res)
-    w_verd = np.concatenate([p.w_verdict for p in parts]).reshape(res, res)
-    period = np.concatenate([p.period for p in parts]).reshape(res, res)
+    kind, index, n_stop, w_verd, period = (
+        np.concatenate(f).reshape(res, res) for f in zip(*parts))
 
     code = np.zeros((res, res), dtype=np.int32)
     code[kind == ESCAPE] = CODE_ESCAPE
@@ -909,18 +914,13 @@ def critical_orbit_check(g, n_max: int = 20000,
     reports = []
     for r in sorted(roots.tolist(), key=lambda c: (round(c.real, 12),
                                                    round(c.imag, 12))):
-        dval = abs(_horner(deriv, r))
+        dval = 0j
+        for c in reversed(deriv):
+            dval = dval * r + c
         orbit = iterate_orbit(fiber_map, 0j, complex(r), n_max, config=cfg)
         reports.append(CriticalReport(point=complex(r), verdict=orbit.verdict,
-                                      n_stop=orbit.n_stop, root_defect=dval,
+                                      n_stop=orbit.n_stop, root_defect=abs(dval),
                                       cycle_period=orbit.cycle_period))
     plausible = all(rep.verdict.kind in (PETAL, BASIN) and rep.root_defect < 1e-6
                     for rep in reports)
     return HypothesisReport(reports=reports, plausible=plausible)
-
-
-def _horner(coeffs: list[complex], x: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

@@ -301,18 +301,24 @@ def divisor_table(rot: RotationNumber, m_max: int,
     return DivisorTable(rot, m_max, d1, dlam, omega, degenerate)
 
 
+def _nonvanishing(omega):
+    """omega itself, or DegenerateDivisorError where an entry has vanished
+    (or is NaN): its logarithm, and every gauge built on it, is undefined."""
+    if not np.all(omega > 0.0):
+        raise DegenerateDivisorError("omega vanished; its logarithm is undefined")
+    return omega
+
+
 def brjuno_partial_sum(table: DivisorTable, K: int) -> float:
     """sum_{k=0}^{K} 2^-k log(1/omega(2^{k+1})) over the tabulated divisors."""
     if K < 0:
         raise ValueError("K must be nonnegative")
     if 2 ** (K + 1) > table.m_max:
         raise ValueError(f"table holds m_max={table.m_max} < 2^{K + 1}")
+    om = _nonvanishing(table.omega[[2 ** (k + 1) for k in range(K + 1)]])
     total = 0.0
     for k in range(K + 1):
-        om = float(table.omega[2 ** (k + 1)])
-        if not om > 0.0:
-            raise DegenerateDivisorError("omega vanished; partial sum undefined")
-        total += math.log(1.0 / om) / 2.0 ** k
+        total += math.log(1.0 / float(om[k])) / 2.0 ** k
     return total
 
 
@@ -320,19 +326,14 @@ def cremer_exponent(table: DivisorTable, m: int) -> float:
     """(1/m) log(1/omega(m)), the divergence-rate gauge at index m."""
     if not 2 <= m <= table.m_max:
         raise ValueError("m out of table range")
-    om = float(table.omega[m])
-    if not om > 0.0:
-        raise DegenerateDivisorError("omega vanished; exponent undefined")
-    return math.log(1.0 / om) / m
+    return math.log(1.0 / float(_nonvanishing(table.omega[m]))) / m
 
 
 def cremer_running_max(table: DivisorTable, m: int) -> float:
     """max over 2..m of the exponent above."""
     if not 2 <= m <= table.m_max:
         raise ValueError("m out of table range")
-    om = table.omega[2:m + 1]
-    if not np.all(om > 0.0):
-        raise DegenerateDivisorError("omega vanished; exponent undefined")
+    om = _nonvanishing(table.omega[2:m + 1])
     idx = np.arange(2, m + 1, dtype=float)
     return float(np.max(-np.log(om) / idx))
 

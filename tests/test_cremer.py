@@ -111,7 +111,8 @@ def test_brjuno_cremer_contrast(golden, cremer_rotation):
 def test_growth_csv(tmp_path, golden):
     res = sd.greedy_quadratic(golden, 20)
     path = tmp_path / "g.csv"
-    sd.write_growth_csv(golden, res.phi, path, bits=res.bits)
+    sd.write_growth_csv(golden, sd.growth_profile(res.phi), path,
+                        bits=res.bits)
     lines = path.read_text().splitlines()
     assert lines[0] == "m,a_m,log_phi,exponent,running_max,log_inv_divisor"
     assert len(lines) == 21

@@ -447,6 +447,136 @@ def test_petal_membership_stable_under_model_map():
         assert sd.in_attracting_petal(w1, 2, loc.rho, loc.eta) == j
 
 
+# -- the sector test ---------------------------------------------------------------
+
+def _angle_sector(w, k, base, tol):
+    """The angle formula the trig-free sector test replaced, as the oracle:
+    distance of arg w to the nearest direction base + 2 pi j / k."""
+    ang = np.angle(w)
+    jdir = np.rint((ang - base) * k / (2 * np.pi)).astype(np.int64) % k
+    delta = np.abs((ang - (base + 2 * np.pi * jdir / k) + np.pi)
+                   % (2 * np.pi) - np.pi)
+    return delta, jdir
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sector_test_matches_angle_formula(k):
+    rng = np.random.default_rng([41, k])
+    bases = [0.0, np.pi, np.pi / k, -2.5] + list(rng.uniform(-np.pi, np.pi, 4))
+    for base in bases:
+        for tol in (0.2, *rng.uniform(1e-3, np.pi / k - 1e-3, 3)):
+            w = (10.0 ** rng.uniform(-4, 1, 20000)
+                 * np.exp(1j * rng.uniform(-np.pi, np.pi, 20000)))
+            delta, jdir = _angle_sector(w, k, base, tol)
+            clear = np.abs(delta - tol) > 1e-9
+            got = petals._in_sector(w, np.abs(w), k, base, tol)
+            assert np.array_equal(got[clear], (delta <= tol)[clear])
+            assert clear.mean() > 0.999
+            assert np.array_equal(petals._direction_index(w, k, base), jdir)
+
+
+@pytest.mark.parametrize("k,tol", [(16, petals.DEFAULT_CONFIG.arg_tol),
+                                   (2, 2.0)])
+def test_sector_test_vacuous_when_tolerance_spans_sector(k, tol):
+    # k * tol >= pi: every angle lies within pi/k <= tol of a direction
+    rng = np.random.default_rng(43)
+    w = (10.0 ** rng.uniform(-300, 300, 5000)
+         * np.exp(1j * rng.uniform(-np.pi, np.pi, 5000)))
+    w[:4] = [1.0, -1.0, 1j, -1e-300j]
+    for base in (0.0, 1.0, np.pi):
+        assert np.all(petals._in_sector(w, np.abs(w), k, base, tol))
+        assert np.all(_angle_sector(w, k, base, tol)[0] <= tol)
+
+
+def test_engine_accepts_vacuous_sector_tolerance():
+    # arg_tol = 2.0 >= pi/2: for k = 2 every decreasing streak qualifies
+    cfg = petals.OrbitConfig(arg_tol=2.0)
+    F = sd.ParabolicLocal(k=2)
+    parabolic, k, base = petals._parabolic_data(F, cfg)
+    C = petals._coeff_matrix(F, 0, 2000)
+    starts = np.array([0.3, 0.3j, -0.2 + 0.1j, 0.05j, 1.5])
+    eng = petals._run_engine(C, starts, 2000, parabolic, k, base, cfg)
+    assert PETAL in eng.kind.tolist()
+    for i, w0 in enumerate(starts):
+        got = petals._run_single(C, w0, 2000, parabolic, k, base, cfg, True)
+        assert got[:4] == (eng.kind[i], eng.index[i], eng.n_stop[i],
+                           eng.period[i])
+
+
+# -- grid engine: degree trimming and writers -----------------------------------------
+
+@pytest.mark.parametrize("fiber,z0", [([-1, 0, 1, 0, 0], 0.0),
+                                      ([0, 1, 1, 0], 0.0),
+                                      (None, 0.05)])
+def test_engine_trims_zero_top_degrees_exactly(golden, fiber, z0):
+    if fiber is None:  # moving fibers, D_w = 6 above a degree-3 polynomial
+        F = random_parabolic_germ(golden, 6, 6, seed=31, scale=0.2)
+        span = 0.5
+    else:
+        F = sd.ConstantVerticalMap(fiber, golden)
+        span = 1.6
+    cfg = petals.DEFAULT_CONFIG
+    parabolic, k, base = petals._parabolic_data(F, cfg)
+    n_max = 400
+    C = petals._coeff_matrix(F, z0, n_max)
+    assert not C[:, -1].any()
+    padded = np.hstack([C, np.zeros((n_max + 1, 3), dtype=complex)])
+    axis = np.linspace(-span, span, 24)
+    w0 = (axis[np.newaxis, :] + 1j * axis[:, np.newaxis]).ravel()
+    a = petals._run_engine(C, w0, n_max, parabolic, k, base, cfg)
+    b = petals._run_engine(padded, w0, n_max, parabolic, k, base, cfg)
+    for x, y in zip(a, b):
+        assert _bits(x) == _bits(y)
+    assert len(set(a.kind.tolist())) >= 2
+    # against the untrimmed single-orbit stepping
+    for i in range(0, len(w0), 23):
+        got = petals._run_single(padded, w0[i], n_max, parabolic, k, base,
+                                 cfg, True)
+        assert got[:4] == (a.kind[i], a.index[i], a.n_stop[i], a.period[i])
+        if a.kind[i] != UNDECIDED:
+            assert _bits(got[4][a.n_stop[i]]) == _bits(a.w_verdict[i])
+
+
+def _ppm_oracle(g) -> str:
+    h, wdt = g.code.shape
+    rows = [f"P3\n{wdt} {h}\n255"]
+    for i in range(h):
+        px = []
+        for j in range(wdt):
+            c = int(g.code[i, j])
+            if c == CODE_ESCAPE:
+                rgb = petals.ESCAPE_COLOR
+            elif c >= CODE_BASIN_BASE:
+                rgb = petals.BASIN_COLORS[(c - CODE_BASIN_BASE) % 8]
+            elif c >= petals.CODE_PETAL_BASE:
+                rgb = petals.PETAL_GREENS[(c - petals.CODE_PETAL_BASE) % 4]
+            else:
+                rgb = petals.UNDECIDED_COLOR
+            px.append(f"{rgb[0]} {rgb[1]} {rgb[2]}")
+        rows.append(" ".join(px))
+    return "\n".join(rows) + "\n"
+
+
+def test_grid_writers_match_per_pixel_oracle(tmp_path):
+    codes = ([petals.CODE_UNDECIDED, CODE_ESCAPE]
+             + [petals.CODE_PETAL_BASE + j for j in range(6)]
+             + [CODE_BASIN_BASE + c for c in range(10)] + [CODE_ESCAPE, 0])
+    code = np.array(codes, dtype=np.int32).reshape(4, 5)
+    rng = np.random.default_rng(47)
+    re = np.array([-1.5, -0.1, 0.0, 1e-300, 0.7])
+    im = np.array([-1.0, -1 / 3, 2.5e-8, 1.0])
+    n_stop = rng.integers(0, 5000, code.shape)
+    g = sd.FatouGrid(re=re, im=im, code=code, n_stop=n_stop, z0=0j)
+    assert g.to_ppm_text() == _ppm_oracle(g)
+    g.write_csv(tmp_path / "g.csv")
+    want = ["re_w,im_w,verdict_code,n_stop"]
+    for i in range(4):
+        for j in range(5):
+            want.append(f"{float(re[j])!r},{float(im[i])!r},"
+                        f"{int(code[i, j])},{int(n_stop[i, j])}")
+    assert (tmp_path / "g.csv").read_text() == "\n".join(want) + "\n"
+
+
 # -- grids ------------------------------------------------------------------------
 
 def test_slice_unit_disk_dichotomy():
