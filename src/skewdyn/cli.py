@@ -23,8 +23,8 @@ from .cremer import greedy_quadratic, growth_profile, linear_example_phi, \
     write_growth_csv
 from .errors import DegenerateDivisorError, LinearFiberError, PrecisionError
 from .normalform import normalize, reduce_parabolic_tail
-from .petals import (ParabolicLocal, critical_orbit_check, fatou_slice,
-                     forward_invariance_check, iterate_orbit,
+from .petals import (OrbitConfig, ParabolicLocal, critical_orbit_check,
+                     fatou_slice, forward_invariance_check, iterate_orbit,
                      repelling_expansion_check, vertical_derivative_sum)
 from .rotation import (brjuno_partial_sum, cremer_running_max, divisor_table,
                        rotation_from_json, rotation_to_json, write_divisor_csv)
@@ -49,7 +49,8 @@ def _load_rotation(source: str):
             return rotation_from_json(source)
         with open(source) as fh:
             return rotation_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError,
+            json.JSONDecodeError) as exc:
         raise _CliError(EXIT_BAD_INPUT, f"cannot load rotation: {exc}") from exc
 
 
@@ -114,6 +115,8 @@ def cmd_brjuno(args) -> int:
     write_divisor_csv(table, out / "divisors.csv")
     if args.brjuno_k is not None:
         k_top = args.brjuno_k
+        if k_top < 0:
+            raise _CliError(EXIT_BAD_INPUT, "--brjuno-k must be nonnegative")
         if 2 ** (k_top + 1) > m_max:
             raise _CliError(EXIT_BAD_INPUT,
                             f"--brjuno-k {k_top} needs --m-max >= {2 ** (k_top + 1)}")
@@ -216,7 +219,8 @@ def cmd_orbit(args) -> int:
     out = _out_dir(args)
     z0 = _parse_complex(args.z0)
     w0 = _parse_complex(args.w0)
-    orbit = iterate_orbit(F, z0, w0, args.n_max, escape_radius=args.escape,
+    orbit = iterate_orbit(F, z0, w0, args.n_max,
+                          config=OrbitConfig(escape_radius=args.escape),
                           stop_at_verdict=not args.full_orbit)
     sums = (vertical_derivative_sum(orbit).tolist() if len(orbit.dlogs)
             else [0.0])
@@ -251,8 +255,8 @@ def cmd_slice(args) -> int:
     if not all(map(math.isfinite, parts[:4])):
         raise _CliError(EXIT_BAD_INPUT, f"grid bounds {args.grid!r} are not finite")
     z0 = _parse_complex(args.z0)
-    grid = fatou_slice(F, z0, (re0, re1, im0, im1, int(res)),
-                       n_max=args.n_max, escape_radius=args.escape,
+    grid = fatou_slice(F, z0, (re0, re1, im0, im1, int(res)), n_max=args.n_max,
+                       config=OrbitConfig(escape_radius=args.escape),
                        threads=args.threads)
     grid.write_ppm(out / "slice.ppm")
     grid.write_csv(out / "slice.csv")
@@ -392,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    for name in ("m_max", "n_max", "depth", "samples", "threads"):
+    for name in ("m_max", "n_max", "samples", "threads"):
         val = getattr(args, name, None)
-        if val is not None and name != "depth" and val < 1:
+        if val is not None and val < 1:
             print(f"error: --{name.replace('_', '-')} must be positive",
                   file=sys.stderr)
             return EXIT_BAD_INPUT

@@ -19,10 +19,16 @@ from .errors import LinearFiberError
 from .rotation import RotationNumber, unit_column
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm, TruncatedSeries,
                      WScale, _aligned_sum, _compose, _over, _rows, _zeros,
-                     conjugate, retruncate, rotate)
+                     conjugate, rotate)
 
 _PRE_TOL = 1e-9       # tolerance for the parabolic-fiber preconditions
 JET_ZERO_RTOL = 1e-10  # a constant counts as zero below this fraction of the jet
+
+
+def _require_parabolic_point(cs: list[complex]) -> None:
+    """ValueError unless the fiber constants have a_0(0) = 0, a_1(0) = 1."""
+    if abs(cs[0]) > _PRE_TOL or abs(cs[1] - 1.0) > _PRE_TOL:
+        raise ValueError("germ must satisfy g_0(0) = 0 and g_0'(0) = 1")
 
 
 def compose_series(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -82,9 +88,7 @@ def solve_invariant_curve(F: SkewGerm) -> TruncatedSeries:
     Requires the parabolic-fiber normal base point a_0(0) = 0, a_1(0) = 1;
     the root phi_0 = 0 of the constant-term equation is hard-coded.
     """
-    cs = F.fiber_constants()
-    if abs(cs[0]) > _PRE_TOL or abs(cs[1] - 1.0) > _PRE_TOL:
-        raise ValueError("germ must satisfy a_0(0) = 0 and a_1(0) = 1")
+    _require_parabolic_point(F.fiber_constants())
     am, ae = _rows(F.a)
     col = unit_column(F.rot, F.n_trunc)
     pm, pe = _zeros(F.dw + 1, F.n_trunc + 1)   # row j: phi^j
@@ -190,35 +194,30 @@ class NormalForm:
         return 2.0 ** max(s.max_abs_log2(1) for s in self.germ.a[:top + 1])
 
 
-def detect_parabolic_order(F: SkewGerm) -> int:
-    """Least k >= 1 with g_{0,k+1} above the zero cliff; LinearFiberError if none."""
+def detect_parabolic_order(F) -> int:
+    """The parabolic-fiber rule: the order k of F's fiber map at z = 0, the
+    least k >= 1 with g_{0,k+1} above the zero cliff.  ValueError unless
+    a_0(0) = 0 and a_1(0) = 1; LinearFiberError if no such k exists."""
     cs = F.fiber_constants()
+    _require_parabolic_point(cs)
     mags = [abs(c) for c in cs[2:]]
-    if not mags or max(mags) == 0.0:
-        raise LinearFiberError("vertical map is the identity on the fiber")
-    cliff = JET_ZERO_RTOL * max(mags)
-    for j in range(2, len(cs)):
-        if abs(cs[j]) > cliff:
-            return j - 1
+    cliff = JET_ZERO_RTOL * max(mags, default=0.0)
+    for k, m in enumerate(mags, 1):
+        if m > cliff:
+            return k
     raise LinearFiberError("vertical map is the identity on the fiber")
 
 
-def normalize(F: SkewGerm, h_target: int, n: int | None = None,
-              dw: int | None = None) -> tuple[NormalForm, ChangeLog]:
+def normalize(F: SkewGerm, h_target: int) -> tuple[NormalForm, ChangeLog]:
     """Run curve -> gauge -> bumps until orders 2..k+h_target+1 are constant.
 
     The bump loop starts at w^2: when k > 1 the low orders carry z-dependent
-    coefficients vanishing at z = 0, and the target form has none.  Optional
-    n/dw re-truncate the input germ first.
+    coefficients vanishing at z = 0, and the target form has none.
     """
     if h_target < 0:
         raise ValueError("h_target must be nonnegative")
-    if n is not None or dw is not None:
-        F = retruncate(F, n=n, dw=dw)
-    cs = F.fiber_constants()
-    if abs(cs[0]) > _PRE_TOL or abs(cs[1] - 1.0) > _PRE_TOL:
-        raise ValueError("germ must satisfy g_0(0) = 0 and g_0'(0) = 1")
     k = detect_parabolic_order(F)
+    cs = F.fiber_constants()
     top = k + h_target + 1
     if top > F.dw:
         raise ValueError(f"depth h={h_target} needs w-truncation >= {top}, "
@@ -256,7 +255,7 @@ def normalize(F: SkewGerm, h_target: int, n: int | None = None,
     return nf, log
 
 
-def reduce_parabolic_tail(nf: NormalForm, dw: int | None = None,
+def reduce_parabolic_tail(nf: NormalForm,
                           changelog: ChangeLog | None = None) -> NormalForm:
     """Rescale to leading -w^{k+1}, then kill the constant coefficients
     between w^{k+1} and w^{2k+1} with constant bumps; report the residual
@@ -265,7 +264,6 @@ def reduce_parabolic_tail(nf: NormalForm, dw: int | None = None,
     Needs depth h >= k so that the jet through w^{2k+1} is constant.  The
     eliminated order m uses the bump power m-k; the division by 2k+1-m is
     nonzero precisely because the resonant order m = 2k+1 is skipped.
-    Optional dw cuts the carried w-truncation first.
     """
     k = nf.k
     if nf.h < k:
@@ -274,10 +272,6 @@ def reduce_parabolic_tail(nf: NormalForm, dw: int | None = None,
     if g1 == 0:
         raise ValueError("leading jet coefficient vanished")
     cur = nf.germ
-    if dw is not None:
-        if dw < 2 * k + 1:
-            raise ValueError(f"reduction needs D_w >= {2 * k + 1}")
-        cur = retruncate(cur, dw=dw)
     n = cur.n_trunc
     c = cmath.exp(cmath.log(-1.0 / g1) / k)
     changes: list[FiberChange] = [WScale(c)]
@@ -294,7 +288,6 @@ def reduce_parabolic_tail(nf: NormalForm, dw: int | None = None,
     jet = [cur.a[j].constant_term().to_complex()
            for j in range(k + 1, min(2 * k + 1, cur.dw) + 1)]
     tail = [cur.a[m] for m in range(2 * k + 2, cur.dw + 1)]
-    residuals = dict(nf.stage_residuals)
     return NormalForm(k=k, h=k, jet=jet, tail=tail, germ=cur,
                       original_constants=cur.fiber_constants(),
-                      stage_residuals=residuals, b=b)
+                      stage_residuals=dict(nf.stage_residuals), b=b)

@@ -18,6 +18,10 @@ with R = 1/(k rho^k).  Orbit verdicts come from a fixed state machine:
              `window` steps;
   undecided  the step budget ran out first.
 
+Thresholds come only through OrbitConfig.  Whether the fiber map at z = 0 is
+parabolic, and of which order k, is decided by one rule with its own
+tolerances, normalform.detect_parabolic_order.
+
 Grids run through a vectorized lockstep engine.  It drops all-zero top
 w-degrees (0 * w is exact for the finite w of undecided points) and, every
 8 steps, compacts its arrays to the undecided points once fewer than 90%
@@ -33,13 +37,15 @@ from __future__ import annotations
 import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import LinearFiberError
+from .normalform import detect_parabolic_order
 from .rotation import RotationNumber, unit_column
-from .series import SkewGerm, TruncatedSeries
+from .series import SkewGerm, TruncatedSeries, _horner
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,7 +84,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class OrbitConfig:
-    """Classification thresholds; all tunables in one place."""
+    """Classification thresholds: the only way to set them."""
     window: int = 50           # confirmation steps for petal and cycle verdicts
     arg_tol: float = 0.2       # radians around an attracting direction
     cycle_tol: float = 1e-9    # absolute recurrence tolerance
@@ -86,12 +92,10 @@ class OrbitConfig:
     period_cap: int = 64
     petal_shrink: float = 0.5  # |w| must halve over a petal streak
     petal_gate: float = 0.75   # petal bookkeeping only below this radius
-    cycle_round: int = 4       # decimals for canonical cycle grouping
-    fiber_tol: float = 1e-9    # tolerance for the parabolic-fiber test
-    jet_cliff: float = 1e-10   # relative cutoff for detecting the jet order
 
 
 DEFAULT_CONFIG = OrbitConfig()
+CYCLE_ROUND = 4   # decimals for canonical cycle grouping
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +161,22 @@ class ParabolicLocal:
 
     @property
     def dw(self) -> int:
-        base = 2 * self.k + 1 if self.b != 0 else self.k + 1
         if self.tail:
-            base = max(base, 2 * self.k + 1 + len(self.tail))
-        return base
+            return 2 * self.k + 1 + len(self.tail)
+        return 2 * self.k + 1 if self.b != 0 else self.k + 1
+
+    def z_coefficients(self) -> list[list[complex]]:
+        """Each w-coefficient as a z-polynomial, lowest order first: 1 at w,
+        -1 at w^{k+1}, b at w^{2k+1}, the tail above."""
+        c = [[0j] for _ in range(self.dw + 1)]
+        c[1], c[self.k + 1] = [1.0 + 0j], [-1.0 + 0j]
+        if self.b != 0:
+            c[2 * self.k + 1] = [complex(self.b)]
+        c[2 * self.k + 2:] = [s.to_complex_list() for s in self.tail]
+        return c
 
     def coefficients_at(self, z: complex) -> list[complex]:
-        c = [0j] * (self.dw + 1)
-        c[1] = 1.0 + 0j
-        c[self.k + 1] = -1.0 + 0j
-        if self.b != 0:
-            c[2 * self.k + 1] = complex(self.b)
-        for i, s in enumerate(self.tail):
-            c[2 * self.k + 2 + i] = s.eval_complex(z)
-        return c
+        return [_horner(c, z) for c in self.z_coefficients()]
 
     @staticmethod
     def from_normal_form(nf, rho: float = 0.1, eta: float = 0.25,
@@ -205,11 +211,7 @@ def _coeff_lists(F) -> tuple[list[list[complex]], RotationNumber | None]:
     if isinstance(F, SkewGerm):
         return [s.to_complex_list() for s in F.a], F.rot
     if isinstance(F, ParabolicLocal):
-        base = F.coefficients_at(0j)
-        lists: list[list[complex]] = [[c] for c in base]
-        for i, s in enumerate(F.tail):
-            lists[2 * F.k + 2 + i] = s.to_complex_list()
-        return lists, F.rot
+        return F.z_coefficients(), F.rot
     if isinstance(F, ConstantVerticalMap):
         return [[c] for c in F.coeffs], F.rot
     raise TypeError("expected a SkewGerm, ParabolicLocal or ConstantVerticalMap")
@@ -241,23 +243,18 @@ def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:
     return out
 
 
-def _parabolic_data(F, cfg: OrbitConfig):
-    """(is_parabolic, k, base_angle) for the fiber map at z = 0."""
+def _parabolic_data(F):
+    """(is_parabolic, k, base_angle) for the fiber map at z = 0, by the
+    rule of normalform.detect_parabolic_order."""
     if isinstance(F, ParabolicLocal):
         base, _ = directions_for_jet(-1.0 + 0j, F.k)
         return True, F.k, base
-    cs = F.fiber_constants()
-    if abs(cs[0]) > cfg.fiber_tol or abs(cs[1] - 1.0) > cfg.fiber_tol:
+    try:
+        k = detect_parabolic_order(F)
+    except (ValueError, LinearFiberError):
         return False, 0, 0.0
-    mags = [abs(c) for c in cs[2:]]
-    top = max(mags, default=0.0)
-    if top == 0.0:
-        return False, 0, 0.0
-    for j in range(2, len(cs)):
-        if abs(cs[j]) > cfg.jet_cliff * top:
-            base, _ = directions_for_jet(cs[j], j - 1)
-            return True, j - 1, base
-    return False, 0, 0.0
+    base, _ = directions_for_jet(F.fiber_constants()[k + 1], k)
+    return True, k, base
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +267,6 @@ class _EngineResult(NamedTuple):
     n_stop: np.ndarray
     w_verdict: np.ndarray      # state at the step the verdict fired
     period: np.ndarray         # confirmed cycle period for BASIN verdicts
-
-
-def _poly_eval(row: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Horner from the scalar top coefficient: numpy forms scalar * array
-    # exactly as it forms the broadcast array product, bit for bit
-    acc = row[-1]
-    for c in row[-2::-1]:
-        acc = acc * w + c
-    return acc
 
 
 def _in_sector(w: np.ndarray, a: np.ndarray, k: int, base_angle: float,
@@ -384,7 +372,7 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                         settle(hit, PETAL, n)
 
             if n >= 2 and n % 2 == 0:
-                st.tort = _poly_eval(C[n // 2 - 1], st.tort)
+                st.tort = _horner(C[n // 2 - 1], st.tort)
             if n >= 2:
                 catch = np.abs(st.w - st.tort) < cfg.cycle_tol
                 if catch.any():
@@ -422,7 +410,7 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                     and np.count_nonzero(undecided) < 0.9 * len(st.w)):
                 st.compact(undecided)
                 undecided = np.ones(len(st.w), dtype=bool)
-            st.w = _poly_eval(C[n], st.w)
+            st.w = _horner(C[n], st.w)
 
     return _EngineResult(kind, index, n_stop, w_verdict, period_out)
 
@@ -431,7 +419,7 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
 # Single-orbit path
 #
 # For one point the per-step bookkeeping above is pure overhead, so the
-# trajectory is stepped first (same _poly_eval array op, equal values: the
+# trajectory is stepped first (same _horner array op, equal values: the
 # engine's trimmed degrees add only exact zeros) and the verdict rules are
 # replayed vectorized over the time axis.
 # The tortoise needs no separate recurrence: advancing it t times applies
@@ -543,7 +531,7 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
         while True:
             top = min(n_max, done + block) if stop_at_verdict else n_max
             for n in range(done, top):
-                w = _poly_eval(C[n], w)
+                w = _horner(C[n], w)
                 ws[n + 1] = w[0]
                 if stop_at_verdict and not abs(w[0]) <= cfg.escape_radius:
                     top = n + 1  # escape is final; the replay confirms it
@@ -555,11 +543,8 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
                 break
         n_stop, kind, index, period = verdict or (n_max, UNDECIDED, -1, 0)
         cut = n_stop if stop_at_verdict else n_max
-        deg = C.shape[1] - 1
-        rows, wn = C[:cut], ws[:cut]
-        acc = rows[:, deg] * deg
-        for j in range(deg - 1, 0, -1):
-            acc = acc * wn + rows[:, j] * j
+        rows = C[:cut]
+        acc = _horner([rows[:, j] * j for j in range(1, C.shape[1])], ws[:cut])
         dlogs = np.log(np.abs(acc))  # -inf at 0, inf/nan past an overflow
     return kind, index, n_stop, period, ws[:cut + 1], dlogs
 
@@ -567,17 +552,18 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
 def _cycle_points(C: np.ndarray, w: complex, start: int, p: int) -> list[complex]:
     pts = [w]
     for i in range(max(0, p - 1)):
-        row = C[min(start + i, len(C) - 1)].tolist()
-        acc = row[-1]
-        for c in row[-2::-1]:
-            acc = acc * pts[-1] + c
-        pts.append(acc)
+        pts.append(_horner(C[min(start + i, len(C) - 1)].tolist(), pts[-1]))
     return pts
 
 
-def _cycle_key(pts: list[complex], decimals: int) -> tuple:
-    return tuple(sorted((round(p.real, decimals) + 0.0,
-                         round(p.imag, decimals) + 0.0) for p in pts))
+def _rounded(p: complex) -> tuple[float, float]:
+    """p to CYCLE_ROUND decimals (-0.0 read as 0.0): the order and identity
+    of cycle points."""
+    return round(p.real, CYCLE_ROUND) + 0.0, round(p.imag, CYCLE_ROUND) + 0.0
+
+
+def _cycle_key(pts: list[complex]) -> tuple:
+    return tuple(sorted(_rounded(p) for p in pts))
 
 
 # ---------------------------------------------------------------------------
@@ -606,27 +592,20 @@ class OrbitRecord:
 
 
 def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
-                  escape_radius: float | None = None,
-                  arg_tol: float | None = None,
                   config: OrbitConfig | None = None,
                   stop_at_verdict: bool = True) -> OrbitRecord:
     """Iterate the vertical map over the rotating fiber and classify."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     cfg = config or DEFAULT_CONFIG
-    if escape_radius is not None:
-        cfg = replace(cfg, escape_radius=escape_radius)
-    if arg_tol is not None:
-        cfg = replace(cfg, arg_tol=arg_tol)
     C = _coeff_matrix(F, z0, n_max)
-    parabolic, k, base = _parabolic_data(F, cfg)
+    parabolic, k, base = _parabolic_data(F)
     kind, index, n_stop, period, ws, dlogs = _run_single(
         C, complex(w0), n_max, parabolic, k, base, cfg, stop_at_verdict)
     rep = None
     if kind == BASIN:
         pts = _cycle_points(C, complex(ws[n_stop]), n_stop, period)
-        rep = min(pts, key=lambda p: (round(p.real, cfg.cycle_round),
-                                      round(p.imag, cfg.cycle_round)))
+        rep = min(pts, key=_rounded)
         verdict = Verdict(BASIN, 0)
     elif kind == PETAL:
         verdict = Verdict(PETAL, index)
@@ -699,11 +678,7 @@ def forward_invariance_check(local: ParabolicLocal, z_band: float,
         w = _sample_attracting_petal(rng, k, rho, eta)
         rr = rng.random(2)
         z = z_band * math.sqrt(float(rr[0])) * cmath.exp(1j * TWO_PI * float(rr[1]))
-        coeffs = local.coefficients_at(z)
-        acc = coeffs[-1]
-        for j in range(len(coeffs) - 2, -1, -1):
-            acc = acc * w + coeffs[j]
-        w1 = acc
+        w1 = _horner(local.coefficients_at(z), w)
         if w1 == 0:
             continue
         u = 1.0 / (k * w1 ** k)
@@ -738,10 +713,7 @@ def repelling_expansion_check(local: ParabolicLocal, samples: int,
         j = int(rng.integers(0, k))
         w = _sample_attracting_petal(rng, k, rho, 0.0)
         zeta = w * cmath.exp(1j * math.pi * (2 * j + 1) / k)
-        acc = dcoeffs[-1]
-        for i in range(len(dcoeffs) - 2, -1, -1):
-            acc = acc * zeta + dcoeffs[i]
-        g1 = abs(acc)
+        g1 = abs(_horner(dcoeffs, zeta))
         worst = min(worst, g1)
         if not g1 > 1.0:
             violations += 1
@@ -812,8 +784,7 @@ class FatouGrid:
 
 
 def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
-                n_max: int = 1000, escape_radius: float | None = None,
-                config: OrbitConfig | None = None,
+                n_max: int = 1000, config: OrbitConfig | None = None,
                 threads: int = 1) -> FatouGrid:
     """Classify every point of a w-grid via the orbit engine.
 
@@ -826,12 +797,10 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     if not 1 <= res <= 4096:
         raise ValueError("grid resolution out of range (1..4096)")
     cfg = config or DEFAULT_CONFIG
-    if escape_radius is not None:
-        cfg = replace(cfg, escape_radius=escape_radius)
     re = np.linspace(float(re0), float(re1), res)
     im = np.linspace(float(im0), float(im1), res)
     C = _coeff_matrix(F, z0, n_max)
-    parabolic, k, base = _parabolic_data(F, cfg)
+    parabolic, k, base = _parabolic_data(F)
 
     def run_rows(bounds: tuple[int, int]) -> _EngineResult:
         i0, i1 = bounds
@@ -859,7 +828,7 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     for i, j in np.argwhere(kind == BASIN):
         pts = _cycle_points(C, complex(w_verd[i, j]), int(n_stop[i, j]),
                             int(period[i, j]))
-        pos_key[(int(i), int(j))] = _cycle_key(pts, cfg.cycle_round)
+        pos_key[(int(i), int(j))] = _cycle_key(pts)
     ordered = sorted(set(pos_key.values()))
     ids = {key: c for c, key in enumerate(ordered)}
     for (i, j), key in pos_key.items():
@@ -914,12 +883,10 @@ def critical_orbit_check(g, n_max: int = 20000,
     reports = []
     for r in sorted(roots.tolist(), key=lambda c: (round(c.real, 12),
                                                    round(c.imag, 12))):
-        dval = 0j
-        for c in reversed(deriv):
-            dval = dval * r + c
         orbit = iterate_orbit(fiber_map, 0j, complex(r), n_max, config=cfg)
         reports.append(CriticalReport(point=complex(r), verdict=orbit.verdict,
-                                      n_stop=orbit.n_stop, root_defect=abs(dval),
+                                      n_stop=orbit.n_stop,
+                                      root_defect=abs(_horner(deriv, r)),
                                       cycle_period=orbit.cycle_period))
     plausible = all(rep.verdict.kind in (PETAL, BASIN) and rep.root_defect < 1e-6
                     for rep in reports)

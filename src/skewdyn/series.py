@@ -28,6 +28,16 @@ _SENT = -(1 << 61)  # exponent of zero terms; a sum of two still fits in int64
 _FLOOR = -1100      # alignment shifts this low underflow to zero anyway
 
 
+def _horner(coeffs, x):
+    """sum_j coeffs[j] x^j (lowest order first), Horner from the top
+    coefficient.  x may be an array: numpy forms scalar * array exactly as
+    it forms the broadcast array product, bit for bit."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
 def lam_power(rot: RotationNumber, j: int) -> complex:
     """lam^j for any integer j, read from the unit-circle column (so it
     costs time and memory proportional to |j|)."""
@@ -214,10 +224,7 @@ class TruncatedSeries:
 
     def eval_complex(self, z: complex) -> complex:
         """Horner evaluation in plain double precision."""
-        acc = 0j
-        for c in reversed(self.to_complex_list()):
-            acc = acc * z + c
-        return acc
+        return _horner(self.to_complex_list(), z)
 
     def approx_eq(self, other: "TruncatedSeries", rtol: float = 1e-9) -> bool:
         """Coefficientwise equality relative to the larger series magnitude,
@@ -409,10 +416,6 @@ class SkewGerm:
     def fiber_constants(self) -> list[complex]:
         """a_j(0) for all j: the vertical map on the invariant fiber."""
         return [s.constant_term().to_complex() for s in self.a]
-
-    def is_parabolic_fiber(self, tol: float = 1e-12) -> bool:
-        c = self.fiber_constants()
-        return abs(c[0]) <= tol and abs(c[1] - 1.0) <= tol
 
     def vertical_coeffs_at(self, z: complex) -> list[complex]:
         """[a_0(z), ..., a_Dw(z)] as plain complex numbers."""

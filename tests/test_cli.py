@@ -82,6 +82,8 @@ def test_malformed_inputs_exit_code(tmp_path):
                  "--m-max", "16", "--out", str(out)]) == 2
     assert main(["brjuno", "--rotation", '{"kind":"wat"}',
                  "--m-max", "16", "--out", str(out)]) == 2
+    assert main(["brjuno", "--rotation", '{"kind":"quotients","quotients":5}',
+                 "--m-max", "16", "--out", str(out)]) == 2
     bad_germ = tmp_path / "bad.json"
     bad_germ.write_text('{"no": "germ"}')
     assert main(["normalize", "--germ", str(bad_germ), "--depth", "1",
@@ -214,8 +216,9 @@ def test_nonpositive_budget_rejected(tmp_path, rot_file):
 
 def test_brjuno_k_exceeding_table_rejected(tmp_path, rot_file):
     out = tmp_path / "o"
-    assert main(["brjuno", "--rotation", rot_file, "--m-max", "64",
-                 "--brjuno-k", "9", "--out", str(out)]) == 2
+    for k in ("9", "-3"):  # past the table; negative
+        assert main(["brjuno", "--rotation", rot_file, "--m-max", "64",
+                     "--brjuno-k", k, "--out", str(out)]) == 2
 
 
 def test_brjuno_doubly_exponential_quotients(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import skewdyn as sd
+from skewdyn import normalform, petals
 from skewdyn.errors import DegenerateDivisorError, LinearFiberError
 from skewdyn.series import TruncatedSeries as TS
 
@@ -205,15 +206,6 @@ def test_normalize_depth_validation(golden):
         sd.normalize(F, 1)  # needs D_w >= 3
 
 
-def test_normalize_with_retruncation(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
-    nf, log = sd.normalize(F, 2, dw=8)
-    assert nf.germ.dw == 8 and nf.h == 2
-    from skewdyn.series import retruncate
-    nf2, _ = sd.normalize(retruncate(F, dw=8), 2)
-    assert nf.germ.approx_eq(nf2.germ, 1e-12)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_normalize_random_germs_fuzz(golden, seed):
     rng = np.random.default_rng(900 + seed)
@@ -298,3 +290,35 @@ def test_reduce_requires_depth(golden):
     nf, _ = sd.normalize(F, 1)  # h = 1 < k = 2
     with pytest.raises(ValueError):
         sd.reduce_parabolic_tail(nf)
+
+
+# -- the parabolic-fiber rule at its tolerances ----------------------------------
+
+_TOL, _CLIFF = normalform._PRE_TOL, normalform.JET_ZERO_RTOL
+PARABOLIC_BOUNDARY = {  # case: (a_j(0) for j = 0, 1, ..., expected k or None)
+    "k1": ([0, 1, 1], 1),
+    "k2": ([0, 1, 0, 1], 2),
+    "k3": ([0, 1, 0, 0, 1], 3),
+    "identity_fiber": ([0, 1], None),
+    "a0_half_tol": ([0.5 * _TOL, 1, 1], 1),
+    "a0_twice_tol": ([2 * _TOL, 1, 1], None),
+    "a1_half_tol": ([0, 1 + 0.5 * _TOL, 1], 1),
+    "a1_twice_tol": ([0, 1 + 2 * _TOL, 1], None),
+    "jet_half_cliff": ([0, 1, 0.5 * _CLIFF, 1], 2),
+    "jet_twice_cliff": ([0, 1, 2 * _CLIFF, 1], 1),
+}
+
+
+@pytest.mark.parametrize("case", PARABOLIC_BOUNDARY)
+def test_parabolic_rule_shared_by_normalize_and_orbit_engine(golden, case):
+    # normalize and the orbit engine read one rule: both must call the same
+    # fibers parabolic, with the same order
+    fiber, expect = PARABOLIC_BOUNDARY[case]
+    F = sd.SkewGerm.from_coeffs(golden, [[c, 0.05] for c in fiber], 4, 5)
+    try:
+        got = sd.normalize(F, 1)[0].k
+    except (ValueError, LinearFiberError):
+        got = None
+    assert got == expect
+    parabolic, k, _ = petals._parabolic_data(F)
+    assert (k if parabolic else None) == expect

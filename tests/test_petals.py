@@ -95,7 +95,7 @@ def test_petal_direction_index(k, j):
 
 def test_escape_at_step_zero():
     orb = sd.iterate_orbit(sd.ParabolicLocal(k=1), 0, 10.0, 100,
-                           escape_radius=5.0)
+                           config=sd.OrbitConfig(escape_radius=5.0))
     assert orb.verdict.kind == sd.ESCAPE and orb.n_stop == 0
 
 
@@ -195,7 +195,7 @@ def test_single_orbit_path_matches_engine(golden, name):
               * np.exp(2j * np.pi * rng.random(6)))
     starts = [complex(w) for w in pinned] + seeded.tolist() + [2e6]
     cfg = petals.DEFAULT_CONFIG
-    parabolic, k, base = petals._parabolic_data(F, cfg)
+    parabolic, k, base = petals._parabolic_data(F)
     for n_max in BLOCK_EDGE_N_MAX + (n_big,):
         C = petals._coeff_matrix(F, z0, n_max)
         eng = petals._run_engine(C, np.array(starts), n_max, parabolic, k,
@@ -492,7 +492,7 @@ def test_engine_accepts_vacuous_sector_tolerance():
     # arg_tol = 2.0 >= pi/2: for k = 2 every decreasing streak qualifies
     cfg = petals.OrbitConfig(arg_tol=2.0)
     F = sd.ParabolicLocal(k=2)
-    parabolic, k, base = petals._parabolic_data(F, cfg)
+    parabolic, k, base = petals._parabolic_data(F)
     C = petals._coeff_matrix(F, 0, 2000)
     starts = np.array([0.3, 0.3j, -0.2 + 0.1j, 0.05j, 1.5])
     eng = petals._run_engine(C, starts, 2000, parabolic, k, base, cfg)
@@ -516,7 +516,7 @@ def test_engine_trims_zero_top_degrees_exactly(golden, fiber, z0):
         F = sd.ConstantVerticalMap(fiber, golden)
         span = 1.6
     cfg = petals.DEFAULT_CONFIG
-    parabolic, k, base = petals._parabolic_data(F, cfg)
+    parabolic, k, base = petals._parabolic_data(F)
     n_max = 400
     C = petals._coeff_matrix(F, z0, n_max)
     assert not C[:, -1].any()

@@ -212,7 +212,9 @@ def test_retruncate(golden):
 
 
 def test_parabolic_fiber_flag(golden):
+    # the one parabolic-fiber rule lives in detect_parabolic_order
     F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [0.3]], 3, 2)
-    assert F.is_parabolic_fiber()
+    assert sd.detect_parabolic_order(F) == 1
     G = sd.SkewGerm.from_coeffs(golden, [[0.1], [1]], 3, 2)
-    assert not G.is_parabolic_fiber()
+    with pytest.raises(ValueError):
+        sd.detect_parabolic_order(G)
