@@ -111,8 +111,6 @@ def cmd_brjuno(args) -> int:
     rot = _load_rotation(args.rotation)
     out = _out_dir(args)
     m_max = args.m_max
-    table = divisor_table(rot, m_max)
-    write_divisor_csv(table, out / "divisors.csv")
     if args.brjuno_k is not None:
         k_top = args.brjuno_k
         if k_top < 0:
@@ -121,9 +119,9 @@ def cmd_brjuno(args) -> int:
             raise _CliError(EXIT_BAD_INPUT,
                             f"--brjuno-k {k_top} needs --m-max >= {2 ** (k_top + 1)}")
     else:
-        k_top = max(0, m_max.bit_length() - 2)
-        while 2 ** (k_top + 1) > m_max:
-            k_top -= 1
+        k_top = m_max.bit_length() - 2  # the largest k with 2^(k+1) <= m_max
+    table = divisor_table(rot, m_max)
+    write_divisor_csv(table, out / "divisors.csv")
     sums = {str(k): brjuno_partial_sum(table, k) for k in range(k_top + 1)}
     summary = {
         "config": _config_echo(args, ["rotation", "m_max", "brjuno_k"]),

@@ -9,13 +9,13 @@ off the binary exponents directly, never from materialized magnitudes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .rotation import RotationNumber, unit_column
+from .rotation import _CHUNK, RotationNumber, unit_column
 from .scaled import ScaledComplex, as_scaled
 from .series import _aligned_sum, _over, _zeros
 
@@ -114,18 +114,22 @@ def write_growth_csv(rot: RotationNumber, prof: GrowthProfile, path,
                      bits: list[int] | None = None) -> None:
     """Columns: m, a_m, log_phi, exponent, running_max, log_inv_divisor
     (ln 1/|lam^m - 1|, inf where the divisor vanishes), from the growth
-    profile of the coefficients."""
+    profile of the coefficients, one row per m = 1..m_max, lines ended by
+    CRLF; a_m is empty past the end of `bits`.  Rows are formatted
+    column-wise _CHUNK at a time."""
     col = unit_column(rot, prof.m_max)
-    dm, de = col.mant.tolist(), col.exp2.tolist()
+    a_m = [] if bits is None else bits[1:]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "a_m", "log_phi", "exponent", "running_max",
-                    "log_inv_divisor"])
-        for m in range(1, prof.m_max + 1):
-            div = -(de[m] * _LN2 + math.log(abs(dm[m]))) if dm[m] else math.inf
-            w.writerow([m,
-                        bits[m] if bits is not None and m < len(bits) else "",
-                        repr(float(prof.log_mag[m])),
-                        repr(float(prof.exponents[m])),
-                        repr(float(prof.running_max[m])),
-                        repr(div)])
+        fh.write("m,a_m,log_phi,exponent,running_max,log_inv_divisor\r\n")
+        for lo in range(1, prof.m_max + 1, _CHUNK):
+            hi = min(lo + _CHUNK, prof.m_max + 1)
+            div = [-(e * _LN2 + math.log(abs(d))) if d else math.inf
+                   for d, e in zip(col.mant[lo:hi].tolist(),
+                                   col.exp2[lo:hi].tolist())]
+            fh.write("".join([
+                f"{m},{b},{g!r},{x!r},{r!r},{v!r}\r\n"
+                for m, g, x, r, v, b in zip_longest(
+                    range(lo, hi), prof.log_mag[lo:hi].tolist(),
+                    prof.exponents[lo:hi].tolist(),
+                    prof.running_max[lo:hi].tolist(), div,
+                    a_m[lo - 1:hi - 1], fillvalue="")]))

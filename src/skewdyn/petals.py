@@ -234,7 +234,9 @@ def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:
     if z_moves and rot is None:
         raise ValueError("a rotation number is required when fibers move")
     zs = _z_schedule(rot, z0, n_max) if z_moves else None
-    out = np.empty((n_max + 1, len(lists)), dtype=complex)
+    # at least w-degree 1: a constant map g = c steps as c + 0 w, so every
+    # Horner step over a row returns an array
+    out = np.zeros((n_max + 1, max(2, len(lists))), dtype=complex)
     for j, c in enumerate(lists):
         if zs is not None and any(x != 0 for x in c[1:]):
             out[:, j] = np.polyval(np.array(c[::-1], dtype=complex), zs)

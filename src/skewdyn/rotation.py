@@ -12,7 +12,6 @@ forming lam^k in floating point.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -172,7 +171,9 @@ def golden_mean(frac_bits: int = DEFAULT_FRAC_BITS) -> RotationNumber:
 # The unit-circle column: lam^k and the small divisors lam^k - 1
 # ---------------------------------------------------------------------------
 
-_CHUNK = 4096        # exact fractions held as Python ints at one time
+# Python-int fractions, or CSV rows, handled at one time; 1024 keeps the
+# peak resident set of a 2^17 divisor table below that of 4096, at equal speed
+_CHUNK = 1024
 _TINY = 2.0 ** -899  # reduced fractions below this keep a separate binary exponent
 
 
@@ -392,11 +393,23 @@ def rotation_from_json(obj: dict | str) -> RotationNumber:
 
 
 def write_divisor_csv(table: DivisorTable, path) -> None:
-    """Columns: m, dlam, omega, cremer_exponent."""
+    """Columns: m, dlam, omega, cremer_exponent, one row per m = 2..m_max,
+    lines ended by CRLF.  Rows are formatted column-wise _CHUNK at a time.
+    omega is a running minimum, so its text and log(1/omega) (inf where
+    omega is not positive) are formed once per run of equal bits."""
     om = table.omega
+    bits = om[2:].view(np.int64)
+    starts = np.concatenate(([2], np.flatnonzero(bits[1:] != bits[:-1]) + 3))
+    values = om[starts].tolist()
+    om_text = [repr(v) for v in values]
+    logs = np.array([math.log(1.0 / v) if v > 0.0 else math.inf for v in values])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "dlam", "omega", "cremer_exponent"])
-        for m in range(2, table.m_max + 1):
-            ce = math.log(1.0 / om[m]) / m if om[m] > 0.0 else math.inf
-            w.writerow([m, repr(float(table.dlam[m])), repr(float(om[m])), repr(ce)])
+        fh.write("m,dlam,omega,cremer_exponent\r\n")
+        for lo in range(2, table.m_max + 1, _CHUNK):
+            hi = min(lo + _CHUNK, table.m_max + 1)
+            ms = np.arange(lo, hi)
+            r = np.searchsorted(starts, ms, side="right") - 1
+            fh.write("".join([
+                f"{m},{d!r},{om_text[i]},{c!r}\r\n" for m, d, i, c in zip(
+                    range(lo, hi), table.dlam[lo:hi].tolist(), r.tolist(),
+                    (logs[r] / ms).tolist())]))

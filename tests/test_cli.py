@@ -219,6 +219,7 @@ def test_brjuno_k_exceeding_table_rejected(tmp_path, rot_file):
     for k in ("9", "-3"):  # past the table; negative
         assert main(["brjuno", "--rotation", rot_file, "--m-max", "64",
                      "--brjuno-k", k, "--out", str(out)]) == 2
+        assert not (out / "divisors.csv").exists()  # rejected before the table
 
 
 def test_brjuno_doubly_exponential_quotients(tmp_path):

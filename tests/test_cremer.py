@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -121,3 +122,49 @@ def test_growth_csv(tmp_path, golden):
     # log(1/|lam - 1|) column matches the divisor directly
     lam = sd.lam_power(golden, 1)
     assert float(first[5]) == pytest.approx(-math.log(abs(lam - 1)), rel=1e-12)
+
+
+def _growth_csv_oracle(rot, prof, path, bits=None):
+    """The row-at-a-time csv.writer loop the chunked writer replaced."""
+    col = sd.unit_column(rot, prof.m_max)
+    dm, de = col.mant.tolist(), col.exp2.tolist()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["m", "a_m", "log_phi", "exponent", "running_max",
+                    "log_inv_divisor"])
+        for m in range(1, prof.m_max + 1):
+            div = -(de[m] * math.log(2.0) + math.log(abs(dm[m]))) if dm[m] else math.inf
+            w.writerow([m,
+                        bits[m] if bits is not None and m < len(bits) else "",
+                        repr(float(prof.log_mag[m])),
+                        repr(float(prof.exponents[m])),
+                        repr(float(prof.running_max[m])),
+                        repr(div)])
+
+
+def _assert_growth_csv_matches(tmp_path, rot, prof, bits):
+    sd.write_growth_csv(rot, prof, tmp_path / "got.csv", bits=bits)
+    _growth_csv_oracle(rot, prof, tmp_path / "want.csv", bits=bits)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\r\n") == prof.m_max + 1
+    return got.decode().splitlines()
+
+
+def test_growth_csv_matches_row_writer_greedy(tmp_path, golden):
+    res = sd.greedy_quadratic(golden, 300)
+    _assert_growth_csv_matches(tmp_path, golden, sd.growth_profile(res.phi),
+                               res.bits)
+
+
+@pytest.mark.parametrize("n_bits", [None, 1500])
+def test_growth_csv_matches_row_writer_linear(tmp_path, cremer_rotation, n_bits):
+    # m = 5000 spans several chunks; a bits list shorter than the profile
+    # leaves a_m empty from m = n_bits on, across a chunk edge
+    phis = sd.linear_example_phi(cremer_rotation, 0.25 - 0.5j, 5000)
+    bits = (None if n_bits is None else
+            np.random.default_rng(3).integers(0, 2, n_bits).tolist())
+    lines = _assert_growth_csv_matches(tmp_path, cremer_rotation,
+                                       sd.growth_profile(phis), bits)
+    empty = [line.split(",")[1] == "" for line in lines[1:]]
+    assert empty == [m >= (n_bits or 1) for m in range(1, 5001)]

@@ -112,6 +112,25 @@ def test_attracting_two_cycle():
     assert orb.cycle_representative == pytest.approx(-1, abs=1e-6)
 
 
+def test_one_coefficient_map_paths_agree():
+    # the constant fiber map g = 0.5: a start escapes at step 0 or lands on
+    # the fixed point 0.5 in one step; grid engine and single path agree
+    F = sd.ConstantVerticalMap([0.5])
+    grid = sd.fatou_slice(F, 0, (-2e6, 2e6, -1.0, 1.0, 5), n_max=200)
+    assert grid.cycles == [((0.5, 0.0),)]
+    codes = {ESCAPE: CODE_ESCAPE, BASIN: CODE_BASIN_BASE}
+    for i, y in enumerate(grid.im):
+        for j, x in enumerate(grid.re):
+            orb = sd.iterate_orbit(F, 0, complex(x, y), 200)
+            assert grid.code[i, j] == codes[orb.verdict.kind]
+            assert grid.n_stop[i, j] == orb.n_stop
+            if orb.verdict.kind == BASIN:
+                assert orb.cycle_period == 1 and orb.cycle_representative == 0.5
+                assert np.all(orb.ws[1:] == 0.5)
+                assert np.all(orb.dlogs == -np.inf)  # g' vanishes
+    assert set(np.unique(grid.code)) == {CODE_ESCAPE, CODE_BASIN_BASE}
+
+
 def test_orbit_stepping_matches_direct_recomputation(golden):
     # independent pointwise oracle for the engine's stepping
     F = random_parabolic_germ(golden, 6, 4, seed=12, scale=0.2)

@@ -1,4 +1,5 @@
 import cmath
+import csv
 import math
 
 import mpmath
@@ -245,3 +246,38 @@ def test_divisor_csv(tmp_path, golden):
     assert len(lines) == 64  # header + m = 2..64
     om = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b <= a for a, b in zip(om, om[1:]))
+
+
+def _divisor_csv_oracle(table, path):
+    """The row-at-a-time csv.writer loop the chunked writer replaced."""
+    om = table.omega
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["m", "dlam", "omega", "cremer_exponent"])
+        for m in range(2, table.m_max + 1):
+            ce = math.log(1.0 / om[m]) / m if om[m] > 0.0 else math.inf
+            w.writerow([m, repr(float(table.dlam[m])), repr(float(om[m])), repr(ce)])
+
+
+DIVISOR_CSV_CASES = {
+    # m_max 2 is a one-row table; 4097, 4098 and 8195 sit at chunk edges,
+    # as the writer's chunk length divides 4096
+    **{f"golden-{m}": (sd.golden_mean, m) for m in (2, 3, 4097, 4098, 8195)},
+    "cremer-512": (lambda: sd.RotationNumber.from_quotients([4, 2 ** 400], 512), 5000),
+    "random-192": (lambda: sd.RotationNumber.from_quotients(_RNG_QUOTIENTS), 5000),
+    # d1[4] = 0: omega vanishes from m = 5 on and cremer_exponent reads inf
+    "quarter": (lambda: sd.RotationNumber.from_decimal("0.25"), 64),
+}
+
+
+@pytest.mark.parametrize("case", list(DIVISOR_CSV_CASES))
+def test_divisor_csv_matches_row_writer(tmp_path, case):
+    assert 4096 % sd.rotation._CHUNK == 0
+    make_rot, m_max = DIVISOR_CSV_CASES[case]
+    table = sd.divisor_table(make_rot(), m_max, allow_degenerate=True)
+    sd.write_divisor_csv(table, tmp_path / "got.csv")
+    _divisor_csv_oracle(table, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\r\n") == m_max  # header + m = 2..m_max
+    assert (b",inf\r\n" in got) == bool(table.degenerate_indices)
