@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import LinearFiberError
 from .normalform import detect_parabolic_order
-from .rotation import RotationNumber, unit_column
+from .rotation import _CHUNK, RotationNumber, unit_column
 from .series import SkewGerm, TruncatedSeries, _horner
 
 TWO_PI = 2.0 * math.pi
@@ -96,6 +96,7 @@ class OrbitConfig:
 
 DEFAULT_CONFIG = OrbitConfig()
 CYCLE_ROUND = 4   # decimals for canonical cycle grouping
+MAX_PETAL_ORDER = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -119,27 +120,36 @@ def directions_for_jet(lead: complex, k: int) -> tuple[float, list[complex]]:
     return base, [cmath.exp(1j * (base + TWO_PI * j / k)) for j in range(k)]
 
 
-def in_attracting_petal(w: complex, k: int, rho: float,
-                        eta: float) -> int | None:
-    """Direction index of the petal containing w, or None.
+def in_attracting_petal(w, k: int, rho: float, eta: float):
+    """Direction index of the attracting petal containing w.
 
     Petal j: the sector |arg w - 2 pi j/k| < pi/k intersected with the
     pullback of {Re u > R - eta |Im u|}, u = 1/(k w^k), R = 1/(k rho^k).
+    With delta = arg w - 2 pi j/k the half-plane condition reads
+    cos(k delta) + eta |sin(k delta)| > (|w|/rho)^k, which is tested in that
+    form so that w^k can neither overflow nor underflow.
+
+    w is a complex scalar or an array.  A scalar gives the index or None; an
+    array gives an int64 array of indices, -1 where a point lies in no petal
+    (as every non-finite point does).  w = 0, the fixed point, is refused.
     """
-    if w == 0:
-        raise ValueError("w = 0 is the fixed point, not a petal point")
     if rho <= 0 or not 0.0 <= eta < 1.0:
         raise ValueError("need rho > 0 and 0 <= eta < 1")
-    ang = cmath.phase(w)
-    j = int(round(ang * k / TWO_PI)) % k
+    w = np.asarray(w, dtype=complex)
+    if (w == 0).any():
+        raise ValueError("w = 0 is the fixed point, not a petal point")
+    finite = np.isfinite(w)
+    ang = np.angle(np.where(finite, w, 1.0))  # no NaN reaches the int cast
+    j = np.rint(ang * k / TWO_PI).astype(np.int64) % k
     delta = (ang - TWO_PI * j / k + math.pi) % TWO_PI - math.pi
-    if not abs(delta) < math.pi / k:
-        return None
-    u = 1.0 / (k * w ** k)
-    r_cut = 1.0 / (k * rho ** k)
-    if u.real > r_cut - eta * abs(u.imag):
-        return j
-    return None
+    with np.errstate(over="ignore"):
+        ratio = (np.abs(w) / rho) ** k
+    inside = (finite & (np.abs(delta) < math.pi / k)
+              & (np.cos(k * delta) + eta * np.abs(np.sin(k * delta)) > ratio))
+    idx = np.where(inside, j, -1)
+    if idx.ndim == 0:
+        return int(idx) if idx >= 0 else None
+    return idx
 
 
 @dataclass(frozen=True)
@@ -156,8 +166,18 @@ class ParabolicLocal:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        if self.k > MAX_PETAL_ORDER:  # z_coefficients builds 2k+2 lists
+            raise ValueError(f"k must be at most {MAX_PETAL_ORDER}")
         if self.rho <= 0 or not 0.0 <= self.eta < 1.0:
             raise ValueError("need rho > 0 and 0 <= eta < 1")
+        try:
+            scale = self.k * self.rho ** self.k
+        except OverflowError:
+            scale = math.inf
+        if not (0.0 < scale < math.inf and 1.0 / scale < math.inf):
+            raise ValueError(f"k * rho^k = {scale!r} (k = {self.k}, rho = "
+                             f"{self.rho!r}): R = 1/(k rho^k) needs both to be "
+                             "positive finite doubles")
 
     @property
     def dw(self) -> int:
@@ -175,7 +195,8 @@ class ParabolicLocal:
         c[2 * self.k + 2:] = [s.to_complex_list() for s in self.tail]
         return c
 
-    def coefficients_at(self, z: complex) -> list[complex]:
+    def coefficients_at(self, z):
+        """The w-coefficients on the fiber over z (a scalar or an array)."""
         return [_horner(c, z) for c in self.z_coefficients()]
 
     @staticmethod
@@ -650,17 +671,23 @@ class SampleReport:
         return self.violations == 0
 
 
-def _sample_attracting_petal(rng, k: int, rho: float, eta: float) -> complex:
-    """Rejection-sample one point of the attracting petal union."""
-    while True:
-        j = int(rng.integers(0, k))
-        s = rho * 1.3 * math.sqrt(float(rng.random()))
-        ang = (TWO_PI * j / k) + (math.pi / k) * (2.0 * float(rng.random()) - 1.0)
-        w = s * cmath.exp(1j * ang)
-        if w == 0:
-            continue
-        if in_attracting_petal(w, k, rho, eta) is not None:
-            return w
+def _sample_attracting_petal(rng, n: int, k: int, rho: float,
+                             eta: float) -> np.ndarray:
+    """The first n accepted points, in draw order, of rejection sampling on
+    the attracting petal union.  Candidates are uniform on the sectors
+    |arg w - 2 pi j/k| < pi/k of radius 1.3 rho and are drawn _CHUNK at a
+    time, which bounds memory whatever the acceptance rate."""
+    blocks, got = [], 0
+    while got < n:
+        j = rng.integers(0, k, _CHUNK)
+        s = rho * 1.3 * np.sqrt(rng.random(_CHUNK))
+        ang = TWO_PI * j / k + (math.pi / k) * (2.0 * rng.random(_CHUNK) - 1.0)
+        w = s * np.exp(1j * ang)
+        w = w[w != 0]
+        w = w[in_attracting_petal(w, k, rho, eta) >= 0]
+        blocks.append(w)
+        got += len(w)
+    return np.concatenate(blocks)[:n]
 
 
 def forward_invariance_check(local: ParabolicLocal, z_band: float,
@@ -668,30 +695,29 @@ def forward_invariance_check(local: ParabolicLocal, z_band: float,
     """Sample the petal box {|z| < z_band, w in the petal union}, apply the
     map once, and count image points that leave the union.  Violations are
     data, not errors; worst_margin is the smallest half-plane clearance
-    seen among images (negative when violations occurred)."""
+    seen among images (negative when violations occurred).  An image that
+    is not a finite double raises OverflowError."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     k, rho, eta = local.k, local.rho, local.eta
     r_cut = 1.0 / (k * rho ** k)
-    violations = 0
-    worst = math.inf
-    for _ in range(samples):
-        w = _sample_attracting_petal(rng, k, rho, eta)
-        rr = rng.random(2)
-        z = z_band * math.sqrt(float(rr[0])) * cmath.exp(1j * TWO_PI * float(rr[1]))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore",
+                     divide="ignore"):
+        w = _sample_attracting_petal(rng, samples, k, rho, eta)
+        rr = rng.random((samples, 2))
+        z = z_band * np.sqrt(rr[:, 0]) * np.exp(1j * TWO_PI * rr[:, 1])
         w1 = _horner(local.coefficients_at(z), w)
-        if w1 == 0:
-            continue
+        w1 = w1[w1 != 0]
+        if not np.isfinite(w1).all():
+            raise OverflowError("a petal image leaves the double range")
         u = 1.0 / (k * w1 ** k)
-        margin = u.real - (r_cut - eta * abs(u.imag))
-        inside = in_attracting_petal(w1, k, rho, eta) is not None
-        if not inside:
-            violations += 1
-            worst = min(worst, -abs(margin))
-        else:
-            worst = min(worst, margin)
-    return SampleReport(samples, violations, worst)
+        margin = u.real - (r_cut - eta * np.abs(u.imag))
+        inside = in_attracting_petal(w1, k, rho, eta) >= 0
+        # fmin skips the NaN margin of an image whose k w^k left the range
+        worst = np.fmin.reduce(np.where(inside, margin, -np.abs(margin)),
+                               initial=math.inf)
+    return SampleReport(samples, int(np.count_nonzero(~inside)), float(worst))
 
 
 def repelling_expansion_check(local: ParabolicLocal, samples: int,
@@ -699,27 +725,26 @@ def repelling_expansion_check(local: ParabolicLocal, samples: int,
     """Verify |g'(zeta)| > 1 on the repelling petals at z = 0.
 
     Repelling petal points satisfy Re u < -R for u = 1/(k zeta^k), i.e.
-    they are the attracting half-plane samples rotated by the odd half
-    angles e^{i pi (2j+1)/k}; there Re zeta^k < 0, so the model derivative
-    1 - (k+1) zeta^k has modulus above one and the check validates that the
-    chosen rho keeps the tail from destroying the margin."""
+    they are attracting half-plane samples rotated by e^{i pi/k}, which
+    takes attracting direction j to the repelling direction pi (2j+1)/k;
+    the samples cover every j.  There Re zeta^k < 0, so the model
+    derivative 1 - (k+1) zeta^k has modulus above one and the check
+    validates that the chosen rho keeps the tail from destroying the
+    margin.  A NaN derivative counts as a violation and is left out of
+    worst_margin."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     k, rho = local.k, local.rho
     coeffs = local.coefficients_at(0j)
     dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-    violations = 0
-    worst = math.inf
-    for _ in range(samples):
-        j = int(rng.integers(0, k))
-        w = _sample_attracting_petal(rng, k, rho, 0.0)
-        zeta = w * cmath.exp(1j * math.pi * (2 * j + 1) / k)
-        g1 = abs(_horner(dcoeffs, zeta))
-        worst = min(worst, g1)
-        if not g1 > 1.0:
-            violations += 1
-    return SampleReport(samples, violations, worst)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore",
+                     divide="ignore"):
+        zeta = (_sample_attracting_petal(rng, samples, k, rho, 0.0)
+                * cmath.exp(1j * math.pi / k))
+        g1 = np.abs(_horner(dcoeffs, zeta))
+    return SampleReport(samples, int(np.count_nonzero(~(g1 > 1.0))),
+                        float(np.fmin.reduce(g1, initial=math.inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,37 @@ def test_petalcheck_requires_seed(tmp_path, capsys):
     rep = read_json(out / "petalcheck.json")
     assert rep["forward_invariance"]["violations"] == 0
     assert rep["repelling_expansion"]["min_derivative_modulus"] > 1
+
+
+@pytest.mark.parametrize("k, rho", [(320, "0.1"), (400, "0.1"), (4097, "0.9")])
+def test_petalcheck_order_out_of_range_exit_2(tmp_path, capsys, k, rho):
+    # rho^k underflows at rho = 0.1 for k = 320 and 400, so R = 1/(k rho^k)
+    # has no double; k = 4097 is past the order cap although 0.9^4097 is a
+    # normal double
+    out = tmp_path / "o"
+    assert main(["petalcheck", "--k", str(k), "--rho", rho, "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "petalcheck.json").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--k", "1", "--b=1e308,0"], 0),
+    (["--k", "2", "--b=1e308,0"], 0),
+    (["--k", "3", "--b=1e308,0"], 0),
+    (["--k", "1", "--b=1e308,0", "--rho=5"], 2),
+    (["--k", "1", "--rho=1e308"], 2),
+    (["--k", "1", "--z-band=1e308"], 0),
+    (["--k", "2", "--z-band=1e308"], 0),
+], ids=["b-k1", "b-k2", "b-k3", "b-rho5", "rho-huge", "z-band-k1", "z-band-k2"])
+def test_petalcheck_overflowing_inputs_are_quiet(tmp_path, capsys, argv, code):
+    # images and derivatives overflow to inf and NaN: no RuntimeWarning, and
+    # an image that is not a finite double exits 2 as the scalar code did
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["petalcheck", *argv, "--samples", "30", "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_bad_grid_exit_code(tmp_path, germ_file):

@@ -137,7 +137,7 @@ def argvs(draw, cmd: str, germ: str, rot: str):
     elif cmd == "hypotheses":
         argv = [cmd, "--germ", germ, "--n-max", n_max]
     else:
-        argv = [cmd, "--k", str(draw(st.integers(0, 3))),
+        argv = [cmd, "--k", str(_pick(draw, [0, 1, 2, 3], [320, 400, 4097])),
                 "--b=" + _complex_text(draw), "--rho=" + _float_text(draw),
                 "--eta=" + _pick(draw, ["0", "0.25", "0.99"], ["1", "-0.1"]),
                 "--z-band=" + _float_text(draw),

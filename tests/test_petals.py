@@ -43,8 +43,19 @@ def test_petal_membership_examples():
     assert sd.in_attracting_petal(w, 2, rho, 0.25) is None
     # a genuine second-sector point for k = 2
     assert sd.in_attracting_petal(-rho / 2, 2, rho, 0.25) == 1
+    # arrays: -1 marks no petal, non-finite points included, with no
+    # RuntimeWarning; (|w|/rho)^k underflows harmlessly at high order
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sd.in_attracting_petal(
+            np.array([rho / 2, -rho / 2, np.nan, np.inf, complex(np.nan, 1),
+                      1.5e308 + 1.5e308j]), 1, rho, 0.25)
+        assert sd.in_attracting_petal(rho / 2, 320, rho, 0.25) == 0
+    assert got.tolist() == [0, -1, -1, -1, -1, -1]
     with pytest.raises(ValueError):
         sd.in_attracting_petal(0j, 1, rho, 0.25)
+    with pytest.raises(ValueError):
+        sd.in_attracting_petal(np.array([rho / 2, 0]), 1, rho, 0.25)
     with pytest.raises(ValueError):
         sd.in_attracting_petal(0.05, 1, rho, 1.5)
 
@@ -53,18 +64,20 @@ def test_membership_against_direct_halfplane_evaluation():
     rng = np.random.default_rng(3)
     for k, rho, eta in ((1, 0.1, 0.25), (2, 0.1, 0.1), (3, 0.2, 0.0)):
         r_cut = 1.0 / (k * rho ** k)
-        for _ in range(200):
-            w = (rng.random() * 1.4 * rho) * cmath.exp(2j * math.pi * rng.random())
-            if w == 0:
-                continue
-            got = sd.in_attracting_petal(w, k, rho, eta)
+        ws = [(rng.random() * 1.4 * rho) * cmath.exp(2j * math.pi * rng.random())
+              for _ in range(200)]
+        ws = [w for w in ws if w != 0]
+        got = sd.in_attracting_petal(np.array(ws), k, rho, eta)
+        assert got.dtype == np.int64 and got.shape == (len(ws),)
+        for w, g in zip(ws, got):
             ang = cmath.phase(w)
             j = int(round(ang * k / (2 * math.pi))) % k
             delta = (ang - 2 * math.pi * j / k + math.pi) % (2 * math.pi) - math.pi
             u = 1.0 / (k * w ** k)
             inside = (abs(delta) < math.pi / k
                       and u.real > r_cut - eta * abs(u.imag))
-            assert (got == j) if inside else (got is None)
+            assert g == (j if inside else -1)
+            assert sd.in_attracting_petal(w, k, rho, eta) == (j if inside else None)
 
 
 # -- orbits -----------------------------------------------------------------
@@ -431,12 +444,21 @@ def test_repelling_direction_formulas():
 
 
 def test_sampler_only_emits_petal_members():
-    rng = np.random.default_rng(1)
     from skewdyn.petals import _sample_attracting_petal
-    for k, eta in ((1, 0.25), (3, 0.0)):
-        for _ in range(500):
-            w = _sample_attracting_petal(rng, k, 0.1, eta)
-            assert sd.in_attracting_petal(w, k, 0.1, eta) is not None
+    for k, eta, n in ((1, 0.25, 500), (3, 0.0, 500), (2, 0.25, 1), (2, 0.0, 3000)):
+        w = _sample_attracting_petal(np.random.default_rng(1), n, k, 0.1, eta)
+        assert w.shape == (n,)
+        assert (sd.in_attracting_petal(w, k, 0.1, eta) >= 0).all()
+        again = _sample_attracting_petal(np.random.default_rng(1), n, k, 0.1, eta)
+        assert np.array_equal(w, again)
+
+
+def test_sampler_fills_every_direction_evenly():
+    from skewdyn.petals import _sample_attracting_petal
+    w = _sample_attracting_petal(np.random.default_rng(7), 30000, 3, 0.1, 0.25)
+    counts = np.bincount(sd.in_attracting_petal(w, 3, 0.1, 0.25), minlength=3)
+    assert counts.sum() == 30000
+    assert np.all(np.abs(counts / 30000 - 1 / 3) <= 0.02)
 
 
 def test_local_model_from_reduced_normal_form(golden):
@@ -456,14 +478,13 @@ def test_local_model_from_reduced_normal_form(golden):
 
 def test_petal_membership_stable_under_model_map():
     # invariance restated: membership index is preserved by one application
-    rng = np.random.default_rng(5)
     loc = sd.ParabolicLocal(k=2)
     from skewdyn.petals import _sample_attracting_petal
-    for _ in range(10000):
-        w = _sample_attracting_petal(rng, 2, loc.rho, loc.eta)
-        j = sd.in_attracting_petal(w, 2, loc.rho, loc.eta)
-        w1 = w - w ** 3
-        assert sd.in_attracting_petal(w1, 2, loc.rho, loc.eta) == j
+    w = _sample_attracting_petal(np.random.default_rng(5), 10000, 2, loc.rho,
+                                 loc.eta)
+    j = sd.in_attracting_petal(w, 2, loc.rho, loc.eta)
+    assert (j >= 0).all()
+    assert np.array_equal(sd.in_attracting_petal(w - w ** 3, 2, loc.rho, loc.eta), j)
 
 
 # -- the sector test ---------------------------------------------------------------
