@@ -78,8 +78,14 @@ def _parse_complex(text: str) -> complex:
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, created only once every result is computed, so
+    a rejected call leaves no directory behind."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # for example --out names an existing file
+        raise _CliError(EXIT_BAD_INPUT,
+                        f"cannot create output directory: {exc}") from exc
     return out
 
 
@@ -109,7 +115,6 @@ def _config_echo(args, fields: list[str]) -> dict:
 
 def cmd_brjuno(args) -> int:
     rot = _load_rotation(args.rotation)
-    out = _out_dir(args)
     m_max = args.m_max
     if args.brjuno_k is not None:
         k_top = args.brjuno_k
@@ -121,7 +126,6 @@ def cmd_brjuno(args) -> int:
     else:
         k_top = m_max.bit_length() - 2  # the largest k with 2^(k+1) <= m_max
     table = divisor_table(rot, m_max)
-    write_divisor_csv(table, out / "divisors.csv")
     sums = {str(k): brjuno_partial_sum(table, k) for k in range(k_top + 1)}
     summary = {
         "config": _config_echo(args, ["rotation", "m_max", "brjuno_k"]),
@@ -132,13 +136,14 @@ def cmd_brjuno(args) -> int:
         "cremer_running_max": cremer_running_max(table, m_max),
         "degenerate_indices": list(table.degenerate_indices),
     }
+    out = _out_dir(args)
+    write_divisor_csv(table, out / "divisors.csv")
     _write_summary(out, "brjuno.json", summary)
     return EXIT_OK
 
 
 def cmd_normalize(args) -> int:
     F = _load_germ(args.germ)
-    out = _out_dir(args)
     if args.trunc_z is not None or args.trunc_w is not None:
         F = retruncate(F, n=args.trunc_z, dw=args.trunc_w)
     nf, log = normalize(F, args.depth)
@@ -167,7 +172,7 @@ def cmd_normalize(args) -> int:
             "tail_constants": [_cjson(s.constant_term().to_complex())
                                for s in red.tail],
         }
-    _write_summary(out, "normalize.json", report)
+    _write_summary(_out_dir(args), "normalize.json", report)
     return EXIT_OK
 
 
@@ -188,7 +193,6 @@ def _changelog_json(log) -> list[dict]:
 
 def cmd_cremer(args) -> int:
     rot = _load_rotation(args.rotation)
-    out = _out_dir(args)
     m_max = args.m_max
     if args.construction == "linear":
         phi0 = _parse_complex(args.phi0) if args.phi0 else 0j
@@ -198,7 +202,6 @@ def cmd_cremer(args) -> int:
         res = greedy_quadratic(rot, m_max)
         coeffs, bits = res.phi, res.bits
     prof = growth_profile(coeffs)
-    write_growth_csv(rot, prof, out / "growth.csv", bits=bits)
     dens = [q for q in rot.convergent_denominators(32) if 1 <= q <= m_max]
     summary = {
         "config": _config_echo(args, ["rotation", "construction", "m_max", "phi0"]),
@@ -208,13 +211,14 @@ def cmd_cremer(args) -> int:
                                      for q in dens},
         "bits_prefix": bits[:64] if bits else None,
     }
+    out = _out_dir(args)
+    write_growth_csv(rot, prof, out / "growth.csv", bits=bits)
     _write_summary(out, "cremer.json", summary)
     return EXIT_OK
 
 
 def cmd_orbit(args) -> int:
     F = _load_germ(args.germ)
-    out = _out_dir(args)
     z0 = _parse_complex(args.z0)
     w0 = _parse_complex(args.w0)
     orbit = iterate_orbit(F, z0, w0, args.n_max,
@@ -224,6 +228,7 @@ def cmd_orbit(args) -> int:
             else [0.0])
     dlogs = orbit.dlogs.tolist() + [float("nan")]  # no step from the last row
     rows = zip(orbit.zs.tolist(), orbit.ws.tolist(), dlogs, sums)
+    out = _out_dir(args)
     with open(out / "orbit.csv", "w", newline="") as fh:
         fh.write("n,re_z,im_z,re_w,im_w,dlog,dlog_partial_sum\n")
         for n, (z, w, d, s) in enumerate(rows):
@@ -244,7 +249,6 @@ def cmd_orbit(args) -> int:
 
 def cmd_slice(args) -> int:
     F = _load_germ(args.germ)
-    out = _out_dir(args)
     try:
         parts = [float(x) for x in args.grid.split(",")]
         re0, re1, im0, im1, res = parts
@@ -256,6 +260,7 @@ def cmd_slice(args) -> int:
     grid = fatou_slice(F, z0, (re0, re1, im0, im1, int(res)), n_max=args.n_max,
                        config=OrbitConfig(escape_radius=args.escape),
                        threads=args.threads)
+    out = _out_dir(args)
     grid.write_ppm(out / "slice.ppm")
     grid.write_csv(out / "slice.csv")
     summary = {
@@ -270,7 +275,6 @@ def cmd_slice(args) -> int:
 
 def cmd_hypotheses(args) -> int:
     F = _load_germ(args.germ)
-    out = _out_dir(args)
     rep = critical_orbit_check(F, n_max=args.n_max)
     summary = {
         "config": _config_echo(args, ["germ", "n_max"]),
@@ -283,12 +287,11 @@ def cmd_hypotheses(args) -> int:
             "cycle_period": r.cycle_period,
         } for r in rep.reports],
     }
-    _write_summary(out, "hypotheses.json", summary)
+    _write_summary(_out_dir(args), "hypotheses.json", summary)
     return EXIT_OK
 
 
 def cmd_petalcheck(args) -> int:
-    out = _out_dir(args)
     local = ParabolicLocal(k=args.k, b=_parse_complex(args.b),
                            rho=args.rho, eta=args.eta)
     fwd = forward_invariance_check(local, z_band=args.z_band,
@@ -304,7 +307,7 @@ def cmd_petalcheck(args) -> int:
                                 "violations": rep.violations,
                                 "min_derivative_modulus": rep.worst_margin},
     }
-    _write_summary(out, "petalcheck.json", summary)
+    _write_summary(_out_dir(args), "petalcheck.json", summary)
     return EXIT_OK
 
 

@@ -30,12 +30,23 @@ values past an escape), and replay the same rules over the time axis.  The
 differential test tests/test_petals.py::test_single_orbit_path_matches_engine
 keeps the two paths' verdicts equal.  Grid results are pure functions of
 the inputs, independent of chunking or thread count.
+
+A slice's basin pixels get canonical cycle ids at a cost that grows with
+the number of distinct cycles, not of pixels: the cycle points of all
+pixels of one period are computed together and keyed by rint(x 10^4), and
+the scalar cycle key runs once per distinct key set.  A pixel whose keys
+lie near a rounding tie (or are huge or not finite) is keyed on its own by
+the scalar path, so the ids equal those of per-pixel keying, as the
+differential test
+tests/test_petals.py::test_grouped_cycle_keys_match_per_pixel_reference
+checks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -335,6 +346,17 @@ class _State:
             setattr(self, name, getattr(self, name)[keep])
 
 
+def _step(row: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """_horner(row, w) for a row of at least two coefficients, built in one
+    new array (same operations in the same order: acc * w, then + c)."""
+    acc = row[-1] * w
+    acc += row[-2]
+    for c in row[-3::-1]:
+        acc *= w
+        acc += c
+    return acc
+
+
 def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                 parabolic: bool, k: int, base_angle: float,
                 cfg: OrbitConfig) -> _EngineResult:
@@ -380,7 +402,8 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                 settle(esc & undecided, ESCAPE, n)
 
             if parabolic and n >= 1:
-                qual = ((cur_abs < np.minimum(st.prev_abs, cfg.petal_gate))
+                qual = ((cur_abs < np.minimum(st.prev_abs, cfg.petal_gate,
+                                              out=st.prev_abs))
                         & (cur_abs > 0.0) & undecided)
                 if qual.any():
                     qual &= _in_sector(st.w, cur_abs, k, base_angle,
@@ -388,14 +411,14 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                 np.copyto(st.streak_abs, cur_abs, where=st.streak == 0)
                 st.streak += qual
                 st.streak *= qual
-                hit = st.streak >= max(cfg.window, 1)  # >= 1: qual now
-                if hit.any():
+                if st.streak.max(initial=0) >= max(cfg.window, 1):
+                    hit = st.streak >= max(cfg.window, 1)  # >= 1: qual now
                     hit &= cur_abs <= cfg.petal_shrink * st.streak_abs
                     if hit.any():
                         settle(hit, PETAL, n)
 
             if n >= 2 and n % 2 == 0:
-                st.tort = _horner(C[n // 2 - 1], st.tort)
+                st.tort = _step(C[n // 2 - 1], st.tort)
             if n >= 2:
                 catch = np.abs(st.w - st.tort) < cfg.cycle_tol
                 if catch.any():
@@ -433,7 +456,7 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                     and np.count_nonzero(undecided) < 0.9 * len(st.w)):
                 st.compact(undecided)
                 undecided = np.ones(len(st.w), dtype=bool)
-            st.w = _horner(C[n], st.w)
+            st.w = _step(C[n], st.w)
 
     return _EngineResult(kind, index, n_stop, w_verdict, period_out)
 
@@ -587,6 +610,81 @@ def _rounded(p: complex) -> tuple[float, float]:
 
 def _cycle_key(pts: list[complex]) -> tuple:
     return tuple(sorted(_rounded(p) for p in pts))
+
+
+_TIE_MARGIN = 1e-3        # distance of x 10^CYCLE_ROUND from a rounding tie
+_KEY_LIMIT = 2.0 ** 40    # |x| 10^CYCLE_ROUND beyond this: keyed by round()
+
+
+def _scaled_cycle_keys(C: np.ndarray, w: np.ndarray, start: np.ndarray,
+                       p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, ok): the _cycle_points of every w at once as integer keys
+    rint(x 10^CYCLE_ROUND), row i the real keys of w[i]'s p points sorted
+    by (real, imag) key, then their imaginary keys.
+
+    Real and imaginary parts step apart with CPython's complex product
+    (re = ar br - ai bi, im = ar bi + ai br), so the points equal
+    _cycle_points' bit for bit; numpy's complex product can differ in the
+    last bit.  Where ok[i], every scaled coordinate is finite, at most
+    _KEY_LIMIT and farther than _TIE_MARGIN from a tie, so each key over
+    10^CYCLE_ROUND is exactly round(x, CYCLE_ROUND) and equal rows mean
+    equal _cycle_key tuples; other rows must be keyed by _cycle_key.
+    """
+    Cr, Ci = C.real, C.imag
+    xr, xi = w.real.copy(), w.imag.copy()
+    re_pts, im_pts = [xr], [xi]
+    for i in range(p - 1):
+        row = np.minimum(start + i, len(C) - 1)
+        Rr, Ri = Cr[row], Ci[row]
+        ar, ai = Rr[:, -1], Ri[:, -1]
+        for j in range(C.shape[1] - 2, -1, -1):
+            ar, ai = (ar * xr - ai * xi + Rr[:, j],
+                      ar * xi + ai * xr + Ri[:, j])
+        xr, xi = ar, ai
+        re_pts.append(xr)
+        im_pts.append(xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.stack(re_pts + im_pts, axis=1) * 10.0 ** CYCLE_ROUND
+        ok = ((np.abs(s) <= _KEY_LIMIT)
+              & (np.abs(s - np.floor(s) - 0.5) > _TIE_MARGIN)).all(axis=1)
+    keys = np.rint(np.where(ok[:, np.newaxis], s, 0.0)).astype(np.int64)
+    kr, ki = keys[:, :p], keys[:, p:]
+    order = np.lexsort((ki, kr))
+    return np.hstack([np.take_along_axis(kr, order, axis=1),
+                      np.take_along_axis(ki, order, axis=1)]), ok
+
+
+def _cycle_ids(C: np.ndarray, w: np.ndarray, start: np.ndarray,
+               period: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """Canonical cycle keys of basin points: the sorted distinct _cycle_key
+    tuples, and each point's index into them.
+
+    Points are grouped by period and by their integer keys, and
+    _cycle_points + _cycle_key run once per group on its first point; a
+    point whose keys are not exact (near a rounding tie, huge or not
+    finite) is keyed on its own."""
+    slot: dict[tuple, int] = {}
+    which = np.empty(len(w), dtype=np.int64)
+
+    def key_of(i: int) -> int:
+        pts = _cycle_points(C, complex(w[i]), int(start[i]), int(period[i]))
+        return slot.setdefault(_cycle_key(pts), len(slot))
+
+    for p in np.unique(period).tolist():
+        sel = np.flatnonzero(period == p)
+        keys, ok = _scaled_cycle_keys(C, w[sel], start[sel], p)
+        for i in sel[~ok].tolist():
+            which[i] = key_of(i)
+        if ok.any():
+            good = sel[ok]
+            _, first, inv = np.unique(keys[ok], axis=0, return_index=True,
+                                      return_inverse=True)
+            reps = [key_of(i) for i in good[first].tolist()]
+            which[good] = np.array(reps)[inv.reshape(-1)]
+    ordered = sorted(slot)
+    pos = {key: c for c, key in enumerate(ordered)}
+    rank = np.array([pos[key] for key in slot], dtype=np.int64)
+    return ordered, rank[which]
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +866,9 @@ class FatouGrid:
     code[i, j] encodes the verdict at re[j] + i*im[i]: 0 undecided,
     1 escape, 100+direction for petals, 200+cycle for basins; cycle ids
     are assigned canonically (sorted cycle point sets), never by discovery
-    order, so identical inputs give identical grids.
+    order, so identical inputs give identical grids.  The ids are computed
+    once per distinct rounded cycle, with the scalar per-pixel keying as
+    the fallback near rounding ties; cycles[c] is the key of id c.
     """
     re: np.ndarray
     im: np.ndarray
@@ -800,14 +900,19 @@ class FatouGrid:
             fh.write(self.to_ppm_text())
 
     def write_csv(self, path) -> None:
-        re = [repr(x) for x in self.re.tolist()]
-        rows = zip(self.im.tolist(), self.code.tolist(), self.n_stop.tolist())
+        """Rows re_w,im_w,verdict_code,n_stop; the ",code,n_stop" suffix is
+        formatted once per distinct pair (n_stop < 2^32)."""
+        pairs, inverse = np.unique(self.code.astype(np.int64) << 32
+                                   | self.n_stop, return_inverse=True)
+        suffix = np.array([f",{v >> 32},{v & 0xFFFFFFFF}\n"
+                           for v in pairs.tolist()], dtype=object)
+        rows = suffix[inverse.reshape(self.code.shape)].tolist()
+        re = [repr(x) + "," for x in self.re.tolist()]
         with open(path, "w", newline="") as fh:
             fh.write("re_w,im_w,verdict_code,n_stop\n")
-            for y, codes, steps in rows:
+            for y, ends in zip(self.im.tolist(), rows):
                 y = repr(y)
-                fh.writelines(f"{x},{y},{c},{n}\n"
-                              for x, c, n in zip(re, codes, steps))
+                fh.write("".join(map(operator.add, [x + y for x in re], ends)))
 
 
 def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
@@ -851,15 +956,9 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     pm = kind == PETAL
     code[pm] = CODE_PETAL_BASE + index[pm]
 
-    pos_key: dict[tuple[int, int], tuple] = {}
-    for i, j in np.argwhere(kind == BASIN):
-        pts = _cycle_points(C, complex(w_verd[i, j]), int(n_stop[i, j]),
-                            int(period[i, j]))
-        pos_key[(int(i), int(j))] = _cycle_key(pts)
-    ordered = sorted(set(pos_key.values()))
-    ids = {key: c for c, key in enumerate(ordered)}
-    for (i, j), key in pos_key.items():
-        code[i, j] = CODE_BASIN_BASE + ids[key]
+    bm = kind == BASIN
+    ordered, ids = _cycle_ids(C, w_verd[bm], n_stop[bm], period[bm])
+    code[bm] = CODE_BASIN_BASE + ids
 
     return FatouGrid(re=re, im=im, code=code, n_stop=n_stop, z0=complex(z0),
                      cycles=ordered)

@@ -234,6 +234,15 @@ def test_petalcheck_overflowing_inputs_are_quiet(tmp_path, capsys, argv, code):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("kept")
+    assert main(["petalcheck", "--samples", "10", "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot create output")
+    assert out.read_text() == "kept"
+
+
 def test_bad_grid_exit_code(tmp_path, germ_file):
     out = tmp_path / "o"
     assert main(["slice", "--germ", germ_file, "--grid", "nope",

@@ -1,5 +1,6 @@
 """Property test of the CLI contract: every input ends in exit 0, 2, 3 or 4,
-never in an uncaught exception, and every JSON it writes is strict.
+never in an uncaught exception, a rejected call leaves no --out directory,
+and every JSON it writes is strict.
 
 Germ files and rotations start valid and are then mutated (triple lengths,
 non-finite or null or string entries, huge exponents, wrong truncations);
@@ -173,6 +174,7 @@ def test_cli_contract_under_mutated_inputs(cmd, data, germ, rot):
                 code = exc.code
         assert code in (0, 2, 3, 4), (argv, code)
         assert "Traceback" not in err.getvalue()
+        assert code == 0 or not out.exists(), (argv, code)  # nothing left behind
         for path in out.glob("*.json"):
             with open(path) as fh:
                 json.load(fh, parse_constant=_reject_constant)

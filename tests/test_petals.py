@@ -597,24 +597,39 @@ def _ppm_oracle(g) -> str:
     return "\n".join(rows) + "\n"
 
 
-def test_grid_writers_match_per_pixel_oracle(tmp_path):
+def _writer_grids():
     codes = ([petals.CODE_UNDECIDED, CODE_ESCAPE]
              + [petals.CODE_PETAL_BASE + j for j in range(6)]
              + [CODE_BASIN_BASE + c for c in range(10)] + [CODE_ESCAPE, 0])
     code = np.array(codes, dtype=np.int32).reshape(4, 5)
     rng = np.random.default_rng(47)
-    re = np.array([-1.5, -0.1, 0.0, 1e-300, 0.7])
-    im = np.array([-1.0, -1 / 3, 2.5e-8, 1.0])
-    n_stop = rng.integers(0, 5000, code.shape)
-    g = sd.FatouGrid(re=re, im=im, code=code, n_stop=n_stop, z0=0j)
-    assert g.to_ppm_text() == _ppm_oracle(g)
-    g.write_csv(tmp_path / "g.csv")
-    want = ["re_w,im_w,verdict_code,n_stop"]
-    for i in range(4):
-        for j in range(5):
-            want.append(f"{float(re[j])!r},{float(im[i])!r},"
-                        f"{int(code[i, j])},{int(n_stop[i, j])}")
-    assert (tmp_path / "g.csv").read_text() == "\n".join(want) + "\n"
+    yield sd.FatouGrid(re=np.array([-1.5, -0.1, 0.0, 1e-300, 0.7]),
+                       im=np.array([-1.0, -1 / 3, 2.5e-8, 1.0]), code=code,
+                       n_stop=rng.integers(0, 5000, code.shape), z0=0j)
+    # signed zeros, the extreme step counts, (code, n_stop) pairs repeated
+    # within and across rows
+    code = np.array([[1, 1, 200, 0], [1, 200, 200, 103], [0, 1, 200, 1]],
+                    dtype=np.int32)
+    n_stop = np.array([[0, 0, 2 ** 31 - 1, 7], [0, 2 ** 31 - 1, 7, 7],
+                       [7, 0, 2 ** 31 - 1, 0]], dtype=np.int64)
+    yield sd.FatouGrid(re=np.array([-0.0, 0.0, 0.25, -0.0]),
+                       im=np.array([-0.0, 0.5, 0.0]), code=code,
+                       n_stop=n_stop, z0=0j)
+    yield sd.FatouGrid(re=np.array([-0.0]), im=np.array([-0.0]),
+                       code=np.array([[CODE_BASIN_BASE + 3]], dtype=np.int32),
+                       n_stop=np.array([[2 ** 31 - 1]]), z0=0j)
+
+
+def test_grid_writers_match_per_pixel_oracle(tmp_path):
+    for g in _writer_grids():
+        assert g.to_ppm_text() == _ppm_oracle(g)
+        g.write_csv(tmp_path / "g.csv")
+        want = ["re_w,im_w,verdict_code,n_stop"]
+        for i in range(len(g.im)):
+            for j in range(len(g.re)):
+                want.append(f"{float(g.re[j])!r},{float(g.im[i])!r},"
+                            f"{int(g.code[i, j])},{int(g.n_stop[i, j])}")
+        assert (tmp_path / "g.csv").read_text() == "\n".join(want) + "\n"
 
 
 # -- grids ------------------------------------------------------------------------
@@ -662,6 +677,97 @@ def test_slice_outputs(tmp_path, golden):
     assert len(lines) == 1 + 144
     counts = g.verdict_counts()
     assert counts["petal"] > 0 and counts["escape"] > 0
+
+
+def _per_pixel_slice(F, z0, grid, n_max):
+    """(code, cycles) of fatou_slice with the per-pixel keying it replaced:
+    _cycle_points and _cycle_key on every basin pixel, ids by sorted key."""
+    re0, re1, im0, im1, res = grid
+    re, im = np.linspace(re0, re1, res), np.linspace(im0, im1, res)
+    C = petals._coeff_matrix(F, z0, n_max)
+    r = petals._run_engine(C, (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel(),
+                           n_max, *petals._parabolic_data(F),
+                           petals.DEFAULT_CONFIG)
+    code = np.zeros(res * res, dtype=np.int32)
+    code[r.kind == ESCAPE] = CODE_ESCAPE
+    pm = r.kind == PETAL
+    code[pm] = petals.CODE_PETAL_BASE + r.index[pm]
+    keys = {i: petals._cycle_key(petals._cycle_points(
+                C, complex(r.w_verdict[i]), int(r.n_stop[i]), int(r.period[i])))
+            for i in np.flatnonzero(r.kind == BASIN).tolist()}
+    ordered = sorted(set(keys.values()))
+    for i, key in keys.items():
+        code[i] = CODE_BASIN_BASE + ordered.index(key)
+    return code.reshape(res, res), ordered
+
+
+def _bench_shaped_slices(golden, seed):
+    """The three benchmark slice germs at reduced resolution, each grid
+    moved by a seeded sub-pixel offset, plus a period-2 cycle on a moving
+    fiber: w^2 - 1 + 0.5 z w (w + 1) keeps {0, -1} on every fiber while
+    the rows C[n_stop + i] differ."""
+    rng = np.random.default_rng(seed)
+    dx, dy = rng.uniform(-0.01, 0.01, 2)
+    yield (sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3),
+           0.0, (-1.5 + dx, 0.5 + dx, -1 + dy, 1 + dy, 48), 1500)
+    yield (sd.ConstantVerticalMap([-1, 0, 1]), 0.0,
+           (-1.7 + dx, 1.7 + dx, -1 + dy, 1 + dy, 48), 1500)
+    yield (random_parabolic_germ(golden, 8, 6, seed=seed), 0.05,
+           (-0.5, 0.5, -0.5, 0.5, 32), 500)
+    yield (sd.SkewGerm.from_coeffs(golden, [[-1], [0, 0.5], [1, 0.5]], 4, 2),
+           0.05 + 0.02j, (-1.7 + dx, 1.7 + dx, -1 + dy, 1 + dy, 32), 1500)
+
+
+@pytest.mark.parametrize("seed", [31, 4242, 90210, 6007, 1])
+def test_grouped_cycle_keys_match_per_pixel_reference(golden, seed):
+    basins = []
+    for F, z0, grid, n_max in _bench_shaped_slices(golden, seed):
+        g = sd.fatou_slice(F, z0, grid, n_max=n_max)
+        code, cycles = _per_pixel_slice(F, z0, grid, n_max)
+        assert np.array_equal(g.code, code)
+        assert g.cycles == cycles
+        basins.append(np.count_nonzero(code >= CODE_BASIN_BASE))
+    assert basins[1] > 100 and basins[3] > 100  # the two period-2 basins
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_scaled_cycle_keys_follow_each_points_own_rows(p):
+    # rows that differ at every step, starts up to past the schedule's end
+    rng = np.random.default_rng(p)
+    C = 0.4 * (rng.standard_normal((40, 4))
+               + 1j * rng.standard_normal((40, 4)))
+    w = 0.5 * (rng.standard_normal(300) + 1j * rng.standard_normal(300))
+    start = rng.integers(0, 45, 300)
+    keys, ok = petals._scaled_cycle_keys(C, w, start, p)
+    assert ok.mean() > 0.9
+    for i in np.flatnonzero(ok).tolist():
+        want = petals._cycle_key(petals._cycle_points(C, complex(w[i]),
+                                                      int(start[i]), p))
+        got = tuple(sorted(zip(keys[i, :p] / 1e4 + 0.0,
+                               keys[i, p:] / 1e4 + 0.0)))
+        assert got == want
+
+
+@pytest.mark.parametrize("p", [0.12345 - 0.5e-9j, -0.00005 - 0.00004j])
+def test_cycle_keys_near_rounding_ties_take_the_scalar_path(p, monkeypatch):
+    # g(w) = p + (w - p) / 2 attracts every start to p, whose real part
+    # sits on a 4-decimal tie (the second between -0.0001 and -0.0) and
+    # whose imaginary part rounds to -0.0
+    F = sd.ConstantVerticalMap([0.5 * p, 0.5])
+    grid = (p.real - 0.1, p.real + 0.1, -0.1, 0.1, 5)
+    code, cycles = _per_pixel_slice(F, 0.0, grid, 400)
+    scalar, points = [], petals._cycle_points
+    monkeypatch.setattr(petals, "_cycle_points",
+                        lambda *a: scalar.append(a) or points(*a))
+    g = sd.fatou_slice(F, 0.0, grid, n_max=400)
+    assert len(scalar) == 25  # every pixel keyed on its own
+    assert np.array_equal(g.code, code) and g.cycles == cycles
+    assert np.all(code >= CODE_BASIN_BASE)
+    assert all(math.copysign(1.0, x) == 1.0
+               for key in cycles for pt in key for x in pt if x == 0)
+    C = petals._coeff_matrix(F, 0.0, 400)
+    keys, ok = petals._scaled_cycle_keys(C, np.array([p]), np.array([10]), 1)
+    assert not ok.any()
 
 
 def test_grid_resolution_cap():
