@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import (DegenerateDivisorError, LinearFiberError, PrecisionError,
                      SkewdynError, TruncationMismatchError)
-from .scaled import ScaledComplex, as_scaled
+from .scaled import ScaledComplex
 from .rotation import (DivisorTable, RotationNumber, brjuno_partial_sum,
                        cremer_exponent, cremer_running_max, divisor_table,
                        golden_mean, liouville_quotients, rotation_from_json,

@@ -27,7 +27,8 @@ from .petals import (OrbitConfig, ParabolicLocal, critical_orbit_check,
                      fatou_slice, forward_invariance_check, iterate_orbit,
                      repelling_expansion_check, vertical_derivative_sum)
 from .rotation import (brjuno_partial_sum, cremer_running_max, divisor_table,
-                       rotation_from_json, rotation_to_json, write_divisor_csv)
+                       rotation_from_json, rotation_to_json, unit_column,
+                       write_divisor_csv)
 from .series import Bump, Gauge, Shift, WScale, germ_from_json, \
     retruncate, series_to_triples
 
@@ -156,8 +157,7 @@ def cmd_normalize(args) -> int:
         "k": nf.k,
         "h": nf.h,
         "jet": [_cjson(c) for c in nf.jet],
-        "tail_constants": [_cjson(s.constant_term().to_complex())
-                           for s in nf.tail],
+        "tail_constants": [_cjson(s.constant_term()) for s in nf.tail],
         "tail_defect": nf.tail_defect(),
         "z_dependence_defect": nf.z_dependence_defect(),
         "stage_residuals": nf.stage_residuals,
@@ -169,8 +169,7 @@ def cmd_normalize(args) -> int:
         report["reduced"] = {
             "jet": [_cjson(c) for c in red.jet],
             "b": _cjson(red.b) if red.b is not None else None,
-            "tail_constants": [_cjson(s.constant_term().to_complex())
-                               for s in red.tail],
+            "tail_constants": [_cjson(s.constant_term()) for s in red.tail],
         }
     _write_summary(_out_dir(args), "normalize.json", report)
     return EXIT_OK
@@ -194,12 +193,13 @@ def _changelog_json(log) -> list[dict]:
 def cmd_cremer(args) -> int:
     rot = _load_rotation(args.rotation)
     m_max = args.m_max
+    col = unit_column(rot, m_max)
     if args.construction == "linear":
         phi0 = _parse_complex(args.phi0) if args.phi0 else 0j
-        coeffs = linear_example_phi(rot, phi0, m_max)
+        coeffs = linear_example_phi(col, phi0)
         bits = None
     else:
-        res = greedy_quadratic(rot, m_max)
+        res = greedy_quadratic(col)
         coeffs, bits = res.phi, res.bits
     prof = growth_profile(coeffs)
     dens = [q for q in rot.convergent_denominators(32) if 1 <= q <= m_max]
@@ -212,7 +212,7 @@ def cmd_cremer(args) -> int:
         "bits_prefix": bits[:64] if bits else None,
     }
     out = _out_dir(args)
-    write_growth_csv(rot, prof, out / "growth.csv", bits=bits)
+    write_growth_csv(col, prof, out / "growth.csv", bits=bits)
     _write_summary(out, "cremer.json", summary)
     return EXIT_OK
 

@@ -3,8 +3,9 @@
 Two coefficient recursions whose growth certifies the absence of an
 invariant graph: the linear example phi_n = phi_{n-1}/(lam^n - 1) and a
 greedy quadratic construction that keeps every numerator away from zero.
-Coefficients carry a separate binary exponent; growth exponents are read
-off the binary exponents directly, never from materialized magnitudes.
+Both read their divisors from one unit-circle column and return the
+coefficients as (mant, exp2) arrays; growth exponents are read off the
+binary exponents directly, never from materialized magnitudes.
 """
 
 from __future__ import annotations
@@ -15,68 +16,67 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .rotation import _CHUNK, RotationNumber, unit_column
-from .scaled import ScaledComplex, as_scaled
-from .series import _aligned_sum, _over, _zeros
+from .rotation import _CHUNK, UnitColumn
+from .series import _aligned_sum, _norm1, _over, _sum1, _zeros
 
 _LN2 = math.log(2.0)
 
 
-def linear_example_phi(rot: RotationNumber, phi0: complex,
-                       m_max: int) -> list[ScaledComplex]:
-    """Coefficients of the formal invariant graph of (lam z, w + z + z w).
+def _log2_abs1(m: complex, e: int) -> float:
+    """log2 |m * 2^e| of one pair; -inf at zero."""
+    return e + math.log2(abs(m)) if m != 0 else -math.inf
+
+
+def linear_example_phi(col: UnitColumn,
+                       phi0: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients phi_0..phi_{m_max} of the formal invariant graph of
+    (lam z, w + z + z w), m_max the last index of the column.
 
     phi_1 = (1 + phi_0)/(lam - 1), then phi_n = phi_{n-1}/(lam^n - 1).
     The recursion telescopes to phi_n = (1 + phi_0)/prod_{j<=n}(lam^j - 1),
     which the tests check against the recursion.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    col = unit_column(rot, m_max)
-    out = [as_scaled(phi0)]
-    cur = as_scaled(1.0) + as_scaled(phi0)
-    for n in range(1, m_max + 1):
-        cur = ScaledComplex(*_over(cur.mantissa, cur.exponent,
-                                   col.mant[n], col.exp2[n]))
-        out.append(cur)
-    return out
+    pm, pe = _zeros(len(col.lam))
+    p0 = _norm1(complex(phi0), 0)
+    pm[0], pe[0] = p0
+    cur = _sum1(1 + 0j, 0, *p0)
+    for n in range(1, len(pm)):
+        pm[n], pe[n] = cur = _over(*cur, col.mant[n], col.exp2[n])
+    return pm, pe
 
 
 @dataclass(frozen=True)
 class GreedyResult:
-    """bits[n] is the chosen coefficient a_n, phi[n] the solved coefficient,
-    numerator_log2[n] = log2 |a_n + S_n| (the greedy lower-bound witness)."""
+    """bits[n] is the chosen coefficient a_n, phi = (mant, exp2) the solved
+    coefficients, numerator_log2[n] = log2 |a_n + S_n| (the greedy
+    lower-bound witness)."""
     bits: list[int]
-    phi: list[ScaledComplex]
+    phi: tuple[np.ndarray, np.ndarray]
     numerator_log2: list[float]
 
 
-def greedy_quadratic(rot: RotationNumber, m_max: int) -> GreedyResult:
+def greedy_quadratic(col: UnitColumn) -> GreedyResult:
     """Choose a_n in {0,1} keeping |a_n + sum_j phi_j phi_{n-j}| >= 1/2.
 
     Ties and choices maximize the numerator modulus; exact ties take 0.
     The >= 1/2 bound always has a witness: |S| < 1/2 forces a = 1, and
-    |S| >= 1/2 permits a = 0 (asserted every step).
+    |S| >= 1/2 permits a = 0 (asserted every step); S_1 = 0 makes a_1 = 1.
+    Runs to the last index of the column.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    col = unit_column(rot, m_max)
-    pm, pe = _zeros(m_max + 1)
-    bits: list[int] = [0, 1]   # index 0 unused
-    numerator_log2: list[float] = [-math.inf, 0.0]
-    pm[1], pe[1] = _over(1.0, 0, col.mant[1], col.exp2[1])
-    for n in range(2, m_max + 1):
-        s = ScaledComplex(*_aligned_sum(pm[1:n] * pm[n - 1:0:-1],
-                                        pe[1:n] + pe[n - 1:0:-1]))
-        with_one = as_scaled(1.0) + s
-        m0, m1 = s.abs_log2(), with_one.abs_log2()
+    pm, pe = _zeros(len(col.lam))
+    bits: list[int] = [0]   # index 0 unused
+    numerator_log2: list[float] = [-math.inf]
+    for n in range(1, len(pm)):
+        sm, se = _aligned_sum(pm[1:n] * pm[n - 1:0:-1], pe[1:n] + pe[n - 1:0:-1])
+        s = complex(sm), int(se)
+        with_one = _sum1(1 + 0j, 0, *s)
+        m0, m1 = _log2_abs1(*s), _log2_abs1(*with_one)
         a, num, mag = (0, s, m0) if m0 >= m1 else (1, with_one, m1)
         assert mag >= -1.0, f"greedy bound violated at n={n}: |num| = 2^{mag}"
         bits.append(a)
         numerator_log2.append(mag)
-        pm[n], pe[n] = _over(num.mantissa, num.exponent, col.mant[n], col.exp2[n])
-    phi = [ScaledComplex(m, e) for m, e in zip(pm.tolist(), pe.tolist())]
-    return GreedyResult(bits, phi, numerator_log2)
+        pm[n], pe[n] = _over(*num, col.mant[n], col.exp2[n])
+    return GreedyResult(bits, (pm, pe), numerator_log2)
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,15 @@ class GrowthProfile:
         return len(self.log_mag) - 1
 
 
-def growth_profile(coeffs: list[ScaledComplex]) -> GrowthProfile:
-    if not coeffs:
+def growth_profile(phi: tuple[np.ndarray, np.ndarray]) -> GrowthProfile:
+    """The profile of the coefficients phi = (mant, exp2); math.log per
+    coefficient, as the CSV cells are reprs of these values."""
+    pm, pe = phi
+    if not len(pm):
         raise ValueError("empty coefficient list")
-    n = len(coeffs) - 1
-    log_mag = np.empty(n + 1)
-    for m, c in enumerate(coeffs):
-        log_mag[m] = c.exponent * _LN2 + (math.log(abs(c.mantissa))
-                                          if not c.is_zero else -math.inf)
+    n = len(pm) - 1
+    log_mag = np.array([e * _LN2 + (math.log(abs(m)) if m != 0 else -math.inf)
+                        for m, e in zip(pm.tolist(), pe.tolist())])
     exps = np.full(n + 1, -math.inf)
     if n >= 1:
         exps[1:] = log_mag[1:] / np.arange(1, n + 1)
@@ -110,14 +111,14 @@ def growth_profile(coeffs: list[ScaledComplex]) -> GrowthProfile:
     return GrowthProfile(log_mag, exps, running)
 
 
-def write_growth_csv(rot: RotationNumber, prof: GrowthProfile, path,
+def write_growth_csv(col: UnitColumn, prof: GrowthProfile, path,
                      bits: list[int] | None = None) -> None:
     """Columns: m, a_m, log_phi, exponent, running_max, log_inv_divisor
-    (ln 1/|lam^m - 1|, inf where the divisor vanishes), from the growth
-    profile of the coefficients, one row per m = 1..m_max, lines ended by
-    CRLF; a_m is empty past the end of `bits`.  Rows are formatted
-    column-wise _CHUNK at a time."""
-    col = unit_column(rot, prof.m_max)
+    (ln 1/|lam^m - 1|, inf where the divisor vanishes, read from `col`,
+    which reaches at least m_max), from the growth profile of the
+    coefficients, one row per m = 1..m_max, lines ended by CRLF; a_m is
+    empty past the end of `bits`.  Rows are formatted column-wise _CHUNK at
+    a time."""
     a_m = [] if bits is None else bits[1:]
     with open(path, "w", newline="") as fh:
         fh.write("m,a_m,log_phi,exponent,running_max,log_inv_divisor\r\n")

@@ -33,7 +33,7 @@ def _require_parabolic_point(cs: list[complex]) -> None:
 
 def compose_series(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """outer(inner(z)) truncated; inner must have zero constant term."""
-    if not inner.constant_term().is_zero:
+    if inner.mant[0] != 0:
         raise ValueError("series composition needs inner(0) = 0")
     # Horner over outer's coefficients c_j, each taken as a constant series:
     # a w-polynomial composition cut at w^0
@@ -60,9 +60,9 @@ def linearize_base(f: TruncatedSeries, rot: RotationNumber) -> TruncatedSeries:
     n = f.order
     col = unit_column(rot, max(1, n - 1))
     lam = complex(col.lam[1])
-    if not f[0].is_zero:
+    if f.mant[0] != 0:
         raise ValueError("base map must fix the origin (f_0 = 0)")
-    if abs(f[1].to_complex() - lam) > _PRE_TOL:
+    if abs(f[1] - lam) > _PRE_TOL:
         raise ValueError("base map derivative must equal the rotation multiplier")
     deg = int(np.flatnonzero(f.mant).max(initial=1))
     pm, pe = _zeros(deg + 1, n + 1)   # row j: sigma^j
@@ -111,7 +111,7 @@ def solve_linear_gauge(F: SkewGerm) -> TruncatedSeries:
     """
     n = F.n_trunc
     abar = F.a[1] - TruncatedSeries.one(n)
-    if abs(abar.constant_term().to_complex()) > _PRE_TOL:
+    if abs(abar.constant_term()) > _PRE_TOL:
         raise ValueError("gauge step needs a_1(0) = 1")
     # q = 1 + psi: psi_p (lam^p - 1) = [z^p] abar q without the abar_0 psi_p term
     col = unit_column(F.rot, n)
@@ -185,7 +185,7 @@ class NormalForm:
         for i, s in enumerate(self.tail):
             m = base + i
             orig = self.original_constants[m] if m < len(self.original_constants) else 0j
-            worst = max(worst, abs(s.constant_term().to_complex() - orig))
+            worst = max(worst, abs(s.constant_term() - orig))
         return worst
 
     def z_dependence_defect(self) -> float:
@@ -248,7 +248,7 @@ def normalize(F: SkewGerm, h_target: int) -> tuple[NormalForm, ChangeLog]:
         residuals[f"bump_w{order}"] = (2.0 ** cur.a[order].max_abs_log2(1)
                                        / stage_scale(cur, xi))
 
-    jet = [cur.a[j].constant_term().to_complex() for j in range(k + 1, top + 1)]
+    jet = [cur.a[j].constant_term() for j in range(k + 1, top + 1)]
     tail = [cur.a[m] for m in range(top + 1, F.dw + 1)]
     nf = NormalForm(k=k, h=h_target, jet=jet, tail=tail, germ=cur,
                     original_constants=cs, stage_residuals=residuals)
@@ -277,16 +277,15 @@ def reduce_parabolic_tail(nf: NormalForm,
     changes: list[FiberChange] = [WScale(c)]
     cur = conjugate(cur, WScale(c))
     for m in range(k + 2, 2 * k + 1):
-        cm = cur.a[m].constant_term().to_complex()
+        cm = cur.a[m].constant_term()
         q = cm / (2 * k + 1 - m)
         ch = Bump(TruncatedSeries.constant(q, n), m - k - 1)
         changes.append(ch)
         cur = conjugate(cur, ch)
     if changelog is not None:
         changelog.changes.extend(changes)
-    b = cur.a[2 * k + 1].constant_term().to_complex() if 2 * k + 1 <= cur.dw else None
-    jet = [cur.a[j].constant_term().to_complex()
-           for j in range(k + 1, min(2 * k + 1, cur.dw) + 1)]
+    b = cur.a[2 * k + 1].constant_term() if 2 * k + 1 <= cur.dw else None
+    jet = [cur.a[j].constant_term() for j in range(k + 1, min(2 * k + 1, cur.dw) + 1)]
     tail = [cur.a[m] for m in range(2 * k + 2, cur.dw + 1)]
     return NormalForm(k=k, h=k, jet=jet, tail=tail, germ=cur,
                       original_constants=cur.fiber_constants(),

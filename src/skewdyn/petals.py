@@ -225,10 +225,11 @@ class ParabolicLocal:
 class ConstantVerticalMap:
     """A z-independent polynomial fiber map (used for critical orbits)."""
 
+    radius = math.inf
+
     def __init__(self, coeffs, rot: RotationNumber | None = None):
         self.coeffs = [complex(c) for c in coeffs]
         self.rot = rot
-        self.radius = math.inf
 
     def fiber_constants(self) -> list[complex]:
         return list(self.coeffs)

@@ -5,6 +5,8 @@ Coefficients are stored as complex mantissas and int64 binary exponents
 (mant[n] * 2^exp2[n], |mant[n]| in [1, 2) or an exact zero with exponent 0)
 so that conjugation chains and divergence experiments survive arbitrary
 magnitude growth; every sum of such terms goes through `_aligned_sum`.
+Single values travel as (m, e) pairs of a Python complex and int, through
+`_norm1` and `_sum1`; `s[n]` reads one coefficient back as a double.
 Operations are exact ring arithmetic modulo z^{N+1} (and w^{D_w+1} for
 germs) up to floating rounding; mismatched truncations are rejected.
 """
@@ -22,10 +24,10 @@ import numpy as np
 from .errors import DegenerateDivisorError, TruncationMismatchError
 from .rotation import RotationNumber, rotation_from_json, rotation_to_json, \
     unit_column
-from .scaled import ScaledComplex, as_scaled
 
 _SENT = -(1 << 61)  # exponent of zero terms; a sum of two still fits in int64
 _FLOOR = -1100      # alignment shifts this low underflow to zero anyway
+_DROP_BITS = 110    # a scalar addend this far below the other cannot move it
 
 
 def _horner(coeffs, x):
@@ -52,9 +54,50 @@ def lam_power(rot: RotationNumber, j: int) -> complex:
 def _normalize(m, e):
     """m * 2^e rescaled so that |m| lies in [1, 2); zeros become (0, 0)."""
     frac, be = np.frexp(np.abs(m))
-    nz = frac != 0
-    return (np.where(nz, m * np.ldexp(1.0, 1 - be), 0),
-            np.where(nz, e + (be - 1), 0))
+    nz, s = frac != 0, 1 - be
+    out = m * np.ldexp(1.0, np.minimum(s, 1023))
+    tiny = s > 1023   # |m| < 2^-1022, where 2^s overflows: scale in two halves
+    if tiny.any():
+        half = s // 2
+        out = np.where(tiny, m * np.ldexp(1.0, half) * np.ldexp(1.0, s - half), out)
+    return np.where(nz, out, 0), np.where(nz, e + (be - 1), 0)
+
+
+def _norm1(m: complex, e: int) -> tuple[complex, int]:
+    """The scalar m * 2^e as a normalized pair, rescaling only when
+    |m| lies outside [1, 2)."""
+    if m == 0:
+        return 0j, 0
+    a = abs(m)
+    if 1.0 <= a < 2.0:
+        return m, e
+    s = 1 - math.frexp(a)[1]
+    return complex(math.ldexp(m.real, s), math.ldexp(m.imag, s)), e - s
+
+
+def _sum1(am: complex, ae: int, bm: complex, be: int) -> tuple[complex, int]:
+    """The scalar sum of two pairs, the smaller one shifted onto the larger
+    one's exponent and dropped when _DROP_BITS below it."""
+    if am == 0:
+        return bm, be
+    if bm == 0:
+        return am, ae
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    d = ae - be
+    if d >= _DROP_BITS:
+        return am, ae
+    return _norm1(am + complex(math.ldexp(bm.real, -d), math.ldexp(bm.imag, -d)), ae)
+
+
+def _double(m: complex, e: int) -> complex:
+    """The scalar m * 2^e as a double: OverflowError above 2^1020, 0 below
+    2^-1060 (the rule of `TruncatedSeries.to_complex_list`)."""
+    if m == 0 or e < -1060:
+        return 0j
+    if e > 1020:
+        raise OverflowError(f"value 2^{e} exceeds double range")
+    return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
 
 
 def _aligned_sum(m, e, gid=None, starts=None):
@@ -92,8 +135,7 @@ def _over(m, e, dm, de) -> tuple[complex, int]:
     small divisor that vanished (a rational rotation) is rejected."""
     if dm == 0:
         raise DegenerateDivisorError("lam^p - 1 vanishes to working precision")
-    q = ScaledComplex(complex(m) / complex(dm), e - de).normalized()
-    return q.mantissa, q.exponent
+    return _norm1(complex(m) / complex(dm), int(e - de))
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,18 +175,17 @@ def _close(am, ae, bm, be, rtol: float) -> bool:
 
 class TruncatedSeries:
     """A power series in z cut at order N (exactly N+1 coefficients), built
-    from ScaledComplex or plain numbers; `s[n]` and `coeffs` give
-    ScaledComplex views.  Instances never change their arrays."""
+    from anything `complex()` accepts; `s[n]` reads coefficient n as a
+    double.  Instances never change their arrays."""
 
     __slots__ = ("mant", "exp2")
 
     def __init__(self, coeffs: Iterable):
-        vals = [as_scaled(c) for c in coeffs]
+        vals = [_norm1(complex(c), 0) for c in coeffs]
         if not vals:
             raise ValueError("a truncated series needs at least the constant term")
-        self.mant, self.exp2 = _normalize(
-            np.array([c.mantissa for c in vals], complex),
-            np.array([c.exponent for c in vals], np.int64))
+        self.mant = np.array([m for m, _ in vals], complex)
+        self.exp2 = np.array([e for _, e in vals], np.int64)
 
     @classmethod
     def _of(cls, m: np.ndarray, e: np.ndarray) -> "TruncatedSeries":
@@ -185,18 +226,13 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.mant) - 1
 
-    @property
-    def coeffs(self) -> tuple[ScaledComplex, ...]:
-        return tuple(ScaledComplex(m, e) for m, e in
-                     zip(self.mant.tolist(), self.exp2.tolist()))
-
     def __len__(self) -> int:
         return len(self.mant)
 
-    def __getitem__(self, n: int) -> ScaledComplex:
-        return ScaledComplex(self.mant[n], self.exp2[n])
+    def __getitem__(self, n: int) -> complex:
+        return _double(complex(self.mant[n]), int(self.exp2[n]))
 
-    def constant_term(self) -> ScaledComplex:
+    def constant_term(self) -> complex:
         return self[0]
 
     def is_zero(self) -> bool:
@@ -233,7 +269,7 @@ class TruncatedSeries:
         return _close(self.mant, self.exp2, other.mant, other.exp2, rtol)
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
+        return f"TruncatedSeries({series_to_triples(self)!r})"
 
     # -- ring operations ---------------------------------------------------
 
@@ -250,10 +286,9 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._of(-self.mant, self.exp2)
 
-    def scale(self, factor) -> "TruncatedSeries":
-        f = as_scaled(factor)
-        return TruncatedSeries._of(*_normalize(self.mant * f.mantissa,
-                                               self.exp2 + f.exponent))
+    def scale(self, factor: complex) -> "TruncatedSeries":
+        return TruncatedSeries._of(*_normalize(self.mant * complex(factor),
+                                               self.exp2))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
@@ -271,15 +306,15 @@ class TruncatedSeries:
     def reciprocal(self) -> "TruncatedSeries":
         """1/self modulo z^{N+1}, one aligned dot per new coefficient;
         needs a nonzero constant term."""
-        c0 = self[0]
-        if c0.is_zero:
+        cm, ce = self.mant[0], self.exp2[0]
+        if cm == 0:
             raise ZeroDivisionError("series has vanishing constant term")
         m, e = _zeros(len(self))
-        m[0], e[0] = _over(1.0, 0, c0.mantissa, c0.exponent)
+        m[0], e[0] = _over(1.0, 0, cm, ce)
         for k in range(1, len(self)):
             acc = _aligned_sum(self.mant[1:k + 1] * m[k - 1::-1],
                                self.exp2[1:k + 1] + e[k - 1::-1])
-            m[k], e[k] = _over(-acc[0], acc[1], c0.mantissa, c0.exponent)
+            m[k], e[k] = _over(-acc[0], acc[1], cm, ce)
         return TruncatedSeries._of(m, e)
 
 
@@ -372,13 +407,14 @@ class SkewGerm:
 
     `d` records the vertical degree of the original polynomial; entries
     above d hold tail terms created by conjugation.  `radius` is the
-    declared validity radius for numeric z-evaluation.
+    validity radius for numeric z-evaluation, the same for every germ.
     """
 
-    __slots__ = ("rot", "a", "d", "radius")
+    __slots__ = ("rot", "a", "d")
+    radius = 0.1
 
     def __init__(self, rot: RotationNumber, a: Sequence[TruncatedSeries],
-                 d: int | None = None, radius: float = 0.1):
+                 d: int | None = None):
         self.rot = rot
         self.a = tuple(a)
         if len(self.a) < 2:
@@ -392,7 +428,6 @@ class SkewGerm:
         if not 1 <= d <= len(self.a) - 1:
             raise ValueError("vertical degree d out of range")
         self.d = d
-        self.radius = float(radius)
 
     @property
     def n_trunc(self) -> int:
@@ -404,18 +439,17 @@ class SkewGerm:
 
     @staticmethod
     def from_coeffs(rot: RotationNumber, coeffs: Sequence[Sequence], n: int,
-                    dw: int, d: int | None = None, radius: float = 0.1) -> "SkewGerm":
+                    dw: int, d: int | None = None) -> "SkewGerm":
         """coeffs[j] lists the z-coefficients of a_j (padded with zeros)."""
         if len(coeffs) > dw + 1:
             raise ValueError("more vertical coefficients than D_w allows")
         a = [TruncatedSeries.from_list(c, n) for c in coeffs]
         a += [TruncatedSeries.zero(n) for _ in range(dw + 1 - len(a))]
-        return SkewGerm(rot, a, d=d if d is not None else max(1, len(coeffs) - 1),
-                        radius=radius)
+        return SkewGerm(rot, a, d=d if d is not None else max(1, len(coeffs) - 1))
 
     def fiber_constants(self) -> list[complex]:
         """a_j(0) for all j: the vertical map on the invariant fiber."""
-        return [s.constant_term().to_complex() for s in self.a]
+        return [s.constant_term() for s in self.a]
 
     def vertical_coeffs_at(self, z: complex) -> list[complex]:
         """[a_0(z), ..., a_Dw(z)] as plain complex numbers."""
@@ -447,7 +481,7 @@ class Gauge:
     psi: TruncatedSeries
 
     def __post_init__(self):
-        if (as_scaled(1.0) + self.psi.constant_term()).is_zero:
+        if self.psi.mant[0] == -1 and self.psi.exp2[0] == 0:  # 1 + psi(0) == 0
             raise ValueError("gauge factor 1 + psi(0) must not vanish")
 
 
@@ -505,18 +539,18 @@ def conjugate(F: SkewGerm, ch: FiberChange) -> SkewGerm:
         inner[0] = ch.phi
         new = _wpoly_compose(F.a, inner, dw)
         new[0] = new[0] - rotate(ch.phi, F.rot, 1)
-        return SkewGerm(F.rot, new, d=F.d, radius=F.radius)
+        return SkewGerm(F.rot, new, d=F.d)
 
     if isinstance(ch, Gauge):
         factor = one + ch.psi
         denom = one + rotate(ch.psi, F.rot, 1)
-        if denom.constant_term().is_zero:
+        if denom.mant[0] == 0:
             raise ZeroDivisionError("1 + psi(lam z) has vanishing constant term")
         new, fp = [], denom.reciprocal()  # fp = factor^j / denom
         for aj in F.a:
             new.append(aj * fp)
             fp = fp * factor
-        return SkewGerm(F.rot, new, d=F.d, radius=F.radius)
+        return SkewGerm(F.rot, new, d=F.d)
 
     if isinstance(ch, Bump):
         h, k = ch.h, ch.k
@@ -525,15 +559,15 @@ def conjugate(F: SkewGerm, ch: FiberChange) -> SkewGerm:
         mid = _wpoly_compose(F.a, inner, dw)
         inv = reversion_in_w(rotate(h, F.rot, 1), k, dw)
         new = _wpoly_compose(inv, mid, dw)
-        return SkewGerm(F.rot, new, d=F.d, radius=F.radius)
+        return SkewGerm(F.rot, new, d=F.d)
 
     if isinstance(ch, WScale):
-        c = as_scaled(ch.c)
-        new, power = [], as_scaled(1.0) / c  # power = c^{j-1}
+        c = complex(ch.c)
+        new, power = [], 1.0 / c  # power = c^{j-1}
         for aj in F.a:
             new.append(aj.scale(power))
             power = power * c
-        return SkewGerm(F.rot, new, d=F.d, radius=F.radius)
+        return SkewGerm(F.rot, new, d=F.d)
 
     raise TypeError(f"unknown fiber change {ch!r}")
 
@@ -556,7 +590,7 @@ def retruncate(F: SkewGerm, n: int | None = None,
 
     a = [fit(s) for s in F.a[:new_dw + 1]]
     a += [TruncatedSeries.zero(new_n) for _ in range(new_dw + 1 - len(a))]
-    return SkewGerm(F.rot, a, d=min(F.d, new_dw), radius=F.radius)
+    return SkewGerm(F.rot, a, d=min(F.d, new_dw))
 
 
 def residual_invariant_curve(F: SkewGerm, phi: TruncatedSeries) -> TruncatedSeries:
@@ -615,7 +649,7 @@ def germ_to_json(F: SkewGerm) -> dict:
     }
 
 
-def germ_from_json(obj: dict | str, radius: float = 0.1) -> SkewGerm:
+def germ_from_json(obj: dict | str) -> SkewGerm:
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
@@ -629,4 +663,4 @@ def germ_from_json(obj: dict | str, radius: float = 0.1) -> SkewGerm:
     if len(coeffs) != dw + 1:
         raise ValueError(f"germ JSON needs {dw + 1} vertical coefficients")
     a = [series_from_triples(t, n) for t in coeffs]
-    return SkewGerm(rot, a, d=d, radius=radius)
+    return SkewGerm(rot, a, d=d)

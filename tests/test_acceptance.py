@@ -14,13 +14,14 @@ rotation whose second quotient is 2^400.
 
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
 import skewdyn as sd
 from skewdyn.petals import BASIN, PETAL
-from skewdyn.scaled import ScaledComplex, as_scaled
 from skewdyn.series import TruncatedSeries as TS
+from skewdyn.series import series_from_triples, series_to_triples
 
 from conftest import random_parabolic_germ, random_series_coeffs, rel_defect
 
@@ -56,7 +57,8 @@ def test_criterion_1_stage_residuals():
         xi = sd.solve_order_bump(cur, order - 1)
         times[f"bump{order}"] = time.monotonic() - t0
         cur = sd.conjugate(cur, sd.Bump(xi, order - 1))
-        zdep = TS([as_scaled(0)] + list(cur.a[order].coeffs[1:]))
+        zdep = series_from_triples([[0.0, 0.0, 0]]
+                                   + series_to_triples(cur.a[order])[1:], 32)
         residuals[f"bump{order}"] = rel_defect(zdep, xi, *cur.a)
 
     ok = all(r <= 1e-8 for r in residuals.values()) and \
@@ -116,13 +118,19 @@ def test_criterion_3_liouville_divergence_thresholds():
 # -- 4: linear example ----------------------------------------------------------
 
 def test_criterion_4_golden_recursion_vs_closed_form():
-    phis = sd.linear_example_phi(GOLDEN, 0j, 200)
     col = sd.unit_column(GOLDEN, 200)
-    prod = as_scaled(1.0)
+    pm, pe = sd.linear_example_phi(col, 0j)
+    mp = mpmath.mp.clone()
+    mp.prec = 200
+
+    def value(m, e):   # m * 2^e exactly
+        return mp.mpc(mp.ldexp(mp.mpf(m.real), e), mp.ldexp(mp.mpf(m.imag), e))
+
+    prod = mp.mpc(1)
     worst = 0.0
     for n in range(1, 201):
-        prod = prod * ScaledComplex(col.mant[n], col.exp2[n])
-        worst = max(worst, 2.0 ** (phis[n] * prod - as_scaled(1.0)).abs_log2())
+        prod *= value(complex(col.mant[n]), int(col.exp2[n]))
+        worst = max(worst, float(abs(value(complex(pm[n]), int(pe[n])) * prod - 1)))
     ok = worst <= 1e-10
     assert report("4a", ok, f"recursion vs telescoped defect {worst:.1e} (<=1e-10)")
 
@@ -133,7 +141,7 @@ def test_criterion_4_golden_recursion_vs_closed_form():
                           "the stated threshold 10")
 def test_criterion_4_liouville_growth_threshold():
     rot = sd.liouville_quotients(6, lambda n: 2 ** (2 ** n), frac_bits=512)
-    phis = sd.linear_example_phi(rot, 0j, 200)
+    phis = sd.linear_example_phi(sd.unit_column(rot, 200), 0j)
     peak = float(sd.growth_profile(phis).running_max[200])
     ok = peak > 10
     assert report("4b", ok, f"max (1/m) log|phi_m| = {peak:.3f} (required >10)")
@@ -142,8 +150,8 @@ def test_criterion_4_liouville_growth_threshold():
 # -- 5: greedy construction ------------------------------------------------------
 
 def test_criterion_5_greedy_bound_and_determinism():
-    a = sd.greedy_quadratic(GOLDEN, 500)   # asserts |a_n + S_n| >= 1/2 in-loop
-    b = sd.greedy_quadratic(GOLDEN, 500)
+    a = sd.greedy_quadratic(sd.unit_column(GOLDEN, 500))   # asserts the bound in-loop
+    b = sd.greedy_quadratic(sd.unit_column(GOLDEN, 500))
     bound_ok = all(m >= -1.0 for m in a.numerator_log2[1:])
     det_ok = a.bits == b.bits
     ok = bound_ok and det_ok
@@ -158,7 +166,7 @@ def test_criterion_5_greedy_bound_and_determinism():
                           "below the stated threshold 10")
 def test_criterion_5_liouville_denominator_growth():
     rot = sd.liouville_quotients(6, lambda n: 2 ** (2 ** n), frac_bits=512)
-    res = sd.greedy_quadratic(rot, 500)
+    res = sd.greedy_quadratic(sd.unit_column(rot, 500))
     prof = sd.growth_profile(res.phi)
     dens = [q for q in rot.convergent_denominators(8) if 2 <= q < 500]
     peak = max(float(prof.exponents[q]) for q in dens)

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import skewdyn as sd
-from skewdyn.cli import main
+from skewdyn.cli import build_parser, main
 
 GOLDEN_ROT = {"kind": "surd", "p": -1, "q": 1, "r": 5, "s": 2, "frac_bits": 192}
 
@@ -124,6 +125,52 @@ def test_cremer_csv_and_summary(tmp_path, rot_file):
     assert len(lines) == 121
     assert main(["cremer", "--rotation", rot_file, "--construction", "linear",
                  "--phi0", "0,0", "--m-max", "60", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("construction", ["linear", "greedy"])
+def test_cremer_builds_one_unit_column(tmp_path, rot_file, monkeypatch,
+                                       construction):
+    # the recursion and the growth CSV share one column of lam^k - 1
+    real, calls = sd.rotation.unit_column, []
+
+    def counting(rot, k_max):
+        calls.append(k_max)
+        return real(rot, k_max)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("skewdyn") and \
+                getattr(mod, "unit_column", None) is real:
+            monkeypatch.setattr(mod, "unit_column", counting)
+    assert main(["cremer", "--rotation", rot_file, "--construction", construction,
+                 "--m-max", "80", "--out", str(tmp_path / "o")]) == 0
+    assert calls == [80]
+
+
+SMALL_CALLS = [
+    ["brjuno", "--m-max", "64"],
+    ["normalize", "--depth", "2", "--trunc-w", "8"],
+    ["cremer", "--construction", "greedy", "--m-max", "40"],
+    ["cremer", "--construction", "linear", "--phi0", "0.2,0.1", "--m-max", "40"],
+    ["orbit", "--w0=-0.1,0", "--n-max", "300", "--full-orbit"],
+    ["slice", "--grid=-1.5,0.5,-1,1,8", "--n-max", "200"],
+    ["hypotheses", "--n-max", "500"],
+    ["petalcheck", "--k", "2", "--seed", "3", "--samples", "200"],
+]
+
+
+def test_no_subcommand_builds_scaled_complex(tmp_path, rot_file, germ_file,
+                                             monkeypatch):
+    # ScaledComplex stays only as an object for outside callers: no
+    # subcommand may construct one
+    def refuse(self, *args):
+        raise AssertionError("ScaledComplex built on a library path")
+    monkeypatch.setattr(sd.ScaledComplex, "__init__", refuse)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in SMALL_CALLS} == set(sub.choices)
+    for i, argv in enumerate(SMALL_CALLS):
+        source = (["--rotation", rot_file] if argv[0] in ("brjuno", "cremer")
+                  else [] if argv[0] == "petalcheck" else ["--germ", germ_file])
+        assert main(argv + source + ["--out", str(tmp_path / str(i))]) == 0, argv
 
 
 def test_cremer_vanishing_coefficients_write_null(tmp_path, rot_file):

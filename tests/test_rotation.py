@@ -1,5 +1,6 @@
 import cmath
 import csv
+import json
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewdyn as sd
+from skewdyn.cli import main
 from skewdyn.errors import DegenerateDivisorError, PrecisionError
 
 GOLDEN_THETA = 0.61803398874989484820458683436563811772
@@ -35,13 +37,13 @@ def test_unit_column_basics(golden):
                        rtol=0, atol=1e-15)
 
 
-def test_unit_column_precision_rejection():
+def test_unit_column_precision_rejection(tmp_path):
     rot = sd.RotationNumber.from_surd(-1, 1, 5, 2, frac_bits=96)
     with pytest.raises(PrecisionError):
         sd.unit_column(rot, 2 ** 33)
-    # the recursions read the column, so they inherit the rule
-    with pytest.raises(PrecisionError):
-        sd.linear_example_phi(rot, 0j, 2 ** 33)
+    # the recursions take the column, so the cremer command inherits the rule
+    assert main(["cremer", "--rotation", json.dumps(sd.rotation_to_json(rot)),
+                 "--m-max", str(2 ** 33), "--out", str(tmp_path / "o")]) == 4
 
 
 def test_unit_column_rational_rotation():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import skewdyn as sd
 from skewdyn.errors import TruncationMismatchError
 from skewdyn.series import TruncatedSeries as TS
-from skewdyn.series import _wpoly_compose, _wpoly_zero
+from skewdyn.series import _normalize, _wpoly_compose, _wpoly_zero, series_from_triples
 
 from conftest import random_parabolic_germ, random_series_coeffs
 
@@ -56,6 +56,45 @@ def test_reciprocal():
         TS.identity(4).reciprocal()
 
 
+def test_reciprocal_subnormal_sum():
+    # r_3 = -(2 r_2 + 2 r_1 + 2^-1050 r_0) = -(4 - 4 + 2^-1050): the aligned
+    # sum lands below the normal double range before it is renormalized
+    r = TS([1.0, 2.0, 2.0, 2.0 ** -1050]).reciprocal()
+    assert r.to_complex_list()[:3] == [1, -2, 2]
+    assert r.mant[3] == -1 and r.exp2[3] == -1050
+    assert r[3] == -(2.0 ** -1050)
+
+
+def test_normalize_keeps_every_other_entry():
+    # a sum below 2^-1022 takes its own path; neighbours keep their bits,
+    # signed zeros included
+    m = np.array([3 + 0j, -1j, 2.0 ** -1070 + 0j, 0j])
+    e = np.array([0, 5, 0, 7])
+    got_m, got_e = _normalize(m, e)
+    assert got_m.tolist() == [1.5, -1j, 1, 0]
+    assert got_e.tolist() == [1, 5, -1070, 0]
+    assert np.signbit(got_m[1].real) == np.signbit((m[1] * 1.0).real)
+
+
+def test_constructor_normalizes_each_value():
+    s = TS([3.0, -0.75j, 2.0 ** -1050, 0])
+    assert np.abs(s.mant[:3]).tolist() == [1.5, 1.5, 1.0]
+    assert s.exp2.tolist() == [1, -1, -1050, 0]
+    assert s.to_complex_list() == [3.0, -0.75j, 2.0 ** -1050, 0]
+
+
+def test_view_reads_only_its_coefficient():
+    # the range rule of to_complex_list, applied to one coefficient: a huge
+    # neighbour does not stop s[n] from reading a small one
+    s = series_from_triples([[1.0, 0.0, 2000], [1.5, 0.5, -3], [1.0, 0.0, -1100]], 2)
+    assert s[1] == (1.5 + 0.5j) / 8
+    assert s[2] == 0
+    with pytest.raises(OverflowError):
+        s[0]
+    with pytest.raises(OverflowError):
+        s.to_complex_list()
+
+
 # -- rotation substitution ---------------------------------------------------
 
 def test_rotate(golden):
@@ -66,8 +105,8 @@ def test_rotate(golden):
     z = TS.identity(3)
     r = sd.rotate(z, golden, 1)
     lam = sd.lam_power(golden, 1)
-    assert abs(r[1].to_complex() - lam) < 1e-15
-    assert abs(abs(r[1].to_complex()) - 1.0) < 1e-15
+    assert abs(r[1] - lam) < 1e-15
+    assert abs(abs(r[1]) - 1.0) < 1e-15
     # rotate twice forward, twice back
     back = sd.rotate(sd.rotate(s, golden, 2), golden, -2)
     assert back.approx_eq(s, 1e-13)
@@ -195,8 +234,7 @@ def test_germ_json_round_trip(golden):
     G = sd.germ_from_json(j)
     assert G.d == F.d
     for s, t in zip(F.a, G.a):
-        for a, b in zip(s.coeffs, t.coeffs):
-            assert a.mantissa == b.mantissa and a.exponent == b.exponent
+        assert np.array_equal(s.mant, t.mant) and np.array_equal(s.exp2, t.exp2)
     with pytest.raises(ValueError):
         sd.germ_from_json({"rotation": {"kind": "surd"}})
 

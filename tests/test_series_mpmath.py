@@ -16,9 +16,7 @@ import numpy as np
 import pytest
 
 import skewdyn as sd
-from skewdyn.scaled import ScaledComplex
-from skewdyn.series import TruncatedSeries as TS
-from skewdyn.series import _wpoly_compose
+from skewdyn.series import _wpoly_compose, series_from_triples
 
 mp = mpmath.mp.clone()
 mp.prec = 200
@@ -35,7 +33,8 @@ def scaled_operand(rng, n, span=2000, zeros=3):
 
 
 def to_series(pairs):
-    return TS([ScaledComplex(m, e) for m, e in pairs])
+    return series_from_triples([[m.real, m.imag, e] for m, e in pairs],
+                               len(pairs) - 1)
 
 
 def value(m, e):
@@ -116,7 +115,7 @@ def test_greedy_quadratic_matches_mpmath_rebuild():
     # the library picks the bits; mpmath rebuilds phi_n from them with its
     # own golden mean, phi_n = (a_n + sum_j phi_j phi_{n-j}) / (lam^n - 1)
     m_max = 150
-    res = sd.greedy_quadratic(sd.golden_mean(), m_max)
+    res = sd.greedy_quadratic(sd.unit_column(sd.golden_mean(), m_max))
     theta = (mp.sqrt(5) - 1) / 2
     phi, maj = [mp.mpc(0)] * (m_max + 1), [mp.mpf(0)] * (m_max + 1)
     for k in range(1, m_max + 1):
@@ -125,7 +124,7 @@ def test_greedy_quadratic_matches_mpmath_rebuild():
         phi[k] = (res.bits[k] + s) / d
         maj[k] = (res.bits[k] + mp.fsum(maj[j] * maj[k - j] for j in range(1, k))) / abs(d)
         assert abs(res.bits[k] + s) >= 0.5   # the greedy bound holds exactly
-    got = [value(c.mantissa, c.exponent) for c in res.phi]
+    got = [value(m, e) for m, e in zip(res.phi[0].tolist(), res.phi[1].tolist())]
     assert_within(got[1:], phi[1:], maj[1:])
     # no cancellation to speak of: also close relative to the values
     assert max(abs(g - p) / abs(p) for g, p in zip(got[1:], phi[1:])) < 1e-9
