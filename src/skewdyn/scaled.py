@@ -3,17 +3,15 @@
 The library itself computes on (mant, exp2) arrays and (m, e) pairs (see
 `skewdyn.series`); this class remains as a thin object over the same pair
 rules, for callers that hold single values: a product, a sum, and
-`complex()`, which lets a list of them build a `TruncatedSeries`.
+`complex()`, which lets a list of them within double range build a
+`TruncatedSeries` (wider values go through `series_from_triples`).
 """
-
-from __future__ import annotations
 
 from .series import _double, _norm1, _sum1
 
 
 class ScaledComplex:
-    """value = mantissa * 2^exponent, normalized by the operations to
-    |mantissa| in [1, 2) or an exact zero."""
+    """value = mantissa * 2^exponent; + and * normalize |mantissa| to [1, 2)."""
 
     __slots__ = ("mantissa", "exponent")
 

@@ -175,8 +175,9 @@ def _close(am, ae, bm, be, rtol: float) -> bool:
 
 class TruncatedSeries:
     """A power series in z cut at order N (exactly N+1 coefficients), built
-    from anything `complex()` accepts; `s[n]` reads coefficient n as a
-    double.  Instances never change their arrays."""
+    from doubles (anything `complex()` accepts; wider values go through
+    `series_from_triples`).  `s[n]` reads coefficient n as a double.
+    Instances never change their arrays."""
 
     __slots__ = ("mant", "exp2")
 
@@ -184,8 +185,9 @@ class TruncatedSeries:
         vals = [_norm1(complex(c), 0) for c in coeffs]
         if not vals:
             raise ValueError("a truncated series needs at least the constant term")
-        self.mant = np.array([m for m, _ in vals], complex)
-        self.exp2 = np.array([e for _, e in vals], np.int64)
+        # the array product signs zeros as every kernel does: -0-1j -> 0-1j
+        self.mant, self.exp2 = _normalize(np.array([m for m, _ in vals], complex),
+                                          np.array([e for _, e in vals], np.int64))
 
     @classmethod
     def _of(cls, m: np.ndarray, e: np.ndarray) -> "TruncatedSeries":
@@ -286,9 +288,10 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._of(-self.mant, self.exp2)
 
-    def scale(self, factor: complex) -> "TruncatedSeries":
-        return TruncatedSeries._of(*_normalize(self.mant * complex(factor),
-                                               self.exp2))
+    def scale(self, m: complex, e: int) -> "TruncatedSeries":
+        """The series times the scalar pair m * 2^e."""
+        return TruncatedSeries._of(*_normalize(self.mant * complex(m),
+                                               self.exp2 + e))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
@@ -562,11 +565,11 @@ def conjugate(F: SkewGerm, ch: FiberChange) -> SkewGerm:
         return SkewGerm(F.rot, new, d=F.d)
 
     if isinstance(ch, WScale):
-        c = complex(ch.c)
-        new, power = [], 1.0 / c  # power = c^{j-1}
+        cm, ce = _norm1(complex(ch.c), 0)
+        new, (pm, pe) = [], _norm1(1 / cm, -ce)  # c^{j-1}, may leave double range
         for aj in F.a:
-            new.append(aj.scale(power))
-            power = power * c
+            new.append(aj.scale(pm, pe))
+            pm, pe = _norm1(pm * cm, pe + ce)
         return SkewGerm(F.rot, new, d=F.d)
 
     raise TypeError(f"unknown fiber change {ch!r}")

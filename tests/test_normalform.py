@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -294,6 +295,21 @@ def test_reduce_requires_depth(golden):
     nf, _ = sd.normalize(F, 1)  # h = 1 < k = 2
     with pytest.raises(ValueError):
         sd.reduce_parabolic_tail(nf)
+
+
+@pytest.mark.parametrize("g1, top", [(1e-50, 1e-300), (1e50, 1e50)])
+def test_reduce_scale_beyond_double_range(golden, g1, top):
+    # c = -1/g1 and c^7 = 1e+-350 leave double range; the coefficients
+    # a_j c^{j-1} of the reduced germ do not
+    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [g1], [g1]] + [[0]] * 4 + [[top]], 6, 8)
+    nf, _ = sd.normalize(F, 1)
+    assert nf.k == 1
+    red = sd.reduce_parabolic_tail(nf)
+    c = -1 / mpmath.mpf(g1)
+    for j, a in enumerate([0, 1, g1, g1, 0, 0, 0, 0, top]):
+        want = complex(a * c ** (j - 1))
+        assert red.germ.a[j].to_complex_list() == pytest.approx(
+            [want] + [0] * 6, rel=1e-12, abs=0), j
 
 
 # -- the parabolic-fiber rule at its tolerances ----------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,9 @@ def test_constructor_normalizes_each_value():
     assert np.abs(s.mant[:3]).tolist() == [1.5, 1.5, 1.0]
     assert s.exp2.tolist() == [1, -1, -1050, 0]
     assert s.to_complex_list() == [3.0, -0.75j, 2.0 ** -1050, 0]
+    # a zero real part takes the sign of the array kernels' complex product
+    z = TS([complex(-0.0, -1.0), complex(-0.0, 1.0)])
+    assert [math.copysign(1, m.real) for m in z.mant] == [1, -1]
 
 
 def test_view_reads_only_its_coefficient():
