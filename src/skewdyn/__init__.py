@@ -8,12 +8,13 @@ from .errors import (DegenerateDivisorError, LinearFiberError, PrecisionError,
 from .scaled import ScaledComplex
 from .rotation import (DivisorTable, RotationNumber, brjuno_partial_sum,
                        cremer_exponent, cremer_running_max, divisor_table,
-                       golden_mean, liouville_quotients, rotation_from_json,
-                       rotation_to_json, unit_column, write_divisor_csv)
+                       golden_mean, lam_power, liouville_quotients,
+                       rotation_from_json, rotation_to_json, unit_column,
+                       write_divisor_csv)
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm,
                      TruncatedSeries, WScale, conjugate, germ_from_json,
-                     germ_to_json, inverse_change, lam_power,
-                     residual_invariant_curve, reversion_in_w, rotate)
+                     germ_to_json, inverse_change, residual_invariant_curve,
+                     reversion_in_w, rotate)
 from .normalform import (ChangeLog, NormalForm, compose_series,
                          detect_parabolic_order, linearization_residual,
                          linearize_base, normalize, reduce_parabolic_tail,

@@ -11,8 +11,8 @@ binary exponents directly, never from materialized magnitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ def linear_example_phi(col: UnitColumn,
     return pm, pe
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(NamedTuple):
     """bits[n] is the chosen coefficient a_n, phi = (mant, exp2) the solved
     coefficients, numerator_log2[n] = log2 |a_n + S_n| (the greedy
     lower-bound witness)."""
@@ -79,8 +78,7 @@ def greedy_quadratic(col: UnitColumn) -> GreedyResult:
     return GreedyResult(bits, (pm, pe), numerator_log2)
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
+class GrowthProfile(NamedTuple):
     """Per-index magnitudes of a coefficient sequence (natural logs).
 
     log_mag[m] = ln |phi_m|, exponents[m] = (1/m) ln |phi_m| for m >= 1,

@@ -11,7 +11,8 @@ Every solved series divides by small divisors lam^p - 1, so a degenerate
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -146,12 +147,15 @@ def solve_order_bump(F: SkewGerm, k: int) -> TruncatedSeries:
 # The assembled pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ChangeLog:
     """Ordered fiber changes applied by the pipeline, plus the base
     linearization series (identity when the base was already linear)."""
-    sigma: TruncatedSeries
-    changes: list[FiberChange] = field(default_factory=list)
+    __slots__ = ("sigma", "changes")
+
+    def __init__(self, sigma: TruncatedSeries,
+                 changes: list[FiberChange] | None = None):
+        self.sigma = sigma
+        self.changes = [] if changes is None else changes
 
     def replay(self, F: SkewGerm) -> SkewGerm:
         """Re-apply every change to the original germ."""
@@ -161,8 +165,7 @@ class ChangeLog:
         return cur
 
 
-@dataclass
-class NormalForm:
+class NormalForm(NamedTuple):
     """Vertical map with constant coefficients through w^{k+h+1}.
 
     jet[i] is the coefficient of w^{k+1+i}; tail lists the z-dependent
@@ -175,7 +178,8 @@ class NormalForm:
     tail: list[TruncatedSeries]
     germ: SkewGerm
     original_constants: list[complex]
-    stage_residuals: dict[str, float] = field(default_factory=dict)
+    # read-only, as a NamedTuple default is one object shared by every record
+    stage_residuals: Mapping[str, float] = MappingProxyType({})
     b: complex | None = None
 
     def tail_defect(self) -> float:

@@ -47,9 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,8 +76,7 @@ ESCAPE_COLOR = (255, 255, 255)
 UNDECIDED_COLOR = (0, 0, 0)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: int
     index: int = -1
 
@@ -93,8 +90,7 @@ class Verdict:
         return self.name
 
 
-@dataclass(frozen=True)
-class OrbitConfig:
+class OrbitConfig(NamedTuple):
     """Classification thresholds: the only way to set them."""
     window: int = 50           # confirmation steps for petal and cycle verdicts
     arg_tol: float = 0.2       # radians around an attracting direction
@@ -163,32 +159,31 @@ def in_attracting_petal(w, k: int, rho: float, eta: float):
     return idx
 
 
-@dataclass(frozen=True)
 class ParabolicLocal:
     """Vertical map w - w^{k+1} + b w^{2k+1} + sum beta_m(z) w^m with petal
     parameters; `rot` is only needed when the tail makes fibers matter."""
-    k: int
-    b: complex = 0j
-    tail: tuple[TruncatedSeries, ...] = ()   # orders 2k+2, 2k+3, ...
-    rho: float = 0.1
-    eta: float = 0.25
-    rot: RotationNumber | None = None
+    __slots__ = ("k", "b", "tail", "rho", "eta", "rot")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int, b: complex = 0j,
+                 tail: tuple[TruncatedSeries, ...] = (),  # orders 2k+2, 2k+3, ...
+                 rho: float = 0.1, eta: float = 0.25,
+                 rot: RotationNumber | None = None):
+        if k < 1:
             raise ValueError("k must be at least 1")
-        if self.k > MAX_PETAL_ORDER:  # z_coefficients builds 2k+2 lists
+        if k > MAX_PETAL_ORDER:  # z_coefficients builds 2k+2 lists
             raise ValueError(f"k must be at most {MAX_PETAL_ORDER}")
-        if self.rho <= 0 or not 0.0 <= self.eta < 1.0:
+        if rho <= 0 or not 0.0 <= eta < 1.0:
             raise ValueError("need rho > 0 and 0 <= eta < 1")
         try:
-            scale = self.k * self.rho ** self.k
+            scale = k * rho ** k
         except OverflowError:
             scale = math.inf
         if not (0.0 < scale < math.inf and 1.0 / scale < math.inf):
-            raise ValueError(f"k * rho^k = {scale!r} (k = {self.k}, rho = "
-                             f"{self.rho!r}): R = 1/(k rho^k) needs both to be "
+            raise ValueError(f"k * rho^k = {scale!r} (k = {k}, rho = "
+                             f"{rho!r}): R = 1/(k rho^k) needs both to be "
                              "positive finite doubles")
+        self.k, self.b, self.tail = k, b, tail
+        self.rho, self.eta, self.rot = rho, eta, rot
 
     @property
     def dw(self) -> int:
@@ -671,7 +666,8 @@ def _cycle_ids(C: np.ndarray, w: np.ndarray, start: np.ndarray,
         pts = _cycle_points(C, complex(w[i]), int(start[i]), int(period[i]))
         return slot.setdefault(_cycle_key(pts), len(slot))
 
-    for p in np.unique(period).tolist():
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    for p in sorted(set(period.tolist())):
         sel = np.flatnonzero(period == p)
         keys, ok = _scaled_cycle_keys(C, w[sel], start[sel], p)
         for i in sel[~ok].tolist():
@@ -692,8 +688,7 @@ def _cycle_ids(C: np.ndarray, w: np.ndarray, start: np.ndarray,
 # Orbit records
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """A finite orbit with per-step vertical derivative logs.
 
     ws[n] = w_n and zs[n] = lam^n z_0; dlogs[n] = log |dg_{z_n}/dw (w_n)|
@@ -759,8 +754,7 @@ def vertical_derivative_sum(orbit: OrbitRecord) -> np.ndarray:
 # Sampling checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(NamedTuple):
     samples: int
     violations: int
     worst_margin: float
@@ -860,8 +854,7 @@ def _code_color(c: int) -> tuple[int, int, int]:
     return UNDECIDED_COLOR
 
 
-@dataclass
-class FatouGrid:
+class FatouGrid(NamedTuple):
     """Classification of a w-rectangle at a fixed starting fiber.
 
     code[i, j] encodes the verdict at re[j] + i*im[i]: 0 undecided,
@@ -876,7 +869,7 @@ class FatouGrid:
     code: np.ndarray
     n_stop: np.ndarray
     z0: complex
-    cycles: list[tuple] = field(default_factory=list)
+    cycles: Sequence[tuple] = ()
 
     def verdict_counts(self) -> dict[str, int]:
         flat = self.code.ravel()
@@ -946,6 +939,9 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     if chunks == 1:
         parts = [run_rows(bounds[0])]
     else:
+        # imported here: the thread pool's modules cost every process a
+        # few milliseconds at start-up
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=chunks) as ex:
             parts = list(ex.map(run_rows, bounds))
 
@@ -969,8 +965,7 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
 # Critical orbits / hypothesis checker
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CriticalReport:
+class CriticalReport(NamedTuple):
     point: complex
     verdict: Verdict
     n_stop: int
@@ -978,8 +973,7 @@ class CriticalReport:
     cycle_period: int | None = None
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     reports: list[CriticalReport]
     plausible: bool
 

@@ -2,19 +2,20 @@
 
 The rotation angle theta of a unit-circle multiplier lam = e^{2 pi i theta}
 is held as a fixed-point binary fraction so that k*theta mod 1 is exact
-integer arithmetic up to the seed error.  `unit_column` is the one place
-that forms those fractional parts; every power lam^k and every small
-divisor lam^k - 1 (|lam^k - 1| = 2*|sin(pi*(k*theta mod 1))|) in the
-package is read from it.  Computing the fractional part first (in
-integers) and only then the sine avoids the catastrophic cancellation of
-forming lam^k in floating point.
+integer arithmetic up to the seed error.  `_fraction_chunks` is the one
+place that forms those fractional parts.  Every power lam^k and every
+small divisor lam^k - 1 (|lam^k - 1| = 2*|sin(pi*(k*theta mod 1))|) in
+the package is read from its three readers: `unit_column` (the whole
+column, for the recursions and fiber schedules), `divisor_table` (the
+moduli alone) and `lam_power` (one power).  Computing the fractional part
+first (in integers) and only then the sine avoids the catastrophic
+cancellation of forming lam^k in floating point.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -72,7 +73,6 @@ def _quotients_of_fixed(x: int, bits: int, depth: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class RotationNumber:
     """An irrational rotation angle theta in (0,1), held to fixed precision.
 
@@ -81,15 +81,17 @@ class RotationNumber:
     error at most k * 2^-frac_bits.
     """
 
-    kind: str                      # "surd" | "quotients" | "decimal"
-    numerator: int
-    frac_bits: int
-    params: dict = field(default_factory=dict)
-    possibly_rational: bool = False
+    __slots__ = ("kind", "numerator", "frac_bits", "params", "possibly_rational")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.numerator < (1 << self.frac_bits):
+    def __init__(self, kind: str, numerator: int, frac_bits: int,
+                 params: dict | None = None, possibly_rational: bool = False):
+        if not 0 < numerator < (1 << frac_bits):
             raise ValueError("rotation angle must lie strictly inside (0,1)")
+        self.kind = kind                # "surd" | "quotients" | "decimal"
+        self.numerator = numerator
+        self.frac_bits = frac_bits
+        self.params = {} if params is None else params
+        self.possibly_rational = possibly_rational
 
     # -- constructors ------------------------------------------------------
 
@@ -183,7 +185,6 @@ class UnitColumn(NamedTuple):
     lam: np.ndarray
     mant: np.ndarray
     exp2: np.ndarray
-    modulus: np.ndarray
 
 
 def _to_doubles(ints: list[int], bits: int) -> np.ndarray:
@@ -194,40 +195,61 @@ def _to_doubles(ints: list[int], bits: int) -> np.ndarray:
     return np.array([a / one for a in ints], float)
 
 
-def unit_column(rot: RotationNumber, k_max: int) -> UnitColumn:
-    """lam^k and lam^k - 1 for k = 0..k_max from the exact fixed-point
-    fractions x_k = k*theta mod 1 (seed error k * 2^-frac_bits, rejected
-    when it could exceed 2^-64) and r_k = min(x_k, 1 - x_k):
-
-    lam[k] = e^{2 pi i x_k};
-    mant[k] * 2^exp2[k] = lam^k - 1 = 2 i sin(pi r_k) e^{i pi x_k} with
-    |mant| in [1, 2), or an exact zero (0, 0) where x_k = 0; below 2^-899,
-    where the double sine would underflow, sin(pi r) ~ pi r (relative error
-    below 2^-1797) with r held as mantissa and exponent;
-    modulus[k] = |lam^k - 1| = 2 sin(pi r_k) as a plain double.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+def _fraction_chunks(rot: RotationNumber, k_max: int, lo: int = 0):
+    """(start, x, r) for each run of at most _CHUNK indices k = lo..k_max:
+    the exact fixed-point fractions x_k = k*theta mod 1 and
+    r_k = min(x_k, 1 - x_k), as integers over 2^frac_bits.  The seed error
+    k * 2^-frac_bits is rejected, before any chunk is formed, when it could
+    exceed 2^-64."""
     bits = rot.frac_bits
     if bits < 64 or k_max > (1 << (bits - 64)):
         raise PrecisionError(
             f"k_max={k_max} needs more than the {bits} fractional bits available")
     one = 1 << bits
     x, mask, half = rot.numerator, one - 1, one >> 1
+
+    def chunk(start: int):
+        full = [(k * x) & mask for k in range(start, min(start + _CHUNK, k_max + 1))]
+        return start, full, [a if a <= half else one - a for a in full]
+    return map(chunk, range(lo, k_max + 1, _CHUNK))
+
+
+def _unit_powers(xf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi x_k, the parts of lam^k, from the doubles of x_k."""
+    ang = 2.0 * math.pi * xf
+    return np.cos(ang), np.sin(ang)
+
+
+def lam_power(rot: RotationNumber, j: int) -> complex:
+    """lam^j for any integer j, from the one fraction |j|*theta mod 1; equal
+    bit for bit to unit_column(rot, |j|).lam[|j|] (conjugated for j < 0)."""
+    _, full, _ = next(_fraction_chunks(rot, abs(j), abs(j)))
+    c, s = _unit_powers(_to_doubles(full, rot.frac_bits))
+    lam = complex(c[0], s[0])
+    return lam if j >= 0 else lam.conjugate()
+
+
+def unit_column(rot: RotationNumber, k_max: int) -> UnitColumn:
+    """lam^k and lam^k - 1 for k = 0..k_max from the exact fractions x_k
+    and r_k of `_fraction_chunks`:
+
+    lam[k] = e^{2 pi i x_k};
+    mant[k] * 2^exp2[k] = lam^k - 1 = 2 i sin(pi r_k) e^{i pi x_k} with
+    |mant| in [1, 2), or an exact zero (0, 0) where x_k = 0; below 2^-899,
+    where the double sine would underflow, sin(pi r) ~ pi r (relative error
+    below 2^-1797) with r held as mantissa and exponent.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    bits = rot.frac_bits
+    chunks = _fraction_chunks(rot, k_max)  # rejects k_max before allocating
     col = UnitColumn(np.empty(k_max + 1, complex), np.empty(k_max + 1, complex),
-                     np.empty(k_max + 1, np.int64), np.empty(k_max + 1))
-    acc = 0
-    for lo in range(0, k_max + 1, _CHUNK):
-        fulls, reds = [], []
-        for _ in range(lo, min(lo + _CHUNK, k_max + 1)):
-            fulls.append(acc)
-            reds.append(acc if acc <= half else one - acc)
-            acc = (acc + x) & mask
+                     np.empty(k_max + 1, np.int64))
+    for lo, fulls, reds in chunks:
         hi = lo + len(fulls)
         xf, xr = _to_doubles(fulls, bits), _to_doubles(reds, bits)
-        ang = 2.0 * math.pi * xf
-        col.lam.real[lo:hi], col.lam.imag[lo:hi] = np.cos(ang), np.sin(ang)
-        col.modulus[lo:hi] = scale = 2.0 * np.sin(np.pi * xr)
+        col.lam.real[lo:hi], col.lam.imag[lo:hi] = _unit_powers(xf)
+        scale = 2.0 * np.sin(np.pi * xr)
         e0 = np.zeros(hi - lo, np.int64)
         for i in np.flatnonzero(xr < _TINY).tolist():
             if reds[i]:
@@ -248,8 +270,7 @@ def unit_column(rot: RotationNumber, k_max: int) -> UnitColumn:
 # Divisor tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivisorTable:
+class DivisorTable(NamedTuple):
     """Small divisors of a rotation up to index m_max.
 
     d1[p]   = |lam^p - 1|          for 1 <= p <= m_max
@@ -288,7 +309,9 @@ def divisor_table(rot: RotationNumber, m_max: int,
         raise PrecisionError(
             f"divisor tables support at most {MAX_TABLE_FRAC_BITS} fractional bits "
             f"(got {rot.frac_bits}); use the series recursions beyond that")
-    d1 = unit_column(rot, m_max).modulus
+    d1 = np.empty(m_max + 1)
+    for lo, _, reds in _fraction_chunks(rot, m_max):
+        d1[lo:lo + len(reds)] = 2.0 * np.sin(np.pi * _to_doubles(reds, rot.frac_bits))
     d1[0] = np.nan
     degenerate = tuple((np.flatnonzero(d1[1:] == 0.0) + 1).tolist())
     if degenerate and not allow_degenerate:
@@ -335,8 +358,12 @@ def cremer_running_max(table: DivisorTable, m: int) -> float:
     if not 2 <= m <= table.m_max:
         raise ValueError("m out of table range")
     om = _nonvanishing(table.omega[2:m + 1])
-    idx = np.arange(2, m + 1, dtype=float)
-    return float(np.max(-np.log(om) / idx))
+    # L/m rounds monotonically in m for a fixed L = -log omega, so over a
+    # run of equal omega the maximum sits at one of the run's two ends
+    bits = om.view(np.int64)
+    cut = np.flatnonzero(bits[1:] != bits[:-1])
+    ends = np.concatenate(([0], cut, cut + 1, [len(om) - 1]))
+    return float(np.max(-np.log(om[ends]) / (ends + 2.0)))
 
 
 def liouville_quotients(depth: int, growth: Callable[[int], int],

@@ -16,8 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,13 +37,6 @@ def _horner(coeffs, x):
     for c in coeffs[-2::-1]:
         acc = acc * x + c
     return acc
-
-
-def lam_power(rot: RotationNumber, j: int) -> complex:
-    """lam^j for any integer j, read from the unit-circle column (so it
-    costs time and memory proportional to |j|)."""
-    lam = complex(unit_column(rot, abs(j)).lam[-1])
-    return lam if j >= 0 else lam.conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -472,45 +464,43 @@ class SkewGerm:
                 f"theta~{self.rot.theta():.6f})")
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(NamedTuple):
     """(z, w) -> (z, w + phi(z)): straightens an invariant graph."""
     phi: TruncatedSeries
 
 
-@dataclass(frozen=True)
 class Gauge:
     """(z, w) -> (z, w (1 + psi(z))): rescales the linear coefficient."""
-    psi: TruncatedSeries
+    __slots__ = ("psi",)
 
-    def __post_init__(self):
-        if self.psi.mant[0] == -1 and self.psi.exp2[0] == 0:  # 1 + psi(0) == 0
+    def __init__(self, psi: TruncatedSeries):
+        if psi.mant[0] == -1 and psi.exp2[0] == 0:  # 1 + psi(0) == 0
             raise ValueError("gauge factor 1 + psi(0) must not vanish")
+        self.psi = psi
 
 
-@dataclass(frozen=True)
 class Bump:
     """(z, w) -> (z, w + h(z) w^{k+1}): pushes z-dependence up one order.
 
     Constant h (nonzero at z = 0) is allowed: the resonance-elimination
     steps of the parabolic reduction use exactly that shape.
     """
-    h: TruncatedSeries
-    k: int
+    __slots__ = ("h", "k")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, h: TruncatedSeries, k: int):
+        if k < 1:
             raise ValueError("bump order k must be at least 1")
+        self.h, self.k = h, k
 
 
-@dataclass(frozen=True)
 class WScale:
     """(z, w) -> (z, c w) with c != 0."""
-    c: complex
+    __slots__ = ("c",)
 
-    def __post_init__(self):
-        if self.c == 0:
+    def __init__(self, c: complex):
+        if c == 0:
             raise ValueError("scale factor must be nonzero")
+        self.c = c
 
 
 FiberChange = Shift | Gauge | Bump | WScale

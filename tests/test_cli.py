@@ -330,17 +330,52 @@ def _germ_with(germ_file, tmp_path, j, n, triple):
     return str(path)
 
 
-def _assert_cli_exit_2(tmp_path, argv):
-    """Run the CLI as a subprocess: exit 2 with an error line, no traceback."""
+def _run_python(args):
+    """A fresh interpreter that imports this checkout's skewdyn."""
     paths = [str(Path(sd.__file__).resolve().parents[1]),
              os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "skewdyn.cli", *argv, "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def _assert_cli_exit_2(tmp_path, argv):
+    """Run the CLI as a subprocess: exit 2 with an error line, no traceback."""
+    proc = _run_python(["-m", "skewdyn.cli", *argv, "--out", str(tmp_path / "o")])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
+
+
+def _modules_loaded(args):
+    """Modules the process imports beyond a bare interpreter's start-up,
+    read from its -X importtime report."""
+    def imported(cmd):
+        proc = _run_python(["-X", "importtime", *cmd])
+        assert proc.returncode == 0, proc.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    return imported(args) - imported(["-c", "pass"])
+
+
+def test_version_loads_no_dataclasses_or_thread_pool():
+    mods = _modules_loaded(["-m", "skewdyn.cli", "--version"])
+    assert "skewdyn.petals" in mods
+    assert not mods & {"dataclasses", "concurrent.futures"}, mods
+
+
+def test_slice_process_does_not_load_numpy_ma(tmp_path):
+    # a slice with basin pixels, so the cycle keying runs; np.unique without
+    # return_* flags would import numpy.ma
+    F = sd.SkewGerm.from_coeffs(sd.golden_mean(), [[-1], [0], [1]], 2, 2)
+    germ = tmp_path / "basin.json"
+    germ.write_text(json.dumps(sd.germ_to_json(F)))
+    out = tmp_path / "o"
+    mods = _modules_loaded(["-m", "skewdyn.cli", "slice", "--germ", str(germ),
+                            "--grid=-1,1,-0.5,0.5,6", "--n-max", "200",
+                            "--out", str(out)])
+    assert read_json(out / "slice.json")["verdict_counts"]["basin"] > 0
+    assert "numpy" in mods and "numpy.ma" not in mods
 
 
 BAD_TRIPLES = {  # case: (vertical order j, z-order n, coefficient triple)

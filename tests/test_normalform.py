@@ -173,6 +173,17 @@ def test_normalize_already_normal(golden):
     assert nf.germ.approx_eq(F, 1e-12)
 
 
+def test_normalize_calls_do_not_share_a_change_list(golden):
+    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1, 1], [0, 1]], 8, 4)
+    _, first = sd.normalize(F, 1)
+    count = len(first.changes)
+    _, second = sd.normalize(F, 1)
+    assert first.changes is not second.changes
+    assert len(first.changes) == len(second.changes) == count
+    assert sd.ChangeLog(first.sigma).changes == []
+    assert sd.ChangeLog(first.sigma).changes is not sd.ChangeLog(first.sigma).changes
+
+
 def test_normalize_acceptance_example(golden):
     F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1, 1], [0, 1]], 16, 8)
     nf, log = sd.normalize(F, 2)

@@ -82,6 +82,17 @@ def test_membership_against_direct_halfplane_evaluation():
 
 # -- orbits -----------------------------------------------------------------
 
+def test_verdict_repr_and_equality():
+    # repr(verdict) is written into orbit.json and hypotheses.json
+    assert repr(sd.Verdict(PETAL, 1)) == "ParabolicPetal(1)"
+    assert repr(sd.Verdict(BASIN, 0)) == "AttractingBasin(0)"
+    assert [repr(sd.Verdict(k)) for k in (UNDECIDED, ESCAPE)] == ["Undecided", "Escape"]
+    assert sd.Verdict(PETAL, 1) == sd.Verdict(PETAL, 1)
+    assert sd.Verdict(PETAL, 1) != sd.Verdict(PETAL, 0)
+    assert sd.Verdict(PETAL, 1) != sd.Verdict(BASIN, 1)
+    assert sd.Verdict(ESCAPE) == sd.Verdict(ESCAPE, -1)
+
+
 def test_model_petal_orbit_and_decay():
     orb = sd.iterate_orbit(sd.ParabolicLocal(k=1), 0, 0.1, 10000,
                            stop_at_verdict=False)

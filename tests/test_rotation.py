@@ -26,11 +26,11 @@ def test_golden_theta():
 
 def test_unit_column_basics(golden):
     col = sd.unit_column(golden, 4)
-    assert col.lam[0] == 1 and col.modulus[0] == 0
+    assert col.lam[0] == 1
     assert col.mant[0] == 0 and col.exp2[0] == 0
     assert abs(col.lam[1] - cmath.exp(2j * math.pi * GOLDEN_THETA)) < 1e-15
     assert abs(col.lam[2] - cmath.exp(2j * math.pi * GOLDEN_2THETA_FRAC)) < 1e-15
-    assert abs(col.modulus[1] - GOLDEN_OMEGA2) < 1e-14
+    assert abs(sd.divisor_table(golden, 4).d1[1] - GOLDEN_OMEGA2) < 1e-14
     mags = np.abs(col.mant[1:])
     assert np.all((1 <= mags) & (mags < 2))
     assert np.allclose(np.ldexp(1.0, col.exp2) * col.mant, col.lam - 1,
@@ -51,9 +51,10 @@ def test_unit_column_rational_rotation():
     # zero without raising, so powers of lam stay usable
     rot = sd.RotationNumber.from_decimal("0.5")
     col = sd.unit_column(rot, 4)
+    d1 = sd.divisor_table(rot, 4, allow_degenerate=True).d1
     assert col.lam[2] == 1 and col.lam[4] == 1
-    assert col.mant[2] == 0 and col.exp2[2] == 0 and col.modulus[2] == 0
-    assert abs(col.lam[1] + 1) < 1e-15 and abs(col.modulus[1] - 2) < 1e-15
+    assert col.mant[2] == 0 and col.exp2[2] == 0 and d1[2] == 0
+    assert abs(col.lam[1] + 1) < 1e-15 and abs(d1[1] - 2) < 1e-15
     z = sd.TruncatedSeries.identity(3)
     assert sd.rotate(z, rot, 2).approx_eq(z, 1e-15)
 
@@ -93,11 +94,12 @@ def test_divisor_table_deterministic(golden):
 def test_unit_circle_consistency(golden):
     # the column's sine route vs repeated unit-complex multiplication
     col = sd.unit_column(golden, 1000)
+    d1 = sd.divisor_table(golden, 1000).d1
     lam = complex(col.lam[1])
     acc = 1 + 0j
     for k in range(1, 1001):
         acc *= lam
-        assert abs(col.modulus[k] - abs(acc - 1)) <= 1e-10 + k * 1e-15
+        assert abs(d1[k] - abs(acc - 1)) <= 1e-10 + k * 1e-15
         assert abs(col.lam[k] - acc) <= 1e-10 + k * 1e-15
 
 
@@ -132,6 +134,8 @@ def test_unit_column_matches_mpmath(case):
     make_rot, exact_theta, k_max, picks = ORACLE_CASES[case]
     rot = make_rot()
     col = sd.unit_column(rot, k_max)
+    d1 = (sd.divisor_table(rot, k_max).d1
+          if rot.frac_bits <= sd.rotation.MAX_TABLE_FRAC_BITS else None)
     rng = np.random.default_rng(7)
     ks = sorted(set(picks) | set(range(1, min(k_max, 64) + 1))
                 | set(rng.integers(1, k_max + 1, 64).tolist()))
@@ -144,8 +148,11 @@ def test_unit_column_matches_mpmath(case):
         got = mp.mpc(complex(col.mant[k])) * mp.mpf(2) ** int(col.exp2[k])
         assert abs(got - (lam - 1)) <= tol * abs(lam - 1), k
         assert abs(mp.mpc(complex(col.lam[k])) - lam) <= tol, k
-    if rot.frac_bits <= sd.rotation.MAX_TABLE_FRAC_BITS:
-        assert np.array_equal(sd.divisor_table(rot, k_max).d1[1:], col.modulus[1:])
+        if d1 is not None:
+            assert abs(mp.mpf(float(d1[k])) - abs(lam - 1)) <= tol * abs(lam - 1), k
+    if d1 is not None:  # at every k, the table's modulus is the column's |lam^k - 1|
+        mod = np.abs(col.mant[1:]) * np.ldexp(1.0, col.exp2[1:])
+        assert np.allclose(d1[1:], mod, rtol=2.0 ** -50, atol=0)
 
 
 def test_brjuno_partial_sum_synthetic(golden):
@@ -179,6 +186,40 @@ def test_cremer_exponent(golden_table):
     assert sd.cremer_exponent(flat, 17) == 0.0
     m = sd.cremer_running_max(golden_table, 2048)
     assert 0 < m < 2  # bounded-type rotation
+
+
+@pytest.mark.parametrize("case", ["golden-192", "cremer-512", "random-192"])
+def test_cremer_running_max_matches_every_index(case):
+    # reference: the exponent at every index, not only at the ends of the
+    # runs of equal omega
+    rot = ORACLE_CASES[case][0]()
+    t = sd.divisor_table(rot, 5000)
+    for m in (2, 3, 4, 5, 17, 1000, 1024, 1025, 5000):
+        om = t.omega[2:m + 1]
+        ref = float(np.max(-np.log(om) / np.arange(2, m + 1, dtype=float)))
+        assert sd.cremer_running_max(t, m) == ref, m
+    flat = sd.DivisorTable(rot, 64, t.d1[:65], t.dlam[:65], np.full(65, 3.0))
+    assert sd.cremer_running_max(flat, 64) == -math.log(3.0) / 64
+
+
+def _bits(c) -> list[int]:
+    return np.array([c], complex).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("case", ["golden-192", "cremer-512", "tiny-2048"])
+def test_lam_power_reads_the_column(case):
+    rot = ORACLE_CASES[case][0]()
+    k_max = min(ORACLE_CASES[case][2], 5000)
+    col = sd.unit_column(rot, k_max)
+    for j in sorted({0, 1, 2, 3, 40, 1023, 1024, 1025, 2049, 4999, k_max}
+                    & set(range(k_max + 1))):
+        lam = sd.lam_power(rot, j)
+        assert type(lam) is complex
+        assert _bits(lam) == _bits(col.lam[j]), j
+        if j:
+            assert _bits(sd.lam_power(rot, -j)) == _bits(col.lam[j].conjugate()), j
+    with pytest.raises(PrecisionError):
+        sd.lam_power(sd.RotationNumber.from_surd(-1, 1, 5, 2, frac_bits=96), 2 ** 33)
 
 
 def test_cremer_running_max_golden_10k(golden):

@@ -201,6 +201,20 @@ def test_gauge_invariant_validation():
         sd.WScale(0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sd.Bump(TS.zero(3), 0),
+    lambda: sd.ParabolicLocal(k=0),
+    lambda: sd.RotationNumber("decimal", 0, 64),
+    lambda: sd.RotationNumber("decimal", 2 ** 64, 64),
+    lambda: sd.RotationNumber("decimal", -1, 64),
+], ids=["bump-k0", "petal-k0", "rotation-0", "rotation-1", "rotation-neg"])
+def test_validated_records_reject_bad_input(make):
+    # the slotted records check their fields at construction, as the
+    # dataclass __post_init__ checks they replace did
+    with pytest.raises(ValueError):
+        make()
+
+
 # -- invariant-curve residual -----------------------------------------------
 
 def test_residual_zero_cases(golden):
