@@ -6,7 +6,8 @@ Exit codes: 0 success (violation reports are data, not failures),
 coefficients that are not [re, im, exp2] triples of finite reals and an
 integral exponent, and coefficients outside the double range), 3 degenerate
 small divisor, 4 precision/iteration budget exhausted with no partial output
-possible.  Summary JSONs are strict: non-finite floats are written as null.
+possible, or an allocation the machine cannot satisfy (one error line, no
+--out).  Summary JSONs are strict: non-finite floats are written as null.
 """
 
 from __future__ import annotations
@@ -419,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DEGENERATE
     except PrecisionError as exc:
         print(f"error: precision budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (LinearFiberError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import random
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -320,22 +321,23 @@ def _direction_index(w: np.ndarray, k: int, base_angle: float) -> np.ndarray:
 class _State:
     """Per-point engine state, compactable to the undecided subset."""
 
-    __slots__ = ("ids", "w", "prev_abs", "streak", "streak_abs", "tort",
+    __slots__ = ("ids", "w", "prev_abs", "streak", "streak_bound", "tort",
                  "anchored", "anchor", "anchor_step", "last_hit", "period")
 
     def __init__(self, w0: np.ndarray):
         m = len(w0)
-        self.ids = np.arange(m)
-        self.w = w0.astype(complex)
+        self.ids = np.arange(m, dtype=np.int32)
+        # w and tort are rebound to new arrays by every step and never
+        # written in place, so both may start as the caller's array
+        self.w = self.tort = np.asarray(w0, dtype=complex)
         self.prev_abs = np.abs(self.w)
-        self.streak = np.zeros(m, dtype=np.int64)
-        self.streak_abs = np.zeros(m)
-        self.tort = self.w.copy()
+        self.streak = np.zeros(m, dtype=np.int32)
+        self.streak_bound = np.zeros(m)  # petal_shrink |w| at streak start
         self.anchored = np.zeros(m, dtype=bool)
         self.anchor = np.zeros(m, dtype=complex)
-        self.anchor_step = np.zeros(m, dtype=np.int64)
-        self.last_hit = np.zeros(m, dtype=np.int64)
-        self.period = np.zeros(m, dtype=np.int64)
+        self.anchor_step = np.zeros(m, dtype=np.int32)
+        self.last_hit = np.zeros(m, dtype=np.int32)
+        self.period = np.zeros(m, dtype=np.int32)
 
     def compact(self, keep: np.ndarray) -> None:
         for name in self.__slots__:
@@ -362,7 +364,8 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     Verdict checks run in a fixed order every step (escape, petal, cycle);
     each point's outcome is a pure function of its own start, so results do
     not depend on how callers batch the points.  Settled points are stepped
-    on, never read, until the next compaction.
+    on, never read, until the next compaction.  Step counts are held as
+    int32, so n_max must be below 2^31 (fatou_slice checks it).
     """
     live = np.flatnonzero(C.any(axis=0))
     C = C[:, :max(2, live.max(initial=0) + 1)]
@@ -374,6 +377,7 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     period_out = np.zeros(m, dtype=np.int64)
 
     st = _State(w0)
+    del w0  # then only st.w and st.tort hold it, until the first steps
     undecided = np.ones(m, dtype=bool)  # aligned with st arrays
 
     def settle(mask: np.ndarray, verdict: int, n: int) -> None:
@@ -393,9 +397,9 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
         for n in range(n_max + 1):
             cur_abs = np.abs(st.w)
 
-            esc = ~(cur_abs <= cfg.escape_radius)
-            if esc.any():
-                settle(esc & undecided, ESCAPE, n)
+            # the max is NaN when any modulus is
+            if not cur_abs.max(initial=0.0) <= cfg.escape_radius:
+                settle(~(cur_abs <= cfg.escape_radius) & undecided, ESCAPE, n)
 
             if parabolic and n >= 1:
                 qual = ((cur_abs < np.minimum(st.prev_abs, cfg.petal_gate,
@@ -404,12 +408,13 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                 if qual.any():
                     qual &= _in_sector(st.w, cur_abs, k, base_angle,
                                        cfg.arg_tol)
-                np.copyto(st.streak_abs, cur_abs, where=st.streak == 0)
+                np.multiply(cur_abs, cfg.petal_shrink, out=st.streak_bound,
+                            where=st.streak == 0)
                 st.streak += qual
                 st.streak *= qual
                 if st.streak.max(initial=0) >= max(cfg.window, 1):
                     hit = st.streak >= max(cfg.window, 1)  # >= 1: qual now
-                    hit &= cur_abs <= cfg.petal_shrink * st.streak_abs
+                    hit &= cur_abs <= st.streak_bound
                     if hit.any():
                         settle(hit, PETAL, n)
 
@@ -764,7 +769,18 @@ class SampleReport(NamedTuple):
         return self.violations == 0
 
 
-def _sample_attracting_petal(rng, n: int, k: int, rho: float,
+def _seeded(seed: int) -> random.Random:
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative (got {seed})")
+    return random.Random(seed)
+
+
+def _uniform(rng: random.Random, n: int) -> np.ndarray:
+    """n doubles uniform on the 2^-53 grid of [0, 1), 53 random bits each."""
+    return (np.frombuffer(rng.randbytes(8 * n), "<u8") >> 11) * 2.0 ** -53
+
+
+def _sample_attracting_petal(rng: random.Random, n: int, k: int, rho: float,
                              eta: float) -> np.ndarray:
     """The first n accepted points, in draw order, of rejection sampling on
     the attracting petal union.  Candidates are uniform on the sectors
@@ -772,9 +788,9 @@ def _sample_attracting_petal(rng, n: int, k: int, rho: float,
     time, which bounds memory whatever the acceptance rate."""
     blocks, got = [], 0
     while got < n:
-        j = rng.integers(0, k, _CHUNK)
-        s = rho * 1.3 * np.sqrt(rng.random(_CHUNK))
-        ang = TWO_PI * j / k + (math.pi / k) * (2.0 * rng.random(_CHUNK) - 1.0)
+        j = (_uniform(rng, _CHUNK) * k).astype(np.int64)  # u k < k for u < 1
+        s = rho * 1.3 * np.sqrt(_uniform(rng, _CHUNK))
+        ang = TWO_PI * j / k + (math.pi / k) * (2.0 * _uniform(rng, _CHUNK) - 1.0)
         w = s * np.exp(1j * ang)
         w = w[w != 0]
         w = w[in_attracting_petal(w, k, rho, eta) >= 0]
@@ -792,13 +808,13 @@ def forward_invariance_check(local: ParabolicLocal, z_band: float,
     is not a finite double raises OverflowError."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     k, rho, eta = local.k, local.rho, local.eta
     r_cut = 1.0 / (k * rho ** k)
     with np.errstate(over="ignore", invalid="ignore", under="ignore",
                      divide="ignore"):
         w = _sample_attracting_petal(rng, samples, k, rho, eta)
-        rr = rng.random((samples, 2))
+        rr = _uniform(rng, 2 * samples).reshape(samples, 2)
         z = z_band * np.sqrt(rr[:, 0]) * np.exp(1j * TWO_PI * rr[:, 1])
         w1 = _horner(local.coefficients_at(z), w)
         w1 = w1[w1 != 0]
@@ -827,7 +843,7 @@ def repelling_expansion_check(local: ParabolicLocal, samples: int,
     worst_margin."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     k, rho = local.k, local.rho
     coeffs = local.coefficients_at(0j)
     dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
@@ -922,6 +938,8 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     res = int(res)
     if not 1 <= res <= 4096:
         raise ValueError("grid resolution out of range (1..4096)")
+    if n_max >= 2 ** 31:  # the engine's int32 limit, checked before C is built
+        raise ValueError(f"n_max = {n_max} must be below 2^31")
     cfg = config or DEFAULT_CONFIG
     re = np.linspace(float(re0), float(re1), res)
     im = np.linspace(float(im0), float(im1), res)
@@ -929,24 +947,23 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     parabolic, k, base = _parabolic_data(F)
 
     def run_rows(bounds: tuple[int, int]) -> _EngineResult:
-        i0, i1 = bounds
-        w0 = (re[np.newaxis, :] + 1j * im[i0:i1, np.newaxis]).ravel()
-        return _run_engine(C, w0, n_max, parabolic, k, base, cfg)
+        i0, i1 = bounds  # no name here holds the start array past its use
+        return _run_engine(C, (re[np.newaxis, :] + 1j * im[i0:i1, np.newaxis])
+                           .ravel(), n_max, parabolic, k, base, cfg)
 
     chunks = max(1, min(int(threads), res))
     bounds = [(res * t // chunks, res * (t + 1) // chunks)
               for t in range(chunks)]
     if chunks == 1:
-        parts = [run_rows(bounds[0])]
+        fields = run_rows(bounds[0])
     else:
         # imported here: the thread pool's modules cost every process a
         # few milliseconds at start-up
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=chunks) as ex:
-            parts = list(ex.map(run_rows, bounds))
+            fields = [np.concatenate(f) for f in zip(*ex.map(run_rows, bounds))]
 
-    kind, index, n_stop, w_verd, period = (
-        np.concatenate(f).reshape(res, res) for f in zip(*parts))
+    kind, index, n_stop, w_verd, period = (f.reshape(res, res) for f in fields)
 
     code = np.zeros((res, res), dtype=np.int32)
     code[kind == ESCAPE] = CODE_ESCAPE

@@ -309,17 +309,19 @@ def divisor_table(rot: RotationNumber, m_max: int,
         raise PrecisionError(
             f"divisor tables support at most {MAX_TABLE_FRAC_BITS} fractional bits "
             f"(got {rot.frac_bits}); use the series recursions beyond that")
-    d1 = np.empty(m_max + 1)
+    # one buffer: d1 = buf[1:] and dlam = buf[:-1], so dlam[k] = d1[k - 1]
+    # and buf[0], buf[1] are the NaN heads of both
+    buf = np.empty(m_max + 2)
+    d1 = buf[1:]
     for lo, _, reds in _fraction_chunks(rot, m_max):
         d1[lo:lo + len(reds)] = 2.0 * np.sin(np.pi * _to_doubles(reds, rot.frac_bits))
-    d1[0] = np.nan
+    buf[:2] = np.nan
     degenerate = tuple((np.flatnonzero(d1[1:] == 0.0) + 1).tolist())
     if degenerate and not allow_degenerate:
         raise DegenerateDivisorError(
             f"rotation is rational to working precision: lam^p = 1 for p in {degenerate[:4]}")
 
-    dlam = np.full(m_max + 1, np.nan)
-    dlam[2:] = d1[1:m_max]
+    dlam = buf[:-1]
     omega = np.full(m_max + 1, np.nan)
     np.minimum.accumulate(dlam[2:], out=omega[2:])
     return DivisorTable(rot, m_max, d1, dlam, omega, degenerate)

@@ -100,6 +100,33 @@ def test_precision_budget_exit_code(tmp_path):
     assert code == 4
 
 
+# 2^55 rows: each call's first array needs more than 2^57 bytes, so the
+# allocation fails at once and touches no memory
+HUGE = str(2 ** 55)
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--w0=0.1,0", "--n-max", HUGE],
+    ["hypotheses", "--n-max", HUGE],
+    ["brjuno", "--m-max", HUGE],
+], ids=["orbit", "hypotheses", "brjuno"])
+def test_failed_allocation_exits_4(tmp_path, capsys, rot_file, germ_file, argv):
+    source = ["--rotation", rot_file] if argv[0] == "brjuno" else ["--germ", germ_file]
+    out = tmp_path / "o"
+    assert main([*argv, *source, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_slice_n_max_beyond_engine_limit_exits_2(tmp_path, capsys, germ_file):
+    out = tmp_path / "o"
+    assert main(["slice", "--germ", germ_file, "--grid=-1,1,-1,1,4",
+                 "--n-max", str(2 ** 31), "--out", str(out)]) == 2
+    assert "below 2^31" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_normalize_report(tmp_path, germ_file):
     out = tmp_path / "o"
     assert main(["normalize", "--germ", germ_file, "--depth", "2",
@@ -243,6 +270,9 @@ def test_petalcheck_requires_seed(tmp_path, capsys):
     out = tmp_path / "o"
     with pytest.raises(SystemExit):
         main(["petalcheck", "--k", "1", "--out", str(out)])
+    # random.Random would take |seed|, so seeds -5 and 5 would share a stream
+    assert main(["petalcheck", "--k", "1", "--seed=-5", "--out", str(out)]) == 2
+    assert "nonnegative" in capsys.readouterr().err and not out.exists()
     assert main(["petalcheck", "--k", "1", "--seed", "5", "--samples", "400",
                  "--out", str(out)]) == 0
     rep = read_json(out / "petalcheck.json")
@@ -376,6 +406,14 @@ def test_slice_process_does_not_load_numpy_ma(tmp_path):
                             "--out", str(out)])
     assert read_json(out / "slice.json")["verdict_counts"]["basin"] > 0
     assert "numpy" in mods and "numpy.ma" not in mods
+
+
+def test_petalcheck_process_does_not_load_numpy_random(tmp_path):
+    out = tmp_path / "o"
+    mods = _modules_loaded(["-m", "skewdyn.cli", "petalcheck", "--k", "2",
+                            "--samples", "200", "--seed", "3", "--out", str(out)])
+    assert read_json(out / "petalcheck.json")["forward_invariance"]["samples"] == 200
+    assert "numpy" in mods and "numpy.random" not in mods
 
 
 BAD_TRIPLES = {  # case: (vertical order j, z-order n, coefficient triple)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -457,19 +459,30 @@ def test_repelling_direction_formulas():
 def test_sampler_only_emits_petal_members():
     from skewdyn.petals import _sample_attracting_petal
     for k, eta, n in ((1, 0.25, 500), (3, 0.0, 500), (2, 0.25, 1), (2, 0.0, 3000)):
-        w = _sample_attracting_petal(np.random.default_rng(1), n, k, 0.1, eta)
+        w = _sample_attracting_petal(random.Random(1), n, k, 0.1, eta)
         assert w.shape == (n,)
         assert (sd.in_attracting_petal(w, k, 0.1, eta) >= 0).all()
-        again = _sample_attracting_petal(np.random.default_rng(1), n, k, 0.1, eta)
+        again = _sample_attracting_petal(random.Random(1), n, k, 0.1, eta)
         assert np.array_equal(w, again)
 
 
 def test_sampler_fills_every_direction_evenly():
     from skewdyn.petals import _sample_attracting_petal
-    w = _sample_attracting_petal(np.random.default_rng(7), 30000, 3, 0.1, 0.25)
+    w = _sample_attracting_petal(random.Random(7), 30000, 3, 0.1, 0.25)
     counts = np.bincount(sd.in_attracting_petal(w, 3, 0.1, 0.25), minlength=3)
     assert counts.sum() == 30000
     assert np.all(np.abs(counts / 30000 - 1 / 3) <= 0.02)
+
+
+def test_uniform_draws_lie_on_the_53_bit_grid():
+    u = petals._uniform(random.Random(11), 5000)
+    assert u.dtype == np.float64 and u.shape == (5000,)
+    assert ((u >= 0.0) & (u < 1.0)).all()
+    scaled = u * 2.0 ** 53
+    assert np.array_equal(scaled, np.floor(scaled))
+    assert np.array_equal(u, petals._uniform(random.Random(11), 5000))
+    assert not np.array_equal(u, petals._uniform(random.Random(12), 5000))
+    assert abs(u.mean() - 0.5) < 0.02
 
 
 def test_local_model_from_reduced_normal_form(golden):
@@ -491,7 +504,7 @@ def test_petal_membership_stable_under_model_map():
     # invariance restated: membership index is preserved by one application
     loc = sd.ParabolicLocal(k=2)
     from skewdyn.petals import _sample_attracting_petal
-    w = _sample_attracting_petal(np.random.default_rng(5), 10000, 2, loc.rho,
+    w = _sample_attracting_petal(random.Random(5), 10000, 2, loc.rho,
                                  loc.eta)
     j = sd.in_attracting_petal(w, 2, loc.rho, loc.eta)
     assert (j >= 0).all()
@@ -688,6 +701,24 @@ def test_slice_outputs(tmp_path, golden):
     assert len(lines) == 1 + 144
     counts = g.verdict_counts()
     assert counts["petal"] > 0 and counts["escape"] > 0
+
+
+def test_engine_memory_budget_per_point(golden):
+    # the benchmark's parabolic slice at 200 x 200; 174 bytes per point is
+    # the traced peak (158.2, numpy 2.4) plus 10%, outputs included
+    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
+    re, im = np.linspace(-1.5, 0.5, 200), np.linspace(-1, 1, 200)
+    w0 = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
+    C = petals._coeff_matrix(F, 0.0, 200)
+    tracemalloc.start()
+    try:
+        r = petals._run_engine(C, w0, 200, *petals._parabolic_data(F),
+                               petals.DEFAULT_CONFIG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(r.kind == PETAL) > 10000
+    assert peak <= 174 * len(w0), peak / len(w0)
 
 
 def _per_pixel_slice(F, z0, grid, n_max):
