@@ -257,6 +257,9 @@ def cmd_slice(args) -> int:
         raise _CliError(EXIT_BAD_INPUT, f"cannot parse grid {args.grid!r}") from exc
     if not all(map(math.isfinite, parts[:4])):
         raise _CliError(EXIT_BAD_INPUT, f"grid bounds {args.grid!r} are not finite")
+    if not res.is_integer():
+        raise _CliError(EXIT_BAD_INPUT, f"grid resolution in {args.grid!r} "
+                        "is not an integer")
     z0 = _parse_complex(args.z0)
     grid = fatou_slice(F, z0, (re0, re1, im0, im1, int(res)), n_max=args.n_max,
                        config=OrbitConfig(escape_radius=args.escape),

@@ -31,15 +31,13 @@ differential test tests/test_petals.py::test_single_orbit_path_matches_engine
 keeps the two paths' verdicts equal.  Grid results are pure functions of
 the inputs, independent of chunking or thread count.
 
-A slice's basin pixels get canonical cycle ids at a cost that grows with
-the number of distinct cycles, not of pixels: the cycle points of all
-pixels of one period are computed together and keyed by rint(x 10^4), and
-the scalar cycle key runs once per distinct key set.  A pixel whose keys
-lie near a rounding tie (or are huge or not finite) is keyed on its own by
-the scalar path, so the ids equal those of per-pixel keying, as the
-differential test
-tests/test_petals.py::test_grouped_cycle_keys_match_per_pixel_reference
-checks.
+A basin's cycle is named by one rule, for slices and single orbits alike:
+its points are stepped from the verdict state on arrays by the engine's own
+Horner (_step), each coordinate is keyed as rint(x 10^4), half to even
+(-0 read as 0), and the key is the sorted tuple of keyed points.  A slice
+keys all basin pixels of one period together and ranks the distinct keys,
+so its cycle ids are canonical, never in discovery order; a single orbit's
+cycle_representative is the point whose key sorts first.
 """
 
 from __future__ import annotations
@@ -596,96 +594,54 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
     return kind, index, n_stop, period, ws[:cut + 1], dlogs
 
 
-def _cycle_points(C: np.ndarray, w: complex, start: int, p: int) -> list[complex]:
-    pts = [w]
-    for i in range(max(0, p - 1)):
-        pts.append(_horner(C[min(start + i, len(C) - 1)].tolist(), pts[-1]))
+def _cycle_points(C: np.ndarray, w: np.ndarray, start: np.ndarray,
+                  p: int) -> np.ndarray:
+    """The p cycle points from each w[i] as row i of an (n, p) array: point
+    j + 1 is point j stepped by _step over row start[i] + j of C (the last
+    row past the schedule's end), so each point follows its own rows."""
+    pts = np.empty((len(w), p), dtype=complex)
+    pts[:, 0] = w
+    for i in range(p - 1):
+        rows = C[np.minimum(start + i, len(C) - 1)].T
+        pts[:, i + 1] = _step(rows, pts[:, i])
     return pts
 
 
-def _rounded(p: complex) -> tuple[float, float]:
-    """p to CYCLE_ROUND decimals (-0.0 read as 0.0): the order and identity
-    of cycle points."""
-    return round(p.real, CYCLE_ROUND) + 0.0, round(p.imag, CYCLE_ROUND) + 0.0
-
-
-def _cycle_key(pts: list[complex]) -> tuple:
-    return tuple(sorted(_rounded(p) for p in pts))
-
-
-_TIE_MARGIN = 1e-3        # distance of x 10^CYCLE_ROUND from a rounding tie
-_KEY_LIMIT = 2.0 ** 40    # |x| 10^CYCLE_ROUND beyond this: keyed by round()
-
-
-def _scaled_cycle_keys(C: np.ndarray, w: np.ndarray, start: np.ndarray,
-                       p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, ok): the _cycle_points of every w at once as integer keys
-    rint(x 10^CYCLE_ROUND), row i the real keys of w[i]'s p points sorted
-    by (real, imag) key, then their imaginary keys.
-
-    Real and imaginary parts step apart with CPython's complex product
-    (re = ar br - ai bi, im = ar bi + ai br), so the points equal
-    _cycle_points' bit for bit; numpy's complex product can differ in the
-    last bit.  Where ok[i], every scaled coordinate is finite, at most
-    _KEY_LIMIT and farther than _TIE_MARGIN from a tie, so each key over
-    10^CYCLE_ROUND is exactly round(x, CYCLE_ROUND) and equal rows mean
-    equal _cycle_key tuples; other rows must be keyed by _cycle_key.
-    """
-    Cr, Ci = C.real, C.imag
-    xr, xi = w.real.copy(), w.imag.copy()
-    re_pts, im_pts = [xr], [xi]
-    for i in range(p - 1):
-        row = np.minimum(start + i, len(C) - 1)
-        Rr, Ri = Cr[row], Ci[row]
-        ar, ai = Rr[:, -1], Ri[:, -1]
-        for j in range(C.shape[1] - 2, -1, -1):
-            ar, ai = (ar * xr - ai * xi + Rr[:, j],
-                      ar * xi + ai * xr + Ri[:, j])
-        xr, xi = ar, ai
-        re_pts.append(xr)
-        im_pts.append(xi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.stack(re_pts + im_pts, axis=1) * 10.0 ** CYCLE_ROUND
-        ok = ((np.abs(s) <= _KEY_LIMIT)
-              & (np.abs(s - np.floor(s) - 0.5) > _TIE_MARGIN)).all(axis=1)
-    keys = np.rint(np.where(ok[:, np.newaxis], s, 0.0)).astype(np.int64)
-    kr, ki = keys[:, :p], keys[:, p:]
+def _cycle_keys(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, order) of the cycles in the rows of pts: each coordinate x is
+    keyed as rint(x 10^CYCLE_ROUND) (-0 read as 0), order[i] sorts row i by
+    (real, imag) key, and keys[i] holds the sorted real keys, then their
+    imaginary keys.  The keys stay floats: x 10^CYCLE_ROUND may overflow to
+    inf."""
+    scale = 10.0 ** CYCLE_ROUND
+    with np.errstate(over="ignore"):
+        kr = np.rint(pts.real * scale) + 0.0
+        ki = np.rint(pts.imag * scale) + 0.0
     order = np.lexsort((ki, kr))
     return np.hstack([np.take_along_axis(kr, order, axis=1),
-                      np.take_along_axis(ki, order, axis=1)]), ok
+                      np.take_along_axis(ki, order, axis=1)]), order
 
 
 def _cycle_ids(C: np.ndarray, w: np.ndarray, start: np.ndarray,
                period: np.ndarray) -> tuple[list[tuple], np.ndarray]:
-    """Canonical cycle keys of basin points: the sorted distinct _cycle_key
-    tuples, and each point's index into them.
-
-    Points are grouped by period and by their integer keys, and
-    _cycle_points + _cycle_key run once per group on its first point; a
-    point whose keys are not exact (near a rounding tie, huge or not
-    finite) is keyed on its own."""
-    slot: dict[tuple, int] = {}
+    """Canonical cycle keys of basin points: the sorted distinct keys, each
+    a tuple of (re, im) points rounded to CYCLE_ROUND decimals in sorted
+    order, and each point's index into them."""
+    keys: list[tuple] = []
     which = np.empty(len(w), dtype=np.int64)
-
-    def key_of(i: int) -> int:
-        pts = _cycle_points(C, complex(w[i]), int(start[i]), int(period[i]))
-        return slot.setdefault(_cycle_key(pts), len(slot))
-
     # sorted(set()) rather than np.unique, which imports numpy.ma
     for p in sorted(set(period.tolist())):
         sel = np.flatnonzero(period == p)
-        keys, ok = _scaled_cycle_keys(C, w[sel], start[sel], p)
-        for i in sel[~ok].tolist():
-            which[i] = key_of(i)
-        if ok.any():
-            good = sel[ok]
-            _, first, inv = np.unique(keys[ok], axis=0, return_index=True,
-                                      return_inverse=True)
-            reps = [key_of(i) for i in good[first].tolist()]
-            which[good] = np.array(reps)[inv.reshape(-1)]
-    ordered = sorted(slot)
+        rows = _cycle_keys(_cycle_points(C, w[sel], start[sel], p))[0]
+        # the unused return_index halves numpy 2.4's time on these rows
+        distinct, _, inv = np.unique(rows, axis=0, return_index=True,
+                                     return_inverse=True)
+        which[sel] = len(keys) + inv.reshape(-1)
+        keys += [tuple(zip(r[:p], r[p:]))
+                 for r in (distinct / 10.0 ** CYCLE_ROUND).tolist()]
+    ordered = sorted(set(keys))
     pos = {key: c for c, key in enumerate(ordered)}
-    rank = np.array([pos[key] for key in slot], dtype=np.int64)
+    rank = np.array([pos[key] for key in keys], dtype=np.int64)
     return ordered, rank[which]
 
 
@@ -726,8 +682,8 @@ def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
         C, complex(w0), n_max, parabolic, k, base, cfg, stop_at_verdict)
     rep = None
     if kind == BASIN:
-        pts = _cycle_points(C, complex(ws[n_stop]), n_stop, period)
-        rep = min(pts, key=_rounded)
+        pts = _cycle_points(C, ws[n_stop:n_stop + 1], np.array([n_stop]), period)
+        rep = complex(pts[0, _cycle_keys(pts)[1][0, 0]])
         verdict = Verdict(BASIN, 0)
     elif kind == PETAL:
         verdict = Verdict(PETAL, index)
@@ -839,8 +795,11 @@ def repelling_expansion_check(local: ParabolicLocal, samples: int,
     the samples cover every j.  There Re zeta^k < 0, so the model
     derivative 1 - (k+1) zeta^k has modulus above one and the check
     validates that the chosen rho keeps the tail from destroying the
-    margin.  A NaN derivative counts as a violation and is left out of
-    worst_margin."""
+    margin.  Expansion is decided on u = 1 - g'(zeta), formed without the
+    1 (g'(0) = 1), as -2 Re u + |u|^2 = |g'|^2 - 1 > 0: at high k, u lies
+    below half an ulp of 1, so |g'| itself rounds to 1.  worst_margin is
+    the smallest |g'| seen; a NaN derivative counts as a violation and is
+    left out of it."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = _seeded(seed)
@@ -852,7 +811,9 @@ def repelling_expansion_check(local: ParabolicLocal, samples: int,
         zeta = (_sample_attracting_petal(rng, samples, k, rho, 0.0)
                 * cmath.exp(1j * math.pi / k))
         g1 = np.abs(_horner(dcoeffs, zeta))
-    return SampleReport(samples, int(np.count_nonzero(~(g1 > 1.0))),
+        u = -zeta * _horner(dcoeffs[1:], zeta)
+        expanding = -2.0 * u.real + (u.real ** 2 + u.imag ** 2) > 0.0
+    return SampleReport(samples, int(np.count_nonzero(~expanding)),
                         float(np.fmin.reduce(g1, initial=math.inf)))
 
 
@@ -876,9 +837,10 @@ class FatouGrid(NamedTuple):
     code[i, j] encodes the verdict at re[j] + i*im[i]: 0 undecided,
     1 escape, 100+direction for petals, 200+cycle for basins; cycle ids
     are assigned canonically (sorted cycle point sets), never by discovery
-    order, so identical inputs give identical grids.  The ids are computed
-    once per distinct rounded cycle, with the scalar per-pixel keying as
-    the fallback near rounding ties; cycles[c] is the key of id c.
+    order, so identical inputs give identical grids.  A cycle's key is its
+    points rounded to CYCLE_ROUND decimals by rint(x 10^4), half to even,
+    in sorted order (see the module docstring); cycles[c] is the key of
+    id c.
     """
     re: np.ndarray
     im: np.ndarray
@@ -995,8 +957,7 @@ class HypothesisReport(NamedTuple):
     plausible: bool
 
 
-def critical_orbit_check(g, n_max: int = 20000,
-                         config: OrbitConfig | None = None) -> HypothesisReport:
+def critical_orbit_check(g, n_max: int = 20000) -> HypothesisReport:
     """Iterate every finite critical point of the fiber polynomial.
 
     `g` is a coefficient list (constant first) or a SkewGerm taken at
@@ -1014,14 +975,13 @@ def critical_orbit_check(g, n_max: int = 20000,
         coeffs = coeffs[:-1]
     if len(coeffs) < 3:
         raise ValueError("fiber polynomial must have degree at least 2")
-    cfg = config or DEFAULT_CONFIG
     deriv = [j * coeffs[j] for j in range(1, len(coeffs))]
     roots = np.roots(np.array(deriv[::-1], dtype=complex))
     fiber_map = ConstantVerticalMap(coeffs, rot)
     reports = []
     for r in sorted(roots.tolist(), key=lambda c: (round(c.real, 12),
                                                    round(c.imag, 12))):
-        orbit = iterate_orbit(fiber_map, 0j, complex(r), n_max, config=cfg)
+        orbit = iterate_orbit(fiber_map, 0j, complex(r), n_max)
         reports.append(CriticalReport(point=complex(r), verdict=orbit.verdict,
                                       n_stop=orbit.n_stop,
                                       root_defect=abs(_horner(deriv, r)),

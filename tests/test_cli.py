@@ -326,6 +326,20 @@ def test_bad_grid_exit_code(tmp_path, germ_file):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("res", ["2.7", "8.5", "inf", "nan"])
+def test_slice_non_integral_resolution_exits_2(tmp_path, germ_file, capsys,
+                                               res):
+    # a resolution is a count of points: 2.7 is not truncated to 2
+    out = tmp_path / "o"
+    assert main(["slice", "--germ", germ_file, f"--grid=-1,1,-1,1,{res}",
+                 "--n-max", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    # an integral resolution may still be written with an exponent
+    assert main(["slice", "--germ", germ_file, "--grid=-1,1,-1,1,1e1",
+                 "--n-max", "10", "--out", str(out)]) == 0
+
+
 def test_nonpositive_budget_rejected(tmp_path, rot_file):
     out = tmp_path / "o"
     assert main(["brjuno", "--rotation", rot_file, "--m-max", "0",
