@@ -840,6 +840,22 @@ def test_cycle_keys_round_half_to_even_with_positive_zeros():
     assert math.copysign(1.0, g.cycles[0][0][1]) == 1.0
 
 
+def test_slice_on_a_rounding_tie_matches_per_pixel_reference():
+    # g(w) = p + (w - p) / 2 attracts every start to p, whose real part
+    # sits on a 4-decimal tie (between -0.0001 and -0.0) and whose
+    # imaginary part rounds to -0.0: every pixel is a basin pixel, keyed as
+    # the plain-Python reference keys it, and no key carries a -0
+    p = -0.00005 - 0.00004j
+    F = sd.ConstantVerticalMap([0.5 * p, 0.5])
+    grid = (p.real - 0.1, p.real + 0.1, -0.1, 0.1, 5)
+    code, cycles = _per_pixel_slice(F, 0.0, grid, 400)
+    g = sd.fatou_slice(F, 0.0, grid, n_max=400)
+    assert np.array_equal(g.code, code) and g.cycles == cycles
+    assert np.all(code >= CODE_BASIN_BASE)
+    assert all(math.copysign(1.0, x) == 1.0
+               for key in g.cycles for pt in key for x in pt if x == 0)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND in CHANGES.md: one attracting fixed point can be reported as two "
     "cycles when pixels settle on either side of a rounding tie"))
