@@ -8,16 +8,13 @@ from .errors import (DegenerateDivisorError, LinearFiberError, PrecisionError,
 from .scaled import ScaledComplex
 from .rotation import (DivisorTable, RotationNumber, brjuno_partial_sum,
                        cremer_exponent, cremer_running_max, divisor_table,
-                       golden_mean, lam_power, liouville_quotients,
-                       rotation_from_json, rotation_to_json, unit_column,
-                       write_divisor_csv)
+                       lam_power, liouville_quotients, rotation_from_json,
+                       rotation_to_json, unit_column, write_divisor_csv)
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm,
                      TruncatedSeries, WScale, conjugate, germ_from_json,
-                     germ_to_json, inverse_change, residual_invariant_curve,
-                     reversion_in_w, rotate)
-from .normalform import (ChangeLog, NormalForm, compose_series,
-                         detect_parabolic_order, linearization_residual,
-                         linearize_base, normalize, reduce_parabolic_tail,
+                     germ_to_json, reversion_in_w, rotate)
+from .normalform import (ChangeLog, NormalForm, detect_parabolic_order,
+                         normalize, reduce_parabolic_tail,
                          solve_invariant_curve, solve_linear_gauge,
                          solve_order_bump)
 from .cremer import (GreedyResult, GrowthProfile, greedy_quadratic,
@@ -25,8 +22,7 @@ from .cremer import (GreedyResult, GrowthProfile, greedy_quadratic,
 from .petals import (BASIN, ESCAPE, PETAL, UNDECIDED, ConstantVerticalMap,
                      FatouGrid, HypothesisReport, OrbitConfig, OrbitRecord,
                      ParabolicLocal, SampleReport, Verdict,
-                     attracting_directions, critical_orbit_check,
-                     directions_for_jet, fatou_slice,
+                     critical_orbit_check, directions_for_jet, fatou_slice,
                      forward_invariance_check, in_attracting_petal,
                      iterate_orbit, repelling_expansion_check,
                      vertical_derivative_sum)

@@ -1,9 +1,11 @@
 """Normalization pipeline for skew germs over an irrational rotation.
 
-Four cohomological recursions (base linearization, invariant curve, linear
-gauge, order bumps) are chained until the vertical map has z-independent
-coefficients up to a requested w-order; a final constant-coefficient
-reduction brings the parabolic jet to the shape w - w^{k+1} + b w^{2k+1}.
+The base map is z -> lam z: a Brjuno rotation is linearizable, and
+`SkewGerm` fixes the base in that linear form.  Three cohomological
+recursions (invariant curve, linear gauge, order bumps) are chained until
+the vertical map has z-independent coefficients up to a requested w-order;
+a final constant-coefficient reduction brings the parabolic jet to the
+shape w - w^{k+1} + b w^{2k+1}.
 Every solved series divides by small divisors lam^p - 1, so a degenerate
 (rational) rotation aborts the recursion.
 """
@@ -17,10 +19,9 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import LinearFiberError
-from .rotation import RotationNumber, unit_column
+from .rotation import unit_column
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm, TruncatedSeries,
-                     WScale, _aligned_sum, _compose, _over, _rows, _zeros,
-                     conjugate, rotate)
+                     WScale, _aligned_sum, _over, _rows, _zeros, conjugate)
 
 _PRE_TOL = 1e-9       # tolerance for the parabolic-fiber preconditions
 JET_ZERO_RTOL = 1e-10  # a constant counts as zero below this fraction of the jet
@@ -32,55 +33,12 @@ def _require_parabolic_point(cs: list[complex]) -> None:
         raise ValueError("germ must satisfy g_0(0) = 0 and g_0'(0) = 1")
 
 
-def compose_series(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner(z)) truncated; inner must have zero constant term."""
-    if inner.mant[0] != 0:
-        raise ValueError("series composition needs inner(0) = 0")
-    # Horner over outer's coefficients c_j, each taken as a constant series:
-    # a w-polynomial composition cut at w^0
-    cm, ce = _zeros(len(outer), len(outer))
-    cm[:, 0], ce[:, 0] = outer.mant, outer.exp2
-    m, e = _compose((cm, ce), _rows([inner]), 0)
-    return TruncatedSeries._of(m[0], e[0])
-
-
 def _next_powers(pm: np.ndarray, pe: np.ndarray, p: int) -> None:
     """Coefficient p of s^j (j >= 2) in the table whose row j is s^j; with
     s_0 = 0 it needs only s_1..s_{p-1}, so it is filled before s_p."""
     top = len(pm) - 1
     pm[2:, p], pe[2:, p] = _aligned_sum(pm[1:top, :p] * pm[1, p:0:-1],
                                         pe[1:top, :p] + pe[1, p:0:-1])
-
-
-def linearize_base(f: TruncatedSeries, rot: RotationNumber) -> TruncatedSeries:
-    """Solve sigma(lam z) = f(sigma(z)) with sigma = z + O(z^2).
-
-    Coefficient recursion: sigma_n = [z^n] f(sigma) / (lam^n - lam), the
-    divisor taken as lam * (lam^{n-1} - 1) from the unit-circle column.
-    """
-    n = f.order
-    col = unit_column(rot, max(1, n - 1))
-    lam = complex(col.lam[1])
-    if f.mant[0] != 0:
-        raise ValueError("base map must fix the origin (f_0 = 0)")
-    if abs(f[1] - lam) > _PRE_TOL:
-        raise ValueError("base map derivative must equal the rotation multiplier")
-    deg = int(np.flatnonzero(f.mant).max(initial=1))
-    pm, pe = _zeros(deg + 1, n + 1)   # row j: sigma^j
-    if n >= 1:
-        pm[1, 1] = 1.0
-    for p in range(2, n + 1):
-        _next_powers(pm, pe, p)
-        rhs = _aligned_sum(f.mant[2:deg + 1] * pm[2:, p], f.exp2[2:deg + 1] + pe[2:, p])
-        pm[1, p], pe[1, p] = _over(*rhs, lam * complex(col.mant[p - 1]),
-                                   col.exp2[p - 1])
-    return TruncatedSeries._of(pm[1], pe[1])
-
-
-def linearization_residual(f: TruncatedSeries, rot: RotationNumber,
-                           sigma: TruncatedSeries) -> TruncatedSeries:
-    """sigma(lam z) - f(sigma(z)), the defect of the solved conjugacy."""
-    return rotate(sigma, rot, 1) - compose_series(f, sigma)
 
 
 def solve_invariant_curve(F: SkewGerm) -> TruncatedSeries:
@@ -148,8 +106,8 @@ def solve_order_bump(F: SkewGerm, k: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 class ChangeLog:
-    """Ordered fiber changes applied by the pipeline, plus the base
-    linearization series (identity when the base was already linear)."""
+    """Ordered fiber changes applied by the pipeline, plus the base change
+    `sigma`, which is the identity: the base map is already z -> lam z."""
     __slots__ = ("sigma", "changes")
 
     def __init__(self, sigma: TruncatedSeries,

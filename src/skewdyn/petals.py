@@ -109,21 +109,12 @@ MAX_PETAL_ORDER = 4096
 # Petal geometry
 # ---------------------------------------------------------------------------
 
-def attracting_directions(k: int) -> list[complex]:
-    """Unit vectors v with v^k = 1, attracting for w -> w - w^{k+1}."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return [cmath.exp(2j * math.pi * j / k) for j in range(k)]
-
-
-def directions_for_jet(lead: complex, k: int) -> tuple[float, list[complex]]:
-    """Attracting directions of w -> w + lead*w^{k+1}: rays with lead*v^k < 0.
-
-    Returns the base angle of direction 0 and the full list."""
+def directions_for_jet(lead: complex, k: int) -> float:
+    """Base angle of the attracting directions of w -> w + lead*w^{k+1}, the
+    rays with lead*v^k < 0: direction j points at base + 2 pi j/k."""
     if lead == 0:
         raise ValueError("leading jet coefficient must be nonzero")
-    base = (math.pi - cmath.phase(lead)) / k
-    return base, [cmath.exp(1j * (base + TWO_PI * j / k)) for j in range(k)]
+    return (math.pi - cmath.phase(lead)) / k
 
 
 def in_attracting_petal(w, k: int, rho: float, eta: float):
@@ -204,17 +195,6 @@ class ParabolicLocal:
         """The w-coefficients on the fiber over z (a scalar or an array)."""
         return [_horner(c, z) for c in self.z_coefficients()]
 
-    @staticmethod
-    def from_normal_form(nf, rho: float = 0.1, eta: float = 0.25,
-                         rot: RotationNumber | None = None) -> "ParabolicLocal":
-        """Wrap a reduced normal form (leading coefficient -1 expected)."""
-        lead = nf.jet[0]
-        if abs(lead + 1.0) > 1e-8:
-            raise ValueError("normal form is not reduced: leading jet != -1")
-        return ParabolicLocal(k=nf.k, b=nf.b if nf.b is not None else 0j,
-                              tail=tuple(nf.tail), rho=rho, eta=eta,
-                              rot=rot if rot is not None else nf.germ.rot)
-
 
 class ConstantVerticalMap:
     """A z-independent polynomial fiber map (used for critical orbits)."""
@@ -276,14 +256,12 @@ def _parabolic_data(F):
     """(is_parabolic, k, base_angle) for the fiber map at z = 0, by the
     rule of normalform.detect_parabolic_order."""
     if isinstance(F, ParabolicLocal):
-        base, _ = directions_for_jet(-1.0 + 0j, F.k)
-        return True, F.k, base
+        return True, F.k, directions_for_jet(-1.0 + 0j, F.k)
     try:
         k = detect_parabolic_order(F)
     except (ValueError, LinearFiberError):
         return False, 0, 0.0
-    base, _ = directions_for_jet(F.fiber_constants()[k + 1], k)
-    return True, k, base
+    return True, k, directions_for_jet(F.fiber_constants()[k + 1], k)
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +739,9 @@ def forward_invariance_check(local: ParabolicLocal, z_band: float,
     map once, and count image points that leave the union.  Violations are
     data, not errors; worst_margin is the smallest half-plane clearance
     seen among images (negative when violations occurred).  An image that
-    is not a finite double raises OverflowError."""
+    is not a finite double raises OverflowError; ValueError when every image
+    rounds to its start (w^{k+1} below half an ulp of w), as then no step is
+    tested."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = _seeded(seed)
@@ -773,6 +753,9 @@ def forward_invariance_check(local: ParabolicLocal, z_band: float,
         rr = _uniform(rng, 2 * samples).reshape(samples, 2)
         z = z_band * np.sqrt(rr[:, 0]) * np.exp(1j * TWO_PI * rr[:, 1])
         w1 = _horner(local.coefficients_at(z), w)
+        if (w1 == w).all():
+            raise ValueError(f"petal step unresolved in doubles (k = {k}, rho "
+                             f"= {rho!r}): every image equals its start")
         w1 = w1[w1 != 0]
         if not np.isfinite(w1).all():
             raise OverflowError("a petal image leaves the double range")

@@ -164,11 +164,6 @@ class RotationNumber:
         return self.numerator / (1 << self.frac_bits)
 
 
-def golden_mean(frac_bits: int = DEFAULT_FRAC_BITS) -> RotationNumber:
-    """theta = (sqrt 5 - 1)/2, the bounded-type benchmark rotation."""
-    return RotationNumber.from_surd(-1, 1, 5, 2, frac_bits)
-
-
 # ---------------------------------------------------------------------------
 # The unit-circle column: lam^k and the small divisors lam^k - 1
 # ---------------------------------------------------------------------------
@@ -288,10 +283,6 @@ class DivisorTable(NamedTuple):
     dlam: np.ndarray
     omega: np.ndarray
     degenerate_indices: tuple[int, ...] = ()
-
-    def omega_d1(self, m: int) -> float:
-        """min_{1<=k<=m} |lam^k - 1|, the alternative small-divisor gauge."""
-        return float(np.nanmin(self.d1[1:m + 1]))
 
 
 def divisor_table(rot: RotationNumber, m_max: int,

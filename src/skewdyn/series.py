@@ -252,10 +252,6 @@ class TruncatedSeries:
         out.real, out.imag = np.ldexp(m.real, e), np.ldexp(m.imag, e)
         return np.where((m == 0) | (e < -1060), 0, out).tolist()
 
-    def eval_complex(self, z: complex) -> complex:
-        """Horner evaluation in plain double precision."""
-        return _horner(self.to_complex_list(), z)
-
     def approx_eq(self, other: "TruncatedSeries", rtol: float = 1e-9) -> bool:
         """Coefficientwise equality relative to the larger series magnitude,
         with the absolute floor 2^-1000."""
@@ -290,6 +286,7 @@ class TruncatedSeries:
         return TruncatedSeries._of(*_cauchy(self.mant, self.exp2,
                                             other.mant, other.exp2))
 
+    # no library caller: the benchmark's tracer wraps this method by name
     def pow(self, e: int) -> "TruncatedSeries":
         if e < 0:
             raise ValueError("negative series powers are not defined here")
@@ -446,10 +443,6 @@ class SkewGerm:
         """a_j(0) for all j: the vertical map on the invariant fiber."""
         return [s.constant_term() for s in self.a]
 
-    def vertical_coeffs_at(self, z: complex) -> list[complex]:
-        """[a_0(z), ..., a_Dw(z)] as plain complex numbers."""
-        return [s.eval_complex(z) for s in self.a]
-
     def approx_eq(self, other: "SkewGerm", rtol: float = 1e-9) -> bool:
         """Coefficientwise equality relative to the larger germ magnitude."""
         if self.dw != other.dw or self.n_trunc != other.n_trunc:
@@ -504,18 +497,6 @@ class WScale:
 
 
 FiberChange = Shift | Gauge | Bump | WScale
-
-
-def inverse_change(ch: FiberChange) -> FiberChange:
-    """Exact inverse for the invertible kinds (Shift, Gauge, WScale)."""
-    if isinstance(ch, Shift):
-        return Shift(-ch.phi)
-    if isinstance(ch, Gauge):
-        one = TruncatedSeries.one(ch.psi.order)
-        return Gauge((one + ch.psi).reciprocal() - one)
-    if isinstance(ch, WScale):
-        return WScale(1.0 / ch.c)
-    raise ValueError("bump changes have no exact inverse in this family")
 
 
 def conjugate(F: SkewGerm, ch: FiberChange) -> SkewGerm:
@@ -584,24 +565,6 @@ def retruncate(F: SkewGerm, n: int | None = None,
     a = [fit(s) for s in F.a[:new_dw + 1]]
     a += [TruncatedSeries.zero(new_n) for _ in range(new_dw + 1 - len(a))]
     return SkewGerm(F.rot, a, d=min(F.d, new_dw))
-
-
-def residual_invariant_curve(F: SkewGerm, phi: TruncatedSeries) -> TruncatedSeries:
-    """sum_j a_j(z) phi(z)^j - phi(lam z), the graph-invariance defect.
-
-    Identically zero through z^N exactly when {w = phi(z)} is invariant to
-    that order; used as the independent oracle for the solved curves.
-    """
-    if phi.order != F.n_trunc:
-        raise TruncationMismatchError("curve truncation differs from germ")
-    acc = TruncatedSeries.zero(F.n_trunc)
-    p = TruncatedSeries.one(F.n_trunc)
-    for j, aj in enumerate(F.a):
-        if j > 0:
-            p = p * phi
-        if not aj.is_zero():
-            acc = acc + aj * p
-    return acc - rotate(phi, F.rot, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ settings.load_profile("det")
 
 @pytest.fixture(scope="session")
 def golden():
-    return sd.golden_mean()
+    # theta = (sqrt 5 - 1)/2, the bounded-type benchmark rotation
+    return sd.RotationNumber.from_surd(-1, 1, 5, 2)
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +48,35 @@ def rel_defect(series, *scales):
     """Largest coefficient modulus relative to the participating scales."""
     ref = max(1.0, *(2.0 ** s.max_abs_log2() for s in scales)) if scales else 1.0
     return 2.0 ** series.max_abs_log2() / ref
+
+
+# -- oracles that share no code path with the normalization pipeline --------
+
+def inverse_change(ch):
+    """Exact inverse for the invertible kinds (Shift, Gauge, WScale)."""
+    if isinstance(ch, sd.Shift):
+        return sd.Shift(-ch.phi)
+    if isinstance(ch, sd.Gauge):
+        one = sd.TruncatedSeries.one(ch.psi.order)
+        return sd.Gauge((one + ch.psi).reciprocal() - one)
+    if isinstance(ch, sd.WScale):
+        return sd.WScale(1.0 / ch.c)
+    raise ValueError("bump changes have no exact inverse in this family")
+
+
+def residual_invariant_curve(F, phi):
+    """sum_j a_j(z) phi(z)^j - phi(lam z), the graph-invariance defect.
+
+    Identically zero through z^N exactly when {w = phi(z)} is invariant to
+    that order; used as the independent oracle for the solved curves.
+    """
+    if phi.order != F.n_trunc:
+        raise sd.TruncationMismatchError("curve truncation differs from germ")
+    acc = sd.TruncatedSeries.zero(F.n_trunc)
+    p = sd.TruncatedSeries.one(F.n_trunc)
+    for j, aj in enumerate(F.a):
+        if j > 0:
+            p = p * phi
+        if not aj.is_zero():
+            acc = acc + aj * p
+    return acc - sd.rotate(phi, F.rot, 1)

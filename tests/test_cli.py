@@ -24,9 +24,8 @@ def rot_file(tmp_path):
 
 
 @pytest.fixture()
-def germ_file(tmp_path):
-    rot = sd.golden_mean()
-    F = sd.SkewGerm.from_coeffs(rot, [[0], [1], [1], [0, 0.05]], 8, 3)
+def germ_file(tmp_path, golden):
+    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
     p = tmp_path / "germ.json"
     p.write_text(json.dumps(sd.germ_to_json(F)))
     return str(p)
@@ -292,6 +291,16 @@ def test_petalcheck_order_out_of_range_exit_2(tmp_path, capsys, k, rho):
     assert not (out / "petalcheck.json").exists()
 
 
+def test_petalcheck_unresolved_step_exits_2(tmp_path, capsys):
+    # at k = 20 every sampled image rounds to its start: no verdict, no file
+    out = tmp_path / "o"
+    assert main(["petalcheck", "--k", "20", "--seed", "1", "--samples", "500",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--k", "1", "--b=1e308,0"], 0),
     (["--k", "2", "--b=1e308,0"], 0),
@@ -374,11 +383,13 @@ def _germ_with(germ_file, tmp_path, j, n, triple):
     return str(path)
 
 
-def _run_python(args):
-    """A fresh interpreter that imports this checkout's skewdyn."""
+def _run_python(args, **env_extra):
+    """A fresh interpreter that imports this checkout's skewdyn, with
+    `env_extra` added to its environment."""
     paths = [str(Path(sd.__file__).resolve().parents[1]),
              os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+           **env_extra}
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=120)
 
@@ -402,16 +413,47 @@ def _modules_loaded(args):
     return imported(args) - imported(["-c", "pass"])
 
 
+def _dispatches_x86_v3() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V3"))
+
+
+@pytest.mark.skipif(not _dispatches_x86_v3(),
+                    reason="numpy dispatches no X86_V3 (AVX2 + FMA3) loops on "
+                           "this CPU, so there is no second dispatch to compare")
+@pytest.mark.parametrize("argv", [
+    ["slice", "--germ", "{germ}", "--z0=0.05,0", "--grid=-0.5,0.5,-0.5,0.5,40",
+     "--n-max", "400"],
+    ["brjuno", "--rotation", "{rot}", "--m-max", "4096"],
+], ids=["slice", "brjuno"])
+def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path, germ_file,
+                                                     rot_file, argv):
+    # numpy's fused complex product comes from its X86_V3 loops; slices and
+    # divisor tables must write the same bytes without them
+    argv = [a.format(germ=germ_file, rot=rot_file) for a in argv]
+    outs = []
+    for tag, env in (("default", {}), ("baseline", {
+            "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4 X86_V3"})):
+        out = tmp_path / tag
+        proc = _run_python(["-m", "skewdyn.cli", *argv, "--out", str(out)], **env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outs[0] == outs[1] and len(outs[0]) >= 2
+
+
 def test_version_loads_no_dataclasses_or_thread_pool():
     mods = _modules_loaded(["-m", "skewdyn.cli", "--version"])
     assert "skewdyn.petals" in mods
     assert not mods & {"dataclasses", "concurrent.futures"}, mods
 
 
-def test_slice_process_does_not_load_numpy_ma(tmp_path):
+def test_slice_process_does_not_load_numpy_ma(tmp_path, golden):
     # a slice with basin pixels, so the cycle keying runs; np.unique without
     # return_* flags would import numpy.ma
-    F = sd.SkewGerm.from_coeffs(sd.golden_mean(), [[-1], [0], [1]], 2, 2)
+    F = sd.SkewGerm.from_coeffs(golden, [[-1], [0], [1]], 2, 2)
     germ = tmp_path / "basin.json"
     germ.write_text(json.dumps(sd.germ_to_json(F)))
     out = tmp_path / "o"

@@ -33,7 +33,7 @@ def _pick(draw, valid, odd):
 
 
 def _base_germ() -> dict:
-    rot = sd.golden_mean()
+    rot = sd.RotationNumber.from_surd(-1, 1, 5, 2)
     F = sd.SkewGerm.from_coeffs(rot, [[0, 0.02], [1, 0.01], [1, 0.03],
                                       [0.2, 0.01]], 4, 3)
     return sd.germ_to_json(F)

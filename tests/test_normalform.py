@@ -10,44 +10,8 @@ from skewdyn.errors import DegenerateDivisorError, LinearFiberError
 from skewdyn.series import TruncatedSeries as TS
 from skewdyn.series import series_from_triples, series_to_triples
 
-from conftest import random_parabolic_germ, random_series_coeffs, rel_defect
-
-
-# -- base linearization -------------------------------------------------------
-
-def test_linearize_identity_rotation(golden):
-    lam = sd.lam_power(golden, 1)
-    f = TS.from_list([0, lam], 8)
-    sigma = sd.linearize_base(f, golden)
-    assert sigma.approx_eq(TS.identity(8), 1e-14)
-
-
-def test_linearize_quadratic_coefficient(golden):
-    lam = sd.lam_power(golden, 1)
-    f = TS.from_list([0, lam, 1], 6)
-    sigma = sd.linearize_base(f, golden)
-    assert sigma[1] == pytest.approx(1)
-    assert sigma[2] == pytest.approx(1 / (lam * lam - lam), rel=1e-13)
-    res = sd.linearization_residual(f, golden, sigma)
-    assert rel_defect(res, sigma) < 1e-12
-
-
-def test_linearize_random_cubic(golden):
-    lam = sd.lam_power(golden, 1)
-    rng = np.random.default_rng(31)
-    f = TS.from_list([0, lam, *(0.4 * (rng.standard_normal(2)
-                                       + 1j * rng.standard_normal(2)))], 16)
-    sigma = sd.linearize_base(f, golden)
-    res = sd.linearization_residual(f, golden, sigma)
-    assert rel_defect(res, sigma, f) < 1e-9
-
-
-def test_linearize_validations(golden):
-    lam = sd.lam_power(golden, 1)
-    with pytest.raises(ValueError):
-        sd.linearize_base(TS.from_list([0.5, lam], 4), golden)
-    with pytest.raises(ValueError):
-        sd.linearize_base(TS.from_list([0, 2.0], 4), golden)
+from conftest import (random_parabolic_germ, random_series_coeffs, rel_defect,
+                      residual_invariant_curve)
 
 
 # -- invariant curve ----------------------------------------------------------
@@ -64,14 +28,14 @@ def test_curve_fiber_example(golden):
     phi = sd.solve_invariant_curve(F)
     assert phi[0] == 0
     assert phi[1] == pytest.approx(1 / (lam - 1), rel=1e-14)
-    r = sd.residual_invariant_curve(F, phi)
+    r = residual_invariant_curve(F, phi)
     assert rel_defect(r, phi) < 1e-13
 
 
 def test_curve_random_degree3(golden):
     F = random_parabolic_germ(golden, 32, 6, seed=101)
     phi = sd.solve_invariant_curve(F)
-    r = sd.residual_invariant_curve(F, phi)
+    r = residual_invariant_curve(F, phi)
     assert rel_defect(r, phi, *F.a) < 1e-8
 
 

@@ -17,21 +17,10 @@ from conftest import random_parabolic_germ
 
 # -- directions and membership -------------------------------------------------
 
-def test_attracting_directions():
-    assert sd.attracting_directions(1) == [1]
-    d2 = sd.attracting_directions(2)
-    assert d2[0] == pytest.approx(1) and d2[1] == pytest.approx(-1)
-    d4 = sd.attracting_directions(4)
-    for got, want in zip(d4, [1, 1j, -1, -1j]):
-        assert got == pytest.approx(want)
-
-
 def test_directions_for_jet():
     # w + w^2 attracts along -1; w - w^2 along +1
-    _, dirs = sd.directions_for_jet(1.0, 1)
-    assert dirs[0] == pytest.approx(-1)
-    _, dirs = sd.directions_for_jet(-1.0, 1)
-    assert dirs[0] == pytest.approx(1)
+    assert cmath.exp(1j * sd.directions_for_jet(1.0, 1)) == pytest.approx(-1)
+    assert cmath.exp(1j * sd.directions_for_jet(-1.0, 1)) == pytest.approx(1)
 
 
 def test_petal_membership_examples():
@@ -163,7 +152,7 @@ def test_orbit_stepping_matches_direct_recomputation(golden):
     orb = sd.iterate_orbit(F, 0.05, 0.3 + 0.1j, 50, stop_at_verdict=False)
     for n in (0, 7, 23, 49):
         z = orb.zs[n]
-        coeffs = F.vertical_coeffs_at(z)
+        coeffs = [np.polyval(s.to_complex_list()[::-1], z) for s in F.a]
         direct = sum(c * orb.ws[n] ** j for j, c in enumerate(coeffs))
         assert orb.ws[n + 1] == pytest.approx(direct, rel=1e-12, abs=1e-15)
         dpoly = sum(j * c * orb.ws[n] ** (j - 1)
@@ -433,6 +422,17 @@ def test_forward_invariance_negative_control():
     assert rep.worst_margin < 0
 
 
+def test_forward_invariance_refuses_an_unresolved_step():
+    # rho = 0.1, k = 20: w^{k+1} lies below half an ulp of every sample w, so
+    # each image w - w^{k+1} rounds to its start and no petal is tested
+    local = sd.ParabolicLocal(k=20)
+    w = petals._sample_attracting_petal(petals._seeded(1), 500, 20,
+                                        local.rho, local.eta)
+    assert np.array_equal(w - w ** 21, w)
+    with pytest.raises(ValueError, match="unresolved"):
+        sd.forward_invariance_check(local, z_band=0.1, samples=500, seed=1)
+
+
 def test_forward_invariance_deterministic():
     a = sd.forward_invariance_check(sd.ParabolicLocal(k=1), 0.05, 500, seed=9)
     b = sd.forward_invariance_check(sd.ParabolicLocal(k=1), 0.05, 500, seed=9)
@@ -507,7 +507,9 @@ def test_local_model_from_reduced_normal_form(golden):
     F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1, 1], [0, 1]], 16, 8)
     nf, log = sd.normalize(F, 2)
     red = sd.reduce_parabolic_tail(nf, changelog=log)
-    loc = sd.ParabolicLocal.from_normal_form(red, rho=0.08, eta=0.2)
+    assert red.jet[0] == pytest.approx(-1, abs=1e-8)
+    loc = sd.ParabolicLocal(k=red.k, b=red.b, tail=tuple(red.tail),
+                            rho=0.08, eta=0.2, rot=red.germ.rot)
     assert loc.k == 1 and loc.rot is not None and len(loc.tail) == 5
     orb = sd.iterate_orbit(loc, 0.02, 0.05, 8000, stop_at_verdict=False)
     assert orb.verdict.kind == PETAL

@@ -18,10 +18,9 @@ GOLDEN_2THETA_FRAC = 0.23606797749978969640917366873127623544
 GOLDEN_OMEGA2 = 1.8640648476264552430680633373822093828  # 2 sin(pi theta)
 
 
-def test_golden_theta():
-    rot = sd.golden_mean()
-    assert abs(rot.theta() - GOLDEN_THETA) < 1e-15
-    assert rot.partial_quotients(10) == [1] * 10
+def test_golden_theta(golden):
+    assert abs(golden.theta() - GOLDEN_THETA) < 1e-15
+    assert golden.partial_quotients(10) == [1] * 10
 
 
 def test_unit_column_basics(golden):
@@ -68,8 +67,8 @@ def test_divisor_table_golden(golden, golden_table):
     assert np.all(om > 0) and np.all(om <= 2)
     # dlam[k] and d1[k-1] describe the same unit-circle distance
     assert np.allclose(t.dlam[2:], t.d1[1:t.m_max], rtol=0, atol=0)
-    # omega_d1 is the alternative gauge; for golden both stay comparable
-    assert 0 < t.omega_d1(100) <= t.omega[100] * 2
+    # min |lam^k - 1| is the alternative gauge; for golden both stay comparable
+    assert 0 < np.nanmin(t.d1[1:101]) <= t.omega[100] * 2
 
 
 def test_divisor_table_rational_degenerate():
@@ -114,7 +113,7 @@ def _theta_from_quotients(mp, quotients):
 _RNG_QUOTIENTS = [int(a) for a in np.random.default_rng(20161).integers(1, 60, 12)]
 ORACLE_CASES = {
     # name: (rotation, theta from its definition, k_max, indices checked)
-    "golden-192": (lambda: sd.golden_mean(),
+    "golden-192": (lambda: sd.RotationNumber.from_surd(-1, 1, 5, 2),
                    lambda mp: (mp.sqrt(5) - 1) / 2,
                    2 ** 17, [1, 2, 3, 5, 55, 1000, 9506, 2 ** 17]),
     "cremer-512": (lambda: sd.RotationNumber.from_quotients([4, 2 ** 400], 512),
@@ -305,7 +304,8 @@ def _divisor_csv_oracle(table, path):
 DIVISOR_CSV_CASES = {
     # m_max 2 is a one-row table; 4097, 4098 and 8195 sit at chunk edges,
     # as the writer's chunk length divides 4096
-    **{f"golden-{m}": (sd.golden_mean, m) for m in (2, 3, 4097, 4098, 8195)},
+    **{f"golden-{m}": (lambda: sd.RotationNumber.from_surd(-1, 1, 5, 2), m)
+       for m in (2, 3, 4097, 4098, 8195)},
     "cremer-512": (lambda: sd.RotationNumber.from_quotients([4, 2 ** 400], 512), 5000),
     "random-192": (lambda: sd.RotationNumber.from_quotients(_RNG_QUOTIENTS), 5000),
     # d1[4] = 0: omega vanishes from m = 5 on and cremer_exponent reads inf

@@ -111,11 +111,11 @@ def test_wpoly_compose_matches_mpmath():
         assert_within(read_back(got[k]), ref[k], maj[k])
 
 
-def test_greedy_quadratic_matches_mpmath_rebuild():
+def test_greedy_quadratic_matches_mpmath_rebuild(golden):
     # the library picks the bits; mpmath rebuilds phi_n from them with its
     # own golden mean, phi_n = (a_n + sum_j phi_j phi_{n-j}) / (lam^n - 1)
     m_max = 150
-    res = sd.greedy_quadratic(sd.unit_column(sd.golden_mean(), m_max))
+    res = sd.greedy_quadratic(sd.unit_column(golden, m_max))
     theta = (mp.sqrt(5) - 1) / 2
     phi, maj = [mp.mpc(0)] * (m_max + 1), [mp.mpf(0)] * (m_max + 1)
     for k in range(1, m_max + 1):
