@@ -306,6 +306,7 @@ def cmd_petalcheck(args) -> int:
                                       "samples", "seed"]),
         "forward_invariance": {"samples": fwd.samples,
                                "violations": fwd.violations,
+                               "unresolved": fwd.unresolved,
                                "worst_margin": fwd.worst_margin},
         "repelling_expansion": {"samples": rep.samples,
                                 "violations": rep.violations,

@@ -14,8 +14,7 @@ import math
 from itertools import zip_longest
 from typing import NamedTuple
 
-import numpy as np
-
+from ._np import np
 from .rotation import _CHUNK, UnitColumn
 from .series import _aligned_sum, _norm1, _over, _sum1, _zeros
 

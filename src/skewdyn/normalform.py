@@ -16,8 +16,7 @@ import cmath
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-import numpy as np
-
+from ._np import np
 from .errors import LinearFiberError
 from .rotation import unit_column
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm, TruncatedSeries,

@@ -46,10 +46,10 @@ import cmath
 import math
 import operator
 import random
+import struct
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
+from ._np import np
 from .errors import LinearFiberError
 from .normalform import detect_parabolic_order
 from .rotation import _CHUNK, RotationNumber, unit_column
@@ -126,27 +126,33 @@ def in_attracting_petal(w, k: int, rho: float, eta: float):
     cos(k delta) + eta |sin(k delta)| > (|w|/rho)^k, which is tested in that
     form so that w^k can neither overflow nor underflow.
 
-    w is a complex scalar or an array.  A scalar gives the index or None; an
-    array gives an int64 array of indices, -1 where a point lies in no petal
-    (as every non-finite point does).  w = 0, the fixed point, is refused.
+    w is a complex scalar; the result is the index, or None when w lies in
+    no petal (as every non-finite w does).  w = 0, the fixed point, is
+    refused.
     """
     if rho <= 0 or not 0.0 <= eta < 1.0:
         raise ValueError("need rho > 0 and 0 <= eta < 1")
-    w = np.asarray(w, dtype=complex)
-    if (w == 0).any():
+    w = complex(w)
+    if w == 0:
         raise ValueError("w = 0 is the fixed point, not a petal point")
-    finite = np.isfinite(w)
-    ang = np.angle(np.where(finite, w, 1.0))  # no NaN reaches the int cast
-    j = np.rint(ang * k / TWO_PI).astype(np.int64) % k
+    j = _petal_index(w, k, rho, eta)
+    return j if j >= 0 else None
+
+
+def _petal_index(w: complex, k: int, rho: float, eta: float) -> int:
+    """in_attracting_petal for a nonzero w, unchecked: -1 for no petal."""
+    if not cmath.isfinite(w):
+        return -1
+    ang = math.atan2(w.imag, w.real)
+    j = round(ang * k / TWO_PI) % k
     delta = (ang - TWO_PI * j / k + math.pi) % TWO_PI - math.pi
-    with np.errstate(over="ignore"):
-        ratio = (np.abs(w) / rho) ** k
-    inside = (finite & (np.abs(delta) < math.pi / k)
-              & (np.cos(k * delta) + eta * np.abs(np.sin(k * delta)) > ratio))
-    idx = np.where(inside, j, -1)
-    if idx.ndim == 0:
-        return int(idx) if idx >= 0 else None
-    return idx
+    if not abs(delta) < math.pi / k:
+        return -1
+    try:
+        ratio = (abs(w) / rho) ** k
+    except OverflowError:  # an infinite ratio, which no petal point reaches
+        return -1
+    return j if math.cos(k * delta) + eta * abs(math.sin(k * delta)) > ratio else -1
 
 
 class ParabolicLocal:
@@ -190,10 +196,6 @@ class ParabolicLocal:
             c[2 * self.k + 1] = [complex(self.b)]
         c[2 * self.k + 2:] = [s.to_complex_list() for s in self.tail]
         return c
-
-    def coefficients_at(self, z):
-        """The w-coefficients on the fiber over z (a scalar or an array)."""
-        return [_horner(c, z) for c in self.z_coefficients()]
 
 
 class ConstantVerticalMap:
@@ -697,6 +699,7 @@ class SampleReport(NamedTuple):
     samples: int
     violations: int
     worst_margin: float
+    unresolved: int = 0  # forward check: images that round to their start
 
     @property
     def ok(self) -> bool:
@@ -709,28 +712,41 @@ def _seeded(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _uniform(rng: random.Random, n: int) -> np.ndarray:
-    """n doubles uniform on the 2^-53 grid of [0, 1), 53 random bits each."""
-    return (np.frombuffer(rng.randbytes(8 * n), "<u8") >> 11) * 2.0 ** -53
+def _uniform(rng: random.Random, n: int) -> list[float]:
+    """n doubles uniform on the 2^-53 grid of [0, 1): the top 53 bits of
+    each little-endian 8-byte word of randbytes."""
+    return [(x >> 11) * 2.0 ** -53
+            for x in struct.unpack(f"<{n}Q", rng.randbytes(8 * n))]
 
 
 def _sample_attracting_petal(rng: random.Random, n: int, k: int, rho: float,
-                             eta: float) -> np.ndarray:
+                             eta: float) -> list[complex]:
     """The first n accepted points, in draw order, of rejection sampling on
     the attracting petal union.  Candidates are uniform on the sectors
     |arg w - 2 pi j/k| < pi/k of radius 1.3 rho and are drawn _CHUNK at a
-    time, which bounds memory whatever the acceptance rate."""
-    blocks, got = [], 0
-    while got < n:
-        j = (_uniform(rng, _CHUNK) * k).astype(np.int64)  # u k < k for u < 1
-        s = rho * 1.3 * np.sqrt(_uniform(rng, _CHUNK))
-        ang = TWO_PI * j / k + (math.pi / k) * (2.0 * _uniform(rng, _CHUNK) - 1.0)
-        w = s * np.exp(1j * ang)
-        w = w[w != 0]
-        w = w[in_attracting_petal(w, k, rho, eta) >= 0]
-        blocks.append(w)
-        got += len(w)
-    return np.concatenate(blocks)[:n]
+    time (indices, radii, then angles), which bounds memory whatever the
+    acceptance rate.
+
+    As cos + eta |sin| <= sqrt(1 + eta^2), no petal point has |w| above
+    rho (1 + eta^2)^(1/(2k)).  A radius beyond that bound by a relative
+    1e-9, far above the rounding of |w|, is rejected before its point is
+    formed, so the accepted points are exactly those of the full test."""
+    out: list[complex] = []
+    scale, half = rho * 1.3, math.pi / k
+    s_max = rho * (1.0 + eta * eta) ** (0.5 / k) * (1.0 + 1e-9)
+    while len(out) < n:
+        for uj, us, ua in zip(_uniform(rng, _CHUNK), _uniform(rng, _CHUNK),
+                              _uniform(rng, _CHUNK)):
+            s = scale * math.sqrt(us)
+            if s > s_max:
+                continue
+            j = int(uj * k)  # u k < k for u < 1
+            w = s * cmath.exp(1j * (TWO_PI * j / k + half * (2.0 * ua - 1.0)))
+            if w != 0 and _petal_index(w, k, rho, eta) >= 0:
+                out.append(w)
+                if len(out) == n:
+                    return out
+    return out
 
 
 def forward_invariance_check(local: ParabolicLocal, z_band: float,
@@ -738,34 +754,42 @@ def forward_invariance_check(local: ParabolicLocal, z_band: float,
     """Sample the petal box {|z| < z_band, w in the petal union}, apply the
     map once, and count image points that leave the union.  Violations are
     data, not errors; worst_margin is the smallest half-plane clearance
-    seen among images (negative when violations occurred).  An image that
-    is not a finite double raises OverflowError; ValueError when every image
-    rounds to its start (w^{k+1} below half an ulp of w), as then no step is
-    tested."""
+    seen among images (negative when violations occurred).  `unresolved`
+    counts the images that round to their start (w^{k+1} below half an ulp
+    of w), which test no step.  An image that is not a finite double raises
+    OverflowError; ValueError when every image is unresolved."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = _seeded(seed)
     k, rho, eta = local.k, local.rho, local.eta
     r_cut = 1.0 / (k * rho ** k)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore",
-                     divide="ignore"):
-        w = _sample_attracting_petal(rng, samples, k, rho, eta)
-        rr = _uniform(rng, 2 * samples).reshape(samples, 2)
-        z = z_band * np.sqrt(rr[:, 0]) * np.exp(1j * TWO_PI * rr[:, 1])
-        w1 = _horner(local.coefficients_at(z), w)
-        if (w1 == w).all():
-            raise ValueError(f"petal step unresolved in doubles (k = {k}, rho "
-                             f"= {rho!r}): every image equals its start")
-        w1 = w1[w1 != 0]
-        if not np.isfinite(w1).all():
-            raise OverflowError("a petal image leaves the double range")
-        u = 1.0 / (k * w1 ** k)
-        margin = u.real - (r_cut - eta * np.abs(u.imag))
-        inside = in_attracting_petal(w1, k, rho, eta) >= 0
-        # fmin skips the NaN margin of an image whose k w^k left the range
-        worst = np.fmin.reduce(np.where(inside, margin, -np.abs(margin)),
-                               initial=math.inf)
-    return SampleReport(samples, int(np.count_nonzero(~inside)), float(worst))
+    ws = _sample_attracting_petal(rng, samples, k, rho, eta)
+    rr = _uniform(rng, 2 * samples)
+    zc = local.z_coefficients()
+    images = []
+    for w, a, b in zip(ws, rr[0::2], rr[1::2]):
+        z = z_band * math.sqrt(a) * cmath.exp(1j * TWO_PI * b)
+        images.append(_horner([_horner(c, z) for c in zc], w))
+    unresolved = sum(map(operator.eq, images, ws))
+    if unresolved == samples:
+        raise ValueError(f"petal step unresolved in doubles (k = {k}, rho "
+                         f"= {rho!r}): every image equals its start")
+    images = [w1 for w1 in images if w1 != 0]
+    if not all(map(cmath.isfinite, images)):
+        raise OverflowError("a petal image leaves the double range")
+    violations, worst = 0, math.inf
+    for w1 in images:
+        try:
+            u = 1.0 / (k * w1 ** k)
+            margin = u.real - (r_cut - eta * abs(u.imag))
+        except (OverflowError, ZeroDivisionError):
+            margin = math.nan  # k w1^k overflowed or is 0: IEEE u is NaN
+        if _petal_index(w1, k, rho, eta) < 0:
+            violations += 1
+            margin = -abs(margin)
+        if margin < worst:  # never true for NaN, which is skipped
+            worst = margin
+    return SampleReport(samples, violations, worst, unresolved)
 
 
 def repelling_expansion_check(local: ParabolicLocal, samples: int,
@@ -787,17 +811,23 @@ def repelling_expansion_check(local: ParabolicLocal, samples: int,
         raise ValueError("need at least one sample")
     rng = _seeded(seed)
     k, rho = local.k, local.rho
-    coeffs = local.coefficients_at(0j)
+    coeffs = [_horner(c, 0j) for c in local.z_coefficients()]
     dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-    with np.errstate(over="ignore", invalid="ignore", under="ignore",
-                     divide="ignore"):
-        zeta = (_sample_attracting_petal(rng, samples, k, rho, 0.0)
-                * cmath.exp(1j * math.pi / k))
-        g1 = np.abs(_horner(dcoeffs, zeta))
+    turn = cmath.exp(1j * math.pi / k)
+    violations, worst = 0, math.inf
+    for w in _sample_attracting_petal(rng, samples, k, rho, 0.0):
+        zeta = w * turn
         u = -zeta * _horner(dcoeffs[1:], zeta)
-        expanding = -2.0 * u.real + (u.real ** 2 + u.imag ** 2) > 0.0
-    return SampleReport(samples, int(np.count_nonzero(~expanding)),
-                        float(np.fmin.reduce(g1, initial=math.inf)))
+        # x * x, as x ** 2 raises OverflowError past the double range
+        if not -2.0 * u.real + (u.real * u.real + u.imag * u.imag) > 0.0:
+            violations += 1
+        try:
+            g1 = abs(_horner(dcoeffs, zeta))
+        except OverflowError:  # a finite derivative whose modulus overflows
+            g1 = math.inf
+        if g1 < worst:
+            worst = g1
+    return SampleReport(samples, violations, worst)
 
 
 # ---------------------------------------------------------------------------

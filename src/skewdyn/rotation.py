@@ -18,8 +18,7 @@ import json
 import math
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
+from ._np import np
 from .errors import DegenerateDivisorError, PrecisionError
 
 DEFAULT_FRAC_BITS = 192

@@ -18,8 +18,7 @@ import json
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
+from ._np import np
 from .errors import DegenerateDivisorError, TruncationMismatchError
 from .rotation import RotationNumber, rotation_from_json, rotation_to_json, \
     unit_column

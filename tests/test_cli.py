@@ -279,6 +279,17 @@ def test_petalcheck_requires_seed(tmp_path, capsys):
     assert rep["repelling_expansion"]["min_derivative_modulus"] > 1
 
 
+def test_petalcheck_reports_unresolved_images(tmp_path):
+    # at k = 10 some images round to their start; the count is reported
+    # beside the unchanged keys
+    out = tmp_path / "o"
+    assert main(["petalcheck", "--k", "10", "--seed", "1", "--samples", "500",
+                 "--z-band", "0.1", "--out", str(out)]) == 0
+    fwd = read_json(out / "petalcheck.json")["forward_invariance"]
+    assert fwd == {"samples": 500, "violations": 0, "unresolved": 15,
+                   "worst_margin": fwd["worst_margin"]}
+
+
 @pytest.mark.parametrize("k, rho", [(320, "0.1"), (400, "0.1"), (4097, "0.9")])
 def test_petalcheck_order_out_of_range_exit_2(tmp_path, capsys, k, rho):
     # rho^k underflows at rho = 0.1 for k = 320 and 400, so R = 1/(k rho^k)
@@ -445,9 +456,11 @@ def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path, germ_file,
 
 
 def test_version_loads_no_dataclasses_or_thread_pool():
+    # numpy is bound lazily: -X importtime never lists "numpy" itself, but
+    # executing it imports numpy._core
     mods = _modules_loaded(["-m", "skewdyn.cli", "--version"])
     assert "skewdyn.petals" in mods
-    assert not mods & {"dataclasses", "concurrent.futures"}, mods
+    assert not mods & {"dataclasses", "concurrent.futures", "numpy._core"}, mods
 
 
 def test_slice_process_does_not_load_numpy_ma(tmp_path, golden):
@@ -461,7 +474,7 @@ def test_slice_process_does_not_load_numpy_ma(tmp_path, golden):
                             "--grid=-1,1,-0.5,0.5,6", "--n-max", "200",
                             "--out", str(out)])
     assert read_json(out / "slice.json")["verdict_counts"]["basin"] > 0
-    assert "numpy" in mods and "numpy.ma" not in mods
+    assert "numpy._core" in mods and "numpy.ma" not in mods
 
 
 def test_petalcheck_process_does_not_load_numpy_random(tmp_path):
@@ -469,7 +482,14 @@ def test_petalcheck_process_does_not_load_numpy_random(tmp_path):
     mods = _modules_loaded(["-m", "skewdyn.cli", "petalcheck", "--k", "2",
                             "--samples", "200", "--seed", "3", "--out", str(out)])
     assert read_json(out / "petalcheck.json")["forward_invariance"]["samples"] == 200
-    assert "numpy" in mods and "numpy.random" not in mods
+    # no numpy module at all: neither numpy._core nor numpy.random
+    assert not [m for m in mods if m.split(".")[0] == "numpy"], mods
+
+
+def test_lazy_loader_refuses_a_missing_module():
+    from skewdyn._np import _lazy
+    with pytest.raises(ModuleNotFoundError, match="no_such_module_xyz"):
+        _lazy("no_such_module_xyz")
 
 
 BAD_TRIPLES = {  # case: (vertical order j, z-order n, coefficient triple)

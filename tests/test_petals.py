@@ -34,19 +34,20 @@ def test_petal_membership_examples():
     assert sd.in_attracting_petal(w, 2, rho, 0.25) is None
     # a genuine second-sector point for k = 2
     assert sd.in_attracting_petal(-rho / 2, 2, rho, 0.25) == 1
-    # arrays: -1 marks no petal, non-finite points included, with no
-    # RuntimeWarning; (|w|/rho)^k underflows harmlessly at high order
+    # non-finite points lie in no petal, with no RuntimeWarning; |w| and
+    # (|w|/rho)^k may overflow (None) or underflow (harmless at high order)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sd.in_attracting_petal(
-            np.array([rho / 2, -rho / 2, np.nan, np.inf, complex(np.nan, 1),
-                      1.5e308 + 1.5e308j]), 1, rho, 0.25)
+        got = np.array([sd.in_attracting_petal(w, 1, rho, 0.25) for w in
+                        [rho / 2, -rho / 2, np.nan, np.inf, complex(np.nan, 1),
+                         1.5e308 + 1.5e308j]])
         assert sd.in_attracting_petal(rho / 2, 320, rho, 0.25) == 0
-    assert got.tolist() == [0, -1, -1, -1, -1, -1]
+        assert sd.in_attracting_petal(1e300, 2, rho, 0.25) is None
+    assert got.tolist() == [0, None, None, None, None, None]
     with pytest.raises(ValueError):
         sd.in_attracting_petal(0j, 1, rho, 0.25)
     with pytest.raises(ValueError):
-        sd.in_attracting_petal(np.array([rho / 2, 0]), 1, rho, 0.25)
+        sd.in_attracting_petal(np.complex128(0), 1, rho, 0.25)
     with pytest.raises(ValueError):
         sd.in_attracting_petal(0.05, 1, rho, 1.5)
 
@@ -58,8 +59,8 @@ def test_membership_against_direct_halfplane_evaluation():
         ws = [(rng.random() * 1.4 * rho) * cmath.exp(2j * math.pi * rng.random())
               for _ in range(200)]
         ws = [w for w in ws if w != 0]
-        got = sd.in_attracting_petal(np.array(ws), k, rho, eta)
-        assert got.dtype == np.int64 and got.shape == (len(ws),)
+        got = np.array([sd.in_attracting_petal(w, k, rho, eta) for w in ws])
+        assert got.shape == (len(ws),)
         for w, g in zip(ws, got):
             ang = cmath.phase(w)
             j = int(round(ang * k / (2 * math.pi))) % k
@@ -67,8 +68,7 @@ def test_membership_against_direct_halfplane_evaluation():
             u = 1.0 / (k * w ** k)
             inside = (abs(delta) < math.pi / k
                       and u.real > r_cut - eta * abs(u.imag))
-            assert g == (j if inside else -1)
-            assert sd.in_attracting_petal(w, k, rho, eta) == (j if inside else None)
+            assert g == (j if inside else None)
 
 
 # -- orbits -----------------------------------------------------------------
@@ -426,8 +426,8 @@ def test_forward_invariance_refuses_an_unresolved_step():
     # rho = 0.1, k = 20: w^{k+1} lies below half an ulp of every sample w, so
     # each image w - w^{k+1} rounds to its start and no petal is tested
     local = sd.ParabolicLocal(k=20)
-    w = petals._sample_attracting_petal(petals._seeded(1), 500, 20,
-                                        local.rho, local.eta)
+    w = np.array(petals._sample_attracting_petal(petals._seeded(1), 500, 20,
+                                                 local.rho, local.eta))
     assert np.array_equal(w - w ** 21, w)
     with pytest.raises(ValueError, match="unresolved"):
         sd.forward_invariance_check(local, z_band=0.1, samples=500, seed=1)
@@ -447,7 +447,7 @@ def test_repelling_expansion_defaults(k):
     assert rep.worst_margin > 1.0
 
 
-@pytest.mark.parametrize("k", [10, 20, 30, 50])
+@pytest.mark.parametrize("k", [1, 2, 10, 20, 30, 50])
 def test_repelling_expansion_at_high_order_matches_mpmath(k):
     # at these orders (k+1) zeta^k lies near or below an ulp of 1, so |g'|
     # can round to 1 in doubles; mpmath at 1000 digits resolves
@@ -455,8 +455,8 @@ def test_repelling_expansion_at_high_order_matches_mpmath(k):
     mpmath = pytest.importorskip("mpmath")
     local = sd.ParabolicLocal(k=k)
     rep = sd.repelling_expansion_check(local, samples=100, seed=1)
-    zeta = (petals._sample_attracting_petal(petals._seeded(1), 100, k,
-                                            local.rho, 0.0)
+    zeta = (np.array(petals._sample_attracting_petal(petals._seeded(1), 100, k,
+                                                     local.rho, 0.0))
             * cmath.exp(1j * math.pi / k))
     with mpmath.workdps(1000):
         expanding = [abs(1 - (k + 1) * mpmath.mpc(z) ** k) ** 2 - 1 > 0
@@ -477,23 +477,24 @@ def test_repelling_direction_formulas():
 def test_sampler_only_emits_petal_members():
     from skewdyn.petals import _sample_attracting_petal
     for k, eta, n in ((1, 0.25, 500), (3, 0.0, 500), (2, 0.25, 1), (2, 0.0, 3000)):
-        w = _sample_attracting_petal(random.Random(1), n, k, 0.1, eta)
+        w = np.array(_sample_attracting_petal(random.Random(1), n, k, 0.1, eta))
         assert w.shape == (n,)
-        assert (sd.in_attracting_petal(w, k, 0.1, eta) >= 0).all()
-        again = _sample_attracting_petal(random.Random(1), n, k, 0.1, eta)
+        assert all(sd.in_attracting_petal(x, k, 0.1, eta) is not None for x in w)
+        again = np.array(_sample_attracting_petal(random.Random(1), n, k, 0.1, eta))
         assert np.array_equal(w, again)
 
 
 def test_sampler_fills_every_direction_evenly():
     from skewdyn.petals import _sample_attracting_petal
     w = _sample_attracting_petal(random.Random(7), 30000, 3, 0.1, 0.25)
-    counts = np.bincount(sd.in_attracting_petal(w, 3, 0.1, 0.25), minlength=3)
+    counts = np.bincount([sd.in_attracting_petal(x, 3, 0.1, 0.25) for x in w],
+                         minlength=3)
     assert counts.sum() == 30000
     assert np.all(np.abs(counts / 30000 - 1 / 3) <= 0.02)
 
 
 def test_uniform_draws_lie_on_the_53_bit_grid():
-    u = petals._uniform(random.Random(11), 5000)
+    u = np.array(petals._uniform(random.Random(11), 5000))
     assert u.dtype == np.float64 and u.shape == (5000,)
     assert ((u >= 0.0) & (u < 1.0)).all()
     scaled = u * 2.0 ** 53
@@ -501,6 +502,114 @@ def test_uniform_draws_lie_on_the_53_bit_grid():
     assert np.array_equal(u, petals._uniform(random.Random(11), 5000))
     assert not np.array_equal(u, petals._uniform(random.Random(12), 5000))
     assert abs(u.mean() - 0.5) < 0.02
+
+
+# float.hex (real, imag) of samples 1-4 and 2000 of
+# _sample_attracting_petal(random.Random(1), 2000, k, 0.1, eta), recorded
+# from the array sampler this scalar one replaced
+SAMPLE_PINS = {
+    (1, 0.25): [("0x1.28c1fc5d90b14p-5", "-0x1.fe5f6e1fdbdfap-6"),
+                ("0x1.de4351c24f470p-6", "-0x1.7375f1821dce3p-5"),
+                ("0x1.3c83dba37c3b9p-5", "0x1.632886ecc308fp-6"),
+                ("0x1.7157353e588adp-4", "0x1.313b1c3f2e2a4p-5"),
+                ("0x1.8a79806d7fe3ep-5", "0x1.c40c1ce8c7b15p-6")],
+    (1, 0.0): [("0x1.28c1fc5d90b14p-5", "-0x1.fe5f6e1fdbdfap-6"),
+               ("0x1.de4351c24f470p-6", "-0x1.7375f1821dce3p-5"),
+               ("0x1.3c83dba37c3b9p-5", "0x1.632886ecc308fp-6"),
+               ("0x1.d7cfa63f9933cp-6", "-0x1.1eebe01b115fbp-5"),
+               ("0x1.29d468cc8c975p-7", "-0x1.49ed0e2f6e89bp-6")],
+    (2, 0.25): [("-0x1.6ef8248f99ad0p-5", "0x1.102ae0970ca57p-6"),
+                ("-0x1.83d21684bba37p-5", "0x1.a724162e66ac9p-6"),
+                ("0x1.5f21ebcab4090p-5", "0x1.6f1695d4e95acp-7"),
+                ("-0x1.87fc0187c668cp-4", "-0x1.372f2af0a8dd3p-6"),
+                ("-0x1.7ddc877fbe823p-5", "-0x1.99571bbd9aae4p-11")],
+    (2, 0.0): [("-0x1.6ef8248f99ad0p-5", "0x1.102ae0970ca57p-6"),
+               ("-0x1.83d21684bba37p-5", "0x1.a724162e66ac9p-6"),
+               ("0x1.5f21ebcab4090p-5", "0x1.6f1695d4e95acp-7"),
+               ("-0x1.4fdbe62703954p-5", "0x1.3d53a4cebe30cp-6"),
+               ("0x1.5c87e807a5fdcp-4", "-0x1.759646862e279p-6")],
+    (3, 0.25): [("-0x1.baf55d86ac430p-7", "0x1.7765523dde306p-5"),
+                ("-0x1.4dcc3e2d45a22p-5", "-0x1.21638fcb9a1eep-5"),
+                ("0x1.65ab5166d58a0p-5", "0x1.ec6e5db7d542fp-8"),
+                ("-0x1.3212ffe315de6p-5", "-0x1.712a882e8b1dfp-4"),
+                ("-0x1.e1971309b0d92p-5", "-0x1.059cce3670169p-4")],
+    (3, 0.0): [("-0x1.baf55d86ac430p-7", "0x1.7765523dde306p-5"),
+               ("-0x1.4dcc3e2d45a22p-5", "-0x1.21638fcb9a1eep-5"),
+               ("0x1.65ab5166d58a0p-5", "0x1.ec6e5db7d542fp-8"),
+               ("-0x1.0f081318c288dp-5", "-0x1.fc013b638af21p-6"),
+               ("-0x1.136d32c39b6d2p-5", "-0x1.99c4d69cf3e83p-5")],
+}
+
+
+@pytest.mark.parametrize("k, eta", list(SAMPLE_PINS))
+def test_sample_stream_is_pinned(k, eta):
+    w = petals._sample_attracting_petal(random.Random(1), 2000, k, 0.1, eta)
+    got = [(x.real.hex(), x.imag.hex()) for x in [*w[:4], w[1999]]]
+    assert len(w) == 2000 and got == SAMPLE_PINS[k, eta]
+
+
+def _plain_candidates(rng, k, rho):
+    """The sampler's candidate stream, drawn as it draws it, unfiltered."""
+    while True:
+        draws = [petals._uniform(rng, 1024) for _ in range(3)]
+        for uj, us, ua in zip(*draws):
+            ang = 2.0 * math.pi * int(uj * k) / k + (math.pi / k) * (2.0 * ua - 1.0)
+            yield rho * 1.3 * math.sqrt(us) * cmath.exp(1j * ang)
+
+
+@pytest.mark.parametrize("k, rho, eta", [(1, 0.1, 0.25), (2, 0.1, 0.0),
+                                         (3, 0.3, 0.99), (7, 1.0, 0.5),
+                                         (50, 0.9, 0.25)])
+def test_sampler_is_a_plain_filter_of_its_candidates(k, rho, eta):
+    # the sampler rejects large radii before forming a point; a filter of
+    # every candidate through in_attracting_petal must keep the same points
+    n = 3000
+    kept = (w for w in _plain_candidates(random.Random(17), k, rho)
+            if w != 0 and sd.in_attracting_petal(w, k, rho, eta) is not None)
+    plain = [next(kept) for _ in range(n)]
+    assert petals._sample_attracting_petal(random.Random(17), n, k, rho, eta) == plain
+
+
+def test_forward_invariance_counts_unresolved_images():
+    # rho = 0.1, seed 1: at k = 10, 15 of 500 images round to their start
+    # (w^{11} below half an ulp of w); at k = 1 none does
+    rep = sd.forward_invariance_check(sd.ParabolicLocal(k=10), z_band=0.1,
+                                      samples=500, seed=1)
+    assert rep.unresolved == 15 and rep.violations == 0
+    rep = sd.forward_invariance_check(sd.ParabolicLocal(k=1), z_band=0.1,
+                                      samples=500, seed=1)
+    assert rep.unresolved == 0
+
+
+@pytest.mark.parametrize("k, b", [(1, 0j), (2, 0j), (1, 0.3 - 0.2j), (2, 0.3 - 0.2j)])
+def test_forward_invariance_matches_mpmath(k, b):
+    # each image of the same samples and its half-plane margin at 50 digits;
+    # inside means the sector test and a positive margin, a form apart from
+    # the trigonometric one the check uses.  The map has no z-dependent
+    # tail, so the z draws move no image.
+    mpmath = pytest.importorskip("mpmath")
+    local = sd.ParabolicLocal(k=k, b=b)
+    rep = sd.forward_invariance_check(local, z_band=0.1, samples=2000, seed=7)
+    ws = petals._sample_attracting_petal(petals._seeded(7), 2000, k,
+                                         local.rho, local.eta)
+    violations, worst = 0, mpmath.inf
+    with mpmath.workdps(50):
+        r_cut = 1 / (k * mpmath.mpf(local.rho) ** k)
+        for w in map(mpmath.mpc, ws):
+            w1 = w - w ** (k + 1) + b * w ** (2 * k + 1)
+            u = 1 / (k * w1 ** k)
+            margin = u.real - (r_cut - local.eta * abs(u.imag))
+            ang = mpmath.arg(w1)
+            j = int(mpmath.nint(ang * k / (2 * mpmath.pi))) % k
+            delta = ang - 2 * mpmath.pi * j / k
+            delta = (delta + mpmath.pi) % (2 * mpmath.pi) - mpmath.pi
+            if not (abs(delta) < mpmath.pi / k and margin > 0):
+                violations += 1
+                margin = -abs(margin)
+            worst = min(worst, margin)
+    assert rep.violations == violations == 0
+    assert rep.unresolved == 0
+    assert rep.worst_margin == pytest.approx(float(worst), rel=1e-12)
 
 
 def test_local_model_from_reduced_normal_form(golden):
@@ -524,11 +633,11 @@ def test_petal_membership_stable_under_model_map():
     # invariance restated: membership index is preserved by one application
     loc = sd.ParabolicLocal(k=2)
     from skewdyn.petals import _sample_attracting_petal
-    w = _sample_attracting_petal(random.Random(5), 10000, 2, loc.rho,
-                                 loc.eta)
-    j = sd.in_attracting_petal(w, 2, loc.rho, loc.eta)
-    assert (j >= 0).all()
-    assert np.array_equal(sd.in_attracting_petal(w - w ** 3, 2, loc.rho, loc.eta), j)
+    w = np.array(_sample_attracting_petal(random.Random(5), 10000, 2, loc.rho,
+                                          loc.eta))
+    j = [sd.in_attracting_petal(x, 2, loc.rho, loc.eta) for x in w]
+    assert None not in j
+    assert [sd.in_attracting_petal(x, 2, loc.rho, loc.eta) for x in w - w ** 3] == j
 
 
 # -- the sector test ---------------------------------------------------------------
