@@ -2,12 +2,15 @@
 and pixmap emission with deterministic exit codes.
 
 Exit codes: 0 success (violation reports are data, not failures),
-2 malformed input (including non-finite complex or float arguments, germ
-coefficients that are not [re, im, exp2] triples of finite reals and an
-integral exponent, and coefficients outside the double range), 3 degenerate
-small divisor, 4 precision/iteration budget exhausted with no partial output
-possible, or an allocation the machine cannot satisfy (one error line, no
---out).  Summary JSONs are strict: non-finite floats are written as null.
+2 malformed input (including non-finite complex or float arguments, an
+--escape of 0 or below, germ coefficients that are not [re, im, exp2]
+triples of finite reals and an integral exponent, and coefficients outside
+the double range), 3 degenerate small divisor, 4 precision/iteration
+budget exhausted with no partial output possible, or an allocation the
+machine cannot satisfy (one error line, no --out).  Summary JSONs are
+strict: non-finite floats are written as null.  A process enters through
+run(), which ends it with os._exit once main() has returned and the
+standard streams are flushed.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -402,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    for name in ("m_max", "n_max", "samples", "threads"):
+    for name in ("m_max", "n_max", "samples", "threads", "escape"):
         val = getattr(args, name, None)
-        if val is not None and val < 1:
+        if val is not None and val <= 0:
             print(f"error: --{name.replace('_', '-')} must be positive",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
@@ -436,5 +440,27 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT
 
 
+def run() -> None:
+    """Process entry point (`python -m skewdyn.cli`, the `skewdyn` script):
+    exit with main()'s code, skipping interpreter teardown.
+
+    Every output file is closed before main() returns and the package
+    registers no exit handler, so once the streams are flushed teardown
+    has nothing left to write.  argparse's SystemExit (--version, --help,
+    usage errors) gives its code; any other exception propagates with its
+    traceback and exit 1, as without run()."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started without it
+            try:
+                stream.flush()
+            except OSError:  # for example a pipe whose reader has gone
+                code = 120  # CPython's exit code when its final flush fails
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

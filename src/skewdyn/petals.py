@@ -37,7 +37,11 @@ Horner (_step), each coordinate is keyed as rint(x 10^4), half to even
 (-0 read as 0), and the key is the sorted tuple of keyed points.  A slice
 keys all basin pixels of one period together and ranks the distinct keys,
 so its cycle ids are canonical, never in discovery order; a single orbit's
-cycle_representative is the point whose key sorts first.
+cycle_representative is the point whose key sorts first.  A slice merges
+the keys that one cycle takes on both sides of a rounding tie: where the
+raw points of a key's first pixel lie within TIE_DELTA key units of a tie
+in some coordinate, the key with that coordinate rounded the other way,
+if present, joins it under the smaller name.
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ class OrbitConfig(NamedTuple):
 
 DEFAULT_CONFIG = OrbitConfig()
 CYCLE_ROUND = 4   # decimals for canonical cycle grouping
+TIE_DELTA = 1e-4  # key units (10^-8 at 4 decimals) from a rounding tie
 MAX_PETAL_ORDER = 4096
 
 
@@ -597,28 +602,75 @@ def _cycle_keys(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         kr = np.rint(pts.real * scale) + 0.0
         ki = np.rint(pts.imag * scale) + 0.0
+    return _sorted_keys(kr, ki)
+
+
+def _sorted_keys(kr: np.ndarray,
+                 ki: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((ki, kr))
     return np.hstack([np.take_along_axis(kr, order, axis=1),
                       np.take_along_axis(ki, order, axis=1)]), order
+
+
+def _tie_keys(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, keys): for each coordinate of the cycle points in the rows of
+    pts that lies within TIE_DELTA key units of a rounding tie, its row and
+    that row's key with this one coordinate rounded the other way,
+    re-sorted as _cycle_keys sorts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.stack([pts.real, pts.imag]) * 10.0 ** CYCLE_ROUND
+        key, low = np.rint(x) + 0.0, np.floor(x)
+        part, row, col = np.nonzero(np.abs(x - low - 0.5) <= TIE_DELTA)
+    flipped = key[:, row]
+    flipped[part, np.arange(len(row)), col] = (
+        2.0 * low[part, row, col] + 1.0 - key[part, row, col] + 0.0)
+    return row, _sorted_keys(*flipped)[0]
+
+
+def _merge_tie_splits(names: list[tuple], distinct: np.ndarray,
+                      row: np.ndarray, other: np.ndarray) -> list[tuple]:
+    """names with key row[t] merged into the smaller of it and other[t],
+    the key its representative cycle points take with one coordinate
+    rounded the other way at a tie, wherever that key is also among the
+    distinct rows.  Merges compose, so every key that a chain of ties
+    joins takes the smallest name."""
+    if not len(row):
+        return names
+    index = {r: d for d, r in enumerate(map(tuple, distinct.tolist()))}
+    root = list(range(len(names)))
+
+    def find(d: int) -> int:
+        while root[d] != d:
+            d = root[d]
+        return d
+
+    for d, key in zip(row.tolist(), map(tuple, other.tolist())):
+        if key in index:
+            lo, hi = sorted((find(d), find(index[key])), key=names.__getitem__)
+            root[hi] = lo
+    return [names[find(d)] for d in range(len(names))]
 
 
 def _cycle_ids(C: np.ndarray, w: np.ndarray, start: np.ndarray,
                period: np.ndarray) -> tuple[list[tuple], np.ndarray]:
     """Canonical cycle keys of basin points: the sorted distinct keys, each
     a tuple of (re, im) points rounded to CYCLE_ROUND decimals in sorted
-    order, and each point's index into them."""
+    order, and each point's index into them.  Keys split by a rounding tie
+    are merged (_merge_tie_splits), judged by the raw cycle points of each
+    key's first point."""
     keys: list[tuple] = []
     which = np.empty(len(w), dtype=np.int64)
     # sorted(set()) rather than np.unique, which imports numpy.ma
     for p in sorted(set(period.tolist())):
         sel = np.flatnonzero(period == p)
-        rows = _cycle_keys(_cycle_points(C, w[sel], start[sel], p))[0]
-        # the unused return_index halves numpy 2.4's time on these rows
-        distinct, _, inv = np.unique(rows, axis=0, return_index=True,
-                                     return_inverse=True)
+        pts = _cycle_points(C, w[sel], start[sel], p)
+        distinct, first, inv = np.unique(_cycle_keys(pts)[0], axis=0,
+                                         return_index=True,
+                                         return_inverse=True)
         which[sel] = len(keys) + inv.reshape(-1)
-        keys += [tuple(zip(r[:p], r[p:]))
+        names = [tuple(zip(r[:p], r[p:]))
                  for r in (distinct / 10.0 ** CYCLE_ROUND).tolist()]
+        keys += _merge_tie_splits(names, distinct, *_tie_keys(pts[first]))
     ordered = sorted(set(keys))
     pos = {key: c for c, key in enumerate(ordered)}
     rank = np.array([pos[key] for key in keys], dtype=np.int64)

@@ -406,11 +406,14 @@ def _run_python(args, **env_extra):
 
 
 def _assert_cli_exit_2(tmp_path, argv):
-    """Run the CLI as a subprocess: exit 2 with an error line, no traceback."""
+    """Run the CLI as a subprocess: exit 2 with one error line, no
+    traceback and no --out directory."""
     proc = _run_python(["-m", "skewdyn.cli", *argv, "--out", str(tmp_path / "o")])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def _modules_loaded(args):
@@ -535,6 +538,18 @@ def test_non_finite_float_options_exit_2(tmp_path, germ_file, argv):
     _assert_cli_exit_2(tmp_path, argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--w0=0.1,0", "--escape", "-1"],
+    ["orbit", "--w0=0.1,0", "--escape", "0"],
+    ["slice", "--grid=-0.5,0.5,-0.5,0.5,5", "--escape", "0"],
+    ["slice", "--grid=-0.5,0.5,-0.5,0.5,5", "--escape=-inf"],
+], ids=["orbit-negative", "orbit-zero", "slice-zero", "slice-minus-inf"])
+def test_nonpositive_escape_exits_2(tmp_path, germ_file, argv):
+    # an escape radius of 0 or below would label every start as escaping
+    # at step 0
+    _assert_cli_exit_2(tmp_path, [argv[0], "--germ", germ_file, *argv[1:]])
+
+
 def test_escaping_full_orbit_dlog(tmp_path, germ_file):
     # g(w) = w + w^2 on the fiber z = 0: from w0 = 3 the orbit overflows to
     # inf and nan; dlog must follow as inf/nan, never read as a vanishing
@@ -553,3 +568,86 @@ def test_escaping_full_orbit_dlog(tmp_path, germ_file):
             assert d == pytest.approx(math.log(abs(1 + 2 * w)), rel=1e-12)
         else:
             assert math.isnan(d) or d == math.inf
+
+
+# -- process entry point ------------------------------------------------------
+
+def test_run_version_through_a_pipe():
+    # block-buffered: an empty PYTHONUNBUFFERED leaves stdout's buffer to
+    # run()'s final flush
+    proc = _run_python(["-m", "skewdyn.cli", "--version"], PYTHONUNBUFFERED="")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, sd.__version__ + "\n", "")
+
+
+def test_run_version_with_stdout_closed():
+    # sys.stdout is None, so argparse prints the version to stderr
+    proc = _run_python(["-c", "import os, subprocess, sys; os.close(1); "
+                        "sys.exit(subprocess.call([sys.executable, '-m', "
+                        "'skewdyn.cli', '--version']))"])
+    assert (proc.returncode, proc.stderr) == (0, sd.__version__ + "\n")
+
+
+def test_run_usage_error_exits_2(tmp_path, germ_file):
+    proc = _run_python(["-m", "skewdyn.cli", "orbit", "--germ", germ_file,
+                        "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: skewdyn orbit")
+    assert proc.stderr.endswith(
+        "error: the following arguments are required: --w0\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_writes_the_files_main_writes(tmp_path, germ_file):
+    # the process ends without interpreter teardown; every file it wrote
+    # must already be complete
+    argv = ["orbit", "--germ", germ_file, "--w0=-0.1,0", "--n-max", "3000",
+            "--full-orbit", "--out"]
+    proc = _run_python(["-m", "skewdyn.cli", *argv, str(tmp_path / "sub")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert main([*argv, str(tmp_path / "inproc")]) == 0
+    outs = [{p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
+            for d in ("sub", "inproc")]
+    assert outs[0] == outs[1]
+    assert sorted(outs[0]) == ["orbit.csv", "orbit.json"]
+    assert outs[0]["orbit.csv"].count(b"\n") == 3002
+
+
+def test_run_lets_unexpected_exceptions_through():
+    proc = _run_python(["-c", "import skewdyn.cli as c; "
+                        "c.main = lambda argv=None: 1 / 0; c.run()"])
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert proc.stderr.rstrip().endswith("ZeroDivisionError: division by zero")
+
+
+BROKEN_STDOUT = """import sys
+class Broken:
+    closed = False
+    def write(self, s):
+        return len(s)
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+sys.stdout = Broken()
+"""
+
+
+def test_run_exits_120_when_the_final_flush_fails():
+    # 120 is CPython's own exit code when flushing stdout fails at shutdown
+    plain = _run_python(["-c", BROKEN_STDOUT])
+    proc = _run_python(["-c", BROKEN_STDOUT + "import skewdyn.cli as c\n"
+                        "c.main = lambda argv=None: 0\nc.run()\n"])
+    assert plain.returncode == proc.returncode == 120
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="tomllib is new in Python 3.11")
+def test_console_script_is_run():
+    import tomllib
+
+    import skewdyn.cli
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["skewdyn"]
+    assert entry == "skewdyn.cli:run"
+    assert callable(getattr(skewdyn.cli, entry.split(":")[1]))

@@ -854,7 +854,11 @@ def _per_pixel_slice(F, z0, grid, n_max):
     """(code, cycles) of fatou_slice keyed pixel by pixel in plain Python:
     each basin pixel's cycle points are stepped on Python complexes by
     Horner over its own rows, each coordinate keyed as round(x * 1e4) (half
-    to even), and ids ranked by sorted key."""
+    to even), and ids ranked by sorted key.  Keys split by a rounding tie
+    are joined: where the first pixel with a key has a raw coordinate within
+    1e-4 key units of a tie, the key with that one coordinate rounded the
+    other way names the same cycle, if some pixel has it; every group of
+    joined keys takes its smallest."""
     re0, re1, im0, im1, res = grid
     re, im = np.linspace(re0, re1, res), np.linspace(im0, im1, res)
     C = petals._coeff_matrix(F, z0, n_max)
@@ -867,7 +871,7 @@ def _per_pixel_slice(F, z0, grid, n_max):
     code[pm] = petals.CODE_PETAL_BASE + r.index[pm]
     rows = C.tolist()
 
-    def key(w, start, p):
+    def cycle(w, start, p):
         pts = [w]
         for i in range(p - 1):
             row = rows[min(start + i, len(rows) - 1)]
@@ -875,13 +879,40 @@ def _per_pixel_slice(F, z0, grid, n_max):
             for c in row[-2::-1]:
                 acc = acc * pts[-1] + c
             pts.append(acc)
-        return tuple(sorted((round(x.real * 1e4) / 1e4, round(x.imag * 1e4) / 1e4)
-                            for x in pts))
-    keys = {i: key(complex(r.w_verdict[i]), int(r.n_stop[i]), int(r.period[i]))
-            for i in np.flatnonzero(r.kind == BASIN).tolist()}
-    ordered = sorted(set(keys.values()))
-    for i, k in keys.items():
-        code[i] = CODE_BASIN_BASE + ordered.index(k)
+        return pts
+
+    def keys(pts):
+        """The key of pts, then one key per coordinate within 1e-4 key
+        units of a tie, with that coordinate rounded the other way."""
+        ts = [t for x in pts for t in (x.real * 1e4, x.imag * 1e4)]
+        base = [round(t) for t in ts]
+        variants = [base]
+        for c, t in enumerate(ts):
+            if abs(t - math.floor(t) - 0.5) <= 1e-4:
+                variants.append(base[:c] + [2 * math.floor(t) + 1 - base[c]]
+                                + base[c + 1:])
+        return [tuple(sorted(zip([k / 1e4 for k in v[0::2]],
+                                 [k / 1e4 for k in v[1::2]])))
+                for v in variants]
+
+    cycles = {i: cycle(complex(r.w_verdict[i]), int(r.n_stop[i]), int(r.period[i]))
+              for i in np.flatnonzero(r.kind == BASIN).tolist()}
+    around = {i: keys(pts) for i, pts in cycles.items()}
+    key = {i: ks[0] for i, ks in around.items()}
+    first = {}
+    for i, k in key.items():  # pixels in ascending order
+        first.setdefault(k, i)
+    joined = {k: {k} for k in first}
+    for k, i in first.items():
+        for o in around[i][1:]:
+            if o in joined and joined[o] is not joined[k]:
+                group = joined[k] | joined[o]
+                for m in group:
+                    joined[m] = group
+    name = {k: min(group) for k, group in joined.items()}
+    ordered = sorted(set(name.values()))
+    for i, k in key.items():
+        code[i] = CODE_BASIN_BASE + ordered.index(name[k])
     return code.reshape(res, res), ordered
 
 
@@ -967,17 +998,50 @@ def test_slice_on_a_rounding_tie_matches_per_pixel_reference():
                for key in g.cycles for pt in key for x in pt if x == 0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND in CHANGES.md: one attracting fixed point can be reported as two "
-    "cycles when pixels settle on either side of a rounding tie"))
-def test_fixed_point_on_a_rounding_tie_is_one_cycle():
-    # p's real part sits between the keys -1 and -0 (x 10^4 = -0.5): pixels
-    # that settle from either side key it differently
+def test_ties_in_both_coordinates_match_per_pixel_reference():
+    # the identity map fixes every pixel.  The grid's first column and
+    # first row sit on ties, so the first pixel has two coordinates at a
+    # tie; only rounding its real part the other way names a key that some
+    # pixel has (all rows key as -0.1234), and the grid is one cell.
+    # Rounding both coordinates at once would find no such key
+    h = 6.7e-6
+    grid = (0.12345, 0.12345 + 11 * h, -0.12345, -0.12345 + 11 * h, 12)
+    F = sd.ConstantVerticalMap([0, 1])
+    code, cycles = _per_pixel_slice(F, 0.0, grid, 400)
+    g = sd.fatou_slice(F, 0.0, grid, n_max=400)
+    assert np.array_equal(g.code, code) and g.cycles == cycles
+    assert np.all(code == CODE_BASIN_BASE)
+    assert cycles == [((0.1234, -0.1234),)]
+
+
+@pytest.mark.parametrize("m", [0.5, 0.99])
+def test_fixed_point_on_a_rounding_tie_is_one_cycle(m):
+    # g(w) = p + m (w - p); p's real part sits between the keys -1 and -0
+    # (x 10^4 = -0.5): pixels that settle from either side key it
+    # differently, and the two keys are merged into the smaller, also under
+    # the weak contraction m = 0.99
     p = -0.00005 - 0.00004j
-    F = sd.ConstantVerticalMap([0.5 * p, 0.5])
+    F = sd.ConstantVerticalMap([(1 - m) * p, m])
     g = sd.fatou_slice(F, 0.0, (p.real - 0.1, p.real + 0.1, -0.1, 0.1, 5),
-                       n_max=400)
+                       n_max=5000)
     assert np.unique(g.code).tolist() == [CODE_BASIN_BASE]
+    assert g.cycles == [((-0.0001, 0.0),)]
+
+
+@pytest.mark.parametrize("x0, cells", [(0.01, 21), (0.12345, 22)])
+def test_tie_merge_keeps_the_cells_of_a_dense_grid(x0, cells):
+    # the identity map fixes every pixel of a 300 x 300 grid with spacing
+    # 6.7e-6 (1/15 of a key unit), so every key is its own cycle.  At
+    # x0 = 0.01 no key's first pixel lies near a tie: all 21^2 cells stay.
+    # At 0.12345 the first row and column sit on a tie and each merges with
+    # its neighbor only: 22^2 keys become 21^2 cells, not a chain of them
+    h = 6.7e-6
+    g = sd.fatou_slice(sd.ConstantVerticalMap([0, 1]), 0.0,
+                       (x0, x0 + 299 * h, x0, x0 + 299 * h, 300), n_max=200)
+    assert len(set(np.rint(g.re * 1e4).tolist())) == cells
+    assert g.verdict_counts()["basin"] == 300 * 300
+    assert len(g.cycles) == 21 ** 2
+    assert np.array_equal(np.unique(g.code), CODE_BASIN_BASE + np.arange(441))
 
 
 def test_grid_resolution_cap():
