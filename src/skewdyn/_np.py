@@ -2,8 +2,9 @@
 
 `from ._np import np` binds a module whose code runs the first time any
 `np.` attribute is read, so processes that compute on no arrays
-(`--version`, `petalcheck`) never pay numpy's import.  If numpy is already
-imported, `np` is that module.
+(`--version`, `petalcheck`, `brjuno` and `cremer --construction linear`)
+never pay numpy's import.  If numpy is already imported, `np` is that
+module.
 
 importlib's LazyLoader is not thread-safe on Python 3.11: two threads that
 touch a still-unloaded module at once may both execute it.  Every CLI path

@@ -4,17 +4,19 @@ Two coefficient recursions whose growth certifies the absence of an
 invariant graph: the linear example phi_n = phi_{n-1}/(lam^n - 1) and a
 greedy quadratic construction that keeps every numerator away from zero.
 Both read their divisors from one unit-circle column and return the
-coefficients as (mant, exp2) arrays; growth exponents are read off the
-binary exponents directly, never from materialized magnitudes.
+coefficients as (mant, exp2) lists; growth exponents are read off the
+binary exponents directly, never from materialized magnitudes.  The linear
+example, the growth profile and the CSV writer run on Python floats and
+complexes, so a linear `cremer` process executes no numpy; the greedy
+construction sums its convolutions with numpy.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import NamedTuple
 
-from ._np import np
 from .rotation import _CHUNK, UnitColumn
 from .series import _aligned_sum, _norm1, _over, _sum1, _zeros
 
@@ -27,7 +29,7 @@ def _log2_abs1(m: complex, e: int) -> float:
 
 
 def linear_example_phi(col: UnitColumn,
-                       phi0: complex) -> tuple[np.ndarray, np.ndarray]:
+                       phi0: complex) -> tuple[list[complex], list[int]]:
     """Coefficients phi_0..phi_{m_max} of the formal invariant graph of
     (lam z, w + z + z w), m_max the last index of the column.
 
@@ -35,7 +37,7 @@ def linear_example_phi(col: UnitColumn,
     The recursion telescopes to phi_n = (1 + phi_0)/prod_{j<=n}(lam^j - 1),
     which the tests check against the recursion.
     """
-    pm, pe = _zeros(len(col.lam))
+    pm, pe = [0j] * len(col.lam), [0] * len(col.lam)
     p0 = _norm1(complex(phi0), 0)
     pm[0], pe[0] = p0
     cur = _sum1(1 + 0j, 0, *p0)
@@ -49,7 +51,7 @@ class GreedyResult(NamedTuple):
     coefficients, numerator_log2[n] = log2 |a_n + S_n| (the greedy
     lower-bound witness)."""
     bits: list[int]
-    phi: tuple[np.ndarray, np.ndarray]
+    phi: tuple[list[complex], list[int]]
     numerator_log2: list[float]
 
 
@@ -74,7 +76,7 @@ def greedy_quadratic(col: UnitColumn) -> GreedyResult:
         bits.append(a)
         numerator_log2.append(mag)
         pm[n], pe[n] = _over(*num, col.mant[n], col.exp2[n])
-    return GreedyResult(bits, (pm, pe), numerator_log2)
+    return GreedyResult(bits, (pm.tolist(), pe.tolist()), numerator_log2)
 
 
 class GrowthProfile(NamedTuple):
@@ -83,29 +85,25 @@ class GrowthProfile(NamedTuple):
     log_mag[m] = ln |phi_m|, exponents[m] = (1/m) ln |phi_m| for m >= 1,
     running_max[m] = max over 1..m of the exponents.
     """
-    log_mag: np.ndarray
-    exponents: np.ndarray
-    running_max: np.ndarray
+    log_mag: list[float]
+    exponents: list[float]
+    running_max: list[float]
 
     @property
     def m_max(self) -> int:
         return len(self.log_mag) - 1
 
 
-def growth_profile(phi: tuple[np.ndarray, np.ndarray]) -> GrowthProfile:
+def growth_profile(phi: tuple[list[complex], list[int]]) -> GrowthProfile:
     """The profile of the coefficients phi = (mant, exp2); math.log per
     coefficient, as the CSV cells are reprs of these values."""
     pm, pe = phi
     if not len(pm):
         raise ValueError("empty coefficient list")
-    n = len(pm) - 1
-    log_mag = np.array([e * _LN2 + (math.log(abs(m)) if m != 0 else -math.inf)
-                        for m, e in zip(pm.tolist(), pe.tolist())])
-    exps = np.full(n + 1, -math.inf)
-    if n >= 1:
-        exps[1:] = log_mag[1:] / np.arange(1, n + 1)
-    running = np.maximum.accumulate(exps)
-    return GrowthProfile(log_mag, exps, running)
+    log_mag = [e * _LN2 + (math.log(abs(m)) if m != 0 else -math.inf)
+               for m, e in zip(pm, pe)]
+    exps = [-math.inf, *[g / m for m, g in enumerate(log_mag[1:], 1)]]
+    return GrowthProfile(log_mag, exps, list(accumulate(exps, max)))
 
 
 def write_growth_csv(col: UnitColumn, prof: GrowthProfile, path,
@@ -122,12 +120,10 @@ def write_growth_csv(col: UnitColumn, prof: GrowthProfile, path,
         for lo in range(1, prof.m_max + 1, _CHUNK):
             hi = min(lo + _CHUNK, prof.m_max + 1)
             div = [-(e * _LN2 + math.log(abs(d))) if d else math.inf
-                   for d, e in zip(col.mant[lo:hi].tolist(),
-                                   col.exp2[lo:hi].tolist())]
+                   for d, e in zip(col.mant[lo:hi], col.exp2[lo:hi])]
             fh.write("".join([
                 f"{m},{b},{g!r},{x!r},{r!r},{v!r}\r\n"
                 for m, g, x, r, v, b in zip_longest(
-                    range(lo, hi), prof.log_mag[lo:hi].tolist(),
-                    prof.exponents[lo:hi].tolist(),
-                    prof.running_max[lo:hi].tolist(), div,
+                    range(lo, hi), prof.log_mag[lo:hi], prof.exponents[lo:hi],
+                    prof.running_max[lo:hi], div,
                     a_m[lo - 1:hi - 1], fillvalue="")]))

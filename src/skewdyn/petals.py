@@ -110,6 +110,15 @@ TIE_DELTA = 1e-4  # key units (10^-8 at 4 decimals) from a rounding tie
 MAX_PETAL_ORDER = 4096
 
 
+def _checked_config(config: OrbitConfig | None) -> OrbitConfig:
+    """config, or the default; an escape radius that is not positive (or is
+    NaN) would label every start as escaping at step 0, so it is refused."""
+    cfg = config or DEFAULT_CONFIG
+    if not cfg.escape_radius > 0:
+        raise ValueError(f"escape_radius must be positive (got {cfg.escape_radius!r})")
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # Petal geometry
 # ---------------------------------------------------------------------------
@@ -235,7 +244,7 @@ def _z_schedule(rot: RotationNumber | None, z0: complex, n: int) -> np.ndarray:
     """The fiber base points lam^m z0 for m = 0..n."""
     if rot is None or z0 == 0:
         return np.full(n + 1, complex(z0))
-    return unit_column(rot, n).lam * z0
+    return np.array(unit_column(rot, n).lam) * z0
 
 
 def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:
@@ -707,7 +716,7 @@ def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
     """Iterate the vertical map over the rotating fiber and classify."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    cfg = config or DEFAULT_CONFIG
+    cfg = _checked_config(config)
     C = _coeff_matrix(F, z0, n_max)
     parabolic, k, base = _parabolic_data(F)
     kind, index, n_stop, period, ws, dlogs = _run_single(
@@ -967,7 +976,7 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
         raise ValueError("grid resolution out of range (1..4096)")
     if n_max >= 2 ** 31:  # the engine's int32 limit, checked before C is built
         raise ValueError(f"n_max = {n_max} must be below 2^31")
-    cfg = config or DEFAULT_CONFIG
+    cfg = _checked_config(config)
     re = np.linspace(float(re0), float(re1), res)
     im = np.linspace(float(im0), float(im1), res)
     C = _coeff_matrix(F, z0, n_max)

@@ -10,15 +10,21 @@ column, for the recursions and fiber schedules), `divisor_table` (the
 moduli alone) and `lam_power` (one power).  Computing the fractional part
 first (in integers) and only then the sine avoids the catastrophic
 cancellation of forming lam^k in floating point.
+
+The module computes with `math` on Python floats and returns lists, so a
+`brjuno` process executes no numpy.  The column and the tables equal, bit
+for bit, what numpy's float64 sin, cos and hypot gave: numpy's sin and cos
+agree with libm's, and abs(complex) calls libm's hypot, as np.hypot does.
+Every logarithm is math.log, which can differ from np.log in the last bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import accumulate, groupby
 from typing import Callable, NamedTuple, Sequence
 
-from ._np import np
 from .errors import DegenerateDivisorError, PrecisionError
 
 DEFAULT_FRAC_BITS = 192
@@ -167,26 +173,26 @@ class RotationNumber:
 # The unit-circle column: lam^k and the small divisors lam^k - 1
 # ---------------------------------------------------------------------------
 
-# Python-int fractions, or CSV rows, handled at one time; 1024 keeps the
-# peak resident set of a 2^17 divisor table below that of 4096, at equal speed
+# Python-int fractions, or CSV rows, handled at one time
 _CHUNK = 1024
 _TINY = 2.0 ** -899  # reduced fractions below this keep a separate binary exponent
 
 
 class UnitColumn(NamedTuple):
-    """The arrays of `unit_column`, indexed by k = 0..k_max."""
+    """The lists of `unit_column`, indexed by k = 0..k_max."""
 
-    lam: np.ndarray
-    mant: np.ndarray
-    exp2: np.ndarray
+    lam: list[complex]
+    mant: list[complex]
+    exp2: list[int]
 
 
-def _to_doubles(ints: list[int], bits: int) -> np.ndarray:
+def _to_doubles(ints: list[int], bits: int) -> list[float]:
     """Correctly rounded doubles of ints[i] / 2^bits."""
     if bits <= 1000:  # float(int) stays finite and the scaling exact
-        return np.array(ints, float) * 2.0 ** -bits
+        scale = 2.0 ** -bits
+        return [float(a) * scale for a in ints]
     one = 1 << bits
-    return np.array([a / one for a in ints], float)
+    return [a / one for a in ints]
 
 
 def _fraction_chunks(rot: RotationNumber, k_max: int, lo: int = 0):
@@ -208,18 +214,17 @@ def _fraction_chunks(rot: RotationNumber, k_max: int, lo: int = 0):
     return map(chunk, range(lo, k_max + 1, _CHUNK))
 
 
-def _unit_powers(xf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi x_k, the parts of lam^k, from the doubles of x_k."""
-    ang = 2.0 * math.pi * xf
-    return np.cos(ang), np.sin(ang)
+def _unit_powers(xf: list[float]) -> list[complex]:
+    """lam^k = cos 2 pi x_k + i sin 2 pi x_k from the doubles of x_k."""
+    two_pi = 2.0 * math.pi
+    return [complex(math.cos(a), math.sin(a)) for a in [two_pi * x for x in xf]]
 
 
 def lam_power(rot: RotationNumber, j: int) -> complex:
     """lam^j for any integer j, from the one fraction |j|*theta mod 1; equal
     bit for bit to unit_column(rot, |j|).lam[|j|] (conjugated for j < 0)."""
     _, full, _ = next(_fraction_chunks(rot, abs(j), abs(j)))
-    c, s = _unit_powers(_to_doubles(full, rot.frac_bits))
-    lam = complex(c[0], s[0])
+    lam = _unit_powers(_to_doubles(full, rot.frac_bits))[0]
     return lam if j >= 0 else lam.conjugate()
 
 
@@ -237,26 +242,25 @@ def unit_column(rot: RotationNumber, k_max: int) -> UnitColumn:
         raise ValueError("k_max must be nonnegative")
     bits = rot.frac_bits
     chunks = _fraction_chunks(rot, k_max)  # rejects k_max before allocating
-    col = UnitColumn(np.empty(k_max + 1, complex), np.empty(k_max + 1, complex),
-                     np.empty(k_max + 1, np.int64))
+    col = UnitColumn([0j] * (k_max + 1), [0j] * (k_max + 1), [0] * (k_max + 1))
+    sin, cos, pi = math.sin, math.cos, math.pi
     for lo, fulls, reds in chunks:
-        hi = lo + len(fulls)
-        xf, xr = _to_doubles(fulls, bits), _to_doubles(reds, bits)
-        col.lam.real[lo:hi], col.lam.imag[lo:hi] = _unit_powers(xf)
-        scale = 2.0 * np.sin(np.pi * xr)
-        e0 = np.zeros(hi - lo, np.int64)
-        for i in np.flatnonzero(xr < _TINY).tolist():
-            if reds[i]:
-                nb = reds[i].bit_length()
-                scale[i] = 2.0 * math.pi * (reds[i] / (1 << (nb - 1)))
-                e0[i] = nb - 1 - bits
-        v = np.empty(hi - lo, complex)
-        v.real, v.imag = -(scale * np.sin(np.pi * xf)), scale * np.cos(np.pi * xf)
-        # np.hypot, unlike np.abs on complex arrays, rounds like abs(complex)
-        h = np.hypot(v.real, v.imag)
-        be = np.frexp(h)[1]
-        col.mant[lo:hi] = np.where(h != 0, v * np.ldexp(1.0, 1 - be), 0)
-        col.exp2[lo:hi] = np.where(h != 0, e0 + be - 1, 0)
+        xf = _to_doubles(fulls, bits)
+        col.lam[lo:lo + len(xf)] = _unit_powers(xf)
+        for k, x, r, xr in zip(range(lo, lo + len(xf)), xf, reds,
+                               _to_doubles(reds, bits)):
+            if xr < _TINY and r:
+                nb = r.bit_length()
+                scale, e0 = 2.0 * pi * (r / (1 << (nb - 1))), nb - 1 - bits
+            else:
+                scale, e0 = 2.0 * sin(pi * xr), 0
+            vr, vi = -(scale * sin(pi * x)), scale * cos(pi * x)
+            # abs(complex) rounds like libm's hypot; math.hypot does not
+            h = abs(complex(vr, vi))
+            if h:
+                be = math.frexp(h)[1]
+                s = math.ldexp(1.0, 1 - be)
+                col.mant[k], col.exp2[k] = complex(vr * s, vi * s), e0 + be - 1
     return col
 
 
@@ -278,9 +282,9 @@ class DivisorTable(NamedTuple):
 
     rot: RotationNumber
     m_max: int
-    d1: np.ndarray
-    dlam: np.ndarray
-    omega: np.ndarray
+    d1: list[float]
+    dlam: list[float]
+    omega: list[float]
     degenerate_indices: tuple[int, ...] = ()
 
 
@@ -299,28 +303,33 @@ def divisor_table(rot: RotationNumber, m_max: int,
         raise PrecisionError(
             f"divisor tables support at most {MAX_TABLE_FRAC_BITS} fractional bits "
             f"(got {rot.frac_bits}); use the series recursions beyond that")
-    # one buffer: d1 = buf[1:] and dlam = buf[:-1], so dlam[k] = d1[k - 1]
-    # and buf[0], buf[1] are the NaN heads of both
-    buf = np.empty(m_max + 2)
-    d1 = buf[1:]
-    for lo, _, reds in _fraction_chunks(rot, m_max):
-        d1[lo:lo + len(reds)] = 2.0 * np.sin(np.pi * _to_doubles(reds, rot.frac_bits))
-    buf[:2] = np.nan
-    degenerate = tuple((np.flatnonzero(d1[1:] == 0.0) + 1).tolist())
+    chunks = _fraction_chunks(rot, m_max)  # rejects m_max before allocating
+    d1 = [math.nan] * (m_max + 1)
+    sin, pi = math.sin, math.pi
+    for lo, _, reds in chunks:
+        d1[lo:lo + len(reds)] = [2.0 * sin(pi * x)
+                                 for x in _to_doubles(reds, rot.frac_bits)]
+    d1[0] = math.nan
+    degenerate = tuple(p for p, d in enumerate(d1) if d == 0.0) if 0.0 in d1 else ()
     if degenerate and not allow_degenerate:
         raise DegenerateDivisorError(
             f"rotation is rational to working precision: lam^p = 1 for p in {degenerate[:4]}")
 
-    dlam = buf[:-1]
-    omega = np.full(m_max + 1, np.nan)
-    np.minimum.accumulate(dlam[2:], out=omega[2:])
+    # dlam[k] = d1[k - 1]: both lists hold the same floats
+    dlam = [math.nan, *d1[:-1]]
+    omega = [math.nan, math.nan, *accumulate(d1[1:-1], min)]
     return DivisorTable(rot, m_max, d1, dlam, omega, degenerate)
 
 
-def _nonvanishing(omega):
+def _runs(values: Sequence[float]) -> list[tuple[float, int]]:
+    """(value, length) of each run of equal entries; a NaN runs alone."""
+    return [(v, len(list(run))) for v, run in groupby(values)]
+
+
+def _nonvanishing(omega: Sequence[float]) -> Sequence[float]:
     """omega itself, or DegenerateDivisorError where an entry has vanished
     (or is NaN): its logarithm, and every gauge built on it, is undefined."""
-    if not np.all(omega > 0.0):
+    if not all(o > 0.0 for o in omega):
         raise DegenerateDivisorError("omega vanished; its logarithm is undefined")
     return omega
 
@@ -331,7 +340,7 @@ def brjuno_partial_sum(table: DivisorTable, K: int) -> float:
         raise ValueError("K must be nonnegative")
     if 2 ** (K + 1) > table.m_max:
         raise ValueError(f"table holds m_max={table.m_max} < 2^{K + 1}")
-    om = _nonvanishing(table.omega[[2 ** (k + 1) for k in range(K + 1)]])
+    om = _nonvanishing([table.omega[2 ** (k + 1)] for k in range(K + 1)])
     total = 0.0
     for k in range(K + 1):
         total += math.log(1.0 / float(om[k])) / 2.0 ** k
@@ -342,20 +351,24 @@ def cremer_exponent(table: DivisorTable, m: int) -> float:
     """(1/m) log(1/omega(m)), the divergence-rate gauge at index m."""
     if not 2 <= m <= table.m_max:
         raise ValueError("m out of table range")
-    return math.log(1.0 / float(_nonvanishing(table.omega[m]))) / m
+    return math.log(1.0 / float(_nonvanishing([table.omega[m]])[0])) / m
 
 
 def cremer_running_max(table: DivisorTable, m: int) -> float:
     """max over 2..m of the exponent above."""
     if not 2 <= m <= table.m_max:
         raise ValueError("m out of table range")
-    om = _nonvanishing(table.omega[2:m + 1])
     # L/m rounds monotonically in m for a fixed L = -log omega, so over a
-    # run of equal omega the maximum sits at one of the run's two ends
-    bits = om.view(np.int64)
-    cut = np.flatnonzero(bits[1:] != bits[:-1])
-    ends = np.concatenate(([0], cut, cut + 1, [len(om) - 1]))
-    return float(np.max(-np.log(om[ends]) / (ends + 2.0)))
+    # run of equal omega the maximum sits at one of the run's two ends.
+    # Every entry equals its run's value, so checking those checks them all
+    runs = _runs(table.omega[2:m + 1])
+    _nonvanishing([v for v, _ in runs])
+    best, first = -math.inf, 2
+    for v, n in runs:
+        L = -math.log(v)
+        best = max(best, L / first, L / (first + n - 1))
+        first += n
+    return best
 
 
 def liouville_quotients(depth: int, growth: Callable[[int], int],
@@ -415,20 +428,17 @@ def write_divisor_csv(table: DivisorTable, path) -> None:
     """Columns: m, dlam, omega, cremer_exponent, one row per m = 2..m_max,
     lines ended by CRLF.  Rows are formatted column-wise _CHUNK at a time.
     omega is a running minimum, so its text and log(1/omega) (inf where
-    omega is not positive) are formed once per run of equal bits."""
-    om = table.omega
-    bits = om[2:].view(np.int64)
-    starts = np.concatenate(([2], np.flatnonzero(bits[1:] != bits[:-1]) + 3))
-    values = om[starts].tolist()
-    om_text = [repr(v) for v in values]
-    logs = np.array([math.log(1.0 / v) if v > 0.0 else math.inf for v in values])
+    omega is not positive) are formed once per run of equal values."""
+    om_text: list[str] = []
+    logs: list[float] = []
+    for v, n in _runs(table.omega[2:]):
+        om_text += [repr(v)] * n
+        logs += [math.log(1.0 / v) if v > 0.0 else math.inf] * n
     with open(path, "w", newline="") as fh:
         fh.write("m,dlam,omega,cremer_exponent\r\n")
         for lo in range(2, table.m_max + 1, _CHUNK):
             hi = min(lo + _CHUNK, table.m_max + 1)
-            ms = np.arange(lo, hi)
-            r = np.searchsorted(starts, ms, side="right") - 1
             fh.write("".join([
-                f"{m},{d!r},{om_text[i]},{c!r}\r\n" for m, d, i, c in zip(
-                    range(lo, hi), table.dlam[lo:hi].tolist(), r.tolist(),
-                    (logs[r] / ms).tolist())]))
+                f"{m},{d!r},{t},{g / m!r}\r\n" for m, d, t, g in zip(
+                    range(lo, hi), table.dlam[lo:hi], om_text[lo - 2:hi - 2],
+                    logs[lo - 2:hi - 2])]))

@@ -313,7 +313,7 @@ def rotate(s: TruncatedSeries, rot: RotationNumber, power: int) -> TruncatedSeri
     """Substitute z -> lam^power * z: coefficient n picks up lam^(n*power)."""
     if power == 0:
         return s
-    f = unit_column(rot, (len(s) - 1) * abs(power)).lam[::abs(power)]
+    f = np.array(unit_column(rot, (len(s) - 1) * abs(power)).lam[::abs(power)])
     if power < 0:
         f = f.conjugate()
     return TruncatedSeries._of(*_normalize(s.mant * f, s.exp2))

@@ -108,9 +108,11 @@ HUGE = str(2 ** 55)
     ["orbit", "--w0=0.1,0", "--n-max", HUGE],
     ["hypotheses", "--n-max", HUGE],
     ["brjuno", "--m-max", HUGE],
-], ids=["orbit", "hypotheses", "brjuno"])
+    ["cremer", "--construction", "linear", "--m-max", HUGE],
+], ids=["orbit", "hypotheses", "brjuno", "cremer-linear"])
 def test_failed_allocation_exits_4(tmp_path, capsys, rot_file, germ_file, argv):
-    source = ["--rotation", rot_file] if argv[0] == "brjuno" else ["--germ", germ_file]
+    source = (["--rotation", rot_file] if argv[0] in ("brjuno", "cremer")
+              else ["--germ", germ_file])
     out = tmp_path / "o"
     assert main([*argv, *source, "--out", str(out)]) == 4
     err = capsys.readouterr().err
@@ -487,6 +489,22 @@ def test_petalcheck_process_does_not_load_numpy_random(tmp_path):
     assert read_json(out / "petalcheck.json")["forward_invariance"]["samples"] == 200
     # no numpy module at all: neither numpy._core nor numpy.random
     assert not [m for m in mods if m.split(".")[0] == "numpy"], mods
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["brjuno", "--m-max", "4096"], False),
+    (["cremer", "--construction", "linear", "--m-max", "500"], False),
+    (["cremer", "--construction", "greedy", "--m-max", "50"], True),
+], ids=["brjuno", "cremer-linear", "cremer-greedy"])
+def test_which_divergence_processes_load_numpy(tmp_path, rot_file, argv,
+                                               loads_numpy):
+    # divisor tables and the linear recursion run on Python floats; the
+    # greedy construction sums its convolutions with numpy
+    out = tmp_path / "o"
+    mods = _modules_loaded(["-m", "skewdyn.cli", *argv, "--rotation", rot_file,
+                            "--out", str(out)])
+    assert len(list(out.iterdir())) == 2
+    assert ("numpy._core" in mods) == loads_numpy, mods
 
 
 def test_lazy_loader_refuses_a_missing_module():

@@ -114,6 +114,16 @@ def test_escape_at_step_zero():
     assert orb.verdict.kind == sd.ESCAPE and orb.n_stop == 0
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan])
+def test_escape_radius_must_be_positive(radius):
+    # such a radius would label every start as escaping at step 0
+    F, cfg = sd.ConstantVerticalMap([0, 0, 1]), sd.OrbitConfig(escape_radius=radius)
+    with pytest.raises(ValueError, match="escape_radius must be positive"):
+        sd.iterate_orbit(F, 0, 0.1, 50, config=cfg)
+    with pytest.raises(ValueError, match="escape_radius must be positive"):
+        sd.fatou_slice(F, 0, (-0.5, 0.5, -0.5, 0.5, 5), n_max=50, config=cfg)
+
+
 def test_superattracting_basin():
     orb = sd.iterate_orbit(sd.ConstantVerticalMap([0, 0, 1]), 0, 0.5, 2000)
     assert orb.verdict.kind == BASIN

@@ -1,5 +1,6 @@
 import cmath
 import csv
+import hashlib
 import json
 import math
 
@@ -30,9 +31,10 @@ def test_unit_column_basics(golden):
     assert abs(col.lam[1] - cmath.exp(2j * math.pi * GOLDEN_THETA)) < 1e-15
     assert abs(col.lam[2] - cmath.exp(2j * math.pi * GOLDEN_2THETA_FRAC)) < 1e-15
     assert abs(sd.divisor_table(golden, 4).d1[1] - GOLDEN_OMEGA2) < 1e-14
-    mags = np.abs(col.mant[1:])
+    mags = np.abs(np.asarray(col.mant[1:]))
     assert np.all((1 <= mags) & (mags < 2))
-    assert np.allclose(np.ldexp(1.0, col.exp2) * col.mant, col.lam - 1,
+    assert np.allclose(np.ldexp(1.0, np.asarray(col.exp2)) * np.asarray(col.mant),
+                       np.asarray(col.lam) - 1,
                        rtol=0, atol=1e-15)
 
 
@@ -62,7 +64,7 @@ def test_divisor_table_golden(golden, golden_table):
     t = golden_table
     assert abs(t.dlam[2] - GOLDEN_OMEGA2) < 1e-14
     assert abs(t.omega[2] - GOLDEN_OMEGA2) < 1e-14
-    om = t.omega[2:]
+    om = np.asarray(t.omega[2:])
     assert np.all(np.diff(om) <= 0)
     assert np.all(om > 0) and np.all(om <= 2)
     # dlam[k] and d1[k-1] describe the same unit-circle distance
@@ -221,6 +223,51 @@ def test_lam_power_reads_the_column(case):
         sd.lam_power(sd.RotationNumber.from_surd(-1, 1, 5, 2, frac_bits=96), 2 ** 33)
 
 
+# sha256 prefixes of the column's lam, mant, exp2 and of the table's defined
+# d1[1:] and omega[2:] entries, recorded when both were numpy arrays; the
+# Python-float port must reproduce them bit for bit
+COLUMN_PINS = {
+    "golden-192": (4096, ["1418fce10d76ddde", "adec3876d5cd1c2d", "039adc579ab2d058",
+                          "56c7bc7a93e0b4be", "26dc5fad2636c403"]),
+    "cremer-512": (4096, ["e4300f6ae48bf95c", "595c3a11560b4112", "fcb1b8806ec8c7b9",
+                          "0481d0ce04bc2d80", "28ebdb0f69a52992"]),
+    "tiny-2048": (40, ["fa7054c41f48ec79", "5495e7dfb902c828", "b0b3a95644a6823b"]),
+}
+LAM_POWER_PINS = {  # lam^j for j = 1, -1, 5, -5, 1000
+    "golden-192": [("-0x1.798869e0de834p-1", "-0x1.59d9dd253cc11p-1"),
+                   ("-0x1.798869e0de834p-1", "0x1.59d9dd253cc11p-1"),
+                   ("0x1.b000b1aa1798bp-1", "0x1.12ce04f1c06b7p-1"),
+                   ("0x1.b000b1aa1798bp-1", "-0x1.12ce04f1c06b7p-1"),
+                   ("0x1.f45e73906cc4bp-1", "0x1.b20c90d3e179cp-3")],
+    "cremer-512": [("0x1.1a62633145c07p-54", "0x1.0000000000000p+0"),
+                   ("0x1.1a62633145c07p-54", "-0x1.0000000000000p+0"),
+                   ("0x1.1a62633145c07p-54", "0x1.0000000000000p+0"),
+                   ("0x1.1a62633145c07p-54", "-0x1.0000000000000p+0"),
+                   ("0x1.0000000000000p+0", "-0x1.1a62633145c07p-52")],
+}
+
+
+def _digest(values, dtype) -> str:
+    return hashlib.sha256(np.asarray(values, dtype).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", list(COLUMN_PINS))
+def test_unit_column_and_table_bits_are_pinned(case):
+    rot = ORACLE_CASES[case][0]()
+    m, pins = COLUMN_PINS[case]
+    col = sd.unit_column(rot, m)
+    got = [_digest(col.lam, complex), _digest(col.mant, complex),
+           _digest(col.exp2, np.int64)]
+    if rot.frac_bits <= sd.rotation.MAX_TABLE_FRAC_BITS:
+        t = sd.divisor_table(rot, m)
+        assert math.isnan(t.d1[0]) and all(map(math.isnan, t.omega[:2]))
+        got += [_digest(t.d1[1:], float), _digest(t.omega[2:], float)]
+    assert got == pins
+    if case in LAM_POWER_PINS:
+        lams = [sd.lam_power(rot, j) for j in (1, -1, 5, -5, 1000)]
+        assert [(c.real.hex(), c.imag.hex()) for c in lams] == LAM_POWER_PINS[case]
+
+
 def test_cremer_running_max_golden_10k(golden):
     t = sd.divisor_table(golden, 10 ** 4)
     assert sd.cremer_running_max(t, 10 ** 4) < 2
@@ -262,7 +309,7 @@ def test_convergent_denominators(cremer_rotation):
 def test_omega_monotone_for_random_quotients(quots):
     rot = sd.RotationNumber.from_quotients(quots)
     t = sd.divisor_table(rot, 128)
-    om = t.omega[2:]
+    om = np.asarray(t.omega[2:])
     assert np.all(np.diff(om) <= 0)
     assert np.all(om > 0)
 

@@ -124,7 +124,8 @@ def test_greedy_quadratic_matches_mpmath_rebuild(golden):
         phi[k] = (res.bits[k] + s) / d
         maj[k] = (res.bits[k] + mp.fsum(maj[j] * maj[k - j] for j in range(1, k))) / abs(d)
         assert abs(res.bits[k] + s) >= 0.5   # the greedy bound holds exactly
-    got = [value(m, e) for m, e in zip(res.phi[0].tolist(), res.phi[1].tolist())]
+    got = [value(m, e) for m, e in zip(np.asarray(res.phi[0]).tolist(),
+                                       np.asarray(res.phi[1]).tolist())]
     assert_within(got[1:], phi[1:], maj[1:])
     # no cancellation to speak of: also close relative to the values
     assert max(abs(g - p) / abs(p) for g, p in zip(got[1:], phi[1:])) < 1e-9
