@@ -13,8 +13,9 @@ from .rotation import (DivisorTable, RotationNumber, brjuno_partial_sum,
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm,
                      TruncatedSeries, WScale, conjugate, germ_from_json,
                      germ_to_json, reversion_in_w, rotate)
-from .normalform import (ChangeLog, NormalForm, detect_parabolic_order,
-                         normalize, reduce_parabolic_tail,
+from .normalform import (ChangeLog, NormalForm, conjugacy_defect,
+                         detect_parabolic_order, normalize,
+                         reduce_parabolic_tail,
                          solve_invariant_curve, solve_linear_gauge,
                          solve_order_bump)
 from .cremer import (GreedyResult, GrowthProfile, greedy_quadratic,

@@ -27,7 +27,7 @@ from . import __version__
 from .cremer import greedy_quadratic, growth_profile, linear_example_phi, \
     write_growth_csv
 from .errors import DegenerateDivisorError, LinearFiberError, PrecisionError
-from .normalform import normalize, reduce_parabolic_tail
+from .normalform import conjugacy_defect, normalize, reduce_parabolic_tail
 from .petals import (OrbitConfig, ParabolicLocal, critical_orbit_check,
                      fatou_slice, forward_invariance_check, iterate_orbit,
                      repelling_expansion_check, vertical_derivative_sum)
@@ -153,10 +153,6 @@ def cmd_normalize(args) -> int:
     if args.trunc_z is not None or args.trunc_w is not None:
         F = retruncate(F, n=args.trunc_z, dw=args.trunc_w)
     nf, log = normalize(F, args.depth)
-    replayed = log.replay(F)
-    scale = max(1.0, 2.0 ** nf.germ.max_abs_log2())
-    replay_defect = max(2.0 ** (s - t).max_abs_log2() / scale
-                        for s, t in zip(replayed.a, nf.germ.a))
     report = {
         "config": _config_echo(args, ["germ", "depth"]),
         "k": nf.k,
@@ -166,7 +162,7 @@ def cmd_normalize(args) -> int:
         "tail_defect": nf.tail_defect(),
         "z_dependence_defect": nf.z_dependence_defect(),
         "stage_residuals": nf.stage_residuals,
-        "replay_defect": replay_defect,
+        "replay_defect": conjugacy_defect(F, log, nf.germ),
         "change_log": _changelog_json(log),
     }
     if nf.h >= nf.k:

@@ -13,14 +13,16 @@ Every solved series divides by small divisors lam^p - 1, so a degenerate
 from __future__ import annotations
 
 import cmath
+import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from ._np import np
 from .errors import LinearFiberError
-from .rotation import unit_column
+from .rotation import lam_power, unit_column
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm, TruncatedSeries,
-                     WScale, _aligned_sum, _over, _rows, _zeros, conjugate)
+                     WScale, _aligned_sum, _horner, _over, _rows, _zeros,
+                     conjugate)
 
 _PRE_TOL = 1e-9       # tolerance for the parabolic-fiber preconditions
 JET_ZERO_RTOL = 1e-10  # a constant counts as zero below this fraction of the jet
@@ -120,6 +122,84 @@ class ChangeLog:
         for ch in self.changes:
             cur = conjugate(cur, ch)
         return cur
+
+
+def _poly_mul(a: list[complex], b: list[complex]) -> list[complex]:
+    """a(w) b(w) on plain complex coefficient lists, cut at len(a)."""
+    out = [0j] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[:len(a) - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_compose(outer: list[complex], inner: list[complex]) -> list[complex]:
+    """outer(inner(w)) on plain complex coefficient lists, cut at
+    len(inner), Horner in w."""
+    acc = [0j] * len(inner)
+    for c in reversed(outer):
+        acc = _poly_mul(acc, inner)
+        acc[0] += c
+    return acc
+
+
+def conjugacy_defect(F: SkewGerm, log: ChangeLog, G: SkewGerm) -> float:
+    """How far the logged changes are from conjugating F to G, checked on
+    sample fibers with code that shares nothing with `conjugate`.
+
+    With Psi = Phi_1 o ... o Phi_m (the last logged change acts first),
+    F o Psi = Psi o G reads g_z(Psi_z(w)) = Psi_{lam z}(G_z(w)) fiber by
+    fiber.  At four base points on |z| = rho_N = min(0.05, 2^(-53/(N+1))),
+    where the z-truncation term |z|^(N+1) stays below 2^-53, every change
+    and both germs are read as plain complex polynomials in w cut at
+    w^{D_w}.  Returns the largest |[w^j]| of the difference over the points
+    and j <= D_w, relative to max(1, largest coefficient of G); inf when a
+    value leaves the double range.
+    """
+    n, dw = G.n_trunc, G.dw
+    rho = min(0.05, 2.0 ** (-53 / (n + 1)))
+    zs = [rho * cmath.exp(0.5j * math.pi * (j + 0.5)) for j in range(4)]
+    lam = lam_power(G.rot, 1)
+    pts = zs + [lam * z for z in zs]   # Psi is needed at z and at lam z
+
+    def at(s: TruncatedSeries, where: list[complex]) -> list[complex]:
+        cs = s.to_complex_list()
+        return [_horner(cs, z) for z in where]
+
+    try:
+        scale = max(1.0, 2.0 ** G.max_abs_log2())
+        psis = [[0j, 1 + 0j] + [0j] * (dw - 1) for _ in pts]
+        for ch in reversed(log.changes):
+            if isinstance(ch, Shift):
+                for p, v in zip(psis, at(ch.phi, pts)):
+                    p[0] += v
+            elif isinstance(ch, Gauge):
+                psis = [[(1 + v) * c for c in p]
+                        for p, v in zip(psis, at(ch.psi, pts))]
+            elif isinstance(ch, Bump):
+                bumped = []
+                for p, v in zip(psis, at(ch.h, pts)):
+                    q = p
+                    for _ in range(ch.k):
+                        q = _poly_mul(q, p)
+                    bumped.append([a + v * b for a, b in zip(p, q)])
+                psis = bumped
+            elif isinstance(ch, WScale):
+                psis = [[ch.c * c for c in p] for p in psis]
+            else:
+                raise TypeError(f"unknown fiber change {ch!r}")
+        g = list(zip(*(at(s, zs) for s in F.a)))    # g[i][j] = a_j(z_i)
+        gn = list(zip(*(at(s, zs) for s in G.a)))
+    except OverflowError:
+        return math.inf
+    errs = [abs(x - y)
+            for i in range(len(zs))
+            for x, y in zip(_poly_compose(g[i], psis[i]),
+                            _poly_compose(psis[len(zs) + i], gn[i]))]
+    if not all(map(math.isfinite, errs)):
+        return math.inf
+    return max(errs) / scale
 
 
 class NormalForm(NamedTuple):

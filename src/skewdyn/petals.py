@@ -56,7 +56,7 @@ from typing import NamedTuple, Sequence
 from ._np import np
 from .errors import LinearFiberError
 from .normalform import detect_parabolic_order
-from .rotation import _CHUNK, RotationNumber, unit_column
+from .rotation import _CHUNK, RotationNumber, unit_powers
 from .series import SkewGerm, TruncatedSeries, _horner
 
 TWO_PI = 2.0 * math.pi
@@ -244,7 +244,7 @@ def _z_schedule(rot: RotationNumber | None, z0: complex, n: int) -> np.ndarray:
     """The fiber base points lam^m z0 for m = 0..n."""
     if rot is None or z0 == 0:
         return np.full(n + 1, complex(z0))
-    return np.array(unit_column(rot, n).lam) * z0
+    return np.array(unit_powers(rot, n)) * z0
 
 
 def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:

@@ -220,11 +220,27 @@ def _unit_powers(xf: list[float]) -> list[complex]:
     return [complex(math.cos(a), math.sin(a)) for a in [two_pi * x for x in xf]]
 
 
+def _lam_chunks(rot: RotationNumber, k_max: int, lo: int = 0):
+    """(start, doubles of x_k, r_k, lam^k) for each chunk of
+    `_fraction_chunks`, which rejects k_max at once: the one place where
+    lam^k is formed."""
+    def chunk(c):
+        start, fulls, reds = c
+        xf = _to_doubles(fulls, rot.frac_bits)
+        return start, xf, reds, _unit_powers(xf)
+    return map(chunk, _fraction_chunks(rot, k_max, lo))
+
+
+def unit_powers(rot: RotationNumber, k_max: int) -> list[complex]:
+    """lam^k for k = 0..k_max: the `lam` list of `unit_column`, bit for bit,
+    without the divisors."""
+    return [lam for *_, lams in _lam_chunks(rot, k_max) for lam in lams]
+
+
 def lam_power(rot: RotationNumber, j: int) -> complex:
     """lam^j for any integer j, from the one fraction |j|*theta mod 1; equal
     bit for bit to unit_column(rot, |j|).lam[|j|] (conjugated for j < 0)."""
-    _, full, _ = next(_fraction_chunks(rot, abs(j), abs(j)))
-    lam = _unit_powers(_to_doubles(full, rot.frac_bits))[0]
+    lam = next(_lam_chunks(rot, abs(j), abs(j)))[3][0]
     return lam if j >= 0 else lam.conjugate()
 
 
@@ -241,12 +257,11 @@ def unit_column(rot: RotationNumber, k_max: int) -> UnitColumn:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     bits = rot.frac_bits
-    chunks = _fraction_chunks(rot, k_max)  # rejects k_max before allocating
+    chunks = _lam_chunks(rot, k_max)  # rejects k_max before allocating
     col = UnitColumn([0j] * (k_max + 1), [0j] * (k_max + 1), [0] * (k_max + 1))
     sin, cos, pi = math.sin, math.cos, math.pi
-    for lo, fulls, reds in chunks:
-        xf = _to_doubles(fulls, bits)
-        col.lam[lo:lo + len(xf)] = _unit_powers(xf)
+    for lo, xf, reds, lams in chunks:
+        col.lam[lo:lo + len(xf)] = lams
         for k, x, r, xr in zip(range(lo, lo + len(xf)), xf, reds,
                                _to_doubles(reds, bits)):
             if xr < _TINY and r:

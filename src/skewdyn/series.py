@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 from ._np import np
 from .errors import DegenerateDivisorError, TruncationMismatchError
 from .rotation import RotationNumber, rotation_from_json, rotation_to_json, \
-    unit_column
+    unit_powers
 
 _SENT = -(1 << 61)  # exponent of zero terms; a sum of two still fits in int64
 _FLOOR = -1100      # alignment shifts this low underflow to zero anyway
@@ -313,7 +313,7 @@ def rotate(s: TruncatedSeries, rot: RotationNumber, power: int) -> TruncatedSeri
     """Substitute z -> lam^power * z: coefficient n picks up lam^(n*power)."""
     if power == 0:
         return s
-    f = np.array(unit_column(rot, (len(s) - 1) * abs(power)).lam[::abs(power)])
+    f = np.array(unit_powers(rot, (len(s) - 1) * abs(power))[::abs(power)])
     if power < 0:
         f = f.conjugate()
     return TruncatedSeries._of(*_normalize(s.mant * f, s.exp2))
@@ -371,22 +371,25 @@ def reversion_in_w(h: TruncatedSeries, k: int,
                    dw: int) -> list[TruncatedSeries]:
     """Coefficients of the w-inverse of w -> w + h(z) w^{k+1}, up to w^dw.
 
-    Fixed-point iteration r <- y - h r^{k+1}; each pass pins k further
-    orders, and the w^{k+1} coefficient of the result is exactly -h.
+    Lagrange inversion in closed form: the inverse is
+    sum_n (-1)^n C((k+1)n, n)/(kn+1) h^n w^{kn+1}, so it takes one series
+    product per power of h and no fixed-point pass.  The integer constant
+    enters as a (mantissa, exponent) pair, since it leaves the double range
+    near n = 500 when k = 1; the w^{k+1} coefficient is exactly -h.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    y = _zeros(dw + 1, len(h))
-    y[0][1:2, 0] = 1.0   # the series 1 at w^1
-    r = y
-    steps = max(1, -(-(dw - 1) // k))
-    for _ in range(steps):
-        p = r
-        for _ in range(k):
-            p = _wpoly_mul(p, r, dw)
-        hm, he = _cauchy(h.mant, h.exp2, *p)
-        r = _add(*y, -hm, he)
-    return _series_list(*r)
+    rev = _wpoly_zero(h.order, dw)
+    rev[1] = TruncatedSeries.one(h.order)
+    if k + 1 <= dw:
+        rev[k + 1] = -h
+    p = h
+    for n in range(2, (dw - 1) // k + 1):
+        p = p * h
+        c = math.comb((k + 1) * n, n) // (k * n + 1)
+        e = c.bit_length() - 1
+        rev[k * n + 1] = p.scale((-1) ** n * (c / (1 << e)), e)
+    return rev
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,39 @@ def test_normalize_report(tmp_path, germ_file):
     assert all(v < 1e-8 for v in rep["stage_residuals"].values())
 
 
+@pytest.mark.parametrize("a1, top", [([1], 1.7e308), ([1, 0.5], 1e307)])
+def test_normalize_oracle_overflow_writes_null(tmp_path, golden, a1, top):
+    # 1.7e308 z at w^8 cannot be read as a double; 1e307 z times the
+    # gauge's powers overflows the oracle's products
+    F = sd.SkewGerm.from_coeffs(golden, [[0], a1, [1]] + [[0]] * 5 + [[0, top]],
+                                6, 8)
+    germ = tmp_path / "germ.json"
+    germ.write_text(json.dumps(sd.germ_to_json(F)))
+    out = tmp_path / "o"
+    assert main(["normalize", "--germ", str(germ), "--depth", "2",
+                 "--out", str(out)]) == 0
+    rep = read_json(out / "normalize.json")
+    assert rep["replay_defect"] is None
+    assert rep["reduced"]["jet"][0] == pytest.approx([-1.0, 0.0])
+
+
+def test_normalize_conjugates_only_inside_the_pipeline(tmp_path, germ_file,
+                                                        monkeypatch):
+    from skewdyn import normalform
+    callers = []
+    real = normalform.conjugate
+
+    def counting(F, ch):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(F, ch)
+    for mod in (normalform, sd.series):
+        monkeypatch.setattr(mod, "conjugate", counting)
+    assert main(["normalize", "--germ", germ_file, "--depth", "2",
+                 "--trunc-w", "8", "--out", str(tmp_path / "o")]) == 0
+    # curve, gauge and bumps w^2..w^4, then the reduction's one scale
+    assert callers == ["normalize"] * 5 + ["reduce_parabolic_tail"]
+
+
 def test_cremer_csv_and_summary(tmp_path, rot_file):
     out = tmp_path / "o"
     assert main(["cremer", "--rotation", rot_file, "--construction", "greedy",

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -157,6 +158,7 @@ def test_normalize_acceptance_example(golden):
     assert nf.z_dependence_defect() < 1e-8
     assert nf.tail_defect() < 1e-10
     assert log.replay(F).approx_eq(nf.germ, 1e-8)
+    assert sd.conjugacy_defect(F, log, nf.germ) <= 1e-12
 
 
 def test_normalize_tail_constants_match_fiber(golden):
@@ -205,10 +207,12 @@ def test_normalize_random_germs_fuzz(golden, seed):
     scale = max(1.0, 2.0 ** nf.germ.max_abs_log2())
     assert nf.z_dependence_defect() / scale < 1e-9
     assert log.replay(F).approx_eq(nf.germ, 1e-8)
+    assert sd.conjugacy_defect(F, log, nf.germ) <= 1e-12
     if nf.h >= nf.k:
         red = sd.reduce_parabolic_tail(nf, changelog=log)
         assert red.jet[0] == pytest.approx(-1, abs=1e-9)
         assert log.replay(F).approx_eq(red.germ, 1e-8)
+        assert sd.conjugacy_defect(F, log, red.germ) <= 1e-12
 
 
 def test_normalize_k2_cleans_low_orders(golden):
@@ -222,6 +226,7 @@ def test_normalize_k2_cleans_low_orders(golden):
     assert 2.0 ** w2.max_abs_log2() / scale < 1e-10
     assert nf.jet[0] == pytest.approx(1, abs=1e-10)
     assert log.replay(F).approx_eq(nf.germ, 1e-8)
+    assert sd.conjugacy_defect(F, log, nf.germ) <= 1e-12
 
 
 # -- parabolic reduction ---------------------------------------------------------
@@ -233,6 +238,7 @@ def test_reduce_identity_case(golden):
     assert red.jet[0] == pytest.approx(-1, abs=1e-12)
     assert red.b == pytest.approx(0, abs=1e-12)
     assert log.replay(F).approx_eq(red.germ, 1e-9)
+    assert sd.conjugacy_defect(F, log, red.germ) <= 1e-12
 
 
 def test_reduce_flips_sign(golden):
@@ -263,6 +269,7 @@ def test_reduce_k2_eliminates_between_orders(golden):
     assert abs(red.jet[1]) < 1e-10          # w^4 eliminated
     assert red.b is not None
     assert log.replay(F).approx_eq(red.germ, 1e-8)
+    assert sd.conjugacy_defect(F, log, red.germ) <= 1e-12
 
 
 def test_reduce_requires_depth(golden):
@@ -285,6 +292,75 @@ def test_reduce_scale_beyond_double_range(golden, g1, top):
         want = complex(a * c ** (j - 1))
         assert red.germ.a[j].to_complex_list() == pytest.approx(
             [want] + [0] * 6, rel=1e-12, abs=0), j
+
+
+# -- the change-log oracle --------------------------------------------------------
+
+def _benchmark_germ(rot, k):
+    """The normal-form benchmark's germ of order k at seed 31, with its
+    depth: degree k+2, seeded complex Gaussian z-coefficients times 0.3,
+    a_0(0) = 0, a_1(0) = 1, a_2..a_k vanishing at z = 0, and a_{k+1}(0),
+    a_{k+2}(0) at least 0.1 in modulus."""
+    rng = np.random.default_rng([31, 1])
+    for order, h, n in ((1, 3, 14), (2, 2, 12)):
+        dw, deg = 8, order + 2
+        c = np.zeros((dw + 1, n + 1), complex)
+        c[:deg + 1] = (rng.standard_normal((deg + 1, n + 1))
+                       + 1j * rng.standard_normal((deg + 1, n + 1))) * 0.3
+        c[0, 0], c[1, 0] = 0, 1
+        c[2:order + 1, 0] = 0
+        for j in (order + 1, order + 2):
+            if abs(c[j, 0]) < 0.1:
+                c[j, 0] = 0.1 * cmath.exp(1j * cmath.phase(c[j, 0] or 1))
+        rng.random(16), rng.random(16)   # the benchmark's sample points
+        if order == k:
+            return sd.SkewGerm.from_coeffs(rot, c.tolist(), n, dw, d=deg), h
+    raise ValueError(f"no benchmark germ of order {k}")
+
+
+def _is_identity(ch) -> bool:
+    if isinstance(ch, sd.WScale):
+        return ch.c == 1
+    if isinstance(ch, sd.Bump):
+        return ch.h.is_zero()
+    return (ch.phi if isinstance(ch, sd.Shift) else ch.psi).is_zero()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_conjugacy_defect_sees_every_dropped_change(golden, k):
+    F, h = _benchmark_germ(golden, k)
+    nf, log = sd.normalize(F, h)
+    cut_at = len(log.changes)
+    red = sd.reduce_parabolic_tail(nf, changelog=log)
+    # the log as normalize.json reports it, and the log after the reduction
+    for changes, G in ((log.changes[:cut_at], nf.germ), (log.changes, red.germ)):
+        intact = sd.conjugacy_defect(F, sd.ChangeLog(log.sigma, changes), G)
+        assert intact <= 1e-12
+        dropped = [i for i, ch in enumerate(changes) if not _is_identity(ch)]
+        assert len(dropped) >= len(changes) - 1
+        for i in dropped:
+            cut = sd.ChangeLog(log.sigma, changes[:i] + changes[i + 1:])
+            assert sd.conjugacy_defect(F, cut, G) >= 1e3 * intact, (i, changes[i])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_conjugacy_defect_at_low_z_truncation(golden, n, seed):
+    # rho_N keeps the truncation term |z|^(N+1) below 2^-53 at low N, where
+    # a fixed |z| = 0.05 would report it
+    F = random_parabolic_germ(golden, n, 6, seed=70 + seed)
+    nf, log = sd.normalize(F, 2)
+    assert sd.conjugacy_defect(F, log, nf.germ) <= 1e-12
+    red = sd.reduce_parabolic_tail(nf, changelog=log)
+    assert sd.conjugacy_defect(F, log, red.germ) <= 1e-12
+
+
+def test_conjugacy_defect_overflow_is_inf(golden):
+    # G's w^8 coefficient 1.7e308 z exceeds 2^1020: the oracle cannot read it
+    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1]] + [[0]] * 5 + [[0, 1.7e308]],
+                                6, 8)
+    nf, log = sd.normalize(F, 2)
+    assert sd.conjugacy_defect(F, log, nf.germ) == math.inf
 
 
 # -- the parabolic-fiber rule at its tolerances ----------------------------------

@@ -1102,3 +1102,9 @@ def test_critical_orbit_from_germ(golden):
 def test_critical_orbit_degree_validation():
     with pytest.raises(ValueError):
         sd.critical_orbit_check([0, 1])
+
+
+def test_z_schedule_reads_the_unit_column_lam_bits(golden):
+    zs = petals._z_schedule(golden, 0.05, 10_000)
+    want = np.array(sd.unit_column(golden, 10_000).lam) * 0.05
+    assert zs.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +149,16 @@ def test_reversion_round_trip(golden, k, dw):
     assert comp[1].approx_eq(TS.one(n), 1e-9)
     for i in (0, *range(2, dw + 1)):
         assert 2.0 ** comp[i].max_abs_log2() < 1e-9
+
+
+def test_reversion_at_high_w_order_matches_the_closed_form():
+    # the w^600 constant C(1198, 599)/600 ~ 2^1191 leaves the double range
+    h0 = 0.7 + 0.2j
+    rev = sd.reversion_in_w(TS.from_list([h0, 0.3, 0.1], 3), 1, 600)
+    with mpmath.workprec(200):
+        want = -mpmath.binomial(1198, 599) / 600 * mpmath.mpc(h0) ** 599
+        got = mpmath.mpc(complex(rev[600].mant[0])) * mpmath.mpf(2) ** int(rev[600].exp2[0])
+        assert abs(got / want - 1) < 1e-12
 
 
 # -- conjugation -------------------------------------------------------------
