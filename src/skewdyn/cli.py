@@ -34,8 +34,8 @@ from .petals import (OrbitConfig, ParabolicLocal, critical_orbit_check,
 from .rotation import (brjuno_partial_sum, cremer_running_max, divisor_table,
                        rotation_from_json, rotation_to_json, unit_column,
                        write_divisor_csv)
-from .series import Bump, Gauge, Shift, WScale, germ_from_json, \
-    retruncate, series_to_triples
+from .series import Bump, Gauge, Shift, germ_from_json, retruncate, \
+    series_to_triples
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -110,9 +110,11 @@ def _cjson(c: complex) -> list[float]:
     return [float(c.real), float(c.imag)]
 
 
-def _config_echo(args, fields: list[str]) -> dict:
-    return {f: getattr(args, f.replace("-", "_")) for f in fields
-            if getattr(args, f.replace("-", "_"), None) is not None}
+def _config_echo(args) -> dict:
+    """Every parsed argument that is set, apart from the subcommand's
+    name, its handler and --out."""
+    return {f: v for f, v in vars(args).items()
+            if f not in ("command", "func", "out") and v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +136,7 @@ def cmd_brjuno(args) -> int:
     table = divisor_table(rot, m_max)
     sums = {str(k): brjuno_partial_sum(table, k) for k in range(k_top + 1)}
     summary = {
-        "config": _config_echo(args, ["rotation", "m_max", "brjuno_k"]),
+        "config": _config_echo(args),
         "rotation": rotation_to_json(rot),
         "partial_quotients": rot.partial_quotients(16),
         "omega_final": float(table.omega[m_max]),
@@ -154,7 +156,7 @@ def cmd_normalize(args) -> int:
         F = retruncate(F, n=args.trunc_z, dw=args.trunc_w)
     nf, log = normalize(F, args.depth)
     report = {
-        "config": _config_echo(args, ["germ", "depth"]),
+        "config": _config_echo(args),
         "k": nf.k,
         "h": nf.h,
         "jet": [_cjson(c) for c in nf.jet],
@@ -166,7 +168,7 @@ def cmd_normalize(args) -> int:
         "change_log": _changelog_json(log),
     }
     if nf.h >= nf.k:
-        red = reduce_parabolic_tail(nf, changelog=log)
+        red = reduce_parabolic_tail(nf)
         report["reduced"] = {
             "jet": [_cjson(c) for c in red.jet],
             "b": _cjson(red.b) if red.b is not None else None,
@@ -186,8 +188,6 @@ def _changelog_json(log) -> list[dict]:
         elif isinstance(ch, Bump):
             entries.append({"kind": "bump", "k": ch.k,
                             "series": series_to_triples(ch.h)})
-        elif isinstance(ch, WScale):
-            entries.append({"kind": "wscale", "c": _cjson(ch.c)})
     return entries
 
 
@@ -205,7 +205,7 @@ def cmd_cremer(args) -> int:
     prof = growth_profile(coeffs)
     dens = [q for q in rot.convergent_denominators(32) if 1 <= q <= m_max]
     summary = {
-        "config": _config_echo(args, ["rotation", "construction", "m_max", "phi0"]),
+        "config": _config_echo(args),
         "rotation": rotation_to_json(rot),
         "running_max_exponent": float(prof.running_max[m_max]),
         "exponent_at_denominators": {str(q): float(prof.exponents[q])
@@ -225,8 +225,7 @@ def cmd_orbit(args) -> int:
     orbit = iterate_orbit(F, z0, w0, args.n_max,
                           config=OrbitConfig(escape_radius=args.escape),
                           stop_at_verdict=not args.full_orbit)
-    sums = (vertical_derivative_sum(orbit).tolist() if len(orbit.dlogs)
-            else [0.0])
+    sums = vertical_derivative_sum(orbit).tolist()
     dlogs = orbit.dlogs.tolist() + [float("nan")]  # no step from the last row
     rows = zip(orbit.zs.tolist(), orbit.ws.tolist(), dlogs, sums)
     out = _out_dir(args)
@@ -236,7 +235,7 @@ def cmd_orbit(args) -> int:
             fh.write(f"{n},{z.real!r},{z.imag!r},{w.real!r},{w.imag!r},"
                      f"{d!r},{s!r}\n")
     summary = {
-        "config": _config_echo(args, ["germ", "z0", "w0", "n_max", "escape"]),
+        "config": _config_echo(args),
         "verdict": repr(orbit.verdict),
         "n_stop": orbit.n_stop,
         "stop_reason": orbit.stop_reason,
@@ -268,8 +267,7 @@ def cmd_slice(args) -> int:
     grid.write_ppm(out / "slice.ppm")
     grid.write_csv(out / "slice.csv")
     summary = {
-        "config": _config_echo(args, ["germ", "z0", "grid", "n_max", "escape",
-                                      "threads"]),
+        "config": _config_echo(args),
         "verdict_counts": grid.verdict_counts(),
         "cycles": [[list(p) for p in key] for key in grid.cycles],
     }
@@ -281,7 +279,7 @@ def cmd_hypotheses(args) -> int:
     F = _load_germ(args.germ)
     rep = critical_orbit_check(F, n_max=args.n_max)
     summary = {
-        "config": _config_echo(args, ["germ", "n_max"]),
+        "config": _config_echo(args),
         "plausible": rep.plausible,
         "critical_points": [{
             "point": _cjson(r.point),
@@ -302,8 +300,7 @@ def cmd_petalcheck(args) -> int:
                                    samples=args.samples, seed=args.seed)
     rep = repelling_expansion_check(local, samples=args.samples, seed=args.seed)
     summary = {
-        "config": _config_echo(args, ["k", "b", "rho", "eta", "z_band",
-                                      "samples", "seed"]),
+        "config": _config_echo(args),
         "forward_invariance": {"samples": fwd.samples,
                                "violations": fwd.violations,
                                "unresolved": fwd.unresolved,

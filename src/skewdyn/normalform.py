@@ -150,15 +150,17 @@ def conjugacy_defect(F: SkewGerm, log: ChangeLog, G: SkewGerm) -> float:
 
     With Psi = Phi_1 o ... o Phi_m (the last logged change acts first),
     F o Psi = Psi o G reads g_z(Psi_z(w)) = Psi_{lam z}(G_z(w)) fiber by
-    fiber.  At four base points on |z| = rho_N = min(0.05, 2^(-53/(N+1))),
-    where the z-truncation term |z|^(N+1) stays below 2^-53, every change
-    and both germs are read as plain complex polynomials in w cut at
-    w^{D_w}.  Returns the largest |[w^j]| of the difference over the points
-    and j <= D_w, relative to max(1, largest coefficient of G); inf when a
-    value leaves the double range.
+    fiber.  At four base points on |z| = rho = min(0.05, 2^(-(53 + L)/(N+1))),
+    L = max(0, log2 of the largest coefficient of F and G), where the
+    z-truncation term |z|^(N+1) times any coefficient stays below 2^-53,
+    every change and both germs are read as plain complex polynomials in w
+    cut at w^{D_w}.  Returns the largest |[w^j]| of the difference over the
+    points and j <= D_w, relative to max(1, largest modulus among the
+    compared coefficients); inf when a value leaves the double range.
     """
     n, dw = G.n_trunc, G.dw
-    rho = min(0.05, 2.0 ** (-53 / (n + 1)))
+    top = max(0.0, F.max_abs_log2(), G.max_abs_log2())
+    rho = min(0.05, 2.0 ** (-(53 + top) / (n + 1)))
     zs = [rho * cmath.exp(0.5j * math.pi * (j + 0.5)) for j in range(4)]
     lam = lam_power(G.rot, 1)
     pts = zs + [lam * z for z in zs]   # Psi is needed at z and at lam z
@@ -168,7 +170,6 @@ def conjugacy_defect(F: SkewGerm, log: ChangeLog, G: SkewGerm) -> float:
         return [_horner(cs, z) for z in where]
 
     try:
-        scale = max(1.0, 2.0 ** G.max_abs_log2())
         psis = [[0j, 1 + 0j] + [0j] * (dw - 1) for _ in pts]
         for ch in reversed(log.changes):
             if isinstance(ch, Shift):
@@ -193,13 +194,13 @@ def conjugacy_defect(F: SkewGerm, log: ChangeLog, G: SkewGerm) -> float:
         gn = list(zip(*(at(s, zs) for s in G.a)))
     except OverflowError:
         return math.inf
-    errs = [abs(x - y)
-            for i in range(len(zs))
-            for x, y in zip(_poly_compose(g[i], psis[i]),
-                            _poly_compose(psis[len(zs) + i], gn[i]))]
+    pairs = [xy for i in range(len(zs))
+             for xy in zip(_poly_compose(g[i], psis[i]),
+                           _poly_compose(psis[len(zs) + i], gn[i]))]
+    errs = [abs(x - y) for x, y in pairs]
     if not all(map(math.isfinite, errs)):
         return math.inf
-    return max(errs) / scale
+    return max(errs) / max(1.0, *(abs(v) for xy in pairs for v in xy))
 
 
 class NormalForm(NamedTuple):

@@ -18,9 +18,10 @@ with R = 1/(k rho^k).  Orbit verdicts come from a fixed state machine:
              `window` steps;
   undecided  the step budget ran out first.
 
-Thresholds come only through OrbitConfig.  Whether the fiber map at z = 0 is
-parabolic, and of which order k, is decided by one rule with its own
-tolerances, normalform.detect_parabolic_order.
+The thresholds a caller can vary come through OrbitConfig; the fixed ones
+are module constants (CYCLE_TOL, PETAL_SHRINK, PETAL_GATE).  Whether the
+fiber map at z = 0 is parabolic, and of which order k, is decided by one
+rule with its own tolerances, normalform.detect_parabolic_order.
 
 Grids run through a vectorized lockstep engine.  It drops all-zero top
 w-degrees (0 * w is exact for the finite w of undecided points) and, every
@@ -94,17 +95,17 @@ class Verdict(NamedTuple):
 
 
 class OrbitConfig(NamedTuple):
-    """Classification thresholds: the only way to set them."""
+    """The classification thresholds a caller can vary."""
     window: int = 50           # confirmation steps for petal and cycle verdicts
     arg_tol: float = 0.2       # radians around an attracting direction
-    cycle_tol: float = 1e-9    # absolute recurrence tolerance
     escape_radius: float = 1e6
     period_cap: int = 64
-    petal_shrink: float = 0.5  # |w| must halve over a petal streak
-    petal_gate: float = 0.75   # petal bookkeeping only below this radius
 
 
 DEFAULT_CONFIG = OrbitConfig()
+CYCLE_TOL = 1e-9     # absolute recurrence tolerance
+PETAL_SHRINK = 0.5   # |w| must halve over a petal streak
+PETAL_GATE = 0.75    # petal bookkeeping only below this radius
 CYCLE_ROUND = 4   # decimals for canonical cycle grouping
 TIE_DELTA = 1e-4  # key units (10^-8 at 4 decimals) from a rounding tie
 MAX_PETAL_ORDER = 4096
@@ -173,6 +174,7 @@ class ParabolicLocal:
     """Vertical map w - w^{k+1} + b w^{2k+1} + sum beta_m(z) w^m with petal
     parameters; `rot` is only needed when the tail makes fibers matter."""
     __slots__ = ("k", "b", "tail", "rho", "eta", "rot")
+    radius = math.inf
 
     def __init__(self, k: int, b: complex = 0j,
                  tail: tuple[TruncatedSeries, ...] = (),  # orders 2k+2, 2k+3, ...
@@ -249,10 +251,9 @@ def _z_schedule(rot: RotationNumber | None, z0: complex, n: int) -> np.ndarray:
 
 def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:
     """C[n, j] = a_j(lam^n z0) for every step of the fiber schedule."""
-    radius = getattr(F, "radius", math.inf)
-    if abs(z0) >= radius:
-        raise ValueError(f"|z0| = {abs(z0)} outside validity radius {radius}")
-    lists, rot = _coeff_lists(F)
+    lists, rot = _coeff_lists(F)  # TypeError first for any other map type
+    if abs(z0) >= F.radius:
+        raise ValueError(f"|z0| = {abs(z0)} outside validity radius {F.radius}")
     z_moves = z0 != 0 and any(any(x != 0 for x in c[1:]) for c in lists)
     if z_moves and rot is None:
         raise ValueError("a rotation number is required when fibers move")
@@ -269,15 +270,15 @@ def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:
 
 
 def _parabolic_data(F):
-    """(is_parabolic, k, base_angle) for the fiber map at z = 0, by the
-    rule of normalform.detect_parabolic_order."""
+    """(k, base_angle) for the fiber map at z = 0, by the rule of
+    normalform.detect_parabolic_order; k = 0 when it is not parabolic."""
     if isinstance(F, ParabolicLocal):
-        return True, F.k, directions_for_jet(-1.0 + 0j, F.k)
+        return F.k, directions_for_jet(-1.0 + 0j, F.k)
     try:
         k = detect_parabolic_order(F)
     except (ValueError, LinearFiberError):
-        return False, 0, 0.0
-    return True, k, directions_for_jet(F.fiber_constants()[k + 1], k)
+        return 0, 0.0
+    return k, directions_for_jet(F.fiber_constants()[k + 1], k)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +325,7 @@ class _State:
         self.w = self.tort = np.asarray(w0, dtype=complex)
         self.prev_abs = np.abs(self.w)
         self.streak = np.zeros(m, dtype=np.int32)
-        self.streak_bound = np.zeros(m)  # petal_shrink |w| at streak start
+        self.streak_bound = np.zeros(m)  # PETAL_SHRINK |w| at streak start
         self.anchored = np.zeros(m, dtype=bool)
         self.anchor = np.zeros(m, dtype=complex)
         self.anchor_step = np.zeros(m, dtype=np.int32)
@@ -347,11 +348,11 @@ def _step(row: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
-                parabolic: bool, k: int, base_angle: float,
-                cfg: OrbitConfig) -> _EngineResult:
+def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
+                base_angle: float, cfg: OrbitConfig) -> _EngineResult:
     """Advance all points in lockstep through the shared fiber schedule C,
-    until every point has a verdict or n_max steps are taken.
+    until every point has a verdict or n_max steps are taken; petal
+    bookkeeping runs only for a parabolic fiber (k > 0).
 
     Verdict checks run in a fixed order every step (escape, petal, cycle);
     each point's outcome is a pure function of its own start, so results do
@@ -393,14 +394,14 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
             if not cur_abs.max(initial=0.0) <= cfg.escape_radius:
                 settle(~(cur_abs <= cfg.escape_radius) & undecided, ESCAPE, n)
 
-            if parabolic and n >= 1:
-                qual = ((cur_abs < np.minimum(st.prev_abs, cfg.petal_gate,
+            if k and n >= 1:
+                qual = ((cur_abs < np.minimum(st.prev_abs, PETAL_GATE,
                                               out=st.prev_abs))
                         & (cur_abs > 0.0) & undecided)
                 if qual.any():
                     qual &= _in_sector(st.w, cur_abs, k, base_angle,
                                        cfg.arg_tol)
-                np.multiply(cur_abs, cfg.petal_shrink, out=st.streak_bound,
+                np.multiply(cur_abs, PETAL_SHRINK, out=st.streak_bound,
                             where=st.streak == 0)
                 st.streak += qual
                 st.streak *= qual
@@ -413,7 +414,7 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
             if n >= 2 and n % 2 == 0:
                 st.tort = _step(C[n // 2 - 1], st.tort)
             if n >= 2:
-                catch = np.abs(st.w - st.tort) < cfg.cycle_tol
+                catch = np.abs(st.w - st.tort) < CYCLE_TOL
                 if catch.any():
                     catch &= undecided & ~st.anchored
                     st.anchored |= catch
@@ -423,7 +424,7 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                     st.period[catch] = 0
                 act = st.anchored  # settle() unanchors what it settles
                 if act.any():
-                    near = act & (np.abs(st.w - st.anchor) < cfg.cycle_tol)
+                    near = act & (np.abs(st.w - st.anchor) < CYCLE_TOL)
                     gap = n - st.last_hit
                     is_new = near & (gap > 0)
                     first = is_new & (st.period == 0)
@@ -476,13 +477,13 @@ def _first_petal_hit(ws: np.ndarray, a: np.ndarray, k: int, base_angle: float,
                      cfg: OrbitConfig) -> tuple[int, int] | None:
     n = len(ws) - 1
     qual = np.zeros(n + 1, dtype=bool)
-    qual[1:] = ((a[1:] > 0.0) & (a[1:] < a[:-1]) & (a[1:] < cfg.petal_gate)
+    qual[1:] = ((a[1:] > 0.0) & (a[1:] < a[:-1]) & (a[1:] < PETAL_GATE)
                 & _in_sector(ws[1:], a[1:], k, base_angle, cfg.arg_tol))
     idx = np.arange(n + 1)
     last_nonqual = np.maximum.accumulate(np.where(qual, -1, idx))
     streak = idx - last_nonqual
     start_abs = a[np.minimum(last_nonqual + 1, n)]
-    hit = qual & (streak >= cfg.window) & (a <= cfg.petal_shrink * start_abs)
+    hit = qual & (streak >= cfg.window) & (a <= PETAL_SHRINK * start_abs)
     pos = np.flatnonzero(hit)
     if len(pos) == 0:
         return None
@@ -505,7 +506,7 @@ def _first_cycle_confirm(ws: np.ndarray, cfg: OrbitConfig) -> tuple[int, int] | 
     if top < 2:
         return None
     diff = np.abs(ws - ws[np.arange(top + 1) // 2])
-    catches = np.flatnonzero(diff[2:] < cfg.cycle_tol) + 2
+    catches = np.flatnonzero(diff[2:] < CYCLE_TOL) + 2
     scan_from = 2
     while True:
         pos = np.searchsorted(catches, scan_from)
@@ -516,7 +517,7 @@ def _first_cycle_confirm(ws: np.ndarray, cfg: OrbitConfig) -> tuple[int, int] | 
         while True:
             stale_at = last_hit + cfg.period_cap + 1
             near = np.flatnonzero(np.abs(ws[last_hit + 1:stale_at + 1]
-                                         - ws[anchor_step]) < cfg.cycle_tol)
+                                         - ws[anchor_step]) < CYCLE_TOL)
             if len(near) == 0:
                 break
             gap = int(near[0]) + 1
@@ -532,7 +533,7 @@ def _first_cycle_confirm(ws: np.ndarray, cfg: OrbitConfig) -> tuple[int, int] | 
         scan_from = stale_at + 1
 
 
-def _first_verdict(ws: np.ndarray, parabolic: bool, k: int, base_angle: float,
+def _first_verdict(ws: np.ndarray, k: int, base_angle: float,
                    cfg: OrbitConfig) -> tuple[int, int, int, int] | None:
     """(n, kind, index, period) of the first verdict along ws, or None.
 
@@ -543,7 +544,7 @@ def _first_verdict(ws: np.ndarray, parabolic: bool, k: int, base_angle: float,
     esc = np.flatnonzero(~(a <= cfg.escape_radius))
     if len(esc):
         found.append((int(esc[0]), ESCAPE, -1, 0))
-    if parabolic:
+    if k:
         ph = _first_petal_hit(ws, a, k, base_angle, cfg)
         if ph is not None:
             found.append((ph[0], PETAL, ph[1], 0))
@@ -553,9 +554,8 @@ def _first_verdict(ws: np.ndarray, parabolic: bool, k: int, base_angle: float,
     return min(found, default=None)
 
 
-def _run_single(C: np.ndarray, w0: complex, n_max: int,
-                parabolic: bool, k: int, base_angle: float,
-                cfg: OrbitConfig, stop_at_verdict: bool):
+def _run_single(C: np.ndarray, w0: complex, n_max: int, k: int,
+                base_angle: float, cfg: OrbitConfig, stop_at_verdict: bool):
     """Trajectory-first replay of the engine rules for one point.
 
     Returns (kind, index, n_stop, period, ws, dlogs).  ws ends at n_stop
@@ -572,12 +572,8 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
             for n in range(done, top):
                 w = _horner(C[n], w)
                 ws[n + 1] = w[0]
-                if stop_at_verdict and not abs(w[0]) <= cfg.escape_radius:
-                    top = n + 1  # escape is final; the replay confirms it
-                    break
             done, block = top, 2 * block
-            verdict = _first_verdict(ws[:done + 1], parabolic, k, base_angle,
-                                     cfg)
+            verdict = _first_verdict(ws[:done + 1], k, base_angle, cfg)
             if verdict is not None or done == n_max:
                 break
         n_stop, kind, index, period = verdict or (n_max, UNDECIDED, -1, 0)
@@ -698,8 +694,6 @@ class OrbitRecord(NamedTuple):
     (or the budget ran out); with stop_at_verdict=False recording continues
     past it.
     """
-    z0: complex
-    w0: complex
     ws: np.ndarray
     zs: np.ndarray
     dlogs: np.ndarray
@@ -718,9 +712,8 @@ def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
         raise ValueError("n_max must be at least 1")
     cfg = _checked_config(config)
     C = _coeff_matrix(F, z0, n_max)
-    parabolic, k, base = _parabolic_data(F)
     kind, index, n_stop, period, ws, dlogs = _run_single(
-        C, complex(w0), n_max, parabolic, k, base, cfg, stop_at_verdict)
+        C, complex(w0), n_max, *_parabolic_data(F), cfg, stop_at_verdict)
     rep = None
     if kind == BASIN:
         pts = _cycle_points(C, ws[n_stop:n_stop + 1], np.array([n_stop]), period)
@@ -730,11 +723,10 @@ def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
         verdict = Verdict(PETAL, index)
     else:
         verdict = Verdict(kind)
-    zs = _z_schedule(getattr(F, "rot", None), z0, len(ws) - 1)
+    zs = _z_schedule(F.rot, z0, len(ws) - 1)
     reason = {ESCAPE: "escape", PETAL: "petal", BASIN: "cycle"}.get(kind, "n_max")
-    return OrbitRecord(z0=complex(z0), w0=complex(w0), ws=ws, zs=zs,
-                       dlogs=dlogs, verdict=verdict, n_stop=n_stop,
-                       stop_reason=reason,
+    return OrbitRecord(ws=ws, zs=zs, dlogs=dlogs, verdict=verdict,
+                       n_stop=n_stop, stop_reason=reason,
                        cycle_period=period if kind == BASIN else None,
                        cycle_representative=rep)
 
@@ -743,9 +735,8 @@ def vertical_derivative_sum(orbit: OrbitRecord) -> np.ndarray:
     """Partial sums of log |dg/dw| along the orbit: entry n covers steps < n.
 
     The growth of these sums is the computable surrogate for vertical
-    tangent-vector expansion along non-normal orbits."""
-    if len(orbit.dlogs) == 0:
-        raise ValueError("orbit has no recorded steps")
+    tangent-vector expansion along non-normal orbits; [0.0] for an orbit
+    with no steps."""
     out = np.empty(len(orbit.dlogs) + 1)
     out[0] = 0.0
     np.cumsum(orbit.dlogs, out=out[1:])
@@ -920,7 +911,6 @@ class FatouGrid(NamedTuple):
     im: np.ndarray
     code: np.ndarray
     n_stop: np.ndarray
-    z0: complex
     cycles: Sequence[tuple] = ()
 
     def verdict_counts(self) -> dict[str, int]:
@@ -980,12 +970,12 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     re = np.linspace(float(re0), float(re1), res)
     im = np.linspace(float(im0), float(im1), res)
     C = _coeff_matrix(F, z0, n_max)
-    parabolic, k, base = _parabolic_data(F)
+    k, base = _parabolic_data(F)
 
     def run_rows(bounds: tuple[int, int]) -> _EngineResult:
         i0, i1 = bounds  # no name here holds the start array past its use
         return _run_engine(C, (re[np.newaxis, :] + 1j * im[i0:i1, np.newaxis])
-                           .ravel(), n_max, parabolic, k, base, cfg)
+                           .ravel(), n_max, k, base, cfg)
 
     chunks = max(1, min(int(threads), res))
     bounds = [(res * t // chunks, res * (t + 1) // chunks)
@@ -1010,8 +1000,7 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     ordered, ids = _cycle_ids(C, w_verd[bm], n_stop[bm], period[bm])
     code[bm] = CODE_BASIN_BASE + ids
 
-    return FatouGrid(re=re, im=im, code=code, n_stop=n_stop, z0=complex(z0),
-                     cycles=ordered)
+    return FatouGrid(re=re, im=im, code=code, n_stop=n_stop, cycles=ordered)
 
 
 # ---------------------------------------------------------------------------

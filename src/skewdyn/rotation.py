@@ -286,26 +286,23 @@ def unit_column(rot: RotationNumber, k_max: int) -> UnitColumn:
 class DivisorTable(NamedTuple):
     """Small divisors of a rotation up to index m_max.
 
-    d1[p]   = |lam^p - 1|          for 1 <= p <= m_max
-    dlam[k] = |lam^k - lam|        for 2 <= k <= m_max
-    omega[m] = min(dlam[2..m])     running minimum
+    d1[p]    = |lam^p - 1|              for 1 <= p <= m_max
+    omega[m] = min |lam^k - lam| over 2 <= k <= m, running minimum
 
-    The two families are kept separate on purpose: omega follows the
-    lam^k - lam convention, while growth estimates for invariant-curve
-    coefficients consume d1 directly.  Unused slots hold NaN.
+    |lam^k - lam| = |lam^(k-1) - 1| is d1[k - 1], so omega follows the
+    lam^k - lam convention without a second list.  Unused slots hold NaN.
     """
 
     rot: RotationNumber
     m_max: int
     d1: list[float]
-    dlam: list[float]
     omega: list[float]
     degenerate_indices: tuple[int, ...] = ()
 
 
 def divisor_table(rot: RotationNumber, m_max: int,
                   allow_degenerate: bool = False) -> DivisorTable:
-    """Tabulate |lam^p - 1|, |lam^k - lam| and the running minimum omega.
+    """Tabulate |lam^p - 1| and omega, the running minimum of |lam^k - lam|.
 
     Degenerate entries (fractional part exactly zero, i.e. a rational
     rotation surfacing at this depth) abort the table unless
@@ -330,10 +327,8 @@ def divisor_table(rot: RotationNumber, m_max: int,
         raise DegenerateDivisorError(
             f"rotation is rational to working precision: lam^p = 1 for p in {degenerate[:4]}")
 
-    # dlam[k] = d1[k - 1]: both lists hold the same floats
-    dlam = [math.nan, *d1[:-1]]
     omega = [math.nan, math.nan, *accumulate(d1[1:-1], min)]
-    return DivisorTable(rot, m_max, d1, dlam, omega, degenerate)
+    return DivisorTable(rot, m_max, d1, omega, degenerate)
 
 
 def _runs(values: Sequence[float]) -> list[tuple[float, int]]:
@@ -441,9 +436,10 @@ def rotation_from_json(obj: dict | str) -> RotationNumber:
 
 def write_divisor_csv(table: DivisorTable, path) -> None:
     """Columns: m, dlam, omega, cremer_exponent, one row per m = 2..m_max,
-    lines ended by CRLF.  Rows are formatted column-wise _CHUNK at a time.
-    omega is a running minimum, so its text and log(1/omega) (inf where
-    omega is not positive) are formed once per run of equal values."""
+    lines ended by CRLF; dlam = |lam^m - lam| is d1[m - 1].  Rows are
+    formatted column-wise _CHUNK at a time.  omega is a running minimum, so
+    its text and log(1/omega) (inf where omega is not positive) are formed
+    once per run of equal values."""
     om_text: list[str] = []
     logs: list[float] = []
     for v, n in _runs(table.omega[2:]):
@@ -455,5 +451,5 @@ def write_divisor_csv(table: DivisorTable, path) -> None:
             hi = min(lo + _CHUNK, table.m_max + 1)
             fh.write("".join([
                 f"{m},{d!r},{t},{g / m!r}\r\n" for m, d, t, g in zip(
-                    range(lo, hi), table.dlam[lo:hi], om_text[lo - 2:hi - 2],
-                    logs[lo - 2:hi - 2])]))
+                    range(lo, hi), table.d1[lo - 1:hi - 1],
+                    om_text[lo - 2:hi - 2], logs[lo - 2:hi - 2])]))

@@ -259,6 +259,21 @@ def test_orbit_outputs(tmp_path, germ_file):
     assert math.isnan(rows[-1][5]) and math.isfinite(rows[-1][6])
 
 
+def test_config_echo_records_every_setting(tmp_path, germ_file):
+    # --full-orbit decides where orbit.csv stops; --trunc-z/--trunc-w
+    # decide which germ normalize reads
+    out = tmp_path / "o"
+    assert main(["orbit", "--germ", germ_file, "--w0=-0.1,0", "--n-max",
+                 "300", "--full-orbit", "--out", str(out)]) == 0
+    assert read_json(out / "orbit.json")["config"] == {
+        "germ": germ_file, "z0": "0,0", "w0": "-0.1,0", "n_max": 300,
+        "escape": 1e6, "full_orbit": True}
+    assert main(["normalize", "--germ", germ_file, "--depth", "2",
+                 "--trunc-z", "6", "--trunc-w", "8", "--out", str(out)]) == 0
+    assert read_json(out / "normalize.json")["config"] == {
+        "germ": germ_file, "depth": 2, "trunc_z": 6, "trunc_w": 8}
+
+
 def test_slice_outputs_and_determinism(tmp_path, germ_file):
     outs = []
     for t in ("1", "3"):

@@ -112,6 +112,7 @@ def test_escape_at_step_zero():
     orb = sd.iterate_orbit(sd.ParabolicLocal(k=1), 0, 10.0, 100,
                            config=sd.OrbitConfig(escape_radius=5.0))
     assert orb.verdict.kind == sd.ESCAPE and orb.n_stop == 0
+    assert sd.vertical_derivative_sum(orb).tolist() == [0.0]  # no steps
 
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan])
@@ -182,6 +183,8 @@ def test_orbit_radius_validation(golden):
     F = random_parabolic_germ(golden, 4, 3, seed=2)
     with pytest.raises(ValueError):
         sd.iterate_orbit(F, 0.5, 0.1, 10)  # |z0| >= default radius 0.1
+    with pytest.raises(TypeError, match="expected a SkewGerm"):
+        sd.iterate_orbit([0, 1, 1], 0.5, 0.1, 10)  # not a map type
 
 
 # -- single-orbit path against the grid engine --------------------------------
@@ -239,18 +242,17 @@ def test_single_orbit_path_matches_engine(golden, name):
               * np.exp(2j * np.pi * rng.random(6)))
     starts = [complex(w) for w in pinned] + seeded.tolist() + [2e6]
     cfg = petals.DEFAULT_CONFIG
-    parabolic, k, base = petals._parabolic_data(F)
+    k, base = petals._parabolic_data(F)
     for n_max in BLOCK_EDGE_N_MAX + (n_big,):
         C = petals._coeff_matrix(F, z0, n_max)
-        eng = petals._run_engine(C, np.array(starts), n_max, parabolic, k,
-                                 base, cfg)
+        eng = petals._run_engine(C, np.array(starts), n_max, k, base, cfg)
         kinds = set()
         for i, w0 in enumerate(starts):
             want = (int(eng.kind[i]), int(eng.index[i]), int(eng.n_stop[i]),
                     int(eng.period[i]))
-            stop = petals._run_single(C, w0, n_max, parabolic, k, base, cfg,
+            stop = petals._run_single(C, w0, n_max, k, base, cfg,
                                       stop_at_verdict=True)
-            full = petals._run_single(C, w0, n_max, parabolic, k, base, cfg,
+            full = petals._run_single(C, w0, n_max, k, base, cfg,
                                       stop_at_verdict=False)
             for got in (stop, full):
                 assert got[:4] == want, (name, n_max, w0)
@@ -285,13 +287,13 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(seed):
     for trial in range(40):
         n_max = int(rng.choice([40, 63, 64, 65, 130]))
         if trial % 2:
-            parabolic, k, base = True, 2, 0.3
+            k, base = 2, 0.3
             mod = 0.5 * np.cumprod(rng.uniform(0.55, 1.08, n_max + 1))
             ang = (base + np.pi * rng.integers(0, 2, n_max + 1)
                    + rng.normal(0.0, 0.12, n_max + 1))
             seq = mod * np.exp(1j * ang)
         else:
-            parabolic, k, base = False, 0, 0.0
+            k, base = 0, 0.0
             pick = rng.integers(0, len(pool) + 3, n_max + 1)
             fresh = 10.0 + np.arange(n_max + 1)  # never near anything
             seq = np.where(pick < len(pool),
@@ -300,12 +302,12 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(seed):
             seq[rng.integers(1, n_max + 1)] = 2e6
         seq = seq.astype(complex)
         C = _schedule_for(seq)
-        eng = petals._run_engine(C, seq[:1], n_max, parabolic, k, base, cfg)
+        eng = petals._run_engine(C, seq[:1], n_max, k, base, cfg)
         want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
                 int(eng.period[0]))
         for stop_at_verdict in (True, False):
-            got = petals._run_single(C, seq[0], n_max, parabolic, k, base,
-                                     cfg, stop_at_verdict)
+            got = petals._run_single(C, seq[0], n_max, k, base, cfg,
+                                     stop_at_verdict)
             assert got[:4] == want, (seed, trial)
             assert _bits(got[4]) == _bits(seq[:len(got[4])])
             if want[0] != UNDECIDED:
@@ -315,7 +317,7 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(seed):
 def _cycle_walk(ws, cfg):
     """The engine's cycle automaton for one point, step by step in plain
     Python: ((n, period) of the confirmation or None, transition counts)."""
-    tol, cap = cfg.cycle_tol, cfg.period_cap
+    tol, cap = petals.CYCLE_TOL, cfg.period_cap
     pts = ws.tolist()
     anchored, anchor, anchor_step, last_hit, period = False, 0j, 0, 0, 0
     seen = {"reanchor": 0, "stale": 0}
@@ -695,13 +697,13 @@ def test_engine_accepts_vacuous_sector_tolerance():
     # arg_tol = 2.0 >= pi/2: for k = 2 every decreasing streak qualifies
     cfg = petals.OrbitConfig(arg_tol=2.0)
     F = sd.ParabolicLocal(k=2)
-    parabolic, k, base = petals._parabolic_data(F)
+    k, base = petals._parabolic_data(F)
     C = petals._coeff_matrix(F, 0, 2000)
     starts = np.array([0.3, 0.3j, -0.2 + 0.1j, 0.05j, 1.5])
-    eng = petals._run_engine(C, starts, 2000, parabolic, k, base, cfg)
+    eng = petals._run_engine(C, starts, 2000, k, base, cfg)
     assert PETAL in eng.kind.tolist()
     for i, w0 in enumerate(starts):
-        got = petals._run_single(C, w0, 2000, parabolic, k, base, cfg, True)
+        got = petals._run_single(C, w0, 2000, k, base, cfg, True)
         assert got[:4] == (eng.kind[i], eng.index[i], eng.n_stop[i],
                            eng.period[i])
 
@@ -719,22 +721,21 @@ def test_engine_trims_zero_top_degrees_exactly(golden, fiber, z0):
         F = sd.ConstantVerticalMap(fiber, golden)
         span = 1.6
     cfg = petals.DEFAULT_CONFIG
-    parabolic, k, base = petals._parabolic_data(F)
+    k, base = petals._parabolic_data(F)
     n_max = 400
     C = petals._coeff_matrix(F, z0, n_max)
     assert not C[:, -1].any()
     padded = np.hstack([C, np.zeros((n_max + 1, 3), dtype=complex)])
     axis = np.linspace(-span, span, 24)
     w0 = (axis[np.newaxis, :] + 1j * axis[:, np.newaxis]).ravel()
-    a = petals._run_engine(C, w0, n_max, parabolic, k, base, cfg)
-    b = petals._run_engine(padded, w0, n_max, parabolic, k, base, cfg)
+    a = petals._run_engine(C, w0, n_max, k, base, cfg)
+    b = petals._run_engine(padded, w0, n_max, k, base, cfg)
     for x, y in zip(a, b):
         assert _bits(x) == _bits(y)
     assert len(set(a.kind.tolist())) >= 2
     # against the untrimmed single-orbit stepping
     for i in range(0, len(w0), 23):
-        got = petals._run_single(padded, w0[i], n_max, parabolic, k, base,
-                                 cfg, True)
+        got = petals._run_single(padded, w0[i], n_max, k, base, cfg, True)
         assert got[:4] == (a.kind[i], a.index[i], a.n_stop[i], a.period[i])
         if a.kind[i] != UNDECIDED:
             assert _bits(got[4][a.n_stop[i]]) == _bits(a.w_verdict[i])
@@ -768,7 +769,7 @@ def _writer_grids():
     rng = np.random.default_rng(47)
     yield sd.FatouGrid(re=np.array([-1.5, -0.1, 0.0, 1e-300, 0.7]),
                        im=np.array([-1.0, -1 / 3, 2.5e-8, 1.0]), code=code,
-                       n_stop=rng.integers(0, 5000, code.shape), z0=0j)
+                       n_stop=rng.integers(0, 5000, code.shape))
     # signed zeros, the extreme step counts, (code, n_stop) pairs repeated
     # within and across rows
     code = np.array([[1, 1, 200, 0], [1, 200, 200, 103], [0, 1, 200, 1]],
@@ -777,10 +778,10 @@ def _writer_grids():
                        [7, 0, 2 ** 31 - 1, 0]], dtype=np.int64)
     yield sd.FatouGrid(re=np.array([-0.0, 0.0, 0.25, -0.0]),
                        im=np.array([-0.0, 0.5, 0.0]), code=code,
-                       n_stop=n_stop, z0=0j)
+                       n_stop=n_stop)
     yield sd.FatouGrid(re=np.array([-0.0]), im=np.array([-0.0]),
                        code=np.array([[CODE_BASIN_BASE + 3]], dtype=np.int32),
-                       n_stop=np.array([[2 ** 31 - 1]]), z0=0j)
+                       n_stop=np.array([[2 ** 31 - 1]]))
 
 
 def test_grid_writers_match_per_pixel_oracle(tmp_path):

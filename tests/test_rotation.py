@@ -62,13 +62,11 @@ def test_unit_column_rational_rotation():
 
 def test_divisor_table_golden(golden, golden_table):
     t = golden_table
-    assert abs(t.dlam[2] - GOLDEN_OMEGA2) < 1e-14
+    assert abs(t.d1[1] - GOLDEN_OMEGA2) < 1e-14
     assert abs(t.omega[2] - GOLDEN_OMEGA2) < 1e-14
     om = np.asarray(t.omega[2:])
     assert np.all(np.diff(om) <= 0)
     assert np.all(om > 0) and np.all(om <= 2)
-    # dlam[k] and d1[k-1] describe the same unit-circle distance
-    assert np.allclose(t.dlam[2:], t.d1[1:t.m_max], rtol=0, atol=0)
     # min |lam^k - 1| is the alternative gauge; for golden both stay comparable
     assert 0 < np.nanmin(t.d1[1:101]) <= t.omega[100] * 2
 
@@ -80,7 +78,7 @@ def test_divisor_table_rational_degenerate():
         sd.divisor_table(rot, 4)
     t = sd.divisor_table(rot, 2, allow_degenerate=True)
     # |lam^2 - lam| = |1 - (-1)| = 2 at theta = 1/2
-    assert t.dlam[2] == pytest.approx(2.0, abs=1e-15)
+    assert t.d1[1] == pytest.approx(2.0, abs=1e-15)
     assert t.omega[2] == pytest.approx(2.0, abs=1e-15)
     assert t.d1[2] == 0.0 and 2 in t.degenerate_indices
 
@@ -88,7 +86,7 @@ def test_divisor_table_rational_degenerate():
 def test_divisor_table_deterministic(golden):
     a = sd.divisor_table(golden, 500)
     b = sd.divisor_table(golden, 500)
-    assert np.array_equal(a.dlam[2:], b.dlam[2:])
+    assert np.array_equal(a.d1[1:-1], b.d1[1:-1])
     assert np.array_equal(a.omega[2:], b.omega[2:])
 
 
@@ -158,8 +156,7 @@ def test_unit_column_matches_mpmath(case):
 
 def test_brjuno_partial_sum_synthetic(golden):
     t = sd.divisor_table(golden, 256)
-    flat = sd.DivisorTable(golden, 256, t.d1, t.dlam,
-                           np.full(257, 2.0))
+    flat = sd.DivisorTable(golden, 256, t.d1, np.full(257, 2.0))
     for K in (0, 3, 6):
         expect = sum(2.0 ** -k for k in range(K + 1)) * math.log(0.5)
         assert sd.brjuno_partial_sum(flat, K) == pytest.approx(expect, rel=1e-14)
@@ -176,14 +173,13 @@ def test_brjuno_partial_sum_golden_finite(golden_table):
 def test_brjuno_nondecreasing_when_small_omegas(golden):
     t = sd.divisor_table(golden, 256)
     om = np.minimum(t.omega, 0.9)
-    small = sd.DivisorTable(golden, 256, t.d1, t.dlam, om)
+    small = sd.DivisorTable(golden, 256, t.d1, om)
     sums = [sd.brjuno_partial_sum(small, K) for K in range(7)]
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
 def test_cremer_exponent(golden_table):
-    flat = sd.DivisorTable(golden_table.rot, 64, golden_table.d1,
-                           golden_table.dlam, np.ones(65))
+    flat = sd.DivisorTable(golden_table.rot, 64, golden_table.d1, np.ones(65))
     assert sd.cremer_exponent(flat, 17) == 0.0
     m = sd.cremer_running_max(golden_table, 2048)
     assert 0 < m < 2  # bounded-type rotation
@@ -199,7 +195,7 @@ def test_cremer_running_max_matches_every_index(case):
         om = t.omega[2:m + 1]
         ref = float(np.max(-np.log(om) / np.arange(2, m + 1, dtype=float)))
         assert sd.cremer_running_max(t, m) == ref, m
-    flat = sd.DivisorTable(rot, 64, t.d1[:65], t.dlam[:65], np.full(65, 3.0))
+    flat = sd.DivisorTable(rot, 64, t.d1[:65], np.full(65, 3.0))
     assert sd.cremer_running_max(flat, 64) == -math.log(3.0) / 64
 
 
@@ -345,7 +341,7 @@ def _divisor_csv_oracle(table, path):
         w.writerow(["m", "dlam", "omega", "cremer_exponent"])
         for m in range(2, table.m_max + 1):
             ce = math.log(1.0 / om[m]) / m if om[m] > 0.0 else math.inf
-            w.writerow([m, repr(float(table.dlam[m])), repr(float(om[m])), repr(ce)])
+            w.writerow([m, repr(float(table.d1[m - 1])), repr(float(om[m])), repr(ce)])
 
 
 DIVISOR_CSV_CASES = {
