@@ -5,20 +5,22 @@ invariant graph: the linear example phi_n = phi_{n-1}/(lam^n - 1) and a
 greedy quadratic construction that keeps every numerator away from zero.
 Both read their divisors from one unit-circle column and return the
 coefficients as (mant, exp2) lists; growth exponents are read off the
-binary exponents directly, never from materialized magnitudes.  The linear
-example, the growth profile and the CSV writer run on Python floats and
-complexes, so a linear `cremer` process executes no numpy; the greedy
-construction sums its convolutions with numpy.
+binary exponents directly, never from materialized magnitudes.  Both
+recursions, the growth profile and the CSV writer run on Python floats and
+complexes, so a `cremer` process executes no numpy with either
+construction.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, zip_longest
+from functools import reduce
+from itertools import accumulate, compress, repeat, zip_longest
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .rotation import _CHUNK, UnitColumn
-from .series import _aligned_sum, _norm1, _over, _sum1, _zeros
+from .series import _norm1, _over, _sum1
 
 _LN2 = math.log(2.0)
 
@@ -46,6 +48,31 @@ def linear_example_phi(col: UnitColumn,
     return pm, pe
 
 
+def _self_convolution(pm: list[complex], pe: list[int],
+                      n: int) -> tuple[complex, int]:
+    """sum_{j=1}^{n-1} phi_j phi_{n-j} of the pairs (pm, pe), normalized.
+
+    CPython's complex product is symmetric bit for bit, so each product
+    with j < n - j is formed once and the half sum, which holds the middle
+    term phi_{n/2}^2 halved, is doubled exactly.  Every term is scaled by
+    2^(e - top), top the largest exponent of a nonzero term, and the terms
+    are added left to right.  ldexp flushes a scale below 2^-1074 to zero,
+    so, as in `_aligned_sum`, a term is lost only over 1000 bits below the
+    top.
+    """
+    h = (n - 1) // 2
+    ms = list(map(mul, pm[1:h + 1], pm[n - 1:n - h - 1:-1]))
+    es = list(map(add, pe[1:h + 1], pe[n - 1:n - h - 1:-1]))
+    if n % 2 == 0:
+        ms.append(pm[n // 2] * pm[n // 2] * 0.5)
+        es.append(2 * pe[n // 2])
+    es = list(compress(es, ms))   # a zero term has no exponent to align
+    ms = list(compress(ms, ms))
+    top = max(es, default=0)
+    scales = map(math.ldexp, repeat(1.0), map(sub, es, repeat(top)))
+    return _norm1(reduce(add, map(mul, ms, scales), 0j), top + 1)
+
+
 class GreedyResult(NamedTuple):
     """bits[n] is the chosen coefficient a_n, phi = (mant, exp2) the solved
     coefficients, numerator_log2[n] = log2 |a_n + S_n| (the greedy
@@ -63,12 +90,11 @@ def greedy_quadratic(col: UnitColumn) -> GreedyResult:
     |S| >= 1/2 permits a = 0 (asserted every step); S_1 = 0 makes a_1 = 1.
     Runs to the last index of the column.
     """
-    pm, pe = _zeros(len(col.lam))
+    pm, pe = [0j] * len(col.lam), [0] * len(col.lam)
     bits: list[int] = [0]   # index 0 unused
     numerator_log2: list[float] = [-math.inf]
     for n in range(1, len(pm)):
-        sm, se = _aligned_sum(pm[1:n] * pm[n - 1:0:-1], pe[1:n] + pe[n - 1:0:-1])
-        s = complex(sm), int(se)
+        s = _self_convolution(pm, pe, n)
         with_one = _sum1(1 + 0j, 0, *s)
         m0, m1 = _log2_abs1(*s), _log2_abs1(*with_one)
         a, num, mag = (0, s, m0) if m0 >= m1 else (1, with_one, m1)
@@ -76,7 +102,7 @@ def greedy_quadratic(col: UnitColumn) -> GreedyResult:
         bits.append(a)
         numerator_log2.append(mag)
         pm[n], pe[n] = _over(*num, col.mant[n], col.exp2[n])
-    return GreedyResult(bits, (pm.tolist(), pe.tolist()), numerator_log2)
+    return GreedyResult(bits, (pm, pe), numerator_log2)
 
 
 class GrowthProfile(NamedTuple):

@@ -21,8 +21,8 @@ from ._np import np
 from .errors import LinearFiberError
 from .rotation import lam_power, unit_column
 from .series import (Bump, FiberChange, Gauge, Shift, SkewGerm, TruncatedSeries,
-                     WScale, _aligned_sum, _horner, _over, _rows, _zeros,
-                     conjugate)
+                     WScale, _aligned_sum, _cmul, _horner, _over, _rows,
+                     _zeros, conjugate)
 
 _PRE_TOL = 1e-9       # tolerance for the parabolic-fiber preconditions
 JET_ZERO_RTOL = 1e-10  # a constant counts as zero below this fraction of the jet
@@ -38,7 +38,7 @@ def _next_powers(pm: np.ndarray, pe: np.ndarray, p: int) -> None:
     """Coefficient p of s^j (j >= 2) in the table whose row j is s^j; with
     s_0 = 0 it needs only s_1..s_{p-1}, so it is filled before s_p."""
     top = len(pm) - 1
-    pm[2:, p], pe[2:, p] = _aligned_sum(pm[1:top, :p] * pm[1, p:0:-1],
+    pm[2:, p], pe[2:, p] = _aligned_sum(_cmul(pm[1:top, :p], pm[1, p:0:-1]),
                                         pe[1:top, :p] + pe[1, p:0:-1])
 
 
@@ -57,7 +57,7 @@ def solve_invariant_curve(F: SkewGerm) -> TruncatedSeries:
         _next_powers(pm, pe, p)
         # [z^p] sum_j a_j phi^j; its a_1(0) phi_p term is still zero here
         # and sits in the divisor instead
-        rhs = _aligned_sum((am[:, :p + 1] * pm[:, p::-1]).ravel(),
+        rhs = _aligned_sum(_cmul(am[:, :p + 1], pm[:, p::-1]).ravel(),
                            (ae[:, :p + 1] + pe[:, p::-1]).ravel())
         pm[1, p], pe[1, p] = _over(*rhs, col.mant[p], col.exp2[p])
     return TruncatedSeries._of(pm[1], pe[1])
@@ -78,7 +78,7 @@ def solve_linear_gauge(F: SkewGerm) -> TruncatedSeries:
     qm, qe = _zeros(n + 1)
     qm[0] = 1.0
     for p in range(1, n + 1):
-        rhs = _aligned_sum(abar.mant[1:p + 1] * qm[p - 1::-1],
+        rhs = _aligned_sum(_cmul(abar.mant[1:p + 1], qm[p - 1::-1]),
                            abar.exp2[1:p + 1] + qe[p - 1::-1])
         qm[p], qe[p] = _over(*rhs, col.mant[p], col.exp2[p])
     qm[0] = 0.0

@@ -488,15 +488,22 @@ def _dispatches_x86_v3() -> bool:
 @pytest.mark.skipif(not _dispatches_x86_v3(),
                     reason="numpy dispatches no X86_V3 (AVX2 + FMA3) loops on "
                            "this CPU, so there is no second dispatch to compare")
-@pytest.mark.parametrize("argv", [
-    ["slice", "--germ", "{germ}", "--z0=0.05,0", "--grid=-0.5,0.5,-0.5,0.5,40",
-     "--n-max", "400"],
-    ["brjuno", "--rotation", "{rot}", "--m-max", "4096"],
-], ids=["slice", "brjuno"])
+@pytest.mark.parametrize("argv, files", [
+    (["slice", "--germ", "{germ}", "--z0=0.05,0", "--grid=-0.5,0.5,-0.5,0.5,40",
+      "--n-max", "400"], {"slice.json", "slice.csv", "slice.ppm"}),
+    (["brjuno", "--rotation", "{rot}", "--m-max", "4096"],
+     {"brjuno.json", "divisors.csv"}),
+    # at these sizes numpy's fused complex product, in place of the split
+    # one, changes both greedy files and the report
+    (["cremer", "--rotation", "{rot}", "--construction", "greedy",
+      "--m-max", "100"], {"cremer.json", "growth.csv"}),
+    (["normalize", "--germ", "{germ}", "--depth", "2", "--trunc-w", "8"],
+     {"normalize.json"}),
+], ids=["slice", "brjuno", "cremer-greedy", "normalize"])
 def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path, germ_file,
-                                                     rot_file, argv):
-    # numpy's fused complex product comes from its X86_V3 loops; slices and
-    # divisor tables must write the same bytes without them
+                                                     rot_file, argv, files):
+    # numpy's fused complex product comes from its X86_V3 loops; these
+    # outputs must write the same bytes without them
     argv = [a.format(germ=germ_file, rot=rot_file) for a in argv]
     outs = []
     for tag, env in (("default", {}), ("baseline", {
@@ -505,7 +512,7 @@ def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path, germ_file,
         proc = _run_python(["-m", "skewdyn.cli", *argv, "--out", str(out)], **env)
         assert proc.returncode == 0, proc.stderr
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert outs[0] == outs[1] and len(outs[0]) >= 2
+    assert outs[0] == outs[1] and set(outs[0]) == files
 
 
 def test_version_loads_no_dataclasses_or_thread_pool():
@@ -539,20 +546,19 @@ def test_petalcheck_process_does_not_load_numpy_random(tmp_path):
     assert not [m for m in mods if m.split(".")[0] == "numpy"], mods
 
 
-@pytest.mark.parametrize("argv, loads_numpy", [
-    (["brjuno", "--m-max", "4096"], False),
-    (["cremer", "--construction", "linear", "--m-max", "500"], False),
-    (["cremer", "--construction", "greedy", "--m-max", "50"], True),
+@pytest.mark.parametrize("argv", [
+    ["brjuno", "--m-max", "4096"],
+    ["cremer", "--construction", "linear", "--m-max", "500"],
+    ["cremer", "--construction", "greedy", "--m-max", "50"],
 ], ids=["brjuno", "cremer-linear", "cremer-greedy"])
-def test_which_divergence_processes_load_numpy(tmp_path, rot_file, argv,
-                                               loads_numpy):
-    # divisor tables and the linear recursion run on Python floats; the
-    # greedy construction sums its convolutions with numpy
+def test_which_divergence_processes_load_numpy(tmp_path, rot_file, argv):
+    # divisor tables and both Cremer recursions run on Python floats and
+    # complexes, so no divergence process loads numpy
     out = tmp_path / "o"
     mods = _modules_loaded(["-m", "skewdyn.cli", *argv, "--rotation", rot_file,
                             "--out", str(out)])
     assert len(list(out.iterdir())) == 2
-    assert ("numpy._core" in mods) == loads_numpy, mods
+    assert "numpy._core" not in mods, mods
 
 
 def test_lazy_loader_refuses_a_missing_module():

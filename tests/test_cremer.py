@@ -1,12 +1,16 @@
 import csv
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 import skewdyn as sd
+from skewdyn.cremer import _self_convolution
 from skewdyn.errors import DegenerateDivisorError
+from skewdyn.series import _norm1
 
 # oracles rebuild every (mantissa, exponent) pair exactly in mpmath
 mp = mpmath.mp.clone()
@@ -80,15 +84,84 @@ def test_greedy_deterministic(golden):
     assert np.array_equal(a.phi[0], b.phi[0]) and np.array_equal(a.phi[1], b.phi[1])
 
 
-def test_greedy_recursion_consistency(golden):
+def _assert_greedy_recursion(rot):
     # phi_n must equal (a_n + sum phi_j phi_{n-j})/(lam^n - 1)
-    col = sd.unit_column(golden, 60)
+    col = sd.unit_column(rot, 800)
     res = sd.greedy_quadratic(col)
     phi, divisors = exact(res.phi), exact((col.mant, col.exp2))
-    for n in (2, 17, 60):
+    for n in (2, 17, 60, 200, 500, 800):
         s = mp.fsum(phi[j] * phi[n - j] for j in range(1, n))
         expect = (res.bits[n] + s) / divisors[n]
         assert abs(expect - phi[n]) <= 1e-12 * max(abs(expect), abs(phi[n]))
+    return res
+
+
+def test_greedy_recursion_consistency(golden):
+    res = _assert_greedy_recursion(golden)
+    # the coefficients reach 2^1194 and span more than 1000 bits, so the
+    # convolutions scale their terms over a wide range
+    pe = res.phi[1][1:]
+    assert max(pe) >= 1194 and max(pe) - min(pe) > 1000
+
+
+def test_greedy_recursion_consistency_cremer(cremer_rotation):
+    _assert_greedy_recursion(cremer_rotation)
+
+
+def _fraction_pair(m, e):
+    """The real and imaginary parts of m * 2^e as Fractions."""
+    s = Fraction(2) ** e
+    return Fraction(m.real) * s, Fraction(m.imag) * s
+
+
+def _random_pair(rng, lo, hi):
+    m = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return _norm1(m, rng.randint(lo, hi))
+
+
+def _convolution_case(kind, n, seed):
+    """Seeded (mant, exp2) lists of length n + 1 for the convolution oracle."""
+    rng = random.Random(seed)
+    span = {"equal": (0, 0), "zeros": (-40, 40), "spread": (-1500, 1500),
+            "cancel": (-20, 20)}[kind]
+    pairs = [_random_pair(rng, *span) for _ in range(n + 1)]
+    if kind == "zeros":
+        # zero mantissas, some with exponents far above every nonzero term
+        for j in rng.sample(range(1, n), n // 3):
+            pairs[j] = (0j, rng.choice([0, 3000, -3000, rng.randint(-40, 40)]))
+    if kind == "cancel":
+        # phi_j phi_{n-j} + phi_{j+1} phi_{n-j-1} nearly cancel for odd j
+        for j in range(1, (n - 1) // 2, 2):
+            (a, ea), (b, eb), (c, ec) = pairs[j], pairs[n - j], pairs[j + 1]
+            t = a * b / c * (1 + rng.uniform(-1, 1) * 2.0 ** -40)
+            pairs[n - j - 1] = _norm1(-t, ea + eb - ec)
+    return [m for m, _ in pairs], [e for _, e in pairs]
+
+
+@pytest.mark.parametrize("kind", ["equal", "zeros", "spread", "cancel"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 41, 64])
+def test_self_convolution_matches_exact_sum(kind, n):
+    # |S - S_exact| <= n 2^-52 sum |t_j| plus a subnormal floor, where
+    # t_j = phi_j phi_{n-j} exactly and everything is relative to 2^top,
+    # top the largest exponent of a nonzero term
+    for seed in range(5):
+        pm, pe = _convolution_case(kind, n, f"{kind}-{n}-{seed}")
+        terms = [(pe[j] + pe[n - j], _fraction_pair(pm[j], 0),
+                  _fraction_pair(pm[n - j], 0))
+                 for j in range(1, n) if pm[j] != 0 and pm[n - j] != 0]
+        got = _self_convolution(pm, pe, n)
+        if not terms:
+            assert got == (0j, 0)
+            continue
+        top = max(e for e, _, _ in terms)
+        exact_terms = [(Fraction(2) ** (e - top) * (ar * br - ai * bi),
+                        Fraction(2) ** (e - top) * (ar * bi + ai * br))
+                       for e, (ar, ai), (br, bi) in terms]
+        gr, gi = _fraction_pair(got[0], got[1] - top)
+        err = abs(complex(float(gr - sum(x for x, _ in exact_terms)),
+                          float(gi - sum(y for _, y in exact_terms))))
+        mass = sum(abs(complex(float(x), float(y))) for x, y in exact_terms)
+        assert err <= n * 2.0 ** -52 * mass + n * 2.0 ** -1072
 
 
 def test_growth_profile_trivial_cases():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import skewdyn as sd
 from skewdyn.errors import TruncationMismatchError
 from skewdyn.series import TruncatedSeries as TS
-from skewdyn.series import _normalize, _wpoly_compose, _wpoly_zero, series_from_triples
+from skewdyn.series import (_cmul, _normalize, _wpoly_compose, _wpoly_zero,
+                             series_from_triples)
 
 from conftest import (inverse_change, random_parabolic_germ, random_series_coeffs,
                       residual_invariant_curve)
@@ -78,6 +79,18 @@ def test_normalize_keeps_every_other_entry():
     assert got_m.tolist() == [1.5, -1j, 1, 0]
     assert got_e.tolist() == [1, 5, -1070, 0]
     assert np.signbit(got_m[1].real) == np.signbit((m[1] * 1.0).real)
+
+
+def test_cmul_rounds_as_cpython():
+    # equal to CPython's scalar product entry by entry, whatever loops numpy
+    # dispatches, broadcast over rows and with a scalar factor
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((3, 50)) + 1j * rng.standard_normal((3, 50))
+    b = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    c = complex(0.3, -1.7)
+    assert _cmul(a, b).tolist() == [[x * y for x, y in zip(row, b.tolist())]
+                                    for row in a.tolist()]
+    assert _cmul(a[0], c).tolist() == [x * c for x in a[0].tolist()]
 
 
 def test_constructor_normalizes_each_value():
