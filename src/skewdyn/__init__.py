@@ -21,8 +21,8 @@ from .normalform import (ChangeLog, NormalForm, conjugacy_defect,
 from .cremer import (GreedyResult, GrowthProfile, greedy_quadratic,
                      growth_profile, linear_example_phi, write_growth_csv)
 from .petals import (BASIN, ESCAPE, PETAL, UNDECIDED, ConstantVerticalMap,
-                     FatouGrid, HypothesisReport, OrbitConfig, OrbitRecord,
-                     ParabolicLocal, SampleReport, Verdict,
+                     FatouGrid, HypothesisReport, OrbitRecord, ParabolicLocal,
+                     SampleReport, Verdict,
                      critical_orbit_check, directions_for_jet, fatou_slice,
                      forward_invariance_check, in_attracting_petal,
                      iterate_orbit, repelling_expansion_check,

@@ -28,8 +28,8 @@ from .cremer import greedy_quadratic, growth_profile, linear_example_phi, \
     write_growth_csv
 from .errors import DegenerateDivisorError, LinearFiberError, PrecisionError
 from .normalform import conjugacy_defect, normalize, reduce_parabolic_tail
-from .petals import (OrbitConfig, ParabolicLocal, critical_orbit_check,
-                     fatou_slice, forward_invariance_check, iterate_orbit,
+from .petals import (ParabolicLocal, critical_orbit_check, fatou_slice,
+                     forward_invariance_check, iterate_orbit,
                      repelling_expansion_check, vertical_derivative_sum)
 from .rotation import (brjuno_partial_sum, cremer_running_max, divisor_table,
                        rotation_from_json, rotation_to_json, unit_column,
@@ -222,8 +222,7 @@ def cmd_orbit(args) -> int:
     F = _load_germ(args.germ)
     z0 = _parse_complex(args.z0)
     w0 = _parse_complex(args.w0)
-    orbit = iterate_orbit(F, z0, w0, args.n_max,
-                          config=OrbitConfig(escape_radius=args.escape),
+    orbit = iterate_orbit(F, z0, w0, args.n_max, escape_radius=args.escape,
                           stop_at_verdict=not args.full_orbit)
     sums = vertical_derivative_sum(orbit).tolist()
     dlogs = orbit.dlogs.tolist() + [float("nan")]  # no step from the last row
@@ -261,8 +260,7 @@ def cmd_slice(args) -> int:
                         "is not an integer")
     z0 = _parse_complex(args.z0)
     grid = fatou_slice(F, z0, (re0, re1, im0, im1, int(res)), n_max=args.n_max,
-                       config=OrbitConfig(escape_radius=args.escape),
-                       threads=args.threads)
+                       escape_radius=args.escape, threads=args.threads)
     out = _out_dir(args)
     grid.write_ppm(out / "slice.ppm")
     grid.write_csv(out / "slice.csv")
@@ -296,7 +294,8 @@ def cmd_hypotheses(args) -> int:
 def cmd_petalcheck(args) -> int:
     local = ParabolicLocal(k=args.k, b=_parse_complex(args.b),
                            rho=args.rho, eta=args.eta)
-    fwd = forward_invariance_check(local, z_band=args.z_band,
+    # the map has no tail, so every fiber sees the same map: z = 0 alone
+    fwd = forward_invariance_check(local, z_band=0.0,
                                    samples=args.samples, seed=args.seed)
     rep = repelling_expansion_check(local, samples=args.samples, seed=args.seed)
     summary = {
@@ -387,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default="0,0")
     p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=0.25)
-    p.add_argument("--z-band", type=float, default=0.05)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True)
     add_out(p)
@@ -405,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --{name.replace('_', '-')} must be positive",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
-    for name in ("escape", "rho", "eta", "z_band"):
+    for name in ("escape", "rho", "eta"):
         val = getattr(args, name, None)
         if val is not None and not math.isfinite(val):
             print(f"error: --{name.replace('_', '-')} must be finite",

@@ -7,21 +7,21 @@ with R = 1/(k rho^k).  Orbit verdicts come from a fixed state machine:
 
   escape     |w_n| > escape radius (checked before every step, n = 0 first);
   petal      |w_n| decreasing toward 0 (halving gate over the streak) with
-             arg w_n within arg_tol of an attracting direction, sustained
-             for `window` steps - only for maps with a parabolic fixed fiber
+             arg w_n within ARG_TOL of an attracting direction, sustained
+             for WINDOW steps - only for maps with a parabolic fixed fiber
              point.  The sector test needs no trigonometry: with
-             v = (w e^{-i base})^k it is Re v >= cos(k arg_tol) |w|^k, and
-             when k arg_tol >= pi it passes every nonzero w, since every
+             v = (w e^{-i base})^k it is Re v >= cos(k ARG_TOL) |w|^k, and
+             when k ARG_TOL >= pi it passes every nonzero w, since every
              angle lies within pi/k of some direction;
   basin      a cycle detected by Floyd tortoise/hare comparison and then
-             confirmed by stable recurrence (period <= period_cap) for
-             `window` steps;
+             confirmed by stable recurrence (period <= PERIOD_CAP) for
+             WINDOW steps;
   undecided  the step budget ran out first.
 
-The thresholds a caller can vary come through OrbitConfig; the fixed ones
-are module constants (CYCLE_TOL, PETAL_SHRINK, PETAL_GATE).  Whether the
-fiber map at z = 0 is parabolic, and of which order k, is decided by one
-rule with its own tolerances, normalform.detect_parabolic_order.
+Callers set only the escape radius; the other thresholds are numerical
+heuristics, fixed as module constants.  Whether the fiber map at z = 0 is
+parabolic, and of which order k, is decided by one rule with its own
+tolerances, normalform.detect_parabolic_order.
 
 Grids run through a vectorized lockstep engine.  It drops all-zero top
 w-degrees (0 * w is exact for the finite w of undecided points) and, every
@@ -29,8 +29,8 @@ w-degrees (0 * w is exact for the finite w of undecided points) and, every
 remain.  Single orbits step their trajectory first, untrimmed (they record
 values past an escape), and replay the same rules over the time axis.  The
 differential test tests/test_petals.py::test_single_orbit_path_matches_engine
-keeps the two paths' verdicts equal.  Grid results are pure functions of
-the inputs, independent of chunking or thread count.
+keeps the two paths' verdicts equal.  A point's result is a pure function
+of its start, whatever else shares its array (chunks, threads, compaction).
 
 A basin's cycle is named by one rule, for slices and single orbits alike:
 its points are stepped from the verdict state on arrays by the engine's own
@@ -94,15 +94,9 @@ class Verdict(NamedTuple):
         return self.name
 
 
-class OrbitConfig(NamedTuple):
-    """The classification thresholds a caller can vary."""
-    window: int = 50           # confirmation steps for petal and cycle verdicts
-    arg_tol: float = 0.2       # radians around an attracting direction
-    escape_radius: float = 1e6
-    period_cap: int = 64
-
-
-DEFAULT_CONFIG = OrbitConfig()
+WINDOW = 50          # confirmation steps for petal and cycle verdicts
+ARG_TOL = 0.2        # radians around an attracting direction
+PERIOD_CAP = 64      # longest cycle period confirmed
 CYCLE_TOL = 1e-9     # absolute recurrence tolerance
 PETAL_SHRINK = 0.5   # |w| must halve over a petal streak
 PETAL_GATE = 0.75    # petal bookkeeping only below this radius
@@ -111,13 +105,11 @@ TIE_DELTA = 1e-4  # key units (10^-8 at 4 decimals) from a rounding tie
 MAX_PETAL_ORDER = 4096
 
 
-def _checked_config(config: OrbitConfig | None) -> OrbitConfig:
-    """config, or the default; an escape radius that is not positive (or is
-    NaN) would label every start as escaping at step 0, so it is refused."""
-    cfg = config or DEFAULT_CONFIG
-    if not cfg.escape_radius > 0:
-        raise ValueError(f"escape_radius must be positive (got {cfg.escape_radius!r})")
-    return cfg
+def _check_escape_radius(escape_radius: float) -> None:
+    """An escape radius that is not positive (or is NaN) would label every
+    start as escaping at step 0, so it is refused."""
+    if not escape_radius > 0:
+        raise ValueError(f"escape_radius must be positive (got {escape_radius!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +334,21 @@ def _step(row: np.ndarray, w: np.ndarray) -> np.ndarray:
     new array (same operations in the same order: acc * w, then + c)."""
     acc = row[-1] * w
     acc += row[-2]
+    # numpy's FMA loops (X86_V3) fuse every complex product but an in-place
+    # one on one element, so a lone point multiplies out of place to step
+    # as it does among others
+    single = acc.size == 1
     for c in row[-3::-1]:
-        acc *= w
+        if single:
+            acc = acc * w
+        else:
+            acc *= w
         acc += c
     return acc
 
 
 def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
-                base_angle: float, cfg: OrbitConfig) -> _EngineResult:
+                base_angle: float, escape_radius: float) -> _EngineResult:
     """Advance all points in lockstep through the shared fiber schedule C,
     until every point has a verdict or n_max steps are taken; petal
     bookkeeping runs only for a parabolic fiber (k > 0).
@@ -391,22 +390,21 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
             cur_abs = np.abs(st.w)
 
             # the max is NaN when any modulus is
-            if not cur_abs.max(initial=0.0) <= cfg.escape_radius:
-                settle(~(cur_abs <= cfg.escape_radius) & undecided, ESCAPE, n)
+            if not cur_abs.max(initial=0.0) <= escape_radius:
+                settle(~(cur_abs <= escape_radius) & undecided, ESCAPE, n)
 
             if k and n >= 1:
                 qual = ((cur_abs < np.minimum(st.prev_abs, PETAL_GATE,
                                               out=st.prev_abs))
                         & (cur_abs > 0.0) & undecided)
                 if qual.any():
-                    qual &= _in_sector(st.w, cur_abs, k, base_angle,
-                                       cfg.arg_tol)
+                    qual &= _in_sector(st.w, cur_abs, k, base_angle, ARG_TOL)
                 np.multiply(cur_abs, PETAL_SHRINK, out=st.streak_bound,
                             where=st.streak == 0)
                 st.streak += qual
                 st.streak *= qual
-                if st.streak.max(initial=0) >= max(cfg.window, 1):
-                    hit = st.streak >= max(cfg.window, 1)  # >= 1: qual now
+                if st.streak.max(initial=0) >= WINDOW:
+                    hit = st.streak >= WINDOW  # WINDOW >= 1: qual now
                     hit &= cur_abs <= st.streak_bound
                     if hit.any():
                         settle(hit, PETAL, n)
@@ -428,7 +426,7 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
                     gap = n - st.last_hit
                     is_new = near & (gap > 0)
                     first = is_new & (st.period == 0)
-                    ok_gap = first & (gap <= cfg.period_cap)
+                    ok_gap = first & (gap <= PERIOD_CAP)
                     st.period[ok_gap] = gap[ok_gap]
                     st.anchored[first & ~ok_gap] = False
                     mism = is_new & ~first & (gap != st.period)
@@ -438,10 +436,10 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
                         st.period[mism] = 0
                     st.last_hit[is_new & st.anchored] = n
                     confirm = (st.anchored & near & (st.period > 0)
-                               & (n - st.anchor_step >= cfg.window))
+                               & (n - st.anchor_step >= WINDOW))
                     if confirm.any():
                         settle(confirm, BASIN, n)
-                    st.anchored[st.last_hit < n - cfg.period_cap] = False
+                    st.anchored[st.last_hit < n - PERIOD_CAP] = False
 
             if n == n_max or not undecided.any():
                 break
@@ -459,9 +457,10 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
 # Single-orbit path
 #
 # For one point the per-step bookkeeping above is pure overhead, so the
-# trajectory is stepped first (same _horner array op, equal values: the
-# engine's trimmed degrees add only exact zeros) and the verdict rules are
-# replayed vectorized over the time axis.
+# trajectory is stepped first and the verdict rules are replayed vectorized
+# over the time axis.  The values equal the engine's: _horner forms the
+# same products out of place, as _step does for a one-element array too,
+# and the engine's trimmed degrees add only exact zeros.
 # The tortoise needs no separate recurrence: advancing it t times applies
 # exactly the map compositions that produced W[t].  Every rule is causal, so
 # a replay over a prefix finds exactly the verdicts that fire inside it:
@@ -473,32 +472,32 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
 # index, stop step, period and verdict state to equal _run_engine's.
 # ---------------------------------------------------------------------------
 
-def _first_petal_hit(ws: np.ndarray, a: np.ndarray, k: int, base_angle: float,
-                     cfg: OrbitConfig) -> tuple[int, int] | None:
+def _first_petal_hit(ws: np.ndarray, a: np.ndarray, k: int,
+                     base_angle: float) -> tuple[int, int] | None:
     n = len(ws) - 1
     qual = np.zeros(n + 1, dtype=bool)
     qual[1:] = ((a[1:] > 0.0) & (a[1:] < a[:-1]) & (a[1:] < PETAL_GATE)
-                & _in_sector(ws[1:], a[1:], k, base_angle, cfg.arg_tol))
+                & _in_sector(ws[1:], a[1:], k, base_angle, ARG_TOL))
     idx = np.arange(n + 1)
     last_nonqual = np.maximum.accumulate(np.where(qual, -1, idx))
     streak = idx - last_nonqual
     start_abs = a[np.minimum(last_nonqual + 1, n)]
-    hit = qual & (streak >= cfg.window) & (a <= PETAL_SHRINK * start_abs)
+    hit = qual & (streak >= WINDOW) & (a <= PETAL_SHRINK * start_abs)
     pos = np.flatnonzero(hit)
     if len(pos) == 0:
         return None
     return int(pos[0]), int(_direction_index(ws[pos[0]], k, base_angle))
 
 
-def _first_cycle_confirm(ws: np.ndarray, cfg: OrbitConfig) -> tuple[int, int] | None:
+def _first_cycle_confirm(ws: np.ndarray) -> tuple[int, int] | None:
     """Replay the tortoise/anchor automaton over a finished trajectory.
 
     The engine's tortoise equals ws[n // 2] bit for bit (same recurrence),
     so catches reduce to one vectorized comparison; the event walk below
     mirrors the per-step transitions: anchor on a catch, fix the period from
     the first recurrence gap, re-anchor on a gap mismatch, abandon the
-    anchor when no recurrence comes within period_cap steps, confirm after
-    `window` steps anchored.  Only the period_cap + 1 steps after the last
+    anchor when no recurrence comes within PERIOD_CAP steps, confirm after
+    WINDOW steps anchored.  Only the PERIOD_CAP + 1 steps after the last
     recurrence can hold the next one, so each transition reads a bounded
     slice of ws.
     """
@@ -515,47 +514,47 @@ def _first_cycle_confirm(ws: np.ndarray, cfg: OrbitConfig) -> tuple[int, int] | 
         anchor_step = last_hit = int(catches[pos])
         period = 0
         while True:
-            stale_at = last_hit + cfg.period_cap + 1
+            stale_at = last_hit + PERIOD_CAP + 1
             near = np.flatnonzero(np.abs(ws[last_hit + 1:stale_at + 1]
                                          - ws[anchor_step]) < CYCLE_TOL)
             if len(near) == 0:
                 break
             gap = int(near[0]) + 1
-            if period == 0 and gap > cfg.period_cap:
+            if period == 0 and gap > PERIOD_CAP:
                 break  # the anchor is dropped at stale_at either way
             last_hit += gap
             if period == 0:
                 period = gap
             elif gap != period:
                 anchor_step, period = last_hit, 0
-            if period > 0 and last_hit - anchor_step >= cfg.window:
+            if period > 0 and last_hit - anchor_step >= WINDOW:
                 return last_hit, period
         scan_from = stale_at + 1
 
 
 def _first_verdict(ws: np.ndarray, k: int, base_angle: float,
-                   cfg: OrbitConfig) -> tuple[int, int, int, int] | None:
+                   escape_radius: float) -> tuple[int, int, int, int] | None:
     """(n, kind, index, period) of the first verdict along ws, or None.
 
     The kind codes ESCAPE < PETAL < BASIN follow the engine's check order
     within a step, so the minimum picks the verdict the engine settles."""
     a = np.abs(ws)
     found = []
-    esc = np.flatnonzero(~(a <= cfg.escape_radius))
+    esc = np.flatnonzero(~(a <= escape_radius))
     if len(esc):
         found.append((int(esc[0]), ESCAPE, -1, 0))
     if k:
-        ph = _first_petal_hit(ws, a, k, base_angle, cfg)
+        ph = _first_petal_hit(ws, a, k, base_angle)
         if ph is not None:
             found.append((ph[0], PETAL, ph[1], 0))
-    cy = _first_cycle_confirm(ws, cfg)
+    cy = _first_cycle_confirm(ws)
     if cy is not None:
         found.append((cy[0], BASIN, -1, cy[1]))
     return min(found, default=None)
 
 
 def _run_single(C: np.ndarray, w0: complex, n_max: int, k: int,
-                base_angle: float, cfg: OrbitConfig, stop_at_verdict: bool):
+                base_angle: float, escape_radius: float, stop_at_verdict: bool):
     """Trajectory-first replay of the engine rules for one point.
 
     Returns (kind, index, n_stop, period, ws, dlogs).  ws ends at n_stop
@@ -573,7 +572,8 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int, k: int,
                 w = _horner(C[n], w)
                 ws[n + 1] = w[0]
             done, block = top, 2 * block
-            verdict = _first_verdict(ws[:done + 1], k, base_angle, cfg)
+            verdict = _first_verdict(ws[:done + 1], k, base_angle,
+                                     escape_radius)
             if verdict is not None or done == n_max:
                 break
         n_stop, kind, index, period = verdict or (n_max, UNDECIDED, -1, 0)
@@ -705,15 +705,16 @@ class OrbitRecord(NamedTuple):
 
 
 def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
-                  config: OrbitConfig | None = None,
+                  escape_radius: float = 1e6,
                   stop_at_verdict: bool = True) -> OrbitRecord:
     """Iterate the vertical map over the rotating fiber and classify."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    cfg = _checked_config(config)
+    _check_escape_radius(escape_radius)
     C = _coeff_matrix(F, z0, n_max)
     kind, index, n_stop, period, ws, dlogs = _run_single(
-        C, complex(w0), n_max, *_parabolic_data(F), cfg, stop_at_verdict)
+        C, complex(w0), n_max, *_parabolic_data(F), escape_radius,
+        stop_at_verdict)
     rep = None
     if kind == BASIN:
         pts = _cycle_points(C, ws[n_stop:n_stop + 1], np.array([n_stop]), period)
@@ -952,7 +953,7 @@ class FatouGrid(NamedTuple):
 
 
 def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
-                n_max: int = 1000, config: OrbitConfig | None = None,
+                n_max: int = 1000, escape_radius: float = 1e6,
                 threads: int = 1) -> FatouGrid:
     """Classify every point of a w-grid via the orbit engine.
 
@@ -966,7 +967,7 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
         raise ValueError("grid resolution out of range (1..4096)")
     if n_max >= 2 ** 31:  # the engine's int32 limit, checked before C is built
         raise ValueError(f"n_max = {n_max} must be below 2^31")
-    cfg = _checked_config(config)
+    _check_escape_radius(escape_radius)
     re = np.linspace(float(re0), float(re1), res)
     im = np.linspace(float(im0), float(im1), res)
     C = _coeff_matrix(F, z0, n_max)
@@ -975,7 +976,7 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     def run_rows(bounds: tuple[int, int]) -> _EngineResult:
         i0, i1 = bounds  # no name here holds the start array past its use
         return _run_engine(C, (re[np.newaxis, :] + 1j * im[i0:i1, np.newaxis])
-                           .ravel(), n_max, k, base, cfg)
+                           .ravel(), n_max, k, base, escape_radius)
 
     chunks = max(1, min(int(threads), res))
     bounds = [(res * t // chunks, res * (t + 1) // chunks)

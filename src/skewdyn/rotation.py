@@ -382,13 +382,12 @@ def cremer_running_max(table: DivisorTable, m: int) -> float:
 
 
 def liouville_quotients(depth: int, growth: Callable[[int], int],
-                        frac_bits: int | None = None,
-                        max_frac_bits: int = MAX_AUTO_FRAC_BITS) -> RotationNumber:
+                        frac_bits: int | None = None) -> RotationNumber:
     """Rotation with partial quotients a_n = growth(n), n = 1..depth.
 
     When `frac_bits` is omitted it is sized from the quotients so that every
     divisor table up to the square of the last convergent denominator stays
-    resolvable; oversized requests raise PrecisionError.
+    resolvable; requests above MAX_AUTO_FRAC_BITS raise PrecisionError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -401,9 +400,9 @@ def liouville_quotients(depth: int, growth: Callable[[int], int],
     if frac_bits is None:
         need = 2 * (sum(a.bit_length() for a in qs) + depth) + 128
         frac_bits = max(DEFAULT_FRAC_BITS, (need + 63) // 64 * 64)
-    if frac_bits > max_frac_bits:
-        raise PrecisionError(
-            f"auto-sized frac_bits={frac_bits} exceeds the ceiling {max_frac_bits}")
+    if frac_bits > MAX_AUTO_FRAC_BITS:
+        raise PrecisionError(f"auto-sized frac_bits={frac_bits} exceeds the "
+                             f"ceiling {MAX_AUTO_FRAC_BITS}")
     return RotationNumber.from_quotients(qs, frac_bits)
 
 

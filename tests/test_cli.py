@@ -295,6 +295,33 @@ def test_slice_outputs_and_determinism(tmp_path, germ_file):
     assert petal_rows == rep["verdict_counts"]["petal"]
 
 
+def test_one_pixel_slice_two_pixel_slice_and_orbit_agree(tmp_path, golden):
+    # g(w) = w^2 - 0.8 + 0.156i, from a start that escapes after more than
+    # a thousand steps, where a difference in one rounding shows: the point
+    # alone in a grid, among copies of itself and as a single orbit stops
+    # at one step
+    germ = tmp_path / "g.json"
+    germ.write_text(json.dumps(sd.germ_to_json(sd.SkewGerm.from_coeffs(
+        golden, [[-0.8 + 0.156j], [0], [1]], 4, 2))))
+    re, im = "-1.079283", "0.241198"
+    stops = []
+    for res in ("1", "2"):
+        out = tmp_path / f"s{res}"
+        assert main(["slice", "--germ", str(germ), "--n-max", "3000",
+                     f"--grid={re},{re},{im},{im},{res}",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv_cells(out / "slice.csv", [float, float, int, int])
+        assert [r[2] for r in rows] == [1] * len(rows)  # escape
+        stops += [r[3] for r in rows]
+    out = tmp_path / "o"
+    assert main(["orbit", "--germ", str(germ), f"--w0={re},{im}",
+                 "--n-max", "3000", "--out", str(out)]) == 0
+    orbit = read_json(out / "orbit.json")
+    assert orbit["stop_reason"] == "escape"
+    stops.append(orbit["n_stop"])
+    assert len(stops) == 6 and len(set(stops)) == 1, stops
+
+
 def test_rerun_byte_identical(tmp_path, rot_file):
     outs = []
     for tag in ("a", "b"):
@@ -334,7 +361,7 @@ def test_petalcheck_reports_unresolved_images(tmp_path):
     # beside the unchanged keys
     out = tmp_path / "o"
     assert main(["petalcheck", "--k", "10", "--seed", "1", "--samples", "500",
-                 "--z-band", "0.1", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     fwd = read_json(out / "petalcheck.json")["forward_invariance"]
     assert fwd == {"samples": 500, "violations": 0, "unresolved": 15,
                    "worst_margin": fwd["worst_margin"]}
@@ -368,9 +395,7 @@ def test_petalcheck_unresolved_step_exits_2(tmp_path, capsys):
     (["--k", "3", "--b=1e308,0"], 0),
     (["--k", "1", "--b=1e308,0", "--rho=5"], 2),
     (["--k", "1", "--rho=1e308"], 2),
-    (["--k", "1", "--z-band=1e308"], 0),
-    (["--k", "2", "--z-band=1e308"], 0),
-], ids=["b-k1", "b-k2", "b-k3", "b-rho5", "rho-huge", "z-band-k1", "z-band-k2"])
+], ids=["b-k1", "b-k2", "b-k3", "b-rho5", "rho-huge"])
 def test_petalcheck_overflowing_inputs_are_quiet(tmp_path, capsys, argv, code):
     # images and derivatives overflow to inf and NaN: no RuntimeWarning, and
     # an image that is not a finite double exits 2 as the scalar code did
@@ -601,9 +626,8 @@ def test_normalize_nan_coefficient_exits_2(tmp_path, germ_file):
     ["slice", "--grid=-inf,1,-1,1,4"],
     ["petalcheck", "--seed", "1", "--rho", "nan"],
     ["petalcheck", "--seed", "1", "--eta", "inf"],
-    ["petalcheck", "--seed", "1", "--z-band=-inf"],
 ], ids=["escape-nan", "escape-inf", "grid-nan", "grid-inf", "rho-nan",
-        "eta-inf", "z-band-inf"])
+        "eta-inf"])
 def test_non_finite_float_options_exit_2(tmp_path, germ_file, argv):
     if argv[0] != "petalcheck":
         argv = [argv[0], "--germ", germ_file, *argv[1:]]

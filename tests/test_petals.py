@@ -14,6 +14,8 @@ from skewdyn.petals import (BASIN, CODE_BASIN_BASE, CODE_ESCAPE, ESCAPE,
 
 from conftest import random_parabolic_germ
 
+ESCAPE_RADIUS = 1e6  # iterate_orbit's and fatou_slice's default
+
 
 # -- directions and membership -------------------------------------------------
 
@@ -110,7 +112,7 @@ def test_petal_direction_index(k, j):
 
 def test_escape_at_step_zero():
     orb = sd.iterate_orbit(sd.ParabolicLocal(k=1), 0, 10.0, 100,
-                           config=sd.OrbitConfig(escape_radius=5.0))
+                           escape_radius=5.0)
     assert orb.verdict.kind == sd.ESCAPE and orb.n_stop == 0
     assert sd.vertical_derivative_sum(orb).tolist() == [0.0]  # no steps
 
@@ -118,11 +120,12 @@ def test_escape_at_step_zero():
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan])
 def test_escape_radius_must_be_positive(radius):
     # such a radius would label every start as escaping at step 0
-    F, cfg = sd.ConstantVerticalMap([0, 0, 1]), sd.OrbitConfig(escape_radius=radius)
+    F = sd.ConstantVerticalMap([0, 0, 1])
     with pytest.raises(ValueError, match="escape_radius must be positive"):
-        sd.iterate_orbit(F, 0, 0.1, 50, config=cfg)
+        sd.iterate_orbit(F, 0, 0.1, 50, escape_radius=radius)
     with pytest.raises(ValueError, match="escape_radius must be positive"):
-        sd.fatou_slice(F, 0, (-0.5, 0.5, -0.5, 0.5, 5), n_max=50, config=cfg)
+        sd.fatou_slice(F, 0, (-0.5, 0.5, -0.5, 0.5, 5), n_max=50,
+                       escape_radius=radius)
 
 
 def test_superattracting_basin():
@@ -241,18 +244,23 @@ def test_single_orbit_path_matches_engine(golden, name):
     seeded = (radius * np.sqrt(rng.random(6))
               * np.exp(2j * np.pi * rng.random(6)))
     starts = [complex(w) for w in pinned] + seeded.tolist() + [2e6]
-    cfg = petals.DEFAULT_CONFIG
     k, base = petals._parabolic_data(F)
     for n_max in BLOCK_EDGE_N_MAX + (n_big,):
         C = petals._coeff_matrix(F, z0, n_max)
-        eng = petals._run_engine(C, np.array(starts), n_max, k, base, cfg)
+        eng = petals._run_engine(C, np.array(starts), n_max, k, base,
+                                 ESCAPE_RADIUS)
         kinds = set()
         for i, w0 in enumerate(starts):
             want = (int(eng.kind[i]), int(eng.index[i]), int(eng.n_stop[i]),
                     int(eng.period[i]))
-            stop = petals._run_single(C, w0, n_max, k, base, cfg,
+            # the engine holding this start alone gives the same fields
+            alone = petals._run_engine(C, np.array([w0]), n_max, k, base,
+                                       ESCAPE_RADIUS)
+            assert ([_bits(f) for f in alone]
+                    == [_bits(f[i:i + 1]) for f in eng]), (name, n_max, w0)
+            stop = petals._run_single(C, w0, n_max, k, base, ESCAPE_RADIUS,
                                       stop_at_verdict=True)
-            full = petals._run_single(C, w0, n_max, k, base, cfg,
+            full = petals._run_single(C, w0, n_max, k, base, ESCAPE_RADIUS,
                                       stop_at_verdict=False)
             for got in (stop, full):
                 assert got[:4] == want, (name, n_max, w0)
@@ -276,12 +284,14 @@ def _schedule_for(seq: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_single_orbit_path_matches_engine_on_scripted_orbits(seed):
+def test_single_orbit_path_matches_engine_on_scripted_orbits(monkeypatch,
+                                                             seed):
     # Scripted orbits reach the automata's edge cases far more often than
     # real maps: near-repeats that are not transitive (0 ~ 6e-10 ~ 1.2e-9),
     # first gaps past a small period cap, stale anchors, late escapes, and
     # petal streaks that break and restart.
-    cfg = petals.OrbitConfig(window=4, period_cap=6)
+    monkeypatch.setattr(petals, "WINDOW", 4)
+    monkeypatch.setattr(petals, "PERIOD_CAP", 6)
     rng = np.random.default_rng([29, seed])
     pool = np.array([0, 6e-10, 1.2e-9, 0.5, 1.0])
     for trial in range(40):
@@ -302,22 +312,22 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(seed):
             seq[rng.integers(1, n_max + 1)] = 2e6
         seq = seq.astype(complex)
         C = _schedule_for(seq)
-        eng = petals._run_engine(C, seq[:1], n_max, k, base, cfg)
+        eng = petals._run_engine(C, seq[:1], n_max, k, base, ESCAPE_RADIUS)
         want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
                 int(eng.period[0]))
         for stop_at_verdict in (True, False):
-            got = petals._run_single(C, seq[0], n_max, k, base, cfg,
-                                     stop_at_verdict)
+            got = petals._run_single(C, seq[0], n_max, k, base,
+                                     ESCAPE_RADIUS, stop_at_verdict)
             assert got[:4] == want, (seed, trial)
             assert _bits(got[4]) == _bits(seq[:len(got[4])])
             if want[0] != UNDECIDED:
                 assert _bits(got[4][want[2]]) == _bits(eng.w_verdict[0])
 
 
-def _cycle_walk(ws, cfg):
+def _cycle_walk(ws):
     """The engine's cycle automaton for one point, step by step in plain
     Python: ((n, period) of the confirmation or None, transition counts)."""
-    tol, cap = petals.CYCLE_TOL, cfg.period_cap
+    tol, cap, window = petals.CYCLE_TOL, petals.PERIOD_CAP, petals.WINDOW
     pts = ws.tolist()
     anchored, anchor, anchor_step, last_hit, period = False, 0j, 0, 0, 0
     seen = {"reanchor": 0, "stale": 0}
@@ -339,7 +349,7 @@ def _cycle_walk(ws, cfg):
                 seen["reanchor"] += 1
             if anchored:
                 last_hit = n
-        if anchored and near and period > 0 and n - anchor_step >= cfg.window:
+        if anchored and near and period > 0 and n - anchor_step >= window:
             return (n, period), seen
         if anchored and n - last_hit > cap:
             anchored = False
@@ -357,7 +367,7 @@ def test_pinned_starts_take_rare_cycle_transitions(golden, which, w0, n_max,
                                                    transition, confirmed):
     F = _differential_corpus(golden)[which][0]
     orb = sd.iterate_orbit(F, 0, w0, n_max)
-    got, seen = _cycle_walk(orb.ws, petals.DEFAULT_CONFIG)
+    got, seen = _cycle_walk(orb.ws)
     assert seen[transition] > 0
     assert got == confirmed
     if confirmed is None:
@@ -680,7 +690,7 @@ def test_sector_test_matches_angle_formula(k):
             assert np.array_equal(petals._direction_index(w, k, base), jdir)
 
 
-@pytest.mark.parametrize("k,tol", [(16, petals.DEFAULT_CONFIG.arg_tol),
+@pytest.mark.parametrize("k,tol", [(16, petals.ARG_TOL),
                                    (2, 2.0)])
 def test_sector_test_vacuous_when_tolerance_spans_sector(k, tol):
     # k * tol >= pi: every angle lies within pi/k <= tol of a direction
@@ -693,17 +703,17 @@ def test_sector_test_vacuous_when_tolerance_spans_sector(k, tol):
         assert np.all(_angle_sector(w, k, base, tol)[0] <= tol)
 
 
-def test_engine_accepts_vacuous_sector_tolerance():
-    # arg_tol = 2.0 >= pi/2: for k = 2 every decreasing streak qualifies
-    cfg = petals.OrbitConfig(arg_tol=2.0)
+def test_engine_accepts_vacuous_sector_tolerance(monkeypatch):
+    # ARG_TOL = 2.0 >= pi/2: for k = 2 every decreasing streak qualifies
+    monkeypatch.setattr(petals, "ARG_TOL", 2.0)
     F = sd.ParabolicLocal(k=2)
     k, base = petals._parabolic_data(F)
     C = petals._coeff_matrix(F, 0, 2000)
     starts = np.array([0.3, 0.3j, -0.2 + 0.1j, 0.05j, 1.5])
-    eng = petals._run_engine(C, starts, 2000, k, base, cfg)
+    eng = petals._run_engine(C, starts, 2000, k, base, ESCAPE_RADIUS)
     assert PETAL in eng.kind.tolist()
     for i, w0 in enumerate(starts):
-        got = petals._run_single(C, w0, 2000, k, base, cfg, True)
+        got = petals._run_single(C, w0, 2000, k, base, ESCAPE_RADIUS, True)
         assert got[:4] == (eng.kind[i], eng.index[i], eng.n_stop[i],
                            eng.period[i])
 
@@ -720,7 +730,6 @@ def test_engine_trims_zero_top_degrees_exactly(golden, fiber, z0):
     else:
         F = sd.ConstantVerticalMap(fiber, golden)
         span = 1.6
-    cfg = petals.DEFAULT_CONFIG
     k, base = petals._parabolic_data(F)
     n_max = 400
     C = petals._coeff_matrix(F, z0, n_max)
@@ -728,17 +737,38 @@ def test_engine_trims_zero_top_degrees_exactly(golden, fiber, z0):
     padded = np.hstack([C, np.zeros((n_max + 1, 3), dtype=complex)])
     axis = np.linspace(-span, span, 24)
     w0 = (axis[np.newaxis, :] + 1j * axis[:, np.newaxis]).ravel()
-    a = petals._run_engine(C, w0, n_max, k, base, cfg)
-    b = petals._run_engine(padded, w0, n_max, k, base, cfg)
+    a = petals._run_engine(C, w0, n_max, k, base, ESCAPE_RADIUS)
+    b = petals._run_engine(padded, w0, n_max, k, base, ESCAPE_RADIUS)
     for x, y in zip(a, b):
         assert _bits(x) == _bits(y)
     assert len(set(a.kind.tolist())) >= 2
     # against the untrimmed single-orbit stepping
     for i in range(0, len(w0), 23):
-        got = petals._run_single(padded, w0[i], n_max, k, base, cfg, True)
+        got = petals._run_single(padded, w0[i], n_max, k, base,
+                                 ESCAPE_RADIUS, True)
         assert got[:4] == (a.kind[i], a.index[i], a.n_stop[i], a.period[i])
         if a.kind[i] != UNDECIDED:
             assert _bits(got[4][a.n_stop[i]]) == _bits(a.w_verdict[i])
+
+
+def test_engine_compacted_to_one_survivor_steps_as_before():
+    # the 299 starts at 50 escape by step 2, so at step 7 the engine
+    # compacts to the one undecided start; it must step as it does beside a
+    # copy of itself (no compaction) and as the single-orbit path steps it
+    F = sd.ConstantVerticalMap([-0.8 + 0.156j, 0, 1])
+    w0, n_max = -1.079283 + 0.241198j, 3000
+    k, base = petals._parabolic_data(F)
+    C = petals._coeff_matrix(F, 0, n_max)
+    crowd = petals._run_engine(C, np.array([w0] + [50.0] * 299), n_max, k,
+                               base, ESCAPE_RADIUS)
+    assert np.all(crowd.n_stop[1:] < 7)
+    assert crowd.kind[0] == ESCAPE and crowd.n_stop[0] > 1000
+    pair = petals._run_engine(C, np.array([w0, w0]), n_max, k, base,
+                              ESCAPE_RADIUS)
+    assert [_bits(f[:1]) for f in crowd] == [_bits(f[:1]) for f in pair]
+    got = petals._run_single(C, w0, n_max, k, base, ESCAPE_RADIUS, True)
+    assert got[:4] == (crowd.kind[0], crowd.index[0], crowd.n_stop[0],
+                       crowd.period[0])
 
 
 def _ppm_oracle(g) -> str:
@@ -853,7 +883,7 @@ def test_engine_memory_budget_per_point(golden):
     tracemalloc.start()
     try:
         r = petals._run_engine(C, w0, 200, *petals._parabolic_data(F),
-                               petals.DEFAULT_CONFIG)
+                               ESCAPE_RADIUS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -874,8 +904,7 @@ def _per_pixel_slice(F, z0, grid, n_max):
     re, im = np.linspace(re0, re1, res), np.linspace(im0, im1, res)
     C = petals._coeff_matrix(F, z0, n_max)
     r = petals._run_engine(C, (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel(),
-                           n_max, *petals._parabolic_data(F),
-                           petals.DEFAULT_CONFIG)
+                           n_max, *petals._parabolic_data(F), ESCAPE_RADIUS)
     code = np.zeros(res * res, dtype=np.int32)
     code[r.kind == ESCAPE] = CODE_ESCAPE
     pm = r.kind == PETAL
@@ -967,6 +996,8 @@ def test_scaled_cycle_keys_follow_each_points_own_rows(p):
     start = rng.integers(0, 45, 300)
     pts = petals._cycle_points(C, w, start, p)
     assert pts.shape == (300, p)
+    # a point alone in its array steps as it does among the others
+    assert _bits(petals._cycle_points(C, w[:1], start[:1], p)) == _bits(pts[:1])
     for i in range(300):
         want = [w[i:i + 1]]
         for j in range(p - 1):

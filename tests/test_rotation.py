@@ -292,7 +292,7 @@ def test_liouville_quotients_validation():
     with pytest.raises(ValueError):
         sd.liouville_quotients(3, lambda n: 0)
     with pytest.raises(PrecisionError):
-        sd.liouville_quotients(4, lambda n: 2 ** (10 ** 5), max_frac_bits=4096)
+        sd.liouville_quotients(4, lambda n: 2 ** (10 ** 5))
 
 
 def test_convergent_denominators(cremer_rotation):
