@@ -11,10 +11,12 @@ moduli alone) and `lam_power` (one power).  Computing the fractional part
 first (in integers) and only then the sine avoids the catastrophic
 cancellation of forming lam^k in floating point.
 
-The module computes with `math` on Python floats and returns lists, so a
-`brjuno` process executes no numpy.  The column and the tables equal, bit
-for bit, what numpy's float64 sin, cos and hypot gave: numpy's sin and cos
-agree with libm's, and abs(complex) calls libm's hypot, as np.hypot does.
+The module computes with `math` on Python floats, so a `brjuno` process
+executes no numpy.  The unit column is returned as lists; a divisor table
+holds its two columns as `array('d')`, 8 bytes an entry, filled one chunk
+at a time.  The column and the tables equal, bit for bit, what numpy's
+float64 sin, cos and hypot gave: numpy's sin and cos agree with libm's,
+and abs(complex) calls libm's hypot, as np.hypot does.
 Every logarithm is math.log, which can differ from np.log in the last bit.
 """
 
@@ -22,10 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import accumulate, groupby
-from typing import Callable, NamedTuple, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateDivisorError, PrecisionError
+
+if TYPE_CHECKING:
+    from array import array
 
 DEFAULT_FRAC_BITS = 192
 # divisor_table publishes |lam^p - 1| as plain doubles, which leave the
@@ -290,14 +295,25 @@ class DivisorTable(NamedTuple):
     omega[m] = min |lam^k - lam| over 2 <= k <= m, running minimum
 
     |lam^k - lam| = |lam^(k-1) - 1| is d1[k - 1], so omega follows the
-    lam^k - lam convention without a second list.  Unused slots hold NaN.
+    lam^k - lam convention without a second column.  Unused slots hold NaN.
+    `divisor_table` fills both columns as `array('d')`; any sequence of
+    floats (a list, a numpy array) serves as well.
     """
 
     rot: RotationNumber
     m_max: int
-    d1: list[float]
-    omega: list[float]
+    d1: Sequence[float]
+    omega: Sequence[float]
     degenerate_indices: tuple[int, ...] = ()
+
+
+def _doubles(values: Iterable[float]) -> array:
+    """array('d') of the values.  `array` is imported here, not with the
+    module: it loads a shared library, whose pages add about 0.1 MB to the
+    peak of every process, and only the processes that tabulate divisors
+    need it."""
+    from array import array
+    return array("d", values)
 
 
 def divisor_table(rot: RotationNumber, m_max: int,
@@ -315,25 +331,52 @@ def divisor_table(rot: RotationNumber, m_max: int,
         raise PrecisionError(
             f"divisor tables support at most {MAX_TABLE_FRAC_BITS} fractional bits "
             f"(got {rot.frac_bits}); use the series recursions beyond that")
-    chunks = _fraction_chunks(rot, m_max)  # rejects m_max before allocating
-    d1 = [math.nan] * (m_max + 1)
-    sin, pi = math.sin, math.pi
+    chunks = _fraction_chunks(rot, m_max, 1)  # rejects m_max before allocating
+    d1 = _doubles([math.nan]) * (m_max + 1)
+    omega = _doubles([math.nan]) * (m_max + 1)
+    sin, pi, least = math.sin, math.pi, math.inf
     for lo, _, reds in chunks:
-        d1[lo:lo + len(reds)] = [2.0 * sin(pi * x)
-                                 for x in _to_doubles(reds, rot.frac_bits)]
-    d1[0] = math.nan
-    degenerate = tuple(p for p, d in enumerate(d1) if d == 0.0) if 0.0 in d1 else ()
+        vals = [2.0 * sin(pi * x) for x in _to_doubles(reds, rot.frac_bits)]
+        d1[lo:lo + len(vals)] = _doubles(vals)
+        # omega[k] = min(least, d1[lo..k-1]) over this chunk.  The minimum
+        # falls only at convergent denominators, so most chunks hold none,
+        # and a per-entry min runs only in those that do
+        if min(vals) < least:
+            mins = _doubles(accumulate(vals, min, initial=least))
+            least = mins.pop()
+        else:
+            mins = _doubles([least]) * len(vals)
+        omega[lo:lo + len(vals)] = mins
+    omega[1] = math.nan  # omega starts at m = 2
+    # least is min(d1[1:]); no divisor is negative, so any zero is the minimum
+    degenerate = tuple(p for p, d in enumerate(d1) if d == 0.0) if least == 0.0 else ()
     if degenerate and not allow_degenerate:
         raise DegenerateDivisorError(
             f"rotation is rational to working precision: lam^p = 1 for p in {degenerate[:4]}")
-
-    omega = [math.nan, math.nan, *accumulate(d1[1:-1], min)]
     return DivisorTable(rot, m_max, d1, omega, degenerate)
 
 
 def _runs(values: Sequence[float]) -> list[tuple[float, int]]:
-    """(value, length) of each run of equal entries; a NaN runs alone."""
-    return [(v, len(list(run))) for v, run in groupby(values)]
+    """(value, length) of each run of equal entries, values as plain floats;
+    a NaN runs alone.
+
+    The entries are copied into a double array.  A span is one run when it
+    equals itself shifted by one, which memoryview compares in C, so each
+    run's end is found by bisection without visiting its entries in Python.
+    The first probe is the whole rest: a chunk of omega is mostly one run."""
+    col = memoryview(_doubles(values))
+    n, runs, s = len(col), [], 0
+    while s < n:
+        e, hi, mid = s + 1, n + 1, n    # col[s:e] is one run, col[s:hi] is not
+        while hi - e > 1:
+            if col[s + 1:mid] == col[s:mid - 1]:
+                e = mid
+            else:
+                hi = mid
+            mid = (e + hi) // 2
+        runs.append((col[s], e - s))
+        s = e
+    return runs
 
 
 def _nonvanishing(omega: Sequence[float]) -> Sequence[float]:
@@ -370,14 +413,17 @@ def cremer_running_max(table: DivisorTable, m: int) -> float:
         raise ValueError("m out of table range")
     # L/m rounds monotonically in m for a fixed L = -log omega, so over a
     # run of equal omega the maximum sits at one of the run's two ends.
-    # Every entry equals its run's value, so checking those checks them all
-    runs = _runs(table.omega[2:m + 1])
-    _nonvanishing([v for v, _ in runs])
-    best, first = -math.inf, 2
-    for v, n in runs:
-        L = -math.log(v)
-        best = max(best, L / first, L / (first + n - 1))
-        first += n
+    # Every entry equals its run's value, so checking those checks them all;
+    # a run split at a chunk's edge keeps its maximum at one of the pieces' ends
+    best = -math.inf
+    for lo in range(2, m + 1, _CHUNK):
+        runs = _runs(table.omega[lo:min(lo + _CHUNK, m + 1)])
+        _nonvanishing([v for v, _ in runs])
+        first = lo
+        for v, n in runs:
+            L = -math.log(v)
+            best = max(best, L / first, L / (first + n - 1))
+            first += n
     return best
 
 
@@ -436,19 +482,19 @@ def rotation_from_json(obj: dict | str) -> RotationNumber:
 def write_divisor_csv(table: DivisorTable, path) -> None:
     """Columns: m, dlam, omega, cremer_exponent, one row per m = 2..m_max,
     lines ended by CRLF; dlam = |lam^m - lam| is d1[m - 1].  Rows are
-    formatted column-wise _CHUNK at a time.  omega is a running minimum, so
-    its text and log(1/omega) (inf where omega is not positive) are formed
-    once per run of equal values."""
-    om_text: list[str] = []
-    logs: list[float] = []
-    for v, n in _runs(table.omega[2:]):
-        om_text += [repr(v)] * n
-        logs += [math.log(1.0 / v) if v > 0.0 else math.inf] * n
+    formatted column-wise _CHUNK at a time, each chunk read as plain
+    doubles.  omega is a running minimum, so its text and log(1/omega) (inf
+    where omega is not positive) are formed once per run of equal values."""
     with open(path, "w", newline="") as fh:
         fh.write("m,dlam,omega,cremer_exponent\r\n")
         for lo in range(2, table.m_max + 1, _CHUNK):
             hi = min(lo + _CHUNK, table.m_max + 1)
+            om_text: list[str] = []
+            logs: list[float] = []
+            for v, n in _runs(table.omega[lo:hi]):
+                om_text += [repr(v)] * n
+                logs += [math.log(1.0 / v) if v > 0.0 else math.inf] * n
             fh.write("".join([
                 f"{m},{d!r},{t},{g / m!r}\r\n" for m, d, t, g in zip(
-                    range(lo, hi), table.d1[lo - 1:hi - 1],
-                    om_text[lo - 2:hi - 2], logs[lo - 2:hi - 2])]))
+                    range(lo, hi), _doubles(table.d1[lo - 1:hi - 1]),
+                    om_text, logs)]))

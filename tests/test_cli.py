@@ -542,10 +542,10 @@ def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path, germ_file,
 
 def test_version_loads_no_dataclasses_or_thread_pool():
     # numpy is bound lazily: -X importtime never lists "numpy" itself, but
-    # executing it imports numpy._core
+    # executing it imports numpy._core; array loads only with a divisor table
     mods = _modules_loaded(["-m", "skewdyn.cli", "--version"])
     assert "skewdyn.petals" in mods
-    assert not mods & {"dataclasses", "concurrent.futures", "numpy._core"}, mods
+    assert not mods & {"dataclasses", "concurrent.futures", "numpy._core", "array"}, mods
 
 
 def test_slice_process_does_not_load_numpy_ma(tmp_path, golden):

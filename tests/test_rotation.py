@@ -3,6 +3,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import tracemalloc
+from array import array
 
 import mpmath
 import numpy as np
@@ -353,17 +356,64 @@ DIVISOR_CSV_CASES = {
     "random-192": (lambda: sd.RotationNumber.from_quotients(_RNG_QUOTIENTS), 5000),
     # d1[4] = 0: omega vanishes from m = 5 on and cremer_exponent reads inf
     "quarter": (lambda: sd.RotationNumber.from_decimal("0.25"), 64),
+    # a table held in numpy arrays, whose entries are numpy scalars: every
+    # cell must still be written as a plain double
+    "numpy-8": (lambda: sd.RotationNumber.from_surd(-1, 1, 5, 2), 8,
+                lambda t: sd.DivisorTable(t.rot, 8, np.asarray(t.d1), np.full(9, 2.0))),
 }
 
 
 @pytest.mark.parametrize("case", list(DIVISOR_CSV_CASES))
 def test_divisor_csv_matches_row_writer(tmp_path, case):
     assert 4096 % sd.rotation._CHUNK == 0
-    make_rot, m_max = DIVISOR_CSV_CASES[case]
+    make_rot, m_max, *wrap = DIVISOR_CSV_CASES[case]
     table = sd.divisor_table(make_rot(), m_max, allow_degenerate=True)
+    for f in wrap:
+        table = f(table)
     sd.write_divisor_csv(table, tmp_path / "got.csv")
     _divisor_csv_oracle(table, tmp_path / "want.csv")
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert got.count(b"\r\n") == m_max  # header + m = 2..m_max
     assert (b",inf\r\n" in got) == bool(table.degenerate_indices)
+
+
+def test_divisor_table_memory_budget(golden):
+    # the benchmark's golden brjuno call in process: the two columns take
+    # 2 MiB as doubles (traced peak 2.2 MiB), and nothing else may grow
+    # with the table, such as a list of floats or of CSV cells
+    tracemalloc.start()
+    try:
+        t = sd.divisor_table(golden, 2 ** 17)
+        sd.cremer_running_max(t, 2 ** 17)
+        sd.write_divisor_csv(t, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(t.d1) is array and t.d1.typecode == "d"
+    assert type(t.omega) is array and t.omega.typecode == "d"
+    assert peak <= 3.5 * 2 ** 20, peak / 2 ** 20
+
+
+def test_divisor_table_rejects_precision_before_allocating():
+    # 2^40 rows would need 16 TiB of columns: the precision check must come first
+    rot = sd.RotationNumber.from_surd(-1, 1, 5, 2, frac_bits=96)
+    with pytest.raises(PrecisionError):
+        sd.divisor_table(rot, 2 ** 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.5, 2.0, math.inf, math.nan]), max_size=80))
+def test_runs_match_a_plain_loop(values):
+    # reference: a run grows while its next entry compares == to its value,
+    # so that a NaN runs alone
+    want: list[list] = []
+    for v in values:
+        if want and want[-1][0] == v:
+            want[-1][1] += 1
+        else:
+            want.append([v, 1])
+    got = sd.rotation._runs(values)
+    assert [n for _, n in got] == [n for _, n in want]
+    assert all(type(v) is float for v, _ in got)
+    assert [repr(v) for v, _ in got] == [repr(v) for v, _ in want]
