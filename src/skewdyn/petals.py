@@ -27,10 +27,10 @@ Grids run through a vectorized lockstep engine.  It drops all-zero top
 w-degrees (0 * w is exact for the finite w of undecided points) and, every
 8 steps, compacts its arrays to the undecided points once fewer than 90%
 remain.  Single orbits step their trajectory first, untrimmed (they record
-values past an escape), and replay the same rules over the time axis.  The
-differential test tests/test_petals.py::test_single_orbit_path_matches_engine
-keeps the two paths' verdicts equal.  A point's result is a pure function
-of its start, whatever else shares its array (chunks, threads, compaction).
+values past an escape), and then run the engine's own step rules (_State)
+only on the steps where a rule can fire.  A point's result is a pure
+function of its start, whatever else shares its array (chunks, threads,
+compaction).
 
 A basin's cycle is named by one rule, for slices and single orbits alike:
 its points are stepped from the verdict state on arrays by the engine's own
@@ -304,7 +304,11 @@ def _direction_index(w: np.ndarray, k: int, base_angle: float) -> np.ndarray:
 
 
 class _State:
-    """Per-point engine state, compactable to the undecided subset."""
+    """Per-point engine state, compactable to the undecided subset, and the
+    step rules of the verdicts, which _run_engine calls at every step and
+    _first_verdict only where they can fire.  The petal rules take their
+    state as arguments, so one call can evaluate a run of steps; `live`
+    masks the undecided points."""
 
     __slots__ = ("ids", "w", "prev_abs", "streak", "streak_bound", "tort",
                  "anchored", "anchor", "anchor_step", "last_hit", "period")
@@ -327,6 +331,63 @@ class _State:
     def compact(self, keep: np.ndarray) -> None:
         for name in self.__slots__:
             setattr(self, name, getattr(self, name)[keep])
+
+    @staticmethod
+    def _qualifies(w, a, prev_a, live, k: int, base_angle: float):
+        """The petal step test: a = |w| below PETAL_GATE, below the last
+        modulus prev_a, nonzero, and arg w inside the sector."""
+        qual = (a < prev_a) & (a < PETAL_GATE) & (a > 0.0) & live
+        if qual.any():
+            qual &= _in_sector(w, a, k, base_angle, ARG_TOL)
+        return qual
+
+    @staticmethod
+    def _streak_step(streak, bound, qual, a):
+        """Count the qualifying streaks, in place; a streak that starts now
+        sets its bound PETAL_SHRINK |w|.  Returns the points whose streak
+        reached WINDOW with |w| at or below its bound, or None when no
+        streak is that long."""
+        np.multiply(a, PETAL_SHRINK, out=bound, where=streak == 0)
+        streak += qual
+        streak *= qual
+        if streak.max(initial=0) < WINDOW:
+            return None
+        return (streak >= WINDOW) & (a <= bound)  # WINDOW >= 1: qual now
+
+    def _cycle_step(self, n: int, catch, live):
+        """Step n >= 2 of the anchor/period automaton, given the tortoise
+        catches: anchor on a catch, take the first recurrence gap as the
+        period, re-anchor on a gap mismatch, drop an anchor whose first gap
+        exceeds PERIOD_CAP or that recurs not for PERIOD_CAP steps.  Returns
+        the points confirmed WINDOW steps after anchoring, or None when no
+        point is anchored."""
+        if catch.any():
+            catch = catch & live & ~self.anchored
+            self.anchored |= catch
+            self.anchor[catch] = self.w[catch]
+            self.anchor_step[catch] = n
+            self.last_hit[catch] = n
+            self.period[catch] = 0
+        act = self.anchored
+        if not act.any():
+            return None
+        near = act & (np.abs(self.w - self.anchor) < CYCLE_TOL)
+        gap = n - self.last_hit
+        is_new = near & (gap > 0)
+        first = is_new & (self.period == 0)
+        ok_gap = first & (gap <= PERIOD_CAP)
+        self.period[ok_gap] = gap[ok_gap]
+        act[first & ~ok_gap] = False
+        mism = is_new & ~first & (gap != self.period)
+        if mism.any():
+            self.anchor[mism] = self.w[mism]
+            self.anchor_step[mism] = n
+            self.period[mism] = 0
+        self.last_hit[is_new & act] = n
+        confirm = (act & near & (self.period > 0)
+                   & (n - self.anchor_step >= WINDOW))
+        act[self.last_hit < n - PERIOD_CAP] = False
+        return confirm
 
 
 def _step(row: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -394,52 +455,20 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
                 settle(~(cur_abs <= escape_radius) & undecided, ESCAPE, n)
 
             if k and n >= 1:
-                qual = ((cur_abs < np.minimum(st.prev_abs, PETAL_GATE,
-                                              out=st.prev_abs))
-                        & (cur_abs > 0.0) & undecided)
-                if qual.any():
-                    qual &= _in_sector(st.w, cur_abs, k, base_angle, ARG_TOL)
-                np.multiply(cur_abs, PETAL_SHRINK, out=st.streak_bound,
-                            where=st.streak == 0)
-                st.streak += qual
-                st.streak *= qual
-                if st.streak.max(initial=0) >= WINDOW:
-                    hit = st.streak >= WINDOW  # WINDOW >= 1: qual now
-                    hit &= cur_abs <= st.streak_bound
-                    if hit.any():
-                        settle(hit, PETAL, n)
+                qual = st._qualifies(st.w, cur_abs, st.prev_abs, undecided,
+                                     k, base_angle)
+                hit = st._streak_step(st.streak, st.streak_bound, qual,
+                                      cur_abs)
+                if hit is not None and hit.any():
+                    settle(hit, PETAL, n)
 
             if n >= 2 and n % 2 == 0:
                 st.tort = _step(C[n // 2 - 1], st.tort)
-            if n >= 2:
-                catch = np.abs(st.w - st.tort) < CYCLE_TOL
-                if catch.any():
-                    catch &= undecided & ~st.anchored
-                    st.anchored |= catch
-                    st.anchor[catch] = st.w[catch]
-                    st.anchor_step[catch] = n
-                    st.last_hit[catch] = n
-                    st.period[catch] = 0
-                act = st.anchored  # settle() unanchors what it settles
-                if act.any():
-                    near = act & (np.abs(st.w - st.anchor) < CYCLE_TOL)
-                    gap = n - st.last_hit
-                    is_new = near & (gap > 0)
-                    first = is_new & (st.period == 0)
-                    ok_gap = first & (gap <= PERIOD_CAP)
-                    st.period[ok_gap] = gap[ok_gap]
-                    st.anchored[first & ~ok_gap] = False
-                    mism = is_new & ~first & (gap != st.period)
-                    if mism.any():
-                        st.anchor[mism] = st.w[mism]
-                        st.anchor_step[mism] = n
-                        st.period[mism] = 0
-                    st.last_hit[is_new & st.anchored] = n
-                    confirm = (st.anchored & near & (st.period > 0)
-                               & (n - st.anchor_step >= WINDOW))
-                    if confirm.any():
-                        settle(confirm, BASIN, n)
-                    st.anchored[st.last_hit < n - PERIOD_CAP] = False
+            if n >= 2:  # settle() unanchors what it settles
+                confirm = st._cycle_step(n, np.abs(st.w - st.tort) < CYCLE_TOL,
+                                         undecided)
+                if confirm is not None and confirm.any():
+                    settle(confirm, BASIN, n)
 
             if n == n_max or not undecided.any():
                 break
@@ -456,106 +485,75 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
 # ---------------------------------------------------------------------------
 # Single-orbit path
 #
-# For one point the per-step bookkeeping above is pure overhead, so the
-# trajectory is stepped first and the verdict rules are replayed vectorized
-# over the time axis.  The values equal the engine's: _horner forms the
-# same products out of place, as _step does for a one-element array too,
-# and the engine's trimmed degrees add only exact zeros.
-# The tortoise needs no separate recurrence: advancing it t times applies
-# exactly the map compositions that produced W[t].  Every rule is causal, so
-# a replay over a prefix finds exactly the verdicts that fire inside it:
-# with stop_at_verdict the trajectory grows in doubling blocks (64 steps,
-# then 128, ...) and stepping ends with the first block that holds a
-# verdict, which keeps early verdicts cheap.  The differential tests
+# For one point the per-step bookkeeping is pure overhead, so the trajectory
+# is stepped first, by _horner (its out-of-place products equal _step's on
+# one element, and the engine's trimmed degrees add only exact zeros), and
+# the engine's step rules run only where they can fire.  The tortoise is
+# ws[n // 2]: advancing it t times applies exactly the maps that produced
+# ws[t].  The rules are causal, so a prefix holds exactly the verdicts that
+# fire inside it: with stop_at_verdict the trajectory grows in doubling
+# blocks (64 steps, then 128, ...) until one holds a verdict.  The tests
 # tests/test_petals.py::test_single_orbit_path_matches_engine (real maps)
-# and ..._on_scripted_orbits (automaton edge cases) require the verdict,
-# index, stop step, period and verdict state to equal _run_engine's.
+# and ..._on_scripted_orbits (automaton edge cases) hold every field equal
+# to _run_engine's.
 # ---------------------------------------------------------------------------
-
-def _first_petal_hit(ws: np.ndarray, a: np.ndarray, k: int,
-                     base_angle: float) -> tuple[int, int] | None:
-    n = len(ws) - 1
-    qual = np.zeros(n + 1, dtype=bool)
-    qual[1:] = ((a[1:] > 0.0) & (a[1:] < a[:-1]) & (a[1:] < PETAL_GATE)
-                & _in_sector(ws[1:], a[1:], k, base_angle, ARG_TOL))
-    idx = np.arange(n + 1)
-    last_nonqual = np.maximum.accumulate(np.where(qual, -1, idx))
-    streak = idx - last_nonqual
-    start_abs = a[np.minimum(last_nonqual + 1, n)]
-    hit = qual & (streak >= WINDOW) & (a <= PETAL_SHRINK * start_abs)
-    pos = np.flatnonzero(hit)
-    if len(pos) == 0:
-        return None
-    return int(pos[0]), int(_direction_index(ws[pos[0]], k, base_angle))
-
-
-def _first_cycle_confirm(ws: np.ndarray) -> tuple[int, int] | None:
-    """Replay the tortoise/anchor automaton over a finished trajectory.
-
-    The engine's tortoise equals ws[n // 2] bit for bit (same recurrence),
-    so catches reduce to one vectorized comparison; the event walk below
-    mirrors the per-step transitions: anchor on a catch, fix the period from
-    the first recurrence gap, re-anchor on a gap mismatch, abandon the
-    anchor when no recurrence comes within PERIOD_CAP steps, confirm after
-    WINDOW steps anchored.  Only the PERIOD_CAP + 1 steps after the last
-    recurrence can hold the next one, so each transition reads a bounded
-    slice of ws.
-    """
-    top = len(ws) - 1
-    if top < 2:
-        return None
-    diff = np.abs(ws - ws[np.arange(top + 1) // 2])
-    catches = np.flatnonzero(diff[2:] < CYCLE_TOL) + 2
-    scan_from = 2
-    while True:
-        pos = np.searchsorted(catches, scan_from)
-        if pos == len(catches):
-            return None
-        anchor_step = last_hit = int(catches[pos])
-        period = 0
-        while True:
-            stale_at = last_hit + PERIOD_CAP + 1
-            near = np.flatnonzero(np.abs(ws[last_hit + 1:stale_at + 1]
-                                         - ws[anchor_step]) < CYCLE_TOL)
-            if len(near) == 0:
-                break
-            gap = int(near[0]) + 1
-            if period == 0 and gap > PERIOD_CAP:
-                break  # the anchor is dropped at stale_at either way
-            last_hit += gap
-            if period == 0:
-                period = gap
-            elif gap != period:
-                anchor_step, period = last_hit, 0
-            if period > 0 and last_hit - anchor_step >= WINDOW:
-                return last_hit, period
-        scan_from = stale_at + 1
-
 
 def _first_verdict(ws: np.ndarray, k: int, base_angle: float,
                    escape_radius: float) -> tuple[int, int, int, int] | None:
     """(n, kind, index, period) of the first verdict along ws, or None.
 
-    The kind codes ESCAPE < PETAL < BASIN follow the engine's check order
-    within a step, so the minimum picks the verdict the engine settles."""
+    A streak reaches WINDOW only in a run of that many qualifying steps, and
+    step s + j of a run from s starts with streak j and the bound step s
+    set, so one streak step takes the whole run.  The cycle automaton steps
+    from a tortoise catch while its anchor holds, then jumps to the next
+    catch.  Kind codes ESCAPE < PETAL < BASIN follow the engine's order
+    within a step, so the minimum is the verdict the engine settles."""
     a = np.abs(ws)
+    top = len(ws) - 1
     found = []
     esc = np.flatnonzero(~(a <= escape_radius))
     if len(esc):
         found.append((int(esc[0]), ESCAPE, -1, 0))
     if k:
-        ph = _first_petal_hit(ws, a, k, base_angle)
-        if ph is not None:
-            found.append((ph[0], PETAL, ph[1], 0))
-    cy = _first_cycle_confirm(ws)
-    if cy is not None:
-        found.append((cy[0], BASIN, -1, cy[1]))
+        qual = np.zeros(top + 2, dtype=bool)  # step n at qual[n], padded
+        qual[1:-1] = _State._qualifies(ws[1:], a[1:], a[:-1], True, k, base_angle)
+        # each run [s, e) of qualifying steps starts and ends at a change
+        edge = (np.flatnonzero(qual[1:] != qual[:-1]) + 1).tolist()
+        for s, e in zip(edge[0::2], edge[1::2]):
+            if e - s >= WINDOW:
+                hit = np.flatnonzero(_State._streak_step(
+                    np.arange(e - s), np.full(e - s, PETAL_SHRINK * a[s]),
+                    True, a[s:e]))
+                if len(hit):
+                    n = s + int(hit[0])
+                    found.append((n, PETAL,
+                                  int(_direction_index(ws[n], k, base_angle)), 0))
+                    break
+    # only a confirmation before every other verdict counts
+    last = min(found)[0] - 1 if found else top
+    caught = np.abs(ws - ws[np.arange(top + 1) // 2]) < CYCLE_TOL
+    catches = np.flatnonzero(caught[2:last + 1]) + 2
+    if len(catches):
+        st, n = _State(ws[:1]), 2
+        while True:
+            if not st.anchored[0]:
+                i = np.searchsorted(catches, n)
+                if i == len(catches):
+                    break
+                n = int(catches[i])
+            if n > last:
+                break
+            st.w = ws[n:n + 1]
+            if st._cycle_step(n, caught[n:n + 1], True)[0]:
+                found.append((n, BASIN, -1, int(st.period[0])))
+                break
+            n += 1
     return min(found, default=None)
 
 
 def _run_single(C: np.ndarray, w0: complex, n_max: int, k: int,
                 base_angle: float, escape_radius: float, stop_at_verdict: bool):
-    """Trajectory-first replay of the engine rules for one point.
+    """Trajectory first, then the engine rules, for one point.
 
     Returns (kind, index, n_stop, period, ws, dlogs).  ws ends at n_stop
     when stop_at_verdict is set and a verdict fired, at n_max otherwise;

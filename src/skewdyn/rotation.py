@@ -357,19 +357,21 @@ def divisor_table(rot: RotationNumber, m_max: int,
 
 
 def _runs(values: Sequence[float]) -> list[tuple[float, int]]:
-    """(value, length) of each run of equal entries, values as plain floats;
-    a NaN runs alone.
+    """(value, length) of each run of entries with equal bits, values as
+    plain floats: 0.0 and -0.0 run apart, identical NaNs together.
 
-    The entries are copied into a double array.  A span is one run when it
-    equals itself shifted by one, which memoryview compares in C, so each
-    run's end is found by bisection without visiting its entries in Python.
-    The first probe is the whole rest: a chunk of omega is mostly one run."""
+    The entries are copied into a double array.  A span is one run when its
+    bits equal themselves shifted by one, which memoryview compares in C, so
+    each run's end is found by bisection without visiting its entries in
+    Python.  The first probe is the whole rest: a chunk of omega is mostly
+    one run."""
     col = memoryview(_doubles(values))
+    bits = col.cast("B").cast("q")
     n, runs, s = len(col), [], 0
     while s < n:
         e, hi, mid = s + 1, n + 1, n    # col[s:e] is one run, col[s:hi] is not
         while hi - e > 1:
-            if col[s + 1:mid] == col[s:mid - 1]:
+            if bits[s + 1:mid] == bits[s:mid - 1]:
                 e = mid
             else:
                 hi = mid

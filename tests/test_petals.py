@@ -315,6 +315,9 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(monkeypatch,
         eng = petals._run_engine(C, seq[:1], n_max, k, base, ESCAPE_RADIUS)
         want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
                 int(eng.period[0]))
+        # both paths call the same step rules, so the plain-Python walks
+        # are the oracle of the rules themselves
+        assert _reference_verdict(seq, k, base) == want, (seed, trial)
         for stop_at_verdict in (True, False):
             got = petals._run_single(C, seq[0], n_max, k, base,
                                      ESCAPE_RADIUS, stop_at_verdict)
@@ -355,6 +358,177 @@ def _cycle_walk(ws):
             anchored = False
             seen["stale"] += 1
     return None, seen
+
+
+def _streak_walk(ws, k, base):
+    """The engine's petal rule for one point, step by step in plain Python,
+    with the sector read from the angle of w: ((n, direction) of the first
+    hit or None, [start, length] of each qualifying run up to the hit)."""
+    a = np.abs(ws).tolist()  # the moduli as the engine reads them
+    streak, bound, runs = 0, 0.0, []
+    for n in range(1, len(a)):
+        qual = 0.0 < a[n] < min(a[n - 1], petals.PETAL_GATE)
+        if qual:
+            off = (cmath.phase(ws[n]) - base) * k / (2 * math.pi)
+            qual = abs(off - round(off)) * 2 * math.pi / k <= petals.ARG_TOL
+        if streak == 0:
+            bound = petals.PETAL_SHRINK * a[n]
+        streak = streak + 1 if qual else 0
+        if streak == 1:
+            runs.append([n, 0])
+        if streak:
+            runs[-1][1] = streak
+        if streak >= petals.WINDOW and a[n] <= bound:
+            return (n, round(off) % k), runs
+    return None, runs
+
+
+def _reference_verdict(ws, k, base):
+    """(kind, index, n_stop, period) of one orbit from plain-Python walks of
+    the rules, taken in the engine's check order within a step."""
+    found = [(int(n), ESCAPE, -1, 0)
+             for n in np.flatnonzero(~(np.abs(ws) <= ESCAPE_RADIUS))[:1]]
+    petal = _streak_walk(ws, k, base)[0] if k else None
+    if petal is not None:
+        found.append((petal[0], PETAL, petal[1], 0))
+    cycle = _cycle_walk(ws)[0]
+    if cycle is not None:
+        found.append((cycle[0], BASIN, -1, cycle[1]))
+    n, kind, index, period = min(found, default=(len(ws) - 1, UNDECIDED, -1, 0))
+    return kind, index, n, period
+
+
+def _paths_agree(seq, k, base):
+    """The engine, the single path (both stop modes) and the plain-Python
+    walks give the same fields on seq and on its prefixes at the block-edge
+    n_max values; returns the fields on the whole of seq."""
+    C = _schedule_for(seq)
+    for n_max in [n for n in BLOCK_EDGE_N_MAX if n < len(seq) - 1] + [len(seq) - 1]:
+        eng = petals._run_engine(C, seq[:1], n_max, k, base, ESCAPE_RADIUS)
+        want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
+                int(eng.period[0]))
+        assert _reference_verdict(seq[:n_max + 1], k, base) == want, n_max
+        for stop_at_verdict in (True, False):
+            got = petals._run_single(C, seq[0], n_max, k, base, ESCAPE_RADIUS,
+                                     stop_at_verdict)
+            assert got[:4] == want, (n_max, stop_at_verdict)
+    return want
+
+
+def _fresh(top: int) -> np.ndarray:
+    """10 + n at step n: no petal step and no tortoise catch."""
+    return (10.0 + np.arange(top + 1)).astype(complex)
+
+
+# (run length, modulus factor per step, step of the hit within the run)
+# at WINDOW = 4: the run's third step is the first with |w| halved at 0.79,
+# its fourth at 0.83, and none at 0.9
+PETAL_RUNS = [(3, 0.79, None), (4, 0.79, 3), (5, 0.79, 3), (5, 0.83, 4),
+              (4, 0.9, None)]
+
+
+@pytest.mark.parametrize("start", [1, 5, 60, 61, 62, 189])
+@pytest.mark.parametrize("length,factor,hit", PETAL_RUNS)
+def test_petal_runs_at_run_and_block_edges(monkeypatch, start, length,
+                                           factor, hit):
+    # qualifying runs of WINDOW - 1, WINDOW and WINDOW + 1 steps, hits on a
+    # run's last step, runs across the single path's block edges (64, 192)
+    # and runs that end on the trajectory's last step
+    monkeypatch.setattr(petals, "WINDOW", 4)
+    monkeypatch.setattr(petals, "PERIOD_CAP", 6)
+    k, base = 2, 0.3
+    for top in (200, start + length - 1):
+        seq = _fresh(top)
+        seq[start:start + length] = (0.7 * factor ** np.arange(length)
+                                     * np.exp(1j * (base + math.pi)))
+        want = ((PETAL, 1, start + hit, 0) if hit is not None
+                else (UNDECIDED, -1, top, 0))
+        assert _paths_agree(seq, k, base) == want
+
+
+@pytest.mark.parametrize("mods,sign,want", [
+    # |w| halves exactly on the run's WINDOW-th step: the bound is inclusive
+    ([0.64, 0.5, 0.4, 0.32], 1.0, (PETAL, 0, 4, 0)),
+    # a step at the gate does not qualify, so the run and its bound start
+    # one step later
+    ([0.75, 0.7, 0.5, 0.4, 0.37, 0.35], -1.0, (PETAL, 1, 6, 0)),
+    # a repeated modulus is not falling: it splits the run in two
+    ([0.6, 0.5, 0.5, 0.4, 0.3, 0.2], 1.0, (UNDECIDED, -1, 7, 0)),
+])
+def test_petal_runs_on_exact_moduli(monkeypatch, mods, sign, want):
+    # real starts, whose moduli every path reads exactly
+    monkeypatch.setattr(petals, "WINDOW", 4)
+    seq = _fresh(7)
+    seq[1:1 + len(mods)] = sign * np.array(mods)
+    assert _paths_agree(seq, 2, 0.0) == want
+
+
+def test_petal_runs_before_a_hit_are_each_read_once(monkeypatch):
+    # a run of WINDOW - 1 steps, one of WINDOW steps without the halving,
+    # then a run that hits: the streak restarts after each break
+    monkeypatch.setattr(petals, "WINDOW", 4)
+    seq = _fresh(120)
+    for s, length, factor in ((3, 3, 0.79), (20, 4, 0.9), (63, 5, 0.83)):
+        seq[s:s + length] = 0.7 * factor ** np.arange(length) * np.exp(0.3j)
+    assert _paths_agree(seq, 2, 0.3) == (PETAL, 0, 67, 0)
+
+
+@pytest.mark.parametrize("catch", [2, 7, 63, 64, 65, 192])
+def test_catches_at_trajectory_and_block_edges(monkeypatch, catch):
+    # a catch on the trajectory's last step, at the single path's block
+    # edges, and a confirmation WINDOW steps later on the last step
+    monkeypatch.setattr(petals, "WINDOW", 4)
+    monkeypatch.setattr(petals, "PERIOD_CAP", 6)
+    for top, recur, want in ((catch, 0, (UNDECIDED, -1, catch, 0)),
+                             (catch + 3, 0, (UNDECIDED, -1, catch + 3, 0)),
+                             (catch + 4, 4, (BASIN, -1, catch + 4, 1))):
+        seq = _fresh(top)
+        seq[catch:catch + 1 + recur] = seq[catch // 2]
+        assert _paths_agree(seq, 0, 0.0) == want
+
+
+@pytest.mark.parametrize("recatch", [10, 63, 64, 65, 192])
+@pytest.mark.parametrize("caught_at_drop", [False, True])
+def test_recatch_right_after_a_stale_drop(monkeypatch, recatch,
+                                          caught_at_drop):
+    # an anchor with no recurrence goes stale at the end of step c + 7
+    # (PERIOD_CAP = 6); a catch on that step is ignored, as the point is
+    # still anchored, and the catch on the next step anchors again
+    monkeypatch.setattr(petals, "WINDOW", 4)
+    monkeypatch.setattr(petals, "PERIOD_CAP", 6)
+    c = recatch - 8
+    seq = _fresh(recatch + 10)
+    seq[c] = seq[c // 2]
+    if caught_at_drop:
+        seq[c + 7] = seq[(c + 7) // 2]
+    seq[recatch:recatch + 5] = seq[recatch // 2]
+    # the first anchor and its drop are real: stopped before the re-catch,
+    # the orbit is undecided
+    assert _paths_agree(seq[:recatch], 0, 0.0)[0] == UNDECIDED
+    assert _cycle_walk(seq[:recatch])[1]["stale"] == 1
+    assert _paths_agree(seq, 0, 0.0) == (BASIN, -1, recatch + 4, 1)
+
+
+def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
+    # the benchmark's orbit-k3 map and trajectory length: the streak rule is
+    # called once per qualifying run of WINDOW steps, never once per step
+    g = sd.ConstantVerticalMap([0, 1, 0, 0, -1])
+    orb = sd.iterate_orbit(g, 0, 0.1, 10 ** 4, stop_at_verdict=False)
+    k, base = petals._parabolic_data(g)
+    calls = []
+    step = petals._State._streak_step
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return step(*args)
+
+    monkeypatch.setattr(petals._State, "_streak_step", staticmethod(counted))
+    got = petals._first_verdict(orb.ws, k, base, ESCAPE_RADIUS)
+    hit, runs = _streak_walk(orb.ws, k, base)
+    assert got == (hit[0], PETAL, hit[1], 0) == (orb.n_stop, PETAL, 0, 0)
+    long_runs = [n for _, n in runs if n >= petals.WINDOW]
+    assert len(calls) == len(long_runs) >= 1
+    assert orb.n_stop > 1000 * len(calls)
 
 
 @pytest.mark.parametrize("which,w0,n_max,transition,confirmed", [

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import tracemalloc
 from array import array
 
@@ -402,14 +403,26 @@ def test_divisor_table_rejects_precision_before_allocating():
         sd.divisor_table(rot, 2 ** 40)
 
 
+def test_divisor_csv_keeps_the_sign_of_zero(tmp_path, golden):
+    # a caller-built table: 0.0 and -0.0 compare equal but are written apart
+    t = sd.divisor_table(golden, 3)
+    table = sd.DivisorTable(t.rot, 3, t.d1, [math.nan, math.nan, 0.0, -0.0])
+    sd.write_divisor_csv(table, tmp_path / "got.csv")
+    _divisor_csv_oracle(table, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b",-0.0,inf\r\n" in got
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from([0.0, 0.5, 2.0, math.inf, math.nan]), max_size=80))
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 2.0, math.inf, math.nan]),
+                max_size=80))
 def test_runs_match_a_plain_loop(values):
-    # reference: a run grows while its next entry compares == to its value,
-    # so that a NaN runs alone
+    # reference: a run grows while its next entry has its value's bits, so
+    # that 0.0 and -0.0 run apart and identical NaNs together
     want: list[list] = []
     for v in values:
-        if want and want[-1][0] == v:
+        if want and struct.pack("d", want[-1][0]) == struct.pack("d", v):
             want[-1][1] += 1
         else:
             want.append([v, 1])
