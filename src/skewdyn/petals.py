@@ -310,7 +310,7 @@ class _State:
     state as arguments, so one call can evaluate a run of steps; `live`
     masks the undecided points."""
 
-    __slots__ = ("ids", "w", "prev_abs", "streak", "streak_bound", "tort",
+    __slots__ = ("ids", "w", "prev_abs", "streak", "streak_start", "tort",
                  "anchored", "anchor", "anchor_step", "last_hit", "period")
 
     def __init__(self, w0: np.ndarray):
@@ -321,7 +321,7 @@ class _State:
         self.w = self.tort = np.asarray(w0, dtype=complex)
         self.prev_abs = np.abs(self.w)
         self.streak = np.zeros(m, dtype=np.int32)
-        self.streak_bound = np.zeros(m)  # PETAL_SHRINK |w| at streak start
+        self.streak_start = np.zeros(m)  # |w| at the streak's start
         self.anchored = np.zeros(m, dtype=bool)
         self.anchor = np.zeros(m, dtype=complex)
         self.anchor_step = np.zeros(m, dtype=np.int32)
@@ -342,17 +342,17 @@ class _State:
         return qual
 
     @staticmethod
-    def _streak_step(streak, bound, qual, a):
+    def _streak_step(streak, start, qual, a):
         """Count the qualifying streaks, in place; a streak that starts now
-        sets its bound PETAL_SHRINK |w|.  Returns the points whose streak
-        reached WINDOW with |w| at or below its bound, or None when no
-        streak is that long."""
-        np.multiply(a, PETAL_SHRINK, out=bound, where=streak == 0)
+        records |w| as its start.  Returns the points whose streak reached
+        WINDOW (so they qualify now) with |w| at most PETAL_SHRINK times its
+        start, or None when no streak is that long."""
+        np.copyto(start, a, where=streak == 0)
         streak += qual
         streak *= qual
         if streak.max(initial=0) < WINDOW:
             return None
-        return (streak >= WINDOW) & (a <= bound)  # WINDOW >= 1: qual now
+        return (streak >= WINDOW) & (a <= PETAL_SHRINK * start)
 
     def _cycle_step(self, n: int, catch, live):
         """Step n >= 2 of the anchor/period automaton, given the tortoise
@@ -457,7 +457,7 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
             if k and n >= 1:
                 qual = st._qualifies(st.w, cur_abs, st.prev_abs, undecided,
                                      k, base_angle)
-                hit = st._streak_step(st.streak, st.streak_bound, qual,
+                hit = st._streak_step(st.streak, st.streak_start, qual,
                                       cur_abs)
                 if hit is not None and hit.any():
                     settle(hit, PETAL, n)
@@ -503,11 +503,11 @@ def _first_verdict(ws: np.ndarray, k: int, base_angle: float,
     """(n, kind, index, period) of the first verdict along ws, or None.
 
     A streak reaches WINDOW only in a run of that many qualifying steps, and
-    step s + j of a run from s starts with streak j and the bound step s
-    set, so one streak step takes the whole run.  The cycle automaton steps
-    from a tortoise catch while its anchor holds, then jumps to the next
-    catch.  Kind codes ESCAPE < PETAL < BASIN follow the engine's order
-    within a step, so the minimum is the verdict the engine settles."""
+    step s + j of a run from s starts with streak j and start |ws[s]|, so one
+    streak step takes the run.  The cycle automaton moves only on a catch
+    while unanchored, a return to its anchor and the stale drop, so it steps
+    from event to event.  Kind codes ESCAPE < PETAL < BASIN follow the
+    engine's order within a step, so the minimum is the verdict it settles."""
     a = np.abs(ws)
     top = len(ws) - 1
     found = []
@@ -522,8 +522,7 @@ def _first_verdict(ws: np.ndarray, k: int, base_angle: float,
         for s, e in zip(edge[0::2], edge[1::2]):
             if e - s >= WINDOW:
                 hit = np.flatnonzero(_State._streak_step(
-                    np.arange(e - s), np.full(e - s, PETAL_SHRINK * a[s]),
-                    True, a[s:e]))
+                    np.arange(e - s), np.full(e - s, a[s]), True, a[s:e]))
                 if len(hit):
                     n = s + int(hit[0])
                     found.append((n, PETAL,
@@ -536,11 +535,13 @@ def _first_verdict(ws: np.ndarray, k: int, base_angle: float,
     if len(catches):
         st, n = _State(ws[:1]), 2
         while True:
-            if not st.anchored[0]:
+            if st.anchored[0]:  # the first return to the anchor, or the drop
+                h = int(st.last_hit[0]) + 1
+                near = np.abs(ws[h:h + PERIOD_CAP] - st.anchor[0]) < CYCLE_TOL
+                n = h + (int(near.argmax()) if near.any() else PERIOD_CAP)
+            else:
                 i = np.searchsorted(catches, n)
-                if i == len(catches):
-                    break
-                n = int(catches[i])
+                n = int(catches[i]) if i < len(catches) else top + 1
             if n > last:
                 break
             st.w = ws[n:n + 1]

@@ -329,19 +329,23 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(monkeypatch,
 
 def _cycle_walk(ws):
     """The engine's cycle automaton for one point, step by step in plain
-    Python: ((n, period) of the confirmation or None, transition counts)."""
+    Python: ((n, period) of the confirmation or None, transition counts).
+    Anchors, recurrences and stale drops are the steps that change its
+    state."""
     tol, cap, window = petals.CYCLE_TOL, petals.PERIOD_CAP, petals.WINDOW
     pts = ws.tolist()
     anchored, anchor, anchor_step, last_hit, period = False, 0j, 0, 0, 0
-    seen = {"reanchor": 0, "stale": 0}
+    seen = {"anchor": 0, "recur": 0, "reanchor": 0, "stale": 0}
     for n in range(2, len(pts)):
         w = pts[n]
         if not anchored and abs(w - pts[n // 2]) < tol:
             anchored, anchor, anchor_step, last_hit, period = True, w, n, n, 0
+            seen["anchor"] += 1
         if not anchored:
             continue
         near = abs(w - anchor) < tol
         if near and last_hit != n:
+            seen["recur"] += 1
             gap = n - last_hit
             if period == 0 and gap > cap:
                 anchored = False
@@ -529,6 +533,33 @@ def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
     long_runs = [n for _, n in runs if n >= petals.WINDOW]
     assert len(calls) == len(long_runs) >= 1
     assert orb.n_stop > 1000 * len(calls)
+
+
+@pytest.mark.parametrize("which,w0", [
+    ("siegel", REANCHOR_UNDECIDED_W0), ("siegel", STALE_UNDECIDED_W0),
+    ("slow_rotation", REANCHOR_BASIN_W0), ("slow_rotation", STALE_BASIN_W0)])
+def test_single_path_steps_the_cycle_automaton_only_on_events(
+        golden, monkeypatch, which, w0):
+    # the cycle rule is called on the steps that change the automaton's
+    # state (an anchor, a recurrence, a stale drop), never on the steps
+    # between them
+    F = _differential_corpus(golden)[which][0]
+    orb = sd.iterate_orbit(F, 0, w0, 3000, stop_at_verdict=False)
+    calls = []
+    step = petals._State._cycle_step
+
+    def counted(self, n, *args):
+        calls.append(n)
+        return step(self, n, *args)
+
+    monkeypatch.setattr(petals._State, "_cycle_step", counted)
+    got = petals._first_verdict(orb.ws, 0, 0.0, ESCAPE_RADIUS)
+    confirmed, seen = _cycle_walk(orb.ws)
+    want = None if confirmed is None else (confirmed[0], BASIN, -1,
+                                           confirmed[1])
+    assert got == want
+    assert len(calls) == seen["anchor"] + seen["recur"] + seen["stale"]
+    assert calls == sorted(set(calls))
 
 
 @pytest.mark.parametrize("which,w0,n_max,transition,confirmed", [
