@@ -6,19 +6,16 @@ is {Re u > R - eta |Im u|} inside the sector |arg w - 2 pi j / k| < pi/k,
 with R = 1/(k rho^k).  Orbit verdicts come from a fixed state machine:
 
   escape     |w_n| > escape radius (checked before every step, n = 0 first);
-  petal      |w_n| decreasing toward 0 (halving gate over the streak) with
-             arg w_n within ARG_TOL of an attracting direction, sustained
-             for WINDOW steps - only for maps with a parabolic fixed fiber
-             point.  The sector test needs no trigonometry: with
-             v = (w e^{-i base})^k it is Re v >= cos(k ARG_TOL) |w|^k, and
-             when k ARG_TOL >= pi it passes every nonzero w, since every
-             angle lies within pi/k of some direction;
+  petal      w_n (n >= 1) lies in a wedge of u = -1/(k a w^k) that every
+             fiber map provably maps into itself, with |w_n| -> 0 (the
+             Leau-Fatou flower theorem, _petal_region); fibers that move
+             the parabolic point (a_0(z_n) != 0) have none;
   basin      a cycle detected by Floyd tortoise/hare comparison and then
              confirmed by stable recurrence (period <= PERIOD_CAP) for
              WINDOW steps;
   undecided  the step budget ran out first.
 
-Callers set only the escape radius; the other thresholds are numerical
+Callers set only the escape radius; the cycle thresholds are numerical
 heuristics, fixed as module constants.  Whether the fiber map at z = 0 is
 parabolic, and of which order k, is decided by one rule with its own
 tolerances, normalform.detect_parabolic_order.
@@ -27,10 +24,10 @@ Grids run through a vectorized lockstep engine.  It drops all-zero top
 w-degrees (0 * w is exact for the finite w of undecided points) and, every
 8 steps, compacts its arrays to the undecided points once fewer than 90%
 remain.  Single orbits step their trajectory first, untrimmed (they record
-values past an escape), and then run the engine's own step rules (_State)
-only on the steps where a rule can fire.  A point's result is a pure
-function of its start, whatever else shares its array (chunks, threads,
-compaction).
+values past an escape), and then run the engine's own step rules
+(_petal_hits, _State._cycle_step) only where a rule can fire.  A point's
+result is a pure function of its start, whatever else shares its array
+(chunks, threads, compaction).
 
 A basin's cycle is named by one rule, for slices and single orbits alike:
 its points are stepped from the verdict state on arrays by the engine's own
@@ -94,12 +91,11 @@ class Verdict(NamedTuple):
         return self.name
 
 
-WINDOW = 50          # confirmation steps for petal and cycle verdicts
-ARG_TOL = 0.2        # radians around an attracting direction
+WINDOW = 50          # confirmation steps for cycle verdicts
 PERIOD_CAP = 64      # longest cycle period confirmed
 CYCLE_TOL = 1e-9     # absolute recurrence tolerance
-PETAL_SHRINK = 0.5   # |w| must halve over a petal streak
-PETAL_GATE = 0.75    # petal bookkeeping only below this radius
+PETAL_RADIUS = 0.75  # the certified petal region lies within |w| < this
+PETAL_EPS = 0.49     # bound on |u' - u - 1| sought there; invariance needs 1/2
 CYCLE_ROUND = 4   # decimals for canonical cycle grouping
 TIE_DELTA = 1e-4  # key units (10^-8 at 4 decimals) from a rounding tie
 MAX_PETAL_ORDER = 4096
@@ -125,18 +121,11 @@ def directions_for_jet(lead: complex, k: int) -> float:
 
 
 def in_attracting_petal(w, k: int, rho: float, eta: float):
-    """Direction index of the attracting petal containing w.
-
-    Petal j: the sector |arg w - 2 pi j/k| < pi/k intersected with the
-    pullback of {Re u > R - eta |Im u|}, u = 1/(k w^k), R = 1/(k rho^k).
-    With delta = arg w - 2 pi j/k the half-plane condition reads
-    cos(k delta) + eta |sin(k delta)| > (|w|/rho)^k, which is tested in that
-    form so that w^k can neither overflow nor underflow.
-
-    w is a complex scalar; the result is the index, or None when w lies in
-    no petal (as every non-finite w does).  w = 0, the fixed point, is
-    refused.
-    """
+    """Direction index j of the attracting petal (module docstring) that
+    holds the complex scalar w, or None (as for every non-finite w); w = 0,
+    the fixed point, is refused.  With delta = arg w - 2 pi j/k the
+    half-plane reads cos(k delta) + eta |sin(k delta)| > (|w|/rho)^k, tested
+    in that form so that w^k can neither overflow nor underflow."""
     if rho <= 0 or not 0.0 <= eta < 1.0:
         raise ValueError("need rho > 0 and 0 <= eta < 1")
     w = complex(w)
@@ -261,16 +250,64 @@ def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:
     return out
 
 
-def _parabolic_data(F):
-    """(k, base_angle) for the fiber map at z = 0, by the rule of
+def _parabolic_data(F) -> tuple[int, complex]:
+    """(k, a_{k+1}) for the fiber map at z = 0, by the rule of
     normalform.detect_parabolic_order; k = 0 when it is not parabolic."""
     if isinstance(F, ParabolicLocal):
-        return F.k, directions_for_jet(-1.0 + 0j, F.k)
+        return F.k, -1.0 + 0j
     try:
         k = detect_parabolic_order(F)
     except (ValueError, LinearFiberError):
-        return 0, 0.0
-    return k, directions_for_jet(F.fiber_constants()[k + 1], k)
+        return 0, 0j
+    return k, F.fiber_constants()[k + 1]
+
+
+class _Region(NamedTuple):  # see _petal_region
+    k: int
+    lead: complex   # a = a_{k+1} at z = 0
+    base: float     # base angle of the attracting directions
+    rho: float      # the region lies within |w| < rho
+    eps: float      # every row maps u to u + 1 + e with |e| <= eps on it
+
+
+def _petal_region(F, C: np.ndarray) -> _Region | None:
+    """The wedge {|Im u| < Re u - R}, u = -1/(k a w^k), R = 1/(k |a| rho^k),
+    certified for every row of C, or None unless all rows are parabolic of
+    order k at w = 0 exactly (a_0 = 0, a_1 = 1, a_2..a_k = 0).
+
+    Row n is w (1 + P), P = a w^k + T, T = (a_{k+1,n} - a) w^k + sum_{j>k+1}
+    c_{n,j} w^{j-1}: it maps u to u (1 + P)^-k = u + 1 + e, |e| <= |u|
+    (R2(|P|) + k |T|), with R2(p) = sum_{m>=2} C(k+m-1, m) p^m <= C(k+1, 2)
+    p^2 / (1 - (k+2) p/3) and |T| / |a w^k| <= tau(|w|) from the rows'
+    largest moduli (padded for rounding).  This bound on |e| grows with |w|;
+    rho is the largest r <= PETAL_RADIUS where it is at most PETAL_EPS, far
+    enough below 1/2 for its own rounding.  On the wedge |w| < rho, and a
+    step adds at least 1 - eps to Re u and at most eps to |Im u|, so the
+    wedge maps into itself and |w_n| -> 0 (the Leau-Fatou flower theorem)."""
+    k, lead = _parabolic_data(F)
+    if not k or (C[:, 0].any() or not np.all(C[:, 1] == 1.0)
+                 or C[:, 2:k + 1].any()):
+        return None
+    a, shift = abs(lead), lead * np.eye(1, C.shape[1] - k - 1)
+    top = np.max([np.abs(C[i:i + _CHUNK, k + 1:] - shift).max(axis=0)
+                  for i in range(0, len(C), _CHUNK)], axis=0)  # in row blocks
+    tail = (top * ((1.0 + 2.0 ** -50) / a)).tolist()
+
+    def bound(r: float) -> float:
+        x = a * r ** k  # |a w^k|
+        tau = sum(m * r ** j for j, m in enumerate(tail))
+        q = (k + 2) * x * (1.0 + tau) / 3.0
+        if not q < 1.0:
+            return math.inf
+        return 0.5 * (k + 1) * (1.0 + tau) ** 2 * x / (1.0 - q) + tau
+
+    lo, hi = 0.0, PETAL_RADIUS
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bound(mid) <= PETAL_EPS else (lo, mid)
+    if lo == 0.0:
+        return None
+    return _Region(k, lead, directions_for_jet(lead, k), lo, bound(lo))
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +322,25 @@ class _EngineResult(NamedTuple):
     period: np.ndarray         # confirmed cycle period for BASIN verdicts
 
 
-def _in_sector(w: np.ndarray, a: np.ndarray, k: int, base_angle: float,
-               arg_tol: float) -> np.ndarray:
-    """Whether arg w lies within arg_tol of an attracting direction, given
-    a = |w| (the module docstring's test; |w|^k must not underflow)."""
-    if k * arg_tol >= math.pi:
-        return np.ones(len(w), dtype=bool)
-    v = u = w * cmath.exp(-1j * base_angle)
-    for _ in range(k - 1):
-        v = v * u
-    return v.real >= math.cos(k * arg_tol) * (a if k == 1 else a ** k)
+def _petal_hits(w: np.ndarray, a: np.ndarray, region: _Region,
+                live: np.ndarray | None = None) -> np.ndarray:
+    """The petal step rule: indices of the points of w (moduli a; `live`
+    masks the undecided) in the region.  With v = (w e^{-i base}/|w|)^k,
+    |Im u| < Re u - R reads Re v - |Im v| > (|w|/rho)^k, which neither
+    overflows nor underflows; its rounding stays below the margin 64 (k +
+    2) 2^-53, so a point that passes lies in the exact region."""
+    k = region.k
+    idx = np.flatnonzero(a < region.rho)
+    if live is not None:
+        idx = idx[live[idx]]
+    if len(idx):
+        r = a[idx]
+        v = y = w[idx] / r * cmath.exp(-1j * region.base)
+        for _ in range(k - 1):
+            v = v * y
+        edge = (r / region.rho) ** k + 64 * (k + 2) * 2.0 ** -53
+        idx = idx[v.real - np.abs(v.imag) > edge]
+    return idx
 
 
 def _direction_index(w: np.ndarray, k: int, base_angle: float) -> np.ndarray:
@@ -305,13 +351,10 @@ def _direction_index(w: np.ndarray, k: int, base_angle: float) -> np.ndarray:
 
 class _State:
     """Per-point engine state, compactable to the undecided subset, and the
-    step rules of the verdicts, which _run_engine calls at every step and
-    _first_verdict only where they can fire.  The petal rules take their
-    state as arguments, so one call can evaluate a run of steps; `live`
-    masks the undecided points."""
+    cycle automaton's step rule (_first_verdict calls it only on events)."""
 
-    __slots__ = ("ids", "w", "prev_abs", "streak", "streak_start", "tort",
-                 "anchored", "anchor", "anchor_step", "last_hit", "period")
+    __slots__ = ("ids", "w", "tort", "anchored", "anchor", "anchor_step",
+                 "last_hit", "period")
 
     def __init__(self, w0: np.ndarray):
         m = len(w0)
@@ -319,9 +362,6 @@ class _State:
         # w and tort are rebound to new arrays by every step and never
         # written in place, so both may start as the caller's array
         self.w = self.tort = np.asarray(w0, dtype=complex)
-        self.prev_abs = np.abs(self.w)
-        self.streak = np.zeros(m, dtype=np.int32)
-        self.streak_start = np.zeros(m)  # |w| at the streak's start
         self.anchored = np.zeros(m, dtype=bool)
         self.anchor = np.zeros(m, dtype=complex)
         self.anchor_step = np.zeros(m, dtype=np.int32)
@@ -331,28 +371,6 @@ class _State:
     def compact(self, keep: np.ndarray) -> None:
         for name in self.__slots__:
             setattr(self, name, getattr(self, name)[keep])
-
-    @staticmethod
-    def _qualifies(w, a, prev_a, live, k: int, base_angle: float):
-        """The petal step test: a = |w| below PETAL_GATE, below the last
-        modulus prev_a, nonzero, and arg w inside the sector."""
-        qual = (a < prev_a) & (a < PETAL_GATE) & (a > 0.0) & live
-        if qual.any():
-            qual &= _in_sector(w, a, k, base_angle, ARG_TOL)
-        return qual
-
-    @staticmethod
-    def _streak_step(streak, start, qual, a):
-        """Count the qualifying streaks, in place; a streak that starts now
-        records |w| as its start.  Returns the points whose streak reached
-        WINDOW (so they qualify now) with |w| at most PETAL_SHRINK times its
-        start, or None when no streak is that long."""
-        np.copyto(start, a, where=streak == 0)
-        streak += qual
-        streak *= qual
-        if streak.max(initial=0) < WINDOW:
-            return None
-        return (streak >= WINDOW) & (a <= PETAL_SHRINK * start)
 
     def _cycle_step(self, n: int, catch, live):
         """Step n >= 2 of the anchor/period automaton, given the tortoise
@@ -408,11 +426,11 @@ def _step(row: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
-                base_angle: float, escape_radius: float) -> _EngineResult:
+def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
+                region: _Region | None, escape_radius: float) -> _EngineResult:
     """Advance all points in lockstep through the shared fiber schedule C,
-    until every point has a verdict or n_max steps are taken; petal
-    bookkeeping runs only for a parabolic fiber (k > 0).
+    until every point has a verdict or n_max steps are taken; the petal
+    rule runs only where the rows certify a region (region not None).
 
     Verdict checks run in a fixed order every step (escape, petal, cycle);
     each point's outcome is a pure function of its own start, so results do
@@ -433,18 +451,17 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
     del w0  # then only st.w and st.tort hold it, until the first steps
     undecided = np.ones(m, dtype=bool)  # aligned with st arrays
 
-    def settle(mask: np.ndarray, verdict: int, n: int) -> None:
-        gids = st.ids[mask]
+    def settle(sel: np.ndarray, verdict: int, n: int) -> None:
+        gids = st.ids[sel]
         kind[gids] = verdict
         n_stop[gids] = n
-        w_verdict[gids] = w = st.w[mask]
+        w_verdict[gids] = w = st.w[sel]
         if verdict == PETAL:
-            index[gids] = _direction_index(w, k, base_angle)
+            index[gids] = _direction_index(w, region.k, region.base)
         elif verdict == BASIN:
-            period_out[gids] = st.period[mask]
-        undecided[mask] = False
-        st.anchored[mask] = False
-        st.streak[mask] = 0
+            period_out[gids] = st.period[sel]
+        undecided[sel] = False
+        st.anchored[sel] = False
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for n in range(n_max + 1):
@@ -454,12 +471,9 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
             if not cur_abs.max(initial=0.0) <= escape_radius:
                 settle(~(cur_abs <= escape_radius) & undecided, ESCAPE, n)
 
-            if k and n >= 1:
-                qual = st._qualifies(st.w, cur_abs, st.prev_abs, undecided,
-                                     k, base_angle)
-                hit = st._streak_step(st.streak, st.streak_start, qual,
-                                      cur_abs)
-                if hit is not None and hit.any():
+            if region is not None and n >= 1:
+                hit = _petal_hits(st.w, cur_abs, region, undecided)
+                if len(hit):
                     settle(hit, PETAL, n)
 
             if n >= 2 and n % 2 == 0:
@@ -472,7 +486,6 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
 
             if n == n_max or not undecided.any():
                 break
-            st.prev_abs = cur_abs
             if (len(st.w) > 256 and n % 8 == 7
                     and np.count_nonzero(undecided) < 0.9 * len(st.w)):
                 st.compact(undecided)
@@ -490,70 +503,61 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int, k: int,
 # one element, and the engine's trimmed degrees add only exact zeros), and
 # the engine's step rules run only where they can fire.  The tortoise is
 # ws[n // 2]: advancing it t times applies exactly the maps that produced
-# ws[t].  The rules are causal, so a prefix holds exactly the verdicts that
-# fire inside it: with stop_at_verdict the trajectory grows in doubling
-# blocks (64 steps, then 128, ...) until one holds a verdict.  The tests
-# tests/test_petals.py::test_single_orbit_path_matches_engine (real maps)
-# and ..._on_scripted_orbits (automaton edge cases) hold every field equal
-# to _run_engine's.
+# ws[t].  The rules are causal, so with stop_at_verdict the trajectory grows
+# in doubling blocks (64 steps, then 128, ...), each read once, until one
+# holds a verdict.  tests/test_petals.py holds every field equal to
+# _run_engine's on real maps and on scripted orbits.
 # ---------------------------------------------------------------------------
 
-def _first_verdict(ws: np.ndarray, k: int, base_angle: float,
-                   escape_radius: float) -> tuple[int, int, int, int] | None:
-    """(n, kind, index, period) of the first verdict along ws, or None.
-
-    A streak reaches WINDOW only in a run of that many qualifying steps, and
-    step s + j of a run from s starts with streak j and start |ws[s]|, so one
-    streak step takes the run.  The cycle automaton moves only on a catch
-    while unanchored, a return to its anchor and the stale drop, so it steps
-    from event to event.  Kind codes ESCAPE < PETAL < BASIN follow the
-    engine's order within a step, so the minimum is the verdict it settles."""
-    a = np.abs(ws)
+def _first_verdict(ws: np.ndarray, region: _Region | None,
+                   escape_radius: float, lo: int,
+                   st: _State) -> tuple[int, int, int, int] | None:
+    """(n, kind, index, period) of the first verdict at a step n >= lo of
+    ws, or None; st is the one-point cycle automaton after the steps below
+    lo, which hold no verdict, and advances in place.  The automaton moves
+    only on a catch while unanchored, a return to its anchor and the stale
+    drop, so it steps from event to event.  Kind codes ESCAPE < PETAL <
+    BASIN follow the engine's order within a step, so the minimum is the
+    verdict it settles."""
+    a = np.abs(ws[lo:])
     top = len(ws) - 1
     found = []
     esc = np.flatnonzero(~(a <= escape_radius))
     if len(esc):
-        found.append((int(esc[0]), ESCAPE, -1, 0))
-    if k:
-        qual = np.zeros(top + 2, dtype=bool)  # step n at qual[n], padded
-        qual[1:-1] = _State._qualifies(ws[1:], a[1:], a[:-1], True, k, base_angle)
-        # each run [s, e) of qualifying steps starts and ends at a change
-        edge = (np.flatnonzero(qual[1:] != qual[:-1]) + 1).tolist()
-        for s, e in zip(edge[0::2], edge[1::2]):
-            if e - s >= WINDOW:
-                hit = np.flatnonzero(_State._streak_step(
-                    np.arange(e - s), np.full(e - s, a[s]), True, a[s:e]))
-                if len(hit):
-                    n = s + int(hit[0])
-                    found.append((n, PETAL,
-                                  int(_direction_index(ws[n], k, base_angle)), 0))
-                    break
+        found.append((lo + int(esc[0]), ESCAPE, -1, 0))
+    if region is not None:
+        s = max(lo, 1)
+        hit = _petal_hits(ws[s:], a[s - lo:], region)
+        if len(hit):
+            n = s + int(hit[0])
+            found.append((n, PETAL, int(_direction_index(ws[n], region.k,
+                                                         region.base)), 0))
     # only a confirmation before every other verdict counts
     last = min(found)[0] - 1 if found else top
-    caught = np.abs(ws - ws[np.arange(top + 1) // 2]) < CYCLE_TOL
-    catches = np.flatnonzero(caught[2:last + 1]) + 2
-    if len(catches):
-        st, n = _State(ws[:1]), 2
-        while True:
-            if st.anchored[0]:  # the first return to the anchor, or the drop
-                h = int(st.last_hit[0]) + 1
-                near = np.abs(ws[h:h + PERIOD_CAP] - st.anchor[0]) < CYCLE_TOL
-                n = h + (int(near.argmax()) if near.any() else PERIOD_CAP)
-            else:
-                i = np.searchsorted(catches, n)
-                n = int(catches[i]) if i < len(catches) else top + 1
-            if n > last:
-                break
-            st.w = ws[n:n + 1]
-            if st._cycle_step(n, caught[n:n + 1], True)[0]:
-                found.append((n, BASIN, -1, int(st.period[0])))
-                break
-            n += 1
+    n = max(lo, 2)
+    steps = np.arange(n, last + 1)
+    catches = steps[np.abs(ws[steps] - ws[steps // 2]) < CYCLE_TOL]
+    while st.anchored[0] or len(catches):
+        if st.anchored[0]:  # the first return to the anchor, or the drop
+            h = int(st.last_hit[0]) + 1
+            near = np.abs(ws[h:h + PERIOD_CAP] - st.anchor[0]) < CYCLE_TOL
+            n = h + (int(near.argmax()) if near.any() else PERIOD_CAP)
+        else:
+            i = np.searchsorted(catches, n)
+            n = int(catches[i]) if i < len(catches) else top + 1
+        if n > last:
+            break
+        st.w = ws[n:n + 1]
+        if st._cycle_step(n, ~st.anchored, True)[0]:
+            found.append((n, BASIN, -1, int(st.period[0])))
+            break
+        n += 1
     return min(found, default=None)
 
 
-def _run_single(C: np.ndarray, w0: complex, n_max: int, k: int,
-                base_angle: float, escape_radius: float, stop_at_verdict: bool):
+def _run_single(C: np.ndarray, w0: complex, n_max: int,
+                region: _Region | None, escape_radius: float,
+                stop_at_verdict: bool):
     """Trajectory first, then the engine rules, for one point.
 
     Returns (kind, index, n_stop, period, ws, dlogs).  ws ends at n_stop
@@ -562,6 +566,7 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int, k: int,
     ws = np.empty(n_max + 1, dtype=complex)
     ws[0] = w0
     w = ws[:1].copy()
+    st = _State(w)
     done, block = 0, 64
     with np.errstate(over="ignore", invalid="ignore", under="ignore",
                      divide="ignore"):
@@ -570,9 +575,9 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int, k: int,
             for n in range(done, top):
                 w = _horner(C[n], w)
                 ws[n + 1] = w[0]
+            verdict = _first_verdict(ws[:top + 1], region, escape_radius,
+                                     done + (done > 0), st)
             done, block = top, 2 * block
-            verdict = _first_verdict(ws[:done + 1], k, base_angle,
-                                     escape_radius)
             if verdict is not None or done == n_max:
                 break
         n_stop, kind, index, period = verdict or (n_max, UNDECIDED, -1, 0)
@@ -712,17 +717,13 @@ def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
     _check_escape_radius(escape_radius)
     C = _coeff_matrix(F, z0, n_max)
     kind, index, n_stop, period, ws, dlogs = _run_single(
-        C, complex(w0), n_max, *_parabolic_data(F), escape_radius,
+        C, complex(w0), n_max, _petal_region(F, C), escape_radius,
         stop_at_verdict)
     rep = None
     if kind == BASIN:
         pts = _cycle_points(C, ws[n_stop:n_stop + 1], np.array([n_stop]), period)
         rep = complex(pts[0, _cycle_keys(pts)[1][0, 0]])
-        verdict = Verdict(BASIN, 0)
-    elif kind == PETAL:
-        verdict = Verdict(PETAL, index)
-    else:
-        verdict = Verdict(kind)
+    verdict = Verdict(kind, 0 if kind == BASIN else index)  # -1 off petals
     zs = _z_schedule(F.rot, z0, len(ws) - 1)
     reason = {ESCAPE: "escape", PETAL: "petal", BASIN: "cycle"}.get(kind, "n_max")
     return OrbitRecord(ws=ws, zs=zs, dlogs=dlogs, verdict=verdict,
@@ -902,10 +903,8 @@ class FatouGrid(NamedTuple):
     code[i, j] encodes the verdict at re[j] + i*im[i]: 0 undecided,
     1 escape, 100+direction for petals, 200+cycle for basins; cycle ids
     are assigned canonically (sorted cycle point sets), never by discovery
-    order, so identical inputs give identical grids.  A cycle's key is its
-    points rounded to CYCLE_ROUND decimals by rint(x 10^4), half to even,
-    in sorted order (see the module docstring); cycles[c] is the key of
-    id c.
+    order, so identical inputs give identical grids; cycles[c] is the key
+    of id c (see the module docstring).
     """
     re: np.ndarray
     im: np.ndarray
@@ -970,12 +969,12 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     re = np.linspace(float(re0), float(re1), res)
     im = np.linspace(float(im0), float(im1), res)
     C = _coeff_matrix(F, z0, n_max)
-    k, base = _parabolic_data(F)
+    region = _petal_region(F, C)
 
     def run_rows(bounds: tuple[int, int]) -> _EngineResult:
         i0, i1 = bounds  # no name here holds the start array past its use
         return _run_engine(C, (re[np.newaxis, :] + 1j * im[i0:i1, np.newaxis])
-                           .ravel(), n_max, k, base, escape_radius)
+                           .ravel(), n_max, region, escape_radius)
 
     chunks = max(1, min(int(threads), res))
     bounds = [(res * t // chunks, res * (t + 1) // chunks)

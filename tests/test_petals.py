@@ -244,23 +244,23 @@ def test_single_orbit_path_matches_engine(golden, name):
     seeded = (radius * np.sqrt(rng.random(6))
               * np.exp(2j * np.pi * rng.random(6)))
     starts = [complex(w) for w in pinned] + seeded.tolist() + [2e6]
-    k, base = petals._parabolic_data(F)
     for n_max in BLOCK_EDGE_N_MAX + (n_big,):
         C = petals._coeff_matrix(F, z0, n_max)
-        eng = petals._run_engine(C, np.array(starts), n_max, k, base,
+        region = petals._petal_region(F, C)
+        eng = petals._run_engine(C, np.array(starts), n_max, region,
                                  ESCAPE_RADIUS)
         kinds = set()
         for i, w0 in enumerate(starts):
             want = (int(eng.kind[i]), int(eng.index[i]), int(eng.n_stop[i]),
                     int(eng.period[i]))
             # the engine holding this start alone gives the same fields
-            alone = petals._run_engine(C, np.array([w0]), n_max, k, base,
+            alone = petals._run_engine(C, np.array([w0]), n_max, region,
                                        ESCAPE_RADIUS)
             assert ([_bits(f) for f in alone]
                     == [_bits(f[i:i + 1]) for f in eng]), (name, n_max, w0)
-            stop = petals._run_single(C, w0, n_max, k, base, ESCAPE_RADIUS,
+            stop = petals._run_single(C, w0, n_max, region, ESCAPE_RADIUS,
                                       stop_at_verdict=True)
-            full = petals._run_single(C, w0, n_max, k, base, ESCAPE_RADIUS,
+            full = petals._run_single(C, w0, n_max, region, ESCAPE_RADIUS,
                                       stop_at_verdict=False)
             for got in (stop, full):
                 assert got[:4] == want, (name, n_max, w0)
@@ -283,13 +283,21 @@ def _schedule_for(seq: np.ndarray) -> np.ndarray:
     return C
 
 
+def _scripted_region(k, base, rho):
+    """A petal region with the given geometry for scripted orbits, whose
+    degree-1 schedules certify none: lead a = -e^{-i k base}, so that the
+    attracting directions start at base."""
+    return petals._Region(k, -cmath.exp(-1j * k * base), base, rho,
+                          petals.PETAL_EPS)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_single_orbit_path_matches_engine_on_scripted_orbits(monkeypatch,
                                                              seed):
     # Scripted orbits reach the automata's edge cases far more often than
     # real maps: near-repeats that are not transitive (0 ~ 6e-10 ~ 1.2e-9),
     # first gaps past a small period cap, stale anchors, late escapes, and
-    # petal streaks that break and restart.
+    # orbits that pass the petal region's edges.
     monkeypatch.setattr(petals, "WINDOW", 4)
     monkeypatch.setattr(petals, "PERIOD_CAP", 6)
     rng = np.random.default_rng([29, seed])
@@ -297,13 +305,13 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(monkeypatch,
     for trial in range(40):
         n_max = int(rng.choice([40, 63, 64, 65, 130]))
         if trial % 2:
-            k, base = 2, 0.3
+            region = _scripted_region(2, 0.3, 0.2)
             mod = 0.5 * np.cumprod(rng.uniform(0.55, 1.08, n_max + 1))
-            ang = (base + np.pi * rng.integers(0, 2, n_max + 1)
-                   + rng.normal(0.0, 0.12, n_max + 1))
+            ang = (0.3 + np.pi * rng.integers(0, 2, n_max + 1)
+                   + rng.normal(0.0, 0.6, n_max + 1))
             seq = mod * np.exp(1j * ang)
         else:
-            k, base = 0, 0.0
+            region = None
             pick = rng.integers(0, len(pool) + 3, n_max + 1)
             fresh = 10.0 + np.arange(n_max + 1)  # never near anything
             seq = np.where(pick < len(pool),
@@ -312,14 +320,14 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(monkeypatch,
             seq[rng.integers(1, n_max + 1)] = 2e6
         seq = seq.astype(complex)
         C = _schedule_for(seq)
-        eng = petals._run_engine(C, seq[:1], n_max, k, base, ESCAPE_RADIUS)
+        eng = petals._run_engine(C, seq[:1], n_max, region, ESCAPE_RADIUS)
         want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
                 int(eng.period[0]))
         # both paths call the same step rules, so the plain-Python walks
         # are the oracle of the rules themselves
-        assert _reference_verdict(seq, k, base) == want, (seed, trial)
+        assert _reference_verdict(seq, region) == want, (seed, trial)
         for stop_at_verdict in (True, False):
-            got = petals._run_single(C, seq[0], n_max, k, base,
+            got = petals._run_single(C, seq[0], n_max, region,
                                      ESCAPE_RADIUS, stop_at_verdict)
             assert got[:4] == want, (seed, trial)
             assert _bits(got[4]) == _bits(seq[:len(got[4])])
@@ -364,35 +372,60 @@ def _cycle_walk(ws):
     return None, seen
 
 
+def _region_walk(ws, region):
+    """The petal rule for one point, step by step in plain Python and read
+    in u = -1/(k a w^k): (n, direction) of the first step n >= 1 with
+    |Im u| < Re u - R, R = 1/(k |a| rho^k), or None."""
+    k, lead = region.k, region.lead
+    r_cut = 1.0 / (k * abs(lead) * region.rho ** k)
+    for n, w in enumerate(ws.tolist()[1:], 1):
+        if w == 0 or not abs(w) < region.rho:  # |w| < rho on the region
+            continue
+        u = -1.0 / (k * lead * w ** k)
+        if abs(u.imag) < u.real - r_cut:
+            off = (cmath.phase(w) - region.base) * k / (2 * math.pi)
+            return n, round(off) % k
+    return None
+
+
+# the constants of the retired petal rule, a 50-step streak
+STREAK_WINDOW, STREAK_ARG_TOL, STREAK_GATE, STREAK_SHRINK = 50, 0.2, 0.75, 0.5
+
+
 def _streak_walk(ws, k, base):
-    """The engine's petal rule for one point, step by step in plain Python,
+    """The retired petal rule for one point, step by step in plain Python,
     with the sector read from the angle of w: ((n, direction) of the first
-    hit or None, [start, length] of each qualifying run up to the hit)."""
-    a = np.abs(ws).tolist()  # the moduli as the engine reads them
+    hit or None, [start, length] of each qualifying run up to the hit).  A
+    step qualified below STREAK_GATE with |w| falling and arg w within
+    STREAK_ARG_TOL of a direction; STREAK_WINDOW qualifying steps in a row
+    with |w| shrunk by STREAK_SHRINK since the run's start were a hit."""
+    a = np.abs(ws).tolist()  # the moduli as the engine read them
     streak, bound, runs = 0, 0.0, []
     for n in range(1, len(a)):
-        qual = 0.0 < a[n] < min(a[n - 1], petals.PETAL_GATE)
+        qual = 0.0 < a[n] < min(a[n - 1], STREAK_GATE)
         if qual:
             off = (cmath.phase(ws[n]) - base) * k / (2 * math.pi)
-            qual = abs(off - round(off)) * 2 * math.pi / k <= petals.ARG_TOL
+            qual = abs(off - round(off)) * 2 * math.pi / k <= STREAK_ARG_TOL
         if streak == 0:
-            bound = petals.PETAL_SHRINK * a[n]
+            bound = STREAK_SHRINK * a[n]
         streak = streak + 1 if qual else 0
         if streak == 1:
             runs.append([n, 0])
         if streak:
             runs[-1][1] = streak
-        if streak >= petals.WINDOW and a[n] <= bound:
+        if streak >= STREAK_WINDOW and a[n] <= bound:
             return (n, round(off) % k), runs
     return None, runs
 
 
-def _reference_verdict(ws, k, base):
+def _reference_verdict(ws, region, petal=None):
     """(kind, index, n_stop, period) of one orbit from plain-Python walks of
-    the rules, taken in the engine's check order within a step."""
+    the rules, taken in the engine's check order within a step; petal
+    replaces the region walk's (n, direction) when given."""
     found = [(int(n), ESCAPE, -1, 0)
              for n in np.flatnonzero(~(np.abs(ws) <= ESCAPE_RADIUS))[:1]]
-    petal = _streak_walk(ws, k, base)[0] if k else None
+    if petal is None and region is not None:
+        petal = _region_walk(ws, region)
     if petal is not None:
         found.append((petal[0], PETAL, petal[1], 0))
     cycle = _cycle_walk(ws)[0]
@@ -402,18 +435,18 @@ def _reference_verdict(ws, k, base):
     return kind, index, n, period
 
 
-def _paths_agree(seq, k, base):
+def _paths_agree(seq, region):
     """The engine, the single path (both stop modes) and the plain-Python
     walks give the same fields on seq and on its prefixes at the block-edge
     n_max values; returns the fields on the whole of seq."""
     C = _schedule_for(seq)
     for n_max in [n for n in BLOCK_EDGE_N_MAX if n < len(seq) - 1] + [len(seq) - 1]:
-        eng = petals._run_engine(C, seq[:1], n_max, k, base, ESCAPE_RADIUS)
+        eng = petals._run_engine(C, seq[:1], n_max, region, ESCAPE_RADIUS)
         want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
                 int(eng.period[0]))
-        assert _reference_verdict(seq[:n_max + 1], k, base) == want, n_max
+        assert _reference_verdict(seq[:n_max + 1], region) == want, n_max
         for stop_at_verdict in (True, False):
-            got = petals._run_single(C, seq[0], n_max, k, base, ESCAPE_RADIUS,
+            got = petals._run_single(C, seq[0], n_max, region, ESCAPE_RADIUS,
                                      stop_at_verdict)
             assert got[:4] == want, (n_max, stop_at_verdict)
     return want
@@ -425,56 +458,64 @@ def _fresh(top: int) -> np.ndarray:
 
 
 # (run length, modulus factor per step, step of the hit within the run)
-# at WINDOW = 4: the run's third step is the first with |w| halved at 0.79,
-# its fourth at 0.83, and none at 0.9
+# with rho = 0.36 on the attracting axis: from 0.7, the run's fourth step
+# (0.345) is the first inside at 0.79, its fifth (0.332) at 0.83, and none
+# is at 0.9
 PETAL_RUNS = [(3, 0.79, None), (4, 0.79, 3), (5, 0.79, 3), (5, 0.83, 4),
               (4, 0.9, None)]
 
 
 @pytest.mark.parametrize("start", [1, 5, 60, 61, 62, 189])
 @pytest.mark.parametrize("length,factor,hit", PETAL_RUNS)
-def test_petal_runs_at_run_and_block_edges(monkeypatch, start, length,
-                                           factor, hit):
-    # qualifying runs of WINDOW - 1, WINDOW and WINDOW + 1 steps, hits on a
-    # run's last step, runs across the single path's block edges (64, 192)
-    # and runs that end on the trajectory's last step
-    monkeypatch.setattr(petals, "WINDOW", 4)
-    monkeypatch.setattr(petals, "PERIOD_CAP", 6)
-    k, base = 2, 0.3
+def test_petal_runs_at_run_and_block_edges(start, length, factor, hit):
+    # scripted runs toward the region: entries on a run's last step, entries
+    # across the single path's block edges (64, 192) and runs that end on
+    # the trajectory's last step
+    region = _scripted_region(2, 0.3, 0.36)
     for top in (200, start + length - 1):
         seq = _fresh(top)
         seq[start:start + length] = (0.7 * factor ** np.arange(length)
-                                     * np.exp(1j * (base + math.pi)))
+                                     * np.exp(1j * (0.3 + math.pi)))
         want = ((PETAL, 1, start + hit, 0) if hit is not None
                 else (UNDECIDED, -1, top, 0))
-        assert _paths_agree(seq, k, base) == want
+        assert _paths_agree(seq, region) == want
 
 
 @pytest.mark.parametrize("mods,sign,want", [
-    # |w| halves exactly on the run's WINDOW-th step: the bound is inclusive
-    ([0.64, 0.5, 0.4, 0.32], 1.0, (PETAL, 0, 4, 0)),
-    # a step at the gate does not qualify, so the run and its bound start
-    # one step later
-    ([0.75, 0.7, 0.5, 0.4, 0.37, 0.35], -1.0, (PETAL, 1, 6, 0)),
-    # a repeated modulus is not falling: it splits the run in two
-    ([0.6, 0.5, 0.5, 0.4, 0.3, 0.2], 1.0, (UNDECIDED, -1, 7, 0)),
+    # a point on the region's outer radius is outside: the test is strict
+    ([0.75, 0.5, 0.25], 1.0, (PETAL, 0, 3, 0)),
+    # the second attracting axis, with a modulus on each side of rho
+    ([0.6, 0.4, 0.3], -1.0, (PETAL, 1, 2, 0)),
+    # the fixed point 0 is in no region
+    ([0.0, 0.3], 1.0, (PETAL, 0, 2, 0)),
 ])
-def test_petal_runs_on_exact_moduli(monkeypatch, mods, sign, want):
-    # real starts, whose moduli every path reads exactly
-    monkeypatch.setattr(petals, "WINDOW", 4)
+def test_petal_runs_on_exact_moduli(mods, sign, want):
+    # real starts on the attracting axes of k = 2, rho = 0.5, whose moduli
+    # every path reads exactly
     seq = _fresh(7)
     seq[1:1 + len(mods)] = sign * np.array(mods)
-    assert _paths_agree(seq, 2, 0.0) == want
+    assert _paths_agree(seq, _scripted_region(2, 0.0, 0.5)) == want
 
 
 def test_petal_runs_before_a_hit_are_each_read_once(monkeypatch):
-    # a run of WINDOW - 1 steps, one of WINDOW steps without the halving,
-    # then a run that hits: the streak restarts after each break
-    monkeypatch.setattr(petals, "WINDOW", 4)
-    seq = _fresh(120)
-    for s, length, factor in ((3, 3, 0.79), (20, 4, 0.9), (63, 5, 0.83)):
-        seq[s:s + length] = 0.7 * factor ** np.arange(length) * np.exp(0.3j)
-    assert _paths_agree(seq, 2, 0.3) == (PETAL, 0, 67, 0)
+    # stopping at the verdict, the single path reads each block's new steps
+    # once (64, then 128, then 256 of them) and carries the cycle automaton
+    # over; the entry at step 300 lies in the third block
+    seq = _fresh(1000)
+    seq[300] = 0.1 * cmath.exp(0.3j)
+    region = _scripted_region(2, 0.3, 0.36)
+    calls = []
+    hits = petals._petal_hits
+
+    def counted(w, *args):
+        calls.append(len(w))
+        return hits(w, *args)
+
+    monkeypatch.setattr(petals, "_petal_hits", counted)
+    got = petals._run_single(_schedule_for(seq), seq[0], 1000, region,
+                             ESCAPE_RADIUS, True)
+    assert got[:4] == (PETAL, 0, 300, 0)
+    assert calls == [64, 128, 256]
 
 
 @pytest.mark.parametrize("catch", [2, 7, 63, 64, 65, 192])
@@ -488,7 +529,7 @@ def test_catches_at_trajectory_and_block_edges(monkeypatch, catch):
                              (catch + 4, 4, (BASIN, -1, catch + 4, 1))):
         seq = _fresh(top)
         seq[catch:catch + 1 + recur] = seq[catch // 2]
-        assert _paths_agree(seq, 0, 0.0) == want
+        assert _paths_agree(seq, None) == want
 
 
 @pytest.mark.parametrize("recatch", [10, 63, 64, 65, 192])
@@ -508,31 +549,32 @@ def test_recatch_right_after_a_stale_drop(monkeypatch, recatch,
     seq[recatch:recatch + 5] = seq[recatch // 2]
     # the first anchor and its drop are real: stopped before the re-catch,
     # the orbit is undecided
-    assert _paths_agree(seq[:recatch], 0, 0.0)[0] == UNDECIDED
+    assert _paths_agree(seq[:recatch], None)[0] == UNDECIDED
     assert _cycle_walk(seq[:recatch])[1]["stale"] == 1
-    assert _paths_agree(seq, 0, 0.0) == (BASIN, -1, recatch + 4, 1)
+    assert _paths_agree(seq, None) == (BASIN, -1, recatch + 4, 1)
 
 
 def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
-    # the benchmark's orbit-k3 map and trajectory length: the streak rule is
-    # called once per qualifying run of WINDOW steps, never once per step
+    # the benchmark's orbit-k3 map from a start near a repelling direction,
+    # whose entry comes late: _first_verdict reads the whole trajectory in
+    # one call of the petal rule, never once per step
     g = sd.ConstantVerticalMap([0, 1, 0, 0, -1])
-    orb = sd.iterate_orbit(g, 0, 0.1, 10 ** 4, stop_at_verdict=False)
-    k, base = petals._parabolic_data(g)
+    orb = sd.iterate_orbit(g, 0, 0.1 * cmath.exp(1j * (math.pi / 3 - 0.01)),
+                           10 ** 4, stop_at_verdict=False)
+    region = petals._petal_region(g, petals._coeff_matrix(g, 0, 10 ** 4))
     calls = []
-    step = petals._State._streak_step
+    hits = petals._petal_hits
 
-    def counted(*args):
-        calls.append(len(args[0]))
-        return step(*args)
+    def counted(w, *args):
+        calls.append(len(w))
+        return hits(w, *args)
 
-    monkeypatch.setattr(petals._State, "_streak_step", staticmethod(counted))
-    got = petals._first_verdict(orb.ws, k, base, ESCAPE_RADIUS)
-    hit, runs = _streak_walk(orb.ws, k, base)
+    monkeypatch.setattr(petals, "_petal_hits", counted)
+    got = petals._first_verdict(orb.ws, region, ESCAPE_RADIUS, 0,
+                                petals._State(orb.ws[:1]))
+    hit = _region_walk(orb.ws, region)
     assert got == (hit[0], PETAL, hit[1], 0) == (orb.n_stop, PETAL, 0, 0)
-    long_runs = [n for _, n in runs if n >= petals.WINDOW]
-    assert len(calls) == len(long_runs) >= 1
-    assert orb.n_stop > 1000 * len(calls)
+    assert calls == [10 ** 4] and orb.n_stop > 100
 
 
 @pytest.mark.parametrize("which,w0", [
@@ -553,11 +595,19 @@ def test_single_path_steps_the_cycle_automaton_only_on_events(
         return step(self, n, *args)
 
     monkeypatch.setattr(petals._State, "_cycle_step", counted)
-    got = petals._first_verdict(orb.ws, 0, 0.0, ESCAPE_RADIUS)
+    got = petals._first_verdict(orb.ws, None, ESCAPE_RADIUS, 0,
+                                petals._State(orb.ws[:1]))
     confirmed, seen = _cycle_walk(orb.ws)
     want = None if confirmed is None else (confirmed[0], BASIN, -1,
                                            confirmed[1])
     assert got == want
+    assert len(calls) == seen["anchor"] + seen["recur"] + seen["stale"]
+    assert calls == sorted(set(calls))
+    # stopping at the verdict, the blocks carry the automaton over: no
+    # event is stepped twice
+    calls.clear()
+    stop = sd.iterate_orbit(F, 0, w0, 3000)
+    seen = _cycle_walk(orb.ws[:stop.n_stop + 1])[1]
     assert len(calls) == seen["anchor"] + seen["recur"] + seen["stale"]
     assert calls == sorted(set(calls))
 
@@ -867,11 +917,11 @@ def test_petal_membership_stable_under_model_map():
     assert [sd.in_attracting_petal(x, 2, loc.rho, loc.eta) for x in w - w ** 3] == j
 
 
-# -- the sector test ---------------------------------------------------------------
+# -- the petal region's membership test -------------------------------------------
 
-def _angle_sector(w, k, base, tol):
-    """The angle formula the trig-free sector test replaced, as the oracle:
-    distance of arg w to the nearest direction base + 2 pi j / k."""
+def _angle_sector(w, k, base):
+    """Distance delta of arg w to the nearest direction base + 2 pi j / k,
+    and that j, from the angle of w."""
     ang = np.angle(w)
     jdir = np.rint((ang - base) * k / (2 * np.pi)).astype(np.int64) % k
     delta = np.abs((ang - (base + 2 * np.pi * jdir / k) + np.pi)
@@ -881,46 +931,45 @@ def _angle_sector(w, k, base, tol):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_sector_test_matches_angle_formula(k):
+    # the trig-free region test against its angle form: with delta the
+    # angle to the nearest direction, |Im u| < Re u - R reads cos(k delta)
+    # - |sin(k delta)| > (|w|/rho)^k
     rng = np.random.default_rng([41, k])
     bases = [0.0, np.pi, np.pi / k, -2.5] + list(rng.uniform(-np.pi, np.pi, 4))
     for base in bases:
-        for tol in (0.2, *rng.uniform(1e-3, np.pi / k - 1e-3, 3)):
-            w = (10.0 ** rng.uniform(-4, 1, 20000)
+        for rho in (0.3, *rng.uniform(1e-3, 0.75, 3)):
+            region = _scripted_region(k, base, rho)
+            w = (rho * 10.0 ** rng.uniform(-4, 0.2, 20000)
                  * np.exp(1j * rng.uniform(-np.pi, np.pi, 20000)))
-            delta, jdir = _angle_sector(w, k, base, tol)
-            clear = np.abs(delta - tol) > 1e-9
-            got = petals._in_sector(w, np.abs(w), k, base, tol)
-            assert np.array_equal(got[clear], (delta <= tol)[clear])
-            assert clear.mean() > 0.999
+            delta, jdir = _angle_sector(w, k, base)
+            gap = (np.cos(k * delta) - np.abs(np.sin(k * delta))
+                   - (np.abs(w) / rho) ** k)
+            clear = np.abs(gap) > 1e-9
+            got = np.zeros(len(w), dtype=bool)
+            got[petals._petal_hits(w, np.abs(w), region)] = True
+            assert np.array_equal(got[clear], (gap > 0)[clear])
+            assert clear.mean() > 0.999 and got.any() and not got.all()
             assert np.array_equal(petals._direction_index(w, k, base), jdir)
 
 
-@pytest.mark.parametrize("k,tol", [(16, petals.ARG_TOL),
-                                   (2, 2.0)])
-def test_sector_test_vacuous_when_tolerance_spans_sector(k, tol):
-    # k * tol >= pi: every angle lies within pi/k <= tol of a direction
-    rng = np.random.default_rng(43)
-    w = (10.0 ** rng.uniform(-300, 300, 5000)
-         * np.exp(1j * rng.uniform(-np.pi, np.pi, 5000)))
-    w[:4] = [1.0, -1.0, 1j, -1e-300j]
-    for base in (0.0, 1.0, np.pi):
-        assert np.all(petals._in_sector(w, np.abs(w), k, base, tol))
-        assert np.all(_angle_sector(w, k, base, tol)[0] <= tol)
-
-
-def test_engine_accepts_vacuous_sector_tolerance(monkeypatch):
-    # ARG_TOL = 2.0 >= pi/2: for k = 2 every decreasing streak qualifies
-    monkeypatch.setattr(petals, "ARG_TOL", 2.0)
-    F = sd.ParabolicLocal(k=2)
-    k, base = petals._parabolic_data(F)
-    C = petals._coeff_matrix(F, 0, 2000)
-    starts = np.array([0.3, 0.3j, -0.2 + 0.1j, 0.05j, 1.5])
-    eng = petals._run_engine(C, starts, 2000, k, base, ESCAPE_RADIUS)
-    assert PETAL in eng.kind.tolist()
-    for i, w0 in enumerate(starts):
-        got = petals._run_single(C, w0, 2000, k, base, ESCAPE_RADIUS, True)
-        assert got[:4] == (eng.kind[i], eng.index[i], eng.n_stop[i],
-                           eng.period[i])
+@pytest.mark.parametrize("k", [1, 16])
+def test_region_test_at_extreme_moduli(k):
+    # v = (w e^{-i base}/|w|)^k stays on the unit circle, so tiny moduli are
+    # tested by angle alone and nothing overflows; 0, inf and nan are in no
+    # region, and no warning is raised
+    region = _scripted_region(k, 0.0, 0.5)
+    w = np.array([1e-300, 1e-300j, 1e-300 * cmath.exp(0.5j / k), 0.0,
+                  np.inf, complex(np.nan, 1.0), 1e300, -1e-300])
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        got = petals._petal_hits(w, np.abs(w), region).tolist()
+    # 1e-300 i and -1e-300 point along repelling directions for k = 1 and
+    # along attracting ones for k = 16
+    assert got == ([0, 2] if k == 1 else [0, 1, 2, 7])
+    # on the axis, a point of the exact region within the rounding margin
+    # of its edge is not certified; one 2^-40 inside it is
+    w = 0.5 * np.array([1 - 2.0 ** -52, 1 - 2.0 ** -40])
+    assert petals._petal_hits(w, np.abs(w), region).tolist() == [1]
 
 
 # -- grid engine: degree trimming and writers -----------------------------------------
@@ -935,21 +984,21 @@ def test_engine_trims_zero_top_degrees_exactly(golden, fiber, z0):
     else:
         F = sd.ConstantVerticalMap(fiber, golden)
         span = 1.6
-    k, base = petals._parabolic_data(F)
     n_max = 400
     C = petals._coeff_matrix(F, z0, n_max)
+    region = petals._petal_region(F, C)
     assert not C[:, -1].any()
     padded = np.hstack([C, np.zeros((n_max + 1, 3), dtype=complex)])
     axis = np.linspace(-span, span, 24)
     w0 = (axis[np.newaxis, :] + 1j * axis[:, np.newaxis]).ravel()
-    a = petals._run_engine(C, w0, n_max, k, base, ESCAPE_RADIUS)
-    b = petals._run_engine(padded, w0, n_max, k, base, ESCAPE_RADIUS)
+    a = petals._run_engine(C, w0, n_max, region, ESCAPE_RADIUS)
+    b = petals._run_engine(padded, w0, n_max, region, ESCAPE_RADIUS)
     for x, y in zip(a, b):
         assert _bits(x) == _bits(y)
     assert len(set(a.kind.tolist())) >= 2
     # against the untrimmed single-orbit stepping
     for i in range(0, len(w0), 23):
-        got = petals._run_single(padded, w0[i], n_max, k, base,
+        got = petals._run_single(padded, w0[i], n_max, region,
                                  ESCAPE_RADIUS, True)
         assert got[:4] == (a.kind[i], a.index[i], a.n_stop[i], a.period[i])
         if a.kind[i] != UNDECIDED:
@@ -962,16 +1011,16 @@ def test_engine_compacted_to_one_survivor_steps_as_before():
     # copy of itself (no compaction) and as the single-orbit path steps it
     F = sd.ConstantVerticalMap([-0.8 + 0.156j, 0, 1])
     w0, n_max = -1.079283 + 0.241198j, 3000
-    k, base = petals._parabolic_data(F)
     C = petals._coeff_matrix(F, 0, n_max)
-    crowd = petals._run_engine(C, np.array([w0] + [50.0] * 299), n_max, k,
-                               base, ESCAPE_RADIUS)
+    region = petals._petal_region(F, C)
+    crowd = petals._run_engine(C, np.array([w0] + [50.0] * 299), n_max,
+                               region, ESCAPE_RADIUS)
     assert np.all(crowd.n_stop[1:] < 7)
     assert crowd.kind[0] == ESCAPE and crowd.n_stop[0] > 1000
-    pair = petals._run_engine(C, np.array([w0, w0]), n_max, k, base,
+    pair = petals._run_engine(C, np.array([w0, w0]), n_max, region,
                               ESCAPE_RADIUS)
     assert [_bits(f[:1]) for f in crowd] == [_bits(f[:1]) for f in pair]
-    got = petals._run_single(C, w0, n_max, k, base, ESCAPE_RADIUS, True)
+    got = petals._run_single(C, w0, n_max, region, ESCAPE_RADIUS, True)
     assert got[:4] == (crowd.kind[0], crowd.index[0], crowd.n_stop[0],
                        crowd.period[0])
 
@@ -1087,7 +1136,7 @@ def test_engine_memory_budget_per_point(golden):
     C = petals._coeff_matrix(F, 0.0, 200)
     tracemalloc.start()
     try:
-        r = petals._run_engine(C, w0, 200, *petals._parabolic_data(F),
+        r = petals._run_engine(C, w0, 200, petals._petal_region(F, C),
                                ESCAPE_RADIUS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1109,7 +1158,7 @@ def _per_pixel_slice(F, z0, grid, n_max):
     re, im = np.linspace(re0, re1, res), np.linspace(im0, im1, res)
     C = petals._coeff_matrix(F, z0, n_max)
     r = petals._run_engine(C, (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel(),
-                           n_max, *petals._parabolic_data(F), ESCAPE_RADIUS)
+                           n_max, petals._petal_region(F, C), ESCAPE_RADIUS)
     code = np.zeros(res * res, dtype=np.int32)
     code[r.kind == ESCAPE] = CODE_ESCAPE
     pm = r.kind == PETAL
@@ -1345,3 +1394,154 @@ def test_z_schedule_reads_the_unit_column_lam_bits(golden):
     zs = petals._z_schedule(golden, 0.05, 10_000)
     want = np.array(sd.unit_column(golden, 10_000).lam) * 0.05
     assert zs.tobytes() == want.tobytes()
+
+
+# -- the certified petal region ----------------------------------------------------
+
+def _region_cases(golden):
+    """name -> (map, z0) of the maps whose rows certify a region."""
+    tail = (sd.TruncatedSeries([0.2, 0.5j]), sd.TruncatedSeries([-0.1, 0.0, 0.3]))
+    return {
+        "k1": (sd.ParabolicLocal(k=1), 0),
+        "k2": (sd.ParabolicLocal(k=2), 0),
+        "k3": (sd.ParabolicLocal(k=3), 0),
+        "b_and_z_tail": (sd.ParabolicLocal(k=2, b=0.3 - 0.2j, tail=tail,
+                                           rot=golden), 0.08),
+        "moving_fiber": _differential_corpus(golden)["moving_fiber"][:2],
+        # a tail that dominates |e| near rho
+        "strong_tail": (sd.ConstantVerticalMap([0, 1, 1, 3, -2j]), 0),
+    }
+
+
+@pytest.mark.parametrize("name", ["k1", "k2", "k3", "b_and_z_tail",
+                                  "moving_fiber", "strong_tail"])
+def test_petal_region_is_invariant_at_50_digits(golden, name):
+    # points on the wedge's boundary |Im u| = Re u - R and inside it, on
+    # every attracting branch, stepped at 50 digits by each of the
+    # schedule's rows: every image is inside, and u' = u + 1 + e with |e|
+    # at most the derived bound eps < 1/2, so Re u grows by at least 1 - eps
+    mpmath = pytest.importorskip("mpmath")
+    F, z0 = _region_cases(golden)[name]
+    C = petals._coeff_matrix(F, z0, 24)
+    region = petals._petal_region(F, C)
+    assert region is not None and 0 < region.rho <= petals.PETAL_RADIUS
+    assert region.eps <= petals.PETAL_EPS < 0.5
+    k = region.k
+    with mpmath.workdps(50):
+        lead = mpmath.mpc(region.lead)
+        r_cut = 1 / (k * abs(lead) * mpmath.mpf(region.rho) ** k)
+        rows = [[mpmath.mpc(c) for c in row] for row in C.tolist()]
+        checked = 0
+        for t in [mpmath.mpf(10) ** e for e in (-6, -2, -1, 0, 1, 2, 4, 6)]:
+            for slope in (1, -1, 0.5, 0):
+                u = r_cut + t + 1j * slope * t
+                root = (-1 / (k * lead * u)) ** (mpmath.mpf(1) / k)
+                for j in range(k):
+                    w = root * mpmath.expjpi(mpmath.mpf(2 * j) / k)
+                    assert abs(w) < region.rho
+                    for row in rows:
+                        w1 = mpmath.polyval(row[::-1], w)
+                        u1 = -1 / (k * lead * w1 ** k)
+                        assert abs(u1.imag) < u1.real - r_cut, (t, slope, j)
+                        assert abs(u1 - u - 1) <= region.eps, (t, slope, j)
+                        assert u1.real - u.real >= 1 - region.eps, (t, slope, j)
+                        checked += 1
+    assert checked >= 8 * 4 * k * len(rows)
+
+
+def test_petal_region_needs_parabolic_rows(golden):
+    # rows with a_0 != 0 (a moving fiber whose a_0 has z-terms), a_1 != 1
+    # or a_2 != 0 below the order certify no region; neither do maps that
+    # are not parabolic at z = 0
+    cases = [
+        (sd.SkewGerm.from_coeffs(golden, [[0, 0.05], [1], [1]], 4, 2), 0.05),
+        (sd.SkewGerm.from_coeffs(golden, [[0], [1, 0.05], [1]], 4, 2), 0.05),
+        (sd.SkewGerm.from_coeffs(golden, [[0], [1], [0, 0.05], [1]], 4, 3),
+         0.05),
+        (sd.ConstantVerticalMap([1e-12, 1, 1]), 0),
+        (sd.ConstantVerticalMap([0, 0, 1]), 0),
+        (random_parabolic_germ(golden, 6, 6, seed=31, scale=0.2), 0.05),
+    ]
+    for F, z0 in cases:
+        assert petals._petal_region(F, petals._coeff_matrix(F, z0, 50)) is None
+    # the same fibers at z0 = 0 are certified where the map is parabolic
+    for F, _ in cases[:3]:
+        assert petals._petal_region(F, petals._coeff_matrix(F, 0, 50))
+    # the benchmark's parabolic germ w + w^2 gets rho from eps = r/(1 - r)
+    F = sd.ConstantVerticalMap([0, 1, 1])
+    region = petals._petal_region(F, petals._coeff_matrix(F, 0, 50))
+    assert region.rho == pytest.approx(0.49 / 1.49, rel=1e-12)
+
+
+def _gate_verdicts(F, z0, starts, n_max, ws):
+    """(old, new) verdict tuples of each start: the retired streak rule by
+    the plain-Python walks on its trajectory ws[:, i], and the engine."""
+    C = petals._coeff_matrix(F, z0, n_max)
+    k, lead = petals._parabolic_data(F)
+    base = sd.directions_for_jet(lead, k) if k else 0.0
+    eng = petals._run_engine(C, np.asarray(starts), n_max,
+                             petals._petal_region(F, C), ESCAPE_RADIUS)
+    out = []
+    for i in range(len(starts)):
+        traj = ws[:, i]
+        esc = np.flatnonzero(~(np.abs(traj) <= ESCAPE_RADIUS))
+        traj = traj[:esc[0] + 1] if len(esc) else traj
+        streak = _streak_walk(traj, k, base)[0] if k else None
+        old = _reference_verdict(traj, None, petal=streak)
+        if len(esc) == 0 or old[2] < esc[0]:
+            old = old if old[0] != UNDECIDED else (UNDECIDED, -1, n_max, 0)
+        new = (int(eng.kind[i]), int(eng.index[i]), int(eng.n_stop[i]),
+               int(eng.period[i]))
+        out.append((old, new))
+    return out
+
+
+def _assert_gate(pairs):
+    for old, new in pairs:
+        if old[0] == PETAL:
+            assert new[:2] == old[:2], (old, new)
+        elif old[0] in (ESCAPE, BASIN):
+            assert new == old, (old, new)
+        else:
+            assert new[0] in (UNDECIDED, PETAL), (old, new)
+
+
+@pytest.mark.parametrize("name", ["petal_k1", "petal_k2", "petal_k3",
+                                  "parabolic_w_plus_w2", "basin_period1",
+                                  "basin_period2", "basin_period3", "siegel",
+                                  "slow_rotation", "moving_fiber"])
+def test_region_rule_keeps_every_streak_petal_on_the_corpus(golden, name):
+    # the retired 50-step streak rule as the gate: every start it labels a
+    # petal is certified petal with the same direction, and no escape or
+    # basin verdict or step moves
+    corpus = _differential_corpus(golden)
+    F, z0, radius, pinned, n_big, expect = corpus[name]
+    rng = np.random.default_rng([13, list(corpus).index(name)])
+    seeded = (radius * np.sqrt(rng.random(8))
+              * np.exp(2j * np.pi * rng.random(8)))
+    starts = [complex(w) for w in pinned] + seeded.tolist() + [2e6]
+    C = petals._coeff_matrix(F, z0, n_big)
+    ws = np.stack([petals._run_single(C, w0, n_big, None, ESCAPE_RADIUS,
+                                      False)[4] for w0 in starts], axis=1)
+    pairs = _gate_verdicts(F, z0, starts, n_big, ws)
+    _assert_gate(pairs)
+    assert expect in {old[0] for old, _ in pairs}
+
+
+def test_region_rule_keeps_every_streak_petal_on_the_benchmark_germ(golden):
+    # the benchmark's parabolic germ w + w^2 + 0.05 z w^3 at z0 = 0 on a
+    # 60 x 60 grid of its slice, stepped in lockstep by the engine's _step
+    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
+    n_max = 300
+    axis_re, axis_im = np.linspace(-1.5, 0.5, 60), np.linspace(-1, 1, 60)
+    starts = (axis_re[np.newaxis, :] + 1j * axis_im[:, np.newaxis]).ravel()
+    C = petals._coeff_matrix(F, 0, n_max)
+    ws = np.empty((n_max + 1, len(starts)), dtype=complex)
+    ws[0] = starts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_max):
+            ws[n + 1] = petals._step(C[n], ws[n])
+    pairs = _gate_verdicts(F, 0, starts, n_max, ws)
+    _assert_gate(pairs)
+    old_kinds = [old[0] for old, _ in pairs]
+    assert old_kinds.count(PETAL) > 2000 and ESCAPE in old_kinds
