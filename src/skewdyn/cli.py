@@ -31,9 +31,9 @@ from .normalform import conjugacy_defect, normalize, reduce_parabolic_tail
 from .petals import (ParabolicLocal, critical_orbit_check, fatou_slice,
                      forward_invariance_check, iterate_orbit,
                      repelling_expansion_check, vertical_derivative_sum)
-from .rotation import (brjuno_partial_sum, cremer_running_max, divisor_table,
-                       rotation_from_json, rotation_to_json, unit_column,
-                       write_divisor_csv)
+from .rotation import (_CHUNK, brjuno_partial_sum, cremer_running_max,
+                       divisor_table, rotation_from_json, rotation_to_json,
+                       unit_column, write_divisor_csv)
 from .series import Bump, Gauge, Shift, germ_from_json, retruncate, \
     series_to_triples
 
@@ -224,15 +224,20 @@ def cmd_orbit(args) -> int:
     w0 = _parse_complex(args.w0)
     orbit = iterate_orbit(F, z0, w0, args.n_max, escape_radius=args.escape,
                           stop_at_verdict=not args.full_orbit)
-    sums = vertical_derivative_sum(orbit).tolist()
-    dlogs = orbit.dlogs.tolist() + [float("nan")]  # no step from the last row
-    rows = zip(orbit.zs.tolist(), orbit.ws.tolist(), dlogs, sums)
+    sums = vertical_derivative_sum(orbit)
     out = _out_dir(args)
     with open(out / "orbit.csv", "w", newline="") as fh:
         fh.write("n,re_z,im_z,re_w,im_w,dlog,dlog_partial_sum\n")
-        for n, (z, w, d, s) in enumerate(rows):
-            fh.write(f"{n},{z.real!r},{z.imag!r},{w.real!r},{w.imag!r},"
-                     f"{d!r},{s!r}\n")
+        for i in range(0, len(orbit.ws), _CHUNK):  # rows formed a chunk at a time
+            part = slice(i, i + _CHUNK)
+            dlogs = orbit.dlogs[part].tolist()
+            if i + _CHUNK >= len(orbit.ws):
+                dlogs.append(float("nan"))  # no step from the last row
+            rows = zip(orbit.zs[part].tolist(), orbit.ws[part].tolist(), dlogs,
+                       sums[part].tolist())
+            fh.write("".join(f"{n},{z.real!r},{z.imag!r},{w.real!r},{w.imag!r},"
+                             f"{d!r},{s!r}\n"
+                             for n, (z, w, d, s) in enumerate(rows, i)))
     summary = {
         "config": _config_echo(args),
         "verdict": repr(orbit.verdict),

@@ -29,6 +29,16 @@ values past an escape), and then run the engine's own step rules
 result is a pure function of its start, whatever else shares its array
 (chunks, threads, compaction).
 
+A fiber that does not move (z0 = 0, or no coefficient depends on z) has
+one coefficient row for every step: its schedule is a read-only view of
+that row with row stride 0, and every reduction over rows reads the row
+once (_distinct_rows).  A single orbit reads its verdict scans (escape,
+petal, cycle catches) and forms its derivative logs a chunk of _CHUNK
+steps at a time, so beyond its recorded ws and dlogs (24 bytes a step) no
+temporary spans the orbit; with the CLI's orbit.csv, also written by
+chunks, a full orbit peaks about 35 bytes a recorded step above a short
+one, on a map with a petal region as on one without.
+
 A basin's cycle is named by one rule, for slices and single orbits alike:
 its points are stepped from the verdict state on arrays by the engine's own
 Horner (_step), each coordinate is keyed as rint(x 10^4), half to even
@@ -224,30 +234,50 @@ def _coeff_lists(F) -> tuple[list[list[complex]], RotationNumber | None]:
 
 
 def _z_schedule(rot: RotationNumber | None, z0: complex, n: int) -> np.ndarray:
-    """The fiber base points lam^m z0 for m = 0..n."""
+    """The fiber base points lam^m z0 for m = 0..n; a base point that does
+    not move (z0 = 0, or no rotation) is one value, as a read-only view."""
     if rot is None or z0 == 0:
-        return np.full(n + 1, complex(z0))
+        return np.broadcast_to(np.complex128(z0), (n + 1,))
     return np.array(unit_powers(rot, n)) * z0
 
 
 def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:
-    """C[n, j] = a_j(lam^n z0) for every step of the fiber schedule."""
+    """C[n, j] = a_j(lam^n z0) for every step n = 0..n_max of the fiber
+    schedule, in one of two representations:
+
+      moving fiber (z0 != 0 and some a_j depends on z): n_max + 1 rows;
+      fixed fiber (otherwise): one row, as a read-only view of n_max + 1
+          rows with row stride 0.
+
+    Reductions over the rows read _distinct_rows(C), which is that one row
+    for a fixed fiber, so no schedule's size is ever walked step by step."""
     lists, rot = _coeff_lists(F)  # TypeError first for any other map type
     if abs(z0) >= F.radius:
         raise ValueError(f"|z0| = {abs(z0)} outside validity radius {F.radius}")
     z_moves = z0 != 0 and any(any(x != 0 for x in c[1:]) for c in lists)
     if z_moves and rot is None:
         raise ValueError("a rotation number is required when fibers move")
-    zs = _z_schedule(rot, z0, n_max) if z_moves else None
     # at least w-degree 1: a constant map g = c steps as c + 0 w, so every
     # Horner step over a row returns an array
-    out = np.zeros((n_max + 1, max(2, len(lists))), dtype=complex)
+    width = max(2, len(lists))
+    if not z_moves:  # each coefficient is constant, or evaluated at z = 0
+        row = np.zeros(width, dtype=complex)
+        row[:len(lists)] = [c[0] for c in lists]
+        return np.broadcast_to(row, (n_max + 1, width))
+    zs = _z_schedule(rot, z0, n_max)
+    out = np.zeros((n_max + 1, width), dtype=complex)
     for j, c in enumerate(lists):
-        if zs is not None and any(x != 0 for x in c[1:]):
+        if any(x != 0 for x in c[1:]):
             out[:, j] = np.polyval(np.array(c[::-1], dtype=complex), zs)
         else:
-            out[:, j] = c[0]  # constant coefficient, or evaluation at z = 0
+            out[:, j] = c[0]
     return out
+
+
+def _distinct_rows(C: np.ndarray) -> np.ndarray:
+    """The distinct rows of a schedule from _coeff_matrix: its one row when
+    the fiber does not move, else every row."""
+    return C[:1] if C.strides[0] == 0 else C
 
 
 def _parabolic_data(F) -> tuple[int, complex]:
@@ -285,6 +315,7 @@ def _petal_region(F, C: np.ndarray) -> _Region | None:
     step adds at least 1 - eps to Re u and at most eps to |Im u|, so the
     wedge maps into itself and |w_n| -> 0 (the Leau-Fatou flower theorem)."""
     k, lead = _parabolic_data(F)
+    C = _distinct_rows(C)
     if not k or (C[:, 0].any() or not np.all(C[:, 1] == 1.0)
                  or C[:, 2:k + 1].any()):
         return None
@@ -438,7 +469,7 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     on, never read, until the next compaction.  Step counts are held as
     int32, so n_max must be below 2^31 (fatou_slice checks it).
     """
-    live = np.flatnonzero(C.any(axis=0))
+    live = np.flatnonzero(_distinct_rows(C).any(axis=0))
     C = C[:, :max(2, live.max(initial=0) + 1)]
     m = len(w0)
     kind = np.zeros(m, dtype=np.int8)
@@ -518,41 +549,45 @@ def _first_verdict(ws: np.ndarray, region: _Region | None,
     only on a catch while unanchored, a return to its anchor and the stale
     drop, so it steps from event to event.  Kind codes ESCAPE < PETAL <
     BASIN follow the engine's order within a step, so the minimum is the
-    verdict it settles."""
-    a = np.abs(ws[lo:])
+    verdict it settles.  The steps are read _CHUNK at a time, up to the
+    first chunk that holds a verdict, so no temporary spans ws."""
     top = len(ws) - 1
-    found = []
-    esc = np.flatnonzero(~(a <= escape_radius))
-    if len(esc):
-        found.append((lo + int(esc[0]), ESCAPE, -1, 0))
-    if region is not None:
-        s = max(lo, 1)
-        hit = _petal_hits(ws[s:], a[s - lo:], region)
-        if len(hit):
-            n = s + int(hit[0])
-            found.append((n, PETAL, int(_direction_index(ws[n], region.k,
-                                                         region.base)), 0))
-    # only a confirmation before every other verdict counts
-    last = min(found)[0] - 1 if found else top
-    n = max(lo, 2)
-    steps = np.arange(n, last + 1)
-    catches = steps[np.abs(ws[steps] - ws[steps // 2]) < CYCLE_TOL]
-    while st.anchored[0] or len(catches):
-        if st.anchored[0]:  # the first return to the anchor, or the drop
-            h = int(st.last_hit[0]) + 1
-            near = np.abs(ws[h:h + PERIOD_CAP] - st.anchor[0]) < CYCLE_TOL
-            n = h + (int(near.argmax()) if near.any() else PERIOD_CAP)
-        else:
-            i = np.searchsorted(catches, n)
-            n = int(catches[i]) if i < len(catches) else top + 1
-        if n > last:
-            break
-        st.w = ws[n:n + 1]
-        if st._cycle_step(n, ~st.anchored, True)[0]:
-            found.append((n, BASIN, -1, int(st.period[0])))
-            break
-        n += 1
-    return min(found, default=None)
+    n = max(lo, 2)  # the automaton's next step to look at
+    for s in range(lo, top + 1, _CHUNK):  # up to the first chunk that settles
+        e = min(s + _CHUNK, top + 1)
+        a = np.abs(ws[s:e])
+        found = []
+        esc = np.flatnonzero(~(a <= escape_radius))
+        if len(esc):
+            found.append((s + int(esc[0]), ESCAPE, -1, 0))
+        if region is not None:
+            p = max(s, 1)
+            hit = _petal_hits(ws[p:e], a[p - s:], region)
+            if len(hit):
+                m = p + int(hit[0])
+                found.append((m, PETAL, int(_direction_index(
+                    ws[m], region.k, region.base)), 0))
+        # only a confirmation before every other verdict counts
+        last = min(found)[0] - 1 if found else e - 1
+        steps = np.arange(max(s, 2), last + 1)
+        catches = steps[np.abs(ws[steps] - ws[steps // 2]) < CYCLE_TOL]
+        while True:
+            if st.anchored[0]:  # the first return to the anchor, or the drop
+                h = int(st.last_hit[0]) + 1
+                near = np.abs(ws[h:h + PERIOD_CAP] - st.anchor[0]) < CYCLE_TOL
+                n = h + (int(near.argmax()) if near.any() else PERIOD_CAP)
+            else:  # the next catch
+                i = np.searchsorted(catches, n)
+                n = int(catches[i]) if i < len(catches) else last + 1
+            if n > last:  # an event in a later chunk, or none
+                break
+            st.w = ws[n:n + 1]
+            if st._cycle_step(n, ~st.anchored, True)[0]:
+                return n, BASIN, -1, int(st.period[0])
+            n += 1
+        if found:
+            return min(found)
+    return None
 
 
 def _run_single(C: np.ndarray, w0: complex, n_max: int,
@@ -582,9 +617,14 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
                 break
         n_stop, kind, index, period = verdict or (n_max, UNDECIDED, -1, 0)
         cut = n_stop if stop_at_verdict else n_max
-        rows = C[:cut]
-        acc = _horner([rows[:, j] * j for j in range(1, C.shape[1])], ws[:cut])
-        dlogs = np.log(np.abs(acc))  # -inf at 0, inf/nan past an overflow
+        dlogs = np.empty(cut)
+        for i in range(0, cut, _CHUNK):  # elementwise: chunks change no bit
+            rows = C[i:min(i + _CHUNK, cut)]
+            part = slice(i, i + len(rows))
+            acc = _horner([rows[:, j] * j for j in range(1, C.shape[1])],
+                          ws[part])
+            # -inf at 0, inf/nan past an overflow
+            np.log(np.abs(acc), out=dlogs[part])
     return kind, index, n_stop, period, ws[:cut + 1], dlogs
 
 
@@ -694,9 +734,10 @@ class OrbitRecord(NamedTuple):
     """A finite orbit with per-step vertical derivative logs.
 
     ws[n] = w_n and zs[n] = lam^n z_0; dlogs[n] = log |dg_{z_n}/dw (w_n)|
-    for every step taken.  n_stop marks the step where the verdict fired
-    (or the budget ran out); with stop_at_verdict=False recording continues
-    past it.
+    for every step taken.  zs may be a read-only view: one value, when the
+    base point does not move (z_0 = 0 or no rotation).  n_stop marks the
+    step where the verdict fired (or the budget ran out); with
+    stop_at_verdict=False recording continues past it.
     """
     ws: np.ndarray
     zs: np.ndarray

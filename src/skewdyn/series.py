@@ -238,9 +238,6 @@ class TruncatedSeries:
     def constant_term(self) -> complex:
         return self[0]
 
-    def is_zero(self) -> bool:
-        return not self.mant.any()
-
     def _check(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise TruncationMismatchError(
@@ -440,16 +437,6 @@ class SkewGerm:
     @property
     def dw(self) -> int:
         return len(self.a) - 1
-
-    @staticmethod
-    def from_coeffs(rot: RotationNumber, coeffs: Sequence[Sequence], n: int,
-                    dw: int, d: int | None = None) -> "SkewGerm":
-        """coeffs[j] lists the z-coefficients of a_j (padded with zeros)."""
-        if len(coeffs) > dw + 1:
-            raise ValueError("more vertical coefficients than D_w allows")
-        a = [TruncatedSeries.from_list(c, n) for c in coeffs]
-        a += [TruncatedSeries.zero(n) for _ in range(dw + 1 - len(a))]
-        return SkewGerm(rot, a, d=d if d is not None else max(1, len(coeffs) - 1))
 
     def fiber_constants(self) -> list[complex]:
         """a_j(0) for all j: the vertical map on the invariant fiber."""

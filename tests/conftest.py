@@ -34,6 +34,21 @@ def random_series_coeffs(rng, n, scale=0.3, const=None):
     return list(v)
 
 
+def germ_from_coeffs(rot, coeffs, n, dw, d=None):
+    """The germ whose a_j has the z-coefficients coeffs[j] (padded with
+    zeros), with zero a_j up to D_w = dw; d defaults to the last listed j."""
+    if len(coeffs) > dw + 1:
+        raise ValueError("more vertical coefficients than D_w allows")
+    a = [sd.TruncatedSeries.from_list(c, n) for c in coeffs]
+    a += [sd.TruncatedSeries.zero(n) for _ in range(dw + 1 - len(a))]
+    return sd.SkewGerm(rot, a, d=d if d is not None else max(1, len(coeffs) - 1))
+
+
+def is_zero(series):
+    """Whether every coefficient of the series is exactly zero."""
+    return not series.mant.any()
+
+
 def random_parabolic_germ(rot, n, dw, seed, degree=3, scale=0.3):
     """A seeded degree-`degree` germ with a_0(0) = 0, a_1(0) = 1."""
     rng = np.random.default_rng(seed)
@@ -41,7 +56,7 @@ def random_parabolic_germ(rot, n, dw, seed, degree=3, scale=0.3):
               random_series_coeffs(rng, n, scale, const=1)]
     for _ in range(2, degree + 1):
         coeffs.append(random_series_coeffs(rng, n, scale))
-    return sd.SkewGerm.from_coeffs(rot, coeffs, n, dw, d=degree)
+    return germ_from_coeffs(rot, coeffs, n, dw, d=degree)
 
 
 def rel_defect(series, *scales):
@@ -77,6 +92,6 @@ def residual_invariant_curve(F, phi):
     for j, aj in enumerate(F.a):
         if j > 0:
             p = p * phi
-        if not aj.is_zero():
+        if not is_zero(aj):
             acc = acc + aj * p
     return acc - sd.rotate(phi, F.rot, 1)

@@ -23,8 +23,8 @@ from skewdyn.petals import BASIN, PETAL
 from skewdyn.series import TruncatedSeries as TS
 from skewdyn.series import series_from_triples, series_to_triples
 
-from conftest import (inverse_change, random_parabolic_germ, random_series_coeffs,
-                      rel_defect, residual_invariant_curve)
+from conftest import (germ_from_coeffs, inverse_change, random_parabolic_germ,
+                      random_series_coeffs, rel_defect, residual_invariant_curve)
 
 GOLDEN = sd.RotationNumber.from_surd(-1, 1, 5, 2)
 
@@ -72,7 +72,7 @@ def test_criterion_1_stage_residuals():
 # -- 2: normalization pipeline end-to-end --------------------------------------
 
 def test_criterion_2_pipeline_end_to_end():
-    F = sd.SkewGerm.from_coeffs(GOLDEN, [[0], [1], [1, 1], [0, 1]], 16, 8)
+    F = germ_from_coeffs(GOLDEN, [[0], [1], [1, 1], [0, 1]], 16, 8)
     nf, log = sd.normalize(F, 2)
     jet_ok = (abs(nf.jet[0] - 1) <= 1e-8 and abs(nf.jet[1]) <= 1e-8
               and abs(nf.jet[2]) <= 1e-8)
@@ -217,7 +217,7 @@ def test_criterion_7_invariance_and_expansion():
 # -- 8: bulging stability witness ------------------------------------------------------
 
 def test_criterion_8_bulging_stability():
-    F = sd.SkewGerm.from_coeffs(GOLDEN, [[0], [1], [1], [0, 0.05]], 8, 3)
+    F = germ_from_coeffs(GOLDEN, [[0], [1], [1], [0, 0.05]], 8, 3)
     grid = (-1.5, 0.5, -1.0, 1.0, 200)
     t0 = time.monotonic()
     g0 = sd.fatou_slice(F, 0.0, grid, n_max=1500)

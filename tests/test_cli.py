@@ -8,10 +8,16 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import skewdyn as sd
+from skewdyn import petals
 from skewdyn.cli import build_parser, main
+from skewdyn.rotation import unit_powers
+from skewdyn.series import _horner
+
+from conftest import germ_from_coeffs
 
 GOLDEN_ROT = {"kind": "surd", "p": -1, "q": 1, "r": 5, "s": 2, "frac_bits": 192}
 
@@ -25,7 +31,7 @@ def rot_file(tmp_path):
 
 @pytest.fixture()
 def germ_file(tmp_path, golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
+    F = germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
     p = tmp_path / "germ.json"
     p.write_text(json.dumps(sd.germ_to_json(F)))
     return str(p)
@@ -146,8 +152,8 @@ def test_normalize_report(tmp_path, germ_file):
 def test_normalize_oracle_overflow_writes_null(tmp_path, golden, a1, top):
     # 1.7e308 z at w^8 cannot be read as a double; 1e307 z times the
     # gauge's powers overflows the oracle's products
-    F = sd.SkewGerm.from_coeffs(golden, [[0], a1, [1]] + [[0]] * 5 + [[0, top]],
-                                6, 8)
+    F = germ_from_coeffs(golden, [[0], a1, [1]] + [[0]] * 5 + [[0, top]],
+                         6, 8)
     germ = tmp_path / "germ.json"
     germ.write_text(json.dumps(sd.germ_to_json(F)))
     out = tmp_path / "o"
@@ -295,13 +301,76 @@ def test_slice_outputs_and_determinism(tmp_path, germ_file):
     assert petal_rows == rep["verdict_counts"]["petal"]
 
 
+def _one_shot_orbit(C, zs, w0, n_rows):
+    """ws, dlogs, partial sums and orbit.csv text of an orbit of n_rows
+    points by whole-orbit formulas: each step by Horner over its own row of
+    C with every row stored, the derivative logs in one Horner pass, one
+    cumulative sum and one CSV line per point."""
+    ws = np.empty(n_rows, dtype=complex)
+    ws[0] = w0
+    w = ws[:1].copy()
+    with np.errstate(all="ignore"):
+        for n in range(n_rows - 1):
+            w = _horner(C[n], w)
+            ws[n + 1] = w[0]
+        rows = C[:n_rows - 1]
+        dlogs = np.log(np.abs(_horner([rows[:, j] * j
+                                       for j in range(1, C.shape[1])],
+                                      ws[:-1])))
+    sums = np.empty(n_rows)
+    sums[0] = 0.0
+    np.cumsum(dlogs, out=sums[1:])
+    text = "n,re_z,im_z,re_w,im_w,dlog,dlog_partial_sum\n" + "".join(
+        f"{n},{z.real!r},{z.imag!r},{w.real!r},{w.imag!r},{d!r},{s!r}\n"
+        for n, (z, w, d, s) in enumerate(zip(
+            zs.tolist(), ws.tolist(), dlogs.tolist() + [math.nan],
+            sums.tolist())))
+    return ws, dlogs, sums, text
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["verdict", "full"])
+@pytest.mark.parametrize("w0", [0.15, 1e100], ids=["bounded", "escaping"])
+@pytest.mark.parametrize("z0", [0.0, 0.05], ids=["fixed", "moving"])
+def test_orbit_records_at_chunk_edges_match_one_shot_formulas(tmp_path, golden,
+                                                              z0, w0, full):
+    # the Siegel map lam w + (1 + 0.5 z) w^2: from 0.15 it stays undecided,
+    # so orbit.csv has n_max + 1 rows, one to three rows either side of a
+    # chunk's end; from 1e100 it escapes at step 0 and, with --full-orbit,
+    # goes on to inf and NaN derivative logs
+    lam = sd.lam_power(golden, 1)
+    F = germ_from_coeffs(golden, [[0], [lam], [1, 0.5]], 2, 2)
+    germ = tmp_path / "g.json"
+    germ.write_text(json.dumps(sd.germ_to_json(F)))
+    chunk = petals._CHUNK
+    for n_max in range(chunk - 2, chunk + 2):
+        orb = sd.iterate_orbit(F, z0, w0, n_max, stop_at_verdict=not full)
+        n_rows = len(orb.ws)
+        assert n_rows == (n_max + 1 if full or w0 < 1 else 1)
+        zs = (np.full(n_rows, complex(z0)) if z0 == 0 else
+              np.array(unit_powers(golden, n_rows - 1)) * z0)
+        C = np.array(petals._coeff_matrix(F, z0, n_max))
+        ws, dlogs, sums, text = _one_shot_orbit(C, zs, w0, n_rows)
+        assert orb.ws.tobytes() == ws.tobytes()
+        assert orb.zs.tobytes() == zs.tobytes()
+        assert orb.dlogs.tobytes() == dlogs.tobytes()
+        assert sd.vertical_derivative_sum(orb).tobytes() == sums.tobytes()
+        if full and w0 > 1:
+            assert np.isinf(dlogs).any() and np.isnan(dlogs).any()
+        out = tmp_path / f"o{n_max}"
+        assert main(["orbit", "--germ", str(germ), f"--z0={z0!r},0",
+                     f"--w0={w0!r},0", "--n-max", str(n_max),
+                     *(["--full-orbit"] if full else []),
+                     "--out", str(out)]) == 0
+        assert (out / "orbit.csv").read_text() == text
+
+
 def test_one_pixel_slice_two_pixel_slice_and_orbit_agree(tmp_path, golden):
     # g(w) = w^2 - 0.8 + 0.156i, from a start that escapes after more than
     # a thousand steps, where a difference in one rounding shows: the point
     # alone in a grid, among copies of itself and as a single orbit stops
     # at one step
     germ = tmp_path / "g.json"
-    germ.write_text(json.dumps(sd.germ_to_json(sd.SkewGerm.from_coeffs(
+    germ.write_text(json.dumps(sd.germ_to_json(germ_from_coeffs(
         golden, [[-0.8 + 0.156j], [0], [1]], 4, 2))))
     re, im = "-1.079283", "0.241198"
     stops = []
@@ -551,7 +620,7 @@ def test_version_loads_no_dataclasses_or_thread_pool():
 def test_slice_process_does_not_load_numpy_ma(tmp_path, golden):
     # a slice with basin pixels, so the cycle keying runs; np.unique without
     # return_* flags would import numpy.ma
-    F = sd.SkewGerm.from_coeffs(golden, [[-1], [0], [1]], 2, 2)
+    F = germ_from_coeffs(golden, [[-1], [0], [1]], 2, 2)
     germ = tmp_path / "basin.json"
     germ.write_text(json.dumps(sd.germ_to_json(F)))
     out = tmp_path / "o"

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 import skewdyn as sd
 from skewdyn.cli import main
 
+from conftest import germ_from_coeffs
+
 GOLDEN_ROT = {"kind": "surd", "p": -1, "q": 1, "r": 5, "s": 2, "frac_bits": 192}
 ODD_VALUES = [math.nan, math.inf, -math.inf, None, "x", 1e300, True, [], {}]
 
@@ -34,8 +36,8 @@ def _pick(draw, valid, odd):
 
 def _base_germ() -> dict:
     rot = sd.RotationNumber.from_surd(-1, 1, 5, 2)
-    F = sd.SkewGerm.from_coeffs(rot, [[0, 0.02], [1, 0.01], [1, 0.03],
-                                      [0.2, 0.01]], 4, 3)
+    F = germ_from_coeffs(rot, [[0, 0.02], [1, 0.01], [1, 0.03],
+                               [0.2, 0.01]], 4, 3)
     return sd.germ_to_json(F)
 
 

@@ -11,21 +11,21 @@ from skewdyn.errors import DegenerateDivisorError, LinearFiberError
 from skewdyn.series import TruncatedSeries as TS
 from skewdyn.series import series_from_triples, series_to_triples
 
-from conftest import (random_parabolic_germ, random_series_coeffs, rel_defect,
-                      residual_invariant_curve)
+from conftest import (germ_from_coeffs, is_zero, random_parabolic_germ,
+                      random_series_coeffs, rel_defect, residual_invariant_curve)
 
 
 # -- invariant curve ----------------------------------------------------------
 
 def test_curve_zero_when_a0_zero(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1, 0.3], [0.2, 0.1]], 8, 3)
+    F = germ_from_coeffs(golden, [[0], [1, 0.3], [0.2, 0.1]], 8, 3)
     phi = sd.solve_invariant_curve(F)
-    assert phi.is_zero()
+    assert is_zero(phi)
 
 
 def test_curve_fiber_example(golden):
     lam = sd.lam_power(golden, 1)
-    F = sd.SkewGerm.from_coeffs(golden, [[0, 1], [1, 1]], 4, 2)
+    F = germ_from_coeffs(golden, [[0, 1], [1, 1]], 4, 2)
     phi = sd.solve_invariant_curve(F)
     assert phi[0] == 0
     assert phi[1] == pytest.approx(1 / (lam - 1), rel=1e-14)
@@ -41,14 +41,14 @@ def test_curve_random_degree3(golden):
 
 
 def test_curve_precondition(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0.5], [1]], 4, 2)
+    F = germ_from_coeffs(golden, [[0.5], [1]], 4, 2)
     with pytest.raises(ValueError):
         sd.solve_invariant_curve(F)
 
 
 def test_curve_degenerate_rotation():
     rot = sd.RotationNumber.from_decimal("0.5")
-    F = sd.SkewGerm.from_coeffs(rot, [[0, 1], [1], [0.2]], 4, 2)
+    F = germ_from_coeffs(rot, [[0, 1], [1], [0.2]], 4, 2)
     with pytest.raises(DegenerateDivisorError):
         sd.solve_invariant_curve(F)
 
@@ -69,13 +69,13 @@ def test_curve_growth_bounded_for_golden(golden):
 # -- gauge ---------------------------------------------------------------------
 
 def test_gauge_zero_for_constant_linear(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [0.5, 1]], 6, 2)
-    assert sd.solve_linear_gauge(F).is_zero()
+    F = germ_from_coeffs(golden, [[0], [1], [0.5, 1]], 6, 2)
+    assert is_zero(sd.solve_linear_gauge(F))
 
 
 def test_gauge_first_coefficients(golden):
     lam = sd.lam_power(golden, 1)
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1, 1], [1]], 6, 2)
+    F = germ_from_coeffs(golden, [[0], [1, 1], [1]], 6, 2)
     psi = sd.solve_linear_gauge(F)
     psi1 = 1 / (lam - 1)
     assert psi[1] == pytest.approx(psi1, rel=1e-13)
@@ -88,7 +88,7 @@ def test_gauge_first_coefficients(golden):
 
 def test_gauge_random(golden):
     rng = np.random.default_rng(5)
-    F = sd.SkewGerm.from_coeffs(
+    F = germ_from_coeffs(
         golden, [[0], random_series_coeffs(rng, 32, 0.3, const=1),
                  random_series_coeffs(rng, 32, 0.3)], 32, 3)
     psi = sd.solve_linear_gauge(F)
@@ -99,14 +99,14 @@ def test_gauge_random(golden):
 # -- order bumps ---------------------------------------------------------------
 
 def test_bump_zero_for_constant_alpha(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [0.7]], 6, 3)
-    assert sd.solve_order_bump(F, 1).is_zero()
+    F = germ_from_coeffs(golden, [[0], [1], [0.7]], 6, 3)
+    assert is_zero(sd.solve_order_bump(F, 1))
 
 
 def test_bump_linear_alpha(golden):
     lam = sd.lam_power(golden, 1)
     c = 0.3 - 0.8j
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1, c]], 8, 4)
+    F = germ_from_coeffs(golden, [[0], [1], [1, c]], 8, 4)
     xi = sd.solve_order_bump(F, 1)
     assert xi[1] == pytest.approx(c / (lam - 1), rel=1e-13)
     G = sd.conjugate(F, sd.Bump(xi, 1))
@@ -117,7 +117,7 @@ def test_bump_linear_alpha(golden):
 
 def test_bump_random_tail(golden):
     rng = np.random.default_rng(8)
-    F = sd.SkewGerm.from_coeffs(
+    F = germ_from_coeffs(
         golden, [[0], [1], [1, *random_series_coeffs(rng, 15, 0.3)[:15]],
                  random_series_coeffs(rng, 16, 0.3)], 16, 4)
     xi = sd.solve_order_bump(F, 1)
@@ -129,17 +129,17 @@ def test_bump_random_tail(golden):
 # -- the assembled pipeline -----------------------------------------------------
 
 def test_normalize_already_normal(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0.25]], 8, 6)
+    F = germ_from_coeffs(golden, [[0], [1], [1], [0.25]], 8, 6)
     nf, log = sd.normalize(F, 2)
-    assert isinstance(log.changes[0], sd.Shift) and log.changes[0].phi.is_zero()
-    assert isinstance(log.changes[1], sd.Gauge) and log.changes[1].psi.is_zero()
+    assert isinstance(log.changes[0], sd.Shift) and is_zero(log.changes[0].phi)
+    assert isinstance(log.changes[1], sd.Gauge) and is_zero(log.changes[1].psi)
     for ch in log.changes[2:]:
-        assert isinstance(ch, sd.Bump) and ch.h.is_zero()
+        assert isinstance(ch, sd.Bump) and is_zero(ch.h)
     assert nf.germ.approx_eq(F, 1e-12)
 
 
 def test_normalize_calls_do_not_share_a_change_list(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1, 1], [0, 1]], 8, 4)
+    F = germ_from_coeffs(golden, [[0], [1], [1, 1], [0, 1]], 8, 4)
     _, first = sd.normalize(F, 1)
     count = len(first.changes)
     _, second = sd.normalize(F, 1)
@@ -150,7 +150,7 @@ def test_normalize_calls_do_not_share_a_change_list(golden):
 
 
 def test_normalize_acceptance_example(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1, 1], [0, 1]], 16, 8)
+    F = germ_from_coeffs(golden, [[0], [1], [1, 1], [0, 1]], 16, 8)
     nf, log = sd.normalize(F, 2)
     assert nf.k == 1 and nf.h == 2
     assert nf.jet[0] == pytest.approx(1, abs=1e-8)
@@ -170,21 +170,21 @@ def test_normalize_tail_constants_match_fiber(golden):
 def test_normalize_divisor_isolation(golden):
     # z-independent coefficients: conjugacy is already normal, all solved
     # series vanish identically
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [0.4], [0.1], [0.05]], 10, 6)
+    F = germ_from_coeffs(golden, [[0], [1], [0.4], [0.1], [0.05]], 10, 6)
     nf, log = sd.normalize(F, 2)
-    assert log.changes[0].phi.is_zero()
-    assert log.changes[1].psi.is_zero()
-    assert all(ch.h.is_zero() for ch in log.changes[2:])
+    assert is_zero(log.changes[0].phi)
+    assert is_zero(log.changes[1].psi)
+    assert all(is_zero(ch.h) for ch in log.changes[2:])
 
 
 def test_normalize_linear_fiber_error(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [0, 0.5]], 6, 3)
+    F = germ_from_coeffs(golden, [[0], [1], [0, 0.5]], 6, 3)
     with pytest.raises(LinearFiberError):
         sd.normalize(F, 1)
 
 
 def test_normalize_depth_validation(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1]], 6, 2)
+    F = germ_from_coeffs(golden, [[0], [1], [1]], 6, 2)
     with pytest.raises(ValueError):
         sd.normalize(F, 1)  # needs D_w >= 3
 
@@ -218,7 +218,7 @@ def test_normalize_random_germs_fuzz(golden, seed):
 def test_normalize_k2_cleans_low_orders(golden):
     # k = 2 germ with a z-dependent w^2 coefficient vanishing at z = 0:
     # the target form has no w^2 term at all
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [0, 0.5], [1], [0, 0.2]], 12, 8)
+    F = germ_from_coeffs(golden, [[0], [1], [0, 0.5], [1], [0, 0.2]], 12, 8)
     nf, log = sd.normalize(F, 2)
     assert nf.k == 2
     scale = max(1.0, 2.0 ** nf.germ.max_abs_log2())
@@ -232,7 +232,7 @@ def test_normalize_k2_cleans_low_orders(golden):
 # -- parabolic reduction ---------------------------------------------------------
 
 def test_reduce_identity_case(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [-1]], 8, 4)
+    F = germ_from_coeffs(golden, [[0], [1], [-1]], 8, 4)
     nf, log = sd.normalize(F, 1)
     red = sd.reduce_parabolic_tail(nf, changelog=log)
     assert red.jet[0] == pytest.approx(-1, abs=1e-12)
@@ -242,7 +242,7 @@ def test_reduce_identity_case(golden):
 
 
 def test_reduce_flips_sign(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1]], 8, 4)
+    F = germ_from_coeffs(golden, [[0], [1], [1]], 8, 4)
     nf, _ = sd.normalize(F, 1)
     red = sd.reduce_parabolic_tail(nf)
     assert red.jet[0] == pytest.approx(-1, abs=1e-12)
@@ -250,7 +250,7 @@ def test_reduce_flips_sign(golden):
 
 def test_reduce_keeps_resonant_index(golden):
     a = 0.37 + 0.11j
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [-1], [a]], 8, 5)
+    F = germ_from_coeffs(golden, [[0], [1], [-1], [a]], 8, 5)
     nf, _ = sd.normalize(F, 2)
     red = sd.reduce_parabolic_tail(nf)
     # jet spans orders k+1..2k+1 = 2..3 for k = 1: (-1, b)
@@ -261,7 +261,7 @@ def test_reduce_keeps_resonant_index(golden):
 
 def test_reduce_k2_eliminates_between_orders(golden):
     # k = 2: order 4 must vanish, order 5 carries the invariant
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [0], [1], [0.4], [0.2]], 10, 8)
+    F = germ_from_coeffs(golden, [[0], [1], [0], [1], [0.4], [0.2]], 10, 8)
     nf, log = sd.normalize(F, 2)
     assert nf.k == 2
     red = sd.reduce_parabolic_tail(nf, changelog=log)
@@ -273,7 +273,7 @@ def test_reduce_k2_eliminates_between_orders(golden):
 
 
 def test_reduce_requires_depth(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [0], [1], [0.4], [0.2]], 8, 8)
+    F = germ_from_coeffs(golden, [[0], [1], [0], [1], [0.4], [0.2]], 8, 8)
     nf, _ = sd.normalize(F, 1)  # h = 1 < k = 2
     with pytest.raises(ValueError):
         sd.reduce_parabolic_tail(nf)
@@ -283,7 +283,7 @@ def test_reduce_requires_depth(golden):
 def test_reduce_scale_beyond_double_range(golden, g1, top):
     # c = -1/g1 and c^7 = 1e+-350 leave double range; the coefficients
     # a_j c^{j-1} of the reduced germ do not
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [g1], [g1]] + [[0]] * 4 + [[top]], 6, 8)
+    F = germ_from_coeffs(golden, [[0], [1], [g1], [g1]] + [[0]] * 4 + [[top]], 6, 8)
     nf, _ = sd.normalize(F, 1)
     assert nf.k == 1
     red = sd.reduce_parabolic_tail(nf)
@@ -314,7 +314,7 @@ def _benchmark_germ(rot, k, seed):
                 c[j, 0] = 0.1 * cmath.exp(1j * cmath.phase(c[j, 0] or 1))
         rng.random(16), rng.random(16)   # the benchmark's sample points
         if order == k:
-            return sd.SkewGerm.from_coeffs(rot, c.tolist(), n, dw, d=deg), h
+            return germ_from_coeffs(rot, c.tolist(), n, dw, d=deg), h
     raise ValueError(f"no benchmark germ of order {k}")
 
 
@@ -322,8 +322,8 @@ def _is_identity(ch) -> bool:
     if isinstance(ch, sd.WScale):
         return ch.c == 1
     if isinstance(ch, sd.Bump):
-        return ch.h.is_zero()
-    return (ch.phi if isinstance(ch, sd.Shift) else ch.psi).is_zero()
+        return is_zero(ch.h)
+    return is_zero(ch.phi if isinstance(ch, sd.Shift) else ch.psi)
 
 
 def _benchmark_logs(rot, k, seed):
@@ -383,8 +383,8 @@ def test_conjugacy_defect_at_low_z_truncation(golden, n, seed):
 
 def test_conjugacy_defect_overflow_is_inf(golden):
     # G's w^8 coefficient 1.7e308 z exceeds 2^1020: the oracle cannot read it
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1]] + [[0]] * 5 + [[0, 1.7e308]],
-                                6, 8)
+    F = germ_from_coeffs(golden, [[0], [1], [1]] + [[0]] * 5 + [[0, 1.7e308]],
+                         6, 8)
     nf, log = sd.normalize(F, 2)
     assert sd.conjugacy_defect(F, log, nf.germ) == math.inf
 
@@ -411,7 +411,7 @@ def test_parabolic_rule_shared_by_normalize_and_orbit_engine(golden, case):
     # normalize and the orbit engine read one rule: both must call the same
     # fibers parabolic, with the same order
     fiber, expect = PARABOLIC_BOUNDARY[case]
-    F = sd.SkewGerm.from_coeffs(golden, [[c, 0.05] for c in fiber], 4, 5)
+    F = germ_from_coeffs(golden, [[c, 0.05] for c in fiber], 4, 5)
     try:
         got = sd.normalize(F, 1)[0].k
     except (ValueError, LinearFiberError):

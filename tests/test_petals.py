@@ -12,7 +12,7 @@ from skewdyn import petals
 from skewdyn.petals import (BASIN, CODE_BASIN_BASE, CODE_ESCAPE, ESCAPE,
                             PETAL, UNDECIDED)
 
-from conftest import random_parabolic_germ
+from conftest import germ_from_coeffs, random_parabolic_germ
 
 ESCAPE_RADIUS = 1e6  # iterate_orbit's and fatou_slice's default
 
@@ -223,8 +223,8 @@ def _differential_corpus(golden):
                    UNDECIDED),
         "slow_rotation": (cvm([0, 0.9999 * lam, 1], golden), 0, 0.3,
                           [REANCHOR_BASIN_W0, STALE_BASIN_W0], 1900, BASIN),
-        "moving_fiber": (sd.SkewGerm.from_coeffs(golden, [[0], [1], [1],
-                                                          [0, 0.05]], 8, 3),
+        "moving_fiber": (germ_from_coeffs(golden, [[0], [1], [1],
+                                                   [0, 0.05]], 8, 3),
                          0.05, 0.5, [], 300, PETAL),
     }
 
@@ -333,6 +333,46 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(monkeypatch,
             assert _bits(got[4]) == _bits(seq[:len(got[4])])
             if want[0] != UNDECIDED:
                 assert _bits(got[4][want[2]]) == _bits(eng.w_verdict[0])
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_single_orbit_path_reads_in_chunks_as_in_one(monkeypatch, chunk):
+    # the verdict scans and the derivative logs a few steps at a time:
+    # scripted orbits (escapes, petal entries, catches, re-anchors and stale
+    # drops on every chunk edge) give the plain-Python walks' fields, their
+    # own trajectory and a derivative log for each step taken (-inf: the
+    # scripted maps are constant in w)
+    monkeypatch.setattr(petals, "WINDOW", 4)
+    monkeypatch.setattr(petals, "PERIOD_CAP", 6)
+    monkeypatch.setattr(petals, "_CHUNK", chunk)
+    rng = np.random.default_rng([37, chunk])
+    pool = np.array([0, 6e-10, 1.2e-9, 0.5, 1.0])
+    for trial in range(60):
+        n_max = int(rng.choice([40, 63, 64, 65, 130]))
+        if trial % 2:
+            region = _scripted_region(2, 0.3, 0.2)
+            mod = 0.5 * np.cumprod(rng.uniform(0.55, 1.08, n_max + 1))
+            ang = (0.3 + np.pi * rng.integers(0, 2, n_max + 1)
+                   + rng.normal(0.0, 0.6, n_max + 1))
+            seq = mod * np.exp(1j * ang)
+        else:
+            region = None
+            pick = rng.integers(0, len(pool) + 3, n_max + 1)
+            seq = np.where(pick < len(pool),
+                           pool[np.minimum(pick, len(pool) - 1)],
+                           10.0 + np.arange(n_max + 1))
+        if trial % 3 == 0:
+            seq[rng.integers(1, n_max + 1)] = 2e6
+        seq = seq.astype(complex)
+        C = _schedule_for(seq)
+        want = _reference_verdict(seq, region)
+        for stop_at_verdict in (True, False):
+            got = petals._run_single(C, seq[0], n_max, region, ESCAPE_RADIUS,
+                                     stop_at_verdict)
+            assert got[:4] == want, (chunk, trial)
+            ws = got[4]
+            assert _bits(ws) == _bits(seq[:len(ws)])
+            assert got[5].tobytes() == np.full(len(ws) - 1, -np.inf).tobytes()
 
 
 def _cycle_walk(ws):
@@ -556,8 +596,9 @@ def test_recatch_right_after_a_stale_drop(monkeypatch, recatch,
 
 def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
     # the benchmark's orbit-k3 map from a start near a repelling direction,
-    # whose entry comes late: _first_verdict reads the whole trajectory in
-    # one call of the petal rule, never once per step
+    # whose entry comes late: _first_verdict reads the chunk that holds the
+    # entry (steps 1.._CHUNK - 1) in one call of the petal rule, never once
+    # per step, and reads no later chunk
     g = sd.ConstantVerticalMap([0, 1, 0, 0, -1])
     orb = sd.iterate_orbit(g, 0, 0.1 * cmath.exp(1j * (math.pi / 3 - 0.01)),
                            10 ** 4, stop_at_verdict=False)
@@ -574,7 +615,7 @@ def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
                                 petals._State(orb.ws[:1]))
     hit = _region_walk(orb.ws, region)
     assert got == (hit[0], PETAL, hit[1], 0) == (orb.n_stop, PETAL, 0, 0)
-    assert calls == [10 ** 4] and orb.n_stop > 100
+    assert calls == [petals._CHUNK - 1] and 100 < orb.n_stop < petals._CHUNK
 
 
 @pytest.mark.parametrize("which,w0", [
@@ -890,7 +931,7 @@ def test_forward_invariance_matches_mpmath(k, b):
 
 
 def test_local_model_from_reduced_normal_form(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1, 1], [0, 1]], 16, 8)
+    F = germ_from_coeffs(golden, [[0], [1], [1, 1], [0, 1]], 16, 8)
     nf, log = sd.normalize(F, 2)
     red = sd.reduce_parabolic_tail(nf, changelog=log)
     assert red.jet[0] == pytest.approx(-1, abs=1e-8)
@@ -1093,7 +1134,7 @@ def test_slice_unit_disk_dichotomy():
 
 
 def test_slice_z_independent_grid(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [0], [1]], 4, 2)  # w^2, z-free
+    F = germ_from_coeffs(golden, [[0], [0], [1]], 4, 2)  # w^2, z-free
     a = sd.fatou_slice(F, 0.0, (-1.1, 1.1, -1.1, 1.1, 31), n_max=1500)
     b = sd.fatou_slice(F, 0.05, (-1.1, 1.1, -1.1, 1.1, 31), n_max=1500)
     assert np.array_equal(a.code, b.code)
@@ -1101,7 +1142,7 @@ def test_slice_z_independent_grid(golden):
 
 
 def test_slice_thread_count_invariance(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 6, 3)
+    F = germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 6, 3)
     grids = [sd.fatou_slice(F, 1e-3, (-1.5, 0.5, -1, 1, 60), n_max=600,
                             threads=t) for t in (1, 2, 5)]
     for g in grids[1:]:
@@ -1111,7 +1152,7 @@ def test_slice_thread_count_invariance(golden):
 
 
 def test_slice_outputs(tmp_path, golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1]], 4, 2)
+    F = germ_from_coeffs(golden, [[0], [1], [1]], 4, 2)
     g = sd.fatou_slice(F, 0, (-1.5, 0.5, -1, 1, 12), n_max=500)
     ppm = tmp_path / "s.ppm"
     csv = tmp_path / "s.csv"
@@ -1130,7 +1171,7 @@ def test_slice_outputs(tmp_path, golden):
 def test_engine_memory_budget_per_point(golden):
     # the benchmark's parabolic slice at 200 x 200; 174 bytes per point is
     # the traced peak (158.2, numpy 2.4) plus 10%, outputs included
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
+    F = germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
     re, im = np.linspace(-1.5, 0.5, 200), np.linspace(-1, 1, 200)
     w0 = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
     C = petals._coeff_matrix(F, 0.0, 200)
@@ -1217,13 +1258,13 @@ def _bench_shaped_slices(golden, seed):
     the rows C[n_stop + i] differ."""
     rng = np.random.default_rng(seed)
     dx, dy = rng.uniform(-0.01, 0.01, 2)
-    yield (sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3),
+    yield (germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3),
            0.0, (-1.5 + dx, 0.5 + dx, -1 + dy, 1 + dy, 48), 1500)
     yield (sd.ConstantVerticalMap([-1, 0, 1]), 0.0,
            (-1.7 + dx, 1.7 + dx, -1 + dy, 1 + dy, 48), 1500)
     yield (random_parabolic_germ(golden, 8, 6, seed=seed), 0.05,
            (-0.5, 0.5, -0.5, 0.5, 32), 500)
-    yield (sd.SkewGerm.from_coeffs(golden, [[-1], [0, 0.5], [1, 0.5]], 4, 2),
+    yield (germ_from_coeffs(golden, [[-1], [0, 0.5], [1, 0.5]], 4, 2),
            0.05 + 0.02j, (-1.7 + dx, 1.7 + dx, -1 + dy, 1 + dy, 32), 1500)
 
 
@@ -1379,7 +1420,7 @@ def test_critical_orbit_escape_not_plausible():
 
 
 def test_critical_orbit_from_germ(golden):
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 6, 3)
+    F = germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 6, 3)
     rep = sd.critical_orbit_check(F, n_max=2000)
     assert rep.plausible
     assert any(r.verdict.kind == PETAL for r in rep.reports)
@@ -1394,6 +1435,103 @@ def test_z_schedule_reads_the_unit_column_lam_bits(golden):
     zs = petals._z_schedule(golden, 0.05, 10_000)
     want = np.array(sd.unit_column(golden, 10_000).lam) * 0.05
     assert zs.tobytes() == want.tobytes()
+
+
+# -- fixed and moving fiber schedules -----------------------------------------
+
+def _fixed_fiber_cases(golden):
+    """name -> (map, z0) of fibers that do not move."""
+    return {
+        "z_terms_at_0": (germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]],
+                                          8, 3), 0j),
+        "z_free_at_z0": (sd.ConstantVerticalMap([0, 1, 0, 3, -2j], golden),
+                         0.05),
+        "parabolic_k2": (sd.ParabolicLocal(k=2, b=0.3 - 0.2j), 0),
+        "basin": (sd.ConstantVerticalMap([-1, 0, 1]), 0),
+        "constant": (sd.ConstantVerticalMap([0.25]), 0),
+    }
+
+
+@pytest.mark.parametrize("name", ["z_terms_at_0", "z_free_at_z0",
+                                  "parabolic_k2", "basin", "constant"])
+def test_fixed_fiber_schedule_is_one_read_only_row(golden, name):
+    F, z0 = _fixed_fiber_cases(golden)[name]
+    C = petals._coeff_matrix(F, z0, 10 ** 6)
+    assert C.shape[0] == 10 ** 6 + 1 and C.shape[1] >= 2
+    assert C.strides[0] == 0 and not C.flags.writeable
+    lo, hi = np.lib.array_utils.byte_bounds(C)
+    assert hi - lo == C.shape[1] * C.itemsize  # one row of data
+    with pytest.raises(ValueError):
+        C[7, 0] = 1.0
+    assert petals._distinct_rows(C).shape == (1, C.shape[1])
+    # the one row is the stored schedule's every row
+    full = petals._coeff_matrix(F, z0, 3)
+    assert _bits(np.array(full)) == _bits(np.tile(petals._distinct_rows(C), (4, 1)))
+
+
+def test_moving_fiber_schedule_has_every_row(golden):
+    F = germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
+    C = petals._coeff_matrix(F, 0.05, 1000)
+    assert C.shape == (1001, 4) and C.flags.writeable and C.flags.owndata
+    assert C.strides[0] == 4 * C.itemsize and petals._distinct_rows(C) is C
+    assert len(set(C[:, 3].tolist())) == 1001
+
+
+@pytest.mark.parametrize("name", ["z_terms_at_0", "z_free_at_z0",
+                                  "parabolic_k2", "basin", "constant"])
+def test_fixed_fiber_rules_read_both_representations_alike(golden, name):
+    # the region and the engine give the same results on the one-row view
+    # and on the schedule with every row stored
+    F, z0 = _fixed_fiber_cases(golden)[name]
+    n_max = 300
+    view = petals._coeff_matrix(F, z0, n_max)
+    full = np.array(view)
+    assert full.strides[0] != 0
+    region = petals._petal_region(F, view)
+    assert region == petals._petal_region(F, full)
+    assert (region is None) == (name in ("basin", "constant"))
+    axis = np.linspace(-1.2, 1.2, 16)
+    w0 = (axis[np.newaxis, :] + 1j * axis[:, np.newaxis]).ravel()
+    a = petals._run_engine(view, w0, n_max, region, ESCAPE_RADIUS)
+    b = petals._run_engine(full, w0, n_max, region, ESCAPE_RADIUS)
+    assert [_bits(x) for x in a] == [_bits(x) for x in b]
+    for i in (0, 37, 100, 255):
+        for stop_at_verdict in (True, False):
+            x = petals._run_single(view, w0[i], n_max, region, ESCAPE_RADIUS,
+                                   stop_at_verdict)
+            y = petals._run_single(full, w0[i], n_max, region, ESCAPE_RADIUS,
+                                   stop_at_verdict)
+            assert x[:4] == y[:4] and _bits(x[4]) == _bits(y[4])
+            assert x[5].tobytes() == y[5].tobytes()
+
+
+def test_orbit_record_zs_of_a_fixed_base_is_one_value(golden):
+    F = sd.ConstantVerticalMap([0, 1, 1])
+    orb = sd.iterate_orbit(F, 0, 0.1, 500, stop_at_verdict=False)
+    assert orb.zs.shape == (501,) and orb.zs.strides == (0,)
+    assert not orb.zs.flags.writeable and not orb.zs.any()
+
+
+@pytest.mark.parametrize("coeffs,w0,kind", [
+    ("siegel", 0.15, UNDECIDED), ([0, 1, -1], 0.1, PETAL),
+    ([0, 1, 0, 0, -1], 0.1, PETAL)], ids=["siegel", "w-w^2", "w-w^4"])
+def test_single_orbit_memory_per_recorded_step(golden, coeffs, w0, kind):
+    # full orbits, recorded past the verdict: a Siegel orbit that stays
+    # undecided, so that the catch scan reads it all, and two parabolic
+    # orbits that enter their petal region at once; the traced peak is 26
+    # to 27 bytes a step (numpy 2.4): ws, dlogs and one chunk's temporaries
+    if coeffs == "siegel":
+        coeffs = [0, sd.lam_power(golden, 1), 1]
+    F = sd.ConstantVerticalMap(coeffs, golden)
+    n_max = 50_000
+    tracemalloc.start()
+    try:
+        orb = sd.iterate_orbit(F, 0, w0, n_max, stop_at_verdict=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orb.verdict.kind == kind and len(orb.ws) == n_max + 1
+    assert peak <= 32 * n_max, peak / n_max
 
 
 # -- the certified petal region ----------------------------------------------------
@@ -1454,9 +1592,9 @@ def test_petal_region_needs_parabolic_rows(golden):
     # or a_2 != 0 below the order certify no region; neither do maps that
     # are not parabolic at z = 0
     cases = [
-        (sd.SkewGerm.from_coeffs(golden, [[0, 0.05], [1], [1]], 4, 2), 0.05),
-        (sd.SkewGerm.from_coeffs(golden, [[0], [1, 0.05], [1]], 4, 2), 0.05),
-        (sd.SkewGerm.from_coeffs(golden, [[0], [1], [0, 0.05], [1]], 4, 3),
+        (germ_from_coeffs(golden, [[0, 0.05], [1], [1]], 4, 2), 0.05),
+        (germ_from_coeffs(golden, [[0], [1, 0.05], [1]], 4, 2), 0.05),
+        (germ_from_coeffs(golden, [[0], [1], [0, 0.05], [1]], 4, 3),
          0.05),
         (sd.ConstantVerticalMap([1e-12, 1, 1]), 0),
         (sd.ConstantVerticalMap([0, 0, 1]), 0),
@@ -1531,7 +1669,7 @@ def test_region_rule_keeps_every_streak_petal_on_the_corpus(golden, name):
 def test_region_rule_keeps_every_streak_petal_on_the_benchmark_germ(golden):
     # the benchmark's parabolic germ w + w^2 + 0.05 z w^3 at z0 = 0 on a
     # 60 x 60 grid of its slice, stepped in lockstep by the engine's _step
-    F = sd.SkewGerm.from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
+    F = germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
     n_max = 300
     axis_re, axis_im = np.linspace(-1.5, 0.5, 60), np.linspace(-1, 1, 60)
     starts = (axis_re[np.newaxis, :] + 1j * axis_im[:, np.newaxis]).ravel()
