@@ -23,21 +23,22 @@ tolerances, normalform.detect_parabolic_order.
 Grids run through a vectorized lockstep engine.  It drops all-zero top
 w-degrees (0 * w is exact for the finite w of undecided points) and, every
 8 steps, compacts its arrays to the undecided points once fewer than 90%
-remain.  Single orbits step their trajectory first, untrimmed (they record
-values past an escape), and then run the engine's own step rules
-(_petal_hits, _State._cycle_step) only where a rule can fire.  A point's
-result is a pure function of its start, whatever else shares its array
-(chunks, threads, compaction).
+remain.  Single orbits step their trajectory block by block, untrimmed
+(they record values past an escape), and run the engine's own step rules
+(_petal_hits, _State._cycle_step) on each new block, only where a rule can
+fire, until one settles the point.  A point's result is a pure function of
+its start, whatever else shares its array (chunks, threads, compaction).
 
 A fiber that does not move (z0 = 0, or no coefficient depends on z) has
 one coefficient row for every step: its schedule is a read-only view of
 that row with row stride 0, and every reduction over rows reads the row
-once (_distinct_rows).  A single orbit reads its verdict scans (escape,
-petal, cycle catches) and forms its derivative logs a chunk of _CHUNK
-steps at a time, so beyond its recorded ws and dlogs (24 bytes a step) no
-temporary spans the orbit; with the CLI's orbit.csv, also written by
-chunks, a full orbit peaks about 35 bytes a recorded step above a short
-one, on a map with a petal region as on one without.
+once (_distinct_rows).  A single orbit steps, forms its derivative logs
+and reads its verdict scans (escape, petal, cycle catches) on one block
+schedule, 64 steps, then 128, ..., at most _CHUNK, in both stop modes, so
+beyond its recorded ws and dlogs (24 bytes a step) no temporary spans the
+orbit; with the CLI's orbit.csv, written by chunks, a full orbit peaks
+about 35 bytes a recorded step above a short one, on a map with a petal
+region as on one without.
 
 A basin's cycle is named by one rule, for slices and single orbits alike:
 its points are stepped from the verdict state on arrays by the engine's own
@@ -530,14 +531,15 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
 # Single-orbit path
 #
 # For one point the per-step bookkeeping is pure overhead, so the trajectory
-# is stepped first, by _horner (its out-of-place products equal _step's on
-# one element, and the engine's trimmed degrees add only exact zeros), and
-# the engine's step rules run only where they can fire.  The tortoise is
-# ws[n // 2]: advancing it t times applies exactly the maps that produced
-# ws[t].  The rules are causal, so with stop_at_verdict the trajectory grows
-# in doubling blocks (64 steps, then 128, ...), each read once, until one
-# holds a verdict.  tests/test_petals.py holds every field equal to
-# _run_engine's on real maps and on scripted orbits.
+# is stepped a block at a time, by _horner (its out-of-place products equal
+# _step's on one element, and the engine's trimmed degrees add only exact
+# zeros), and the engine's step rules run only where they can fire.  The
+# tortoise is ws[n // 2]: advancing it t times applies exactly the maps that
+# produced ws[t].  The rules are causal, so both stop modes walk one block
+# schedule (64 steps, then 128, ..., at most _CHUNK): each block is stepped,
+# its derivative logs are formed, and until a verdict is found its steps are
+# read once.  tests/test_petals.py holds every field equal to _run_engine's
+# on real maps and on scripted orbits.
 # ---------------------------------------------------------------------------
 
 def _first_verdict(ws: np.ndarray, region: _Region | None,
@@ -549,83 +551,74 @@ def _first_verdict(ws: np.ndarray, region: _Region | None,
     only on a catch while unanchored, a return to its anchor and the stale
     drop, so it steps from event to event.  Kind codes ESCAPE < PETAL <
     BASIN follow the engine's order within a step, so the minimum is the
-    verdict it settles.  The steps are read _CHUNK at a time, up to the
-    first chunk that holds a verdict, so no temporary spans ws."""
-    top = len(ws) - 1
+    verdict it settles.  Steps lo.. are read once, each scan in one call."""
+    a = np.abs(ws[lo:])
+    found = []
+    esc = np.flatnonzero(~(a <= escape_radius))
+    if len(esc):
+        found.append((lo + int(esc[0]), ESCAPE, -1, 0))
+    if region is not None:
+        p = max(lo, 1)
+        hit = _petal_hits(ws[p:], a[p - lo:], region)
+        if len(hit):
+            m = p + int(hit[0])
+            found.append((m, PETAL, int(_direction_index(
+                ws[m], region.k, region.base)), 0))
+    # only a confirmation before every other verdict counts
+    last = min(found)[0] - 1 if found else len(ws) - 1
     n = max(lo, 2)  # the automaton's next step to look at
-    for s in range(lo, top + 1, _CHUNK):  # up to the first chunk that settles
-        e = min(s + _CHUNK, top + 1)
-        a = np.abs(ws[s:e])
-        found = []
-        esc = np.flatnonzero(~(a <= escape_radius))
-        if len(esc):
-            found.append((s + int(esc[0]), ESCAPE, -1, 0))
-        if region is not None:
-            p = max(s, 1)
-            hit = _petal_hits(ws[p:e], a[p - s:], region)
-            if len(hit):
-                m = p + int(hit[0])
-                found.append((m, PETAL, int(_direction_index(
-                    ws[m], region.k, region.base)), 0))
-        # only a confirmation before every other verdict counts
-        last = min(found)[0] - 1 if found else e - 1
-        steps = np.arange(max(s, 2), last + 1)
-        catches = steps[np.abs(ws[steps] - ws[steps // 2]) < CYCLE_TOL]
-        while True:
-            if st.anchored[0]:  # the first return to the anchor, or the drop
-                h = int(st.last_hit[0]) + 1
-                near = np.abs(ws[h:h + PERIOD_CAP] - st.anchor[0]) < CYCLE_TOL
-                n = h + (int(near.argmax()) if near.any() else PERIOD_CAP)
-            else:  # the next catch
-                i = np.searchsorted(catches, n)
-                n = int(catches[i]) if i < len(catches) else last + 1
-            if n > last:  # an event in a later chunk, or none
-                break
-            st.w = ws[n:n + 1]
-            if st._cycle_step(n, ~st.anchored, True)[0]:
-                return n, BASIN, -1, int(st.period[0])
-            n += 1
-        if found:
-            return min(found)
-    return None
+    steps = np.arange(n, last + 1)
+    catches = steps[np.abs(ws[steps] - ws[steps // 2]) < CYCLE_TOL]
+    while True:
+        if st.anchored[0]:  # the first return to the anchor, or the drop
+            h = int(st.last_hit[0]) + 1
+            near = np.abs(ws[h:h + PERIOD_CAP] - st.anchor[0]) < CYCLE_TOL
+            n = h + (int(near.argmax()) if near.any() else PERIOD_CAP)
+        else:  # the next catch
+            i = np.searchsorted(catches, n)
+            n = int(catches[i]) if i < len(catches) else last + 1
+        if n > last:  # an event in a later block, or none
+            return min(found, default=None)
+        st.w = ws[n:n + 1]
+        if st._cycle_step(n, ~st.anchored, True)[0]:
+            return n, BASIN, -1, int(st.period[0])
+        n += 1
 
 
 def _run_single(C: np.ndarray, w0: complex, n_max: int,
                 region: _Region | None, escape_radius: float,
                 stop_at_verdict: bool):
-    """Trajectory first, then the engine rules, for one point.
+    """The engine rules for one point, read block by block as it steps.
 
     Returns (kind, index, n_stop, period, ws, dlogs).  ws ends at n_stop
     when stop_at_verdict is set and a verdict fired, at n_max otherwise;
     dlogs[n] = log |g_n'(ws[n])| for every step taken."""
     ws = np.empty(n_max + 1, dtype=complex)
+    dlogs = np.empty(n_max)
     ws[0] = w0
     w = ws[:1].copy()
     st = _State(w)
+    verdict = None
     done, block = 0, 64
     with np.errstate(over="ignore", invalid="ignore", under="ignore",
                      divide="ignore"):
-        while True:
-            top = min(n_max, done + block) if stop_at_verdict else n_max
+        while done < n_max and (verdict is None or not stop_at_verdict):
+            top = min(n_max, done + min(block, _CHUNK))
             for n in range(done, top):
                 w = _horner(C[n], w)
                 ws[n + 1] = w[0]
-            verdict = _first_verdict(ws[:top + 1], region, escape_radius,
-                                     done + (done > 0), st)
-            done, block = top, 2 * block
-            if verdict is not None or done == n_max:
-                break
-        n_stop, kind, index, period = verdict or (n_max, UNDECIDED, -1, 0)
-        cut = n_stop if stop_at_verdict else n_max
-        dlogs = np.empty(cut)
-        for i in range(0, cut, _CHUNK):  # elementwise: chunks change no bit
-            rows = C[i:min(i + _CHUNK, cut)]
-            part = slice(i, i + len(rows))
+            rows = C[done:top]  # elementwise: blocks change no bit
             acc = _horner([rows[:, j] * j for j in range(1, C.shape[1])],
-                          ws[part])
+                          ws[done:top])
             # -inf at 0, inf/nan past an overflow
-            np.log(np.abs(acc), out=dlogs[part])
-    return kind, index, n_stop, period, ws[:cut + 1], dlogs
+            np.log(np.abs(acc), out=dlogs[done:top])
+            if verdict is None:
+                verdict = _first_verdict(ws[:top + 1], region, escape_radius,
+                                         done + (done > 0), st)
+            done, block = top, 2 * block
+    n_stop, kind, index, period = verdict or (n_max, UNDECIDED, -1, 0)
+    cut = n_stop if stop_at_verdict else n_max
+    return kind, index, n_stop, period, ws[:cut + 1], dlogs[:cut]
 
 
 def _cycle_points(C: np.ndarray, w: np.ndarray, start: np.ndarray,
@@ -1070,17 +1063,15 @@ def critical_orbit_check(g, n_max: int = 20000) -> HypothesisReport:
     """
     if isinstance(g, SkewGerm):
         coeffs = g.fiber_constants()
-        rot = g.rot
     else:
         coeffs = [complex(c) for c in g]
-        rot = None
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     if len(coeffs) < 3:
         raise ValueError("fiber polynomial must have degree at least 2")
     deriv = [j * coeffs[j] for j in range(1, len(coeffs))]
     roots = np.roots(np.array(deriv[::-1], dtype=complex))
-    fiber_map = ConstantVerticalMap(coeffs, rot)
+    fiber_map = ConstantVerticalMap(coeffs)
     reports = []
     for r in sorted(roots.tolist(), key=lambda c: (round(c.real, 12),
                                                    round(c.imag, 12))):

@@ -413,17 +413,18 @@ def cremer_running_max(table: DivisorTable, m: int) -> float:
     """max over 2..m of the exponent above."""
     if not 2 <= m <= table.m_max:
         raise ValueError("m out of table range")
-    # L/m rounds monotonically in m for a fixed L = -log omega, so over a
-    # run of equal omega the maximum sits at one of the run's two ends.
-    # Every entry equals its run's value, so checking those checks them all;
-    # a run split at a chunk's edge keeps its maximum at one of the pieces' ends
+    # L/m rounds monotonically in m for a fixed L = log(1/omega), formed as
+    # cremer_exponent forms it, so over a run of equal omega the maximum
+    # sits at one of the run's two ends.  Every entry equals its run's
+    # value, so checking those checks them all; a run split at a chunk's
+    # edge keeps its maximum at one of the pieces' ends
     best = -math.inf
     for lo in range(2, m + 1, _CHUNK):
         runs = _runs(table.omega[lo:min(lo + _CHUNK, m + 1)])
         _nonvanishing([v for v, _ in runs])
         first = lo
         for v, n in runs:
-            L = -math.log(v)
+            L = math.log(1.0 / v)
             best = max(best, L / first, L / (first + n - 1))
             first += n
     return best

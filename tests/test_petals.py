@@ -202,6 +202,9 @@ STALE_UNDECIDED_W0 = 1e-7      # Siegel: anchors go stale until n_max
 
 # n_max values on and next to the single path's block edges (64, 64 + 128)
 BLOCK_EDGE_N_MAX = (1, 2, 7, 63, 64, 65, 192)
+# and on the edges of its first block capped at _CHUNK = 1024 steps (960 to
+# 1984), which only the scripted orbits cross
+CAPPED_EDGE_N_MAX = (960, 1984)
 
 
 def _differential_corpus(golden):
@@ -480,7 +483,8 @@ def _paths_agree(seq, region):
     walks give the same fields on seq and on its prefixes at the block-edge
     n_max values; returns the fields on the whole of seq."""
     C = _schedule_for(seq)
-    for n_max in [n for n in BLOCK_EDGE_N_MAX if n < len(seq) - 1] + [len(seq) - 1]:
+    edges = BLOCK_EDGE_N_MAX + CAPPED_EDGE_N_MAX
+    for n_max in [n for n in edges if n < len(seq) - 1] + [len(seq) - 1]:
         eng = petals._run_engine(C, seq[:1], n_max, region, ESCAPE_RADIUS)
         want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
                 int(eng.period[0]))
@@ -521,6 +525,19 @@ def test_petal_runs_at_run_and_block_edges(start, length, factor, hit):
         assert _paths_agree(seq, region) == want
 
 
+@pytest.mark.parametrize("edge", [960, 1984])
+@pytest.mark.parametrize("length,factor,hit", PETAL_RUNS[1:4])
+def test_petal_entries_at_capped_block_edges(edge, length, factor, hit):
+    # entries on the last step of a block capped at _CHUNK steps (960, the
+    # first one's start, and 1984, its end) and on the step after it, by
+    # runs that end on the trajectory's last step
+    region = _scripted_region(2, 0.3, 0.36)
+    start = edge - 3
+    seq = _fresh(start + length - 1)
+    seq[start:] = 0.7 * factor ** np.arange(length) * np.exp(1j * (0.3 + math.pi))
+    assert _paths_agree(seq, region) == (PETAL, 1, start + hit, 0)
+
+
 @pytest.mark.parametrize("mods,sign,want", [
     # a point on the region's outer radius is outside: the test is strict
     ([0.75, 0.5, 0.25], 1.0, (PETAL, 0, 3, 0)),
@@ -558,7 +575,7 @@ def test_petal_runs_before_a_hit_are_each_read_once(monkeypatch):
     assert calls == [64, 128, 256]
 
 
-@pytest.mark.parametrize("catch", [2, 7, 63, 64, 65, 192])
+@pytest.mark.parametrize("catch", [2, 7, 63, 64, 65, 192, 960, 1984])
 def test_catches_at_trajectory_and_block_edges(monkeypatch, catch):
     # a catch on the trajectory's last step, at the single path's block
     # edges, and a confirmation WINDOW steps later on the last step
@@ -572,7 +589,7 @@ def test_catches_at_trajectory_and_block_edges(monkeypatch, catch):
         assert _paths_agree(seq, None) == want
 
 
-@pytest.mark.parametrize("recatch", [10, 63, 64, 65, 192])
+@pytest.mark.parametrize("recatch", [10, 63, 64, 65, 192, 960])
 @pytest.mark.parametrize("caught_at_drop", [False, True])
 def test_recatch_right_after_a_stale_drop(monkeypatch, recatch,
                                           caught_at_drop):
@@ -596,13 +613,14 @@ def test_recatch_right_after_a_stale_drop(monkeypatch, recatch,
 
 def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
     # the benchmark's orbit-k3 map from a start near a repelling direction,
-    # whose entry comes late: _first_verdict reads the chunk that holds the
-    # entry (steps 1.._CHUNK - 1) in one call of the petal rule, never once
-    # per step, and reads no later chunk
+    # whose entry comes late (step 346): in both stop modes the single path
+    # reads each block's new steps in one call of the petal rule (64, then
+    # 128, then the 256 that hold the entry), never once per step, and
+    # reads nothing after the entry, also when it goes on stepping
     g = sd.ConstantVerticalMap([0, 1, 0, 0, -1])
-    orb = sd.iterate_orbit(g, 0, 0.1 * cmath.exp(1j * (math.pi / 3 - 0.01)),
-                           10 ** 4, stop_at_verdict=False)
-    region = petals._petal_region(g, petals._coeff_matrix(g, 0, 10 ** 4))
+    w0, n_max = 0.1 * cmath.exp(1j * (math.pi / 3 - 0.01)), 10 ** 4
+    C = petals._coeff_matrix(g, 0, n_max)
+    region = petals._petal_region(g, C)
     calls = []
     hits = petals._petal_hits
 
@@ -611,11 +629,15 @@ def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
         return hits(w, *args)
 
     monkeypatch.setattr(petals, "_petal_hits", counted)
-    got = petals._first_verdict(orb.ws, region, ESCAPE_RADIUS, 0,
-                                petals._State(orb.ws[:1]))
-    hit = _region_walk(orb.ws, region)
-    assert got == (hit[0], PETAL, hit[1], 0) == (orb.n_stop, PETAL, 0, 0)
-    assert calls == [petals._CHUNK - 1] and 100 < orb.n_stop < petals._CHUNK
+    for stop_at_verdict in (True, False):
+        calls.clear()
+        got = petals._run_single(C, w0, n_max, region, ESCAPE_RADIUS,
+                                 stop_at_verdict)
+        ws = got[4]
+        hit = _region_walk(ws, region)
+        assert got[:4] == (PETAL, hit[1], hit[0], 0) == (PETAL, 0, 346, 0)
+        assert len(ws) == (347 if stop_at_verdict else n_max + 1)
+        assert calls == [64, 128, 256]
 
 
 @pytest.mark.parametrize("which,w0", [

@@ -195,12 +195,20 @@ def test_cremer_running_max_matches_every_index(case):
     # runs of equal omega
     rot = ORACLE_CASES[case][0]()
     t = sd.divisor_table(rot, 5000)
+    exps = [sd.cremer_exponent(t, i) for i in range(2, 5001)]
     for m in (2, 3, 4, 5, 17, 1000, 1024, 1025, 5000):
-        om = t.omega[2:m + 1]
-        ref = float(np.max(-np.log(om) / np.arange(2, m + 1, dtype=float)))
-        assert sd.cremer_running_max(t, m) == ref, m
+        assert sd.cremer_running_max(t, m) == max(exps[:m - 1]), m
     flat = sd.DivisorTable(rot, 64, t.d1[:65], np.full(65, 3.0))
     assert sd.cremer_running_max(flat, 64) == -math.log(3.0) / 64
+
+
+def test_cremer_running_max_is_the_largest_exponent():
+    # -log(omega) and log(1/omega) can differ in the last bit: the running
+    # maximum reads the exponent exactly as cremer_exponent (and the divisor
+    # CSV) forms it, so it is the largest of its values
+    t = sd.divisor_table(sd.RotationNumber.from_quotients([11]), 4096)
+    want = max(sd.cremer_exponent(t, m) for m in range(2, 4097))
+    assert sd.cremer_running_max(t, 4096) == want == 0.3134489691989203
 
 
 def _bits(c) -> list[int]:
