@@ -531,15 +531,22 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
 # Single-orbit path
 #
 # For one point the per-step bookkeeping is pure overhead, so the trajectory
-# is stepped a block at a time, by _horner (its out-of-place products equal
-# _step's on one element, and the engine's trimmed degrees add only exact
-# zeros), and the engine's step rules run only where they can fire.  The
-# tortoise is ws[n // 2]: advancing it t times applies exactly the maps that
-# produced ws[t].  The rules are causal, so both stop modes walk one block
-# schedule (64 steps, then 128, ..., at most _CHUNK): each block is stepped,
-# its derivative logs are formed, and until a verdict is found its steps are
+# is stepped a block at a time and the engine's step rules run only where
+# they can fire.  Each step is a Horner loop over the row's coefficients as
+# one-element arrays (built once for a fixed fiber's one row, per step for a
+# moving fiber), with every product and sum written into a preallocated
+# one-element array that is not its own operand: such a product rounds as
+# _step's array product does under both numpy dispatches (an in-place one
+# does not).  The row stays untrimmed and every zero coefficient is added,
+# as the engine's trimmed degrees add only exact zeros before an overflow
+# and a skipped + 0 would turn a -0.0 part into +0.0.  The tortoise is
+# ws[n // 2]: advancing it t times applies exactly the maps that produced
+# ws[t].  The rules are causal, so both stop modes walk one block schedule
+# (64 steps, then 128, ..., at most _CHUNK): each block is stepped, its
+# derivative logs are formed, and until a verdict is found its steps are
 # read once.  tests/test_petals.py holds every field equal to _run_engine's
-# on real maps and on scripted orbits.
+# on real maps and on scripted orbits, and ws and the derivative logs equal
+# to _step's on a few points.
 # ---------------------------------------------------------------------------
 
 def _first_verdict(ws: np.ndarray, region: _Region | None,
@@ -596,8 +603,14 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
     ws = np.empty(n_max + 1, dtype=complex)
     dlogs = np.empty(n_max)
     ws[0] = w0
-    w = ws[:1].copy()
-    st = _State(w)
+    st = _State(ws[:1])
+    # w, nxt and prod are one-element work arrays; each product and sum is
+    # written into one that is not its own operand, and w and nxt swap
+    w, nxt, prod = ws[:1].copy(), np.empty(1, complex), np.empty(1, complex)
+    mul, add = np.multiply, np.add
+    fixed = C.strides[0] == 0
+    if fixed:  # the one row's coefficients, top first, as one-element arrays
+        lead, *rest = C[0, ::-1, None]
     verdict = None
     done, block = 0, 64
     with np.errstate(over="ignore", invalid="ignore", under="ignore",
@@ -605,8 +618,15 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
         while done < n_max and (verdict is None or not stop_at_verdict):
             top = min(n_max, done + min(block, _CHUNK))
             for n in range(done, top):
-                w = _horner(C[n], w)
-                ws[n + 1] = w[0]
+                if not fixed:
+                    lead, *rest = C[n, ::-1, None]
+                a = lead
+                for c in rest:  # Horner: nxt = a * w + c
+                    mul(a, w, prod)
+                    add(prod, c, nxt)
+                    a = nxt
+                ws[n + 1] = nxt[0]
+                w, nxt = nxt, w
             rows = C[done:top]  # elementwise: blocks change no bit
             acc = _horner([rows[:, j] * j for j in range(1, C.shape[1])],
                           ws[done:top])

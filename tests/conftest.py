@@ -27,6 +27,17 @@ def cremer_rotation():
     return sd.RotationNumber.from_quotients([4, 2 ** 400], frac_bits=512)
 
 
+def dispatches_x86_v3() -> bool:
+    """Whether numpy runs its X86_V3 (AVX2 + FMA3) loops in this process,
+    whose complex products are fused; NPY_DISABLE_CPU_FEATURES turns them
+    off."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V3"))
+
+
 def random_series_coeffs(rng, n, scale=0.3, const=None):
     v = (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)) * scale
     if const is not None:

@@ -17,7 +17,7 @@ from skewdyn.cli import build_parser, main
 from skewdyn.rotation import unit_powers
 from skewdyn.series import _horner
 
-from conftest import germ_from_coeffs
+from conftest import dispatches_x86_v3, germ_from_coeffs
 
 GOLDEN_ROT = {"kind": "surd", "p": -1, "q": 1, "r": 5, "s": 2, "frac_bits": 192}
 
@@ -571,15 +571,7 @@ def _modules_loaded(args):
     return imported(args) - imported(["-c", "pass"])
 
 
-def _dispatches_x86_v3() -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return False
-    return bool(__cpu_features__.get("X86_V3"))
-
-
-@pytest.mark.skipif(not _dispatches_x86_v3(),
+@pytest.mark.skipif(not dispatches_x86_v3(),
                     reason="numpy dispatches no X86_V3 (AVX2 + FMA3) loops on "
                            "this CPU, so there is no second dispatch to compare")
 @pytest.mark.parametrize("argv, files", [
@@ -593,7 +585,13 @@ def _dispatches_x86_v3() -> bool:
       "--m-max", "100"], {"cremer.json", "growth.csv"}),
     (["normalize", "--germ", "{germ}", "--depth", "2", "--trunc-w", "8"],
      {"normalize.json"}),
-], ids=["slice", "brjuno", "cremer-greedy", "normalize"])
+    # single orbits of the critical point, stepped on one-element arrays
+    (["hypotheses", "--germ", "{germ}", "--n-max", "4000"],
+     {"hypotheses.json"}),
+    (["petalcheck", "--k", "2", "--seed", "3", "--samples", "200"],
+     {"petalcheck.json"}),
+], ids=["slice", "brjuno", "cremer-greedy", "normalize", "hypotheses",
+        "petalcheck"])
 def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path, germ_file,
                                                      rot_file, argv, files):
     # numpy's fused complex product comes from its X86_V3 loops; these

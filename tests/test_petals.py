@@ -12,7 +12,8 @@ from skewdyn import petals
 from skewdyn.petals import (BASIN, CODE_BASIN_BASE, CODE_ESCAPE, ESCAPE,
                             PETAL, UNDECIDED)
 
-from conftest import germ_from_coeffs, random_parabolic_germ
+from conftest import (dispatches_x86_v3, germ_from_coeffs,
+                      random_parabolic_germ)
 
 ESCAPE_RADIUS = 1e6  # iterate_orbit's and fatou_slice's default
 
@@ -277,6 +278,117 @@ def test_single_orbit_path_matches_engine(golden, name):
             assert full[5][:n_stop].tobytes() == stop[5].tobytes()
         assert ESCAPE in kinds  # the 2e6 start escapes at n = 0
     assert expect in kinds
+
+
+def _random_pairs(n: int = 10_000) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(30)
+    z = rng.standard_normal((2, 2, n)) * np.exp(rng.uniform(-20, 20, (2, 2, n)))
+    return z[0, 0] + 1j * z[0, 1], z[1, 0] + 1j * z[1, 1]
+
+
+def _one_element_products(a, b, in_place: bool) -> list[complex]:
+    got, out = [], np.empty(1, complex)
+    for i in range(len(a)):
+        if in_place:
+            out[0] = a[i]
+            out *= b[i:i + 1]
+        else:
+            np.multiply(a[i:i + 1], b[i:i + 1], out)
+        got.append(out[0])
+    return got
+
+
+def test_one_element_product_into_its_own_out_rounds_as_an_array_product():
+    # _run_single multiplies one-element arrays into a work array that is
+    # not an operand; that must round as _step's in-place product on many
+    # points, whichever loops numpy dispatches
+    a, b = _random_pairs()
+    many = a.copy()
+    many *= b
+    assert _bits(_one_element_products(a, b, in_place=False)) == _bits(many)
+
+
+@pytest.mark.skipif(not dispatches_x86_v3(),
+                    reason="numpy dispatches no X86_V3 (AVX2 + FMA3) loops "
+                           "here, so every product rounds unfused")
+def test_in_place_one_element_product_rounds_unfused():
+    # the exception that _step and _run_single step around: with X86_V3 an
+    # in-place product on one element rounds as CPython's, each operation
+    # on its own, while the array product is fused
+    a, b = _random_pairs()
+    cpython = [x * y for x, y in zip(a.tolist(), b.tolist())]
+    assert (_bits(_one_element_products(a, b, in_place=True))
+            == _bits(cpython))
+    assert _bits(a * b) != _bits(cpython)
+
+
+def _stepped_among_others(C: np.ndarray, w0: complex, n_max: int):
+    """ws and dlogs of w0 stepped by _step on a 3-point array holding it,
+    as the engine steps a point among others, on C's untrimmed rows."""
+    w = np.full(3, w0)
+    ws, dlogs = np.empty(n_max + 1, dtype=complex), np.empty(n_max)
+    ws[0] = w0
+    D = C[:n_max, 1:] * np.arange(1, C.shape[1])
+    with np.errstate(all="ignore"):
+        for n in range(n_max):
+            d = petals._step(D[n], w) if D.shape[1] > 1 else D[n, :1]
+            dlogs[n] = np.log(np.abs(d))[0]
+            w = petals._step(C[n], w)
+            ws[n + 1] = w[0]
+    return ws, dlogs
+
+
+def _single_stepping_cases(golden):
+    """(C, starts, region) for every kind of row the single path steps."""
+    n_max = 200  # across the block edges at 64 and 192
+    rng = np.random.default_rng(31)
+    cases = []
+    for d in range(1, 7):  # a_0 = 0, |a_1| < 1, small higher coefficients
+        row = (rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)) / 4
+        row[:2] = 0, (0.5, 0.99)[d % 2] * cmath.exp(2j * np.pi * rng.random())
+        C = np.broadcast_to(row, (n_max + 1, d + 1))
+        starts = [0.3 * cmath.exp(2j * np.pi * rng.random()), 4.0 - 1j]
+        cases += [(C, starts, None), (np.array(C), starts, None)]
+    # zero interior coefficients, -0.0 parts and two all-zero top columns:
+    # skipping a + 0 or trimming a zero top would move bits, past an
+    # overflow to inf and NaN too
+    signed = np.array([complex(-0.0, 0.0), 1, 0, complex(0.0, -0.0), -1,
+                       complex(-0.0, -0.0), 0, 0])
+    starts = [complex(0.25, -0.0), complex(-0.0, 0.25), complex(-0.3, -0.0),
+              complex(3.0, -0.0)]
+    C = np.broadcast_to(signed, (n_max + 1, len(signed)))
+    cases += [(C, starts, None), (np.array(C), starts, None)]
+    # a moving fiber: the corpus germ, and rows drawn afresh at every step
+    F = germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
+    C = petals._coeff_matrix(F, 0.05, n_max)
+    cases.append((C, [0.1, -0.2 + 0.1j, 2.0], petals._petal_region(F, C)))
+    C = (rng.standard_normal((n_max + 1, 4))
+         + 1j * rng.standard_normal((n_max + 1, 4))) / 3
+    cases.append((C, [0.2j, 5.0], None))
+    return cases
+
+
+def test_single_path_steps_bit_for_bit_as_among_others(golden):
+    # the single path's one-element work arrays against the engine's own
+    # step on several points, in both stop modes
+    seen = set()
+    for C, starts, region in _single_stepping_cases(golden):
+        n_max = len(C) - 1
+        for w0 in starts:
+            want_ws, want_dlogs = _stepped_among_others(C, w0, n_max)
+            for stop_at_verdict in (True, False):
+                kind, _, n_stop, _, ws, dlogs = petals._run_single(
+                    C, w0, n_max, region, ESCAPE_RADIUS, stop_at_verdict)
+                cut = n_stop if stop_at_verdict else n_max
+                assert _bits(ws) == _bits(want_ws[:cut + 1]), (C[0], w0)
+                assert dlogs.tobytes() == want_dlogs[:cut].tobytes()
+            seen.add(kind)
+            parts = want_ws.view(float)
+            if np.isnan(parts).any():
+                seen.add("nan")
+            if (np.signbit(parts) & (parts == 0)).any():
+                seen.add("-0.0")
+    assert {ESCAPE, PETAL, BASIN, UNDECIDED, "nan", "-0.0"} <= seen, seen
 
 
 def _schedule_for(seq: np.ndarray) -> np.ndarray:
