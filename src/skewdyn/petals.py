@@ -10,13 +10,12 @@ with R = 1/(k rho^k).  Orbit verdicts come from a fixed state machine:
              fiber map provably maps into itself, with |w_n| -> 0 (the
              Leau-Fatou flower theorem, _petal_region); fibers that move
              the parabolic point (a_0(z_n) != 0) have none;
-  basin      a cycle detected by Floyd tortoise/hare comparison and then
-             confirmed by stable recurrence (period <= PERIOD_CAP) for
-             WINDOW steps;
+  basin      w_n lies in a disk of a certified attracting cycle
+             (_basin_disks): every fiber map takes each disk of the cycle
+             into the next one, and around the cycle strictly into itself;
   undecided  the step budget ran out first.
 
-Callers set only the escape radius; the cycle thresholds are numerical
-heuristics, fixed as module constants.  Whether the fiber map at z = 0 is
+Callers set only the escape radius.  Whether the fiber map at z = 0 is
 parabolic, and of which order k, is decided by one rule with its own
 tolerances, normalform.detect_parabolic_order.
 
@@ -25,32 +24,30 @@ w-degrees (0 * w is exact for the finite w of undecided points) and, every
 8 steps, compacts its arrays to the undecided points once fewer than 90%
 remain.  Single orbits step their trajectory block by block, untrimmed
 (they record values past an escape), and run the engine's own step rules
-(_petal_hits, _State._cycle_step) on each new block, only where a rule can
-fire, until one settles the point.  A point's result is a pure function of
-its start, whatever else shares its array (chunks, threads, compaction).
+(_petal_hits, _basin_hits) on each new block until one settles the point.
+A point's result is a pure function of its start, whatever else shares its
+array (chunks, threads, compaction).
 
 A fiber that does not move (z0 = 0, or no coefficient depends on z) has
 one coefficient row for every step: its schedule is a read-only view of
 that row with row stride 0, and every reduction over rows reads the row
 once (_distinct_rows).  A single orbit steps, forms its derivative logs
-and reads its verdict scans (escape, petal, cycle catches) on one block
-schedule, 64 steps, then 128, ..., at most _CHUNK, in both stop modes, so
-beyond its recorded ws and dlogs (24 bytes a step) no temporary spans the
-orbit; with the CLI's orbit.csv, written by chunks, a full orbit peaks
-about 35 bytes a recorded step above a short one, on a map with a petal
-region as on one without.
+and reads its verdict scans (escape, petal, basin) on one block schedule,
+64 steps, then 128, ..., at most _CHUNK, in both stop modes, so beyond its
+recorded ws and dlogs (24 bytes a step) no temporary spans the orbit; with
+the CLI's orbit.csv, written by chunks, a full orbit peaks about 35 bytes
+a recorded step above a short one, on a map with a petal region as on one
+without.  Stopping at its verdict, an orbit grows ws and dlogs with the
+block schedule instead of sizing them for n_max.
 
-A basin's cycle is named by one rule, for slices and single orbits alike:
-its points are stepped from the verdict state on arrays by the engine's own
-Horner (_step), each coordinate is keyed as rint(x 10^4), half to even
-(-0 read as 0), and the key is the sorted tuple of keyed points.  A slice
-keys all basin pixels of one period together and ranks the distinct keys,
-so its cycle ids are canonical, never in discovery order; a single orbit's
-cycle_representative is the point whose key sorts first.  A slice merges
-the keys that one cycle takes on both sides of a rounding tie: where the
-raw points of a key's first pixel lie within TIE_DELTA key units of a tie
-in some coordinate, the key with that coordinate rounded the other way,
-if present, joins it under the smaller name.
+Attracting cycles are found once per call, from the critical orbits of
+the schedule's first row (_basin_disks), and certified for every row
+(_certify_cycle); no verdict rests on that search.  A cycle is named by
+the key of its polished points (_cycle_key), and cycle ids rank the keys
+of the certified cycles, so a slice's ids are canonical, never in
+discovery order; a single orbit's cycle_representative is the polished
+point whose key sorts first.  Neutral cycles (Siegel, Cremer, the identity
+map) get no certificate, so their points stay undecided.
 """
 
 from __future__ import annotations
@@ -102,13 +99,11 @@ class Verdict(NamedTuple):
         return self.name
 
 
-WINDOW = 50          # confirmation steps for cycle verdicts
-PERIOD_CAP = 64      # longest cycle period confirmed
-CYCLE_TOL = 1e-9     # absolute recurrence tolerance
+PERIOD_CAP = 64      # longest cycle period sought
+BASIN_RADIUS = 9e-4  # the largest radius of a certified basin disk
 PETAL_RADIUS = 0.75  # the certified petal region lies within |w| < this
 PETAL_EPS = 0.49     # bound on |u' - u - 1| sought there; invariance needs 1/2
-CYCLE_ROUND = 4   # decimals for canonical cycle grouping
-TIE_DELTA = 1e-4  # key units (10^-8 at 4 decimals) from a rounding tie
+CYCLE_ROUND = 4      # decimals of the cycle keys
 MAX_PETAL_ORDER = 4096
 
 
@@ -343,15 +338,282 @@ def _petal_region(F, C: np.ndarray) -> _Region | None:
 
 
 # ---------------------------------------------------------------------------
+# Certified attracting cycles
+# ---------------------------------------------------------------------------
+
+class _Basins(NamedTuple):  # see _basin_disks
+    cycles: list[tuple]     # cycle id c -> (key, points z_i, radii r_i)
+    disks: list[tuple]      # (z_i, r_i^2, lo, hi, c) of every disk
+
+
+def _cycle_key(pts: list[complex]) -> tuple:
+    """A cycle's key: its points with each coordinate keyed as rint(x
+    10^CYCLE_ROUND), half to even (-0 read as 0), sorted, and written as
+    key / 10^CYCLE_ROUND (a float: x 10^CYCLE_ROUND may overflow)."""
+    scale = 10.0 ** CYCLE_ROUND
+    with np.errstate(over="ignore"):
+        x = np.array(pts, dtype=complex).view(float) * scale
+        k = (np.rint(x) + 0.0) / scale
+    return tuple(sorted(zip(k[0::2].tolist(), k[1::2].tolist())))
+
+
+def _basins(chains) -> _Basins:
+    """The _Basins of certified chains (points, radii), cycle ids ranking
+    their keys.  A disk's moduli bounds [lo, hi] widen |z| -+ r by a slack
+    that covers any rounding of the moduli that _basin_hits reads."""
+    cycles = sorted(((_cycle_key(pts), pts, radii) for pts, radii in chains),
+                    key=lambda cycle: cycle[0])
+    return _Basins(cycles, [(z, r * r, (abs(z) - r) * (1 - 2.0 ** -40),
+                             (abs(z) + r) * (1 + 2.0 ** -40), c)
+                            for c, (_, pts, radii) in enumerate(cycles)
+                            for z, r in zip(pts, radii)])
+
+
+def _polish(row: list[complex], w: complex, p: int):
+    """(points, multiplier) of the cycle of the map with coefficients row
+    (lowest first) that Newton's method on g^p(w) = w reaches from w, at
+    the least period dividing p, or None when Newton does not settle."""
+    deriv = [j * row[j] for j in range(1, len(row))]
+
+    def orbit(w):
+        pts, dw = [w], 1.0
+        for _ in range(p):
+            w, dw = _horner(row, w), dw * _horner(deriv, w)
+            pts.append(w)
+        return pts, dw
+
+    for _ in range(40):
+        pts, dw = orbit(w)
+        step = (pts[-1] - w) / (dw - 1.0)
+        w -= step
+        if not cmath.isfinite(w):
+            return None
+        if abs(step) <= 2.0 ** -50 * (1.0 + abs(w)):
+            break
+    else:
+        return None
+    pts, dw = orbit(w)
+    q = next((q for q in range(1, p) if p % q == 0
+              and abs(pts[q] - w) <= 1e-9 * (1.0 + abs(w))), p)
+    return (pts[:p], dw) if q == p else _polish(row, w, q)
+
+
+def _largest(ok, lo: float, hi: float, *args) -> float:
+    """The largest r in [lo, hi] with ok(r, *args), by bisection; ok holds
+    at lo and fails from some point on."""
+    if ok(hi, *args):
+        return hi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid, *args) else (lo, mid)
+    return lo
+
+
+def _certify_cycle(rows: np.ndarray, pts: list[complex]) -> list[float] | None:
+    """Radii r_i <= BASIN_RADIUS, each as large as the others allow, such
+    that every row maps D(z_i, r_i) into D(z_{i+1}, r_{i+1}) and the last
+    disk strictly into D(z_0, r_0); None when there are none.
+
+    Around z_i a row is g(z_i + h) = sum_j c_j h^j, so |g(z_i + h) -
+    z_{i+1}| <= delta_i + sum_{j>=1} M_ij |h|^j with delta_i = max |c_0 -
+    z_{i+1}| (the polish defect and the rows' spread) and M_ij = max |c_j|
+    over the rows, read in row blocks.  The Taylor shift that gives c_j
+    rounds each real operation on its own, as CPython's complex arithmetic
+    does, so the radii do not depend on numpy's CPU dispatch, and each
+    maximum carries the shift's rounding bound.  The bounds are read at r
+    (1 + 2^-40), which covers the rounding of _basin_hits.  Then p rows map
+    D(z_0, r_0) into a compact part of itself, and every orbit in a disk
+    converges to the cycle (Earle-Hamilton)."""
+    p, d = len(pts), rows.shape[1] - 1
+    gamma = 8 * (d + 1) * 2.0 ** -53
+    bounds = []
+    for i, z in enumerate(pts):
+        top = np.zeros(d + 1)
+        for b in range(0, len(rows), _CHUNK):
+            blk = rows[b:b + _CHUNK].T
+            cr, ci = list(blk.real), list(blk.imag)
+            ca = [np.sqrt(x * x + y * y) for x, y in zip(cr, ci)]
+            for j in range(d):  # the Taylor shift: c_k += z c_{k+1}
+                for k in range(d - 1, j - 1, -1):
+                    re = z.real * cr[k + 1] - z.imag * ci[k + 1]
+                    im = z.real * ci[k + 1] + z.imag * cr[k + 1]
+                    cr[k], ci[k] = cr[k] + re, ci[k] + im
+                    ca[k] = ca[k] + abs(z) * ca[k + 1]
+            nxt = pts[(i + 1) % p]
+            cr[0], ci[0] = cr[0] - nxt.real, ci[0] - nxt.imag
+            top = np.maximum(top, [  # a NaN stays NaN
+                (np.sqrt(x * x + y * y) + gamma * a).max()
+                for x, y, a in zip(cr, ci, ca)])
+        delta, *tail = (top * (1.0 + 2.0 ** -50)).tolist()
+        if not delta < BASIN_RADIUS:
+            return None
+        bounds.append((delta, tail[::-1]))
+
+    def image(r: float, i: int) -> float:  # disk i's image radius, bounded
+        delta, tail = bounds[i]
+        x, acc = r * (1.0 + 2.0 ** -40), 0.0
+        for m in tail:
+            acc = (acc + m) * x
+        return (delta + acc) * (1.0 + 2.0 ** -40)
+
+    def fits(r: float, i: int, target: float) -> bool:  # strict at the last
+        return image(r, i) < target if i == p - 1 else image(r, i) <= target
+
+    def closes(r0: float) -> bool:  # the least radii from r0 close the chain
+        r = r0
+        for i in range(p - 1):
+            r = image(r, i)
+            if not r <= BASIN_RADIUS:
+                return False
+        return fits(r, p - 1, r0)
+
+    # the r0 that close the chain form an interval: halve down into it,
+    # then take its top; then each earlier disk as large as the next allows
+    r0 = next((BASIN_RADIUS / 2 ** e for e in range(60)
+               if closes(BASIN_RADIUS / 2 ** e)), None)
+    if r0 is None:
+        return None
+    radii = [_largest(closes, r0, min(2 * r0, BASIN_RADIUS))] * p
+    for i in range(p - 1, 0, -1):
+        radii[i] = _largest(fits, 0.0, BASIN_RADIUS, i, radii[(i + 1) % p])
+    return radii
+
+
+def _roots(c: list[complex]) -> list[complex]:
+    """The roots of sum_j c_j w^j (c_-1 != 0) by the Durand-Kerner
+    iteration on Python complexes, from distinct points on a circle of the
+    Cauchy radius; numpy.roots would start LAPACK, which raised the peak
+    RSS of the benchmark's orbit calls by 0.3 to 0.8 MB.  Simple roots come
+    out to about their rounding within the 50 sweeps, multiple ones only
+    roughly (a k-fold root converges linearly): candidates need no more."""
+    n = len(c) - 1
+    c = [x / c[-1] for x in c]
+    r = 1.0 + max(map(abs, c[:-1]))
+    z = [r * cmath.exp(1j * (TWO_PI * k / n + 0.4)) for k in range(n)]
+    for _ in range(50):
+        moved = 0.0
+        for i in range(n):
+            den = 1.0
+            for j in range(n):
+                if j != i:
+                    den *= z[i] - z[j]
+            if den == 0:  # two estimates met
+                return z
+            step = _horner(c, z[i]) / den
+            z[i] -= step
+            moved = max(moved, abs(step) / (1.0 + abs(z[i])))
+        if moved <= 2.0 ** -50:
+            break
+    return z
+
+
+def _cycle_from(row: list[complex], w: complex, n_max: int,
+                region: _Region | None, escape_radius: float):
+    """The polished attracting cycle, as _polish gives it, that the orbit
+    of w under the map with coefficients row (lowest first) finds, or None.
+    The orbit runs on Python complexes, in windows of PERIOD_CAP steps, and
+    stops at escape, at entry to the petal region or after n_max steps.  A
+    step that comes back within tol of its window's first point tries a
+    polish at that lag; a failed try shrinks tol below that distance."""
+    tol, n = BASIN_RADIUS, 0
+    while n < n_max:
+        anchor = w
+        for lag in range(1, min(PERIOD_CAP, n_max - n) + 1):
+            w = _horner(row, w)
+            gap = abs(w - anchor)
+            if gap < tol:
+                found = _polish(row, w, lag)
+                if found is not None and abs(found[1]) < 1.0:
+                    return found
+                tol = gap / 8
+        n += lag
+        a = abs(w)
+        if not a <= escape_radius:
+            return None
+        if (region is not None and 0 < a < region.rho
+                and len(_petal_hits(np.array([w]), np.array([a]), region))):
+            return None
+    return None
+
+
+def _basin_disks(C: np.ndarray, region: _Region | None,
+                 escape_radius: float) -> _Basins:
+    """The attracting cycles of the schedule C that _certify_cycle
+    certifies, with their disks.
+
+    Candidates come from the first row g: its critical points, or for a
+    row of degree at most 1 its fixed point a_0/(1 - a_1).  A polynomial of
+    degree d has at most d - 1 non-repelling cycles (the Fatou-Shishikura
+    inequality; M. Shishikura, Ann. Sci. ENS 20, 1987), so when d - 1
+    simple fixed points of g have |g'| <= 1 (within 1e-9) they are all, and
+    its attracting fixed points are the only candidates.  _cycle_from runs
+    each for n_max = len(C) - 1 steps at most; a cycle with a point in a
+    disk already kept is that disk's cycle.  Disks never meet: under the
+    first row alone, a point in two would converge to both."""
+    rows = _distinct_rows(C)
+    rows = rows[:, :max(2, np.flatnonzero(rows.any(axis=0)).max(initial=0)
+                        + 1)]
+    row = C[0].tolist()
+    while len(row) > 2 and row[-1] == 0:
+        row.pop()
+    if len(row) == 2:
+        starts = [row[0] / (1.0 - row[1])] if row[1] != 1.0 else []
+    else:
+        deriv = [j * row[j] for j in range(1, len(row))]
+        starts = _roots(deriv)
+        # a petal region's parabolic point is a multiple fixed point, and
+        # then fewer than d - 1 fixed points are simple
+        fixed = ([] if region is not None
+                 else _roots([row[0], row[1] - 1.0, *row[2:]]))
+        mult = [_horner(deriv, z) for z in fixed]
+        if sum(abs(m) <= 1.0 + 1e-9 and abs(m - 1.0) > 1e-6
+               for m in mult) >= len(row) - 2:
+            starts = [z for z, m in zip(fixed, mult) if abs(m) < 1.0]
+    chains: list[tuple] = []
+    for w in starts:
+        try:
+            found = _cycle_from(row, w, len(C) - 1, region, escape_radius)
+        except (OverflowError, ZeroDivisionError):  # from abs() or Newton
+            continue
+        if found is None or any(abs(z - x) < r for z in found[0]
+                                for pts, radii in chains
+                                for x, r in zip(pts, radii)):
+            continue
+        radii = _certify_cycle(rows, found[0])
+        if radii is not None:
+            chains.append((found[0], radii))
+    return _basins(chains)
+
+
+def _basin_hits(w: np.ndarray, a: np.ndarray, basins: _Basins,
+                live: np.ndarray | None = None):
+    """The basin step rule: (indices, cycle ids) of the points of w (moduli
+    a; `live` masks the undecided) that lie in a certified disk.  The
+    moduli pick the points that can; on those alone, (re^2 + im^2 < r^2)
+    decides, which rounds alike in numpy and in CPython.  Disks do not
+    meet, so a point lies in one at most."""
+    idx, cid = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for z, r2, lo, hi, c in basins.disks:
+        sel = np.flatnonzero((a < hi) & (a > lo) if lo > 0.0 else a < hi)
+        if live is not None:
+            sel = sel[live[sel]]
+        if len(sel):
+            d = w[sel] - z
+            idx.append(sel[d.real * d.real + d.imag * d.imag < r2])
+            cid.append(np.full(len(idx[-1]), c))
+    return np.concatenate(idx), np.concatenate(cid)
+
+
+# ---------------------------------------------------------------------------
 # The classification engine
 # ---------------------------------------------------------------------------
 
 class _EngineResult(NamedTuple):
     kind: np.ndarray
-    index: np.ndarray          # petal direction for PETAL verdicts
+    index: np.ndarray          # petal direction or basin cycle id
     n_stop: np.ndarray
     w_verdict: np.ndarray      # state at the step the verdict fired
-    period: np.ndarray         # confirmed cycle period for BASIN verdicts
+    period: np.ndarray         # cycle period for BASIN verdicts
 
 
 def _petal_hits(w: np.ndarray, a: np.ndarray, region: _Region,
@@ -381,65 +643,6 @@ def _direction_index(w: np.ndarray, k: int, base_angle: float) -> np.ndarray:
             .astype(np.int64) % k)
 
 
-class _State:
-    """Per-point engine state, compactable to the undecided subset, and the
-    cycle automaton's step rule (_first_verdict calls it only on events)."""
-
-    __slots__ = ("ids", "w", "tort", "anchored", "anchor", "anchor_step",
-                 "last_hit", "period")
-
-    def __init__(self, w0: np.ndarray):
-        m = len(w0)
-        self.ids = np.arange(m, dtype=np.int32)
-        # w and tort are rebound to new arrays by every step and never
-        # written in place, so both may start as the caller's array
-        self.w = self.tort = np.asarray(w0, dtype=complex)
-        self.anchored = np.zeros(m, dtype=bool)
-        self.anchor = np.zeros(m, dtype=complex)
-        self.anchor_step = np.zeros(m, dtype=np.int32)
-        self.last_hit = np.zeros(m, dtype=np.int32)
-        self.period = np.zeros(m, dtype=np.int32)
-
-    def compact(self, keep: np.ndarray) -> None:
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name)[keep])
-
-    def _cycle_step(self, n: int, catch, live):
-        """Step n >= 2 of the anchor/period automaton, given the tortoise
-        catches: anchor on a catch, take the first recurrence gap as the
-        period, re-anchor on a gap mismatch, drop an anchor whose first gap
-        exceeds PERIOD_CAP or that recurs not for PERIOD_CAP steps.  Returns
-        the points confirmed WINDOW steps after anchoring, or None when no
-        point is anchored."""
-        if catch.any():
-            catch = catch & live & ~self.anchored
-            self.anchored |= catch
-            self.anchor[catch] = self.w[catch]
-            self.anchor_step[catch] = n
-            self.last_hit[catch] = n
-            self.period[catch] = 0
-        act = self.anchored
-        if not act.any():
-            return None
-        near = act & (np.abs(self.w - self.anchor) < CYCLE_TOL)
-        gap = n - self.last_hit
-        is_new = near & (gap > 0)
-        first = is_new & (self.period == 0)
-        ok_gap = first & (gap <= PERIOD_CAP)
-        self.period[ok_gap] = gap[ok_gap]
-        act[first & ~ok_gap] = False
-        mism = is_new & ~first & (gap != self.period)
-        if mism.any():
-            self.anchor[mism] = self.w[mism]
-            self.anchor_step[mism] = n
-            self.period[mism] = 0
-        self.last_hit[is_new & act] = n
-        confirm = (act & near & (self.period > 0)
-                   & (n - self.anchor_step >= WINDOW))
-        act[self.last_hit < n - PERIOD_CAP] = False
-        return confirm
-
-
 def _step(row: np.ndarray, w: np.ndarray) -> np.ndarray:
     """_horner(row, w) for a row of at least two coefficients, built in one
     new array (same operations in the same order: acc * w, then + c)."""
@@ -459,12 +662,14 @@ def _step(row: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
-                region: _Region | None, escape_radius: float) -> _EngineResult:
+                region: _Region | None, basins: _Basins,
+                escape_radius: float) -> _EngineResult:
     """Advance all points in lockstep through the shared fiber schedule C,
     until every point has a verdict or n_max steps are taken; the petal
-    rule runs only where the rows certify a region (region not None).
+    rule runs only where the rows certify a region (region not None), the
+    basin rule only where they certify disks.
 
-    Verdict checks run in a fixed order every step (escape, petal, cycle);
+    Verdict checks run in a fixed order every step (escape, petal, basin);
     each point's outcome is a pure function of its own start, so results do
     not depend on how callers batch the points.  Settled points are stepped
     on, never read, until the next compaction.  Step counts are held as
@@ -478,51 +683,52 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     n_stop = np.full(m, n_max, dtype=np.int64)
     w_verdict = np.zeros(m, dtype=complex)
     period_out = np.zeros(m, dtype=np.int64)
+    periods = np.array([len(c[1]) for c in basins.cycles], dtype=np.int64)
 
-    st = _State(w0)
-    del w0  # then only st.w and st.tort hold it, until the first steps
-    undecided = np.ones(m, dtype=bool)  # aligned with st arrays
+    # the stepped points and their indices into the outputs; w is rebound
+    # by every step and never written in place, so it may start as w0
+    ids = np.arange(m, dtype=np.int32)
+    w = np.asarray(w0, dtype=complex)
+    del w0  # then only w holds it, until the first step
+    undecided = np.ones(m, dtype=bool)  # aligned with ids and w
 
-    def settle(sel: np.ndarray, verdict: int, n: int) -> None:
-        gids = st.ids[sel]
+    def settle(sel: np.ndarray, verdict: int, n: int, cid=None) -> None:
+        gids = ids[sel]
         kind[gids] = verdict
         n_stop[gids] = n
-        w_verdict[gids] = w = st.w[sel]
+        w_verdict[gids] = ws = w[sel]
         if verdict == PETAL:
-            index[gids] = _direction_index(w, region.k, region.base)
+            index[gids] = _direction_index(ws, region.k, region.base)
         elif verdict == BASIN:
-            period_out[gids] = st.period[sel]
+            index[gids] = cid
+            period_out[gids] = periods[cid]
         undecided[sel] = False
-        st.anchored[sel] = False
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for n in range(n_max + 1):
-            cur_abs = np.abs(st.w)
+            cur_abs = np.abs(w)
 
             # the max is NaN when any modulus is
             if not cur_abs.max(initial=0.0) <= escape_radius:
                 settle(~(cur_abs <= escape_radius) & undecided, ESCAPE, n)
 
             if region is not None and n >= 1:
-                hit = _petal_hits(st.w, cur_abs, region, undecided)
+                hit = _petal_hits(w, cur_abs, region, undecided)
                 if len(hit):
                     settle(hit, PETAL, n)
 
-            if n >= 2 and n % 2 == 0:
-                st.tort = _step(C[n // 2 - 1], st.tort)
-            if n >= 2:  # settle() unanchors what it settles
-                confirm = st._cycle_step(n, np.abs(st.w - st.tort) < CYCLE_TOL,
-                                         undecided)
-                if confirm is not None and confirm.any():
-                    settle(confirm, BASIN, n)
+            if basins.disks:
+                hit, cid = _basin_hits(w, cur_abs, basins, undecided)
+                if len(hit):
+                    settle(hit, BASIN, n, cid)
 
             if n == n_max or not undecided.any():
                 break
-            if (len(st.w) > 256 and n % 8 == 7
-                    and np.count_nonzero(undecided) < 0.9 * len(st.w)):
-                st.compact(undecided)
-                undecided = np.ones(len(st.w), dtype=bool)
-            st.w = _step(C[n], st.w)
+            if (len(w) > 256 and n % 8 == 7
+                    and np.count_nonzero(undecided) < 0.9 * len(w)):
+                ids, w = ids[undecided], w[undecided]
+                undecided = np.ones(len(w), dtype=bool)
+            w = _step(C[n], w)
 
     return _EngineResult(kind, index, n_stop, w_verdict, period_out)
 
@@ -531,34 +737,31 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
 # Single-orbit path
 #
 # For one point the per-step bookkeeping is pure overhead, so the trajectory
-# is stepped a block at a time and the engine's step rules run only where
-# they can fire.  Each step is a Horner loop over the row's coefficients as
+# is stepped a block at a time and the engine's step rules run once on each
+# new block.  Each step is a Horner loop over the row's coefficients as
 # one-element arrays (built once for a fixed fiber's one row, per step for a
 # moving fiber), with every product and sum written into a preallocated
 # one-element array that is not its own operand: such a product rounds as
 # _step's array product does under both numpy dispatches (an in-place one
 # does not).  The row stays untrimmed and every zero coefficient is added,
 # as the engine's trimmed degrees add only exact zeros before an overflow
-# and a skipped + 0 would turn a -0.0 part into +0.0.  The tortoise is
-# ws[n // 2]: advancing it t times applies exactly the maps that produced
-# ws[t].  The rules are causal, so both stop modes walk one block schedule
-# (64 steps, then 128, ..., at most _CHUNK): each block is stepped, its
-# derivative logs are formed, and until a verdict is found its steps are
-# read once.  tests/test_petals.py holds every field equal to _run_engine's
-# on real maps and on scripted orbits, and ws and the derivative logs equal
-# to _step's on a few points.
+# and a skipped + 0 would turn a -0.0 part into +0.0.  The rules are
+# causal, so both stop modes walk one block schedule (64 steps, then 128,
+# ..., at most _CHUNK): each block is stepped, its derivative logs are
+# formed, and until a verdict is found its steps are read once.
+# tests/test_petals.py holds every field equal to _run_engine's on real
+# maps and on scripted orbits, and ws and the derivative logs equal to
+# _step's on a few points.
 # ---------------------------------------------------------------------------
 
-def _first_verdict(ws: np.ndarray, region: _Region | None,
-                   escape_radius: float, lo: int,
-                   st: _State) -> tuple[int, int, int, int] | None:
+def _first_verdict(ws: np.ndarray, region: _Region | None, basins: _Basins,
+                   escape_radius: float,
+                   lo: int) -> tuple[int, int, int, int] | None:
     """(n, kind, index, period) of the first verdict at a step n >= lo of
-    ws, or None; st is the one-point cycle automaton after the steps below
-    lo, which hold no verdict, and advances in place.  The automaton moves
-    only on a catch while unanchored, a return to its anchor and the stale
-    drop, so it steps from event to event.  Kind codes ESCAPE < PETAL <
-    BASIN follow the engine's order within a step, so the minimum is the
-    verdict it settles.  Steps lo.. are read once, each scan in one call."""
+    ws, or None; the steps below lo hold no verdict.  Kind codes ESCAPE <
+    PETAL < BASIN follow the engine's order within a step, so the minimum
+    is the verdict it settles.  Steps lo.. are read once, each rule in one
+    call."""
     a = np.abs(ws[lo:])
     found = []
     esc = np.flatnonzero(~(a <= escape_radius))
@@ -571,39 +774,30 @@ def _first_verdict(ws: np.ndarray, region: _Region | None,
             m = p + int(hit[0])
             found.append((m, PETAL, int(_direction_index(
                 ws[m], region.k, region.base)), 0))
-    # only a confirmation before every other verdict counts
-    last = min(found)[0] - 1 if found else len(ws) - 1
-    n = max(lo, 2)  # the automaton's next step to look at
-    steps = np.arange(n, last + 1)
-    catches = steps[np.abs(ws[steps] - ws[steps // 2]) < CYCLE_TOL]
-    while True:
-        if st.anchored[0]:  # the first return to the anchor, or the drop
-            h = int(st.last_hit[0]) + 1
-            near = np.abs(ws[h:h + PERIOD_CAP] - st.anchor[0]) < CYCLE_TOL
-            n = h + (int(near.argmax()) if near.any() else PERIOD_CAP)
-        else:  # the next catch
-            i = np.searchsorted(catches, n)
-            n = int(catches[i]) if i < len(catches) else last + 1
-        if n > last:  # an event in a later block, or none
-            return min(found, default=None)
-        st.w = ws[n:n + 1]
-        if st._cycle_step(n, ~st.anchored, True)[0]:
-            return n, BASIN, -1, int(st.period[0])
-        n += 1
+    if basins.disks:
+        hit, cid = _basin_hits(ws[lo:], a, basins)
+        if len(hit):
+            i = int(hit.argmin())
+            c = int(cid[i])
+            found.append((lo + int(hit[i]), BASIN, c,
+                          len(basins.cycles[c][1])))
+    return min(found, default=None)
 
 
 def _run_single(C: np.ndarray, w0: complex, n_max: int,
-                region: _Region | None, escape_radius: float,
-                stop_at_verdict: bool):
+                region: _Region | None, basins: _Basins,
+                escape_radius: float, stop_at_verdict: bool):
     """The engine rules for one point, read block by block as it steps.
 
     Returns (kind, index, n_stop, period, ws, dlogs).  ws ends at n_stop
     when stop_at_verdict is set and a verdict fired, at n_max otherwise;
-    dlogs[n] = log |g_n'(ws[n])| for every step taken."""
-    ws = np.empty(n_max + 1, dtype=complex)
-    dlogs = np.empty(n_max)
+    dlogs[n] = log |g_n'(ws[n])| for every step taken.  Stopping at the
+    verdict, ws and dlogs grow with the blocks (doubling, up to n_max
+    steps); a full orbit sizes them for n_max at once."""
+    size = min(n_max, 64) if stop_at_verdict else n_max
+    ws = np.empty(size + 1, dtype=complex)
+    dlogs = np.empty(size)
     ws[0] = w0
-    st = _State(ws[:1])
     # w, nxt and prod are one-element work arrays; each product and sum is
     # written into one that is not its own operand, and w and nxt swap
     w, nxt, prod = ws[:1].copy(), np.empty(1, complex), np.empty(1, complex)
@@ -617,6 +811,10 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
                      divide="ignore"):
         while done < n_max and (verdict is None or not stop_at_verdict):
             top = min(n_max, done + min(block, _CHUNK))
+            if top > len(dlogs):
+                size = min(n_max, max(top, 2 * len(dlogs)))
+                ws = np.concatenate([ws, np.empty(size - len(dlogs), complex)])
+                dlogs = np.concatenate([dlogs, np.empty(size - len(dlogs))])
             for n in range(done, top):
                 if not fixed:
                     lead, *rest = C[n, ::-1, None]
@@ -633,110 +831,12 @@ def _run_single(C: np.ndarray, w0: complex, n_max: int,
             # -inf at 0, inf/nan past an overflow
             np.log(np.abs(acc), out=dlogs[done:top])
             if verdict is None:
-                verdict = _first_verdict(ws[:top + 1], region, escape_radius,
-                                         done + (done > 0), st)
+                verdict = _first_verdict(ws[:top + 1], region, basins,
+                                         escape_radius, done + (done > 0))
             done, block = top, 2 * block
     n_stop, kind, index, period = verdict or (n_max, UNDECIDED, -1, 0)
     cut = n_stop if stop_at_verdict else n_max
     return kind, index, n_stop, period, ws[:cut + 1], dlogs[:cut]
-
-
-def _cycle_points(C: np.ndarray, w: np.ndarray, start: np.ndarray,
-                  p: int) -> np.ndarray:
-    """The p cycle points from each w[i] as row i of an (n, p) array: point
-    j + 1 is point j stepped by _step over row start[i] + j of C (the last
-    row past the schedule's end), so each point follows its own rows."""
-    pts = np.empty((len(w), p), dtype=complex)
-    pts[:, 0] = w
-    for i in range(p - 1):
-        rows = C[np.minimum(start + i, len(C) - 1)].T
-        pts[:, i + 1] = _step(rows, pts[:, i])
-    return pts
-
-
-def _cycle_keys(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, order) of the cycles in the rows of pts: each coordinate x is
-    keyed as rint(x 10^CYCLE_ROUND) (-0 read as 0), order[i] sorts row i by
-    (real, imag) key, and keys[i] holds the sorted real keys, then their
-    imaginary keys.  The keys stay floats: x 10^CYCLE_ROUND may overflow to
-    inf."""
-    scale = 10.0 ** CYCLE_ROUND
-    with np.errstate(over="ignore"):
-        kr = np.rint(pts.real * scale) + 0.0
-        ki = np.rint(pts.imag * scale) + 0.0
-    return _sorted_keys(kr, ki)
-
-
-def _sorted_keys(kr: np.ndarray,
-                 ki: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((ki, kr))
-    return np.hstack([np.take_along_axis(kr, order, axis=1),
-                      np.take_along_axis(ki, order, axis=1)]), order
-
-
-def _tie_keys(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, keys): for each coordinate of the cycle points in the rows of
-    pts that lies within TIE_DELTA key units of a rounding tie, its row and
-    that row's key with this one coordinate rounded the other way,
-    re-sorted as _cycle_keys sorts."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.stack([pts.real, pts.imag]) * 10.0 ** CYCLE_ROUND
-        key, low = np.rint(x) + 0.0, np.floor(x)
-        part, row, col = np.nonzero(np.abs(x - low - 0.5) <= TIE_DELTA)
-    flipped = key[:, row]
-    flipped[part, np.arange(len(row)), col] = (
-        2.0 * low[part, row, col] + 1.0 - key[part, row, col] + 0.0)
-    return row, _sorted_keys(*flipped)[0]
-
-
-def _merge_tie_splits(names: list[tuple], distinct: np.ndarray,
-                      row: np.ndarray, other: np.ndarray) -> list[tuple]:
-    """names with key row[t] merged into the smaller of it and other[t],
-    the key its representative cycle points take with one coordinate
-    rounded the other way at a tie, wherever that key is also among the
-    distinct rows.  Merges compose, so every key that a chain of ties
-    joins takes the smallest name."""
-    if not len(row):
-        return names
-    index = {r: d for d, r in enumerate(map(tuple, distinct.tolist()))}
-    root = list(range(len(names)))
-
-    def find(d: int) -> int:
-        while root[d] != d:
-            d = root[d]
-        return d
-
-    for d, key in zip(row.tolist(), map(tuple, other.tolist())):
-        if key in index:
-            lo, hi = sorted((find(d), find(index[key])), key=names.__getitem__)
-            root[hi] = lo
-    return [names[find(d)] for d in range(len(names))]
-
-
-def _cycle_ids(C: np.ndarray, w: np.ndarray, start: np.ndarray,
-               period: np.ndarray) -> tuple[list[tuple], np.ndarray]:
-    """Canonical cycle keys of basin points: the sorted distinct keys, each
-    a tuple of (re, im) points rounded to CYCLE_ROUND decimals in sorted
-    order, and each point's index into them.  Keys split by a rounding tie
-    are merged (_merge_tie_splits), judged by the raw cycle points of each
-    key's first point."""
-    keys: list[tuple] = []
-    which = np.empty(len(w), dtype=np.int64)
-    # sorted(set()) rather than np.unique, which imports numpy.ma
-    for p in sorted(set(period.tolist())):
-        sel = np.flatnonzero(period == p)
-        pts = _cycle_points(C, w[sel], start[sel], p)
-        distinct, first, inv = np.unique(_cycle_keys(pts)[0], axis=0,
-                                         return_index=True,
-                                         return_inverse=True)
-        which[sel] = len(keys) + inv.reshape(-1)
-        names = [tuple(zip(r[:p], r[p:]))
-                 for r in (distinct / 10.0 ** CYCLE_ROUND).tolist()]
-        keys += _merge_tie_splits(names, distinct, *_tie_keys(pts[first]))
-    ordered = sorted(set(keys))
-    pos = {key: c for c, key in enumerate(ordered)}
-    rank = np.array([pos[key] for key in keys], dtype=np.int64)
-    return ordered, rank[which]
 
 
 # ---------------------------------------------------------------------------
@@ -770,13 +870,13 @@ def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
         raise ValueError("n_max must be at least 1")
     _check_escape_radius(escape_radius)
     C = _coeff_matrix(F, z0, n_max)
+    region = _petal_region(F, C)
+    basins = _basin_disks(C, region, escape_radius)
     kind, index, n_stop, period, ws, dlogs = _run_single(
-        C, complex(w0), n_max, _petal_region(F, C), escape_radius,
-        stop_at_verdict)
+        C, complex(w0), n_max, region, basins, escape_radius, stop_at_verdict)
     rep = None
-    if kind == BASIN:
-        pts = _cycle_points(C, ws[n_stop:n_stop + 1], np.array([n_stop]), period)
-        rep = complex(pts[0, _cycle_keys(pts)[1][0, 0]])
+    if kind == BASIN:  # the polished point whose key sorts first
+        rep = min(basins.cycles[index][1], key=lambda z: _cycle_key([z]))
     verdict = Verdict(kind, 0 if kind == BASIN else index)  # -1 off petals
     zs = _z_schedule(F.rot, z0, len(ws) - 1)
     reason = {ESCAPE: "escape", PETAL: "petal", BASIN: "cycle"}.get(kind, "n_max")
@@ -1024,11 +1124,12 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     im = np.linspace(float(im0), float(im1), res)
     C = _coeff_matrix(F, z0, n_max)
     region = _petal_region(F, C)
+    basins = _basin_disks(C, region, escape_radius)
 
     def run_rows(bounds: tuple[int, int]) -> _EngineResult:
         i0, i1 = bounds  # no name here holds the start array past its use
         return _run_engine(C, (re[np.newaxis, :] + 1j * im[i0:i1, np.newaxis])
-                           .ravel(), n_max, region, escape_radius)
+                           .ravel(), n_max, region, basins, escape_radius)
 
     chunks = max(1, min(int(threads), res))
     bounds = [(res * t // chunks, res * (t + 1) // chunks)
@@ -1042,18 +1143,17 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
         with ThreadPoolExecutor(max_workers=chunks) as ex:
             fields = [np.concatenate(f) for f in zip(*ex.map(run_rows, bounds))]
 
-    kind, index, n_stop, w_verd, period = (f.reshape(res, res) for f in fields)
+    kind, index, n_stop = (f.reshape(res, res) for f in fields[:3])
 
     code = np.zeros((res, res), dtype=np.int32)
     code[kind == ESCAPE] = CODE_ESCAPE
     pm = kind == PETAL
     code[pm] = CODE_PETAL_BASE + index[pm]
-
     bm = kind == BASIN
-    ordered, ids = _cycle_ids(C, w_verd[bm], n_stop[bm], period[bm])
-    code[bm] = CODE_BASIN_BASE + ids
+    code[bm] = CODE_BASIN_BASE + index[bm]
 
-    return FatouGrid(re=re, im=im, code=code, n_stop=n_stop, cycles=ordered)
+    return FatouGrid(re=re, im=im, code=code, n_stop=n_stop,
+                     cycles=[c[0] for c in basins.cycles])
 
 
 # ---------------------------------------------------------------------------
@@ -1089,17 +1189,24 @@ def critical_orbit_check(g, n_max: int = 20000) -> HypothesisReport:
         coeffs = coeffs[:-1]
     if len(coeffs) < 3:
         raise ValueError("fiber polynomial must have degree at least 2")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     deriv = [j * coeffs[j] for j in range(1, len(coeffs))]
     roots = np.roots(np.array(deriv[::-1], dtype=complex))
     fiber_map = ConstantVerticalMap(coeffs)
+    C = _coeff_matrix(fiber_map, 0j, n_max)
+    region = _petal_region(fiber_map, C)
+    basins = _basin_disks(C, region, 1e6)  # one certificate for every orbit
     reports = []
     for r in sorted(roots.tolist(), key=lambda c: (round(c.real, 12),
                                                    round(c.imag, 12))):
-        orbit = iterate_orbit(fiber_map, 0j, complex(r), n_max)
-        reports.append(CriticalReport(point=complex(r), verdict=orbit.verdict,
-                                      n_stop=orbit.n_stop,
-                                      root_defect=abs(_horner(deriv, r)),
-                                      cycle_period=orbit.cycle_period))
+        kind, index, n_stop, period = _run_single(C, r, n_max, region, basins,
+                                                  1e6, True)[:4]
+        reports.append(CriticalReport(
+            point=complex(r),
+            verdict=Verdict(kind, 0 if kind == BASIN else index),
+            n_stop=n_stop, root_defect=abs(_horner(deriv, r)),
+            cycle_period=period if kind == BASIN else None))
     plausible = all(rep.verdict.kind in (PETAL, BASIN) and rep.root_defect < 1e-6
                     for rep in reports)
     return HypothesisReport(reports=reports, plausible=plausible)

@@ -111,11 +111,10 @@ HUGE = str(2 ** 55)
 
 
 @pytest.mark.parametrize("argv", [
-    ["orbit", "--w0=0.1,0", "--n-max", HUGE],
-    ["hypotheses", "--n-max", HUGE],
+    ["orbit", "--w0=0.1,0", "--n-max", HUGE, "--full-orbit"],
     ["brjuno", "--m-max", HUGE],
     ["cremer", "--construction", "linear", "--m-max", HUGE],
-], ids=["orbit", "hypotheses", "brjuno", "cremer-linear"])
+], ids=["orbit", "brjuno", "cremer-linear"])
 def test_failed_allocation_exits_4(tmp_path, capsys, rot_file, germ_file, argv):
     source = (["--rotation", rot_file] if argv[0] in ("brjuno", "cremer")
               else ["--germ", germ_file])
@@ -124,6 +123,21 @@ def test_failed_allocation_exits_4(tmp_path, capsys, rot_file, germ_file, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory:") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_orbits_that_stop_at_their_verdict_allocate_by_blocks(tmp_path,
+                                                              germ_file):
+    # stopping at the verdict, an orbit's records grow with its blocks, so
+    # a budget of 2^55 steps allocates nothing by it: the critical orbit
+    # and the orbit from -0.1 enter the petal region within a few steps
+    out = tmp_path / "o"
+    assert main(["hypotheses", "--germ", germ_file, "--n-max", HUGE,
+                 "--out", str(out)]) == 0
+    points = read_json(out / "hypotheses.json")["critical_points"]
+    assert [p["verdict"] for p in points] == ["ParabolicPetal(0)"]
+    assert main(["orbit", "--germ", germ_file, "--w0=-0.1,0", "--n-max", HUGE,
+                 "--out", str(out)]) == 0
+    assert read_json(out / "orbit.json")["verdict"] == "ParabolicPetal(0)"
 
 
 def test_slice_n_max_beyond_engine_limit_exits_2(tmp_path, capsys, germ_file):

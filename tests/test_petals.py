@@ -1,8 +1,13 @@
 import cmath
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,13 +198,11 @@ def test_orbit_radius_validation(golden):
 
 # -- single-orbit path against the grid engine --------------------------------
 
-# Starts that drive the cycle automaton through its rarer transitions, found
-# once by scanning radii on the golden rotation maps below (|w0| is near the
-# 1e-9 recurrence tolerance, so returns to an anchor come at irregular gaps):
-REANCHOR_BASIN_W0 = 6e-10      # slow rotation: re-anchors, then period-1 basin
-STALE_BASIN_W0 = 2e-8          # slow rotation: stale anchor, period-55 basin
-REANCHOR_UNDECIDED_W0 = 1e-9   # Siegel: re-anchors until n_max
-STALE_UNDECIDED_W0 = 1e-7      # Siegel: anchors go stale until n_max
+# Starts next to the fixed point 0 of the golden rotation maps below, where
+# the retired recurrence heuristic re-anchored and went stale at irregular
+# gaps (and read the slow rotation's fixed point from 2e-8 as "period 55"):
+SIEGEL_W0 = (1e-9, 1e-7)          # neutral: undecided until n_max
+SLOW_ROTATION_W0 = (6e-10, 2e-8)  # attracting: in the disk of 0 at once
 
 # n_max values on and next to the single path's block edges (64, 64 + 128)
 BLOCK_EDGE_N_MAX = (1, 2, 7, 63, 64, 65, 192)
@@ -222,11 +225,10 @@ def _differential_corpus(golden):
         "basin_period2": (cvm([-1, 0, 1]), 0, 1.0, [], 300, BASIN),
         "basin_period3": (cvm([-0.1226 + 0.7449j, 0, 1]), 0, 0.8, [], 300,
                           BASIN),
-        "siegel": (cvm([0, lam, 1], golden), 0, 0.3,
-                   [REANCHOR_UNDECIDED_W0, STALE_UNDECIDED_W0], 1000,
+        "siegel": (cvm([0, lam, 1], golden), 0, 0.3, list(SIEGEL_W0), 1000,
                    UNDECIDED),
         "slow_rotation": (cvm([0, 0.9999 * lam, 1], golden), 0, 0.3,
-                          [REANCHOR_BASIN_W0, STALE_BASIN_W0], 1900, BASIN),
+                          list(SLOW_ROTATION_W0), 1900, BASIN),
         "moving_fiber": (germ_from_coeffs(golden, [[0], [1], [1],
                                                    [0, 0.05]], 8, 3),
                          0.05, 0.5, [], 300, PETAL),
@@ -251,7 +253,8 @@ def test_single_orbit_path_matches_engine(golden, name):
     for n_max in BLOCK_EDGE_N_MAX + (n_big,):
         C = petals._coeff_matrix(F, z0, n_max)
         region = petals._petal_region(F, C)
-        eng = petals._run_engine(C, np.array(starts), n_max, region,
+        basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
+        eng = petals._run_engine(C, np.array(starts), n_max, region, basins,
                                  ESCAPE_RADIUS)
         kinds = set()
         for i, w0 in enumerate(starts):
@@ -259,13 +262,13 @@ def test_single_orbit_path_matches_engine(golden, name):
                     int(eng.period[i]))
             # the engine holding this start alone gives the same fields
             alone = petals._run_engine(C, np.array([w0]), n_max, region,
-                                       ESCAPE_RADIUS)
+                                       basins, ESCAPE_RADIUS)
             assert ([_bits(f) for f in alone]
                     == [_bits(f[i:i + 1]) for f in eng]), (name, n_max, w0)
-            stop = petals._run_single(C, w0, n_max, region, ESCAPE_RADIUS,
-                                      stop_at_verdict=True)
-            full = petals._run_single(C, w0, n_max, region, ESCAPE_RADIUS,
-                                      stop_at_verdict=False)
+            stop = petals._run_single(C, w0, n_max, region, basins,
+                                      ESCAPE_RADIUS, stop_at_verdict=True)
+            full = petals._run_single(C, w0, n_max, region, basins,
+                                      ESCAPE_RADIUS, stop_at_verdict=False)
             for got in (stop, full):
                 assert got[:4] == want, (name, n_max, w0)
             kind, n_stop, ws = stop[0], stop[2], stop[4]
@@ -374,11 +377,13 @@ def test_single_path_steps_bit_for_bit_as_among_others(golden):
     seen = set()
     for C, starts, region in _single_stepping_cases(golden):
         n_max = len(C) - 1
+        basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
         for w0 in starts:
             want_ws, want_dlogs = _stepped_among_others(C, w0, n_max)
             for stop_at_verdict in (True, False):
                 kind, _, n_stop, _, ws, dlogs = petals._run_single(
-                    C, w0, n_max, region, ESCAPE_RADIUS, stop_at_verdict)
+                    C, w0, n_max, region, basins, ESCAPE_RADIUS,
+                    stop_at_verdict)
                 cut = n_stop if stop_at_verdict else n_max
                 assert _bits(ws) == _bits(want_ws[:cut + 1]), (C[0], w0)
                 assert dlogs.tobytes() == want_dlogs[:cut].tobytes()
@@ -406,43 +411,66 @@ def _scripted_region(k, base, rho):
                           petals.PETAL_EPS)
 
 
+NO_BASINS = petals._basins([])
+
+
+def _scripted_basins():
+    """Basin disks for scripted orbits, whose schedules certify none, built
+    as _basins builds certified chains: D(0, 2^-11) is cycle 0 and
+    D(0.5, 2^-10) cycle 1 (keys ((0, 0),) and ((0.5, 0),))."""
+    return petals._basins([([0.5 + 0j], [2.0 ** -10]), ([0j], [2.0 ** -11])])
+
+
+# scripted points near the disks: inside, on a boundary (2^-11 and
+# 0.5 + 2^-10 are outside: the test is strict) and at the modulus of a
+# center but far from it (0.5j passes the moduli prefilter only)
+SCRIPTED_POOL = np.array([0, 6e-10, 2.0 ** -11, 0.5j, 0.5 + 2.0 ** -10,
+                          0.5 + 2.0 ** -11, 1.0])
+
+
+def _scripted_orbit(rng, n_max):
+    """(seq, region) of one scripted orbit: an orbit spiralling in toward
+    the petal region, or one drawn from SCRIPTED_POOL and fresh points,
+    with an escape at a random step every third draw or so."""
+    if rng.integers(0, 2):
+        region = _scripted_region(2, 0.3, 0.2)
+        mod = 0.5 * np.cumprod(rng.uniform(0.55, 1.08, n_max + 1))
+        ang = (0.3 + np.pi * rng.integers(0, 2, n_max + 1)
+               + rng.normal(0.0, 0.6, n_max + 1))
+        seq = mod * np.exp(1j * ang)
+    else:
+        region = None
+        # pool points are rare, so that entries come late as often as early
+        pick = rng.integers(0, 4 * len(SCRIPTED_POOL), n_max + 1)
+        seq = np.where(pick < len(SCRIPTED_POOL),
+                       SCRIPTED_POOL[np.minimum(pick, len(SCRIPTED_POOL) - 1)],
+                       10.0 + np.arange(n_max + 1))  # never near anything
+    if rng.integers(0, 3) == 0:
+        seq[rng.integers(1, n_max + 1)] = 2e6
+    return seq.astype(complex), region
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_single_orbit_path_matches_engine_on_scripted_orbits(monkeypatch,
-                                                             seed):
-    # Scripted orbits reach the automata's edge cases far more often than
-    # real maps: near-repeats that are not transitive (0 ~ 6e-10 ~ 1.2e-9),
-    # first gaps past a small period cap, stale anchors, late escapes, and
-    # orbits that pass the petal region's edges.
-    monkeypatch.setattr(petals, "WINDOW", 4)
-    monkeypatch.setattr(petals, "PERIOD_CAP", 6)
+def test_single_orbit_path_matches_engine_on_scripted_orbits(seed):
+    # Scripted orbits reach the rules' edge cases far more often than real
+    # maps: disk entries at any step, points on a disk's boundary or at its
+    # center's modulus, late escapes, and orbits that pass the petal
+    # region's edges.
     rng = np.random.default_rng([29, seed])
-    pool = np.array([0, 6e-10, 1.2e-9, 0.5, 1.0])
+    basins = _scripted_basins()
     for trial in range(40):
         n_max = int(rng.choice([40, 63, 64, 65, 130]))
-        if trial % 2:
-            region = _scripted_region(2, 0.3, 0.2)
-            mod = 0.5 * np.cumprod(rng.uniform(0.55, 1.08, n_max + 1))
-            ang = (0.3 + np.pi * rng.integers(0, 2, n_max + 1)
-                   + rng.normal(0.0, 0.6, n_max + 1))
-            seq = mod * np.exp(1j * ang)
-        else:
-            region = None
-            pick = rng.integers(0, len(pool) + 3, n_max + 1)
-            fresh = 10.0 + np.arange(n_max + 1)  # never near anything
-            seq = np.where(pick < len(pool),
-                           pool[np.minimum(pick, len(pool) - 1)], fresh)
-        if trial % 3 == 0:
-            seq[rng.integers(1, n_max + 1)] = 2e6
-        seq = seq.astype(complex)
+        seq, region = _scripted_orbit(rng, n_max)
         C = _schedule_for(seq)
-        eng = petals._run_engine(C, seq[:1], n_max, region, ESCAPE_RADIUS)
+        eng = petals._run_engine(C, seq[:1], n_max, region, basins,
+                                 ESCAPE_RADIUS)
         want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
                 int(eng.period[0]))
         # both paths call the same step rules, so the plain-Python walks
         # are the oracle of the rules themselves
-        assert _reference_verdict(seq, region) == want, (seed, trial)
+        assert _reference_verdict(seq, region, basins) == want, (seed, trial)
         for stop_at_verdict in (True, False):
-            got = petals._run_single(C, seq[0], n_max, region,
+            got = petals._run_single(C, seq[0], n_max, region, basins,
                                      ESCAPE_RADIUS, stop_at_verdict)
             assert got[:4] == want, (seed, trial)
             assert _bits(got[4]) == _bits(seq[:len(got[4])])
@@ -453,60 +481,63 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(monkeypatch,
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_single_orbit_path_reads_in_chunks_as_in_one(monkeypatch, chunk):
     # the verdict scans and the derivative logs a few steps at a time:
-    # scripted orbits (escapes, petal entries, catches, re-anchors and stale
-    # drops on every chunk edge) give the plain-Python walks' fields, their
-    # own trajectory and a derivative log for each step taken (-inf: the
-    # scripted maps are constant in w)
-    monkeypatch.setattr(petals, "WINDOW", 4)
-    monkeypatch.setattr(petals, "PERIOD_CAP", 6)
+    # scripted orbits (escapes, petal entries and disk entries on every
+    # chunk edge) give the plain-Python walks' fields, their own trajectory
+    # and a derivative log for each step taken (-inf: the scripted maps are
+    # constant in w)
     monkeypatch.setattr(petals, "_CHUNK", chunk)
     rng = np.random.default_rng([37, chunk])
-    pool = np.array([0, 6e-10, 1.2e-9, 0.5, 1.0])
+    basins = _scripted_basins()
     for trial in range(60):
         n_max = int(rng.choice([40, 63, 64, 65, 130]))
-        if trial % 2:
-            region = _scripted_region(2, 0.3, 0.2)
-            mod = 0.5 * np.cumprod(rng.uniform(0.55, 1.08, n_max + 1))
-            ang = (0.3 + np.pi * rng.integers(0, 2, n_max + 1)
-                   + rng.normal(0.0, 0.6, n_max + 1))
-            seq = mod * np.exp(1j * ang)
-        else:
-            region = None
-            pick = rng.integers(0, len(pool) + 3, n_max + 1)
-            seq = np.where(pick < len(pool),
-                           pool[np.minimum(pick, len(pool) - 1)],
-                           10.0 + np.arange(n_max + 1))
-        if trial % 3 == 0:
-            seq[rng.integers(1, n_max + 1)] = 2e6
-        seq = seq.astype(complex)
+        seq, region = _scripted_orbit(rng, n_max)
         C = _schedule_for(seq)
-        want = _reference_verdict(seq, region)
+        want = _reference_verdict(seq, region, basins)
         for stop_at_verdict in (True, False):
-            got = petals._run_single(C, seq[0], n_max, region, ESCAPE_RADIUS,
-                                     stop_at_verdict)
+            got = petals._run_single(C, seq[0], n_max, region, basins,
+                                     ESCAPE_RADIUS, stop_at_verdict)
             assert got[:4] == want, (chunk, trial)
             ws = got[4]
             assert _bits(ws) == _bits(seq[:len(ws)])
             assert got[5].tobytes() == np.full(len(ws) - 1, -np.inf).tobytes()
 
 
-def _cycle_walk(ws):
-    """The engine's cycle automaton for one point, step by step in plain
-    Python: ((n, period) of the confirmation or None, transition counts).
-    Anchors, recurrences and stale drops are the steps that change its
-    state."""
-    tol, cap, window = petals.CYCLE_TOL, petals.PERIOD_CAP, petals.WINDOW
+def _disk_walk(ws, basins):
+    """The basin rule for one point, step by step in plain Python and read
+    from each cycle's points and radii: (n, cycle id, period) of the first
+    step n with (re^2 + im^2) of w_n - z_i below r_i^2, or None."""
+    for n, w in enumerate(ws.tolist()):
+        for c, (_, pts, radii) in enumerate(basins.cycles):
+            for z, r in zip(pts, radii):
+                d = w - z
+                if d.real * d.real + d.imag * d.imag < r * r:
+                    return n, c, len(pts)
+    return None
+
+
+# the retired cycle heuristic: Floyd catches within RETIRED_TOL confirmed by
+# recurrence for RETIRED_WINDOW steps, periods up to petals.PERIOD_CAP
+RETIRED_WINDOW, RETIRED_TOL = 50, 1e-9
+
+
+def _cycle_walk(ws, seen=None):
+    """The retired cycle heuristic for one point, step by step in plain
+    Python: (n, -1, period) of its confirmation, or None.  A dict seen
+    counts its transitions up to the confirmation: anchors, recurrences,
+    re-anchors and stale drops."""
+    cap = petals.PERIOD_CAP
     pts = ws.tolist()
     anchored, anchor, anchor_step, last_hit, period = False, 0j, 0, 0, 0
-    seen = {"anchor": 0, "recur": 0, "reanchor": 0, "stale": 0}
+    seen = {} if seen is None else seen
+    seen.update(anchor=0, recur=0, reanchor=0, stale=0)
     for n in range(2, len(pts)):
         w = pts[n]
-        if not anchored and abs(w - pts[n // 2]) < tol:
+        if not anchored and abs(w - pts[n // 2]) < RETIRED_TOL:
             anchored, anchor, anchor_step, last_hit, period = True, w, n, n, 0
             seen["anchor"] += 1
         if not anchored:
             continue
-        near = abs(w - anchor) < tol
+        near = abs(w - anchor) < RETIRED_TOL
         if near and last_hit != n:
             seen["recur"] += 1
             gap = n - last_hit
@@ -519,12 +550,12 @@ def _cycle_walk(ws):
                 seen["reanchor"] += 1
             if anchored:
                 last_hit = n
-        if anchored and near and period > 0 and n - anchor_step >= window:
-            return (n, period), seen
+        if anchored and near and period > 0 and n - anchor_step >= RETIRED_WINDOW:
+            return n, -1, period
         if anchored and n - last_hit > cap:
             anchored = False
             seen["stale"] += 1
-    return None, seen
+    return None
 
 
 def _region_walk(ws, region):
@@ -573,43 +604,46 @@ def _streak_walk(ws, k, base):
     return None, runs
 
 
-def _reference_verdict(ws, region, petal=None):
+def _reference_verdict(ws, region, basins, petal=None, basin=None):
     """(kind, index, n_stop, period) of one orbit from plain-Python walks of
-    the rules, taken in the engine's check order within a step; petal
-    replaces the region walk's (n, direction) when given."""
+    the rules, taken in the engine's check order within a step; petal and
+    basin replace the region walk's (n, direction) and the disk walk's (n,
+    cycle id, period) when given."""
     found = [(int(n), ESCAPE, -1, 0)
              for n in np.flatnonzero(~(np.abs(ws) <= ESCAPE_RADIUS))[:1]]
     if petal is None and region is not None:
         petal = _region_walk(ws, region)
     if petal is not None:
         found.append((petal[0], PETAL, petal[1], 0))
-    cycle = _cycle_walk(ws)[0]
-    if cycle is not None:
-        found.append((cycle[0], BASIN, -1, cycle[1]))
+    if basin is None:
+        basin = _disk_walk(ws, basins)
+    if basin is not None:
+        found.append((basin[0], BASIN, basin[1], basin[2]))
     n, kind, index, period = min(found, default=(len(ws) - 1, UNDECIDED, -1, 0))
     return kind, index, n, period
 
 
-def _paths_agree(seq, region):
+def _paths_agree(seq, region, basins=NO_BASINS):
     """The engine, the single path (both stop modes) and the plain-Python
     walks give the same fields on seq and on its prefixes at the block-edge
     n_max values; returns the fields on the whole of seq."""
     C = _schedule_for(seq)
     edges = BLOCK_EDGE_N_MAX + CAPPED_EDGE_N_MAX
     for n_max in [n for n in edges if n < len(seq) - 1] + [len(seq) - 1]:
-        eng = petals._run_engine(C, seq[:1], n_max, region, ESCAPE_RADIUS)
+        eng = petals._run_engine(C, seq[:1], n_max, region, basins,
+                                 ESCAPE_RADIUS)
         want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
                 int(eng.period[0]))
-        assert _reference_verdict(seq[:n_max + 1], region) == want, n_max
+        assert _reference_verdict(seq[:n_max + 1], region, basins) == want, n_max
         for stop_at_verdict in (True, False):
-            got = petals._run_single(C, seq[0], n_max, region, ESCAPE_RADIUS,
-                                     stop_at_verdict)
+            got = petals._run_single(C, seq[0], n_max, region, basins,
+                                     ESCAPE_RADIUS, stop_at_verdict)
             assert got[:4] == want, (n_max, stop_at_verdict)
     return want
 
 
 def _fresh(top: int) -> np.ndarray:
-    """10 + n at step n: no petal step and no tortoise catch."""
+    """10 + n at step n: no petal step and no disk entry."""
     return (10.0 + np.arange(top + 1)).astype(complex)
 
 
@@ -668,8 +702,8 @@ def test_petal_runs_on_exact_moduli(mods, sign, want):
 
 def test_petal_runs_before_a_hit_are_each_read_once(monkeypatch):
     # stopping at the verdict, the single path reads each block's new steps
-    # once (64, then 128, then 256 of them) and carries the cycle automaton
-    # over; the entry at step 300 lies in the third block
+    # once (64, then 128, then 256 of them); the entry at step 300 lies in
+    # the third block
     seq = _fresh(1000)
     seq[300] = 0.1 * cmath.exp(0.3j)
     region = _scripted_region(2, 0.3, 0.36)
@@ -682,45 +716,44 @@ def test_petal_runs_before_a_hit_are_each_read_once(monkeypatch):
 
     monkeypatch.setattr(petals, "_petal_hits", counted)
     got = petals._run_single(_schedule_for(seq), seq[0], 1000, region,
-                             ESCAPE_RADIUS, True)
+                             NO_BASINS, ESCAPE_RADIUS, True)
     assert got[:4] == (PETAL, 0, 300, 0)
     assert calls == [64, 128, 256]
 
 
 @pytest.mark.parametrize("catch", [2, 7, 63, 64, 65, 192, 960, 1984])
-def test_catches_at_trajectory_and_block_edges(monkeypatch, catch):
-    # a catch on the trajectory's last step, at the single path's block
-    # edges, and a confirmation WINDOW steps later on the last step
-    monkeypatch.setattr(petals, "WINDOW", 4)
-    monkeypatch.setattr(petals, "PERIOD_CAP", 6)
-    for top, recur, want in ((catch, 0, (UNDECIDED, -1, catch, 0)),
-                             (catch + 3, 0, (UNDECIDED, -1, catch + 3, 0)),
-                             (catch + 4, 4, (BASIN, -1, catch + 4, 1))):
+def test_catches_at_trajectory_and_block_edges(catch):
+    # a disk catches the orbit on the trajectory's last step, at the single
+    # path's block edges, and three steps before the last step; a point on
+    # the disk's boundary is not caught
+    basins = _scripted_basins()
+    inside = 0.5 + 2.0 ** -10 * (1 - 2.0 ** -20)
+    for top in (catch, catch + 3):
         seq = _fresh(top)
-        seq[catch:catch + 1 + recur] = seq[catch // 2]
-        assert _paths_agree(seq, None) == want
+        seq[catch] = 0.5 + 2.0 ** -10
+        assert _paths_agree(seq, None, basins) == (UNDECIDED, -1, top, 0)
+        seq[catch] = inside
+        assert _paths_agree(seq, None, basins) == (BASIN, 1, catch, 1)
 
 
 @pytest.mark.parametrize("recatch", [10, 63, 64, 65, 192, 960])
 @pytest.mark.parametrize("caught_at_drop", [False, True])
-def test_recatch_right_after_a_stale_drop(monkeypatch, recatch,
-                                          caught_at_drop):
-    # an anchor with no recurrence goes stale at the end of step c + 7
-    # (PERIOD_CAP = 6); a catch on that step is ignored, as the point is
-    # still anchored, and the catch on the next step anchors again
-    monkeypatch.setattr(petals, "WINDOW", 4)
-    monkeypatch.setattr(petals, "PERIOD_CAP", 6)
-    c = recatch - 8
+def test_recatch_right_after_a_stale_drop(recatch, caught_at_drop):
+    # 0.5j and 0.5 + 2^-10 lie in the moduli band of D(0.5, 2^-10): the
+    # prefilter picks them as candidates and the exact test drops them.
+    # A candidate dropped eight steps before the entry, and with
+    # caught_at_drop one on the step right before it (on the disk's
+    # boundary), leaves the orbit undecided; the entry after the drop
+    # settles it at its own step, on and next to the block edges
+    basins = _scripted_basins()
     seq = _fresh(recatch + 10)
-    seq[c] = seq[c // 2]
+    seq[recatch - 8] = 0.5j
     if caught_at_drop:
-        seq[c + 7] = seq[(c + 7) // 2]
-    seq[recatch:recatch + 5] = seq[recatch // 2]
-    # the first anchor and its drop are real: stopped before the re-catch,
-    # the orbit is undecided
-    assert _paths_agree(seq[:recatch], None)[0] == UNDECIDED
-    assert _cycle_walk(seq[:recatch])[1]["stale"] == 1
-    assert _paths_agree(seq, None) == (BASIN, -1, recatch + 4, 1)
+        seq[recatch - 1] = 0.5 + 2.0 ** -10
+    assert (_paths_agree(seq[:recatch], None, basins)
+            == (UNDECIDED, -1, recatch - 1, 0))
+    seq[recatch] = 0.5 + 2.0 ** -11
+    assert _paths_agree(seq, None, basins) == (BASIN, 1, recatch, 1)
 
 
 def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
@@ -733,6 +766,7 @@ def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
     w0, n_max = 0.1 * cmath.exp(1j * (math.pi / 3 - 0.01)), 10 ** 4
     C = petals._coeff_matrix(g, 0, n_max)
     region = petals._petal_region(g, C)
+    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
     calls = []
     hits = petals._petal_hits
 
@@ -743,7 +777,7 @@ def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
     monkeypatch.setattr(petals, "_petal_hits", counted)
     for stop_at_verdict in (True, False):
         calls.clear()
-        got = petals._run_single(C, w0, n_max, region, ESCAPE_RADIUS,
+        got = petals._run_single(C, w0, n_max, region, basins, ESCAPE_RADIUS,
                                  stop_at_verdict)
         ws = got[4]
         hit = _region_walk(ws, region)
@@ -752,59 +786,135 @@ def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
         assert calls == [64, 128, 256]
 
 
+def test_single_path_evaluates_the_disk_rule_once_per_block(monkeypatch):
+    # 0.99 w + w^2 from 0.005 enters the disk of its attracting fixed point
+    # 0 in the third block: in both stop modes the single path reads each
+    # block's new steps in one call of the basin rule (65 with step 0, then
+    # 128, then 256), never once per step, and reads nothing after the
+    # entry, also when it goes on stepping
+    g = sd.ConstantVerticalMap([0, 0.99, 1])
+    n_max = 10 ** 4
+    C = petals._coeff_matrix(g, 0, n_max)
+    basins = petals._basin_disks(C, None, ESCAPE_RADIUS)
+    assert [c[0] for c in basins.cycles] == [((0.0, 0.0),)]
+    calls = []
+    hits = petals._basin_hits
+
+    def counted(w, *args):
+        calls.append(len(w))
+        return hits(w, *args)
+
+    monkeypatch.setattr(petals, "_basin_hits", counted)
+    for stop_at_verdict in (True, False):
+        calls.clear()
+        got = petals._run_single(C, 0.005, n_max, None, basins, ESCAPE_RADIUS,
+                                 stop_at_verdict)
+        n, cid, period = _disk_walk(got[4], basins)
+        assert got[:4] == (BASIN, cid, n, period)
+        assert (cid, period) == (0, 1) and 192 < n <= 448
+        assert calls == [65, 128, 256]
+
+
 @pytest.mark.parametrize("which,w0", [
-    ("siegel", REANCHOR_UNDECIDED_W0), ("siegel", STALE_UNDECIDED_W0),
-    ("slow_rotation", REANCHOR_BASIN_W0), ("slow_rotation", STALE_BASIN_W0)])
+    ("siegel", SIEGEL_W0[0]), ("siegel", SIEGEL_W0[1]),
+    ("slow_rotation", SLOW_ROTATION_W0[0]),
+    ("slow_rotation", SLOW_ROTATION_W0[1])])
 def test_single_path_steps_the_cycle_automaton_only_on_events(
         golden, monkeypatch, which, w0):
-    # the cycle rule is called on the steps that change the automaton's
-    # state (an anchor, a recurrence, a stale drop), never on the steps
-    # between them
+    # the pinned starts on which the retired cycle automaton stepped at
+    # irregular events: the basin rule that replaces it is read once per
+    # block, on the block's new steps.  The slow rotation's starts lie in
+    # the disk of 0 and settle on the first block's read (65 steps with
+    # step 0), and nothing is read after it, also when the orbit goes on
+    # stepping; the Siegel map certifies no cycle, so its 3000 undecided
+    # steps never call the rule
     F = _differential_corpus(golden)[which][0]
-    orb = sd.iterate_orbit(F, 0, w0, 3000, stop_at_verdict=False)
+    n_max = 3000
+    C = petals._coeff_matrix(F, 0, n_max)
+    basins = petals._basin_disks(C, petals._petal_region(F, C), ESCAPE_RADIUS)
     calls = []
-    step = petals._State._cycle_step
+    hits = petals._basin_hits
 
-    def counted(self, n, *args):
-        calls.append(n)
-        return step(self, n, *args)
+    def counted(w, *args):
+        calls.append(len(w))
+        return hits(w, *args)
 
-    monkeypatch.setattr(petals._State, "_cycle_step", counted)
-    got = petals._first_verdict(orb.ws, None, ESCAPE_RADIUS, 0,
-                                petals._State(orb.ws[:1]))
-    confirmed, seen = _cycle_walk(orb.ws)
-    want = None if confirmed is None else (confirmed[0], BASIN, -1,
-                                           confirmed[1])
-    assert got == want
-    assert len(calls) == seen["anchor"] + seen["recur"] + seen["stale"]
-    assert calls == sorted(set(calls))
-    # stopping at the verdict, the blocks carry the automaton over: no
-    # event is stepped twice
-    calls.clear()
-    stop = sd.iterate_orbit(F, 0, w0, 3000)
-    seen = _cycle_walk(orb.ws[:stop.n_stop + 1])[1]
-    assert len(calls) == seen["anchor"] + seen["recur"] + seen["stale"]
-    assert calls == sorted(set(calls))
+    monkeypatch.setattr(petals, "_basin_hits", counted)
+    for stop_at_verdict in (True, False):
+        calls.clear()
+        got = petals._run_single(C, w0, n_max, None, basins, ESCAPE_RADIUS,
+                                 stop_at_verdict)
+        if which == "siegel":
+            assert basins.cycles == []
+            assert got[:4] == (UNDECIDED, -1, n_max, 0) and calls == []
+        else:
+            n, cid, period = _disk_walk(got[4], basins)
+            assert got[:4] == (BASIN, cid, n, period) == (BASIN, 0, 0, 1)
+            assert calls == [65]
 
 
 @pytest.mark.parametrize("which,w0,n_max,transition,confirmed", [
-    ("slow_rotation", REANCHOR_BASIN_W0, 3000, "reanchor", (1870, 1)),
-    ("slow_rotation", STALE_BASIN_W0, 3000, "stale", (342, 55)),
-    ("siegel", REANCHOR_UNDECIDED_W0, 1000, "reanchor", None),
-    ("siegel", STALE_UNDECIDED_W0, 1000, "stale", None),
+    ("slow_rotation", SLOW_ROTATION_W0[0], 3000, "reanchor", (1870, 1)),
+    ("slow_rotation", SLOW_ROTATION_W0[1], 3000, "stale", (342, 55)),
+    ("siegel", SIEGEL_W0[0], 1000, "reanchor", None),
+    ("siegel", SIEGEL_W0[1], 1000, "stale", None),
 ])
 def test_pinned_starts_take_rare_cycle_transitions(golden, which, w0, n_max,
                                                    transition, confirmed):
+    # on these starts the retired cycle heuristic took its rare
+    # transitions (re-anchors, stale anchors) and confirmed the slow
+    # rotation's fixed point late, from 2e-8 as "period 55"; the certified
+    # disks settle both slow-rotation starts at step 0 as the period-1
+    # basin of 0 and leave both Siegel starts undecided
     F = _differential_corpus(golden)[which][0]
-    orb = sd.iterate_orbit(F, 0, w0, n_max)
-    got, seen = _cycle_walk(orb.ws)
+    orb = sd.iterate_orbit(F, 0, w0, n_max, stop_at_verdict=False)
+    seen = {}
+    retired = _cycle_walk(orb.ws, seen)
     assert seen[transition] > 0
-    assert got == confirmed
+    assert (None if retired is None else retired[::2]) == confirmed
     if confirmed is None:
         assert orb.verdict.kind == UNDECIDED and orb.n_stop == n_max
     else:
-        assert orb.verdict.kind == BASIN
-        assert (orb.n_stop, orb.cycle_period) == confirmed
+        assert orb.verdict == sd.Verdict(BASIN, 0)
+        assert (orb.n_stop, orb.cycle_period) == (0, 1)
+        assert abs(orb.cycle_representative) < 1e-15
+
+
+@pytest.mark.parametrize("w0", [2e-8, 6e-10, 1e-3, 0.05])
+def test_slow_rotation_starts_settle_in_the_disk_of_0(golden, w0):
+    # the only attracting cycle of 0.9999 lam w + w^2 near 0 is the fixed
+    # point 0, multiplier modulus 0.9999; the retired heuristic read the
+    # start 2e-8 as "period 55" (from a point 1.9e-8 off 0) and left 1e-3
+    # and 0.05 undecided, though their orbits end 2e-12 and 1e-10 from 0
+    F = _differential_corpus(golden)["slow_rotation"][0]
+    orb = sd.iterate_orbit(F, 0, w0, 2 * 10 ** 5)
+    assert orb.verdict == sd.Verdict(BASIN, 0) and orb.stop_reason == "cycle"
+    assert orb.cycle_period == 1 and abs(orb.cycle_representative) < 1e-15
+    assert orb.n_stop < 2 * 10 ** 5
+    assert (orb.n_stop == 0) == (w0 < 1e-4)
+
+
+def test_constant_map_settles_at_its_value_in_one_step():
+    # g = 0.5 takes every start to 0.5 in one step, on both paths; a start
+    # already in the disk of 0.5 settles at step 0
+    F = sd.ConstantVerticalMap([0.5])
+    g = sd.fatou_slice(F, 0, (-1, 1, -1, 1, 4), n_max=50)
+    assert g.cycles == [((0.5, 0.0),)]
+    assert np.all(g.code == CODE_BASIN_BASE) and np.all(g.n_stop == 1)
+    orb = sd.iterate_orbit(F, 0, -0.25, 50)
+    assert (orb.verdict, orb.n_stop) == (sd.Verdict(BASIN, 0), 1)
+    assert (orb.cycle_period, orb.cycle_representative) == (1, 0.5)
+    assert sd.iterate_orbit(F, 0, 0.5 + 1e-4j, 50).n_stop == 0
+
+
+def test_identity_map_is_undecided():
+    # every point is a neutral fixed point: no cycle attracts, none is
+    # certified, and no point settles
+    F = sd.ConstantVerticalMap([0, 1])
+    g = sd.fatou_slice(F, 0, (-1, 1, -1, 1, 5), n_max=200)
+    assert g.cycles == [] and np.all(g.code == petals.CODE_UNDECIDED)
+    orb = sd.iterate_orbit(F, 0, 0.3, 200)
+    assert orb.verdict.kind == UNDECIDED and orb.n_stop == 200
 
 
 def test_single_orbit_path_emits_no_warnings():
@@ -1164,16 +1274,18 @@ def test_engine_trims_zero_top_degrees_exactly(golden, fiber, z0):
     region = petals._petal_region(F, C)
     assert not C[:, -1].any()
     padded = np.hstack([C, np.zeros((n_max + 1, 3), dtype=complex)])
+    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
+    assert petals._basin_disks(padded, region, ESCAPE_RADIUS) == basins
     axis = np.linspace(-span, span, 24)
     w0 = (axis[np.newaxis, :] + 1j * axis[:, np.newaxis]).ravel()
-    a = petals._run_engine(C, w0, n_max, region, ESCAPE_RADIUS)
-    b = petals._run_engine(padded, w0, n_max, region, ESCAPE_RADIUS)
+    a = petals._run_engine(C, w0, n_max, region, basins, ESCAPE_RADIUS)
+    b = petals._run_engine(padded, w0, n_max, region, basins, ESCAPE_RADIUS)
     for x, y in zip(a, b):
         assert _bits(x) == _bits(y)
     assert len(set(a.kind.tolist())) >= 2
     # against the untrimmed single-orbit stepping
     for i in range(0, len(w0), 23):
-        got = petals._run_single(padded, w0[i], n_max, region,
+        got = petals._run_single(padded, w0[i], n_max, region, basins,
                                  ESCAPE_RADIUS, True)
         assert got[:4] == (a.kind[i], a.index[i], a.n_stop[i], a.period[i])
         if a.kind[i] != UNDECIDED:
@@ -1188,14 +1300,16 @@ def test_engine_compacted_to_one_survivor_steps_as_before():
     w0, n_max = -1.079283 + 0.241198j, 3000
     C = petals._coeff_matrix(F, 0, n_max)
     region = petals._petal_region(F, C)
+    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
     crowd = petals._run_engine(C, np.array([w0] + [50.0] * 299), n_max,
-                               region, ESCAPE_RADIUS)
+                               region, basins, ESCAPE_RADIUS)
     assert np.all(crowd.n_stop[1:] < 7)
     assert crowd.kind[0] == ESCAPE and crowd.n_stop[0] > 1000
-    pair = petals._run_engine(C, np.array([w0, w0]), n_max, region,
+    pair = petals._run_engine(C, np.array([w0, w0]), n_max, region, basins,
                               ESCAPE_RADIUS)
     assert [_bits(f[:1]) for f in crowd] == [_bits(f[:1]) for f in pair]
-    got = petals._run_single(C, w0, n_max, region, ESCAPE_RADIUS, True)
+    got = petals._run_single(C, w0, n_max, region, basins, ESCAPE_RADIUS,
+                             True)
     assert got[:4] == (crowd.kind[0], crowd.index[0], crowd.n_stop[0],
                        crowd.period[0])
 
@@ -1312,7 +1426,7 @@ def test_engine_memory_budget_per_point(golden):
     tracemalloc.start()
     try:
         r = petals._run_engine(C, w0, 200, petals._petal_region(F, C),
-                               ESCAPE_RADIUS)
+                               NO_BASINS, ESCAPE_RADIUS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1321,68 +1435,37 @@ def test_engine_memory_budget_per_point(golden):
 
 
 def _per_pixel_slice(F, z0, grid, n_max):
-    """(code, cycles) of fatou_slice keyed pixel by pixel in plain Python:
-    each basin pixel's cycle points are stepped on Python complexes by
-    Horner over its own rows, each coordinate keyed as round(x * 1e4) (half
-    to even), and ids ranked by sorted key.  Keys split by a rounding tie
-    are joined: where the first pixel with a key has a raw coordinate within
-    1e-4 key units of a tie, the key with that one coordinate rounded the
-    other way names the same cycle, if some pixel has it; every group of
-    joined keys takes its smallest."""
+    """(code, cycles) of fatou_slice named pixel by pixel in plain Python:
+    the engine's escape and petal verdicts; each basin pixel named by the
+    certified disk that holds its verdict state, read from each cycle's
+    points and radii; ids ranked by the cycles' keys, each polished point's
+    coordinates keyed as round(x * 1e4) (half to even) and sorted."""
     re0, re1, im0, im1, res = grid
     re, im = np.linspace(re0, re1, res), np.linspace(im0, im1, res)
     C = petals._coeff_matrix(F, z0, n_max)
+    region = petals._petal_region(F, C)
+    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
     r = petals._run_engine(C, (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel(),
-                           n_max, petals._petal_region(F, C), ESCAPE_RADIUS)
+                           n_max, region, basins, ESCAPE_RADIUS)
     code = np.zeros(res * res, dtype=np.int32)
     code[r.kind == ESCAPE] = CODE_ESCAPE
     pm = r.kind == PETAL
     code[pm] = petals.CODE_PETAL_BASE + r.index[pm]
-    rows = C.tolist()
 
-    def cycle(w, start, p):
-        pts = [w]
-        for i in range(p - 1):
-            row = rows[min(start + i, len(rows) - 1)]
-            acc = row[-1]
-            for c in row[-2::-1]:
-                acc = acc * pts[-1] + c
-            pts.append(acc)
-        return pts
+    def key(pts):
+        return tuple(sorted((round(z.real * 1e4) / 1e4, round(z.imag * 1e4) / 1e4)
+                            for z in pts))
 
-    def keys(pts):
-        """The key of pts, then one key per coordinate within 1e-4 key
-        units of a tie, with that coordinate rounded the other way."""
-        ts = [t for x in pts for t in (x.real * 1e4, x.imag * 1e4)]
-        base = [round(t) for t in ts]
-        variants = [base]
-        for c, t in enumerate(ts):
-            if abs(t - math.floor(t) - 0.5) <= 1e-4:
-                variants.append(base[:c] + [2 * math.floor(t) + 1 - base[c]]
-                                + base[c + 1:])
-        return [tuple(sorted(zip([k / 1e4 for k in v[0::2]],
-                                 [k / 1e4 for k in v[1::2]])))
-                for v in variants]
-
-    cycles = {i: cycle(complex(r.w_verdict[i]), int(r.n_stop[i]), int(r.period[i]))
-              for i in np.flatnonzero(r.kind == BASIN).tolist()}
-    around = {i: keys(pts) for i, pts in cycles.items()}
-    key = {i: ks[0] for i, ks in around.items()}
-    first = {}
-    for i, k in key.items():  # pixels in ascending order
-        first.setdefault(k, i)
-    joined = {k: {k} for k in first}
-    for k, i in first.items():
-        for o in around[i][1:]:
-            if o in joined and joined[o] is not joined[k]:
-                group = joined[k] | joined[o]
-                for m in group:
-                    joined[m] = group
-    name = {k: min(group) for k, group in joined.items()}
-    ordered = sorted(set(name.values()))
-    for i, k in key.items():
-        code[i] = CODE_BASIN_BASE + ordered.index(name[k])
-    return code.reshape(res, res), ordered
+    named = sorted(((key(pts), pts, radii) for _, pts, radii in basins.cycles),
+                   key=lambda c: c[0])
+    for i in np.flatnonzero(r.kind == BASIN).tolist():
+        w = complex(r.w_verdict[i])
+        held = [c for c, (_, pts, radii) in enumerate(named)
+                for z, s in zip(pts, radii)
+                if (w - z).real ** 2 + (w - z).imag ** 2 < s * s]
+        assert len(held) == 1, (i, w, held)
+        code[i] = CODE_BASIN_BASE + held[0]
+    return code.reshape(res, res), [c[0] for c in named]
 
 
 def _bench_shaped_slices(golden, seed):
@@ -1414,35 +1497,14 @@ def test_grouped_cycle_keys_match_per_pixel_reference(golden, seed):
     assert basins[1] > 100 and basins[3] > 100  # the two period-2 basins
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 5])
-def test_scaled_cycle_keys_follow_each_points_own_rows(p):
-    # rows that differ at every step, starts up to past the schedule's end;
-    # the array stepping equals a per-point loop on one-element arrays
-    rng = np.random.default_rng(p)
-    C = 0.4 * (rng.standard_normal((40, 4))
-               + 1j * rng.standard_normal((40, 4)))
-    w = 0.5 * (rng.standard_normal(300) + 1j * rng.standard_normal(300))
-    start = rng.integers(0, 45, 300)
-    pts = petals._cycle_points(C, w, start, p)
-    assert pts.shape == (300, p)
-    # a point alone in its array steps as it does among the others
-    assert _bits(petals._cycle_points(C, w[:1], start[:1], p)) == _bits(pts[:1])
-    for i in range(300):
-        want = [w[i:i + 1]]
-        for j in range(p - 1):
-            want.append(petals._horner(C[min(start[i] + j, 39)], want[-1]))
-        assert np.array_equal(pts[i], np.concatenate(want))
-
-
 def test_cycle_keys_round_half_to_even_with_positive_zeros():
     # x 10^4 is exactly 2.5, -2.5, 0.5 and 1234.5 for these doubles: rint
     # takes the even neighbor, where round(x, 4) rounds the true decimal
     # (0.12345 is a little above its tie); -0 keys read as 0
-    pts = np.array([[0.12345 - 0.5e-9j, 2.5e-4 - 2.5e-4j, -0.5e-4 + 0.5e-4j]])
-    keys, order = petals._cycle_keys(pts)
-    assert order.tolist() == [[2, 1, 0]]
-    assert keys.tolist() == [[0.0, 2.0, 1234.0, 0.0, -2.0, 0.0]]
-    assert all(math.copysign(1.0, x) == 1.0 for x in keys.ravel() if x == 0)
+    key = petals._cycle_key([0.12345 - 0.5e-9j, 2.5e-4 - 2.5e-4j,
+                             -0.5e-4 + 0.5e-4j])
+    assert key == ((0.0, 0.0), (0.0002, -0.0002), (0.1234, 0.0))
+    assert all(math.copysign(1.0, x) == 1.0 for pt in key for x in pt if x == 0)
     # g(w) = p + (w - p) / 2 attracts every start to p
     p = 0.12345 - 0.5e-9j
     F = sd.ConstantVerticalMap([0.5 * p, 0.5])
@@ -1470,14 +1532,13 @@ def test_slice_on_a_rounding_tie_matches_per_pixel_reference():
 
 
 def test_ties_in_both_coordinates_match_per_pixel_reference():
-    # the identity map fixes every pixel.  The grid's first column and
-    # first row sit on ties, so the first pixel has two coordinates at a
-    # tie; only rounding its real part the other way names a key that some
-    # pixel has (all rows key as -0.1234), and the grid is one cell.
-    # Rounding both coordinates at once would find no such key
-    h = 6.7e-6
-    grid = (0.12345, 0.12345 + 11 * h, -0.12345, -0.12345 + 11 * h, 12)
-    F = sd.ConstantVerticalMap([0, 1])
+    # g(w) = p + (w - p) / 2 attracts every start to p, and both
+    # coordinates of p sit on a 4-decimal tie (x 10^4 is exactly 1234.5
+    # and -1234.5): both key to the even neighbor, as the plain-Python
+    # reference keys them, and the grid is one cell
+    p = 0.12345 - 0.12345j
+    F = sd.ConstantVerticalMap([0.5 * p, 0.5])
+    grid = (p.real - 0.1, p.real + 0.1, p.imag - 0.1, p.imag + 0.1, 12)
     code, cycles = _per_pixel_slice(F, 0.0, grid, 400)
     g = sd.fatou_slice(F, 0.0, grid, n_max=400)
     assert np.array_equal(g.code, code) and g.cycles == cycles
@@ -1488,31 +1549,37 @@ def test_ties_in_both_coordinates_match_per_pixel_reference():
 @pytest.mark.parametrize("m", [0.5, 0.99])
 def test_fixed_point_on_a_rounding_tie_is_one_cycle(m):
     # g(w) = p + m (w - p); p's real part sits between the keys -1 and -0
-    # (x 10^4 = -0.5): pixels that settle from either side key it
-    # differently, and the two keys are merged into the smaller, also under
-    # the weak contraction m = 0.99
+    # (x 10^4 = -0.5): pixels settle on both sides of the tie, yet the
+    # cycle is named once, by the key of its polished point, also under
+    # the weak contraction m = 0.99; a single orbit names it alike
     p = -0.00005 - 0.00004j
     F = sd.ConstantVerticalMap([(1 - m) * p, m])
     g = sd.fatou_slice(F, 0.0, (p.real - 0.1, p.real + 0.1, -0.1, 0.1, 5),
                        n_max=5000)
     assert np.unique(g.code).tolist() == [CODE_BASIN_BASE]
-    assert g.cycles == [((-0.0001, 0.0),)]
+    rep = sd.iterate_orbit(F, 0, 0.05, 5000).cycle_representative
+    assert abs(rep - p) < 1e-15
+    assert g.cycles == [((round(rep.real * 1e4) / 1e4,
+                          round(rep.imag * 1e4) / 1e4),)]
+    assert g.cycles[0] in (((-0.0001, 0.0),), ((0.0, 0.0),))
 
 
 @pytest.mark.parametrize("x0, cells", [(0.01, 21), (0.12345, 22)])
 def test_tie_merge_keeps_the_cells_of_a_dense_grid(x0, cells):
-    # the identity map fixes every pixel of a 300 x 300 grid with spacing
-    # 6.7e-6 (1/15 of a key unit), so every key is its own cycle.  At
-    # x0 = 0.01 no key's first pixel lies near a tie: all 21^2 cells stay.
-    # At 0.12345 the first row and column sit on a tie and each merges with
-    # its neighbor only: 22^2 keys become 21^2 cells, not a chain of them
+    # a 300 x 300 grid with spacing 6.7e-6 (1/15 of a key unit) spans
+    # 21^2 key cells at x0 = 0.01; at 0.12345 its first row and column sit
+    # on a tie, and it spans 22^2.  Under g(w) = p + (w - p) / 2, p at the
+    # grid's center, every pixel settles in the disk of p, and the cycle is
+    # named once, by the key of its polished point, however many key cells
+    # the pixels span
     h = 6.7e-6
-    g = sd.fatou_slice(sd.ConstantVerticalMap([0, 1]), 0.0,
+    p = complex(x0 + 150 * h, x0 + 150 * h)
+    g = sd.fatou_slice(sd.ConstantVerticalMap([0.5 * p, 0.5]), 0.0,
                        (x0, x0 + 299 * h, x0, x0 + 299 * h, 300), n_max=200)
     assert len(set(np.rint(g.re * 1e4).tolist())) == cells
     assert g.verdict_counts()["basin"] == 300 * 300
-    assert len(g.cycles) == 21 ** 2
-    assert np.array_equal(np.unique(g.code), CODE_BASIN_BASE + np.arange(441))
+    assert g.cycles == [petals._cycle_key([p])]
+    assert np.array_equal(np.unique(g.code), [CODE_BASIN_BASE])
 
 
 def test_grid_resolution_cap():
@@ -1624,17 +1691,20 @@ def test_fixed_fiber_rules_read_both_representations_alike(golden, name):
     region = petals._petal_region(F, view)
     assert region == petals._petal_region(F, full)
     assert (region is None) == (name in ("basin", "constant"))
+    basins = petals._basin_disks(view, region, ESCAPE_RADIUS)
+    assert basins == petals._basin_disks(full, region, ESCAPE_RADIUS)
+    assert bool(basins.cycles) == (name in ("basin", "constant"))
     axis = np.linspace(-1.2, 1.2, 16)
     w0 = (axis[np.newaxis, :] + 1j * axis[:, np.newaxis]).ravel()
-    a = petals._run_engine(view, w0, n_max, region, ESCAPE_RADIUS)
-    b = petals._run_engine(full, w0, n_max, region, ESCAPE_RADIUS)
+    a = petals._run_engine(view, w0, n_max, region, basins, ESCAPE_RADIUS)
+    b = petals._run_engine(full, w0, n_max, region, basins, ESCAPE_RADIUS)
     assert [_bits(x) for x in a] == [_bits(x) for x in b]
     for i in (0, 37, 100, 255):
         for stop_at_verdict in (True, False):
-            x = petals._run_single(view, w0[i], n_max, region, ESCAPE_RADIUS,
-                                   stop_at_verdict)
-            y = petals._run_single(full, w0[i], n_max, region, ESCAPE_RADIUS,
-                                   stop_at_verdict)
+            x = petals._run_single(view, w0[i], n_max, region, basins,
+                                   ESCAPE_RADIUS, stop_at_verdict)
+            y = petals._run_single(full, w0[i], n_max, region, basins,
+                                   ESCAPE_RADIUS, stop_at_verdict)
             assert x[:4] == y[:4] and _bits(x[4]) == _bits(y[4])
             assert x[5].tobytes() == y[5].tobytes()
 
@@ -1746,20 +1816,24 @@ def test_petal_region_needs_parabolic_rows(golden):
 
 
 def _gate_verdicts(F, z0, starts, n_max, ws):
-    """(old, new) verdict tuples of each start: the retired streak rule by
-    the plain-Python walks on its trajectory ws[:, i], and the engine."""
+    """(old, new) verdict tuples of each start: the retired streak and
+    cycle rules by the plain-Python walks on its trajectory ws[:, i], and
+    the engine."""
     C = petals._coeff_matrix(F, z0, n_max)
     k, lead = petals._parabolic_data(F)
     base = sd.directions_for_jet(lead, k) if k else 0.0
-    eng = petals._run_engine(C, np.asarray(starts), n_max,
-                             petals._petal_region(F, C), ESCAPE_RADIUS)
+    region = petals._petal_region(F, C)
+    eng = petals._run_engine(C, np.asarray(starts), n_max, region,
+                             petals._basin_disks(C, region, ESCAPE_RADIUS),
+                             ESCAPE_RADIUS)
     out = []
     for i in range(len(starts)):
         traj = ws[:, i]
         esc = np.flatnonzero(~(np.abs(traj) <= ESCAPE_RADIUS))
         traj = traj[:esc[0] + 1] if len(esc) else traj
         streak = _streak_walk(traj, k, base)[0] if k else None
-        old = _reference_verdict(traj, None, petal=streak)
+        old = _reference_verdict(traj, None, NO_BASINS, petal=streak,
+                                 basin=_cycle_walk(traj))
         if len(esc) == 0 or old[2] < esc[0]:
             old = old if old[0] != UNDECIDED else (UNDECIDED, -1, n_max, 0)
         new = (int(eng.kind[i]), int(eng.index[i]), int(eng.n_stop[i]),
@@ -1772,10 +1846,14 @@ def _assert_gate(pairs):
     for old, new in pairs:
         if old[0] == PETAL:
             assert new[:2] == old[:2], (old, new)
-        elif old[0] in (ESCAPE, BASIN):
+        elif old[0] == ESCAPE:
             assert new == old, (old, new)
+        elif old[0] == BASIN:
+            # certified no later, at a period that divides the retired one
+            assert new[0] == BASIN and new[2] <= old[2], (old, new)
+            assert old[3] % new[3] == 0, (old, new)
         else:
-            assert new[0] in (UNDECIDED, PETAL), (old, new)
+            assert new[0] != ESCAPE, (old, new)
 
 
 @pytest.mark.parametrize("name", ["petal_k1", "petal_k2", "petal_k3",
@@ -1783,9 +1861,10 @@ def _assert_gate(pairs):
                                   "basin_period2", "basin_period3", "siegel",
                                   "slow_rotation", "moving_fiber"])
 def test_region_rule_keeps_every_streak_petal_on_the_corpus(golden, name):
-    # the retired 50-step streak rule as the gate: every start it labels a
-    # petal is certified petal with the same direction, and no escape or
-    # basin verdict or step moves
+    # the retired 50-step streak rule and cycle heuristic as the gate: every
+    # start the streak labels a petal is certified petal with the same
+    # direction, no escape verdict or step moves, and every basin of the
+    # heuristic is a certified basin, no later, at a dividing period
     corpus = _differential_corpus(golden)
     F, z0, radius, pinned, n_big, expect = corpus[name]
     rng = np.random.default_rng([13, list(corpus).index(name)])
@@ -1793,8 +1872,9 @@ def test_region_rule_keeps_every_streak_petal_on_the_corpus(golden, name):
               * np.exp(2j * np.pi * rng.random(8)))
     starts = [complex(w) for w in pinned] + seeded.tolist() + [2e6]
     C = petals._coeff_matrix(F, z0, n_big)
-    ws = np.stack([petals._run_single(C, w0, n_big, None, ESCAPE_RADIUS,
-                                      False)[4] for w0 in starts], axis=1)
+    ws = np.stack([petals._run_single(C, w0, n_big, None, NO_BASINS,
+                                      ESCAPE_RADIUS, False)[4]
+                   for w0 in starts], axis=1)
     pairs = _gate_verdicts(F, z0, starts, n_big, ws)
     _assert_gate(pairs)
     assert expect in {old[0] for old, _ in pairs}
@@ -1817,3 +1897,100 @@ def test_region_rule_keeps_every_streak_petal_on_the_benchmark_germ(golden):
     _assert_gate(pairs)
     old_kinds = [old[0] for old, _ in pairs]
     assert old_kinds.count(PETAL) > 2000 and ESCAPE in old_kinds
+
+
+# -- the certified basin disks -----------------------------------------------------
+
+def _oracle_maps(golden):
+    """name -> (map, z0, n_max, period) of the maps whose rows certify one
+    attracting cycle: w^2, w^2 - 1, the period-3 rabbit, the slow rotation
+    0.9999 lam w + w^2, and the moving period-2 map w^2 - 1 + 0.5 z w (w +
+    1), whose rows all keep {0, -1} while they differ."""
+    corpus = _differential_corpus(golden)
+    moving = list(_bench_shaped_slices(golden, 31))[3]
+    return {
+        "w2": (*corpus["basin_period1"][:2], 200, 1),
+        "w2_minus_1": (*corpus["basin_period2"][:2], 200, 2),
+        "rabbit": (*corpus["basin_period3"][:2], 200, 3),
+        "slow_rotation": (*corpus["slow_rotation"][:2], 200, 1),
+        "moving_period2": (*moving[:2], 100, 2),
+    }
+
+
+ORACLE_MAPS = ["w2", "w2_minus_1", "rabbit", "slow_rotation", "moving_period2"]
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_basin_disks_map_into_each_other_at_50_digits(golden, name):
+    # 64 points on the boundary of each disk D(z_i, r_i), stepped at 50
+    # digits by every row of the schedule, land strictly inside the next
+    # disk D(z_{i+1}, r_{i+1}), the first one for the last disk; no radius
+    # exceeds BASIN_RADIUS
+    mpmath = pytest.importorskip("mpmath")
+    F, z0, n_max, period = _oracle_maps(golden)[name]
+    C = petals._coeff_matrix(F, z0, n_max)
+    basins = petals._basin_disks(C, petals._petal_region(F, C), ESCAPE_RADIUS)
+    assert len(basins.cycles) == 1
+    _, pts, radii = basins.cycles[0]
+    assert len(pts) == period
+    assert all(0 < r <= petals.BASIN_RADIUS for r in radii)
+    rows = petals._distinct_rows(C).tolist()
+    assert len(rows) == (1 if z0 == 0 else n_max + 1)
+    with mpmath.workdps(50):
+        rows = [[mpmath.mpc(c) for c in row[::-1]] for row in rows]
+        for i, (z, r) in enumerate(zip(pts, radii)):
+            nxt = mpmath.mpc(pts[(i + 1) % period])
+            r1 = mpmath.mpf(radii[(i + 1) % period])
+            for t in range(64):
+                w = mpmath.mpc(z) + r * mpmath.expjpi(mpmath.mpf(t) / 32)
+                for row in rows:
+                    assert abs(mpmath.polyval(row, w) - nxt) < r1, (i, t)
+
+
+def _disk_table(names):
+    """The centers and radii of the certified disks of the named oracle
+    maps, as bytes."""
+    golden = sd.RotationNumber.from_surd(-1, 1, 5, 2)
+    out = []
+    for name in names:
+        F, z0, n_max, _ = _oracle_maps(golden)[name]
+        C = petals._coeff_matrix(F, z0, n_max)
+        basins = petals._basin_disks(C, petals._petal_region(F, C),
+                                     ESCAPE_RADIUS)
+        for _, pts, radii in basins.cycles:
+            out.append((_bits(pts), np.array(radii).tobytes()))
+    return out
+
+
+@pytest.mark.skipif(not dispatches_x86_v3(),
+                    reason="numpy dispatches no X86_V3 (AVX2 + FMA3) loops on "
+                           "this CPU, so there is no second dispatch to compare")
+def test_basin_disks_do_not_depend_on_the_numpy_dispatch():
+    # the certificate's Taylor shift rounds every operation on its own, so
+    # a process without numpy's fused loops builds the same disks, bit for
+    # bit
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; import pickle, "
+            "test_petals; sys.stdout.buffer.write(pickle.dumps("
+            "test_petals._disk_table(test_petals.ORACLE_MAPS)))")
+    here = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(here), str(here.parent / "src")],
+        capture_output=True, env=dict(
+            os.environ,
+            NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4 X86_V3"))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert pickle.loads(proc.stdout) == _disk_table(ORACLE_MAPS)
+
+
+def test_critical_orbits_are_sized_by_blocks():
+    # the benchmark's hypotheses-w4 call: three critical orbits that settle
+    # at once at n_max 20000 allocate block-sized records, not 480 KB each
+    sd.critical_orbit_check([0, 1, 0, 0, -1], 20000)  # warm
+    tracemalloc.start()
+    try:
+        rep = sd.critical_orbit_check([0, 1, 0, 0, -1], 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.verdict.kind for r in rep.reports] == [PETAL] * 3
+    assert peak <= 100_000, peak
