@@ -20,13 +20,18 @@ parabolic, and of which order k, is decided by one rule with its own
 tolerances, normalform.detect_parabolic_order.
 
 Grids run through a vectorized lockstep engine.  It drops all-zero top
-w-degrees (0 * w is exact for the finite w of undecided points) and, every
-8 steps, compacts its arrays to the undecided points once fewer than 90%
-remain.  Single orbits step their trajectory block by block, untrimmed
-(they record values past an escape), and run the engine's own step rules
-(_petal_hits, _basin_hits) on each new block until one settles the point.
-A point's result is a pure function of its start, whatever else shares its
-array (chunks, threads, compaction).
+w-degrees (0 * w is exact for the finite w of undecided points) and
+compacts its arrays to the undecided points once fewer than 90% remain,
+checked every step.  More than _TILE starts run in tiles up to step
+_POOL_STEP, where most pixels have settled, and the tiles' undecided
+points are pooled into one lockstep for the rest of the run, so past the
+early steps only the results span the grid.  The engine returns, per
+start, only what fatou_slice reads: verdict kind, petal direction or cycle
+id, and n_stop (int32).  Single orbits step their trajectory block by
+block, untrimmed (they record values past an escape), and run the engine's
+own step rules (_petal_hits, _basin_hits) on each new block until one
+settles the point.  A point's result is a pure function of its start,
+whatever else shares its array (chunks, threads, tiles, compaction).
 
 A fiber that does not move (z0 = 0, or no coefficient depends on z) has
 one coefficient row for every step: its schedule is a read-only view of
@@ -105,6 +110,13 @@ PETAL_RADIUS = 0.75  # the certified petal region lies within |w| < this
 PETAL_EPS = 0.49     # bound on |u' - u - 1| sought there; invariance needs 1/2
 CYCLE_ROUND = 4      # decimals of the cycle keys
 MAX_PETAL_ORDER = 4096
+# The grid engine runs more starts than _TILE in tiles of _TILE up to step
+# _POOL_STEP, then pools their undecided points: on the benchmark's 300 x
+# 300 parabolic and basin slices (seed 31) 1.9% and 4.1% of the pixels are
+# undecided at step 16.
+_TILE = 2 ** 14
+_POOL_STEP = 16
+_WRITE_PIXELS = 2 ** 13  # the most pixels a grid writer formats at once
 
 
 def _check_escape_radius(escape_radius: float) -> None:
@@ -485,7 +497,8 @@ def _roots(c: list[complex]) -> list[complex]:
     Cauchy radius; numpy.roots would start LAPACK, which raised the peak
     RSS of the benchmark's orbit calls by 0.3 to 0.8 MB.  Simple roots come
     out to about their rounding within the 50 sweeps, multiple ones only
-    roughly (a k-fold root converges linearly): candidates need no more."""
+    roughly (a k-fold root converges linearly): candidates need no more,
+    and critical_orbit_check reports each root's defect."""
     n = len(c) - 1
     c = [x / c[-1] for x in c]
     r = 1.0 + max(map(abs, c[:-1]))
@@ -611,9 +624,7 @@ def _basin_hits(w: np.ndarray, a: np.ndarray, basins: _Basins,
 class _EngineResult(NamedTuple):
     kind: np.ndarray
     index: np.ndarray          # petal direction or basin cycle id
-    n_stop: np.ndarray
-    w_verdict: np.ndarray      # state at the step the verdict fired
-    period: np.ndarray         # cycle period for BASIN verdicts
+    n_stop: np.ndarray         # int32
 
 
 def _petal_hits(w: np.ndarray, a: np.ndarray, region: _Region,
@@ -672,7 +683,11 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     Verdict checks run in a fixed order every step (escape, petal, basin);
     each point's outcome is a pure function of its own start, so results do
     not depend on how callers batch the points.  Settled points are stepped
-    on, never read, until the next compaction.  Step counts are held as
+    on, never read, until the next compaction, checked every step.  More
+    than _TILE starts run in tiles of _TILE up to step _POOL_STEP; the
+    points each tile leaves undecided there, before that step's rules, are
+    pooled into one lockstep for the rest of the run, so the whole start
+    array lives only through the early steps.  Step counts are held as
     int32, so n_max must be below 2^31 (fatou_slice checks it).
     """
     live = np.flatnonzero(_distinct_rows(C).any(axis=0))
@@ -680,32 +695,26 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     m = len(w0)
     kind = np.zeros(m, dtype=np.int8)
     index = np.full(m, -1, dtype=np.int32)
-    n_stop = np.full(m, n_max, dtype=np.int64)
-    w_verdict = np.zeros(m, dtype=complex)
-    period_out = np.zeros(m, dtype=np.int64)
-    periods = np.array([len(c[1]) for c in basins.cycles], dtype=np.int64)
+    n_stop = np.full(m, n_max, dtype=np.int32)
 
-    # the stepped points and their indices into the outputs; w is rebound
-    # by every step and never written in place, so it may start as w0
-    ids = np.arange(m, dtype=np.int32)
-    w = np.asarray(w0, dtype=complex)
-    del w0  # then only w holds it, until the first step
-    undecided = np.ones(m, dtype=bool)  # aligned with ids and w
+    def lockstep(ids: np.ndarray, w: np.ndarray, start: int, stop: int):
+        """Run the points ids, at states w of step start, through the rules
+        of steps start..stop-1, stepping after each; (ids, w) of the points
+        still undecided at step stop.  w is rebound by every step and never
+        written in place, so it may be a view of the starts."""
+        undecided = np.ones(len(w), dtype=bool)  # aligned with ids and w
 
-    def settle(sel: np.ndarray, verdict: int, n: int, cid=None) -> None:
-        gids = ids[sel]
-        kind[gids] = verdict
-        n_stop[gids] = n
-        w_verdict[gids] = ws = w[sel]
-        if verdict == PETAL:
-            index[gids] = _direction_index(ws, region.k, region.base)
-        elif verdict == BASIN:
-            index[gids] = cid
-            period_out[gids] = periods[cid]
-        undecided[sel] = False
+        def settle(sel: np.ndarray, verdict: int, n: int, cid=None) -> None:
+            gids = ids[sel]
+            kind[gids] = verdict
+            n_stop[gids] = n
+            if verdict == PETAL:
+                index[gids] = _direction_index(w[sel], region.k, region.base)
+            elif verdict == BASIN:
+                index[gids] = cid
+            undecided[sel] = False
 
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for n in range(n_max + 1):
+        for n in range(start, stop):
             cur_abs = np.abs(w)
 
             # the max is NaN when any modulus is
@@ -722,15 +731,29 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
                 if len(hit):
                     settle(hit, BASIN, n, cid)
 
-            if n == n_max or not undecided.any():
-                break
-            if (len(w) > 256 and n % 8 == 7
-                    and np.count_nonzero(undecided) < 0.9 * len(w)):
+            del cur_abs  # so that it never meets the step's result
+            left = np.count_nonzero(undecided)
+            if n == n_max or not left:
+                return ids[:0].copy(), w[:0].copy()  # views would hold them
+            if len(w) > 256 and left < 0.9 * len(w):
                 ids, w = ids[undecided], w[undecided]
                 undecided = np.ones(len(w), dtype=bool)
             w = _step(C[n], w)
+        return ids[undecided], w[undecided]
 
-    return _EngineResult(kind, index, n_stop, w_verdict, period_out)
+    w = np.asarray(w0, dtype=complex)
+    del w0  # then only w holds the starts
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        if m > _TILE:
+            parts = [lockstep(np.arange(i, min(i + _TILE, m), dtype=np.int32),
+                              w[i:i + _TILE], 0, _POOL_STEP)
+                     for i in range(0, m, _TILE)]
+            ids, w = (np.concatenate(f) for f in zip(*parts))
+            del parts
+            lockstep(ids, w, _POOL_STEP, n_max + 1)
+        else:
+            lockstep(np.arange(m, dtype=np.int32), w, 0, n_max + 1)
+    return _EngineResult(kind, index, n_stop)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,32 +1099,49 @@ class FatouGrid(NamedTuple):
             "basin": int(np.sum(flat >= CODE_BASIN_BASE)),
         }
 
-    def to_ppm_text(self) -> str:
+    def _row_blocks(self) -> list[tuple[int, int]]:
+        """Row ranges [i0, i1) of at most _WRITE_PIXELS pixels each (one
+        row at least), which the writers format one at a time."""
         h, wdt = self.code.shape
-        codes, inverse = np.unique(self.code, return_inverse=True)
-        palette = np.array([" ".join(map(str, _code_color(int(c))))
-                            for c in codes], dtype=object)
-        rows = [" ".join(r) for r in palette[inverse].reshape(h, wdt).tolist()]
-        return "\n".join([f"P3\n{wdt} {h}\n255", *rows]) + "\n"
+        step = max(1, _WRITE_PIXELS // max(wdt, 1))
+        return [(i, min(i + step, h)) for i in range(0, h, step)]
+
+    def _ppm_blocks(self):
+        """The PPM text in pieces: the header, then each row block."""
+        h, wdt = self.code.shape
+        yield f"P3\n{wdt} {h}\n255\n"
+        for i0, i1 in self._row_blocks():
+            codes, inverse = np.unique(self.code[i0:i1], return_inverse=True)
+            palette = np.array([" ".join(map(str, _code_color(int(c))))
+                                for c in codes], dtype=object)
+            rows = palette[inverse].reshape(i1 - i0, wdt).tolist()
+            yield "".join(" ".join(r) + "\n" for r in rows)
+
+    def to_ppm_text(self) -> str:
+        return "".join(self._ppm_blocks())
 
     def write_ppm(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(self.to_ppm_text())
+            fh.writelines(self._ppm_blocks())
 
     def write_csv(self, path) -> None:
         """Rows re_w,im_w,verdict_code,n_stop; the ",code,n_stop" suffix is
-        formatted once per distinct pair (n_stop < 2^32)."""
-        pairs, inverse = np.unique(self.code.astype(np.int64) << 32
-                                   | self.n_stop, return_inverse=True)
-        suffix = np.array([f",{v >> 32},{v & 0xFFFFFFFF}\n"
-                           for v in pairs.tolist()], dtype=object)
-        rows = suffix[inverse.reshape(self.code.shape)].tolist()
+        formatted once per distinct pair of a row block (n_stop < 2^32)."""
         re = [repr(x) + "," for x in self.re.tolist()]
+        ims = self.im.tolist()
         with open(path, "w", newline="") as fh:
             fh.write("re_w,im_w,verdict_code,n_stop\n")
-            for y, ends in zip(self.im.tolist(), rows):
-                y = repr(y)
-                fh.write("".join(map(operator.add, [x + y for x in re], ends)))
+            for i0, i1 in self._row_blocks():
+                code, n_stop = self.code[i0:i1], self.n_stop[i0:i1]
+                pairs, inverse = np.unique(code.astype(np.int64) << 32 | n_stop,
+                                           return_inverse=True)
+                suffix = np.array([f",{v >> 32},{v & 0xFFFFFFFF}\n"
+                                   for v in pairs.tolist()], dtype=object)
+                rows = suffix[inverse].reshape(i1 - i0, len(re)).tolist()
+                for y, ends in zip(ims[i0:i1], rows):
+                    y = repr(y)
+                    fh.write("".join(map(operator.add, [x + y for x in re],
+                                         ends)))
 
 
 def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
@@ -1143,7 +1183,7 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
         with ThreadPoolExecutor(max_workers=chunks) as ex:
             fields = [np.concatenate(f) for f in zip(*ex.map(run_rows, bounds))]
 
-    kind, index, n_stop = (f.reshape(res, res) for f in fields[:3])
+    kind, index, n_stop = (f.reshape(res, res) for f in fields)
 
     code = np.zeros((res, res), dtype=np.int32)
     code[kind == ESCAPE] = CODE_ESCAPE
@@ -1177,8 +1217,8 @@ def critical_orbit_check(g, n_max: int = 20000) -> HypothesisReport:
     """Iterate every finite critical point of the fiber polynomial.
 
     `g` is a coefficient list (constant first) or a SkewGerm taken at
-    z = 0.  Critical points are companion-matrix eigenvalues of g'
-    (numpy.roots); each root is validated through |g'(root)| and iterated.
+    z = 0.  Critical points are the roots of g' by _roots, the root finder
+    of _basin_disks; each is validated through |g'(root)| and iterated.
     The overall flag is true iff every verdict is a basin or a petal.
     """
     if isinstance(g, SkewGerm):
@@ -1192,14 +1232,13 @@ def critical_orbit_check(g, n_max: int = 20000) -> HypothesisReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     deriv = [j * coeffs[j] for j in range(1, len(coeffs))]
-    roots = np.roots(np.array(deriv[::-1], dtype=complex))
     fiber_map = ConstantVerticalMap(coeffs)
     C = _coeff_matrix(fiber_map, 0j, n_max)
     region = _petal_region(fiber_map, C)
     basins = _basin_disks(C, region, 1e6)  # one certificate for every orbit
     reports = []
-    for r in sorted(roots.tolist(), key=lambda c: (round(c.real, 12),
-                                                   round(c.imag, 12))):
+    for r in sorted(_roots(deriv), key=lambda c: (round(c.real, 12),
+                                                  round(c.imag, 12))):
         kind, index, n_stop, period = _run_single(C, r, n_max, region, basins,
                                                   1e6, True)[:4]
         reports.append(CriticalReport(

@@ -239,6 +239,14 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=complex).tobytes()
 
 
+def _fields(eng, i: int, basins) -> tuple[int, int, int, int]:
+    """(kind, index, n_stop, period) of start i of an engine result, the
+    period read from its basin's certified cycle (0 off basins)."""
+    kind, index = int(eng.kind[i]), int(eng.index[i])
+    period = len(basins.cycles[index][1]) if kind == BASIN else 0
+    return kind, index, int(eng.n_stop[i]), period
+
+
 @pytest.mark.parametrize("name", ["petal_k1", "petal_k2", "petal_k3",
                                   "parabolic_w_plus_w2", "basin_period1",
                                   "basin_period2", "basin_period3", "siegel",
@@ -258,8 +266,7 @@ def test_single_orbit_path_matches_engine(golden, name):
                                  ESCAPE_RADIUS)
         kinds = set()
         for i, w0 in enumerate(starts):
-            want = (int(eng.kind[i]), int(eng.index[i]), int(eng.n_stop[i]),
-                    int(eng.period[i]))
+            want = _fields(eng, i, basins)
             # the engine holding this start alone gives the same fields
             alone = petals._run_engine(C, np.array([w0]), n_max, region,
                                        basins, ESCAPE_RADIUS)
@@ -273,8 +280,6 @@ def test_single_orbit_path_matches_engine(golden, name):
                 assert got[:4] == want, (name, n_max, w0)
             kind, n_stop, ws = stop[0], stop[2], stop[4]
             kinds.add(kind)
-            if kind != UNDECIDED:
-                assert _bits(ws[n_stop]) == _bits(eng.w_verdict[i])
             assert len(ws) == n_stop + 1 and len(stop[5]) == n_stop
             assert len(full[4]) == n_max + 1 and len(full[5]) == n_max
             assert _bits(full[4][:n_stop + 1]) == _bits(ws)
@@ -464,8 +469,7 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(seed):
         C = _schedule_for(seq)
         eng = petals._run_engine(C, seq[:1], n_max, region, basins,
                                  ESCAPE_RADIUS)
-        want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
-                int(eng.period[0]))
+        want = _fields(eng, 0, basins)
         # both paths call the same step rules, so the plain-Python walks
         # are the oracle of the rules themselves
         assert _reference_verdict(seq, region, basins) == want, (seed, trial)
@@ -474,8 +478,6 @@ def test_single_orbit_path_matches_engine_on_scripted_orbits(seed):
                                      ESCAPE_RADIUS, stop_at_verdict)
             assert got[:4] == want, (seed, trial)
             assert _bits(got[4]) == _bits(seq[:len(got[4])])
-            if want[0] != UNDECIDED:
-                assert _bits(got[4][want[2]]) == _bits(eng.w_verdict[0])
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
@@ -632,8 +634,7 @@ def _paths_agree(seq, region, basins=NO_BASINS):
     for n_max in [n for n in edges if n < len(seq) - 1] + [len(seq) - 1]:
         eng = petals._run_engine(C, seq[:1], n_max, region, basins,
                                  ESCAPE_RADIUS)
-        want = (int(eng.kind[0]), int(eng.index[0]), int(eng.n_stop[0]),
-                int(eng.period[0]))
+        want = _fields(eng, 0, basins)
         assert _reference_verdict(seq[:n_max + 1], region, basins) == want, n_max
         for stop_at_verdict in (True, False):
             got = petals._run_single(C, seq[0], n_max, region, basins,
@@ -1287,14 +1288,12 @@ def test_engine_trims_zero_top_degrees_exactly(golden, fiber, z0):
     for i in range(0, len(w0), 23):
         got = petals._run_single(padded, w0[i], n_max, region, basins,
                                  ESCAPE_RADIUS, True)
-        assert got[:4] == (a.kind[i], a.index[i], a.n_stop[i], a.period[i])
-        if a.kind[i] != UNDECIDED:
-            assert _bits(got[4][a.n_stop[i]]) == _bits(a.w_verdict[i])
+        assert got[:4] == _fields(a, i, basins)
 
 
 def test_engine_compacted_to_one_survivor_steps_as_before():
-    # the 299 starts at 50 escape by step 2, so at step 7 the engine
-    # compacts to the one undecided start; it must step as it does beside a
+    # the 299 starts at 50 escape at step 2, so there the engine compacts
+    # to the one undecided start; it must step as it does beside a
     # copy of itself (no compaction) and as the single-orbit path steps it
     F = sd.ConstantVerticalMap([-0.8 + 0.156j, 0, 1])
     w0, n_max = -1.079283 + 0.241198j, 3000
@@ -1310,8 +1309,67 @@ def test_engine_compacted_to_one_survivor_steps_as_before():
     assert [_bits(f[:1]) for f in crowd] == [_bits(f[:1]) for f in pair]
     got = petals._run_single(C, w0, n_max, region, basins, ESCAPE_RADIUS,
                              True)
-    assert got[:4] == (crowd.kind[0], crowd.index[0], crowd.n_stop[0],
-                       crowd.period[0])
+    assert got[:4] == _fields(crowd, 0, basins)
+
+
+def _tiled_starts(box, res, tile):
+    """A res x res grid over box, after one tile of starts that all escape
+    at step 0, with NaN and inf starts and escapes at step 0 among the
+    grid's, and a ladder of moduli from 1.5 to 3000 that escapes at each
+    of the first few steps."""
+    re0, re1, im0, im1 = box
+    re, im = np.linspace(re0, re1, res), np.linspace(im0, im1, res)
+    grid = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
+    grid[::97] = 2e6
+    grid[5::211] = complex(np.nan, 0.5)
+    grid[7::223] = complex(np.inf, 0)
+    grid[11::227] = complex(0.25, -np.inf)
+    ladder = np.outer(np.geomspace(1.5, 3000, 60),
+                      np.exp(1j * np.linspace(0, 6, 5))).ravel()
+    return np.concatenate([np.full(tile, 3e6 + 1j), grid, ladder])
+
+
+@pytest.mark.parametrize("name,box,n_max", [
+    ("parabolic_w_plus_w2", (-1.5, 0.5, -1.0, 1.0), 400),
+    ("basin_period2", (-1.7, 1.7, -1.0, 1.0), 200),
+    ("moving_fiber", (-0.5, 0.5, -0.5, 0.5), 150)])
+@pytest.mark.parametrize("pool", [1, 4])
+def test_tiled_and_pooled_lockstep_equals_one_lockstep(monkeypatch, golden,
+                                                       name, box, n_max,
+                                                       pool):
+    # tiles of 64 starts up to step `pool`, then one pooled lockstep, give
+    # every field bit for bit as one lockstep over all starts and as each
+    # start run alone; the grid holds a tile that settles at step 0, NaN
+    # and inf starts, and points that settle at the pooling step and at
+    # the step after it
+    F, z0 = _differential_corpus(golden)[name][:2]
+    C = petals._coeff_matrix(F, z0, n_max)
+    region = petals._petal_region(F, C)
+    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
+    w0 = _tiled_starts(box, 50, 64)
+
+    def run(starts, tile):
+        monkeypatch.setattr(petals, "_TILE", tile)
+        monkeypatch.setattr(petals, "_POOL_STEP", pool)
+        return petals._run_engine(C, starts, n_max, region, basins,
+                                  ESCAPE_RADIUS)
+
+    tiled, whole = run(w0, 64), run(w0, len(w0))
+    assert [f.dtype for f in tiled] == [np.int8, np.int32, np.int32]
+    assert [f.tobytes() for f in tiled] == [f.tobytes() for f in whole]
+    kinds = set(tiled.kind.tolist())
+    assert {ESCAPE, PETAL if name != "basin_period2" else BASIN} <= kinds
+    assert np.all(tiled.n_stop[:64] == 0) and np.all(tiled.kind[:64] == ESCAPE)
+    assert np.isin([pool, pool + 1], tiled.n_stop).all()
+    # alone: every start that settles next to the pooling step, the
+    # non-finite ones and a sample of the rest
+    near = np.flatnonzero(np.abs(tiled.n_stop.astype(np.int64) - pool) <= 1)
+    odd = np.flatnonzero(~np.isfinite(w0))
+    for i in sorted(set(near[::5].tolist()) | set(odd[:4].tolist())
+                    | set(range(64, len(w0), 29))):
+        alone = run(w0[i:i + 1], 64)
+        assert [f.tobytes() for f in alone] == [f[i:i + 1].tobytes()
+                                                for f in tiled], (name, i)
 
 
 def _ppm_oracle(g) -> str:
@@ -1417,8 +1475,10 @@ def test_slice_outputs(tmp_path, golden):
 
 
 def test_engine_memory_budget_per_point(golden):
-    # the benchmark's parabolic slice at 200 x 200; 174 bytes per point is
-    # the traced peak (158.2, numpy 2.4) plus 10%, outputs included
+    # the benchmark's parabolic slice at 200 x 200, more than two tiles;
+    # 36 bytes per point is the traced peak (32.2, numpy 2.4) plus 10%,
+    # outputs (9 bytes a point) included; one lockstep over every start
+    # peaked at 85.8
     F = germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
     re, im = np.linspace(-1.5, 0.5, 200), np.linspace(-1, 1, 200)
     w0 = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
@@ -1431,22 +1491,51 @@ def test_engine_memory_budget_per_point(golden):
     finally:
         tracemalloc.stop()
     assert np.count_nonzero(r.kind == PETAL) > 10000
-    assert peak <= 174 * len(w0), peak / len(w0)
+    assert peak <= 36 * len(w0), peak / len(w0)
+
+
+def test_grid_writers_hold_one_block_at_a_time(tmp_path):
+    # a 600 x 600 grid of random codes and step counts, nearly every pixel
+    # a distinct (code, n_stop) pair: write_ppm and write_csv each format
+    # one block of _WRITE_PIXELS pixels at a time, so their traced peak is
+    # bounded by the block (208 bytes a block pixel, 1.7 MB, for the CSV),
+    # not by the grid's 360,000 pixels (46 MB when the writers formatted
+    # the whole grid at once)
+    rng = np.random.default_rng(59)
+    codes = np.array([0, 1, 100, 101, 200, 201, 202], dtype=np.int32)
+    g = sd.FatouGrid(re=np.linspace(-1.5, 0.5, 600),
+                     im=np.linspace(-1.0, 1.0, 600),
+                     code=codes[rng.integers(0, len(codes), (600, 600))],
+                     n_stop=rng.integers(0, 2 ** 31 - 1, (600, 600),
+                                         dtype=np.int32))
+    peaks = []
+    for write, path in ((g.write_ppm, "g.ppm"), (g.write_csv, "g.csv")):
+        tracemalloc.start()
+        try:
+            write(tmp_path / path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 256 * petals._WRITE_PIXELS, peaks
+    assert (tmp_path / "g.ppm").read_text() == g.to_ppm_text()
+    lines = (tmp_path / "g.csv").read_text().splitlines()
+    assert len(lines) == 1 + 600 * 600
+    assert lines[-1] == (f"0.5,1.0,{g.code[-1, -1]},{g.n_stop[-1, -1]}")
 
 
 def _per_pixel_slice(F, z0, grid, n_max):
     """(code, cycles) of fatou_slice named pixel by pixel in plain Python:
     the engine's escape and petal verdicts; each basin pixel named by the
-    certified disk that holds its verdict state, read from each cycle's
-    points and radii; ids ranked by the cycles' keys, each polished point's
+    certified disk that holds its verdict state (the single path's state at
+    the engine's n_stop), read from each cycle's points and radii; ids ranked by the cycles' keys, each polished point's
     coordinates keyed as round(x * 1e4) (half to even) and sorted."""
     re0, re1, im0, im1, res = grid
     re, im = np.linspace(re0, re1, res), np.linspace(im0, im1, res)
     C = petals._coeff_matrix(F, z0, n_max)
     region = petals._petal_region(F, C)
     basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
-    r = petals._run_engine(C, (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel(),
-                           n_max, region, basins, ESCAPE_RADIUS)
+    w0 = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
+    r = petals._run_engine(C, w0, n_max, region, basins, ESCAPE_RADIUS)
     code = np.zeros(res * res, dtype=np.int32)
     code[r.kind == ESCAPE] = CODE_ESCAPE
     pm = r.kind == PETAL
@@ -1459,7 +1548,8 @@ def _per_pixel_slice(F, z0, grid, n_max):
     named = sorted(((key(pts), pts, radii) for _, pts, radii in basins.cycles),
                    key=lambda c: c[0])
     for i in np.flatnonzero(r.kind == BASIN).tolist():
-        w = complex(r.w_verdict[i])
+        w = complex(petals._run_single(C, w0[i], n_max, region, basins,
+                                       ESCAPE_RADIUS, True)[4][r.n_stop[i]])
         held = [c for c, (_, pts, radii) in enumerate(named)
                 for z, s in zip(pts, radii)
                 if (w - z).real ** 2 + (w - z).imag ** 2 < s * s]
@@ -1823,8 +1913,8 @@ def _gate_verdicts(F, z0, starts, n_max, ws):
     k, lead = petals._parabolic_data(F)
     base = sd.directions_for_jet(lead, k) if k else 0.0
     region = petals._petal_region(F, C)
-    eng = petals._run_engine(C, np.asarray(starts), n_max, region,
-                             petals._basin_disks(C, region, ESCAPE_RADIUS),
+    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
+    eng = petals._run_engine(C, np.asarray(starts), n_max, region, basins,
                              ESCAPE_RADIUS)
     out = []
     for i in range(len(starts)):
@@ -1836,8 +1926,7 @@ def _gate_verdicts(F, z0, starts, n_max, ws):
                                  basin=_cycle_walk(traj))
         if len(esc) == 0 or old[2] < esc[0]:
             old = old if old[0] != UNDECIDED else (UNDECIDED, -1, n_max, 0)
-        new = (int(eng.kind[i]), int(eng.index[i]), int(eng.n_stop[i]),
-               int(eng.period[i]))
+        new = _fields(eng, i, basins)
         out.append((old, new))
     return out
 
@@ -1980,6 +2069,27 @@ def test_basin_disks_do_not_depend_on_the_numpy_dispatch():
             NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4 X86_V3"))
     assert proc.returncode == 0, proc.stderr.decode()
     assert pickle.loads(proc.stdout) == _disk_table(ORACLE_MAPS)
+
+
+@pytest.mark.parametrize("g", [[0, 1, 0, 0, -1],                  # w - w^4
+                               [0.3, 1, 0.2j, 0, -0.5, 0.1],     # a quintic
+                               [0.1, 0, 0, 1]])                  # w^3 + 0.1
+def test_roots_of_critical_points_match_mpmath(g):
+    # _roots on g' (the critical points of critical_orbit_check and of
+    # _basin_disks) against mpmath's roots at 50 digits, each within 1e-12;
+    # g' = 3 w^2 of w^3 + 0.1 has a double root
+    mpmath = pytest.importorskip("mpmath")
+    deriv = [j * complex(g[j]) for j in range(1, len(g))]
+    got = petals._roots(deriv)
+    assert len(got) == len(deriv) - 1
+    with mpmath.workdps(50):
+        left = mpmath.polyroots([mpmath.mpc(c) for c in deriv[::-1]],
+                                maxsteps=400, extraprec=400)
+        for z in got:
+            gap = [abs(mpmath.mpc(z) - x) for x in left]
+            i = gap.index(min(gap))
+            assert gap[i] < 1e-12, (z, left)
+            left.pop(i)
 
 
 def test_critical_orbits_are_sized_by_blocks():
