@@ -24,8 +24,7 @@ from .petals import (BASIN, ESCAPE, PETAL, UNDECIDED, ConstantVerticalMap,
                      FatouGrid, HypothesisReport, OrbitRecord, ParabolicLocal,
                      SampleReport, Verdict,
                      critical_orbit_check, directions_for_jet, fatou_slice,
-                     forward_invariance_check, in_attracting_petal,
-                     iterate_orbit, repelling_expansion_check,
-                     vertical_derivative_sum)
+                     forward_invariance_check, iterate_orbit,
+                     repelling_expansion_check, vertical_derivative_sum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

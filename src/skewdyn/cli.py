@@ -3,9 +3,10 @@ and pixmap emission with deterministic exit codes.
 
 Exit codes: 0 success (violation reports are data, not failures),
 2 malformed input (including non-finite complex or float arguments, an
---escape of 0 or below, germ coefficients that are not [re, im, exp2]
-triples of finite reals and an integral exponent, and coefficients outside
-the double range), 3 degenerate small divisor, 4 precision/iteration
+--escape or --rho of 0 or below, germ coefficients that are not [re, im,
+exp2] triples of finite reals and an integral exponent, coefficients
+outside the double range, and a petalcheck map whose petal no radius
+certifies), 3 degenerate small divisor, 4 precision/iteration
 budget exhausted with no partial output possible, or an allocation the
 machine cannot satisfy (one error line, no --out).  Summary JSONs are
 strict: non-finite floats are written as null.  A process enters through
@@ -28,8 +29,8 @@ from .cremer import greedy_quadratic, growth_profile, linear_example_phi, \
     write_growth_csv
 from .errors import DegenerateDivisorError, LinearFiberError, PrecisionError
 from .normalform import conjugacy_defect, normalize, reduce_parabolic_tail
-from .petals import (ParabolicLocal, critical_orbit_check, fatou_slice,
-                     forward_invariance_check, iterate_orbit,
+from .petals import (ParabolicLocal, _local_region, critical_orbit_check,
+                     fatou_slice, forward_invariance_check, iterate_orbit,
                      repelling_expansion_check, vertical_derivative_sum)
 from .rotation import (_CHUNK, brjuno_partial_sum, cremer_running_max,
                        divisor_table, rotation_from_json, rotation_to_json,
@@ -297,17 +298,18 @@ def cmd_hypotheses(args) -> int:
 
 
 def cmd_petalcheck(args) -> int:
-    local = ParabolicLocal(k=args.k, b=_parse_complex(args.b),
-                           rho=args.rho, eta=args.eta)
+    local = ParabolicLocal(k=args.k, b=_parse_complex(args.b))
     # the map has no tail, so every fiber sees the same map: z = 0 alone
-    fwd = forward_invariance_check(local, z_band=0.0,
-                                   samples=args.samples, seed=args.seed)
-    rep = repelling_expansion_check(local, samples=args.samples, seed=args.seed)
+    fwd = forward_invariance_check(local, z_band=0.0, samples=args.samples,
+                                   seed=args.seed, rho=args.rho)
+    rep = repelling_expansion_check(local, samples=args.samples,
+                                    seed=args.seed, rho=args.rho)
+    region = _local_region(local, 0.0, args.rho)
     summary = {
         "config": _config_echo(args),
+        "certificate": {"rho": region.rho, "eps": region.eps},
         "forward_invariance": {"samples": fwd.samples,
                                "violations": fwd.violations,
-                               "unresolved": fwd.unresolved,
                                "worst_margin": fwd.worst_margin},
         "repelling_expansion": {"samples": rep.samples,
                                 "violations": rep.violations,
@@ -390,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--b", default="0,0")
     p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=0.25)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True)
     add_out(p)
@@ -408,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --{name.replace('_', '-')} must be positive",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
-    for name in ("escape", "rho", "eta"):
+    for name in ("escape", "rho"):
         val = getattr(args, name, None)
         if val is not None and not math.isfinite(val):
             print(f"error: --{name.replace('_', '-')} must be finite",

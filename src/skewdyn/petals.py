@@ -1,9 +1,9 @@
 """Parabolic local dynamics: petal geometry, orbit classification and
 vertical-derivative diagnostics.
 
-Petals are pullbacks of half-planes under u = 1/(k w^k): attracting petal j
-is {Re u > R - eta |Im u|} inside the sector |arg w - 2 pi j / k| < pi/k,
-with R = 1/(k rho^k).  Orbit verdicts come from a fixed state machine:
+A petal is the wedge {|Im u| < Re u - R}, u = -1/(k a w^k), that
+_petal_region certifies: the engine settles points in it, and the sampling
+checks sample it.  Orbit verdicts come from a fixed state machine:
 
   escape     |w_n| > escape radius (checked before every step, n = 0 first);
   petal      w_n (n >= 1) lies in a wedge of u = -1/(k a w^k) that every
@@ -68,7 +68,7 @@ from ._np import np
 from .errors import LinearFiberError
 from .normalform import detect_parabolic_order
 from .rotation import _CHUNK, RotationNumber, unit_powers
-from .series import SkewGerm, TruncatedSeries, _horner
+from .series import SkewGerm, TruncatedSeries, _cmul, _horner
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,79 +138,30 @@ def directions_for_jet(lead: complex, k: int) -> float:
     return (math.pi - cmath.phase(lead)) / k
 
 
-def in_attracting_petal(w, k: int, rho: float, eta: float):
-    """Direction index j of the attracting petal (module docstring) that
-    holds the complex scalar w, or None (as for every non-finite w); w = 0,
-    the fixed point, is refused.  With delta = arg w - 2 pi j/k the
-    half-plane reads cos(k delta) + eta |sin(k delta)| > (|w|/rho)^k, tested
-    in that form so that w^k can neither overflow nor underflow."""
-    if rho <= 0 or not 0.0 <= eta < 1.0:
-        raise ValueError("need rho > 0 and 0 <= eta < 1")
-    w = complex(w)
-    if w == 0:
-        raise ValueError("w = 0 is the fixed point, not a petal point")
-    j = _petal_index(w, k, rho, eta)
-    return j if j >= 0 else None
-
-
-def _petal_index(w: complex, k: int, rho: float, eta: float) -> int:
-    """in_attracting_petal for a nonzero w, unchecked: -1 for no petal."""
-    if not cmath.isfinite(w):
-        return -1
-    ang = math.atan2(w.imag, w.real)
-    j = round(ang * k / TWO_PI) % k
-    delta = (ang - TWO_PI * j / k + math.pi) % TWO_PI - math.pi
-    if not abs(delta) < math.pi / k:
-        return -1
-    try:
-        ratio = (abs(w) / rho) ** k
-    except OverflowError:  # an infinite ratio, which no petal point reaches
-        return -1
-    return j if math.cos(k * delta) + eta * abs(math.sin(k * delta)) > ratio else -1
-
-
 class ParabolicLocal:
-    """Vertical map w - w^{k+1} + b w^{2k+1} + sum beta_m(z) w^m with petal
-    parameters; `rot` is only needed when the tail makes fibers matter."""
-    __slots__ = ("k", "b", "tail", "rho", "eta", "rot")
+    """Vertical map w - w^{k+1} + b w^{2k+1} + sum beta_m(z) w^m; `rot` is
+    only needed when the tail makes fibers matter."""
+    __slots__ = ("k", "b", "tail", "rot")
     radius = math.inf
 
     def __init__(self, k: int, b: complex = 0j,
                  tail: tuple[TruncatedSeries, ...] = (),  # orders 2k+2, 2k+3, ...
-                 rho: float = 0.1, eta: float = 0.25,
                  rot: RotationNumber | None = None):
         if k < 1:
             raise ValueError("k must be at least 1")
         if k > MAX_PETAL_ORDER:  # z_coefficients builds 2k+2 lists
             raise ValueError(f"k must be at most {MAX_PETAL_ORDER}")
-        if rho <= 0 or not 0.0 <= eta < 1.0:
-            raise ValueError("need rho > 0 and 0 <= eta < 1")
-        try:
-            scale = k * rho ** k
-        except OverflowError:
-            scale = math.inf
-        if not (0.0 < scale < math.inf and 1.0 / scale < math.inf):
-            raise ValueError(f"k * rho^k = {scale!r} (k = {k}, rho = "
-                             f"{rho!r}): R = 1/(k rho^k) needs both to be "
-                             "positive finite doubles")
-        self.k, self.b, self.tail = k, b, tail
-        self.rho, self.eta, self.rot = rho, eta, rot
-
-    @property
-    def dw(self) -> int:
-        if self.tail:
-            return 2 * self.k + 1 + len(self.tail)
-        return 2 * self.k + 1 if self.b != 0 else self.k + 1
+        self.k, self.b, self.tail, self.rot = k, b, tail, rot
 
     def z_coefficients(self) -> list[list[complex]]:
         """Each w-coefficient as a z-polynomial, lowest order first: 1 at w,
-        -1 at w^{k+1}, b at w^{2k+1}, the tail above."""
-        c = [[0j] for _ in range(self.dw + 1)]
+        -1 at w^{k+1}, b at w^{2k+1} (kept when b or a tail is nonzero), the
+        tail above."""
+        upper = [[complex(self.b)]] if self.b != 0 or self.tail else []
+        upper += [s.to_complex_list() for s in self.tail]
+        c = [[0j] for _ in range(2 * self.k + 1 if upper else self.k + 2)]
         c[1], c[self.k + 1] = [1.0 + 0j], [-1.0 + 0j]
-        if self.b != 0:
-            c[2 * self.k + 1] = [complex(self.b)]
-        c[2 * self.k + 2:] = [s.to_complex_list() for s in self.tail]
-        return c
+        return c + upper
 
 
 class ConstantVerticalMap:
@@ -308,33 +259,19 @@ class _Region(NamedTuple):  # see _petal_region
     eps: float      # every row maps u to u + 1 + e with |e| <= eps on it
 
 
-def _petal_region(F, C: np.ndarray) -> _Region | None:
-    """The wedge {|Im u| < Re u - R}, u = -1/(k a w^k), R = 1/(k |a| rho^k),
-    certified for every row of C, or None unless all rows are parabolic of
-    order k at w = 0 exactly (a_0 = 0, a_1 = 1, a_2..a_k = 0).
-
-    Row n is w (1 + P), P = a w^k + T, T = (a_{k+1,n} - a) w^k + sum_{j>k+1}
-    c_{n,j} w^{j-1}: it maps u to u (1 + P)^-k = u + 1 + e, |e| <= |u|
-    (R2(|P|) + k |T|), with R2(p) = sum_{m>=2} C(k+m-1, m) p^m <= C(k+1, 2)
-    p^2 / (1 - (k+2) p/3) and |T| / |a w^k| <= tau(|w|) from the rows'
-    largest moduli (padded for rounding).  This bound on |e| grows with |w|;
-    rho is the largest r <= PETAL_RADIUS where it is at most PETAL_EPS, far
-    enough below 1/2 for its own rounding.  On the wedge |w| < rho, and a
-    step adds at least 1 - eps to Re u and at most eps to |Im u|, so the
-    wedge maps into itself and |w_n| -> 0 (the Leau-Fatou flower theorem)."""
-    k, lead = _parabolic_data(F)
-    C = _distinct_rows(C)
-    if not k or (C[:, 0].any() or not np.all(C[:, 1] == 1.0)
-                 or C[:, 2:k + 1].any()):
-        return None
-    a, shift = abs(lead), lead * np.eye(1, C.shape[1] - k - 1)
-    top = np.max([np.abs(C[i:i + _CHUNK, k + 1:] - shift).max(axis=0)
-                  for i in range(0, len(C), _CHUNK)], axis=0)  # in row blocks
-    tail = (top * ((1.0 + 2.0 ** -50) / a)).tolist()
+def _petal_certificate(k: int, lead: complex, moduli,
+                       cap: float = PETAL_RADIUS) -> _Region | None:
+    """The region of _petal_region, rho capped at cap, for maps whose
+    coefficients beyond w^k have moduli at most m, given as pairs (j, m):
+    j = 0 bounds |a_{k+1} - lead|, j >= 1 the coefficient of w^{k+1+j}.
+    Standard library only: the sampling checks call it without numpy."""
+    a = abs(lead)
+    pad = (1.0 + 2.0 ** -50) / a
+    tail = [(j, m * pad) for j, m in moduli if m]
 
     def bound(r: float) -> float:
         x = a * r ** k  # |a w^k|
-        tau = sum(m * r ** j for j, m in enumerate(tail))
+        tau = sum(m * r ** j for j, m in tail)
         q = (k + 2) * x * (1.0 + tau) / 3.0
         if not q < 1.0:
             return math.inf
@@ -346,7 +283,34 @@ def _petal_region(F, C: np.ndarray) -> _Region | None:
         lo, hi = (mid, hi) if bound(mid) <= PETAL_EPS else (lo, mid)
     if lo == 0.0:
         return None
-    return _Region(k, lead, directions_for_jet(lead, k), lo, bound(lo))
+    rho = min(lo, cap)
+    return _Region(k, lead, directions_for_jet(lead, k), rho, bound(rho))
+
+
+def _petal_region(F, C: np.ndarray) -> _Region | None:
+    """The wedge {|Im u| < Re u - R}, u = -1/(k a w^k), R = 1/(k |a| rho^k),
+    certified for every row of C, or None unless all rows are parabolic of
+    order k at w = 0 exactly (a_0 = 0, a_1 = 1, a_2..a_k = 0).
+
+    Row n is w (1 + P), P = a w^k + T, T = (a_{k+1,n} - a) w^k + sum_{j>k+1}
+    c_{n,j} w^{j-1}: it maps u to u (1 + P)^-k = u + 1 + e, |e| <= |u|
+    (R2(|P|) + k |T|), with R2(p) = sum_{m>=2} C(k+m-1, m) p^m <= C(k+1, 2)
+    p^2 / (1 - (k+2) p/3) and |T| / |a w^k| <= tau(|w|) from the rows'
+    largest moduli (padded for rounding; _petal_certificate).  This bound
+    on |e| grows with |w|; rho is the largest r <= PETAL_RADIUS where it is
+    at most PETAL_EPS, far enough below 1/2 for its own rounding.  On the
+    wedge |w| < rho, and a step adds at least 1 - eps to Re u and at most
+    eps to |Im u|, so the wedge maps into itself and |w_n| -> 0 (the
+    Leau-Fatou flower theorem)."""
+    k, lead = _parabolic_data(F)
+    C = _distinct_rows(C)
+    if not k or (C[:, 0].any() or not np.all(C[:, 1] == 1.0)
+                 or C[:, 2:k + 1].any()):
+        return None
+    shift = lead * np.eye(1, C.shape[1] - k - 1)
+    top = np.max([np.abs(C[i:i + _CHUNK, k + 1:] - shift).max(axis=0)
+                  for i in range(0, len(C), _CHUNK)], axis=0)  # in row blocks
+    return _petal_certificate(k, lead, enumerate(top.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -430,32 +394,28 @@ def _certify_cycle(rows: np.ndarray, pts: list[complex]) -> list[float] | None:
     z_{i+1}| <= delta_i + sum_{j>=1} M_ij |h|^j with delta_i = max |c_0 -
     z_{i+1}| (the polish defect and the rows' spread) and M_ij = max |c_j|
     over the rows, read in row blocks.  The Taylor shift that gives c_j
-    rounds each real operation on its own, as CPython's complex arithmetic
-    does, so the radii do not depend on numpy's CPU dispatch, and each
-    maximum carries the shift's rounding bound.  The bounds are read at r
-    (1 + 2^-40), which covers the rounding of _basin_hits.  Then p rows map
-    D(z_0, r_0) into a compact part of itself, and every orbit in a disk
-    converges to the cycle (Earle-Hamilton)."""
+    rounds each real operation on its own (series._cmul), as CPython's
+    complex arithmetic does, so the radii do not depend on numpy's CPU
+    dispatch, and each maximum carries the shift's rounding bound.  The
+    bounds are read at r (1 + 2^-40), which covers the rounding of
+    _basin_hits.  Then p rows map D(z_0, r_0) into a compact part of
+    itself, and every orbit in a disk converges to the cycle
+    (Earle-Hamilton)."""
     p, d = len(pts), rows.shape[1] - 1
     gamma = 8 * (d + 1) * 2.0 ** -53
     bounds = []
     for i, z in enumerate(pts):
         top = np.zeros(d + 1)
         for b in range(0, len(rows), _CHUNK):
-            blk = rows[b:b + _CHUNK].T
-            cr, ci = list(blk.real), list(blk.imag)
-            ca = [np.sqrt(x * x + y * y) for x, y in zip(cr, ci)]
+            c = rows[b:b + _CHUNK].T.copy()  # c[j]: coefficient j of each row
+            ca = np.sqrt(c.real * c.real + c.imag * c.imag)
             for j in range(d):  # the Taylor shift: c_k += z c_{k+1}
                 for k in range(d - 1, j - 1, -1):
-                    re = z.real * cr[k + 1] - z.imag * ci[k + 1]
-                    im = z.real * ci[k + 1] + z.imag * cr[k + 1]
-                    cr[k], ci[k] = cr[k] + re, ci[k] + im
-                    ca[k] = ca[k] + abs(z) * ca[k + 1]
-            nxt = pts[(i + 1) % p]
-            cr[0], ci[0] = cr[0] - nxt.real, ci[0] - nxt.imag
-            top = np.maximum(top, [  # a NaN stays NaN
-                (np.sqrt(x * x + y * y) + gamma * a).max()
-                for x, y, a in zip(cr, ci, ca)])
+                    c[k] += _cmul(z, c[k + 1])
+                    ca[k] += abs(z) * ca[k + 1]
+            c[0] -= pts[(i + 1) % p]
+            mod = np.sqrt(c.real * c.real + c.imag * c.imag)
+            top = np.maximum(top, (mod + gamma * ca).max(axis=1))  # NaN stays
         delta, *tail = (top * (1.0 + 2.0 ** -50)).tolist()
         if not delta < BASIN_RADIUS:
             return None
@@ -929,11 +889,6 @@ class SampleReport(NamedTuple):
     samples: int
     violations: int
     worst_margin: float
-    unresolved: int = 0  # forward check: images that round to their start
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
 
 
 def _seeded(seed: int) -> random.Random:
@@ -949,115 +904,120 @@ def _uniform(rng: random.Random, n: int) -> list[float]:
             for x in struct.unpack(f"<{n}Q", rng.randbytes(8 * n))]
 
 
-def _sample_attracting_petal(rng: random.Random, n: int, k: int, rho: float,
-                             eta: float) -> list[complex]:
-    """The first n accepted points, in draw order, of rejection sampling on
-    the attracting petal union.  Candidates are uniform on the sectors
-    |arg w - 2 pi j/k| < pi/k of radius 1.3 rho and are drawn _CHUNK at a
-    time (indices, radii, then angles), which bounds memory whatever the
-    acceptance rate.
+def _local_region(local: ParabolicLocal, z_band: float, rho: float) -> _Region:
+    """The petal certificate of `local` on every fiber |z| <= z_band, its
+    radius capped at rho, with each tail coefficient majorised over the band
+    by sum_i |beta_i| z_band^i.  ValueError when no radius certifies, or
+    when rho^k, the largest |w^k| on the wedge, lies below the normal
+    doubles: there the step errors and eps keep too few bits to compare."""
+    if not rho > 0:
+        raise ValueError(f"rho must be positive (got {rho!r})")
+    k, lead = _parabolic_data(local)
+    band = abs(z_band)
+    moduli = [(j, math.fsum(abs(c) * band ** i for i, c in enumerate(cs)))
+              for j, cs in enumerate([[complex(local.b)], *(
+                  s.to_complex_list() for s in local.tail)], k)]
+    region = _petal_certificate(k, lead, moduli, rho)
+    if region is None or not region.rho ** k >= 2.0 ** -1022:
+        raise ValueError(f"no petal radius certifies |e| <= {PETAL_EPS} "
+                         f"with rho^k a normal double (k = {k}, b = "
+                         f"{local.b!r}, rho <= {rho!r})")
+    return region
 
-    As cos + eta |sin| <= sqrt(1 + eta^2), no petal point has |w| above
-    rho (1 + eta^2)^(1/(2k)).  A radius beyond that bound by a relative
-    1e-9, far above the rounding of |w|, is rejected before its point is
-    formed, so the accepted points are exactly those of the full test."""
-    out: list[complex] = []
-    scale, half = rho * 1.3, math.pi / k
-    s_max = rho * (1.0 + eta * eta) ** (0.5 / k) * (1.0 + 1e-9)
-    while len(out) < n:
-        for uj, us, ua in zip(_uniform(rng, _CHUNK), _uniform(rng, _CHUNK),
-                              _uniform(rng, _CHUNK)):
-            s = scale * math.sqrt(us)
-            if s > s_max:
-                continue
-            j = int(uj * k)  # u k < k for u < 1
-            w = s * cmath.exp(1j * (TWO_PI * j / k + half * (2.0 * ua - 1.0)))
-            if w != 0 and _petal_index(w, k, rho, eta) >= 0:
-                out.append(w)
-                if len(out) == n:
-                    return out
+
+def _sample_petal(rng: random.Random, n: int,
+                  region: _Region) -> list[complex]:
+    """n points of the region's wedge, three uniform draws each: the
+    direction j, t = (|w|/rho)^k on (0, 1 - g] and, given t, phi = k delta
+    (delta the angle from direction j) on the interval where cos phi -
+    |sin phi| > t + g.  The gap g = 256 (k + 2) 2^-53 is four times the
+    margin of _petal_hits, so the rounding of w moves no point out of the
+    wedge that the engine reads."""
+    if n < 1:
+        raise ValueError("need at least one sample")
+    k, gap = region.k, 256 * (region.k + 2) * 2.0 ** -53
+    u = _uniform(rng, 3 * n)
+    out = []
+    for uj, ut, uphi in zip(u[0::3], u[1::3], u[2::3]):
+        t = (1.0 - ut) * (1.0 - gap)
+        # cos phi - |sin phi| = sqrt(2) cos(|phi| + pi/4)
+        half = math.acos((t + gap) * 0.5 ** 0.5) - 0.25 * math.pi
+        phi = TWO_PI * int(uj * k) + half * (2.0 * uphi - 1.0)  # u k < k
+        out.append(cmath.rect(region.rho * t ** (1.0 / k),
+                              region.base + phi / k))
     return out
 
 
 def forward_invariance_check(local: ParabolicLocal, z_band: float,
-                             samples: int, seed: int) -> SampleReport:
-    """Sample the petal box {|z| < z_band, w in the petal union}, apply the
-    map once, and count image points that leave the union.  Violations are
-    data, not errors; worst_margin is the smallest half-plane clearance
-    seen among images (negative when violations occurred).  `unresolved`
-    counts the images that round to their start (w^{k+1} below half an ulp
-    of w), which test no step.  An image that is not a finite double raises
-    OverflowError; ValueError when every image is unresolved."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+                             samples: int, seed: int,
+                             rho: float = 0.1) -> SampleReport:
+    """Sample the petal box {|z| < z_band, w in the wedge of
+    _local_region(local, z_band, rho)}, step each point once, and count the
+    steps whose error e = u' - u - 1, u = 1/(k w^k), exceeds the
+    certificate's eps in modulus.  Violations are data, not errors;
+    worst_margin is eps - max |e| (negative when violations occurred).
+
+    e is formed without cancellation and without u: the map is w (1 + P),
+    P = x (1 + tau), x = -w^k, tau = -w^k h(w), h = b + sum_i beta_i(z)
+    w^(i+1), so e = tau - (1/k) sum_{m>=2} (-1)^m C(k+m-1, m) P^(m-1) (1 +
+    tau), summed until a term no longer moves the sum (each is below a
+    third of the one before on a certificate: 64 terms suffice)."""
     rng = _seeded(seed)
-    k, rho, eta = local.k, local.rho, local.eta
-    r_cut = 1.0 / (k * rho ** k)
-    ws = _sample_attracting_petal(rng, samples, k, rho, eta)
+    region = _local_region(local, z_band, rho)
+    ws = _sample_petal(rng, samples, region)
     rr = _uniform(rng, 2 * samples)
-    zc = local.z_coefficients()
-    images = []
+    k = local.k
+    ratios = [-(k + m) / (m + 1) for m in range(2, 66)]
+    lists = [[complex(local.b)], *(s.to_complex_list() for s in local.tail)]
+    errs = []
     for w, a, b in zip(ws, rr[0::2], rr[1::2]):
         z = z_band * math.sqrt(a) * cmath.exp(1j * TWO_PI * b)
-        images.append(_horner([_horner(c, z) for c in zc], w))
-    unresolved = sum(map(operator.eq, images, ws))
-    if unresolved == samples:
-        raise ValueError(f"petal step unresolved in doubles (k = {k}, rho "
-                         f"= {rho!r}): every image equals its start")
-    images = [w1 for w1 in images if w1 != 0]
-    if not all(map(cmath.isfinite, images)):
-        raise OverflowError("a petal image leaves the double range")
-    violations, worst = 0, math.inf
-    for w1 in images:
-        try:
-            u = 1.0 / (k * w1 ** k)
-            margin = u.real - (r_cut - eta * abs(u.imag))
-        except (OverflowError, ZeroDivisionError):
-            margin = math.nan  # k w1^k overflowed or is 0: IEEE u is NaN
-        if _petal_index(w1, k, rho, eta) < 0:
-            violations += 1
-            margin = -abs(margin)
-        if margin < worst:  # never true for NaN, which is skipped
-            worst = margin
-    return SampleReport(samples, violations, worst, unresolved)
+        wk = w ** k
+        tau = -wk * _horner([_horner(c, z) for c in lists], w)
+        p = -wk * (1.0 + tau)
+        t, acc = 0.5 * (k + 1) * p * (1.0 + tau), 0j
+        for r in ratios:
+            nxt = acc + t
+            if nxt == acc:
+                break
+            acc, t = nxt, t * p * r
+        errs.append(abs(tau - acc))
+    violations = sum(not x <= region.eps for x in errs)
+    return SampleReport(samples, violations, region.eps - max(errs))
 
 
-def repelling_expansion_check(local: ParabolicLocal, samples: int,
-                              seed: int) -> SampleReport:
-    """Verify |g'(zeta)| > 1 on the repelling petals at z = 0.
-
-    Repelling petal points satisfy Re u < -R for u = 1/(k zeta^k), i.e.
-    they are attracting half-plane samples rotated by e^{i pi/k}, which
-    takes attracting direction j to the repelling direction pi (2j+1)/k;
-    the samples cover every j.  There Re zeta^k < 0, so the model
-    derivative 1 - (k+1) zeta^k has modulus above one and the check
-    validates that the chosen rho keeps the tail from destroying the
-    margin.  Expansion is decided on u = 1 - g'(zeta), formed without the
-    1 (g'(0) = 1), as -2 Re u + |u|^2 = |g'|^2 - 1 > 0: at high k, u lies
-    below half an ulp of 1, so |g'| itself rounds to 1.  worst_margin is
-    the smallest |g'| seen; a NaN derivative counts as a violation and is
-    left out of it."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+def repelling_expansion_check(local: ParabolicLocal, samples: int, seed: int,
+                              rho: float = 0.1) -> SampleReport:
+    """Verify |g'(zeta)| > 1 on the repelling petals at z = 0: the wedge of
+    _local_region(local, 0, rho) turned by pi/k, from attracting direction
+    j to the repelling direction pi (2j+1)/k.  There Re zeta^k < 0, so the
+    model derivative 1 - (k+1) zeta^k has modulus above one; the check
+    validates that the tail keeps the margin.  With g' = 1 + zeta^k sigma,
+    |g'|^2 - 1 = |zeta|^k (2 Re(v sigma) + |zeta|^k |sigma|^2), v =
+    (zeta/|zeta|)^k, and expansion is decided on the bracket, which stays
+    positive where zeta^k underflows.  worst_margin is the smallest |g'|
+    seen; a NaN derivative counts as a violation and is left out of it."""
     rng = _seeded(seed)
-    k, rho = local.k, local.rho
-    coeffs = [_horner(c, 0j) for c in local.z_coefficients()]
-    dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-    turn = cmath.exp(1j * math.pi / k)
-    violations, worst = 0, math.inf
-    for w in _sample_attracting_petal(rng, samples, k, rho, 0.0):
-        zeta = w * turn
-        u = -zeta * _horner(dcoeffs[1:], zeta)
+    k = local.k
+    # ParabolicLocal attracts along 2 pi j/k, so base pi/k repels
+    region = _local_region(local, 0.0, rho)._replace(base=math.pi / k)
+    # the derivative of the terms above zeta^{k+1}, over zeta^{2k}
+    dh = [(2 * k + 1 + i) * c for i, c in enumerate(
+        [complex(local.b), *(s.to_complex_list()[0] for s in local.tail)])]
+    violations, least = 0, math.inf
+    for zeta in _sample_petal(rng, samples, region):
+        r = abs(zeta)
+        v, rk = (zeta / r) ** k, r ** k
+        sigma = (v * rk) * _horner(dh, zeta) - (k + 1)
         # x * x, as x ** 2 raises OverflowError past the double range
-        if not -2.0 * u.real + (u.real * u.real + u.imag * u.imag) > 0.0:
+        bracket = (2.0 * (v * sigma).real
+                   + rk * (sigma.real * sigma.real + sigma.imag * sigma.imag))
+        if not bracket > 0.0:
             violations += 1
-        try:
-            g1 = abs(_horner(dcoeffs, zeta))
-        except OverflowError:  # a finite derivative whose modulus overflows
-            g1 = math.inf
-        if g1 < worst:
-            worst = g1
-    return SampleReport(samples, violations, worst)
+        g2 = 1.0 + rk * bracket  # |g'|^2
+        if g2 < least:  # never true for NaN, which is skipped
+            least = g2
+    return SampleReport(samples, violations, math.sqrt(least))
 
 
 # ---------------------------------------------------------------------------

@@ -439,22 +439,26 @@ def test_petalcheck_requires_seed(tmp_path, capsys):
     assert rep["repelling_expansion"]["min_derivative_modulus"] > 1
 
 
-def test_petalcheck_reports_unresolved_images(tmp_path):
-    # at k = 10 some images round to their start; the count is reported
-    # beside the unchanged keys
+@pytest.mark.parametrize("k", [10, 20])
+def test_petalcheck_high_order_exits_0(tmp_path, k):
+    # the step error is formed without the rounded image, so orders whose
+    # images round to their start still test every step
     out = tmp_path / "o"
-    assert main(["petalcheck", "--k", "10", "--seed", "1", "--samples", "500",
+    assert main(["petalcheck", "--k", str(k), "--seed", "1", "--samples", "500",
                  "--out", str(out)]) == 0
-    fwd = read_json(out / "petalcheck.json")["forward_invariance"]
-    assert fwd == {"samples": 500, "violations": 0, "unresolved": 15,
+    rep = read_json(out / "petalcheck.json")
+    fwd, cert = rep["forward_invariance"], rep["certificate"]
+    assert fwd == {"samples": 500, "violations": 0,
                    "worst_margin": fwd["worst_margin"]}
+    assert cert["rho"] == 0.1 and 0 <= fwd["worst_margin"] < cert["eps"]
+    assert rep["repelling_expansion"]["violations"] == 0
 
 
 @pytest.mark.parametrize("k, rho", [(320, "0.1"), (400, "0.1"), (4097, "0.9")])
 def test_petalcheck_order_out_of_range_exit_2(tmp_path, capsys, k, rho):
-    # rho^k underflows at rho = 0.1 for k = 320 and 400, so R = 1/(k rho^k)
-    # has no double; k = 4097 is past the order cap although 0.9^4097 is a
-    # normal double
+    # rho^k lies below the normal doubles at rho = 0.1 for k = 320 and 400,
+    # where the step errors keep too few bits to be compared with eps;
+    # k = 4097 is past the order cap although 0.9^4097 is a normal double
     out = tmp_path / "o"
     assert main(["petalcheck", "--k", str(k), "--rho", rho, "--seed", "1",
                  "--out", str(out)]) == 2
@@ -462,26 +466,23 @@ def test_petalcheck_order_out_of_range_exit_2(tmp_path, capsys, k, rho):
     assert not (out / "petalcheck.json").exists()
 
 
-def test_petalcheck_unresolved_step_exits_2(tmp_path, capsys):
-    # at k = 20 every sampled image rounds to its start: no verdict, no file
-    out = tmp_path / "o"
-    assert main(["petalcheck", "--k", "20", "--seed", "1", "--samples", "500",
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert not out.exists()
+def test_petalcheck_eta_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["petalcheck", "--eta", "0.25", "--seed", "1",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2 and "--eta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["--k", "1", "--b=1e308,0"], 0),
-    (["--k", "2", "--b=1e308,0"], 0),
-    (["--k", "3", "--b=1e308,0"], 0),
+    (["--k", "1", "--b=1e308,0"], 2),
+    (["--k", "2", "--b=1e308,0"], 2),
+    (["--k", "3", "--b=1e308,0"], 2),
     (["--k", "1", "--b=1e308,0", "--rho=5"], 2),
-    (["--k", "1", "--rho=1e308"], 2),
+    (["--k", "1", "--rho=1e308"], 0),
 ], ids=["b-k1", "b-k2", "b-k3", "b-rho5", "rho-huge"])
 def test_petalcheck_overflowing_inputs_are_quiet(tmp_path, capsys, argv, code):
-    # images and derivatives overflow to inf and NaN: no RuntimeWarning, and
-    # an image that is not a finite double exits 2 as the scalar code did
+    # with b = 1e308 no radius certifies the step (exit 2); --rho caps the
+    # certified radius, so a huge cap leaves it as it is
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["petalcheck", *argv, "--samples", "30", "--seed", "1",
@@ -706,9 +707,7 @@ def test_normalize_nan_coefficient_exits_2(tmp_path, germ_file):
     ["slice", "--grid=-1,nan,-1,1,4"],
     ["slice", "--grid=-inf,1,-1,1,4"],
     ["petalcheck", "--seed", "1", "--rho", "nan"],
-    ["petalcheck", "--seed", "1", "--eta", "inf"],
-], ids=["escape-nan", "escape-inf", "grid-nan", "grid-inf", "rho-nan",
-        "eta-inf"])
+], ids=["escape-nan", "escape-inf", "grid-nan", "grid-inf", "rho-nan"])
 def test_non_finite_float_options_exit_2(tmp_path, germ_file, argv):
     if argv[0] != "petalcheck":
         argv = [argv[0], "--germ", germ_file, *argv[1:]]
@@ -725,6 +724,12 @@ def test_nonpositive_escape_exits_2(tmp_path, germ_file, argv):
     # an escape radius of 0 or below would label every start as escaping
     # at step 0
     _assert_cli_exit_2(tmp_path, [argv[0], "--germ", germ_file, *argv[1:]])
+
+
+@pytest.mark.parametrize("rho", ["0", "-1", "-inf"])
+def test_nonpositive_petal_cap_exits_2(tmp_path, rho):
+    # --rho caps the certified petal radius, which must stay positive
+    _assert_cli_exit_2(tmp_path, ["petalcheck", "--seed", "1", f"--rho={rho}"])
 
 
 def test_escaping_full_orbit_dlog(tmp_path, germ_file):

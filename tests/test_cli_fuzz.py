@@ -142,7 +142,6 @@ def argvs(draw, cmd: str, germ: str, rot: str):
     else:
         argv = [cmd, "--k", str(_pick(draw, [0, 1, 2, 3], [320, 400, 4097])),
                 "--b=" + _complex_text(draw), "--rho=" + _float_text(draw),
-                "--eta=" + _pick(draw, ["0", "0.25", "0.99"], ["1", "-0.1"]),
                 "--samples", str(draw(st.integers(0, 50))),
                 "--seed", str(draw(st.integers(0, 3)))]
     if draw(st.integers(0, 9)) == 0:  # a dropped token

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import os
 import pickle
@@ -31,52 +32,56 @@ def test_directions_for_jet():
     assert cmath.exp(1j * sd.directions_for_jet(-1.0, 1)) == pytest.approx(1)
 
 
+def _hits(w, region):
+    """The engine's petal rule on the points w: (indices, directions)."""
+    w = np.asarray(w, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx = petals._petal_hits(w, np.abs(w), region)
+    return (idx.tolist(),
+            petals._direction_index(w[idx], region.k, region.base).tolist())
+
+
 def test_petal_membership_examples():
-    rho = 0.1
-    assert sd.in_attracting_petal(rho / 2, 1, rho, 0.25) == 0
-    assert sd.in_attracting_petal(-rho / 2, 1, rho, 0.25) is None
+    # one petal definition: the wedge of the certificate, read by the
+    # engine's rule; ParabolicLocal(k) attracts along the directions
+    # 2 pi j / k
+    region = petals._local_region(sd.ParabolicLocal(k=1), 0.0, 0.1)
+    rho = region.rho
+    assert rho == 0.1
+    assert _hits([rho / 2, -rho / 2, rho * (1 - 2.0 ** -40), rho], region) \
+        == ([0, 2], [0, 0])
     # k = 2, w = 0.9 rho i sits on the sector boundary with Re u < 0
+    region = petals._local_region(sd.ParabolicLocal(k=2), 0.0, 0.1)
     w = 0.9 * rho * 1j
-    u = 1.0 / (2 * w ** 2)
-    assert u.real < 0
-    assert sd.in_attracting_petal(w, 2, rho, 0.25) is None
-    # a genuine second-sector point for k = 2
-    assert sd.in_attracting_petal(-rho / 2, 2, rho, 0.25) == 1
-    # non-finite points lie in no petal, with no RuntimeWarning; |w| and
-    # (|w|/rho)^k may overflow (None) or underflow (harmless at high order)
+    assert (1.0 / (2 * w ** 2)).real < 0
+    # a genuine second-direction point for k = 2, and none off the axes
+    assert _hits([w, -rho / 2, rho / 2 * cmath.exp(0.35j)], region) == ([1], [1])
+    # non-finite points lie in no petal, with no RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = np.array([sd.in_attracting_petal(w, 1, rho, 0.25) for w in
-                        [rho / 2, -rho / 2, np.nan, np.inf, complex(np.nan, 1),
-                         1.5e308 + 1.5e308j]])
-        assert sd.in_attracting_petal(rho / 2, 320, rho, 0.25) == 0
-        assert sd.in_attracting_petal(1e300, 2, rho, 0.25) is None
-    assert got.tolist() == [0, None, None, None, None, None]
-    with pytest.raises(ValueError):
-        sd.in_attracting_petal(0j, 1, rho, 0.25)
-    with pytest.raises(ValueError):
-        sd.in_attracting_petal(np.complex128(0), 1, rho, 0.25)
-    with pytest.raises(ValueError):
-        sd.in_attracting_petal(0.05, 1, rho, 1.5)
+        assert _hits([np.nan, np.inf, complex(np.nan, 1), 1.5e308 + 1.5e308j,
+                      1e300], region) == ([], [])
 
 
 def test_membership_against_direct_halfplane_evaluation():
+    # the wedge {|Im u| < Re u - R}, u = -1/(k a w^k), is the meet of the
+    # half-planes Re u - Im u > R and Re u + Im u > R: read directly in u,
+    # it agrees with the engine's trig-free rule off a thin boundary layer
     rng = np.random.default_rng(3)
-    for k, rho, eta in ((1, 0.1, 0.25), (2, 0.1, 0.1), (3, 0.2, 0.0)):
-        r_cut = 1.0 / (k * rho ** k)
-        ws = [(rng.random() * 1.4 * rho) * cmath.exp(2j * math.pi * rng.random())
-              for _ in range(200)]
-        ws = [w for w in ws if w != 0]
-        got = np.array([sd.in_attracting_petal(w, k, rho, eta) for w in ws])
-        assert got.shape == (len(ws),)
-        for w, g in zip(ws, got):
-            ang = cmath.phase(w)
-            j = int(round(ang * k / (2 * math.pi))) % k
-            delta = (ang - 2 * math.pi * j / k + math.pi) % (2 * math.pi) - math.pi
-            u = 1.0 / (k * w ** k)
-            inside = (abs(delta) < math.pi / k
-                      and u.real > r_cut - eta * abs(u.imag))
-            assert g == (j if inside else None)
+    for k, base in itertools.product((1, 2, 3, 7), (0.0, 1.0, -2.5)):
+        region = _scripted_region(k, base, rng.uniform(0.05, 0.75))
+        lead, rho = region.lead, region.rho
+        r_cut = 1.0 / (k * abs(lead) * rho ** k)
+        w = (rng.uniform(0, 1.4 * rho, 4000)
+             * np.exp(1j * rng.uniform(-np.pi, np.pi, 4000)))
+        u = -1.0 / (k * lead * w ** k)
+        gap = np.minimum(u.real - u.imag, u.real + u.imag) - r_cut
+        inside = (gap > 0) & (np.abs(w) < rho)
+        clear = np.abs(gap) > 1e-9 * np.abs(u)
+        got = np.zeros(len(w), dtype=bool)
+        got[_hits(w, region)[0]] = True
+        assert np.array_equal(got[clear], inside[clear])
+        assert clear.mean() > 0.999 and got.any() and not got.all()
 
 
 # -- orbits -----------------------------------------------------------------
@@ -974,26 +979,30 @@ def test_derivative_sum_slope_matches_multiplier():
 def test_forward_invariance_defaults(k):
     rep = sd.forward_invariance_check(sd.ParabolicLocal(k=k), z_band=0.05,
                                       samples=10000, seed=42)
-    assert rep.violations == 0 and rep.ok
+    assert rep.violations == 0
     assert rep.worst_margin > 0
 
 
-def test_forward_invariance_negative_control():
-    bad = sd.ParabolicLocal(k=1, rho=1.5, eta=0.0)
-    rep = sd.forward_invariance_check(bad, z_band=0.05, samples=2000, seed=42)
+def test_forward_invariance_negative_control(monkeypatch):
+    # at k = 1, b = 0 the bound is tight: |e| = |w|/|1 - w| reaches eps =
+    # rho/(1 - rho) on the direction ray, so a smaller eps is violated
+    local = sd.ParabolicLocal(k=1)
+    region = petals._local_region(local, 0.0, 1.0)  # the certified radius
+    rep = sd.forward_invariance_check(local, 0.05, 2000, seed=42, rho=1.0)
+    assert rep.violations == 0 and rep.worst_margin >= 0
+    with monkeypatch.context() as m:
+        m.setattr(petals, "_local_region",
+                  lambda *args: region._replace(eps=0.9 * region.eps))
+        rep = sd.forward_invariance_check(local, 0.05, 2000, seed=42, rho=1.0)
     assert rep.violations > 0
     assert rep.worst_margin < 0
-
-
-def test_forward_invariance_refuses_an_unresolved_step():
-    # rho = 0.1, k = 20: w^{k+1} lies below half an ulp of every sample w, so
-    # each image w - w^{k+1} rounds to its start and no petal is tested
-    local = sd.ParabolicLocal(k=20)
-    w = np.array(petals._sample_attracting_petal(petals._seeded(1), 500, 20,
-                                                 local.rho, local.eta))
-    assert np.array_equal(w - w ** 21, w)
-    with pytest.raises(ValueError, match="unresolved"):
-        sd.forward_invariance_check(local, z_band=0.1, samples=500, seed=1)
+    # one step on the ray, just inside the radius, with the true eps
+    w = region.rho * (1 - 2.0 ** -40)
+    monkeypatch.setattr(petals, "_sample_petal", lambda rng, n, reg: [w] * n)
+    rep = sd.forward_invariance_check(local, 0.0, 1, seed=0, rho=1.0)
+    assert region.eps - rep.worst_margin == pytest.approx(w / (1 - w),
+                                                          rel=1e-14)
+    assert 0 <= rep.worst_margin < 1e-11
 
 
 def test_forward_invariance_deterministic():
@@ -1010,47 +1019,71 @@ def test_repelling_expansion_defaults(k):
     assert rep.worst_margin > 1.0
 
 
-@pytest.mark.parametrize("k", [1, 2, 10, 20, 30, 50])
+def _oracle_digits(k, rho):
+    """Digits that resolve u' - u - 1 and |g'|^2 - 1 against u ~ rho^-k."""
+    return int(2 * k * math.log10(1 / rho)) + 50
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 20, 30, 50, 200])
 def test_repelling_expansion_at_high_order_matches_mpmath(k):
-    # at these orders (k+1) zeta^k lies near or below an ulp of 1, so |g'|
-    # can round to 1 in doubles; mpmath at 1000 digits resolves
-    # |g'|^2 - 1 = |1 - (k+1) zeta^k|^2 - 1 on the same samples
+    # |g'|^2 - 1 straight from g'(zeta) = 1 - (k+1) zeta^k + (2k+1) b
+    # zeta^{2k} on the same samples: at these orders (k+1) zeta^k lies
+    # near or below an ulp of 1, or underflows, so |g'| rounds to 1 in
+    # doubles; the check decides on |g'|^2 - 1 over |zeta|^k
     mpmath = pytest.importorskip("mpmath")
-    local = sd.ParabolicLocal(k=k)
-    rep = sd.repelling_expansion_check(local, samples=100, seed=1)
-    zeta = (np.array(petals._sample_attracting_petal(petals._seeded(1), 100, k,
-                                                     local.rho, 0.0))
-            * cmath.exp(1j * math.pi / k))
-    with mpmath.workdps(1000):
-        expanding = [abs(1 - (k + 1) * mpmath.mpc(z) ** k) ** 2 - 1 > 0
-                     for z in zeta.tolist()]
-    assert all(expanding)
-    assert rep.violations == 0
+    for b in (0j, 0.3 - 0.2j):
+        local = sd.ParabolicLocal(k=k, b=b)
+        rep = sd.repelling_expansion_check(local, samples=300, seed=1)
+        region = petals._local_region(local, 0.0, 0.1)
+        zeta = petals._sample_petal(petals._seeded(1), 300,
+                                    region._replace(base=math.pi / k))
+        assert all(abs(cmath.phase((z / abs(z)) ** k)) > 3 * math.pi / 4
+                   for z in zeta)  # about the repelling directions
+        with mpmath.workdps(_oracle_digits(k, region.rho)):
+            g1 = [abs(1 - (k + 1) * z ** k + (2 * k + 1) * b * z ** (2 * k))
+                  for z in map(mpmath.mpc, zeta)]
+            violations = sum(not x ** 2 - 1 > 0 for x in g1)
+            least = float(min(g1))
+        assert rep.violations == violations == 0
+        assert rep.worst_margin == pytest.approx(least, rel=1e-12)
 
 
 def test_repelling_direction_formulas():
     # zeta on the repelling ray: |g'| = |1 + 0.2| = 1.2; attracting ray < 1
     assert abs(1 - 2 * (-0.1)) == pytest.approx(1.2)
     assert abs(1 - 2 * 0.1) == pytest.approx(0.8)
-    rep = sd.repelling_expansion_check(sd.ParabolicLocal(k=1, rho=0.1),
-                                       samples=100, seed=1)
+    rep = sd.repelling_expansion_check(sd.ParabolicLocal(k=1),
+                                       samples=100, seed=1, rho=0.1)
     assert rep.worst_margin > 1.0
 
 
+SAMPLER_CASES = [  # (map, z_band, cap)
+    (sd.ParabolicLocal(k=1), 0.0, 0.1),
+    (sd.ParabolicLocal(k=2, b=0.3 - 0.2j), 0.0, 1.0),
+    (sd.ParabolicLocal(k=3), 0.0, 0.05),
+    (sd.ParabolicLocal(k=7, b=2.0), 0.0, 1.0),
+    (sd.ParabolicLocal(k=50), 0.0, 1.0),
+    (sd.ParabolicLocal(k=200), 0.0, 0.1),
+    (sd.ParabolicLocal(k=2, tail=(sd.TruncatedSeries([0.2, 0.5j]),)), 0.1, 1.0),
+]
+
+
 def test_sampler_only_emits_petal_members():
-    from skewdyn.petals import _sample_attracting_petal
-    for k, eta, n in ((1, 0.25, 500), (3, 0.0, 500), (2, 0.25, 1), (2, 0.0, 3000)):
-        w = np.array(_sample_attracting_petal(random.Random(1), n, k, 0.1, eta))
-        assert w.shape == (n,)
-        assert all(sd.in_attracting_petal(x, k, 0.1, eta) is not None for x in w)
-        again = np.array(_sample_attracting_petal(random.Random(1), n, k, 0.1, eta))
-        assert np.array_equal(w, again)
+    # every point the checks draw passes the engine's petal rule for the
+    # same region, and the draws are a function of the seed
+    for local, z_band, cap in SAMPLER_CASES:
+        region = petals._local_region(local, z_band, cap)
+        for n in (1, 3000):
+            w = petals._sample_petal(random.Random(1), n, region)
+            assert len(w) == n and len(_hits(w, region)[0]) == n
+            assert w == petals._sample_petal(random.Random(1), n, region)
+        assert w != petals._sample_petal(random.Random(2), n, region)
 
 
 def test_sampler_fills_every_direction_evenly():
-    from skewdyn.petals import _sample_attracting_petal
-    w = _sample_attracting_petal(random.Random(7), 30000, 3, 0.1, 0.25)
-    counts = np.bincount([sd.in_attracting_petal(x, 3, 0.1, 0.25) for x in w],
+    region = petals._local_region(sd.ParabolicLocal(k=3), 0.0, 0.1)
+    w = np.array(petals._sample_petal(random.Random(7), 30000, region))
+    counts = np.bincount(petals._direction_index(w, 3, region.base),
                          minlength=3)
     assert counts.sum() == 30000
     assert np.all(np.abs(counts / 30000 - 1 / 3) <= 0.02)
@@ -1067,112 +1100,61 @@ def test_uniform_draws_lie_on_the_53_bit_grid():
     assert abs(u.mean() - 0.5) < 0.02
 
 
-# float.hex (real, imag) of samples 1-4 and 2000 of
-# _sample_attracting_petal(random.Random(1), 2000, k, 0.1, eta), recorded
-# from the array sampler this scalar one replaced
-SAMPLE_PINS = {
-    (1, 0.25): [("0x1.28c1fc5d90b14p-5", "-0x1.fe5f6e1fdbdfap-6"),
-                ("0x1.de4351c24f470p-6", "-0x1.7375f1821dce3p-5"),
-                ("0x1.3c83dba37c3b9p-5", "0x1.632886ecc308fp-6"),
-                ("0x1.7157353e588adp-4", "0x1.313b1c3f2e2a4p-5"),
-                ("0x1.8a79806d7fe3ep-5", "0x1.c40c1ce8c7b15p-6")],
-    (1, 0.0): [("0x1.28c1fc5d90b14p-5", "-0x1.fe5f6e1fdbdfap-6"),
-               ("0x1.de4351c24f470p-6", "-0x1.7375f1821dce3p-5"),
-               ("0x1.3c83dba37c3b9p-5", "0x1.632886ecc308fp-6"),
-               ("0x1.d7cfa63f9933cp-6", "-0x1.1eebe01b115fbp-5"),
-               ("0x1.29d468cc8c975p-7", "-0x1.49ed0e2f6e89bp-6")],
-    (2, 0.25): [("-0x1.6ef8248f99ad0p-5", "0x1.102ae0970ca57p-6"),
-                ("-0x1.83d21684bba37p-5", "0x1.a724162e66ac9p-6"),
-                ("0x1.5f21ebcab4090p-5", "0x1.6f1695d4e95acp-7"),
-                ("-0x1.87fc0187c668cp-4", "-0x1.372f2af0a8dd3p-6"),
-                ("-0x1.7ddc877fbe823p-5", "-0x1.99571bbd9aae4p-11")],
-    (2, 0.0): [("-0x1.6ef8248f99ad0p-5", "0x1.102ae0970ca57p-6"),
-               ("-0x1.83d21684bba37p-5", "0x1.a724162e66ac9p-6"),
-               ("0x1.5f21ebcab4090p-5", "0x1.6f1695d4e95acp-7"),
-               ("-0x1.4fdbe62703954p-5", "0x1.3d53a4cebe30cp-6"),
-               ("0x1.5c87e807a5fdcp-4", "-0x1.759646862e279p-6")],
-    (3, 0.25): [("-0x1.baf55d86ac430p-7", "0x1.7765523dde306p-5"),
-                ("-0x1.4dcc3e2d45a22p-5", "-0x1.21638fcb9a1eep-5"),
-                ("0x1.65ab5166d58a0p-5", "0x1.ec6e5db7d542fp-8"),
-                ("-0x1.3212ffe315de6p-5", "-0x1.712a882e8b1dfp-4"),
-                ("-0x1.e1971309b0d92p-5", "-0x1.059cce3670169p-4")],
-    (3, 0.0): [("-0x1.baf55d86ac430p-7", "0x1.7765523dde306p-5"),
-               ("-0x1.4dcc3e2d45a22p-5", "-0x1.21638fcb9a1eep-5"),
-               ("0x1.65ab5166d58a0p-5", "0x1.ec6e5db7d542fp-8"),
-               ("-0x1.0f081318c288dp-5", "-0x1.fc013b638af21p-6"),
-               ("-0x1.136d32c39b6d2p-5", "-0x1.99c4d69cf3e83p-5")],
-}
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 50, 200])
+@pytest.mark.parametrize("b", [0j, 0.3 - 0.2j, 2.0])
+def test_check_certificate_is_the_engine_region(k, b):
+    # one petal definition: with the cap at or above the certified radius
+    # the checks' certificate is the engine's at z = 0, bit for bit, where
+    # numpy's |b| rounds as CPython's does; a lower cap moves rho to the
+    # cap and eps to the bound there
+    assert np.abs(np.array([b])).tolist() == [abs(b)]
+    local = sd.ParabolicLocal(k=k, b=b)
+    engine = petals._petal_region(local, petals._coeff_matrix(local, 0, 10))
+    for cap in (engine.rho, petals.PETAL_RADIUS, 1.0, math.inf):
+        assert petals._local_region(local, 0.0, cap) == engine
+    low = petals._local_region(local, 0.0, engine.rho / 2)
+    assert low[:3] == engine[:3] and low.rho == engine.rho / 2
+    assert 0 < low.eps < engine.eps
 
 
-@pytest.mark.parametrize("k, eta", list(SAMPLE_PINS))
-def test_sample_stream_is_pinned(k, eta):
-    w = petals._sample_attracting_petal(random.Random(1), 2000, k, 0.1, eta)
-    got = [(x.real.hex(), x.imag.hex()) for x in [*w[:4], w[1999]]]
-    assert len(w) == 2000 and got == SAMPLE_PINS[k, eta]
+def test_check_certificate_follows_the_modulus_of_b():
+    # numpy's complex modulus may differ from CPython's abs in the last
+    # bit; the two certificates then differ by about as much
+    rng = random.Random(5)
+    for _ in range(200):
+        local = sd.ParabolicLocal(k=rng.randint(1, 5),
+                                  b=complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+        engine = petals._petal_region(local, petals._coeff_matrix(local, 0, 4))
+        check = petals._local_region(local, 0.0, 1.0)
+        assert check[:3] == engine[:3]
+        assert check.rho == pytest.approx(engine.rho, rel=1e-14)
+        assert check.eps == pytest.approx(engine.eps, rel=1e-14)
 
 
-def _plain_candidates(rng, k, rho):
-    """The sampler's candidate stream, drawn as it draws it, unfiltered."""
-    while True:
-        draws = [petals._uniform(rng, 1024) for _ in range(3)]
-        for uj, us, ua in zip(*draws):
-            ang = 2.0 * math.pi * int(uj * k) / k + (math.pi / k) * (2.0 * ua - 1.0)
-            yield rho * 1.3 * math.sqrt(us) * cmath.exp(1j * ang)
-
-
-@pytest.mark.parametrize("k, rho, eta", [(1, 0.1, 0.25), (2, 0.1, 0.0),
-                                         (3, 0.3, 0.99), (7, 1.0, 0.5),
-                                         (50, 0.9, 0.25)])
-def test_sampler_is_a_plain_filter_of_its_candidates(k, rho, eta):
-    # the sampler rejects large radii before forming a point; a filter of
-    # every candidate through in_attracting_petal must keep the same points
-    n = 3000
-    kept = (w for w in _plain_candidates(random.Random(17), k, rho)
-            if w != 0 and sd.in_attracting_petal(w, k, rho, eta) is not None)
-    plain = [next(kept) for _ in range(n)]
-    assert petals._sample_attracting_petal(random.Random(17), n, k, rho, eta) == plain
-
-
-def test_forward_invariance_counts_unresolved_images():
-    # rho = 0.1, seed 1: at k = 10, 15 of 500 images round to their start
-    # (w^{11} below half an ulp of w); at k = 1 none does
-    rep = sd.forward_invariance_check(sd.ParabolicLocal(k=10), z_band=0.1,
-                                      samples=500, seed=1)
-    assert rep.unresolved == 15 and rep.violations == 0
-    rep = sd.forward_invariance_check(sd.ParabolicLocal(k=1), z_band=0.1,
-                                      samples=500, seed=1)
-    assert rep.unresolved == 0
-
-
-@pytest.mark.parametrize("k, b", [(1, 0j), (2, 0j), (1, 0.3 - 0.2j), (2, 0.3 - 0.2j)])
+@pytest.mark.parametrize("k, b", list(itertools.product(
+    [1, 2, 10, 20, 50, 200], [0j, 0.3 - 0.2j])))
 def test_forward_invariance_matches_mpmath(k, b):
-    # each image of the same samples and its half-plane margin at 50 digits;
-    # inside means the sector test and a positive margin, a form apart from
-    # the trigonometric one the check uses.  The map has no z-dependent
-    # tail, so the z draws move no image.
+    # u' - u - 1 straight from u = 1/(k w^k) and the image w - w^{k+1} + b
+    # w^{2k+1}, at enough digits to resolve the cancellation, on the same
+    # samples: the same violation count, and the same largest |e| (eps -
+    # worst_margin).  The map has no z-dependent tail, so the band moves
+    # no image.
     mpmath = pytest.importorskip("mpmath")
     local = sd.ParabolicLocal(k=k, b=b)
-    rep = sd.forward_invariance_check(local, z_band=0.1, samples=2000, seed=7)
-    ws = petals._sample_attracting_petal(petals._seeded(7), 2000, k,
-                                         local.rho, local.eta)
-    violations, worst = 0, mpmath.inf
-    with mpmath.workdps(50):
-        r_cut = 1 / (k * mpmath.mpf(local.rho) ** k)
-        for w in map(mpmath.mpc, ws):
-            w1 = w - w ** (k + 1) + b * w ** (2 * k + 1)
-            u = 1 / (k * w1 ** k)
-            margin = u.real - (r_cut - local.eta * abs(u.imag))
-            ang = mpmath.arg(w1)
-            j = int(mpmath.nint(ang * k / (2 * mpmath.pi))) % k
-            delta = ang - 2 * mpmath.pi * j / k
-            delta = (delta + mpmath.pi) % (2 * mpmath.pi) - mpmath.pi
-            if not (abs(delta) < mpmath.pi / k and margin > 0):
-                violations += 1
-                margin = -abs(margin)
-            worst = min(worst, margin)
-    assert rep.violations == violations == 0
-    assert rep.unresolved == 0
-    assert rep.worst_margin == pytest.approx(float(worst), rel=1e-12)
+    for cap in (0.1, 1.0):  # the default cap, and the certified radius
+        rep = sd.forward_invariance_check(local, z_band=0.1, samples=500,
+                                          seed=7, rho=cap)
+        region = petals._local_region(local, 0.1, cap)
+        ws = petals._sample_petal(petals._seeded(7), 500, region)
+        with mpmath.workdps(_oracle_digits(k, region.rho)):
+            errs = []
+            for w in map(mpmath.mpc, ws):
+                w1 = w - w ** (k + 1) + b * w ** (2 * k + 1)
+                errs.append(abs(1 / (k * w1 ** k) - 1 / (k * w ** k) - 1))
+            violations = sum(e > region.eps for e in errs)
+            top = float(max(errs))
+        assert rep.violations == violations == 0
+        assert region.eps - rep.worst_margin == pytest.approx(top, rel=1e-12)
 
 
 def test_local_model_from_reduced_normal_form(golden):
@@ -1181,26 +1163,26 @@ def test_local_model_from_reduced_normal_form(golden):
     red = sd.reduce_parabolic_tail(nf, changelog=log)
     assert red.jet[0] == pytest.approx(-1, abs=1e-8)
     loc = sd.ParabolicLocal(k=red.k, b=red.b, tail=tuple(red.tail),
-                            rho=0.08, eta=0.2, rot=red.germ.rot)
+                            rot=red.germ.rot)
     assert loc.k == 1 and loc.rot is not None and len(loc.tail) == 5
     orb = sd.iterate_orbit(loc, 0.02, 0.05, 8000, stop_at_verdict=False)
     assert orb.verdict.kind == PETAL
     assert 0.95 <= 8000 * abs(orb.ws[8000]) <= 1.05
-    fwd = sd.forward_invariance_check(loc, z_band=0.02, samples=3000, seed=3)
-    rep = sd.repelling_expansion_check(loc, samples=3000, seed=3)
+    fwd = sd.forward_invariance_check(loc, z_band=0.02, samples=3000, seed=3,
+                                      rho=0.08)
+    rep = sd.repelling_expansion_check(loc, samples=3000, seed=3, rho=0.08)
     assert fwd.violations == 0 and rep.violations == 0
     assert rep.worst_margin > 1.0
 
 
 def test_petal_membership_stable_under_model_map():
-    # invariance restated: membership index is preserved by one application
-    loc = sd.ParabolicLocal(k=2)
-    from skewdyn.petals import _sample_attracting_petal
-    w = np.array(_sample_attracting_petal(random.Random(5), 10000, 2, loc.rho,
-                                          loc.eta))
-    j = [sd.in_attracting_petal(x, 2, loc.rho, loc.eta) for x in w]
-    assert None not in j
-    assert [sd.in_attracting_petal(x, 2, loc.rho, loc.eta) for x in w - w ** 3] == j
+    # invariance restated: one step of w - w^3 keeps every sample of the
+    # certified wedge in it, along the same direction
+    region = petals._local_region(sd.ParabolicLocal(k=2), 0.0, 0.1)
+    w = np.array(petals._sample_petal(random.Random(5), 10000, region))
+    idx, j = _hits(w, region)
+    assert len(idx) == len(w)
+    assert _hits(w - w ** 3, region) == (idx, j)
 
 
 # -- the petal region's membership test -------------------------------------------
