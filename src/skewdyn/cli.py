@@ -313,7 +313,9 @@ def cmd_petalcheck(args) -> int:
                                "worst_margin": fwd.worst_margin},
         "repelling_expansion": {"samples": rep.samples,
                                 "violations": rep.violations,
-                                "min_derivative_modulus": rep.worst_margin},
+                                "min_derivative_modulus": rep.worst_margin,
+                                "min_log_derivative_modulus":
+                                    rep.min_log_derivative},
     }
     _write_summary(_out_dir(args), "petalcheck.json", summary)
     return EXIT_OK

@@ -9,7 +9,7 @@ checks sample it.  Orbit verdicts come from a fixed state machine:
   petal      w_n (n >= 1) lies in a wedge of u = -1/(k a w^k) that every
              fiber map provably maps into itself, with |w_n| -> 0 (the
              Leau-Fatou flower theorem, _petal_region); fibers that move
-             the parabolic point (a_0(z_n) != 0) have none;
+             the parabolic point (a_0(z) != 0) have none;
   basin      w_n lies in a disk of a certified attracting cycle
              (_basin_disks): every fiber map takes each disk of the cycle
              into the next one, and around the cycle strictly into itself;
@@ -22,7 +22,7 @@ tolerances, normalform.detect_parabolic_order.
 Grids run through a vectorized lockstep engine.  It drops all-zero top
 w-degrees (0 * w is exact for the finite w of undecided points) and
 compacts its arrays to the undecided points once fewer than 90% remain,
-checked every step.  More than _TILE starts run in tiles up to step
+checked every step.  Starts run in tiles of at most _TILE up to step
 _POOL_STEP, where most pixels have settled, and the tiles' undecided
 points are pooled into one lockstep for the rest of the run, so past the
 early steps only the results span the grid.  The engine returns, per
@@ -35,24 +35,23 @@ whatever else shares its array (chunks, threads, tiles, compaction).
 
 A fiber that does not move (z0 = 0, or no coefficient depends on z) has
 one coefficient row for every step: its schedule is a read-only view of
-that row with row stride 0, and every reduction over rows reads the row
-once (_distinct_rows).  A single orbit steps, forms its derivative logs
-and reads its verdict scans (escape, petal, basin) on one block schedule,
-64 steps, then 128, ..., at most _CHUNK, in both stop modes, so beyond its
-recorded ws and dlogs (24 bytes a step) no temporary spans the orbit; with
-the CLI's orbit.csv, written by chunks, a full orbit peaks about 35 bytes
-a recorded step above a short one, on a map with a petal region as on one
-without.  Stopping at its verdict, an orbit grows ws and dlogs with the
-block schedule instead of sizing them for n_max.
+that row with row stride 0 (_distinct_rows).  A single orbit walks one
+block schedule in both stop modes (the single-orbit section), so beyond
+its recorded ws and dlogs (24 bytes a step) no temporary spans the orbit;
+with the CLI's orbit.csv, written by chunks, a full orbit peaks about 35
+bytes a recorded step above a short one.
 
-Attracting cycles are found once per call, from the critical orbits of
-the schedule's first row (_basin_disks), and certified for every row
-(_certify_cycle); no verdict rests on that search.  A cycle is named by
-the key of its polished points (_cycle_key), and cycle ids rank the keys
-of the certified cycles, so a slice's ids are canonical, never in
-discovery order; a single orbit's cycle_representative is the polished
-point whose key sorts first.  Neutral cycles (Siegel, Cremer, the identity
-map) get no certificate, so their points stay undecided.
+The schedule only steps.  Both certificates, the petal region and the
+basin disks, read the map's coefficients over the fiber circle
+(_fiber_lists), so they depend neither on n_max nor on numpy.  Attracting
+cycles are found once per call, from the critical orbits of the
+schedule's first row (_basin_disks); no verdict rests on that search.  A
+cycle is named by the key of its polished points (_cycle_key), and cycle
+ids rank the keys of the certified cycles, so a slice's ids are
+canonical, never in discovery order; a single orbit's
+cycle_representative is the polished point whose key sorts first.
+Neutral cycles (Siegel, Cremer, the identity map) get no certificate, so
+their points stay undecided.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from ._np import np
 from .errors import LinearFiberError
 from .normalform import detect_parabolic_order
 from .rotation import _CHUNK, RotationNumber, unit_powers
-from .series import SkewGerm, TruncatedSeries, _cmul, _horner
+from .series import SkewGerm, TruncatedSeries, _horner
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,7 +109,7 @@ PETAL_RADIUS = 0.75  # the certified petal region lies within |w| < this
 PETAL_EPS = 0.49     # bound on |u' - u - 1| sought there; invariance needs 1/2
 CYCLE_ROUND = 4      # decimals of the cycle keys
 MAX_PETAL_ORDER = 4096
-# The grid engine runs more starts than _TILE in tiles of _TILE up to step
+# The grid engine runs its starts in tiles of at most _TILE up to step
 # _POOL_STEP, then pools their undecided points: on the benchmark's 300 x
 # 300 parabolic and basin slices (seed 31) 1.9% and 4.1% of the pixels are
 # undecided at step 16.
@@ -206,10 +205,7 @@ def _coeff_matrix(F, z0: complex, n_max: int) -> np.ndarray:
 
       moving fiber (z0 != 0 and some a_j depends on z): n_max + 1 rows;
       fixed fiber (otherwise): one row, as a read-only view of n_max + 1
-          rows with row stride 0.
-
-    Reductions over the rows read _distinct_rows(C), which is that one row
-    for a fixed fiber, so no schedule's size is ever walked step by step."""
+          rows with row stride 0 (_distinct_rows reads the row once)."""
     lists, rot = _coeff_lists(F)  # TypeError first for any other map type
     if abs(z0) >= F.radius:
         raise ValueError(f"|z0| = {abs(z0)} outside validity radius {F.radius}")
@@ -239,6 +235,20 @@ def _distinct_rows(C: np.ndarray) -> np.ndarray:
     return C[:1] if C.strides[0] == 0 else C
 
 
+def _fiber_lists(F, r: float) -> tuple[list[list[complex]], float, list[float]]:
+    """(lists, r', slack): F's coefficients a_j as z-polynomials (constant
+    terms only when r = 0); each row _coeff_matrix builds on a fiber |z0| =
+    r is a_j(z), |z| <= r', within slack_j sum_i |c_ji| r'^i.  r' = r (1 +
+    2^-48) covers z_n = lam^n z0 (libm's cos and sin within an ulp, one
+    complex product); slack_j = 8 len(c_j) 2^-53 covers np.polyval's Horner
+    steps and that sum's rounding, 0 where a_j is copied, not evaluated."""
+    lists, _ = _coeff_lists(F)
+    if not r:
+        return [c[:1] for c in lists], 0.0, [0.0] * len(lists)
+    return lists, r * (1.0 + 2.0 ** -48), [
+        8 * len(c) * 2.0 ** -53 if any(c[1:]) else 0.0 for c in lists]
+
+
 def _parabolic_data(F) -> tuple[int, complex]:
     """(k, a_{k+1}) for the fiber map at z = 0, by the rule of
     normalform.detect_parabolic_order; k = 0 when it is not parabolic."""
@@ -256,22 +266,45 @@ class _Region(NamedTuple):  # see _petal_region
     lead: complex   # a = a_{k+1} at z = 0
     base: float     # base angle of the attracting directions
     rho: float      # the region lies within |w| < rho
-    eps: float      # every row maps u to u + 1 + e with |e| <= eps on it
+    eps: float      # each fiber map takes u to u + 1 + e, |e| <= eps, on it
 
 
-def _petal_certificate(k: int, lead: complex, moduli,
-                       cap: float = PETAL_RADIUS) -> _Region | None:
-    """The region of _petal_region, rho capped at cap, for maps whose
-    coefficients beyond w^k have moduli at most m, given as pairs (j, m):
-    j = 0 bounds |a_{k+1} - lead|, j >= 1 the coefficient of w^{k+1+j}.
-    Standard library only: the sampling checks call it without numpy."""
+def _petal_region(F, r: float, cap: float = PETAL_RADIUS) -> _Region | None:
+    """The wedge {|Im u| < Re u - R}, u = -1/(k a w^k), R = 1/(k |a| rho^k),
+    certified for every fiber |z| <= r, rho capped at cap, or None unless
+    all are parabolic of order k at w = 0 exactly (a_0 = 0, a_1 = 1, a_2..a_k
+    = 0 as z-series).  The engine and the sampling checks both read it.
+
+    Fiber z maps w to w (1 + P), P = a w^k + T, T = (a_{k+1}(z) - a) w^k +
+    sum_{j>k+1} a_j(z) w^{j-1}, so u to u (1 + P)^-k = u + 1 + e, |e| <= |u|
+    (R2(|P|) + k |T|), with R2(p) = sum_{m>=2} C(k+m-1, m) p^m <= C(k+1, 2)
+    p^2 / (1 - (k+2) p/3) and |T| / |a w^k| <= tau(|w|), each |a_j(z)| at
+    most sum_i |c_ji| r'^i plus its slack (_fiber_lists; CPython's abs),
+    padded for rounding.  This bound on |e| grows with |w|; rho is the
+    largest s <= PETAL_RADIUS where it is at most PETAL_EPS, far enough
+    below 1/2 for its own rounding.  On the wedge |w| < rho, and a step adds
+    at least 1 - eps to Re u and at most eps to |Im u|, so the wedge maps
+    into itself and |w_n| -> 0 (the Leau-Fatou flower theorem)."""
+    k, lead = _parabolic_data(F)
+    lists, rz, slack = _fiber_lists(F, r)
+    if not k or any(any(c[1:]) or c[0] != float(j == 1)
+                    for j, c in enumerate(lists[:k + 1])):
+        return None
+    moduli = []
+    try:  # abs() raises past the double range, where no radius certifies
+        for j, c in enumerate(lists[k + 1:]):
+            terms = [abs(x) * rz ** i for i, x in enumerate(c)]
+            m = sum(terms[1:], abs(c[0] - lead) if j == 0 else terms[0])
+            moduli.append(m + slack[k + 1 + j] * sum(terms))
+    except OverflowError:
+        return None
     a = abs(lead)
     pad = (1.0 + 2.0 ** -50) / a
-    tail = [(j, m * pad) for j, m in moduli if m]
+    tail = [(j, m * pad) for j, m in enumerate(moduli) if m]
 
-    def bound(r: float) -> float:
-        x = a * r ** k  # |a w^k|
-        tau = sum(m * r ** j for j, m in tail)
+    def bound(s: float) -> float:  # at |w| = s
+        x = a * s ** k  # |a w^k|
+        tau = sum(m * s ** j for j, m in tail)
         q = (k + 2) * x * (1.0 + tau) / 3.0
         if not q < 1.0:
             return math.inf
@@ -285,32 +318,6 @@ def _petal_certificate(k: int, lead: complex, moduli,
         return None
     rho = min(lo, cap)
     return _Region(k, lead, directions_for_jet(lead, k), rho, bound(rho))
-
-
-def _petal_region(F, C: np.ndarray) -> _Region | None:
-    """The wedge {|Im u| < Re u - R}, u = -1/(k a w^k), R = 1/(k |a| rho^k),
-    certified for every row of C, or None unless all rows are parabolic of
-    order k at w = 0 exactly (a_0 = 0, a_1 = 1, a_2..a_k = 0).
-
-    Row n is w (1 + P), P = a w^k + T, T = (a_{k+1,n} - a) w^k + sum_{j>k+1}
-    c_{n,j} w^{j-1}: it maps u to u (1 + P)^-k = u + 1 + e, |e| <= |u|
-    (R2(|P|) + k |T|), with R2(p) = sum_{m>=2} C(k+m-1, m) p^m <= C(k+1, 2)
-    p^2 / (1 - (k+2) p/3) and |T| / |a w^k| <= tau(|w|) from the rows'
-    largest moduli (padded for rounding; _petal_certificate).  This bound
-    on |e| grows with |w|; rho is the largest r <= PETAL_RADIUS where it is
-    at most PETAL_EPS, far enough below 1/2 for its own rounding.  On the
-    wedge |w| < rho, and a step adds at least 1 - eps to Re u and at most
-    eps to |Im u|, so the wedge maps into itself and |w_n| -> 0 (the
-    Leau-Fatou flower theorem)."""
-    k, lead = _parabolic_data(F)
-    C = _distinct_rows(C)
-    if not k or (C[:, 0].any() or not np.all(C[:, 1] == 1.0)
-                 or C[:, 2:k + 1].any()):
-        return None
-    shift = lead * np.eye(1, C.shape[1] - k - 1)
-    top = np.max([np.abs(C[i:i + _CHUNK, k + 1:] - shift).max(axis=0)
-                  for i in range(0, len(C), _CHUNK)], axis=0)  # in row blocks
-    return _petal_certificate(k, lead, enumerate(top.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -385,38 +392,41 @@ def _largest(ok, lo: float, hi: float, *args) -> float:
     return lo
 
 
-def _certify_cycle(rows: np.ndarray, pts: list[complex]) -> list[float] | None:
+def _certify_cycle(F, r: float, pts: list[complex]) -> list[float] | None:
     """Radii r_i <= BASIN_RADIUS, each as large as the others allow, such
-    that every row maps D(z_i, r_i) into D(z_{i+1}, r_{i+1}) and the last
-    disk strictly into D(z_0, r_0); None when there are none.
+    that every fiber map, |z| <= r, takes D(z_i, r_i) into D(z_{i+1},
+    r_{i+1}) and the last disk strictly into D(z_0, r_0); None if none do.
 
-    Around z_i a row is g(z_i + h) = sum_j c_j h^j, so |g(z_i + h) -
-    z_{i+1}| <= delta_i + sum_{j>=1} M_ij |h|^j with delta_i = max |c_0 -
-    z_{i+1}| (the polish defect and the rows' spread) and M_ij = max |c_j|
-    over the rows, read in row blocks.  The Taylor shift that gives c_j
-    rounds each real operation on its own (series._cmul), as CPython's
-    complex arithmetic does, so the radii do not depend on numpy's CPU
-    dispatch, and each maximum carries the shift's rounding bound.  The
-    bounds are read at r (1 + 2^-40), which covers the rounding of
-    _basin_hits.  Then p rows map D(z_0, r_0) into a compact part of
-    itself, and every orbit in a disk converges to the cycle
-    (Earle-Hamilton)."""
-    p, d = len(pts), rows.shape[1] - 1
-    gamma = 8 * (d + 1) * 2.0 ** -53
+    Fiber z maps z_i + h to sum_j c_j(z) h^j, z-order m of c_j the Taylor
+    shift to z_i of z-order m of F's coefficients (_fiber_lists), so
+    |g(z_i + h) - z_{i+1}| <= delta_i + sum_{j>=1} M_ij |h|^j, M_ij = sum_m
+    |c_jm| r'^m and delta_i that sum for c_0 - z_{i+1} (the polish defect
+    and a moving fiber's spread).  The shift runs on Python complexes, each
+    real operation rounded on its own (no numpy dispatch), and each term
+    adds gamma times the shifted moduli: 8 (d + 1) 2^-53 for the shift at
+    the map's degree d, plus a moving fiber's largest slack.  The bounds
+    are read at r (1 + 2^-40), which covers the rounding of _basin_hits.
+    Then p maps take D(z_0, r_0) into a compact part of itself, and every
+    orbit in a disk converges to the cycle (Earle-Hamilton)."""
+    lists, rz, slack = _fiber_lists(F, r)
+    p, d = len(pts), max([1] + [j for j, c in enumerate(lists) if any(c)])
+    gamma = 8 * (d + 1) * 2.0 ** -53 + max(slack)
     bounds = []
     for i, z in enumerate(pts):
-        top = np.zeros(d + 1)
-        for b in range(0, len(rows), _CHUNK):
-            c = rows[b:b + _CHUNK].T.copy()  # c[j]: coefficient j of each row
-            ca = np.sqrt(c.real * c.real + c.imag * c.imag)
-            for j in range(d):  # the Taylor shift: c_k += z c_{k+1}
-                for k in range(d - 1, j - 1, -1):
-                    c[k] += _cmul(z, c[k + 1])
+        top = [0.0] * len(lists)
+        for m in range(max(map(len, lists)) - 1, -1, -1):  # Horner in r'
+            c = [x[m] if m < len(x) else 0j for x in lists]
+            ca = [math.sqrt(x.real * x.real + x.imag * x.imag) for x in c]
+            for j in range(len(c) - 1):  # the Taylor shift: c_k += z c_{k+1}
+                for k in range(len(c) - 2, j - 1, -1):
+                    c[k] += z * c[k + 1]
                     ca[k] += abs(z) * ca[k + 1]
-            c[0] -= pts[(i + 1) % p]
-            mod = np.sqrt(c.real * c.real + c.imag * c.imag)
-            top = np.maximum(top, (mod + gamma * ca).max(axis=1))  # NaN stays
-        delta, *tail = (top * (1.0 + 2.0 ** -50)).tolist()
+            if m == 0:
+                c[0] -= pts[(i + 1) % p]
+            t = [math.sqrt(x.real * x.real + x.imag * x.imag) + gamma * y
+                 for x, y in zip(c, ca)]
+            top = [x * rz + y for x, y in zip(top, t)]
+        delta, *tail = [x * (1.0 + 2.0 ** -50) for x in top]
         if not delta < BASIN_RADIUS:
             return None
         bounds.append((delta, tail[::-1]))
@@ -509,23 +519,19 @@ def _cycle_from(row: list[complex], w: complex, n_max: int,
     return None
 
 
-def _basin_disks(C: np.ndarray, region: _Region | None,
+def _basin_disks(F, r: float, C: np.ndarray, region: _Region | None,
                  escape_radius: float) -> _Basins:
-    """The attracting cycles of the schedule C that _certify_cycle
-    certifies, with their disks.
+    """The certified attracting cycles of F over |z| <= r, with their disks.
 
-    Candidates come from the first row g: its critical points, or for a
-    row of degree at most 1 its fixed point a_0/(1 - a_1).  A polynomial of
-    degree d has at most d - 1 non-repelling cycles (the Fatou-Shishikura
-    inequality; M. Shishikura, Ann. Sci. ENS 20, 1987), so when d - 1
-    simple fixed points of g have |g'| <= 1 (within 1e-9) they are all, and
-    its attracting fixed points are the only candidates.  _cycle_from runs
-    each for n_max = len(C) - 1 steps at most; a cycle with a point in a
-    disk already kept is that disk's cycle.  Disks never meet: under the
-    first row alone, a point in two would converge to both."""
-    rows = _distinct_rows(C)
-    rows = rows[:, :max(2, np.flatnonzero(rows.any(axis=0)).max(initial=0)
-                        + 1)]
+    Candidates come from the first row g of its schedule C: its critical
+    points, or for a row of degree at most 1 its fixed point a_0/(1 - a_1).
+    A polynomial of degree d has at most d - 1 non-repelling cycles (the
+    Fatou-Shishikura inequality; M. Shishikura, Ann. Sci. ENS 20, 1987), so
+    when d - 1 simple fixed points of g have |g'| <= 1 (within 1e-9) they
+    are all, and its attracting fixed points are the only candidates.
+    _cycle_from runs each for n_max = len(C) - 1 steps at most; a cycle with
+    a point in a disk already kept is that disk's cycle.  Disks never meet:
+    under the first row alone, a point in two would converge to both."""
     row = C[0].tolist()
     while len(row) > 2 and row[-1] == 0:
         row.pop()
@@ -548,14 +554,23 @@ def _basin_disks(C: np.ndarray, region: _Region | None,
             found = _cycle_from(row, w, len(C) - 1, region, escape_radius)
         except (OverflowError, ZeroDivisionError):  # from abs() or Newton
             continue
-        if found is None or any(abs(z - x) < r for z in found[0]
+        if found is None or any(abs(z - x) < d for z in found[0]
                                 for pts, radii in chains
-                                for x, r in zip(pts, radii)):
+                                for x, d in zip(pts, radii)):
             continue
-        radii = _certify_cycle(rows, found[0])
+        radii = _certify_cycle(F, r, found[0])
         if radii is not None:
             chains.append((found[0], radii))
     return _basins(chains)
+
+
+def _setup(F, z0: complex, n_max: int, escape_radius: float):
+    """(C, region, basins) of one call: the schedule, which only steps, and
+    the certificates over |z| <= r, r = |z0| if the fiber moves, else 0."""
+    C = _coeff_matrix(F, z0, n_max)
+    r = abs(z0) if C.strides[0] else 0.0
+    region = _petal_region(F, r)
+    return C, region, _basin_disks(F, r, C, region, escape_radius)
 
 
 def _basin_hits(w: np.ndarray, a: np.ndarray, basins: _Basins,
@@ -643,12 +658,12 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     Verdict checks run in a fixed order every step (escape, petal, basin);
     each point's outcome is a pure function of its own start, so results do
     not depend on how callers batch the points.  Settled points are stepped
-    on, never read, until the next compaction, checked every step.  More
-    than _TILE starts run in tiles of _TILE up to step _POOL_STEP; the
-    points each tile leaves undecided there, before that step's rules, are
-    pooled into one lockstep for the rest of the run, so the whole start
-    array lives only through the early steps.  Step counts are held as
-    int32, so n_max must be below 2^31 (fatou_slice checks it).
+    on, never read, until the next compaction, checked every step.  Starts
+    run in tiles of at most _TILE (a smaller grid is one tile) up to step
+    _POOL_STEP; the points each tile leaves undecided there, before that
+    step's rules, are pooled into one lockstep for the rest of the run, so
+    the whole start array lives only through the early steps.  Step counts
+    are held as int32, so n_max must be below 2^31 (fatou_slice checks it).
     """
     live = np.flatnonzero(_distinct_rows(C).any(axis=0))
     C = C[:, :max(2, live.max(initial=0) + 1)]
@@ -704,15 +719,12 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
     w = np.asarray(w0, dtype=complex)
     del w0  # then only w holds the starts
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        if m > _TILE:
-            parts = [lockstep(np.arange(i, min(i + _TILE, m), dtype=np.int32),
-                              w[i:i + _TILE], 0, _POOL_STEP)
-                     for i in range(0, m, _TILE)]
-            ids, w = (np.concatenate(f) for f in zip(*parts))
-            del parts
-            lockstep(ids, w, _POOL_STEP, n_max + 1)
-        else:
-            lockstep(np.arange(m, dtype=np.int32), w, 0, n_max + 1)
+        parts = [lockstep(np.arange(i, min(i + _TILE, m), dtype=np.int32),
+                          w[i:i + _TILE], 0, _POOL_STEP)
+                 for i in range(0, max(m, 1), _TILE)]
+        ids, w = (np.concatenate(f) for f in zip(*parts))
+        del parts
+        lockstep(ids, w, _POOL_STEP, n_max + 1)
     return _EngineResult(kind, index, n_stop)
 
 
@@ -732,9 +744,6 @@ def _run_engine(C: np.ndarray, w0: np.ndarray, n_max: int,
 # causal, so both stop modes walk one block schedule (64 steps, then 128,
 # ..., at most _CHUNK): each block is stepped, its derivative logs are
 # formed, and until a verdict is found its steps are read once.
-# tests/test_petals.py holds every field equal to _run_engine's on real
-# maps and on scripted orbits, and ws and the derivative logs equal to
-# _step's on a few points.
 # ---------------------------------------------------------------------------
 
 def _first_verdict(ws: np.ndarray, region: _Region | None, basins: _Basins,
@@ -852,9 +861,7 @@ def iterate_orbit(F, z0: complex, w0: complex, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     _check_escape_radius(escape_radius)
-    C = _coeff_matrix(F, z0, n_max)
-    region = _petal_region(F, C)
-    basins = _basin_disks(C, region, escape_radius)
+    C, region, basins = _setup(F, z0, n_max, escape_radius)
     kind, index, n_stop, period, ws, dlogs = _run_single(
         C, complex(w0), n_max, region, basins, escape_radius, stop_at_verdict)
     rep = None
@@ -889,6 +896,7 @@ class SampleReport(NamedTuple):
     samples: int
     violations: int
     worst_margin: float
+    min_log_derivative: float | None = None  # repelling check: min log |g'|
 
 
 def _seeded(seed: int) -> random.Random:
@@ -905,22 +913,15 @@ def _uniform(rng: random.Random, n: int) -> list[float]:
 
 
 def _local_region(local: ParabolicLocal, z_band: float, rho: float) -> _Region:
-    """The petal certificate of `local` on every fiber |z| <= z_band, its
-    radius capped at rho, with each tail coefficient majorised over the band
-    by sum_i |beta_i| z_band^i.  ValueError when no radius certifies, or
-    when rho^k, the largest |w^k| on the wedge, lies below the normal
-    doubles: there the step errors and eps keep too few bits to compare."""
+    """_petal_region(local, |z_band|, rho), the engine's own wedge; ValueError
+    when no radius certifies, or when rho^k, the largest |w^k| on it, lies
+    below the normal doubles: the step errors keep too few bits there."""
     if not rho > 0:
         raise ValueError(f"rho must be positive (got {rho!r})")
-    k, lead = _parabolic_data(local)
-    band = abs(z_band)
-    moduli = [(j, math.fsum(abs(c) * band ** i for i, c in enumerate(cs)))
-              for j, cs in enumerate([[complex(local.b)], *(
-                  s.to_complex_list() for s in local.tail)], k)]
-    region = _petal_certificate(k, lead, moduli, rho)
-    if region is None or not region.rho ** k >= 2.0 ** -1022:
+    region = _petal_region(local, abs(z_band), rho)
+    if region is None or not region.rho ** local.k >= 2.0 ** -1022:
         raise ValueError(f"no petal radius certifies |e| <= {PETAL_EPS} "
-                         f"with rho^k a normal double (k = {k}, b = "
+                         f"with rho^k a normal double (k = {local.k}, b = "
                          f"{local.b!r}, rho <= {rho!r})")
     return region
 
@@ -995,8 +996,10 @@ def repelling_expansion_check(local: ParabolicLocal, samples: int, seed: int,
     validates that the tail keeps the margin.  With g' = 1 + zeta^k sigma,
     |g'|^2 - 1 = |zeta|^k (2 Re(v sigma) + |zeta|^k |sigma|^2), v =
     (zeta/|zeta|)^k, and expansion is decided on the bracket, which stays
-    positive where zeta^k underflows.  worst_margin is the smallest |g'|
-    seen; a NaN derivative counts as a violation and is left out of it."""
+    positive where zeta^k underflows.  For the least x = |zeta|^k bracket,
+    worst_margin is |g'| = sqrt(1 + x), 1.0 once x is below an ulp (k >= 15
+    at rho = 0.1), and min_log_derivative log |g'| = log1p(x) / 2 keeps it;
+    a NaN derivative counts as a violation and is left out of both."""
     rng = _seeded(seed)
     k = local.k
     # ParabolicLocal attracts along 2 pi j/k, so base pi/k repels
@@ -1014,10 +1017,11 @@ def repelling_expansion_check(local: ParabolicLocal, samples: int, seed: int,
                    + rk * (sigma.real * sigma.real + sigma.imag * sigma.imag))
         if not bracket > 0.0:
             violations += 1
-        g2 = 1.0 + rk * bracket  # |g'|^2
-        if g2 < least:  # never true for NaN, which is skipped
-            least = g2
-    return SampleReport(samples, violations, math.sqrt(least))
+        x = rk * bracket  # |g'|^2 - 1
+        if x < least:  # never true for NaN, which is skipped
+            least = x
+    return SampleReport(samples, violations, math.sqrt(1.0 + least),
+                        0.5 * math.log1p(least) if least > -1.0 else -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -1122,9 +1126,7 @@ def fatou_slice(F, z0: complex, grid: tuple[float, float, float, float, int],
     _check_escape_radius(escape_radius)
     re = np.linspace(float(re0), float(re1), res)
     im = np.linspace(float(im0), float(im1), res)
-    C = _coeff_matrix(F, z0, n_max)
-    region = _petal_region(F, C)
-    basins = _basin_disks(C, region, escape_radius)
+    C, region, basins = _setup(F, z0, n_max, escape_radius)
 
     def run_rows(bounds: tuple[int, int]) -> _EngineResult:
         i0, i1 = bounds  # no name here holds the start array past its use
@@ -1181,10 +1183,8 @@ def critical_orbit_check(g, n_max: int = 20000) -> HypothesisReport:
     of _basin_disks; each is validated through |g'(root)| and iterated.
     The overall flag is true iff every verdict is a basin or a petal.
     """
-    if isinstance(g, SkewGerm):
-        coeffs = g.fiber_constants()
-    else:
-        coeffs = [complex(c) for c in g]
+    coeffs = (g.fiber_constants() if isinstance(g, SkewGerm)
+              else [complex(c) for c in g])
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     if len(coeffs) < 3:
@@ -1192,10 +1192,8 @@ def critical_orbit_check(g, n_max: int = 20000) -> HypothesisReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     deriv = [j * coeffs[j] for j in range(1, len(coeffs))]
-    fiber_map = ConstantVerticalMap(coeffs)
-    C = _coeff_matrix(fiber_map, 0j, n_max)
-    region = _petal_region(fiber_map, C)
-    basins = _basin_disks(C, region, 1e6)  # one certificate for every orbit
+    # one certificate for every orbit
+    C, region, basins = _setup(ConstantVerticalMap(coeffs), 0j, n_max, 1e6)
     reports = []
     for r in sorted(_roots(deriv), key=lambda c: (round(c.real, 12),
                                                   round(c.imag, 12))):

@@ -452,6 +452,8 @@ def test_petalcheck_high_order_exits_0(tmp_path, k):
                    "worst_margin": fwd["worst_margin"]}
     assert cert["rho"] == 0.1 and 0 <= fwd["worst_margin"] < cert["eps"]
     assert rep["repelling_expansion"]["violations"] == 0
+    # |g'| rounds to 1 at k = 20; its logarithm keeps the expansion
+    assert rep["repelling_expansion"]["min_log_derivative_modulus"] > 0
 
 
 @pytest.mark.parametrize("k, rho", [(320, "0.1"), (400, "0.1"), (4097, "0.9")])

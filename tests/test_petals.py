@@ -264,9 +264,7 @@ def test_single_orbit_path_matches_engine(golden, name):
               * np.exp(2j * np.pi * rng.random(6)))
     starts = [complex(w) for w in pinned] + seeded.tolist() + [2e6]
     for n_max in BLOCK_EDGE_N_MAX + (n_big,):
-        C = petals._coeff_matrix(F, z0, n_max)
-        region = petals._petal_region(F, C)
-        basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
+        C, region, basins = petals._setup(F, z0, n_max, ESCAPE_RADIUS)
         eng = petals._run_engine(C, np.array(starts), n_max, region, basins,
                                  ESCAPE_RADIUS)
         kinds = set()
@@ -352,32 +350,38 @@ def _stepped_among_others(C: np.ndarray, w0: complex, n_max: int):
 
 
 def _single_stepping_cases(golden):
-    """(C, starts, region) for every kind of row the single path steps."""
+    """(C, starts, region, basins) for every kind of row the single path
+    steps."""
     n_max = 200  # across the block edges at 64 and 192
     rng = np.random.default_rng(31)
     cases = []
+
+    def fixed(row, starts):  # the one-row view and every row stored
+        C = np.broadcast_to(row, (n_max + 1, len(row)))
+        basins = petals._basin_disks(sd.ConstantVerticalMap(row), 0.0, C,
+                                     None, ESCAPE_RADIUS)
+        return [(C, starts, None, basins), (np.array(C), starts, None, basins)]
+
     for d in range(1, 7):  # a_0 = 0, |a_1| < 1, small higher coefficients
         row = (rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)) / 4
         row[:2] = 0, (0.5, 0.99)[d % 2] * cmath.exp(2j * np.pi * rng.random())
-        C = np.broadcast_to(row, (n_max + 1, d + 1))
-        starts = [0.3 * cmath.exp(2j * np.pi * rng.random()), 4.0 - 1j]
-        cases += [(C, starts, None), (np.array(C), starts, None)]
+        cases += fixed(row, [0.3 * cmath.exp(2j * np.pi * rng.random()),
+                             4.0 - 1j])
     # zero interior coefficients, -0.0 parts and two all-zero top columns:
     # skipping a + 0 or trimming a zero top would move bits, past an
     # overflow to inf and NaN too
     signed = np.array([complex(-0.0, 0.0), 1, 0, complex(0.0, -0.0), -1,
                        complex(-0.0, -0.0), 0, 0])
-    starts = [complex(0.25, -0.0), complex(-0.0, 0.25), complex(-0.3, -0.0),
-              complex(3.0, -0.0)]
-    C = np.broadcast_to(signed, (n_max + 1, len(signed)))
-    cases += [(C, starts, None), (np.array(C), starts, None)]
-    # a moving fiber: the corpus germ, and rows drawn afresh at every step
+    cases += fixed(signed, [complex(0.25, -0.0), complex(-0.0, 0.25),
+                            complex(-0.3, -0.0), complex(3.0, -0.0)])
+    # a moving fiber: the corpus germ, and rows drawn afresh at every step,
+    # which no map's certificate covers
     F = germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
-    C = petals._coeff_matrix(F, 0.05, n_max)
-    cases.append((C, [0.1, -0.2 + 0.1j, 2.0], petals._petal_region(F, C)))
+    C, region, basins = petals._setup(F, 0.05, n_max, ESCAPE_RADIUS)
+    cases.append((C, [0.1, -0.2 + 0.1j, 2.0], region, basins))
     C = (rng.standard_normal((n_max + 1, 4))
          + 1j * rng.standard_normal((n_max + 1, 4))) / 3
-    cases.append((C, [0.2j, 5.0], None))
+    cases.append((C, [0.2j, 5.0], None, NO_BASINS))
     return cases
 
 
@@ -385,9 +389,8 @@ def test_single_path_steps_bit_for_bit_as_among_others(golden):
     # the single path's one-element work arrays against the engine's own
     # step on several points, in both stop modes
     seen = set()
-    for C, starts, region in _single_stepping_cases(golden):
+    for C, starts, region, basins in _single_stepping_cases(golden):
         n_max = len(C) - 1
-        basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
         for w0 in starts:
             want_ws, want_dlogs = _stepped_among_others(C, w0, n_max)
             for stop_at_verdict in (True, False):
@@ -770,9 +773,7 @@ def test_single_path_evaluates_each_petal_run_in_one_call(monkeypatch):
     # reads nothing after the entry, also when it goes on stepping
     g = sd.ConstantVerticalMap([0, 1, 0, 0, -1])
     w0, n_max = 0.1 * cmath.exp(1j * (math.pi / 3 - 0.01)), 10 ** 4
-    C = petals._coeff_matrix(g, 0, n_max)
-    region = petals._petal_region(g, C)
-    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
+    C, region, basins = petals._setup(g, 0, n_max, ESCAPE_RADIUS)
     calls = []
     hits = petals._petal_hits
 
@@ -800,8 +801,7 @@ def test_single_path_evaluates_the_disk_rule_once_per_block(monkeypatch):
     # entry, also when it goes on stepping
     g = sd.ConstantVerticalMap([0, 0.99, 1])
     n_max = 10 ** 4
-    C = petals._coeff_matrix(g, 0, n_max)
-    basins = petals._basin_disks(C, None, ESCAPE_RADIUS)
+    C, _, basins = petals._setup(g, 0, n_max, ESCAPE_RADIUS)
     assert [c[0] for c in basins.cycles] == [((0.0, 0.0),)]
     calls = []
     hits = petals._basin_hits
@@ -836,8 +836,7 @@ def test_single_path_steps_the_cycle_automaton_only_on_events(
     # steps never call the rule
     F = _differential_corpus(golden)[which][0]
     n_max = 3000
-    C = petals._coeff_matrix(F, 0, n_max)
-    basins = petals._basin_disks(C, petals._petal_region(F, C), ESCAPE_RADIUS)
+    C, _, basins = petals._setup(F, 0, n_max, ESCAPE_RADIUS)
     calls = []
     hits = petals._basin_hits
 
@@ -1048,6 +1047,24 @@ def test_repelling_expansion_at_high_order_matches_mpmath(k):
         assert rep.worst_margin == pytest.approx(least, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [15, 20, 50])
+def test_min_log_derivative_stays_above_zero_at_high_order(k):
+    # from k = 15 at rho = 0.1, |g'| rounds to 1 (worst_margin 1.0); log
+    # |g'| = log1p(|g'|^2 - 1) / 2 keeps the expansion, within 1e-12 of
+    # mpmath on the same samples
+    mpmath = pytest.importorskip("mpmath")
+    local = sd.ParabolicLocal(k=k)
+    rep = sd.repelling_expansion_check(local, samples=500, seed=1)
+    region = petals._local_region(local, 0.0, 0.1)
+    zeta = petals._sample_petal(petals._seeded(1), 500,
+                                region._replace(base=math.pi / k))
+    with mpmath.workdps(_oracle_digits(k, region.rho)):
+        least = min(abs(1 - (k + 1) * z ** k) for z in map(mpmath.mpc, zeta))
+        want = float(mpmath.log(least))
+    assert rep.worst_margin == 1.0 and rep.min_log_derivative > 0
+    assert rep.min_log_derivative == pytest.approx(want, rel=1e-12)
+
+
 def test_repelling_direction_formulas():
     # zeta on the repelling ray: |g'| = |1 + 0.2| = 1.2; attracting ray < 1
     assert abs(1 - 2 * (-0.1)) == pytest.approx(1.2)
@@ -1104,12 +1121,10 @@ def test_uniform_draws_lie_on_the_53_bit_grid():
 @pytest.mark.parametrize("b", [0j, 0.3 - 0.2j, 2.0])
 def test_check_certificate_is_the_engine_region(k, b):
     # one petal definition: with the cap at or above the certified radius
-    # the checks' certificate is the engine's at z = 0, bit for bit, where
-    # numpy's |b| rounds as CPython's does; a lower cap moves rho to the
-    # cap and eps to the bound there
-    assert np.abs(np.array([b])).tolist() == [abs(b)]
+    # the checks' certificate is the engine's at z = 0, bit for bit; a
+    # lower cap moves rho to the cap and eps to the bound there
     local = sd.ParabolicLocal(k=k, b=b)
-    engine = petals._petal_region(local, petals._coeff_matrix(local, 0, 10))
+    engine = petals._setup(local, 0, 10, ESCAPE_RADIUS)[1]
     for cap in (engine.rho, petals.PETAL_RADIUS, 1.0, math.inf):
         assert petals._local_region(local, 0.0, cap) == engine
     low = petals._local_region(local, 0.0, engine.rho / 2)
@@ -1117,18 +1132,35 @@ def test_check_certificate_is_the_engine_region(k, b):
     assert 0 < low.eps < engine.eps
 
 
-def test_check_certificate_follows_the_modulus_of_b():
-    # numpy's complex modulus may differ from CPython's abs in the last
-    # bit; the two certificates then differ by about as much
+def _random_wedges():
+    """(engine, check) wedges of 300 random ParabolicLocal(k, b), k in 1..5
+    and b's parts standard normal, at z = 0: the engine's from its setup,
+    the sampling checks' from _local_region; each as (rho, eps) hex."""
     rng = random.Random(5)
-    for _ in range(200):
+    out = []
+    for _ in range(300):
         local = sd.ParabolicLocal(k=rng.randint(1, 5),
                                   b=complex(rng.gauss(0, 1), rng.gauss(0, 1)))
-        engine = petals._petal_region(local, petals._coeff_matrix(local, 0, 4))
-        check = petals._local_region(local, 0.0, 1.0)
-        assert check[:3] == engine[:3]
-        assert check.rho == pytest.approx(engine.rho, rel=1e-14)
-        assert check.eps == pytest.approx(engine.eps, rel=1e-14)
+        out.append(tuple((r.rho.hex(), r.eps.hex()) for r in (
+            petals._setup(local, 0, 24, ESCAPE_RADIUS)[1],
+            petals._local_region(local, 0.0, petals.PETAL_RADIUS))))
+    return out
+
+
+def test_engine_wedge_is_the_check_certificate_bit_for_bit():
+    # one wedge function: the engine and the checks read b's modulus alike
+    # (CPython's abs); numpy's modulus, which the engine once read, differs
+    # from it in the last bit for 52 of these 300 b
+    wedges = _random_wedges()
+    assert all(engine == check for engine, check in wedges)
+    assert len(set(wedges)) > 250
+
+
+@pytest.mark.skipif(not dispatches_x86_v3(),
+                    reason="numpy dispatches no X86_V3 (AVX2 + FMA3) loops on "
+                           "this CPU, so there is no second dispatch to compare")
+def test_wedges_do_not_depend_on_the_numpy_dispatch():
+    assert _in_baseline_dispatch("_random_wedges()") == _random_wedges()
 
 
 @pytest.mark.parametrize("k, b", list(itertools.product(
@@ -1253,12 +1285,15 @@ def test_engine_trims_zero_top_degrees_exactly(golden, fiber, z0):
         F = sd.ConstantVerticalMap(fiber, golden)
         span = 1.6
     n_max = 400
-    C = petals._coeff_matrix(F, z0, n_max)
-    region = petals._petal_region(F, C)
+    C, region, basins = petals._setup(F, z0, n_max, ESCAPE_RADIUS)
     assert not C[:, -1].any()
     padded = np.hstack([C, np.zeros((n_max + 1, 3), dtype=complex)])
-    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
-    assert petals._basin_disks(padded, region, ESCAPE_RADIUS) == basins
+    # the basin search reads the first row's degree, the certificate the
+    # map's: zero top coefficients move neither
+    assert petals._basin_disks(F, z0, padded, region, ESCAPE_RADIUS) == basins
+    if fiber is not None:
+        trimmed = sd.ConstantVerticalMap(np.trim_zeros(fiber, "b"), golden)
+        assert petals._setup(trimmed, z0, n_max, ESCAPE_RADIUS)[2] == basins
     axis = np.linspace(-span, span, 24)
     w0 = (axis[np.newaxis, :] + 1j * axis[:, np.newaxis]).ravel()
     a = petals._run_engine(C, w0, n_max, region, basins, ESCAPE_RADIUS)
@@ -1279,9 +1314,7 @@ def test_engine_compacted_to_one_survivor_steps_as_before():
     # copy of itself (no compaction) and as the single-orbit path steps it
     F = sd.ConstantVerticalMap([-0.8 + 0.156j, 0, 1])
     w0, n_max = -1.079283 + 0.241198j, 3000
-    C = petals._coeff_matrix(F, 0, n_max)
-    region = petals._petal_region(F, C)
-    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
+    C, region, basins = petals._setup(F, 0, n_max, ESCAPE_RADIUS)
     crowd = petals._run_engine(C, np.array([w0] + [50.0] * 299), n_max,
                                region, basins, ESCAPE_RADIUS)
     assert np.all(crowd.n_stop[1:] < 7)
@@ -1320,25 +1353,29 @@ def test_tiled_and_pooled_lockstep_equals_one_lockstep(monkeypatch, golden,
                                                        name, box, n_max,
                                                        pool):
     # tiles of 64 starts up to step `pool`, then one pooled lockstep, give
-    # every field bit for bit as one lockstep over all starts and as each
-    # start run alone; the grid holds a tile that settles at step 0, NaN
-    # and inf starts, and points that settle at the pooling step and at
-    # the step after it
+    # every field bit for bit as one lockstep over all starts (pooled at
+    # step 0) and as one tile; so do budgets that end before the pooling
+    # step.  The grid holds a tile that settles at step 0, NaN and inf
+    # starts, and points that settle at the pooling step and at the step
+    # after it
     F, z0 = _differential_corpus(golden)[name][:2]
-    C = petals._coeff_matrix(F, z0, n_max)
-    region = petals._petal_region(F, C)
-    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
+    C, region, basins = petals._setup(F, z0, n_max, ESCAPE_RADIUS)
     w0 = _tiled_starts(box, 50, 64)
 
-    def run(starts, tile):
+    def run(starts, tile, pool, n=n_max):
         monkeypatch.setattr(petals, "_TILE", tile)
         monkeypatch.setattr(petals, "_POOL_STEP", pool)
-        return petals._run_engine(C, starts, n_max, region, basins,
-                                  ESCAPE_RADIUS)
+        return petals._run_engine(C, starts, n, region, basins, ESCAPE_RADIUS)
 
-    tiled, whole = run(w0, 64), run(w0, len(w0))
+    def bits(result):
+        return [f.tobytes() for f in result]
+
+    # pooled at step 0, one tile is one lockstep over all starts
+    tiled, whole = run(w0, 64, pool), run(w0, len(w0), 0)
     assert [f.dtype for f in tiled] == [np.int8, np.int32, np.int32]
-    assert [f.tobytes() for f in tiled] == [f.tobytes() for f in whole]
+    assert bits(tiled) == bits(whole) == bits(run(w0, len(w0), pool))
+    for n in (0, pool - 1, pool + 2):  # budgets below the pooling step
+        assert bits(run(w0, 64, pool + 3, n)) == bits(run(w0, len(w0), 0, n))
     kinds = set(tiled.kind.tolist())
     assert {ESCAPE, PETAL if name != "basin_period2" else BASIN} <= kinds
     assert np.all(tiled.n_stop[:64] == 0) and np.all(tiled.kind[:64] == ESCAPE)
@@ -1349,9 +1386,8 @@ def test_tiled_and_pooled_lockstep_equals_one_lockstep(monkeypatch, golden,
     odd = np.flatnonzero(~np.isfinite(w0))
     for i in sorted(set(near[::5].tolist()) | set(odd[:4].tolist())
                     | set(range(64, len(w0), 29))):
-        alone = run(w0[i:i + 1], 64)
-        assert [f.tobytes() for f in alone] == [f[i:i + 1].tobytes()
-                                                for f in tiled], (name, i)
+        alone = run(w0[i:i + 1], 64, pool)
+        assert bits(alone) == [f[i:i + 1].tobytes() for f in tiled], (name, i)
 
 
 def _ppm_oracle(g) -> str:
@@ -1464,11 +1500,10 @@ def test_engine_memory_budget_per_point(golden):
     F = germ_from_coeffs(golden, [[0], [1], [1], [0, 0.05]], 8, 3)
     re, im = np.linspace(-1.5, 0.5, 200), np.linspace(-1, 1, 200)
     w0 = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
-    C = petals._coeff_matrix(F, 0.0, 200)
+    C, region, _ = petals._setup(F, 0.0, 200, ESCAPE_RADIUS)
     tracemalloc.start()
     try:
-        r = petals._run_engine(C, w0, 200, petals._petal_region(F, C),
-                               NO_BASINS, ESCAPE_RADIUS)
+        r = petals._run_engine(C, w0, 200, region, NO_BASINS, ESCAPE_RADIUS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1513,9 +1548,7 @@ def _per_pixel_slice(F, z0, grid, n_max):
     coordinates keyed as round(x * 1e4) (half to even) and sorted."""
     re0, re1, im0, im1, res = grid
     re, im = np.linspace(re0, re1, res), np.linspace(im0, im1, res)
-    C = petals._coeff_matrix(F, z0, n_max)
-    region = petals._petal_region(F, C)
-    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
+    C, region, basins = petals._setup(F, z0, n_max, ESCAPE_RADIUS)
     w0 = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
     r = petals._run_engine(C, w0, n_max, region, basins, ESCAPE_RADIUS)
     code = np.zeros(res * res, dtype=np.int32)
@@ -1753,18 +1786,16 @@ def test_moving_fiber_schedule_has_every_row(golden):
 @pytest.mark.parametrize("name", ["z_terms_at_0", "z_free_at_z0",
                                   "parabolic_k2", "basin", "constant"])
 def test_fixed_fiber_rules_read_both_representations_alike(golden, name):
-    # the region and the engine give the same results on the one-row view
-    # and on the schedule with every row stored
+    # the basin search and the engine give the same results on the one-row
+    # view and on the schedule with every row stored (the certificates read
+    # no schedule)
     F, z0 = _fixed_fiber_cases(golden)[name]
     n_max = 300
-    view = petals._coeff_matrix(F, z0, n_max)
+    view, region, basins = petals._setup(F, z0, n_max, ESCAPE_RADIUS)
     full = np.array(view)
     assert full.strides[0] != 0
-    region = petals._petal_region(F, view)
-    assert region == petals._petal_region(F, full)
     assert (region is None) == (name in ("basin", "constant"))
-    basins = petals._basin_disks(view, region, ESCAPE_RADIUS)
-    assert basins == petals._basin_disks(full, region, ESCAPE_RADIUS)
+    assert basins == petals._basin_disks(F, 0.0, full, region, ESCAPE_RADIUS)
     assert bool(basins.cycles) == (name in ("basin", "constant"))
     axis = np.linspace(-1.2, 1.2, 16)
     w0 = (axis[np.newaxis, :] + 1j * axis[:, np.newaxis]).ravel()
@@ -1836,8 +1867,7 @@ def test_petal_region_is_invariant_at_50_digits(golden, name):
     # at most the derived bound eps < 1/2, so Re u grows by at least 1 - eps
     mpmath = pytest.importorskip("mpmath")
     F, z0 = _region_cases(golden)[name]
-    C = petals._coeff_matrix(F, z0, 24)
-    region = petals._petal_region(F, C)
+    C, region, _ = petals._setup(F, z0, 24, ESCAPE_RADIUS)
     assert region is not None and 0 < region.rho <= petals.PETAL_RADIUS
     assert region.eps <= petals.PETAL_EPS < 0.5
     k = region.k
@@ -1877,13 +1907,13 @@ def test_petal_region_needs_parabolic_rows(golden):
         (random_parabolic_germ(golden, 6, 6, seed=31, scale=0.2), 0.05),
     ]
     for F, z0 in cases:
-        assert petals._petal_region(F, petals._coeff_matrix(F, z0, 50)) is None
+        assert petals._setup(F, z0, 50, ESCAPE_RADIUS)[1] is None
     # the same fibers at z0 = 0 are certified where the map is parabolic
     for F, _ in cases[:3]:
-        assert petals._petal_region(F, petals._coeff_matrix(F, 0, 50))
+        assert petals._setup(F, 0, 50, ESCAPE_RADIUS)[1]
     # the benchmark's parabolic germ w + w^2 gets rho from eps = r/(1 - r)
     F = sd.ConstantVerticalMap([0, 1, 1])
-    region = petals._petal_region(F, petals._coeff_matrix(F, 0, 50))
+    region = petals._setup(F, 0, 50, ESCAPE_RADIUS)[1]
     assert region.rho == pytest.approx(0.49 / 1.49, rel=1e-12)
 
 
@@ -1891,11 +1921,9 @@ def _gate_verdicts(F, z0, starts, n_max, ws):
     """(old, new) verdict tuples of each start: the retired streak and
     cycle rules by the plain-Python walks on its trajectory ws[:, i], and
     the engine."""
-    C = petals._coeff_matrix(F, z0, n_max)
+    C, region, basins = petals._setup(F, z0, n_max, ESCAPE_RADIUS)
     k, lead = petals._parabolic_data(F)
     base = sd.directions_for_jet(lead, k) if k else 0.0
-    region = petals._petal_region(F, C)
-    basins = petals._basin_disks(C, region, ESCAPE_RADIUS)
     eng = petals._run_engine(C, np.asarray(starts), n_max, region, basins,
                              ESCAPE_RADIUS)
     out = []
@@ -1999,8 +2027,7 @@ def test_basin_disks_map_into_each_other_at_50_digits(golden, name):
     # exceeds BASIN_RADIUS
     mpmath = pytest.importorskip("mpmath")
     F, z0, n_max, period = _oracle_maps(golden)[name]
-    C = petals._coeff_matrix(F, z0, n_max)
-    basins = petals._basin_disks(C, petals._petal_region(F, C), ESCAPE_RADIUS)
+    C, _, basins = petals._setup(F, z0, n_max, ESCAPE_RADIUS)
     assert len(basins.cycles) == 1
     _, pts, radii = basins.cycles[0]
     assert len(pts) == period
@@ -2018,6 +2045,20 @@ def test_basin_disks_map_into_each_other_at_50_digits(golden, name):
                     assert abs(mpmath.polyval(row, w) - nxt) < r1, (i, t)
 
 
+def test_certificates_do_not_depend_on_n_max(golden):
+    # both certificates read the map over the fiber circle, not the rows of
+    # the schedule, so a longer run on a moving fiber certifies the same
+    # disks and wedges, bit for bit
+    F, z0 = _oracle_maps(golden)["moving_period2"][:2]
+    disks = [petals._setup(F, z0, n, ESCAPE_RADIUS)[2] for n in (100, 10_000)]
+    assert disks[0].cycles and disks[0] == disks[1]
+    for name in ("moving_fiber", "b_and_z_tail"):
+        F, z0 = _region_cases(golden)[name]
+        wedges = [petals._setup(F, z0, n, ESCAPE_RADIUS)[1]
+                  for n in (24, 10 ** 5)]
+        assert wedges[0] is not None and wedges[0] == wedges[1], name
+
+
 def _disk_table(names):
     """The centers and radii of the certified disks of the named oracle
     maps, as bytes."""
@@ -2025,9 +2066,7 @@ def _disk_table(names):
     out = []
     for name in names:
         F, z0, n_max, _ = _oracle_maps(golden)[name]
-        C = petals._coeff_matrix(F, z0, n_max)
-        basins = petals._basin_disks(C, petals._petal_region(F, C),
-                                     ESCAPE_RADIUS)
+        basins = petals._setup(F, z0, n_max, ESCAPE_RADIUS)[2]
         for _, pts, radii in basins.cycles:
             out.append((_bits(pts), np.array(radii).tobytes()))
     return out
@@ -2040,9 +2079,16 @@ def test_basin_disks_do_not_depend_on_the_numpy_dispatch():
     # the certificate's Taylor shift rounds every operation on its own, so
     # a process without numpy's fused loops builds the same disks, bit for
     # bit
+    assert (_in_baseline_dispatch("_disk_table(test_petals.ORACLE_MAPS)")
+            == _disk_table(ORACLE_MAPS))
+
+
+def _in_baseline_dispatch(call: str):
+    """test_petals.<call> evaluated in a process whose numpy dispatches only
+    its baseline loops (no fused complex products)."""
     code = ("import sys; sys.path[:0] = sys.argv[1:3]; import pickle, "
             "test_petals; sys.stdout.buffer.write(pickle.dumps("
-            "test_petals._disk_table(test_petals.ORACLE_MAPS)))")
+            f"test_petals.{call}))")
     here = Path(__file__).resolve().parent
     proc = subprocess.run(
         [sys.executable, "-c", code, str(here), str(here.parent / "src")],
@@ -2050,7 +2096,7 @@ def test_basin_disks_do_not_depend_on_the_numpy_dispatch():
             os.environ,
             NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4 X86_V3"))
     assert proc.returncode == 0, proc.stderr.decode()
-    assert pickle.loads(proc.stdout) == _disk_table(ORACLE_MAPS)
+    return pickle.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("g", [[0, 1, 0, 0, -1],                  # w - w^4
