@@ -140,7 +140,7 @@ def cmd_brjuno(args) -> int:
         "config": _config_echo(args),
         "rotation": rotation_to_json(rot),
         "partial_quotients": rot.partial_quotients(16),
-        "omega_final": float(table.omega[m_max]),
+        "omega_final": float(table.omega(m_max)),
         "brjuno_partial_sums": sums,
         "cremer_running_max": cremer_running_max(table, m_max),
         "degenerate_indices": list(table.degenerate_indices),

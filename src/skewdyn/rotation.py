@@ -13,8 +13,11 @@ cancellation of forming lam^k in floating point.
 
 The module computes with `math` on Python floats, so a `brjuno` process
 executes no numpy.  The unit column is returned as lists; a divisor table
-holds its two columns as `array('d')`, 8 bytes an entry, filled one chunk
-at a time.  The column and the tables equal, bit for bit, what numpy's
+holds |lam^p - 1| as an `array('d')` column, 8 bytes an entry, filled one
+chunk at a time, and its running minimum omega by the indices where it
+falls: those are q_n + 1 for the convergent denominators q_n, since the
+record lows of ||p theta|| are the best approximations of the second kind.
+The column and the tables equal, bit for bit, what numpy's
 float64 sin, cos and hypot gave: numpy's sin and cos agree with libm's,
 and abs(complex) calls libm's hypot, as np.hypot does.
 Every logarithm is math.log, which can differ from np.log in the last bit.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import accumulate
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateDivisorError, PrecisionError
@@ -292,19 +295,28 @@ class DivisorTable(NamedTuple):
     """Small divisors of a rotation up to index m_max.
 
     d1[p]    = |lam^p - 1|              for 1 <= p <= m_max
-    omega[m] = min |lam^k - lam| over 2 <= k <= m, running minimum
+    omega(m) = min |lam^k - lam| over 2 <= k <= m, running minimum
 
     |lam^k - lam| = |lam^(k-1) - 1| is d1[k - 1], so omega follows the
-    lam^k - lam convention without a second column.  Unused slots hold NaN.
-    `divisor_table` fills both columns as `array('d')`; any sequence of
-    floats (a list, a numpy array) serves as well.
+    lam^k - lam convention without a second column.  d1[0] holds NaN.
+    omega is stored by its falls: it equals lows[i] from falls[i] up to
+    the next fall, falls increasing from 2.  `divisor_table` fills d1 as
+    `array('d')` and the falls and lows as lists; any sequences (a list,
+    a numpy array) serve as well.
     """
 
     rot: RotationNumber
     m_max: int
     d1: Sequence[float]
-    omega: Sequence[float]
+    falls: Sequence[int]
+    lows: Sequence[float]
     degenerate_indices: tuple[int, ...] = ()
+
+    def omega(self, m: int) -> float:
+        """omega(m) for 2 <= m <= m_max; ValueError outside that range."""
+        if not 2 <= m <= self.m_max:
+            raise ValueError("m out of table range")
+        return self.lows[bisect_right(self.falls, m) - 1]
 
 
 def _doubles(values: Iterable[float]) -> array:
@@ -318,7 +330,9 @@ def _doubles(values: Iterable[float]) -> array:
 
 def divisor_table(rot: RotationNumber, m_max: int,
                   allow_degenerate: bool = False) -> DivisorTable:
-    """Tabulate |lam^p - 1| and omega, the running minimum of |lam^k - lam|.
+    """Tabulate |lam^p - 1| and the falls of omega, the running minimum of
+    |lam^k - lam|: omega falls to d1[p] at m = p + 1 where d1[p] is a
+    strict new low.
 
     Degenerate entries (fractional part exactly zero, i.e. a rational
     rotation surfacing at this depth) abort the table unless
@@ -333,52 +347,28 @@ def divisor_table(rot: RotationNumber, m_max: int,
             f"(got {rot.frac_bits}); use the series recursions beyond that")
     chunks = _fraction_chunks(rot, m_max, 1)  # rejects m_max before allocating
     d1 = _doubles([math.nan]) * (m_max + 1)
-    omega = _doubles([math.nan]) * (m_max + 1)
+    falls: list[int] = []
+    lows: list[float] = []
     sin, pi, least = math.sin, math.pi, math.inf
     for lo, _, reds in chunks:
         vals = [2.0 * sin(pi * x) for x in _to_doubles(reds, rot.frac_bits)]
         d1[lo:lo + len(vals)] = _doubles(vals)
-        # omega[k] = min(least, d1[lo..k-1]) over this chunk.  The minimum
-        # falls only at convergent denominators, so most chunks hold none,
-        # and a per-entry min runs only in those that do
+        # the minimum falls only at convergent denominators, so most chunks
+        # hold none, and a per-entry scan runs only in those that do
         if min(vals) < least:
-            mins = _doubles(accumulate(vals, min, initial=least))
-            least = mins.pop()
-        else:
-            mins = _doubles([least]) * len(vals)
-        omega[lo:lo + len(vals)] = mins
-    omega[1] = math.nan  # omega starts at m = 2
+            for p, v in enumerate(vals, lo):
+                if v < least:
+                    least = v
+                    falls.append(p + 1)
+                    lows.append(v)
+    if falls[-1] > m_max:  # d1[m_max] is tabulated, but omega ends at m_max
+        del falls[-1], lows[-1]
     # least is min(d1[1:]); no divisor is negative, so any zero is the minimum
     degenerate = tuple(p for p, d in enumerate(d1) if d == 0.0) if least == 0.0 else ()
     if degenerate and not allow_degenerate:
         raise DegenerateDivisorError(
             f"rotation is rational to working precision: lam^p = 1 for p in {degenerate[:4]}")
-    return DivisorTable(rot, m_max, d1, omega, degenerate)
-
-
-def _runs(values: Sequence[float]) -> list[tuple[float, int]]:
-    """(value, length) of each run of entries with equal bits, values as
-    plain floats: 0.0 and -0.0 run apart, identical NaNs together.
-
-    The entries are copied into a double array.  A span is one run when its
-    bits equal themselves shifted by one, which memoryview compares in C, so
-    each run's end is found by bisection without visiting its entries in
-    Python.  The first probe is the whole rest: a chunk of omega is mostly
-    one run."""
-    col = memoryview(_doubles(values))
-    bits = col.cast("B").cast("q")
-    n, runs, s = len(col), [], 0
-    while s < n:
-        e, hi, mid = s + 1, n + 1, n    # col[s:e] is one run, col[s:hi] is not
-        while hi - e > 1:
-            if bits[s + 1:mid] == bits[s:mid - 1]:
-                e = mid
-            else:
-                hi = mid
-            mid = (e + hi) // 2
-        runs.append((col[s], e - s))
-        s = e
-    return runs
+    return DivisorTable(rot, m_max, d1, falls, lows, degenerate)
 
 
 def _nonvanishing(omega: Sequence[float]) -> Sequence[float]:
@@ -395,7 +385,7 @@ def brjuno_partial_sum(table: DivisorTable, K: int) -> float:
         raise ValueError("K must be nonnegative")
     if 2 ** (K + 1) > table.m_max:
         raise ValueError(f"table holds m_max={table.m_max} < 2^{K + 1}")
-    om = _nonvanishing([table.omega[2 ** (k + 1)] for k in range(K + 1)])
+    om = _nonvanishing([table.omega(2 ** (k + 1)) for k in range(K + 1)])
     total = 0.0
     for k in range(K + 1):
         total += math.log(1.0 / float(om[k])) / 2.0 ** k
@@ -404,29 +394,24 @@ def brjuno_partial_sum(table: DivisorTable, K: int) -> float:
 
 def cremer_exponent(table: DivisorTable, m: int) -> float:
     """(1/m) log(1/omega(m)), the divergence-rate gauge at index m."""
-    if not 2 <= m <= table.m_max:
-        raise ValueError("m out of table range")
-    return math.log(1.0 / float(_nonvanishing([table.omega[m]])[0])) / m
+    return math.log(1.0 / float(_nonvanishing([table.omega(m)])[0])) / m
 
 
 def cremer_running_max(table: DivisorTable, m: int) -> float:
-    """max over 2..m of the exponent above."""
+    """max over 2..m of the exponent above.
+
+    L/m rounds monotonically in m for a fixed L = log(1/omega), formed as
+    cremer_exponent forms it, so over each run of equal omega, from one
+    fall to the entry before the next, the maximum sits at one of the
+    run's two ends."""
     if not 2 <= m <= table.m_max:
         raise ValueError("m out of table range")
-    # L/m rounds monotonically in m for a fixed L = log(1/omega), formed as
-    # cremer_exponent forms it, so over a run of equal omega the maximum
-    # sits at one of the run's two ends.  Every entry equals its run's
-    # value, so checking those checks them all; a run split at a chunk's
-    # edge keeps its maximum at one of the pieces' ends
+    n = bisect_right(table.falls, m)
+    lasts = [f - 1 for f in table.falls[1:n]] + [m]
     best = -math.inf
-    for lo in range(2, m + 1, _CHUNK):
-        runs = _runs(table.omega[lo:min(lo + _CHUNK, m + 1)])
-        _nonvanishing([v for v, _ in runs])
-        first = lo
-        for v, n in runs:
-            L = math.log(1.0 / v)
-            best = max(best, L / first, L / (first + n - 1))
-            first += n
+    for first, last, v in zip(table.falls[:n], lasts, _nonvanishing(table.lows[:n])):
+        L = math.log(1.0 / v)
+        best = max(best, L / first, L / last)
     return best
 
 
@@ -484,20 +469,17 @@ def rotation_from_json(obj: dict | str) -> RotationNumber:
 
 def write_divisor_csv(table: DivisorTable, path) -> None:
     """Columns: m, dlam, omega, cremer_exponent, one row per m = 2..m_max,
-    lines ended by CRLF; dlam = |lam^m - lam| is d1[m - 1].  Rows are
-    formatted column-wise _CHUNK at a time, each chunk read as plain
-    doubles.  omega is a running minimum, so its text and log(1/omega) (inf
-    where omega is not positive) are formed once per run of equal values."""
+    lines ended by CRLF; dlam = |lam^m - lam| is d1[m - 1].  omega's text
+    and log(1/omega) (inf where omega is not positive) are formed once per
+    run between two falls, and the run's rows at most _CHUNK at a time,
+    each chunk of d1 and each low read as plain doubles."""
+    ends = [*table.falls[1:], table.m_max + 1]
     with open(path, "w", newline="") as fh:
         fh.write("m,dlam,omega,cremer_exponent\r\n")
-        for lo in range(2, table.m_max + 1, _CHUNK):
-            hi = min(lo + _CHUNK, table.m_max + 1)
-            om_text: list[str] = []
-            logs: list[float] = []
-            for v, n in _runs(table.omega[lo:hi]):
-                om_text += [repr(v)] * n
-                logs += [math.log(1.0 / v) if v > 0.0 else math.inf] * n
-            fh.write("".join([
-                f"{m},{d!r},{t},{g / m!r}\r\n" for m, d, t, g in zip(
-                    range(lo, hi), _doubles(table.d1[lo - 1:hi - 1]),
-                    om_text, logs)]))
+        for first, end, v in zip(table.falls, ends, _doubles(table.lows)):
+            t, g = repr(v), (math.log(1.0 / v) if v > 0.0 else math.inf)
+            for lo in range(first, end, _CHUNK):
+                hi = min(lo + _CHUNK, end)
+                fh.write("".join([
+                    f"{m},{d!r},{t},{g / m!r}\r\n" for m, d in zip(
+                        range(lo, hi), _doubles(table.d1[lo - 1:hi - 1]))]))

@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 import tracemalloc
 from array import array
 
@@ -21,6 +20,11 @@ from skewdyn.errors import DegenerateDivisorError, PrecisionError
 GOLDEN_THETA = 0.61803398874989484820458683436563811772
 GOLDEN_2THETA_FRAC = 0.23606797749978969640917366873127623544
 GOLDEN_OMEGA2 = 1.8640648476264552430680633373822093828  # 2 sin(pi theta)
+
+
+def _omegas(t) -> list[float]:
+    """omega(m) for m = 2..m_max."""
+    return [t.omega(m) for m in range(2, t.m_max + 1)]
 
 
 def test_golden_theta(golden):
@@ -67,12 +71,12 @@ def test_unit_column_rational_rotation():
 def test_divisor_table_golden(golden, golden_table):
     t = golden_table
     assert abs(t.d1[1] - GOLDEN_OMEGA2) < 1e-14
-    assert abs(t.omega[2] - GOLDEN_OMEGA2) < 1e-14
-    om = np.asarray(t.omega[2:])
+    assert abs(t.omega(2) - GOLDEN_OMEGA2) < 1e-14
+    om = np.asarray(_omegas(t))
     assert np.all(np.diff(om) <= 0)
     assert np.all(om > 0) and np.all(om <= 2)
     # min |lam^k - 1| is the alternative gauge; for golden both stay comparable
-    assert 0 < np.nanmin(t.d1[1:101]) <= t.omega[100] * 2
+    assert 0 < np.nanmin(t.d1[1:101]) <= t.omega(100) * 2
 
 
 def test_divisor_table_rational_degenerate():
@@ -83,7 +87,7 @@ def test_divisor_table_rational_degenerate():
     t = sd.divisor_table(rot, 2, allow_degenerate=True)
     # |lam^2 - lam| = |1 - (-1)| = 2 at theta = 1/2
     assert t.d1[1] == pytest.approx(2.0, abs=1e-15)
-    assert t.omega[2] == pytest.approx(2.0, abs=1e-15)
+    assert t.omega(2) == pytest.approx(2.0, abs=1e-15)
     assert t.d1[2] == 0.0 and 2 in t.degenerate_indices
 
 
@@ -91,7 +95,7 @@ def test_divisor_table_deterministic(golden):
     a = sd.divisor_table(golden, 500)
     b = sd.divisor_table(golden, 500)
     assert np.array_equal(a.d1[1:-1], b.d1[1:-1])
-    assert np.array_equal(a.omega[2:], b.omega[2:])
+    assert np.array_equal(_omegas(a), _omegas(b))
 
 
 def test_unit_circle_consistency(golden):
@@ -160,7 +164,7 @@ def test_unit_column_matches_mpmath(case):
 
 def test_brjuno_partial_sum_synthetic(golden):
     t = sd.divisor_table(golden, 256)
-    flat = sd.DivisorTable(golden, 256, t.d1, np.full(257, 2.0))
+    flat = sd.DivisorTable(golden, 256, t.d1, [2], [2.0])
     for K in (0, 3, 6):
         expect = sum(2.0 ** -k for k in range(K + 1)) * math.log(0.5)
         assert sd.brjuno_partial_sum(flat, K) == pytest.approx(expect, rel=1e-14)
@@ -176,14 +180,13 @@ def test_brjuno_partial_sum_golden_finite(golden_table):
 
 def test_brjuno_nondecreasing_when_small_omegas(golden):
     t = sd.divisor_table(golden, 256)
-    om = np.minimum(t.omega, 0.9)
-    small = sd.DivisorTable(golden, 256, t.d1, om)
+    small = sd.DivisorTable(golden, 256, t.d1, t.falls, [min(v, 0.9) for v in t.lows])
     sums = [sd.brjuno_partial_sum(small, K) for K in range(7)]
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
 def test_cremer_exponent(golden_table):
-    flat = sd.DivisorTable(golden_table.rot, 64, golden_table.d1, np.ones(65))
+    flat = sd.DivisorTable(golden_table.rot, 64, golden_table.d1, [2], [1.0])
     assert sd.cremer_exponent(flat, 17) == 0.0
     m = sd.cremer_running_max(golden_table, 2048)
     assert 0 < m < 2  # bounded-type rotation
@@ -198,7 +201,7 @@ def test_cremer_running_max_matches_every_index(case):
     exps = [sd.cremer_exponent(t, i) for i in range(2, 5001)]
     for m in (2, 3, 4, 5, 17, 1000, 1024, 1025, 5000):
         assert sd.cremer_running_max(t, m) == max(exps[:m - 1]), m
-    flat = sd.DivisorTable(rot, 64, t.d1[:65], np.full(65, 3.0))
+    flat = sd.DivisorTable(rot, 64, t.d1[:65], [2], [3.0])
     assert sd.cremer_running_max(flat, 64) == -math.log(3.0) / 64
 
 
@@ -232,7 +235,7 @@ def test_lam_power_reads_the_column(case):
 
 
 # sha256 prefixes of the column's lam, mant, exp2 and of the table's defined
-# d1[1:] and omega[2:] entries, recorded when both were numpy arrays; the
+# d1[1:] and omega(2..m) entries, recorded when both were numpy arrays; the
 # Python-float port must reproduce them bit for bit
 COLUMN_PINS = {
     "golden-192": (4096, ["1418fce10d76ddde", "adec3876d5cd1c2d", "039adc579ab2d058",
@@ -268,8 +271,8 @@ def test_unit_column_and_table_bits_are_pinned(case):
            _digest(col.exp2, np.int64)]
     if rot.frac_bits <= sd.rotation.MAX_TABLE_FRAC_BITS:
         t = sd.divisor_table(rot, m)
-        assert math.isnan(t.d1[0]) and all(map(math.isnan, t.omega[:2]))
-        got += [_digest(t.d1[1:], float), _digest(t.omega[2:], float)]
+        assert math.isnan(t.d1[0])
+        got += [_digest(t.d1[1:], float), _digest(_omegas(t), float)]
     assert got == pins
     if case in LAM_POWER_PINS:
         lams = [sd.lam_power(rot, j) for j in (1, -1, 5, -5, 1000)]
@@ -317,9 +320,53 @@ def test_convergent_denominators(cremer_rotation):
 def test_omega_monotone_for_random_quotients(quots):
     rot = sd.RotationNumber.from_quotients(quots)
     t = sd.divisor_table(rot, 128)
-    om = np.asarray(t.omega[2:])
+    om = np.asarray(_omegas(t))
     assert np.all(np.diff(om) <= 0)
     assert np.all(om > 0)
+
+
+def _assert_omega_falls_at_convergents(rot, m_max):
+    # the record lows of ||p theta|| sit at the convergent denominators q_n
+    # (best approximations of the second kind), so omega(m), the minimum of
+    # |lam^(k-1) - 1| up to k = m, falls exactly at m = q_n + 1.  The
+    # quotients are read from the fixed-point value, all-ones tail included
+    dens, qm2, qm1 = {1}, 0, 1
+    for a in sd.rotation._quotients_of_fixed(rot.numerator, rot.frac_bits, 200):
+        qm2, qm1 = qm1, a * qm1 + qm2
+        dens.add(qm1)
+    t = sd.divisor_table(rot, m_max)
+    assert t.falls == [q + 1 for q in sorted(dens) if q <= m_max - 1]
+    assert t.lows == [t.d1[f - 1] for f in t.falls]
+
+
+@pytest.mark.parametrize("make_rot,m_max", [
+    (lambda: sd.RotationNumber.from_surd(-1, 1, 5, 2), 2 ** 14),   # golden mean
+    # m_max = q_19 = 4181: d1[m_max] is a new low, but omega ends at m_max
+    (lambda: sd.RotationNumber.from_surd(-1, 1, 5, 2), 4181),
+    (lambda: sd.RotationNumber.from_surd(0, 1, 2, 1), 2 ** 14),    # sqrt 2
+    (lambda: sd.RotationNumber.from_surd(1, 1, 7, 3), 2 ** 14),    # (1 + sqrt 7)/3
+    (lambda: sd.RotationNumber.from_quotients([4, 2 ** 400], 512), 2 ** 14),
+], ids=["golden", "golden-4181", "sqrt2", "sqrt7", "cremer-512"])
+def test_omega_falls_at_convergent_denominators(make_rot, m_max):
+    _assert_omega_falls_at_convergents(make_rot(), m_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=8))
+def test_omega_falls_at_convergents_for_random_quotients(quots):
+    _assert_omega_falls_at_convergents(sd.RotationNumber.from_quotients(quots), 2 ** 14)
+
+
+def test_omega_is_read_only_on_2_to_m_max(golden_table):
+    # below 2 the falls hold nothing: without the guard m = 0 and 1 would
+    # read lows[-1], the last low
+    t = golden_table
+    for m in (0, 1, t.m_max + 1):
+        with pytest.raises(ValueError):
+            t.omega(m)
+        with pytest.raises(ValueError):
+            sd.cremer_exponent(t, m)
+    assert t.omega(2) == t.d1[1] and t.omega(t.m_max) == min(t.d1[1:t.m_max])
 
 
 def test_rotation_json_round_trip(golden):
@@ -345,15 +392,19 @@ def test_divisor_csv(tmp_path, golden):
     assert all(b <= a for a, b in zip(om, om[1:]))
 
 
-def _divisor_csv_oracle(table, path):
-    """The row-at-a-time csv.writer loop the chunked writer replaced."""
-    om = table.omega
+def _divisor_csv_oracle(table, path, omega=None):
+    """The row-at-a-time csv.writer loop the chunked writer replaced.  omega
+    is min(d1[1..m-1]), formed here, unless a caller-built table passes its
+    own."""
+    least = math.inf
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["m", "dlam", "omega", "cremer_exponent"])
         for m in range(2, table.m_max + 1):
-            ce = math.log(1.0 / om[m]) / m if om[m] > 0.0 else math.inf
-            w.writerow([m, repr(float(table.d1[m - 1])), repr(float(om[m])), repr(ce)])
+            least = min(least, float(table.d1[m - 1]))
+            om = least if omega is None else float(omega(m))
+            ce = math.log(1.0 / om) / m if om > 0.0 else math.inf
+            w.writerow([m, repr(float(table.d1[m - 1])), repr(om), repr(ce)])
 
 
 DIVISOR_CSV_CASES = {
@@ -368,7 +419,7 @@ DIVISOR_CSV_CASES = {
     # a table held in numpy arrays, whose entries are numpy scalars: every
     # cell must still be written as a plain double
     "numpy-8": (lambda: sd.RotationNumber.from_surd(-1, 1, 5, 2), 8,
-                lambda t: sd.DivisorTable(t.rot, 8, np.asarray(t.d1), np.full(9, 2.0))),
+                lambda t: sd.DivisorTable(t.rot, 8, np.asarray(t.d1), [2], np.full(1, 2.0))),
 }
 
 
@@ -380,7 +431,7 @@ def test_divisor_csv_matches_row_writer(tmp_path, case):
     for f in wrap:
         table = f(table)
     sd.write_divisor_csv(table, tmp_path / "got.csv")
-    _divisor_csv_oracle(table, tmp_path / "want.csv")
+    _divisor_csv_oracle(table, tmp_path / "want.csv", table.omega if wrap else None)
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert got.count(b"\r\n") == m_max  # header + m = 2..m_max
@@ -388,9 +439,10 @@ def test_divisor_csv_matches_row_writer(tmp_path, case):
 
 
 def test_divisor_table_memory_budget(golden):
-    # the benchmark's golden brjuno call in process: the two columns take
-    # 2 MiB as doubles (traced peak 2.2 MiB), and nothing else may grow
-    # with the table, such as a list of floats or of CSV cells
+    # the benchmark's golden brjuno call in process: the d1 column takes
+    # 1 MiB as doubles (traced peak 1.24 MiB), and nothing else may grow
+    # with the table, such as a dense omega column or a list of CSV cells.
+    # omega falls only at the convergent denominators, and q_n >= F_{n+1}
     tracemalloc.start()
     try:
         t = sd.divisor_table(golden, 2 ** 17)
@@ -400,8 +452,8 @@ def test_divisor_table_memory_budget(golden):
     finally:
         tracemalloc.stop()
     assert type(t.d1) is array and t.d1.typecode == "d"
-    assert type(t.omega) is array and t.omega.typecode == "d"
-    assert peak <= 3.5 * 2 ** 20, peak / 2 ** 20
+    assert len(t.falls) == len(t.lows) <= 2 + math.log(2 ** 17, (1 + math.sqrt(5)) / 2)
+    assert peak <= 2 * 2 ** 20, peak / 2 ** 20
 
 
 def test_divisor_table_rejects_precision_before_allocating():
@@ -414,27 +466,9 @@ def test_divisor_table_rejects_precision_before_allocating():
 def test_divisor_csv_keeps_the_sign_of_zero(tmp_path, golden):
     # a caller-built table: 0.0 and -0.0 compare equal but are written apart
     t = sd.divisor_table(golden, 3)
-    table = sd.DivisorTable(t.rot, 3, t.d1, [math.nan, math.nan, 0.0, -0.0])
+    table = sd.DivisorTable(t.rot, 3, t.d1, [2, 3], [0.0, -0.0])
     sd.write_divisor_csv(table, tmp_path / "got.csv")
-    _divisor_csv_oracle(table, tmp_path / "want.csv")
+    _divisor_csv_oracle(table, tmp_path / "want.csv", table.omega)
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert b",-0.0,inf\r\n" in got
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 2.0, math.inf, math.nan]),
-                max_size=80))
-def test_runs_match_a_plain_loop(values):
-    # reference: a run grows while its next entry has its value's bits, so
-    # that 0.0 and -0.0 run apart and identical NaNs together
-    want: list[list] = []
-    for v in values:
-        if want and struct.pack("d", want[-1][0]) == struct.pack("d", v):
-            want[-1][1] += 1
-        else:
-            want.append([v, 1])
-    got = sd.rotation._runs(values)
-    assert [n for _, n in got] == [n for _, n in want]
-    assert all(type(v) is float for v, _ in got)
-    assert [repr(v) for v, _ in got] == [repr(v) for v, _ in want]
